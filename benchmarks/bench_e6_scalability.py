@@ -12,14 +12,11 @@ of the same rows, diffed in CI by ``check_e6_scale_reference.py``.
 """
 
 import json
-import multiprocessing
 import os
-import time
 
 from repro.experiments.common import format_table
 from repro.experiments.e6_scalability import (iter_flood_jobs, iter_jobs,
-                                              iter_scale_jobs, run_scale,
-                                              run_stateful_scale)
+                                              iter_scale_jobs, run_scale)
 from repro.sweeps import SweepRunner
 
 #: v2: rows carry ``peak_mem_mb`` (process high-water RSS at row
@@ -64,183 +61,6 @@ def emit_bench_json(rows):
         json.dump(document, handle, indent=2)
         handle.write("\n")
     return path
-
-#: The multi-core speedup artifact: per (protocol, transport) wall-clock
-#: and relay-cost rows for the 10-shard sparse stateful plant in forced
-#: process mode, plus the byte-level relay micro-benchmark (pipe-pickle
-#: vs pipe-bytes vs shared-memory ring).  ``cpu_count`` is recorded in
-#: the document because the async-grants protocol's headline win —
-#: overlapping fast regions with slow ones — needs at least two cores
-#: to exist; on a single-core box its coordinator overhead is what the
-#: honest numbers show (see docs/ARCHITECTURE.md).
-BENCH_SPEEDUP_SCHEMA = "repro/bench-e6-shard-speedup/v1"
-
-#: Relay micro-benchmark payload sizes: one comfortably below the pipe's
-#: buffer, one around a large stateful round batch, one near the Linux
-#: pipe buffer (the helper echoes one payload at a time, so each send
-#: must fit the 64 KB pipe buffer without a draining thread).
-RELAY_PAYLOAD_SIZES = (1024, 16384, 49152)
-
-
-def speedup_matrix():
-    """The measured (protocol, transport) grid.  ``global-min`` only
-    rides the packed pipe (it is the PR-5 baseline, one row is enough);
-    ring rows drop out where the platform has no shared memory."""
-    from repro.shard import ring_supported
-    transports = ("object", "packed") + (("ring",) if ring_supported()
-                                         else ())
-    combos = [(protocol, transport)
-              for protocol in ("per-channel", "async-grants")
-              for transport in transports]
-    combos.insert(0, ("global-min", "packed"))
-    return combos
-
-
-def measure_speedup_rows(repeats: int = 3):
-    """Best-of-``repeats`` wall-clock per matrix cell, interleaved so
-    background load skews every cell equally rather than whichever ran
-    last."""
-    combos = speedup_matrix()
-    run_stateful_scale(10, 3, shards=10, seed=1, sparse=True,
-                       mode="process")   # warm the spawn machinery
-    best = {}
-    for _ in range(repeats):
-        for protocol, transport in combos:
-            row = run_stateful_scale(10, 3, shards=10, seed=1, sparse=True,
-                                     protocol=protocol, transport=transport,
-                                     mode="process")
-            key = (protocol, transport)
-            if key not in best or row["wall_s"] < best[key]["wall_s"]:
-                best[key] = row
-    return [best[key] for key in combos]
-
-
-def measure_relay_micro(reps: int = 2000):
-    """Per-roundtrip microseconds for one payload crossing coordinator
-    -> worker -> coordinator by each relay mechanism: ``conn.send`` of a
-    bytes object (pickle framing — the pre-ring transport), ``conn.
-    send_bytes`` (the pipe fallback), and a shared-memory SPSC ring."""
-    from repro.shard import SpscRing
-    from repro.shard.ring import pipe_bytes_roundtrip
-    ctx = multiprocessing.get_context("spawn")
-    rows = []
-    for size in RELAY_PAYLOAD_SIZES:
-        payloads = [bytes(size)] * reps
-        conn_a, conn_b = multiprocessing.Pipe()
-        started = time.perf_counter()
-        pipe_bytes_roundtrip(conn_a, conn_b, payloads, pickled=True)
-        pickle_s = time.perf_counter() - started
-        started = time.perf_counter()
-        pipe_bytes_roundtrip(conn_a, conn_b, payloads, pickled=False)
-        bytes_s = time.perf_counter() - started
-        conn_a.close()
-        conn_b.close()
-        ring = SpscRing.create(ctx)
-        started = time.perf_counter()
-        for payload in payloads:
-            ring.write(payload)
-            ring.read()
-        ring_s = time.perf_counter() - started
-        ring.close()
-        rows.append({
-            "payload_bytes": size,
-            "roundtrips": reps,
-            "pipe_pickle_us": round(pickle_s / reps * 1e6, 2),
-            "pipe_bytes_us": round(bytes_s / reps * 1e6, 2),
-            "ring_us": round(ring_s / reps * 1e6, 2),
-        })
-    return rows
-
-
-def emit_speedup_json(rows, relay_rows):
-    """Write ``benchmarks/BENCH_e6_shard_speedup.json`` (path
-    overridable via ``REPRO_BENCH_SPEEDUP_JSON``): the speedup matrix,
-    the relay micro-benchmark, and the headline comparisons — each a
-    wall-clock ratio between two named cells of the same run."""
-    path = os.environ.get("REPRO_BENCH_SPEEDUP_JSON") or os.path.join(
-        os.path.dirname(os.path.abspath(__file__)),
-        "BENCH_e6_shard_speedup.json")
-    by_key = {(row["protocol"], row["transport"]): row for row in rows}
-
-    def compare(label, slow_key, fast_key):
-        slow, fast = by_key.get(slow_key), by_key.get(fast_key)
-        if not (slow and fast) or not fast["wall_s"]:
-            return None
-        return {
-            "comparison": label,
-            "baseline": "+".join(slow_key),
-            "candidate": "+".join(fast_key),
-            "baseline_wall_s": slow["wall_s"],
-            "candidate_wall_s": fast["wall_s"],
-            "speedup": round(slow["wall_s"] / fast["wall_s"], 2),
-        }
-
-    comparisons = [c for c in (
-        compare("async-grants+ring vs global-min barrier",
-                ("global-min", "packed"), ("async-grants", "ring")),
-        compare("async-grants+ring vs per-channel barrier",
-                ("per-channel", "packed"), ("async-grants", "ring")),
-        compare("async-grants vs per-channel (packed)",
-                ("per-channel", "packed"), ("async-grants", "packed")),
-        compare("per-channel ring vs packed pipe",
-                ("per-channel", "packed"), ("per-channel", "ring")),
-    ) if c]
-    document = {
-        "schema": BENCH_SPEEDUP_SCHEMA,
-        "cpu_count": os.cpu_count(),
-        "plant": "10x3 sparse stateful, 10 shards, forced process mode",
-        "tiers": rows,
-        "relay_microbench": relay_rows,
-        "comparisons": comparisons,
-    }
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return path
-
-
-def test_e6_shard_speedup(benchmark, table_sink):
-    """The multi-core speedup tier: the sparse stateful 10-shard plant
-    under every (protocol, transport) combination in *forced* process
-    mode, emitted as ``BENCH_e6_shard_speedup.json``.
-
-    The wall-clock columns are measurements and vary per box (the
-    committed artifact records ``cpu_count`` for that reason); the
-    assertions here pin only what must hold everywhere — deterministic
-    columns invariant across every cell, relay counters consistent with
-    the transport, and the ring beating pickle framing on the byte-level
-    micro-benchmark at batch sizes past the pipe's sweet spot.
-    """
-    rows = benchmark.pedantic(lambda: measure_speedup_rows(),
-                              rounds=1, iterations=1)
-    relay_rows = measure_relay_micro()
-    table_sink("E6-shard-speedup: protocol x transport, 10-shard sparse "
-               "stateful (forced process mode)", format_table(rows))
-    table_sink("E6-shard-speedup: relay micro-benchmark (us/roundtrip)",
-               format_table(relay_rows))
-    reference = rows[0]
-    for row in rows:
-        # the equivalence contract: every cell computes the same run
-        for key in ("enrolled", "table_rows", "lsas_received",
-                    "rib_sha256", "events", "frames_relayed"):
-            assert row[key] == reference[key], (key, row)
-        assert row["grants"] >= row["rounds"] > 0
-        assert row["relay_batches"] > 0
-        if row["transport"] == "object":
-            assert row["relay_bytes"] == 0    # nothing is packed
-        else:
-            assert row["relay_bytes"] > 0
-    # the micro-benchmark's portable claim: once batches outgrow the
-    # pipe's small-message sweet spot, the shared-memory ring beats the
-    # pickling pipe (the pre-ring transport) outright
-    big = relay_rows[-1]
-    assert big["ring_us"] < big["pipe_pickle_us"], big
-    path = emit_speedup_json(rows, relay_rows)
-    with open(path) as handle:
-        document = json.load(handle)
-    assert document["schema"] == BENCH_SPEEDUP_SCHEMA
-    table_sink("E6-shard-speedup comparisons (BENCH_e6_shard_speedup.json)",
-               json.dumps(document["comparisons"], indent=2))
 
 
 SIZES = [(3, 4), (4, 8), (5, 12)]   # (regions, hosts/region)

@@ -33,11 +33,10 @@ REFERENCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 #: ``table_rows`` / ``lsas_received`` joined the deterministic set with
 #: bench schema v2: they pin the aggregate routing state the columnar
 #: LSDB/RIB stores reproduce, independent of the round protocol.
-#: ``grants`` / ``relay_batches`` joined with the async-grants protocol:
-#: grant-fixpoint computations and nonempty relay deliveries are
-#: scheduling-independent in inline mode (the async scheduler consumes
-#: completions in region order there), so the reference pins them for
-#: all three protocols.  Wall-clock keys stay deliberately excluded.
+#: ``grants`` / ``relay_batches`` — grant computations and non-empty
+#: relay deliveries — are scheduling-independent in every mode (the
+#: barrier loop consumes replies in region order).  Wall-clock keys
+#: stay deliberately excluded.
 KEY_FIELDS = ("config", "regions", "hosts_per_region", "shards", "sparse",
               "protocol")
 CHECK_FIELDS = ("rounds", "grants", "region_steps", "frames_relayed",

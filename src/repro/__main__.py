@@ -14,8 +14,8 @@ Usage::
 
 Every experiment exposes its configuration list as data
 (``iter_jobs()``), so the battery is a flat job list dispatched over a
-``multiprocessing`` pool (``--jobs N``, or ``REPRO_JOBS``, default
-``os.cpu_count()``; ``--jobs 1`` is the in-process serial path).  Rows
+``multiprocessing`` pool (``--jobs N``, or ``REPRO_JOBS``, default the
+usable CPU count; ``--jobs 1`` is the in-process serial path).  Rows
 merge back **in job order, not completion order** — output is
 bit-for-bit independent of scheduling, which ``tests/test_sweeps.py``
 enforces.
@@ -168,11 +168,10 @@ def _extract_bool_flag(args: List[str], flag: str) -> Tuple[List[str], bool]:
     return remaining, len(remaining) != len(args)
 
 
-#: Mirrors ``repro.shard.PROTOCOLS`` / ``TRANSPORT_NAMES`` without
-#: importing the shard package on every CLI startup; the CLI test suite
-#: pins the mirror against the real tuples.
-PROTOCOL_CHOICES = ("per-channel", "global-min", "async-grants")
-TRANSPORT_CHOICES = ("object", "packed", "ring")
+#: Mirrors ``repro.shard.PROTOCOLS`` without importing the shard
+#: package on every CLI startup; the CLI test suite pins the mirror
+#: against the real tuple.
+PROTOCOL_CHOICES = ("per-channel", "global-min")
 
 
 def _extract_choice_flag(args: List[str], flag: str, choices: Tuple[str, ...]
@@ -202,18 +201,16 @@ def _extract_choice_flag(args: List[str], flag: str, choices: Tuple[str, ...]
 
 def _sharded_scale_main(shards: int, workers_flag: Optional[int],
                         stateful: bool, balance: bool,
-                        protocol: Optional[str] = None,
-                        transport: Optional[str] = None) -> int:
+                        protocol: Optional[str] = None) -> int:
     """``repro e6-scale --shards N [--stateful] [--balance]
-    [--protocol P] [--transport T]``: the sharded tiers.
+    [--protocol P]``: the sharded tiers.
 
     Default is the frame-level flood fan-out; ``--stateful`` runs the
     flat configuration's *control plane* (enrollment + RIEP + LSA
     flooding) region-sharded instead.  ``--balance`` swaps the modulo
     region spread for the cost-weighted partitioner.  ``--protocol``
-    selects the round rule (per-channel / global-min / async-grants)
-    and ``--transport`` the relay wire format (object / packed / ring)
-    for the stateful tier.  Each job is one whole sharded run whose
+    selects the round rule (per-channel / global-min) for the stateful
+    tier.  Each job is one whole sharded run whose
     coordinator spawns its own per-region workers, so the sweep itself
     defaults to serial dispatch (``--jobs`` still overrides; inside a
     pool worker the coordinator falls back to in-process rounds).
@@ -227,8 +224,6 @@ def _sharded_scale_main(shards: int, workers_flag: Optional[int],
                                    "flat control plane (stateful)")
         if protocol is not None:
             kwargs["protocol"] = protocol
-        if transport is not None:
-            kwargs["transport"] = transport
     else:
         tiers = os.environ.get("REPRO_E6_SCALE_TIERS", "small,medium,large")
         iter_fn, tier_env, what = (iter_flood_jobs, "REPRO_E6_SCALE_TIERS",
@@ -247,8 +242,6 @@ def _sharded_scale_main(shards: int, workers_flag: Optional[int],
     suffix = ", balanced partition" if balance else ""
     if protocol:
         suffix += f", {protocol} rounds"
-    if transport:
-        suffix += f", {transport} transport"
     print(format_table(
         rows, title=f"e6-shard: {what}, unsharded vs "
                     f"{shards}-way region shards{suffix}"))
@@ -257,7 +250,7 @@ def _sharded_scale_main(shards: int, workers_flag: Optional[int],
 
 def _resolve_workers(flag_value: Optional[int]) -> int:
     """The effective worker count: ``--jobs`` beats ``REPRO_JOBS`` beats
-    ``os.cpu_count()`` (raises :class:`ValueError` on a bad env value).
+    the usable CPU count (raises :class:`ValueError` on a bad env value).
 
     Called only on the paths that actually dispatch jobs — a bad
     ``REPRO_JOBS`` must not break ``repro`` (help) or ``scenarios
@@ -390,13 +383,8 @@ def main(argv: List[str]) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
-    argv, transport_flag, error = _extract_choice_flag(
-        argv, "--transport", TRANSPORT_CHOICES)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    if (protocol_flag or transport_flag) and not stateful_flag:
-        print("--protocol/--transport apply to `repro e6-scale --shards N "
+    if protocol_flag and not stateful_flag:
+        print("--protocol applies to `repro e6-scale --shards N "
               "--stateful` only (the flood tier always uses the default "
               "round rule)", file=sys.stderr)
         return 2
@@ -419,8 +407,7 @@ def main(argv: List[str]) -> int:
             return 2
         return _sharded_scale_main(shards_flag, workers_flag,
                                    stateful_flag, balance_flag,
-                                   protocol=protocol_flag,
-                                   transport=transport_flag)
+                                   protocol=protocol_flag)
     if stateful_flag or balance_flag:
         print("--stateful/--balance apply to `repro e6-scale --shards N` "
               "only", file=sys.stderr)
@@ -431,8 +418,7 @@ def main(argv: List[str]) -> int:
         print("usage: python -m repro <experiment> [...] | all [--jobs N]\n"
               "       python -m repro e6-scale --shards N "
               "[--stateful] [--balance]\n"
-              "                [--protocol per-channel|global-min|"
-              "async-grants] [--transport object|packed|ring]\n"
+              "                [--protocol per-channel|global-min]\n"
               "       python -m repro scenarios list|run ...\n"
               "       python -m repro gateway serve|load|conformance ...\n")
         for key, (title, _jobs_fn) in EXPERIMENTS.items():

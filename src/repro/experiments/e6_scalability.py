@@ -586,8 +586,7 @@ def _stateful_row(node_stats: List[Dict[str, Any]]) -> Dict[str, Any]:
 def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
                        seed: int = 1, mode: str = "auto",
                        balance: bool = False, sparse: bool = False,
-                       protocol: str = "per-channel",
-                       transport: str = "packed") -> Dict[str, Any]:
+                       protocol: str = "per-channel") -> Dict[str, Any]:
     """One stateful-tier row: the flat configuration's *control plane*
     (enrollment + RIEP + LSA flooding + keepalives) run unsharded
     (``shards=1``) or region-sharded over worker processes.
@@ -600,9 +599,10 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
     unsharded run.  ``sparse`` swaps in the sparse-traffic workload
     (:func:`build_sparse_stateful_workload`); ``protocol`` selects the
     round rule (``region_steps`` is where the protocols separate — see
-    :class:`repro.shard.coordinator.ShardRunResult`); ``transport``
-    selects the relay wire format (``ring`` moves packed frame batches
-    through shared-memory SPSC rings in process mode).
+    :class:`repro.shard.coordinator.ShardRunResult`).  The
+    ``transport`` column is constant (``packed``; ``none`` on the
+    serial row): the coordinator has one relay path, and the column
+    stays so that committed row digests do not move.
     """
     from ..shard import RegionPlan, run_sharded, run_unsharded_stateful
     spec = build_flood_spec(regions, hosts_per_region)
@@ -637,8 +637,8 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
         plan = RegionPlan(spec, flood_assignment(regions, hosts_per_region,
                                                  shards, balance=balance))
         result = run_sharded(plan, workload, seed=seed, mode=mode,
-                             protocol=protocol, transport=transport,
-                             until=until, collect_traces=False)
+                             protocol=protocol, until=until,
+                             collect_traces=False)
         wall = time.perf_counter() - started
         row = {
             "config": "flat-stateful" + ("-sparse" if sparse else ""),
@@ -646,7 +646,7 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
             "regions": regions,
             "shards": len(plan.regions),
             "protocol": result.protocol,
-            "transport": transport,
+            "transport": "packed",
             "enrolled": sum(s["enrolled"] for s in result.shards),
             "rounds": result.rounds,
             "grants": result.grants,
@@ -669,11 +669,10 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
 def iter_stateful_jobs(tiers: List[str] = ("small", "medium"),
                        shards: int = 2, seed: int = 1,
                        balance: bool = False,
-                       protocol: str = "per-channel",
-                       transport: str = "packed") -> List[Job]:
+                       protocol: str = "per-channel") -> List[Job]:
     """The stateful sharded tier as data: per tier, the single-engine
     reference row and the ``shards``-way partitioned row (under the
-    requested round ``protocol`` and relay ``transport``).  Same
+    requested round ``protocol``).  Same
     dispatch caveats as :func:`iter_flood_jobs` (each job is one whole
     sharded run)."""
     jobs = []
@@ -687,7 +686,7 @@ def iter_stateful_jobs(tiers: List[str] = ("small", "medium"),
                 "repro.experiments.e6_scalability:run_stateful_scale",
                 kwargs={"regions": regions, "hosts_per_region": hosts,
                         "shards": count, "seed": seed, "balance": balance,
-                        "protocol": protocol, "transport": transport},
+                        "protocol": protocol},
                 group="e6-stateful",
                 label=f"e6-stateful flat {tier} x{count}"))
     return jobs

@@ -1,7 +1,7 @@
 """Drive per-region shard engines through conservative-lookahead rounds.
 
-The frame-exchange protocol (documented in docs/ARCHITECTURE.md) comes
-in three flavours, selected by ``protocol=``:
+One barrier round loop (documented in docs/ARCHITECTURE.md), with the
+grant rule selected by ``protocol=``:
 
 ``per-channel`` (the default)
     1. **ent** — each region's earliest possible activity: the minimum
@@ -26,29 +26,11 @@ in three flavours, selected by ``protocol=``:
        by arrival time (stable on emission order) so injection order
        is identical in-process and across worker processes.
 
-``global-min`` (the PR-5 baseline, kept for regression comparison)
+``global-min`` (the PR-5 rule, the step-count baseline)
     Every region, every round, runs to ``floor + lookahead(region)``
     where ``floor`` is the global activity minimum — the coarser rule
     the per-channel grants provably dominate (see the property test in
     ``tests/test_shard_grants.py``).
-
-``async-grants`` (no barrier at all)
-    The per-channel rule, event-driven: the coordinator keeps every
-    region's last known activity bound, dispatches a region the moment
-    *its own* grant permits, and recomputes the fixpoint whenever a
-    step completes — so a fast region never waits on the round tail of
-    a slow one.  While a region is mid-step its contribution to the
-    fixpoint is its **dispatch-time ent**: every event it executes in
-    that step (and, by clock monotonicity, every later one) is at or
-    after that bound, and the fixpoint's ``lbts`` values only grow as
-    the computation advances, so a grant issued from an old fixpoint is
-    still a valid lower bound on every frame that can later arrive —
-    the standard conservative-synchronization monotonicity argument,
-    spelled out in docs/ARCHITECTURE.md.  Results are bit-identical to
-    the barrier protocols; the *counters* (grants, relay batches) are
-    deterministic inline, where completions are consumed in region
-    order, and timing-dependent in process mode, where
-    ``multiprocessing.connection.wait`` reports them as they land.
 
 Rounds repeat until every engine is drained and no frames are in
 flight (or the ``until`` cap is reached).  Workers are persistent
@@ -61,21 +43,15 @@ between rounds and so cannot be a fire-and-forget pool job.  Inside a
 children) the coordinator transparently falls back to in-process
 execution — same rounds, same traces.
 
-Frame batches cross to workers through one of three payload channels,
-announced per batch by a descriptor in the control message (control
-messages always stay on the pipe — they are tiny, and the pipe is the
-one handle ``connection.wait`` can select on):
-
-* ``object`` — the frame list rides inside the control message
-  (pickled; the measured baseline).
-* ``packed`` — one flat byte buffer per batch
-  (:class:`~repro.shard.framing.PackedFrameTransport`), sent with
-  ``Connection.send_bytes`` so the *buffer* is never pickled either.
-* ``ring`` — the identical packed buffer, written into a per-direction
-  shared-memory SPSC ring (:mod:`repro.shard.ring`): zero pickling and
-  no kernel copy on the hot path.  A batch that exceeds ring capacity
-  falls back to the ``packed`` pipe leg automatically — same bytes,
-  slower lane.
+There is one relay path.  A non-empty frame batch crosses a worker
+pipe as one :func:`~repro.shard.framing.pack_frames` buffer, sent with
+``Connection.send_bytes`` right after the control message that
+announces its length — ``("step", horizon, nbytes)`` one way,
+``("stepped", nbytes, clock, next)`` the other; ``nbytes == 0`` means
+no buffer follows.  Packing is also the runtime check that no live
+object crosses a cut (:class:`~repro.shard.framing.FrameFormatError`).
+Inline rounds hand the frame lists over directly and are the
+transport-free reference the process path is pinned against.
 """
 
 from __future__ import annotations
@@ -84,21 +60,15 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..sweeps.runner import START_METHOD_ENV
+from ..sweeps.runner import START_METHOD_ENV, available_cpu_count
 from .engine import BoundaryFrame, ShardEngine
-from .framing import TRANSPORTS, FrameTransport
+from .framing import pack_frames, unpack_frames
 from .plan import RegionPlan, grant_horizons
-from .ring import SharedMemoryRingTransport, ring_supported
 
 MODES = ("auto", "inline", "process")
-PROTOCOLS = ("per-channel", "global-min", "async-grants")
-#: the shard coordinator's transport vocabulary: the stateless pipe
-#: transports of :data:`~repro.shard.framing.TRANSPORTS` plus the
-#: stateful per-worker shared-memory ring
-TRANSPORT_NAMES = tuple(TRANSPORTS) + ("ring",)
+PROTOCOLS = ("per-channel", "global-min")
 
 
 class ShardRunError(RuntimeError):
@@ -122,18 +92,15 @@ class ShardRunResult:
     # the per-worker synchronization cost the global `rounds` barrier
     # count no longer measures
     region_steps: List[int] = field(default_factory=list)
-    #: grant/floor computations the coordinator performed: equals
-    #: ``rounds`` for the barrier protocols (one per round) and the
-    #: scheduler-iteration count for async-grants, whose fixpoint is
-    #: recomputed per completion rather than per barrier
+    #: grant/floor computations the coordinator performed: one per
+    #: round
     grants: int = 0
     #: non-empty frame batches handed to regions (the coordinator →
-    #: region direction) — the unit the ring/pipe transports actually
-    #: move, deterministic in inline mode for every protocol
+    #: region direction) — the unit the worker pipes actually move
     relay_batches: int = 0
-    #: packed payload bytes moved over worker channels, both
-    #: directions; 0 inline (no channel) and for the ``object``
-    #: transport (frames ride inside the pickled control message)
+    #: packed payload bytes moved over worker pipes, both directions;
+    #: 0 inline (frame lists are handed over directly, nothing is
+    #: packed)
     relay_bytes: int = 0
 
     @property
@@ -145,59 +112,6 @@ class ShardRunResult:
     def steps(self) -> int:
         """Total boundary rounds executed across all regions."""
         return sum(self.region_steps)
-
-
-# ----------------------------------------------------------------------
-# Payload channels: how one frame batch crosses a worker boundary.  The
-# control message carries a small descriptor; the bytes (if any) follow
-# on the announced channel.  Both endpoints share these two functions,
-# so the coordinator and the worker cannot disagree about the framing.
-# ----------------------------------------------------------------------
-
-def _stage_frames(transport: FrameTransport, frames: List[BoundaryFrame]
-                  ) -> Tuple[tuple, Optional[bytes], int]:
-    """Stage one outgoing batch: ``(descriptor, pipe_tail, nbytes)``.
-
-    A ring leg is written *now* — the record waits in shared memory
-    until the control message announces it (strict request-reply keeps
-    at most one record per direction in flight, so this never blocks on
-    a full ring).  A ``pipe_tail`` is returned instead when the batch
-    must ride the pipe: the caller sends it with ``send_bytes`` *after*
-    the control message, preserving pipe message order.
-    """
-    if not frames:
-        return ("empty",), None, 0
-    if transport.name == "object":
-        return ("inline", frames), None, 0
-    buf = transport.dumps(frames)
-    if (transport.name == "ring"
-            and len(buf) <= transport.tx.max_payload):
-        transport.tx.write(buf)
-        return ("ring", len(buf)), None, len(buf)
-    # the packed pipe leg — and the ring's oversized-batch fallback:
-    # identical bytes, sent unpickled via send_bytes
-    return ("bytes", len(buf)), buf, len(buf)
-
-
-def _recv_frames(conn, transport: FrameTransport, descriptor: tuple
-                 ) -> Tuple[List[BoundaryFrame], int]:
-    """Receive the batch a descriptor announced: ``(frames, nbytes)``."""
-    kind = descriptor[0]
-    if kind == "empty":
-        return [], 0
-    if kind == "inline":
-        return descriptor[1], 0
-    if kind == "bytes":
-        buf = conn.recv_bytes()
-        return transport.loads(buf), len(buf)
-    if kind == "ring":
-        buf = transport.rx.read()
-        if len(buf) != descriptor[1]:  # pragma: no cover - protocol bug
-            raise ShardRunError(
-                f"ring record of {len(buf)} bytes does not match "
-                f"announced batch of {descriptor[1]}")
-        return transport.loads(buf), len(buf)
-    raise ShardRunError(f"unknown payload descriptor {kind!r}")
 
 
 class _InlineShard:
@@ -234,36 +148,27 @@ class _InlineShard:
         pass
 
 
-def _shard_worker(conn, region, workload, seed, transport_name,
-                  ring_handles=None) -> None:
+def _shard_worker(conn, region, workload, seed) -> None:
     """Worker-process loop: build once, then step on command.
 
     Module-level so ``spawn`` can import it by reference; everything it
-    receives is pure data (ring handles are a segment name plus a
-    Condition, both spawn-safe).  Frame batches arrive and leave
-    through the named payload channel.
+    receives is pure data.
     """
-    ring = None
     try:
-        if transport_name == "ring":
-            ring = SharedMemoryRingTransport.attach_pair(ring_handles)
-            transport: FrameTransport = ring
-        else:
-            transport = TRANSPORTS[transport_name]
         shard = ShardEngine(region, workload, seed=seed)
         conn.send(("ready", shard.next_event_time()))
         while True:
             message = conn.recv()
             if message[0] == "step":
-                _kind, horizon, descriptor = message
-                frames, _nbytes = _recv_frames(conn, transport, descriptor)
-                shard.inject(frames)
+                _kind, horizon, nbytes = message
+                shard.inject(unpack_frames(conn.recv_bytes())
+                             if nbytes else [])
                 out = shard.run_to(horizon)
-                reply, tail, _nbytes = _stage_frames(transport, out)
-                conn.send(("stepped", reply, shard.clock,
+                buf = pack_frames(out) if out else b""
+                conn.send(("stepped", len(buf), shard.clock,
                            shard.next_event_time()))
-                if tail is not None:
-                    conn.send_bytes(tail)
+                if buf:
+                    conn.send_bytes(buf)
             elif message[0] == "finish":
                 _kind, want_rows, want_traces = message
                 conn.send(("done",
@@ -271,6 +176,8 @@ def _shard_worker(conn, region, workload, seed, transport_name,
                            shard.node_stats() if want_rows else [],
                            shard.summary(include_trace=want_traces),
                            shard.trace_text() if want_traces else ""))
+                return
+            elif message[0] == "stop":
                 return
             else:  # pragma: no cover - protocol misuse
                 raise ShardRunError(f"unknown command {message[0]!r}")
@@ -280,49 +187,22 @@ def _shard_worker(conn, region, workload, seed, transport_name,
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
-        if ring is not None:
-            ring.close()
         conn.close()
 
 
 class _ProcessShard:
     """A region engine in a dedicated persistent worker process."""
 
-    def __init__(self, context, region, workload, seed,
-                 transport_name: str) -> None:
+    def __init__(self, context, region, workload, seed) -> None:
         self.region = region.region
         self.relay_bytes = 0
-        self._ring: Optional[SharedMemoryRingTransport] = None
-        ring_handles = None
-        if transport_name == "ring":
-            # rings are per-worker state (unlike the stateless pipe
-            # transports): the coordinator creates — and later unlinks —
-            # both directions' segments, the worker only attaches
-            self._ring = SharedMemoryRingTransport.create_pair(context)
-            self._transport: FrameTransport = self._ring
-            ring_handles = self._ring.handles
-        else:
-            self._transport = TRANSPORTS[transport_name]
-        parent_conn, child_conn = context.Pipe()
-        self._conn = parent_conn
-        try:
-            self._proc = context.Process(
-                target=_shard_worker,
-                args=(child_conn, region, workload, seed, transport_name,
-                      ring_handles),
-                name=f"shard-{region.region}", daemon=True)
-            self._proc.start()
-        except Exception:
-            if self._ring is not None:
-                self._ring.close()
-            raise
+        self._conn, child_conn = context.Pipe()
+        self._proc = context.Process(
+            target=_shard_worker,
+            args=(child_conn, region, workload, seed),
+            name=f"shard-{region.region}", daemon=True)
+        self._proc.start()
         child_conn.close()
-
-    @property
-    def conn(self):
-        """The control pipe — the waitable handle the async scheduler
-        selects on."""
-        return self._conn
 
     def _recv(self, expected: str):
         try:
@@ -343,15 +223,15 @@ class _ProcessShard:
 
     def send_step(self, horizon: Optional[float],
                   frames: List[BoundaryFrame]) -> None:
-        descriptor, tail, nbytes = _stage_frames(self._transport, frames)
-        self.relay_bytes += nbytes
-        self._conn.send(("step", horizon, descriptor))
-        if tail is not None:
-            self._conn.send_bytes(tail)
+        buf = pack_frames(frames) if frames else b""
+        self.relay_bytes += len(buf)
+        self._conn.send(("step", horizon, len(buf)))
+        if buf:
+            self._conn.send_bytes(buf)
 
     def recv_step(self) -> Tuple[List[BoundaryFrame], float, Optional[float]]:
-        descriptor, clock, nxt = self._recv("stepped")
-        frames, nbytes = _recv_frames(self._conn, self._transport, descriptor)
+        nbytes, clock, nxt = self._recv("stepped")
+        frames = unpack_frames(self._conn.recv_bytes()) if nbytes else []
         self.relay_bytes += nbytes
         return frames, clock, nxt
 
@@ -360,19 +240,22 @@ class _ProcessShard:
         return self._recv("done")
 
     def close(self) -> None:
+        # an explicit stop, not just EOF: a forked worker inherits the
+        # coordinator's end of its own pipe, so closing that end alone
+        # never wakes its recv()
+        try:
+            self._conn.send(("stop",))
+        except OSError:
+            pass        # the worker already exited (finished or failed)
         self._conn.close()
         self._proc.join(timeout=10)
         if self._proc.is_alive():  # pragma: no cover - hung worker
             self._proc.terminate()
             self._proc.join(timeout=5)
-        if self._ring is not None:
-            # after the worker has exited (or been terminated): the
-            # creator's close also unlinks both segments
-            self._ring.close()
 
 
 class _LoopState:
-    """The round loop's mutable bookkeeping, shared by all protocols."""
+    """The round loop's mutable bookkeeping."""
 
     __slots__ = ("nexts", "clocks", "inboxes", "region_steps", "rounds",
                  "grants", "frames_relayed", "relay_batches")
@@ -401,33 +284,22 @@ class ShardCoordinator:
         ``"inline"`` (all regions in this process, stepped round-robin),
         or ``"auto"`` — process when there is real parallelism to win
         and spawning children is possible, inline otherwise (single
-        region, or running inside a daemonic pool worker).
+        region, single usable CPU, or running inside a daemonic pool
+        worker).
     protocol:
         ``"per-channel"`` (fixpoint grants + quiet-cut batching, the
-        default), ``"global-min"`` (the PR-5 floor+lookahead rule, kept
-        as the measured regression baseline), or ``"async-grants"``
-        (barrier-free: each region advances the moment its own
-        channels permit).
+        default) or ``"global-min"`` (the PR-5 floor+lookahead rule,
+        kept as the step-count baseline).
     start_method:
         ``multiprocessing`` start method for process mode; defaults to
         ``REPRO_START_METHOD`` (the sweeps knob), then the platform
         default.
-    transport:
-        Frame-batch payload channel for worker processes — one of
-        :data:`TRANSPORT_NAMES`: ``"packed"`` (flat byte buffer per
-        batch over the pipe, unpickled, the default), ``"object"``
-        (frames pickled inside the control message, the measured
-        baseline), or ``"ring"`` (the packed buffer through a
-        per-direction shared-memory SPSC ring, with automatic pipe
-        fallback for oversized batches).  Inline rounds always hand
-        frame lists over directly (there is no channel to pack for).
     """
 
     def __init__(self, plan: RegionPlan, workload: Dict[str, Any],
                  seed: int = 0, mode: str = "auto",
                  protocol: str = "per-channel",
                  start_method: Optional[str] = None,
-                 transport: str = "packed",
                  max_rounds: int = 1_000_000) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; known: "
@@ -435,18 +307,10 @@ class ShardCoordinator:
         if protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {protocol!r}; known: "
                              f"{', '.join(PROTOCOLS)}")
-        if transport not in TRANSPORT_NAMES:
-            raise ValueError(f"unknown transport {transport!r}; known: "
-                             f"{', '.join(TRANSPORT_NAMES)}")
-        if transport == "ring" and not ring_supported():
-            raise ValueError(
-                "transport 'ring' needs multiprocessing.shared_memory, "
-                "which this interpreter lacks")
         self.plan = plan
         self.workload = workload
         self.seed = seed
         self.protocol = protocol
-        self.transport_name = transport
         self.max_rounds = max_rounds
         self.start_method = (start_method
                              or os.environ.get(START_METHOD_ENV) or None)
@@ -458,14 +322,15 @@ class ShardCoordinator:
                                  f"{', '.join(known)}")
         if mode == "auto":
             # process mode only pays when there is real parallelism to
-            # win: multiple regions, more than one CPU, and the ability
-            # to spawn children at all (daemonic pool workers cannot).
+            # win: multiple regions, more than one usable CPU, and the
+            # ability to spawn children at all (daemonic pool workers
+            # cannot).
             # Inline rounds are not a degraded fallback — on a single
             # core they are the *faster* configuration (no IPC, and the
             # per-region heaps already beat one monolithic heap).
             daemonic = multiprocessing.current_process().daemon
-            cpus = os.cpu_count() or 1
-            mode = ("process" if len(plan.regions) > 1 and cpus > 1
+            mode = ("process" if len(plan.regions) > 1
+                    and available_cpu_count() > 1
                     and not daemonic else "inline")
         self.mode = mode
 
@@ -478,37 +343,30 @@ class ShardCoordinator:
         payloads: a million-delivery scale run only needs the per-shard
         summaries, not a million row dicts or megabytes of trace text.
         """
-        proxies = self._make_proxies()
+        # built one by one inside the try: if starting worker k fails,
+        # the finally still closes workers 0..k-1
+        proxies: List[Any] = []
         try:
-            return self._run_rounds(proxies, until, collect_rows,
-                                    collect_traces)
+            for region in self.plan.regions:
+                proxies.append(self._make_proxy(region))
+            st = _LoopState([p.handshake() for p in proxies])
+            self._run_barrier(proxies, until, st)
+            self._cap_advance(proxies, until, st)
+            return self._merge(proxies, st, collect_rows, collect_traces)
         finally:
             for proxy in proxies:
                 proxy.close()
 
-    def _make_proxies(self) -> List[Any]:
+    def _make_proxy(self, region):
         if self.mode == "inline":
-            return [_InlineShard(region, self.workload, self.seed)
-                    for region in self.plan.regions]
+            return _InlineShard(region, self.workload, self.seed)
         context = multiprocessing.get_context(self.start_method)
-        return [_ProcessShard(context, region, self.workload, self.seed,
-                              self.transport_name)
-                for region in self.plan.regions]
-
-    def _run_rounds(self, proxies, until, collect_rows,
-                    collect_traces) -> ShardRunResult:
-        st = _LoopState([p.handshake() for p in proxies])
-        if self.protocol == "async-grants":
-            self._run_async(proxies, until, st)
-        else:
-            self._run_barrier(proxies, until, st)
-        self._cap_advance(proxies, until, st)
-        return self._merge(proxies, st, collect_rows, collect_traces)
+        return _ProcessShard(context, region, self.workload, self.seed)
 
     # ------------------------------------------------------------------
     def _run_barrier(self, proxies, until, st: _LoopState) -> None:
-        """The two barrier protocols: one grant computation, one work
-        set, one send-all-then-recv-all step per round."""
+        """One grant computation, one work set, one
+        send-all-then-recv-all step per round."""
         plan = self.plan
         count = len(proxies)
         per_channel = self.protocol == "per-channel"
@@ -560,89 +418,6 @@ class ShardCoordinator:
                 st.nexts[index] = nxt
                 st.inboxes[index] = []
             for index, (out, _clock, _next) in zip(working, outputs):
-                self._relay(plan, index, out, st)
-
-    # ------------------------------------------------------------------
-    def _run_async(self, proxies, until, st: _LoopState) -> None:
-        """The barrier-free protocol: dispatch each region the moment
-        its own grant permits; recompute the fixpoint per completion.
-
-        A busy region contributes its **dispatch-time ent** to the
-        fixpoint — a lower bound on every event it executes from that
-        moment on — so grants issued while it runs are still sound (the
-        monotonicity argument in the module docstring).  Inline,
-        completions are consumed lowest-region-first, which makes the
-        grant/batch counters deterministic; in process mode they arrive
-        in wall-clock order, so only the *results* (rows, stats,
-        traces) are pinned, not the counters.
-        """
-        plan = self.plan
-        count = len(proxies)
-        busy: Dict[int, float] = {}     # region index → dispatch-time ent
-        inline = self.mode == "inline"
-        if not inline:
-            conn_index = {proxies[index].conn: index
-                          for index in range(count)}
-        while True:
-            ents = []
-            for index in range(count):
-                if index in busy:
-                    ent = busy[index]
-                else:
-                    nxt = st.nexts[index]
-                    ent = nxt if nxt is not None else math.inf
-                for frame in st.inboxes[index]:
-                    if frame[0] < ent:
-                        ent = frame[0]
-                ents.append(ent)
-            floor = min(ents, default=math.inf)
-            if not busy:
-                if math.isinf(floor):
-                    break
-                if until is not None and floor > until:
-                    break
-            st.grants += 1
-            if st.grants > self.max_rounds:
-                raise ShardRunError(self._livelock_report(
-                    floor, ents, st.clocks, st.nexts, st.inboxes))
-            horizons = grant_horizons(ents, plan.channels, until=until)
-            dispatch = [index for index in range(count)
-                        if index not in busy
-                        and not math.isinf(ents[index])
-                        and ents[index] <= horizons[index]]
-            for index in dispatch:
-                inbox = st.inboxes[index]
-                inbox.sort(key=lambda frame: frame[0])
-                horizon = horizons[index]
-                target = (None if math.isinf(horizon)
-                          else max(horizon, st.clocks[index]))
-                if inbox:
-                    st.relay_batches += 1
-                proxies[index].send_step(target, inbox)
-                st.inboxes[index] = []
-                st.region_steps[index] += 1
-                busy[index] = ents[index]
-            if dispatch:
-                st.rounds += 1
-            if not busy:
-                # all idle yet nothing dispatchable with a finite floor
-                # would contradict the no-livelock property; loop and
-                # let the max_rounds guard surface the diagnosis if a
-                # protocol bug ever gets us here
-                continue
-            # consume at least one completion, then re-solve the
-            # fixpoint with the new bounds
-            if inline:
-                ready = [min(busy)]
-            else:
-                waitable = [proxies[index].conn for index in busy]
-                ready = sorted(conn_index[conn]
-                               for conn in mp_connection.wait(waitable))
-            for index in ready:
-                out, clock, nxt = proxies[index].recv_step()
-                st.clocks[index] = clock
-                st.nexts[index] = nxt
-                del busy[index]
                 self._relay(plan, index, out, st)
 
     # ------------------------------------------------------------------
@@ -756,7 +531,6 @@ class ShardCoordinator:
 def run_sharded(plan: RegionPlan, workload: Dict[str, Any], seed: int = 0,
                 mode: str = "auto", protocol: str = "per-channel",
                 start_method: Optional[str] = None,
-                transport: str = "packed",
                 until: Optional[float] = None, collect_rows: bool = True,
                 collect_traces: bool = True) -> ShardRunResult:
     """One-call sharded execution of a plan + workload.
@@ -773,7 +547,6 @@ def run_sharded(plan: RegionPlan, workload: Dict[str, Any], seed: int = 0,
     """
     coordinator = ShardCoordinator(plan, workload, seed=seed, mode=mode,
                                    protocol=protocol,
-                                   start_method=start_method,
-                                   transport=transport)
+                                   start_method=start_method)
     return coordinator.run(until=until, collect_rows=collect_rows,
                            collect_traces=collect_traces)

@@ -24,12 +24,10 @@ Layout (big-endian)::
              | '(' u32 value*     (the codec's tagged tuples)
 
 Only wire data (scalars + tuples, :func:`repro.core.codec.is_wire_data`)
-can appear in a frame payload, so these seven value forms are total.
-:class:`FrameTransport` is the seam the coordinator and workers go
-through: :class:`PackedFrameTransport` produces these buffers, and a
-future shared-memory-ring transport can write the identical bytes into
-a ring instead of a pipe without either endpoint changing — the batch
-is self-delimiting, so it needs no out-of-band framing.
+can appear in a frame payload, so these seven value forms are total;
+anything else raises :class:`FrameFormatError` at the sender, which is
+how "no live object crosses a cut" is checked at runtime.  The batch is
+self-delimiting, so it needs no out-of-band framing.
 """
 
 from __future__ import annotations
@@ -213,40 +211,3 @@ def unpack_frame(buf: bytes) -> Any:
         raise FrameFormatError(
             f"frame has {len(buf) - pos} trailing byte(s)")
     return value
-
-
-class FrameTransport:
-    """The frame-batch seam of the step protocol.
-
-    ``dumps`` turns a round's frame list into the object actually sent
-    over the worker channel; ``loads`` inverts it.  Both endpoints hold
-    the same transport, chosen once at coordinator construction, so
-    swapping the representation (packed bytes today, a shared-memory
-    ring tomorrow) never touches the round loop or the worker.
-    """
-
-    name = "object"
-
-    def dumps(self, frames: List[Tuple[float, str, Any, int]]) -> Any:
-        return frames
-
-    def loads(self, payload: Any) -> List[Tuple[float, str, Any, int]]:
-        return payload
-
-
-class PackedFrameTransport(FrameTransport):
-    """Frames cross as one flat byte buffer per round per direction."""
-
-    name = "packed"
-
-    def dumps(self, frames: List[Tuple[float, str, Any, int]]) -> bytes:
-        return pack_frames(frames)
-
-    def loads(self, payload: bytes) -> List[Tuple[float, str, Any, int]]:
-        return unpack_frames(payload)
-
-
-TRANSPORTS = {
-    transport.name: transport
-    for transport in (FrameTransport(), PackedFrameTransport())
-}

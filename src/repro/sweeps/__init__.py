@@ -13,7 +13,7 @@ this package executes them:
   order**, so the output is bit-for-bit independent of scheduling
   (``workers=1`` is a plain in-process loop, the reference semantics);
 * worker-count plumbing shared by the CLI and the bench suite
-  (``--jobs N`` / ``REPRO_JOBS``, default ``os.cpu_count()``).
+  (``--jobs N`` / ``REPRO_JOBS``, default the usable CPU count).
 
 The serial-equivalence contract — rows from ``--jobs N`` are identical
 to ``--jobs 1`` up to :data:`WALL_CLOCK_KEYS` — is enforced by

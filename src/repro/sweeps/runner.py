@@ -49,12 +49,22 @@ def parse_worker_count(value: Any, noun: str = "worker count") -> int:
     return count
 
 
+def available_cpu_count() -> int:
+    """CPUs this process may run on: the scheduler affinity mask where
+    the platform has one (``taskset``, a cpuset-limited container),
+    else ``os.cpu_count()`` — which counts the machine's CPUs whether
+    or not this process can use them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def default_worker_count() -> int:
-    """``REPRO_JOBS`` if set (validated), else ``os.cpu_count()``."""
+    """``REPRO_JOBS`` if set (validated), else the usable CPU count."""
     env = os.environ.get(JOBS_ENV)
     if env:
         return parse_worker_count(env)
-    return os.cpu_count() or 1
+    return available_cpu_count()
 
 
 def _execute(job: Job) -> List[Dict[str, Any]]:

@@ -101,42 +101,43 @@ class TestShardedScaleFlags:
 
     def test_choice_mirrors_match_shard_package(self):
         # the CLI avoids importing repro.shard at startup by mirroring
-        # its protocol/transport tuples; the mirror must never drift
-        from repro.__main__ import PROTOCOL_CHOICES, TRANSPORT_CHOICES
-        from repro.shard import PROTOCOLS, TRANSPORT_NAMES
+        # its protocol tuple; the mirror must never drift
+        from repro.__main__ import PROTOCOL_CHOICES
+        from repro.shard import PROTOCOLS
         assert PROTOCOL_CHOICES == PROTOCOLS
-        assert TRANSPORT_CHOICES == TRANSPORT_NAMES
 
-    def test_protocol_and_transport_require_stateful(self, capsys):
+    def test_protocol_requires_stateful(self, capsys):
         assert main(["e6-scale", "--shards", "2",
-                     "--protocol", "async-grants"]) == 2
-        assert "--protocol/--transport" in capsys.readouterr().err
-        assert main(["e2", "--transport", "ring"]) == 2
-        assert "--protocol/--transport" in capsys.readouterr().err
+                     "--protocol", "global-min"]) == 2
+        assert "--protocol applies" in capsys.readouterr().err
 
     def test_unknown_protocol_rejected_with_choices(self, capsys):
         assert main(["e6-scale", "--shards", "2", "--stateful",
                      "--protocol", "psychic"]) == 2
         err = capsys.readouterr().err
-        assert "psychic" in err and "async-grants" in err
+        assert "psychic" in err and "global-min" in err
 
-    def test_stateful_tier_runs_async_grants_over_ring(self, capsys,
-                                                       monkeypatch):
+    def test_removed_transport_flag_is_rejected(self, capsys):
+        # the relay has one path; the flag that used to select among
+        # three is now an unknown argument like any other
+        assert main(["e6-scale", "--shards", "2", "--stateful",
+                     "--transport", "packed"]) == 2
+        assert capsys.readouterr().err
+
+    def test_stateful_tier_runs_global_min(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_E6_STATEFUL_TIERS", "small")
         assert main(["e6-scale", "--shards", "2", "--stateful",
-                     "--protocol", "async-grants",
-                     "--transport", "ring"]) == 0
+                     "--protocol", "global-min"]) == 0
         out = capsys.readouterr().out
-        assert "async-grants" in out and "rib_sha256" in out
+        assert "global-min" in out and "rib_sha256" in out
 
-    def test_stateful_jobs_carry_protocol_and_transport(self):
+    def test_stateful_jobs_carry_protocol(self):
         from repro.experiments.e6_scalability import iter_stateful_jobs
-        jobs = iter_stateful_jobs(["small"], shards=2,
-                                  protocol="async-grants", transport="ring")
+        jobs = iter_stateful_jobs(["small"], shards=2, protocol="global-min")
         assert jobs
         for job in jobs:
-            assert job.kwargs["protocol"] == "async-grants"
-            assert job.kwargs["transport"] == "ring"
+            assert job.kwargs["protocol"] == "global-min"
+            assert "transport" not in job.kwargs
 
 
 class TestJobsFlag:

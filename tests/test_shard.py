@@ -10,6 +10,11 @@ guarantees no region ever simulates past a frame it has not yet seen.
 """
 
 import math
+import multiprocessing
+import os
+import threading
+import time
+from multiprocessing.connection import Connection
 
 import pytest
 
@@ -17,8 +22,9 @@ from repro.experiments.e6_scalability import (build_flood_spec,
                                               flood_assignment,
                                               run_flood_scale)
 from repro.shard import (LinkSpec, NetworkSpec, RegionPlan, ShardCoordinator,
-                         ShardPlanError, all_nodes_announce, flood_workload,
-                         run_sharded, run_unsharded)
+                         ShardPlanError, ShardRunError, all_nodes_announce,
+                         flood_workload, run_sharded, run_unsharded)
+from repro.shard import coordinator as coordinator_module
 
 
 def canned_case(regions=2, hosts=3, shards=2):
@@ -294,7 +300,7 @@ class TestConditionSpecCapture:
         plan = RegionPlan(spec, {"a": 0, "b": 0, "c": 1, "d": 1})
         workload = all_nodes_announce(spec.nodes)
         reference = run_unsharded(spec, workload, seed=3)
-        for protocol in ("per-channel", "async-grants"):
+        for protocol in ("per-channel", "global-min"):
             sharded = run_sharded(plan, workload, seed=3, mode="inline",
                                   protocol=protocol)
             assert sharded.rows == reference["rows"], protocol
@@ -308,3 +314,122 @@ class TestConditionSpecCapture:
         process = run_sharded(plan, workload, seed=3, mode="process")
         assert process.rows == inline.rows
         assert process.traces == inline.traces
+
+
+# ----------------------------------------------------------------------
+# Worker processes: bounded shutdown, no leaks, and the step channel
+# ----------------------------------------------------------------------
+class TestWorkerLifecycle:
+    def test_idle_workers_close_promptly_under_default_start_method(
+            self):
+        # a forked worker inherits the coordinator's end of its own
+        # pipe, so closing that end never delivers EOF: without the
+        # explicit stop command each close() sat out its 10 s join
+        # timeout and the worker died by SIGTERM (-15)
+        _spec, plan, workload = canned_case()
+        context = multiprocessing.get_context()
+        proxies = [coordinator_module._ProcessShard(context, region,
+                                                    workload, 0)
+                   for region in plan.regions]
+        try:
+            for proxy in proxies:
+                proxy.handshake()
+        finally:
+            started = time.monotonic()
+            for proxy in proxies:
+                proxy.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < 2.0
+        assert [proxy._proc.exitcode for proxy in proxies] == [0, 0]
+
+    def test_half_built_plant_is_closed_when_a_worker_fails_to_start(
+            self, monkeypatch):
+        started = []
+
+        class SecondStartFails(coordinator_module._ProcessShard):
+            def __init__(self, *args):
+                if started:
+                    raise OSError("cannot start worker")
+                super().__init__(*args)
+                started.append(self)
+
+        monkeypatch.setattr(coordinator_module, "_ProcessShard",
+                            SecondStartFails)
+        _spec, plan, workload = canned_case()
+        with pytest.raises(OSError, match="cannot start worker"):
+            ShardCoordinator(plan, workload, mode="process").run()
+        assert len(started) == 1
+        assert not started[0]._proc.is_alive()
+
+    def test_worker_dying_during_construction_names_the_shard(self):
+        # the engine build fails inside the fresh interpreter; the
+        # error crosses the pipe, run() raises it with the shard's
+        # number, and close() leaves no child behind
+        _spec, plan, _workload = canned_case()
+        coordinator = ShardCoordinator(plan, {"kind": "no-such-workload"},
+                                       mode="process", start_method="spawn")
+        with pytest.raises(ShardRunError, match="shard 0 failed"):
+            coordinator.run()
+        assert not [child for child in multiprocessing.active_children()
+                    if child.name.startswith("shard-")]
+
+
+class _ThreadContext:
+    """A stand-in multiprocessing context whose "process" is a thread on
+    the far end of a real pipe, so both real endpoints of the step
+    channel run in this test process."""
+
+    Pipe = staticmethod(multiprocessing.Pipe)
+
+    @staticmethod
+    def Process(target, args, name, daemon):
+        # _ProcessShard closes its copy of the worker's end after
+        # start(); a thread shares that object, so it gets a duplicate
+        conn = Connection(os.dup(args[0].fileno()))
+        return threading.Thread(target=target, args=(conn,) + args[1:],
+                                name=name, daemon=daemon)
+
+
+class _EchoEngine:
+    """Returns from ``run_to`` exactly the frames it was injected."""
+
+    clock = 0.0
+
+    def __init__(self, region, workload, seed):
+        self._frames = []
+
+    def next_event_time(self):
+        return None
+
+    def inject(self, frames):
+        self._frames = frames
+
+    def run_to(self, horizon):
+        return self._frames
+
+
+class TestStepChannel:
+    def test_batch_far_larger_than_the_pipe_buffer_crosses_intact(
+            self, monkeypatch):
+        # 1 MiB each way through a 64 KiB pipe: send_bytes must block
+        # and resume, not truncate, and both ends must agree on framing
+        monkeypatch.setattr(coordinator_module, "ShardEngine", _EchoEngine)
+        _spec, plan, workload = canned_case()
+        payload = ("T", "pdu", b"x" * 1000, 7, 0.125, None)
+        frames = [(0.001 * index, "border1--core", payload, 1000)
+                  for index in range(1024)]
+        proxy = coordinator_module._ProcessShard(
+            _ThreadContext(), plan.regions[0], workload, 0)
+        try:
+            assert proxy.handshake() is None
+            proxy.send_step(None, frames)
+            assert proxy.relay_bytes > 1 << 20
+            echoed, clock, nxt = proxy.recv_step()
+            assert echoed == frames
+            assert (clock, nxt) == (0.0, None)
+            assert proxy.relay_bytes > 2 << 20
+            proxy.send_step(None, [])           # empty: no buffer follows
+            assert proxy.recv_step() == ([], 0.0, None)
+        finally:
+            proxy.close()
+        assert not proxy._proc.is_alive()

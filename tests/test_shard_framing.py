@@ -3,17 +3,15 @@
 A round's frames for one direction cross a worker pipe as one packed
 buffer.  The contract: a lossless, bit-exact round trip for everything
 the wire codec can produce (scalars + tagged tuples), loud rejection of
-everything it cannot, and a self-delimiting layout a shared-memory ring
-could adopt without re-framing.
+everything it cannot, and a self-delimiting layout that needs no
+out-of-band framing.
 """
 
 import math
 
 import pytest
 
-from repro.shard import (FrameFormatError, FrameTransport,
-                         PackedFrameTransport, pack_frames, unpack_frames)
-from repro.shard.framing import TRANSPORTS
+from repro.shard import FrameFormatError, pack_frames, unpack_frames
 
 
 def roundtrip(frames):
@@ -100,22 +98,3 @@ class TestRejection:
         buf[-1] = ord("?")   # the payload tag is the last byte
         with pytest.raises(FrameFormatError, match="tag"):
             unpack_frames(bytes(buf))
-
-
-class TestTransports:
-    def test_registry_names(self):
-        assert set(TRANSPORTS) == {"object", "packed"}
-        assert isinstance(TRANSPORTS["packed"], PackedFrameTransport)
-
-    def test_object_transport_is_identity(self):
-        frames = [(0.5, "ab", ("T", 1), 3)]
-        transport = FrameTransport()
-        assert transport.loads(transport.dumps(frames)) == frames
-        assert transport.dumps(frames) is frames
-
-    def test_packed_transport_round_trips_through_bytes(self):
-        frames = [(0.5, "ab", ("T", 1), 3)]
-        transport = PackedFrameTransport()
-        blob = transport.dumps(frames)
-        assert isinstance(blob, bytes)
-        assert transport.loads(blob) == frames

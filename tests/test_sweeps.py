@@ -16,8 +16,10 @@ import pytest
 
 from repro.__main__ import EXPERIMENTS
 from repro.scenarios import determinism_jobs, generate_specs
-from repro.sweeps import (Job, JobError, SweepRunner, parse_worker_count,
+from repro.sweeps import (JOBS_ENV, Job, JobError, SweepRunner,
+                          default_worker_count, parse_worker_count,
                           stable_rows, worker_info_row)
+from repro.sweeps.runner import available_cpu_count
 
 PARALLEL_WORKERS = 4
 
@@ -177,6 +179,50 @@ def test_parse_worker_count_rejects_non_positive_and_non_integers(value):
 @pytest.mark.parametrize("value,expected", [(1, 1), ("1", 1), ("8", 8), (3, 3)])
 def test_parse_worker_count_accepts_positive_integers(value, expected):
     assert parse_worker_count(value) == expected
+
+
+def auto_mode():
+    """What ``mode="auto"`` resolves to for a 2-region plan here."""
+    from repro.experiments.e6_scalability import (build_flood_spec,
+                                                  flood_assignment)
+    from repro.shard import RegionPlan, ShardCoordinator
+    plan = RegionPlan(build_flood_spec(2, 2), flood_assignment(2, 2, 2))
+    return ShardCoordinator(plan, {"kind": "flood"}).mode
+
+
+class TestUsableCpuCount:
+    """The default worker count (and the shard coordinator's auto mode)
+    follow the CPUs this process may run on, not the machine's."""
+
+    def test_affinity_mask_beats_the_machine_count(self, monkeypatch):
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        assert available_cpu_count() == 1
+        assert default_worker_count() == 1
+        assert auto_mode() == "inline"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 5},
+                            raising=False)
+        assert default_worker_count() == 3
+        assert auto_mode() == "process"
+
+    def test_platform_without_affinity_falls_back_to_cpu_count(
+            self, monkeypatch):
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert default_worker_count() == 6
+        assert auto_mode() == "process"
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_worker_count() == 1
+        assert auto_mode() == "inline"
+
+    def test_repro_jobs_still_wins(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setenv(JOBS_ENV, "5")
+        assert default_worker_count() == 5
 
 
 @pytest.mark.parametrize("target", [
