@@ -128,8 +128,9 @@ def test_e6_sharded_flood_tier(benchmark, table_sink):
     if scale in ("large", "xlarge"):
         tiers.append("large")
     if scale == "xlarge":
-        # the 100k-system columnar-engine tier: sparse origins (the
-        # every-node storm is quadratic and infeasible at this size)
+        # the 100k-system flood tier (sim/ + shard/flood.py, no core/):
+        # sparse origins (the every-node storm is quadratic and
+        # infeasible at this size)
         tiers.append("xlarge")
     jobs = iter_flood_jobs(tiers, shards=2)
     rows = benchmark.pedantic(lambda: SweepRunner(workers=1).run(jobs),

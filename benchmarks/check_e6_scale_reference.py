@@ -31,8 +31,8 @@ REFERENCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 #: The columns a row is keyed by (inputs) and compared by (outputs).
 #: ``table_rows`` / ``lsas_received`` joined the deterministic set with
-#: bench schema v2: they pin the aggregate routing state the columnar
-#: LSDB/RIB stores reproduce, independent of the round protocol.
+#: bench schema v2: they pin the aggregate routing state (LSDB and
+#: forwarding tables), independent of the round protocol.
 #: ``grants`` / ``relay_batches`` — grant computations and non-empty
 #: relay deliveries — are scheduling-independent in every mode (the
 #: barrier loop consumes replies in region order).  Wall-clock keys

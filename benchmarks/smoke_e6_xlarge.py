@@ -2,8 +2,10 @@
 
 Builds the xlarge plant (100,001 systems, 100,000 links) in one
 process and runs a single announcement to complete flooding — proof
-that the columnar engine core holds a 100k-entity plant in bounded
-memory and pushes a full flood wave through it.  The wall-clock cap
+that the slotted, lazily allocating engine core (``sim/`` +
+``shard/flood.py``; no ``core/`` runs in this tier) holds a
+100k-entity plant in bounded memory and pushes a full flood wave
+through it.  The wall-clock cap
 lives in the CI step (``timeout``); this script asserts the
 *deterministic* outcomes and a memory ceiling.
 
@@ -21,8 +23,8 @@ import json
 import sys
 
 #: Peak-RSS ceiling for build + first wave.  ~630 MB on the reference
-#: box; 1.5 GB fails CI on per-entity object-graph creep (the
-#: pre-columnar layout's eager per-link PRNGs alone were ~250 MB)
+#: box; 1.5 GB fails CI on per-entity object-graph creep (eager
+#: per-link PRNGs alone were ~250 MB before they became lazy)
 #: without flaking on allocator variance.
 PEAK_MEM_BUDGET_MB = 1_500
 

@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .addressing import AddressingPolicy, FlatAddressing
 from .auth import AllowAll, AuthPolicy, FlowAccessPolicy, NoAuth
-from .efcp import EfcpTable
 from .names import Address, ApplicationName, DifName
 from .qos import BEST_EFFORT, DEFAULT_CUBES, QosCube
 from .rmt import PATH_SELECTORS, SCHEDULERS, PathSelector, Scheduler
@@ -181,7 +180,7 @@ class Dif:
     collection of IPC processes that make up the IPC facility)").
     """
 
-    __slots__ = ("name", "policies", "rank", "_members", "efcp_table",
+    __slots__ = ("name", "policies", "rank", "_members",
                  "enrollments_accepted", "enrollments_denied")
 
     def __init__(self, name: str, policies: Optional[DifPolicies] = None,
@@ -190,9 +189,6 @@ class Dif:
         self.policies = policies or DifPolicies()
         self.rank = rank
         self._members: Dict[Address, "Ipcp"] = {}
-        # one columnar store for every EFCP connection scalar in this
-        # facility — members allocate rows, connections are flyweight views
-        self.efcp_table = EfcpTable()
         self.enrollments_accepted = 0
         self.enrollments_denied = 0
 

@@ -20,8 +20,6 @@ which is the paper's central claim about the repeating structure.
 
 from __future__ import annotations
 
-import math
-from array import array
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -77,9 +75,13 @@ class EfcpPolicy:
         self.congestion = congestion
         self.initial_credit = initial_credit
         self.send_buffer_limit = send_buffer_limit
-        self.rto_initial = rto_initial
-        self.rto_min = rto_min
-        self.rto_max = rto_max
+        # floats whatever the caller wrote (a scenario file may say
+        # ``"rto_max": 4``): they flow into the connection's RTO through
+        # min()/max(), and an RTO that is sometimes an int renders as
+        # "4" in one run and "4.0" in the next
+        self.rto_initial = float(rto_initial)
+        self.rto_min = float(rto_min)
+        self.rto_max = float(rto_max)
         self.max_retries = max_retries
         self.give_up = give_up
         self.ack_delay = ack_delay
@@ -124,77 +126,8 @@ class EfcpStats:
         self.corrupted = 0
 
 
-class EfcpTable:
-    """Per-DIF columnar store for EFCP connection scalars.
-
-    The paper's repeating-structure argument (§6) means every connection
-    in a DIF carries the *same* numeric state — sequence numbers, window
-    edges, retry counters, RTO estimator variables — so that state lives
-    here as parallel ``array`` columns indexed by a row id instead of as
-    instance attributes on each connection object.  An
-    :class:`EfcpConnection` is a flyweight view over one row: Python-object
-    overhead per connection drops to the view plus its containers, and a
-    DIF with 100k flows keeps its protocol scalars in a dozen contiguous
-    buffers.
-
-    Rows are append-only; a closed connection keeps its row (experiments
-    read counters and estimator state after the run), so the table is
-    sized by the peak connection count, 96 bytes per row.
-    """
-
-    #: int64 columns (sequence numbers, window edges, counters)
-    Q_COLUMNS = ("next_seq", "send_base", "credit", "retries",
-                 "recovery_point", "rcv_expected", "rcv_window")
-    #: float64 columns (RTO estimator, congestion windows)
-    D_COLUMNS = ("srtt", "rttvar", "rto", "cwnd", "ssthresh")
-
-    __slots__ = Q_COLUMNS + D_COLUMNS
-
-    def __init__(self) -> None:
-        for name in self.Q_COLUMNS:
-            setattr(self, name, array("q"))
-        for name in self.D_COLUMNS:
-            setattr(self, name, array("d"))
-
-    def alloc(self) -> int:
-        """Append one zeroed row and return its index."""
-        row = len(self.next_seq)
-        for name in self.Q_COLUMNS:
-            getattr(self, name).append(0)
-        for name in self.D_COLUMNS:
-            getattr(self, name).append(0.0)
-        return row
-
-    def __len__(self) -> int:
-        return len(self.next_seq)
-
-    def nbytes(self) -> int:
-        """Total buffer bytes across all columns (for memory accounting)."""
-        return sum(getattr(self, name).itemsize * len(getattr(self, name))
-                   for name in self.Q_COLUMNS + self.D_COLUMNS)
-
-
-def _column_property(column: str) -> property:
-    """A read/write view attribute backed by one table column."""
-
-    def getter(self: "EfcpConnection"):
-        return getattr(self._table, column)[self._row]
-
-    def setter(self: "EfcpConnection", value) -> None:
-        getattr(self._table, column)[self._row] = value
-
-    return property(getter, setter)
-
-
 class EfcpConnection:
     """One end of an EFCP connection (full duplex: sender + receiver halves).
-
-    A flyweight: the numeric protocol state lives in an :class:`EfcpTable`
-    row (shared per DIF), while per-connection containers (send queue,
-    outstanding map, receive buffer) and wiring (callbacks, timers) stay
-    on the instance.  All ``_name`` scalar accesses below go through
-    column properties, so the protocol logic reads exactly as it did when
-    the scalars were instance attributes.
 
     Parameters
     ----------
@@ -216,39 +149,18 @@ class EfcpConnection:
 
     __slots__ = ("_engine", "local_addr", "remote_addr", "local_cep",
                  "remote_cep", "policy", "_output", "_deliver", "_priority",
-                 "_on_stall", "_on_close", "stats", "closed", "_table",
-                 "_row", "_send_queue", "_outstanding", "_retx_timer",
-                 "_sack_passes", "_rcv_buffer", "_ack_timer", "_ack_pending")
-
-    # columnar scalars: each reads/writes this connection's EfcpTable row
-    _next_seq = _column_property("next_seq")          # next new sequence number
-    _send_base = _column_property("send_base")        # oldest unacknowledged
-    _credit = _column_property("credit")              # highest seq allowed (excl.)
-    _retries = _column_property("retries")
-    _recovery_point = _column_property("recovery_point")
-    _rcv_expected = _column_property("rcv_expected")  # next in-order seq expected
-    _rttvar = _column_property("rttvar")
-    _rto = _column_property("rto")
-    _cwnd = _column_property("cwnd")
-    _ssthresh = _column_property("ssthresh")
-    _rcv_window = _column_property("rcv_window")
-
-    @property
-    def _srtt(self) -> Optional[float]:
-        # NaN is the columnar encoding of "no RTT sample yet"
-        value = self._table.srtt[self._row]
-        return None if value != value else value
-
-    @_srtt.setter
-    def _srtt(self, value: float) -> None:
-        self._table.srtt[self._row] = value
+                 "_on_stall", "_on_close", "stats", "closed",
+                 "_send_queue", "_outstanding", "_next_seq", "_send_base",
+                 "_credit", "_retries", "_retx_timer", "_srtt", "_rttvar",
+                 "_rto", "_cwnd", "_ssthresh", "_sack_passes",
+                 "_recovery_point", "_rcv_buffer", "_rcv_expected",
+                 "_rcv_window", "_ack_timer", "_ack_pending")
 
     def __init__(self, engine: Engine, local_addr: Address, remote_addr: Address,
                  local_cep: int, remote_cep: int, policy: EfcpPolicy,
                  output: OutputFn, deliver: DeliverFn, priority: int = 8,
                  on_stall: Optional[Callable[[], None]] = None,
-                 on_close: Optional[Callable[[], None]] = None,
-                 table: Optional[EfcpTable] = None) -> None:
+                 on_close: Optional[Callable[[], None]] = None) -> None:
         self._engine = engine
         self.local_addr = local_addr
         self.remote_addr = remote_addr
@@ -263,19 +175,18 @@ class EfcpConnection:
         self.stats = EfcpStats()
         self.closed = False
 
-        # the columnar row backing every scalar property below (a private
-        # table when the caller manages connections standalone, e.g. tests)
-        self._table = table if table is not None else EfcpTable()
-        self._row = self._table.alloc()
-
         # --- sender state ---
         self._send_queue: Deque[Tuple[int, Any, int]] = deque()  # awaiting window
         self._outstanding: Dict[int, Tuple[Any, int, float, bool]] = {}
         # seq -> (payload, size, time_sent, retransmitted)
-        self._credit = policy.initial_credit
+        self._next_seq = 0                     # next new sequence number
+        self._send_base = 0                    # oldest unacknowledged
+        self._credit = policy.initial_credit   # highest seq allowed (excl.)
+        self._retries = 0
         self._retx_timer = Timer(engine, self._on_retx_timeout, label="efcp.retx")
-        # RTO estimation (RFC 6298 style); srtt NaN == no sample yet
-        self._table.srtt[self._row] = math.nan
+        # RTO estimation (RFC 6298 style)
+        self._srtt: Optional[float] = None     # no sample yet
+        self._rttvar = 0.0
         self._rto = policy.rto_initial
         # congestion window (PDUs); effectively infinite when disabled
         self._cwnd = float(policy.initial_cwnd)
@@ -289,6 +200,7 @@ class EfcpConnection:
 
         # --- receiver state ---
         self._rcv_buffer: Dict[int, Tuple[Any, int]] = {}
+        self._rcv_expected = 0                 # next in-order seq expected
         self._rcv_window = policy.initial_credit
         self._ack_timer = Timer(engine, self._send_ack_now, label="efcp.ack")
         self._ack_pending = False

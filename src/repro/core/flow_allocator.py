@@ -260,8 +260,7 @@ class FlowAllocator:
             record.local_cep, record.remote_cep, policy,
             output=ipcp.rmt.submit,
             deliver=record.flow.provider_deliver,
-            priority=cube.priority,
-            table=ipcp.dif.efcp_table)
+            priority=cube.priority)
         record.efcp = efcp
         record.flow.provider_bind(
             send_fn=efcp.send,

@@ -28,57 +28,24 @@ class RibError(KeyError):
     """Raised for operations on missing/duplicate RIB paths."""
 
 
-# Path interning: every RIB in the process (one per member, thousands per
-# plant) stores the same handful of distinct management paths, so the
-# split/join results are shared process-wide.  ``_PARTS_OF`` maps each raw
-# path string to its canonical parts tuple (one tuple object per distinct
-# path, whatever spelling arrives); ``_PATH_OF`` is the inverse.  Beyond
-# the de-duplicated memory, interning makes the flattened stores fast:
-# repeated ``split_path`` calls are one dict hit, and identical key
-# objects let dict lookups short-circuit on identity.
-_PARTS_OF: Dict[str, Tuple[str, ...]] = {}
-_PATH_OF: Dict[Tuple[str, ...], str] = {}
-
-
 def split_path(path: str) -> Tuple[str, ...]:
-    """Normalize ``/a/b/c`` into its components; rejects empty paths.
-
-    Results are interned: equal paths (any spelling) return the same
-    tuple object.
-    """
-    parts = _PARTS_OF.get(path)
-    if parts is None:
-        parts = tuple(p for p in path.split("/") if p)
-        if not parts:
-            raise RibError(f"invalid RIB path {path!r}")
-        canonical = "/" + "/".join(parts)
-        existing = _PARTS_OF.get(canonical)
-        if existing is not None:
-            parts = existing          # alternate spelling of a known path
-        else:
-            _PARTS_OF[canonical] = parts
-            _PATH_OF[parts] = canonical
-        if path != canonical:
-            _PARTS_OF[path] = parts
+    """Normalize ``/a/b/c`` into its components; rejects empty paths."""
+    parts = tuple(p for p in path.split("/") if p)
+    if not parts:
+        raise RibError(f"invalid RIB path {path!r}")
     return parts
 
 
 def join_path(parts: Tuple[str, ...]) -> str:
-    """Inverse of :func:`split_path` (interned alongside it)."""
-    path = _PATH_OF.get(parts)
-    if path is None:
-        path = "/" + "/".join(parts)
-        _PATH_OF[parts] = path
-        _PARTS_OF.setdefault(path, parts)
-    return path
+    """Inverse of :func:`split_path`."""
+    return "/" + "/".join(parts)
 
 
 class Rib:
     """A flattened store of (path → value) with prefix subscriptions.
 
     Despite the tree-shaped path namespace there is no per-node dict
-    tree: objects live in one flat dict keyed by interned parts tuples,
-    so a member's RIB costs one dict plus shared key objects, and prefix
+    tree: objects live in one flat dict keyed by parts tuples, and prefix
     queries are linear scans over the flat key set (the RIB is small per
     member; mutation and exact lookup are the hot operations).
     """

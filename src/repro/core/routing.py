@@ -38,7 +38,6 @@ Scaling (the E6 1,000-system tier) forced the routing task incremental:
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.engine import Engine, Timer
@@ -110,63 +109,6 @@ class Lsa:
         return f"<Lsa {self.origin} seq={self.seq} nbrs={len(self.neighbors)}>"
 
 
-class LsdbTable:
-    """Columnar link-state database.
-
-    Origins are interned to dense row ids; the stored sequence number per
-    origin — the only column the flooding dedup hot path reads — lives in
-    one contiguous int64 array, while the decoded LSA payloads (variable-
-    size neighbor maps) sit in a parallel list.  ``handle_lsa`` can then
-    reject the common case (a duplicate or stale flood copy) on an array
-    read without touching the payload object at all.
-    """
-
-    __slots__ = ("_row_of", "_origins", "seqs", "_lsas")
-
-    def __init__(self) -> None:
-        self._row_of: Dict[Address, int] = {}
-        self._origins: List[Address] = []      # row id -> origin
-        self.seqs = array("q")                 # row id -> stored seq
-        self._lsas: List[Lsa] = []             # row id -> payload
-
-    def seq_of(self, origin: Address) -> Optional[int]:
-        """Stored sequence number for ``origin`` (None when absent) —
-        the dedup fast path."""
-        row = self._row_of.get(origin)
-        return None if row is None else self.seqs[row]
-
-    def get(self, origin: Address) -> Optional[Lsa]:
-        """The stored LSA for ``origin``, or None."""
-        row = self._row_of.get(origin)
-        return None if row is None else self._lsas[row]
-
-    def put(self, lsa: Lsa) -> None:
-        """Install/replace the LSA for its origin."""
-        row = self._row_of.get(lsa.origin)
-        if row is None:
-            self._row_of[lsa.origin] = len(self._origins)
-            self._origins.append(lsa.origin)
-            self.seqs.append(lsa.seq)
-            self._lsas.append(lsa)
-        else:
-            self.seqs[row] = lsa.seq
-            self._lsas[row] = lsa
-
-    def values_sorted(self) -> List[Lsa]:
-        """LSAs in origin order (bulk-transfer snapshots)."""
-        order = sorted(self._row_of.items())
-        return [self._lsas[row] for _origin, row in order]
-
-    def clear(self) -> None:
-        self._row_of.clear()
-        del self._origins[:]
-        del self.seqs[:]
-        del self._lsas[:]
-
-    def __len__(self) -> int:
-        return len(self._row_of)
-
-
 class LinkStateRouting:
     """The routing task of one IPC process.
 
@@ -208,7 +150,7 @@ class LinkStateRouting:
         self._on_table_change = on_table_change
         self._spf_delay = spf_delay
         self._partial_spf = partial_spf
-        self._lsdb = LsdbTable()
+        self._lsdb: Dict[Address, Lsa] = {}
         self._own_seq = 0
         self._adjacencies: Dict[Address, float] = {}
         self._next_hop: Dict[Address, Address] = {}
@@ -279,7 +221,7 @@ class LinkStateRouting:
             return
         self._own_seq += 1
         lsa = Lsa(local, self._own_seq, self._adjacencies)
-        self._lsdb.put(lsa)
+        self._lsdb[local] = lsa
         self._sync_local_claim()
         self.lsas_originated += 1
         message = RiepMessage(M_WRITE, obj=LSA_OBJ, value=lsa.to_value())
@@ -297,16 +239,13 @@ class LinkStateRouting:
     def handle_lsa(self, message: RiepMessage, from_neighbor: Address) -> None:
         """Process a received ``M_WRITE /routing/lsa`` message."""
         self.lsas_received += 1
-        # dedup on (origin, seq) before decoding the neighbor list: most
-        # floods arrive several times and only the first copy is fresh —
-        # one read of the columnar seq array settles those
+        # dedup on (origin, seq) before decoding the neighbor list
         value = message.value
-        origin = Address(*value["origin"])
-        current_seq = self._lsdb.seq_of(origin)
-        if current_seq is not None and current_seq >= int(value["seq"]):
+        current = self._lsdb.get(Address(*value["origin"]))
+        if current is not None and current.seq >= int(value["seq"]):
             return  # stale or duplicate: flooding stops here
         lsa = Lsa.from_value(value)
-        self._lsdb.put(lsa)
+        self._lsdb[lsa.origin] = lsa
         self.lsas_reflooded += 1
         self._flood(message, from_neighbor)
         # patch the memoized graph; a pure seq refresh (identical neighbor
@@ -317,7 +256,7 @@ class LinkStateRouting:
 
     def sync_lsdb(self) -> List[dict]:
         """Snapshot of the LSDB for bulk transfer to a newly enrolled member."""
-        return [lsa.to_value() for lsa in self._lsdb.values_sorted()]
+        return [self._lsdb[origin].to_value() for origin in sorted(self._lsdb)]
 
     def load_lsdb(self, values: Sequence[dict]) -> None:
         """Install a bulk LSDB snapshot (enrollment fast-sync)."""
@@ -325,9 +264,9 @@ class LinkStateRouting:
         local = self._local_addr_fn()
         for value in values:
             lsa = Lsa.from_value(value)
-            current_seq = self._lsdb.seq_of(lsa.origin)
-            if current_seq is None or current_seq < lsa.seq:
-                self._lsdb.put(lsa)
+            current = self._lsdb.get(lsa.origin)
+            if current is None or current.seq < lsa.seq:
+                self._lsdb[lsa.origin] = lsa
                 if lsa.origin != local:
                     self._set_claim(lsa.origin, lsa.neighbors)
                 changed = True

@@ -45,7 +45,7 @@ SCALE_SIZES: Dict[str, Tuple[int, int]] = {
 
 #: Flood-only tier sizes: the frame-level flooding data path carries no
 #: per-member control plane, so it reaches plants the full stack cannot.
-#: ``xlarge`` is the columnar-engine acceptance tier — 100,001 systems
+#: ``xlarge`` is the engine-core acceptance tier — 100,001 systems
 #: (500 regions x 199 hosts, plus borders and the core), built and
 #: flooded in one process.
 FLOOD_SIZES: Dict[str, Tuple[int, int]] = dict(SCALE_SIZES,
@@ -832,7 +832,7 @@ def flood_build_smoke(tier: str = "xlarge", seed: int = 1) -> Dict[str, Any]:
     complete flooding — the CI smoke for the 100k-system tier.
 
     A full xlarge flood (8 origins x 100k deliveries each) is a
-    minutes-scale bench run; CI only needs to prove the columnar engine
+    minutes-scale bench run; CI only needs to prove the engine
     *builds* a 100k-system plant in bounded memory and pushes one flood
     wave through it.  A single announcement fully floods the
     star-of-stars in ~6 ms simulated (host->border->core->border->host

@@ -58,13 +58,16 @@ def decode_shim_frame(buf: bytes) -> ShimFrame:
     The shim dispatch (:meth:`~repro.core.shim.ShimIpcp._on_frame`)
     unpacks ``kind, flow_id, payload, size`` positionally; a decodable
     value of any other shape must be rejected here, not explode inside
-    the engine.
+    the engine.  ``flow_id`` and ``size`` are the peer's claims and feed
+    the flow tables and byte counters, so their range is checked too: a
+    size no wire frame could carry is as malformed as a wrong type.
     """
     value = frame_from_wire(buf)
     if (not isinstance(value, tuple) or len(value) != 4
             or not isinstance(value[0], str)
             or isinstance(value[1], bool) or not isinstance(value[1], int)
-            or isinstance(value[3], bool) or not isinstance(value[3], int)):
+            or isinstance(value[3], bool) or not isinstance(value[3], int)
+            or value[1] < 0 or not 0 <= value[3] <= MAX_FRAME_BYTES):
         raise FrameFormatError(f"not a shim frame: {value!r:.120}")
     return value
 

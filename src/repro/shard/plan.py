@@ -121,13 +121,9 @@ class NetworkSpec:
                                   conditions=conditions))
         return cls(nodes=tuple(network.nodes), links=tuple(links))
 
-    def build(self, seed: int = 0, codec: Optional[object] = None) -> Network:
-        """Instantiate the spec as one (unsharded) live network.
-
-        ``codec`` turns on wire-faithful links: every payload crosses
-        every link in its encoded pure-data form (the transparency
-        check for :mod:`repro.core.codec`)."""
-        network = Network(seed=seed, codec=codec)
+    def build(self, seed: int = 0) -> Network:
+        """Instantiate the spec as one (unsharded) live network."""
+        network = Network(seed=seed)
         for node in self.nodes:
             network.add_node(node)
         for link in self.links:

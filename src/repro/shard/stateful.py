@@ -261,20 +261,16 @@ def rib_fingerprint(ipcp) -> str:
 
 
 def run_unsharded_stateful(spec, workload: Dict[str, Any], seed: int = 0,
-                           until: Optional[float] = None,
-                           codec: Optional[object] = None) -> Dict[str, Any]:
+                           until: Optional[float] = None) -> Dict[str, Any]:
     """The single-engine reference run of a stateful workload.
 
     ``spec`` is a :class:`~repro.shard.plan.NetworkSpec`.  Returns the
     same row shapes as a sharded run so the equivalence tests (and the
-    E6 comparison table) diff them directly.  ``codec`` additionally
-    runs every link wire-faithful (payloads encoded at serialization
-    end, decoded at delivery) — the transparency check that encoding is
-    behavior-invisible.
+    E6 comparison table) diff them directly.
     """
     if until is None:
         until = workload.get("until")
-    network = spec.build(seed=seed, codec=codec)
+    network = spec.build(seed=seed)
     plane = StatefulControlPlane(network, workload)
     network.run(until=until)
     return {

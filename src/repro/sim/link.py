@@ -568,13 +568,6 @@ class Link:
         A :class:`LossModel` shared by both directions.
     queue_limit:
         Maximum frames queued per direction awaiting serialization.
-    codec:
-        Optional wire codec (an object with ``encode``/``decode``, e.g.
-        the :mod:`repro.core.codec` module).  When set, the payload is
-        encoded to pure data at serialization end — the moment the
-        frame is "on the wire" — and decoded at delivery, so the link
-        carries exactly what a real wire could.  ``sim`` stays
-        stack-agnostic: the codec is injected by the layer above.
     rng / rng_factory:
         The per-link PRNG feeding the loss model.  ``rng_factory`` defers
         construction until the first frame actually needs a loss draw —
@@ -595,7 +588,7 @@ class Link:
     """
 
     __slots__ = ("_engine", "name", "capacity_bps", "delay", "loss",
-                 "queue_limit", "_rng", "_rng_factory", "_tracer", "_codec",
+                 "queue_limit", "_rng", "_rng_factory", "_tracer",
                  "ends", "_queues", "_busy", "_up", "_observers",
                  "frames_sent", "frames_dropped_queue", "frames_dropped_loss",
                  "frames_delivered", "bytes_delivered", "frames_corrupted",
@@ -605,7 +598,7 @@ class Link:
     def __init__(self, engine: Engine, name: str, capacity_bps: float = 1e8,
                  delay: float = 0.001, loss: Optional[LossModel] = None,
                  queue_limit: int = 256, rng: Optional[random.Random] = None,
-                 tracer: Optional[Tracer] = None, codec: Optional[Any] = None,
+                 tracer: Optional[Tracer] = None,
                  rng_factory: Optional[Callable[..., random.Random]] = None,
                  conditions: Optional[LinkConditions] = None
                  ) -> None:
@@ -622,7 +615,6 @@ class Link:
         self._rng = rng
         self._rng_factory = rng_factory
         self._tracer = tracer
-        self._codec = codec
         self.ends: Tuple[LinkEnd, LinkEnd] = (
             LinkEnd(self, 0, f"{name}[0]"),
             LinkEnd(self, 1, f"{name}[1]"),
@@ -809,8 +801,7 @@ class Link:
         """Queue the on-the-wire frame for delivery after propagation.
 
         This is the serialization end — the single seam where a live
-        payload becomes wire data.  With a codec installed the payload
-        crosses as its encoded form; subclasses that cut a link at a
+        payload becomes wire data: subclasses that cut a link at a
         simulation boundary (the shard subsystem's half-links) override
         this seam to capture the encoded frame instead of scheduling
         local delivery.  The loss decision, queueing, and serialization
@@ -822,14 +813,10 @@ class Link:
         """
         conditions = self._conditions
         if conditions is None:
-            if self._codec is not None:
-                payload = self._codec.encode(payload)
             self._engine.call_later(
                 self.delay, self._deliver, direction, payload, size,
                 label=self._rx_label)
             return
-        if self._codec is not None:
-            payload = self._codec.encode(payload)
         corruption = conditions.corruption
         if corruption is not None:
             rng = self._condition_rng("corrupt")
@@ -896,9 +883,6 @@ class Link:
     def _deliver(self, direction: int, payload: Any, size: int) -> None:
         if not self._up:
             return
-        if self._codec is not None and not isinstance(payload,
-                                                      CorruptedFrame):
-            payload = self._codec.decode(payload)
         self.frames_delivered[direction] += 1
         self.bytes_delivered[direction] += size
         self._trace_count("link.delivered")
@@ -936,14 +920,13 @@ class WirelessLink(Link):
                  delay: float = 0.004, signal: float = 1.0,
                  queue_limit: int = 128, rng: Optional[random.Random] = None,
                  tracer: Optional[Tracer] = None,
-                 codec: Optional[Any] = None,
                  rng_factory: Optional[Callable[..., random.Random]] = None,
                  conditions: Optional[LinkConditions] = None
                  ) -> None:
         self._signal_loss = SignalLoss(signal=signal)
         super().__init__(engine, name, capacity_bps=capacity_bps, delay=delay,
                          loss=self._signal_loss, queue_limit=queue_limit,
-                         rng=rng, tracer=tracer, codec=codec,
+                         rng=rng, tracer=tracer,
                          rng_factory=rng_factory, conditions=conditions)
 
     @property

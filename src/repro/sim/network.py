@@ -21,20 +21,11 @@ from .trace import Tracer
 
 
 class Network:
-    """One simulated network: engine + tracer + nodes + links.
+    """One simulated network: engine + tracer + nodes + links."""
 
-    ``codec`` (optional, an ``encode``/``decode`` pair such as the
-    :mod:`repro.core.codec` module) is handed to every link
-    :meth:`connect` creates: payloads then cross each link in their
-    pure-data wire form — the wire-faithful mode the codec tests use to
-    prove encoding is behavior-invisible.  ``sim`` itself never imports
-    a codec; the stack above injects one.
-    """
-
-    def __init__(self, seed: int = 0, codec: Optional[object] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.engine = Engine()
         self.tracer = Tracer()
-        self.codec = codec
         self.streams = RandomStreams(seed)
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[str, Link] = {}
@@ -98,13 +89,12 @@ class Network:
             link: Link = WirelessLink(self.engine, name, capacity_bps=capacity_bps,
                                       delay=delay, queue_limit=queue_limit,
                                       rng_factory=rng_factory, tracer=self.tracer,
-                                      codec=self.codec, conditions=conditions)
+                                      conditions=conditions)
         else:
             link = Link(self.engine, name, capacity_bps=capacity_bps, delay=delay,
                         loss=loss, queue_limit=queue_limit,
                         rng_factory=rng_factory,
-                        tracer=self.tracer, codec=self.codec,
-                        conditions=conditions)
+                        tracer=self.tracer, conditions=conditions)
         return self.attach_link(link, a, b)
 
     def attach_link(self, link: Link, a: Optional[str],

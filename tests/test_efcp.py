@@ -228,6 +228,20 @@ class TestRtoEstimation:
         engine.run(until=5.0)
         assert a.rto <= 0.4
 
+    def test_rto_is_a_float_whatever_the_policy_was_written_with(self):
+        # int policy scalars reach the RTO through min()/max(); a timeout
+        # that is sometimes 4 and sometimes 4.0 would render two ways
+        policy = EfcpPolicy(rto_initial=1, rto_min=1, rto_max=4)
+        engine, wire, a, _b, _da, _db = make_pair(policy)
+        assert repr(a.rto) == "1.0"
+        a.send("x", 10)
+        engine.run(until=0.5)                      # one clean sample
+        assert a.srtt is not None and repr(a.rto) == "1.0"   # rto_min wins
+        wire.drop_filter = lambda side, pdu: True  # then a blackout
+        a.send("y", 10)
+        engine.run(until=30.0)
+        assert repr(a.rto) == "4.0"                # rto_max wins
+
     def test_stall_callback_after_max_retries(self):
         stalls = []
         engine = Engine()

@@ -106,6 +106,9 @@ class TestMalformedFrames:
         ("data", True, None, 0),              # bool is not a flow id
         ("data", 2, None, "zero"),            # non-int size
         ("data", 2, None, False),
+        ("data", -2, None, 9),                # ranges are the peer's claim:
+        ("data", 2, None, -1000),             # negative ids and sizes, and a
+        ("data", 2, None, 2 ** 70),           # size no wire frame could carry
     ])
     def test_decodable_but_not_a_shim_frame(self, value):
         with pytest.raises(FrameFormatError, match="not a shim frame"):

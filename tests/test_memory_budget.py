@@ -1,10 +1,10 @@
-"""Memory-footprint regression tests for the columnar engine core.
+"""Memory-footprint regression tests for the engine core.
 
-The 100k-system tier exists because per-member state became columnar
-and slotted; these tests pin that win with ``tracemalloc`` so future
-object-graph creep (an unslotted hot class re-growing ``__dict__``s, a
-per-link PRNG materialized eagerly, a dict-tree RIB) fails CI instead
-of silently shrinking the reachable plant size.
+The 100k-system tier exists because per-member state is slotted and
+lazily allocated; these tests pin that win with ``tracemalloc`` so
+future object-graph creep (an unslotted hot class re-growing
+``__dict__``s, a per-link PRNG materialized eagerly, a dict-tree RIB)
+fails CI instead of silently shrinking the reachable plant size.
 
 Budgets are peak *traced* bytes per member on a fixed plant —
 deterministic modulo interpreter version, so they carry generous but
@@ -15,7 +15,7 @@ build budget by itself.
 
 import tracemalloc
 
-from repro.core.efcp import EfcpConnection, EfcpPolicy, EfcpTable
+from repro.core.efcp import EfcpConnection, EfcpPolicy
 from repro.core.names import Address
 from repro.experiments.e6_scalability import build_flood_spec
 from repro.shard import all_nodes_announce, attach_flood
@@ -35,11 +35,10 @@ BUILD_BUDGET = 8_000
 #: read back).  Measured ~29.5 KB/member.
 RUN_BUDGET = 45_000
 
-#: Flyweight EFCP connections sharing one per-DIF table: peak traced
-#: bytes per connection (measured ~2.1 KB — send queue, stats, view)
-#: and columnar bytes per row (12 columns x 8 bytes, ~96 B amortized).
+#: Peak traced bytes per standalone EFCP connection (measured 2,137 B:
+#: the slotted object with its twelve protocol scalars, send queue,
+#: outstanding/receive maps, two timers and stats).
 CONNECTION_BUDGET = 3_500
-ROW_BUDGET = 128
 
 
 def test_flood_plant_build_stays_in_budget():
@@ -80,24 +79,23 @@ def test_flood_run_stays_in_budget():
         f"(budget {RUN_BUDGET})")
 
 
-def test_efcp_flyweights_share_one_columnar_table():
+def test_efcp_connection_stays_in_budget():
     engine = Engine()
     policy = EfcpPolicy()
     count = 1000
     tracemalloc.start()
     try:
-        table = EfcpTable()
         connections = [
             EfcpConnection(engine, Address(1), Address(2), local_cep=i,
                            remote_cep=i + 10_000, policy=policy,
                            output=lambda pdu: None,
-                           deliver=lambda payload, size: None,
-                           table=table)
+                           deliver=lambda payload, size: None)
             for i in range(count)]
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(connections) == count
-    assert all(c._table is table for c in connections)
-    assert peak / count < CONNECTION_BUDGET
-    assert table.nbytes() / count < ROW_BUDGET
+    assert not hasattr(connections[0], "__dict__")
+    assert peak / count < CONNECTION_BUDGET, (
+        f"an EFCP connection costs {peak / count:.0f} B "
+        f"(budget {CONNECTION_BUDGET})")

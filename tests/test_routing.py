@@ -196,6 +196,51 @@ class TestSync:
         entry = [v for v in snapshot if tuple(v["origin"]) == (1,)][0]
         assert entry["seq"] == 5
 
+    @staticmethod
+    def listener(floods=None):
+        """A member at address 9 that records what it re-floods."""
+        flood = (lambda m, e: 0) if floods is None \
+            else (lambda m, e: floods.append(m) or 1)
+        return LinkStateRouting(Engine(), lambda: Address(9), flood,
+                                spf_delay=0.001)
+
+    @staticmethod
+    def hear(task, lsa):
+        task.handle_lsa(RiepMessage(M_WRITE, obj=LSA_OBJ,
+                                    value=lsa.to_value()), Address(7))
+
+    def test_snapshot_is_sorted_by_origin_not_by_arrival(self):
+        # sync_lsdb() order feeds the RIB fingerprints
+        task = self.listener()
+        for parts in [(2, 1), (1, 9), (1, 2)]:
+            self.hear(task, Lsa(Address(*parts), 1, {}))
+        assert [tuple(v["origin"]) for v in task.sync_lsdb()] == \
+            [(1, 2), (1, 9), (2, 1)]
+
+    def test_higher_seq_replaces_and_lower_seq_is_dropped_unflooded(self):
+        floods = []
+        task = self.listener(floods)
+        self.hear(task, Lsa(Address(1), 3, {Address(2): 1.0}))
+        self.hear(task, Lsa(Address(1), 4, {Address(3): 1.0}))
+        assert task.lsdb_size() == 1
+        assert len(floods) == task.lsas_reflooded == 2
+        stored = task.sync_lsdb()
+        assert stored == [Lsa(Address(1), 4, {Address(3): 1.0}).to_value()]
+        self.hear(task, Lsa(Address(1), 2, {}))                  # stale
+        self.hear(task, Lsa(Address(1), 4, {Address(5): 1.0}))   # duplicate seq
+        assert task.lsas_received == 4
+        assert len(floods) == task.lsas_reflooded == 2
+        assert task.sync_lsdb() == stored
+
+    def test_reset_empties_the_lsdb(self):
+        task = self.listener()
+        task.neighbor_up(Address(2))
+        self.hear(task, Lsa(Address(2), 1, {Address(9): 1.0}))
+        assert task.lsdb_size() == 2
+        task.reset()
+        assert task.lsdb_size() == 0
+        assert task.sync_lsdb() == []
+
     def test_refresh_bumps_sequence(self):
         engine = Engine()
         floods = []

@@ -8,8 +8,10 @@ out-of-band framing.
 """
 
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.shard import FrameFormatError, pack_frames, unpack_frames
 
@@ -98,3 +100,61 @@ class TestRejection:
         buf[-1] = ord("?")   # the payload tag is the last byte
         with pytest.raises(FrameFormatError, match="tag"):
             unpack_frames(bytes(buf))
+
+
+class TestErrorContract:
+    """Whatever is wrong with a buffer, ``unpack_frames`` raises
+    :class:`FrameFormatError` and nothing else (the mirror of the
+    gateway's never-anything-but test for ``unpack_frame``)."""
+
+    #: every value form, so a cut can land inside each of them
+    BATCH = pack_frames([
+        (0.001, "core--border0", ("T", 7, 2.5, "héllo", b"\x00\xff", None), 64),
+        (0.002, "b", (1 << 70, True, ("nested", False)), 8),
+    ])
+
+    def test_every_truncation_offset(self):
+        assert len(unpack_frames(self.BATCH)) == 2
+        for cut in range(len(self.BATCH)):
+            with pytest.raises(FrameFormatError):
+                unpack_frames(self.BATCH[:cut])
+
+    def test_damaged_link_name_byte(self):
+        buf = bytearray(self.BATCH)
+        buf[6 + 14] = 0xFF   # first byte of the first link name
+        with pytest.raises(FrameFormatError, match="malformed"):
+            unpack_frames(bytes(buf))
+
+    def test_count_field_beyond_the_buffer(self):
+        buf = bytearray(self.BATCH)
+        buf[2:6] = struct.pack(">I", 0xFFFFFFFF)
+        with pytest.raises(FrameFormatError):
+            unpack_frames(bytes(buf))
+
+    @pytest.mark.parametrize("tag", [b"s", b"b", b"I"])
+    def test_length_prefix_overrunning_the_buffer(self, tag):
+        # the value claims 5 bytes and 3 follow: never a short slice
+        head = pack_frames([(0.0, "ab", None, 0)])[:-1]
+        with pytest.raises(FrameFormatError, match="overruns"):
+            unpack_frames(head + tag + struct.pack(">I", 5) + b"123")
+
+    def test_link_name_overrunning_the_buffer(self):
+        buf = struct.pack(">BBI", 0xB7, 1, 1) + struct.pack(">dHI", 0.0, 9, 0)
+        with pytest.raises(FrameFormatError, match="overruns"):
+            unpack_frames(buf + b"short")
+
+    def test_tuples_nested_past_the_recursion_limit(self):
+        head = pack_frames([(0.0, "ab", None, 0)])[:-1]
+        with pytest.raises(FrameFormatError):
+            unpack_frames(head + b"(\x00\x00\x00\x01" * 5000 + b"N")
+
+    @given(st.binary(max_size=96))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_never_raise_anything_else(self, buf):
+        # random bytes almost never start with the magic, so also put
+        # them where the frame parser will actually read them
+        for candidate in (buf, struct.pack(">BBI", 0xB7, 1, 1) + buf):
+            try:
+                unpack_frames(candidate)
+            except FrameFormatError:
+                pass

@@ -183,18 +183,27 @@ class TestWireData:
         assert all(codec.is_wire_data(payload)
                    for _t, _l, payload, _s in frames)
 
-    def test_wire_codec_links_are_behavior_invisible(self):
-        # the transparency proof: the whole stateful build with *every*
-        # link wire-faithful (encode at serialization end, decode at
-        # delivery) is bit-identical to the live-object build
-        spec, _plan, workload = canned_stateful()
+    @pytest.mark.parametrize("protocol", ["per-channel", "global-min"])
+    def test_cutting_every_link_is_behavior_invisible(self, protocol):
+        # the transparency proof, on the production path: with every
+        # node its own region *every* link is a cut, so every frame of
+        # the whole stateful build crosses as codec.encode'd wire data
+        # (BoundaryHalf) — and the outcome is bit-identical to the
+        # live-object build
+        spec = build_flood_spec(3, 4)
+        workload = build_stateful_workload(3, 4)
+        plan = RegionPlan(spec, {node: region
+                                 for region, node in enumerate(spec.nodes)})
+        assert len(plan.regions) == len(spec.nodes) == 16
+        assert all(not region.links for region in plan.regions)
+        assert len(plan.boundary_regions) == len(spec.links) == 15
         reference = run_unsharded_stateful(spec, workload, seed=0)
-        faithful = run_unsharded_stateful(spec, workload, seed=0,
-                                          codec=codec)
-        assert faithful["rows"] == reference["rows"]
-        assert faithful["node_stats"] == reference["node_stats"]
-        assert faithful["events"] == reference["events"]
-        assert faithful["clock"] == reference["clock"]
+        cut = run_sharded(plan, workload, seed=0, mode="inline",
+                          protocol=protocol, until=workload["until"])
+        assert cut.frames_relayed == 636
+        assert cut.rows == reference["rows"]
+        assert cut.node_stats == reference["node_stats"]
+        assert cut.events == reference["events"]
 
 
 # ----------------------------------------------------------------------
