@@ -43,12 +43,32 @@ async def smoke() -> int:
                            clients=UDP_CLIENTS, pings=3, workload="rpc",
                            timeout=60.0),
         ]
+        # the clients' last frames and FINs are still in flight
+        for _ in range(500):
+            stats = server.stats
+            if (not server.active_flows
+                    and stats["closed"] >= stats["tcp_connections"]):
+                break
+            await asyncio.sleep(0.01)
+        flows_left = server.active_flows
     finally:
         await server.stop()
+    await asyncio.sleep(0.05)   # connection_lost callbacks of the stop
 
-    print(json.dumps({"rows": rows, "server_stats": server.stats},
-                     indent=2))
+    stats = server.stats
+    print(json.dumps({"rows": rows, "server_stats": stats}, indent=2))
     failures = []
+    if flows_left or stats["flows_lost"]:
+        failures.append(f"after every client deallocated, {flows_left} "
+                        f"flow(s) still held and {stats['flows_lost']} "
+                        f"released only by connection loss")
+    if server.active_connections:
+        failures.append(f"{server.active_connections} shim(s) still "
+                        f"attached after the stop")
+    opened = stats["tcp_connections"] + stats["udp_peers"]
+    if stats["closed"] != opened:
+        failures.append(f"{opened} connection(s) opened, "
+                        f"{stats['closed']} closed")
     for row in rows:
         tag = f"{row['transport']}/{row['workload']}"
         if not row["complete"]:
@@ -57,9 +77,8 @@ async def smoke() -> int:
                 f"replies, {row['alloc_failures']} allocation failure(s)")
         if row["wire_errors"]:
             failures.append(f"{tag}: {row['wire_errors']} wire error(s)")
-    if server.stats["wire_errors"]:
-        failures.append(
-            f"server counted {server.stats['wire_errors']} wire error(s)")
+    if stats["wire_errors"]:
+        failures.append(f"server counted {stats['wire_errors']} wire error(s)")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

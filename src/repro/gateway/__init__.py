@@ -23,8 +23,8 @@ from .driver import AsyncEngineDriver
 from .load import run_load
 from .server import GatewayServer
 from .shim import GATEWAY_CAPACITY_BPS, SocketLink, SocketShim
-from .wire import (MAX_FRAME_BYTES, StreamUnframer, decode_shim_frame,
-                   frame_from_wire, frame_to_wire)
+from .wire import (MAX_FRAME_BYTES, StreamFramingError, StreamUnframer,
+                   decode_shim_frame, frame_from_wire, frame_to_wire)
 
 __all__ = [
     "AsyncEngineDriver",
@@ -35,6 +35,7 @@ __all__ = [
     "SessionSpec",
     "SocketLink",
     "SocketShim",
+    "StreamFramingError",
     "StreamUnframer",
     "decode_shim_frame",
     "frame_from_wire",

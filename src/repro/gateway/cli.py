@@ -75,6 +75,9 @@ def _serve_main(args: List[str]) -> int:
         asyncio.run(_run())
     except KeyboardInterrupt:
         pass
+    # stdout carries the banner and nothing else (callers parse it)
+    print(json.dumps(server.stats, sort_keys=True), file=sys.stderr,
+          flush=True)
     return 0
 
 

@@ -4,13 +4,15 @@ The simulated engine and an asyncio loop are both event loops; the
 difference is who owns time.  :class:`AsyncEngineDriver` supports both
 ownership contracts:
 
-* ``mode="wall"`` — wall clock owns time.  A background task maps
-  ``loop.time()`` onto the simulated clock and runs due engine events;
-  the sleep until the engine's next timer is an actual
-  ``loop.call_later`` deadline, pre-empted whenever a socket injects
-  work.  This is how :class:`~repro.gateway.server.GatewayServer`
-  serves live traffic: EFCP retransmission timers, keepalives, and
-  allocation retries fire in real seconds.
+* ``mode="wall"`` — wall clock owns time.  ``loop.time()`` is mapped
+  onto the simulated clock.  What a socket read enqueues is run to
+  completion by :meth:`drain` at the end of that read, in the same loop
+  turn; a background task sleeps until the engine's next timer (an
+  actual ``loop.call_later`` deadline, pre-empted by :meth:`inject` or
+  by a drain that armed an earlier timer) and runs what is due then.
+  This is how :class:`~repro.gateway.server.GatewayServer` serves live
+  traffic: EFCP retransmission timers, keepalives, and allocation
+  retries fire in real seconds.
 
 * ``mode="fast"`` — causality owns time.  :meth:`run_until` drains due
   events, yields to the loop for socket IO, and fast-forwards the
@@ -23,8 +25,9 @@ ownership contracts:
   advance and injection lands in :attr:`journal`, the deterministic
   replay transcript.
 
-All engine mutations driven by sockets must go through :meth:`inject`,
-which schedules the callback as an ordinary engine event at the current
+All engine mutations driven by sockets must go through :meth:`inject`
+(or :meth:`enqueue` + :meth:`drain` for the frames of one read), which
+schedule the callback as an ordinary engine event at the current
 simulated instant — socket callbacks never touch stack state directly,
 so engine-event ordering stays the only ordering there is.
 """
@@ -61,20 +64,78 @@ class AsyncEngineDriver:
         self._waiters: List["asyncio.Future[bool]"] = []
         self._task: Optional["asyncio.Task[None]"] = None
         self._stopped = False
+        # wall mode: the loop and the (wall, sim) instant the clocks
+        # were tied at, the re-entry guard around engine.run, who hears
+        # of a failed callback during the current run, and the sim time
+        # of the timer the pump sleeps towards (inf: idle, nothing armed)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._wall0 = self._sim0 = 0.0
+        self._running = False
+        self._on_error: Optional[Callable[[Exception], None]] = None
+        self._armed = float("inf")
 
     # ------------------------------------------------------------------
     # Socket-side entry points (called from transport callbacks)
     # ------------------------------------------------------------------
-    def inject(self, fn: Callable[..., None], *args: Any,
-               label: str = "gw.inject") -> None:
-        """Run ``fn(*args)`` inside the engine at the current simulated
-        instant, after events already queued for it."""
-        self.engine.call_at(self.engine.now, fn, *args, label=label)
+    def enqueue(self, fn: Callable[..., None], *args: Any,
+                label: str = "gw.inject") -> None:
+        """Queue ``fn(*args)`` as an engine event at the current
+        simulated instant, after events already queued for it.  Nothing
+        is woken: the caller owes a :meth:`drain` once its batch is
+        queued (a lone callback goes through :meth:`inject`)."""
+        self.engine.call_at(self.engine.now, self._guarded, fn, args,
+                            label=label)
         self.injected += 1
         self._activity += 1
         if self.journal is not None:
             self.journal.append(("inject", label))
+
+    def inject(self, fn: Callable[..., None], *args: Any,
+               label: str = "gw.inject") -> None:
+        """Run ``fn(*args)`` inside the engine at the current simulated
+        instant, after events already queued for it."""
+        self.enqueue(fn, *args, label=label)
         self._wake()
+
+    def drain(self, on_error: Optional[Callable[[Exception], None]] = None
+              ) -> None:
+        """End of a read batch: run what is due, here, in this loop turn.
+
+        Wall mode runs the engine to the present — the frames just
+        enqueued, whatever they schedule for the same instant, and any
+        timer that came due — so the replies exist before the caller
+        flushes its socket, and the pump task is woken only if the run
+        armed a timer earlier than the one it sleeps towards.  An
+        exception one of the enqueued callbacks raises is handed to
+        ``on_error`` (the connection that was being read contains it)
+        and the run carries on.  Called while the engine is already
+        running it does nothing: that run reaches the new events anyway.
+
+        Fast mode (no pump task) only wakes :meth:`run_until`, which
+        owns the engine.
+        """
+        if self._task is None:
+            self._wake()
+            return
+        if self._running:
+            return
+        self._run_due(on_error or self._report)
+        nxt = self.engine.next_event_time()
+        if nxt is not None and nxt < self._armed:
+            self._wake()
+
+    def _guarded(self, fn: Callable[..., None], args: Tuple[Any, ...]
+                 ) -> None:
+        """An enqueued callback must not unwind ``engine.run``: the
+        engine would re-run the batch of events it was in the middle
+        of.  Fast mode has nobody to tell and lets it fail the session.
+        """
+        try:
+            fn(*args)
+        except Exception as exc:
+            if self._on_error is None:
+                raise
+            self._on_error(exc)
 
     def io_begin(self) -> None:
         """A frame left for the network; fast mode must not fast-forward
@@ -183,8 +244,10 @@ class AsyncEngineDriver:
         if self._task is not None and not self._task.done():
             return self._task
         self._stopped = False
-        self._task = asyncio.get_running_loop().create_task(
-            self._wall_loop(), name="gateway-engine")
+        self._loop = asyncio.get_running_loop()
+        self._wall0, self._sim0 = self._loop.time(), self.engine.now
+        self._task = self._loop.create_task(self._wall_loop(),
+                                            name="gateway-engine")
         return self._task
 
     async def stop(self) -> None:
@@ -195,25 +258,41 @@ class AsyncEngineDriver:
             await self._task
             self._task = None
 
+    def _sim_now(self) -> float:
+        """The wall clock, read on the simulated time axis."""
+        return (self._sim0
+                + (self._loop.time() - self._wall0) * self.time_scale)
+
+    def _run_due(self, on_error: Callable[[Exception], None]) -> None:
+        """Run every engine event the wall clock has reached."""
+        self._running = True
+        self._on_error = on_error
+        try:
+            self.engine.run(until=max(self._sim_now(), self.engine.now))
+        finally:
+            self._running = False
+            self._on_error = None
+
+    def _report(self, exc: Exception) -> None:
+        """A callback failed with no connection to blame: tell the
+        loop's exception handler and keep serving."""
+        self._loop.call_exception_handler({
+            "message": "gateway: injected engine callback failed",
+            "exception": exc})
+
     async def _wall_loop(self) -> None:
-        loop = asyncio.get_running_loop()
         engine = self.engine
-        wall0 = loop.time()
-        sim0 = engine.now
         while not self._stopped:
-            target = sim0 + (loop.time() - wall0) * self.time_scale
-            if target > engine.now:
-                engine.run(until=target)
-            else:
-                engine.run(until=engine.now)
+            self._run_due(self._report)
             nxt = engine.next_event_time()
             if nxt is None:
                 # no timers pending: sleep until an injection wakes us
                 # (bounded, so shutdown and drift checks stay prompt)
+                self._armed = float("inf")
                 await self._wait_wake(0.2)
                 continue
-            now_sim = sim0 + (loop.time() - wall0) * self.time_scale
-            delay = (nxt - now_sim) / self.time_scale
+            self._armed = nxt
+            delay = (nxt - self._sim_now()) / self.time_scale
             if delay <= 0:
                 await asyncio.sleep(0)   # due now — just yield for IO
             else:

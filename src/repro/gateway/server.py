@@ -57,8 +57,12 @@ class GatewayServer:
                        else AsyncEngineDriver(self.engine, mode="wall"))
         self.system = System(Node(self.engine, system_name))
         self.capacity_bps = capacity_bps
-        self.stats: Dict[str, int] = {"tcp_connections": 0, "udp_peers": 0,
-                                      "wire_errors": 0, "closed": 0}
+        #: counters of connections already closed; :attr:`stats` adds
+        #: the live ones' frame and write counts on top
+        self._stats: Dict[str, int] = {"tcp_connections": 0, "udp_peers": 0,
+                                       "wire_errors": 0, "closed": 0,
+                                       "flows_lost": 0,
+                                       "frames_out": 0, "writes_out": 0}
         self._shim_seq = itertools.count()
         self._shims: Dict[str, SocketShim] = {}
         self._tcp_server: Optional[asyncio.AbstractServer] = None
@@ -114,13 +118,34 @@ class GatewayServer:
     def active_connections(self) -> int:
         return len(self._shims)
 
+    @property
+    def active_flows(self) -> int:
+        """Shim flows held over the live connections."""
+        return sum(shim.flow_count for shim in self._shims.values())
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """The server's counters, live connections included.
+        ``frames_out / writes_out`` is how many frames left per socket
+        write — the coalescing ratio, readable without a profiler."""
+        stats = dict(self._stats)
+        for shim in self._shims.values():
+            self._add_io(stats, shim)
+        return stats
+
+    @staticmethod
+    def _add_io(stats: Dict[str, int], shim: SocketShim) -> None:
+        channel = shim.link.channel
+        stats["frames_out"] += channel.frames_out
+        stats["writes_out"] += channel.writes_out
+
     # ------------------------------------------------------------------
     def _on_tcp_channel(self, channel: FrameChannel, peer: object) -> None:
-        self.stats["tcp_connections"] += 1
+        self._stats["tcp_connections"] += 1
         self._adopt(channel, f"tcp:{peer}")
 
     def _on_udp_channel(self, channel: FrameChannel, peer: object) -> None:
-        self.stats["udp_peers"] += 1
+        self._stats["udp_peers"] += 1
         self._adopt(channel, f"udp:{peer}")
 
     def _adopt(self, channel: FrameChannel, label: str) -> None:
@@ -139,13 +164,18 @@ class GatewayServer:
         channel.on_close(lambda: self._on_channel_closed(name))
 
     def _on_channel_closed(self, name: str) -> None:
-        self.stats["closed"] += 1
-        self._shims.pop(name, None)
+        self._stats["closed"] += 1
+        shim = self._shims.pop(name, None)
+        if shim is not None:
+            # flows the peer never deallocated: connection_lost (queued
+            # by the shim, not yet run) is about to clean them up
+            self._stats["flows_lost"] += shim.flow_count
+            self._add_io(self._stats, shim)
         self.driver.inject(self.system.detach_provider, name,
                            label="gw.detach")
 
     def _on_wire_error(self, exc: Exception) -> None:
-        self.stats["wire_errors"] += 1
+        self._stats["wire_errors"] += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<GatewayServer {self.host} tcp={self.tcp_port} "

@@ -12,7 +12,7 @@ shim logic cannot tell it left the simulator.
 Inbound bytes are decoded and shape-checked at the engine boundary; a
 malformed frame counts against :attr:`SocketLink.wire_errors` and
 closes the connection — it never raises into the asyncio loop and never
-reaches the stack above.
+reaches the stack above, and neither does any frame behind it.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class SocketLink:
 
     __slots__ = ("name", "capacity_bps", "ends", "_local", "_channel",
                  "_driver", "_tracked", "_on_wire_error", "wire_errors",
-                 "last_error")
+                 "last_error", "_condemned")
 
     def __init__(self, name: str, channel: Any, local_side: int,
                  driver: AsyncEngineDriver,
@@ -94,7 +94,8 @@ class SocketLink:
         self._on_wire_error = on_wire_error
         self.wire_errors = 0
         self.last_error: Optional[str] = None
-        channel.set_receiver(self._on_wire_bytes)
+        self._condemned = False
+        channel.set_receiver(self._on_wire_bytes, self._on_batch_end)
 
     @property
     def channel(self) -> Any:
@@ -113,10 +114,17 @@ class SocketLink:
     def _on_wire_bytes(self, buf: bytes) -> None:
         if self._tracked:
             self._driver.io_end()
-        self._driver.inject(self._deliver, buf, label="gw.rx")
+        self._driver.enqueue(self._deliver, buf, label="gw.rx")
+
+    def _on_batch_end(self) -> None:
+        # the replies this produces are still queued on the channel when
+        # it returns; the channel writes them out, once, right after
+        self._driver.drain(self._contain)
 
     # -- engine context -------------------------------------------------
     def _deliver(self, buf: bytes) -> None:
+        if self._condemned:
+            return   # containment is final: not decoded, not delivered
         try:
             frame = decode_shim_frame(buf)
         except FrameFormatError as exc:
@@ -135,7 +143,8 @@ class SocketLink:
     def _contain(self, exc: Exception) -> None:
         self.wire_errors += 1
         self.last_error = f"{type(exc).__name__}: {exc}"
-        self._channel.close()
+        self._condemned = True
+        self._channel.close()   # replies accepted so far go out first
         if self._on_wire_error is not None:
             self._on_wire_error(exc)
 
@@ -170,6 +179,11 @@ class SocketShim(ShimIpcp):
     @property
     def wire_errors(self) -> int:
         return self.link.wire_errors
+
+    @property
+    def flow_count(self) -> int:
+        """Flows this facility holds, allocated or awaiting alloc-ok."""
+        return len(self._flows) + len(self._pending)
 
     def connection_lost(self) -> None:
         """Fail pending and release active flows after the socket died.

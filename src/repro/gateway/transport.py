@@ -10,16 +10,24 @@ Malformed *stream framing* (oversize or impossible length prefixes) is
 caught here, counted, and answered with a clean ``transport.close()`` —
 by the time bytes reach a receiver they are one well-delimited candidate
 frame (whose *content* the shim layer still validates).
+
+One read is one *batch*: the transport hands the receiver every frame
+the read completed, then signals end-of-batch, and a TCP channel writes
+whatever was sent meanwhile with a single ``transport.write`` — on a
+byte stream the unit of cost is the system call, not the frame.  The
+wire is the same records in the same order; only their grouping into
+``send`` calls differs.  UDP is exempt: one frame per datagram *is* its
+wire format.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..shard.framing import FrameFormatError
-from .wire import MAX_FRAME_BYTES, StreamUnframer, stream_record
+from .wire import (MAX_FRAME_BYTES, StreamFramingError, StreamUnframer,
+                   stream_record)
 
 Receiver = Callable[[bytes], None]
 
@@ -29,17 +37,26 @@ class FrameChannel:
 
     def __init__(self) -> None:
         self._receiver: Optional[Receiver] = None
+        self._on_batch_end: Optional[Callable[[], None]] = None
         self._close_cbs: List[Callable[[], None]] = []
         self._open = True
         self.frames_in = 0
         self.frames_out = 0
+        #: socket writes issued; ``frames_out / writes_out`` is the
+        #: coalescing ratio (1.0 on UDP by construction)
+        self.writes_out = 0
 
     @property
     def is_open(self) -> bool:
         return self._open
 
-    def set_receiver(self, receiver: Receiver) -> None:
+    def set_receiver(self, receiver: Receiver,
+                     on_batch_end: Optional[Callable[[], None]] = None
+                     ) -> None:
+        """``receiver(buf)`` runs per frame; ``on_batch_end()`` once
+        after the last frame of each read."""
         self._receiver = receiver
+        self._on_batch_end = on_batch_end
 
     def on_close(self, cb: Callable[[], None]) -> None:
         self._close_cbs.append(cb)
@@ -51,10 +68,17 @@ class FrameChannel:
         raise NotImplementedError
 
     # -- transport side -------------------------------------------------
-    def _feed(self, buf: bytes) -> None:
-        self.frames_in += 1
-        if self._receiver is not None:
-            self._receiver(buf)
+    def _feed_batch(self, frames: Sequence[bytes]) -> None:
+        """Hand the frames of one read to the receiver, then signal
+        end-of-batch."""
+        self.frames_in += len(frames)
+        receiver = self._receiver
+        if receiver is None:
+            return
+        for buf in frames:
+            receiver(buf)
+        if self._on_batch_end is not None:
+            self._on_batch_end()
 
     def _mark_closed(self) -> None:
         if not self._open:
@@ -66,24 +90,59 @@ class FrameChannel:
 
 
 class TcpFrameChannel(FrameChannel):
-    """Length-prefixed frames over one TCP connection."""
+    """Length-prefixed frames over one TCP connection.
+
+    ``send`` only queues the record.  The queue is written out with one
+    ``transport.write`` by whichever comes first: the end of the read
+    batch being processed (same loop turn — the common case, a reply to
+    what was just read), ``close``, or a flush deferred to the next loop
+    turn for frames sent from anywhere else (timers, client coroutines).
+    The flush at end-of-batch is a direct call, not a deferred callback:
+    a ``call_soon`` costs the loop one more turn — one more ``epoll`` —
+    per read, which is what a one-frame batch cannot amortise.
+    """
 
     def __init__(self, transport: asyncio.Transport) -> None:
         super().__init__()
         self._transport = transport
+        self._loop = asyncio.get_running_loop()
+        self._pending: List[bytes] = []
+        self._in_batch = False
 
     def send(self, buf: bytes) -> bool:
         if not self._open or self._transport.is_closing():
             return False
-        self._transport.write(stream_record(buf))
+        record = stream_record(buf)
+        if not self._pending and not self._in_batch:
+            self._loop.call_soon(self.flush)
+        self._pending.append(record)
         self.frames_out += 1
         return True
 
+    def flush(self) -> None:
+        """Write every queued record, in order, as one ``write``."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        if not self._transport.is_closing():
+            self._transport.write(b"".join(pending))
+            self.writes_out += 1
+
     def close(self) -> None:
         if self._open and not self._transport.is_closing():
+            self.flush()   # what send() accepted goes out before the FIN
             self._transport.close()
         # _mark_closed fires from connection_lost, so close() is safe to
         # call from either side without double-running callbacks
+
+    def _feed_batch(self, frames: Sequence[bytes]) -> None:
+        self._in_batch = True
+        try:
+            super()._feed_batch(frames)
+        finally:
+            self._in_batch = False
+            self.flush()
 
 
 class StreamFrameProtocol(asyncio.Protocol):
@@ -107,17 +166,22 @@ class StreamFrameProtocol(asyncio.Protocol):
         self._on_channel(self.channel, transport.get_extra_info("peername"))
 
     def data_received(self, data: bytes) -> None:
-        if self.channel is None or not self.channel.is_open:
+        channel = self.channel
+        if channel is None or not channel.is_open:
             return
+        error = None
         try:
             frames = self._unframer.feed(data)
-        except FrameFormatError as exc:
+        except StreamFramingError as exc:
+            # the frames ahead of the bad prefix are delivered first,
+            # exactly as if they had arrived in a segment of their own
+            frames, error = exc.frames, exc
+        if frames:
+            channel._feed_batch(frames)
+        if error is not None:
             if self._on_error is not None:
-                self._on_error(exc)
-            self.channel.close()
-            return
-        for buf in frames:
-            self.channel._feed(buf)
+                self._on_error(error)
+            channel.close()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         if self.channel is not None:
@@ -145,6 +209,7 @@ class UdpFrameChannel(FrameChannel):
         else:
             self._transport.sendto(buf)   # connected client socket
         self.frames_out += 1
+        self.writes_out += 1
         return True
 
     def close(self) -> None:
@@ -182,7 +247,7 @@ class DatagramFrameRouter(asyncio.DatagramProtocol):
                                       registry=self.peers)
             self.peers[addr] = channel
             self._on_channel(channel, addr)
-        channel._feed(data)
+        channel._feed_batch((data,))
 
     def error_received(self, exc: Exception) -> None:
         pass   # per-datagram ICMP errors: connectionless, nothing to tear down
@@ -205,7 +270,7 @@ class _DatagramClientProtocol(asyncio.DatagramProtocol):
 
     def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
         if self.channel is not None:
-            self.channel._feed(data)
+            self.channel._feed_batch((data,))
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         if self.channel is not None:

@@ -80,14 +80,30 @@ def stream_record(buf: bytes) -> bytes:
     return LENGTH_PREFIX.pack(len(buf)) + buf
 
 
+class StreamFramingError(FrameFormatError):
+    """A length prefix that cannot be a frame.
+
+    ``frames`` holds the complete frames that preceded it in the same
+    :meth:`StreamUnframer.feed`: they arrived intact, so the reader
+    delivers them before it closes the connection — what a peer gets
+    delivered never depends on how TCP cut the stream into segments.
+    """
+
+    def __init__(self, message: str, frames: List[bytes]) -> None:
+        super().__init__(message)
+        self.frames = frames
+
+
 class StreamUnframer:
     """Incremental parser for the length-prefixed TCP stream.
 
     ``feed(data)`` returns the complete wire frames the new bytes
     finished, buffering any tail.  A length prefix that cannot be a
     frame (oversize, or too short to hold the 2-byte frame header)
-    raises :class:`FrameFormatError` — the stream is desynchronized and
-    the connection must close; no resynchronization is attempted.
+    raises :class:`StreamFramingError` carrying the frames completed
+    ahead of it — the stream is desynchronized and the connection must
+    close; no resynchronization is attempted (the bad prefix stays at
+    the head of the buffer, so every later ``feed`` raises again).
     """
 
     def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
@@ -101,12 +117,13 @@ class StreamUnframer:
         while len(buf) >= LENGTH_PREFIX.size:
             (length,) = LENGTH_PREFIX.unpack_from(buf, 0)
             if length > self._max_frame:
-                raise FrameFormatError(
+                raise StreamFramingError(
                     f"oversize length prefix: {length} bytes "
-                    f"(max {self._max_frame})")
+                    f"(max {self._max_frame})", frames)
             if length < 2:
-                raise FrameFormatError(
-                    f"length prefix {length} cannot hold a frame header")
+                raise StreamFramingError(
+                    f"length prefix {length} cannot hold a frame header",
+                    frames)
             end = LENGTH_PREFIX.size + length
             if len(buf) < end:
                 break

@@ -170,6 +170,39 @@ class TestSessions:
         run(_with_server(body))
 
 
+    def test_stats_count_frames_and_socket_writes(self):
+        """Eight flows on one connection ping in lock step: the server
+        answers each read with one write, and ``stats`` shows it — for
+        connections still open and for closed ones alike."""
+        async def body(server):
+            row = await run_load("127.0.0.1", server.tcp_port, clients=8,
+                                 conns=1, pings=3, timeout=20.0)
+            for _ in range(100):
+                if server.stats["closed"] == 1:
+                    break
+                await asyncio.sleep(0.01)
+            return row, server.stats
+        row, stats = run(_with_server(body))
+        assert row["complete"], row
+        assert stats["frames_out"] == 8 + 24        # alloc-oks + replies
+        assert stats["flows_lost"] == 0             # deallocs beat the FIN
+        assert 0 < stats["writes_out"] < stats["frames_out"]
+
+
+class TestServeCli:
+    def test_banner_alone_on_stdout_stats_line_on_stderr(self, capsys):
+        from repro.gateway.cli import gateway_main
+        assert gateway_main(["serve", "--tcp-port", "0", "--udp-port", "0",
+                             "--duration", "0.05"]) == 0
+        out, err = capsys.readouterr()
+        (banner,) = out.splitlines()
+        assert "tcp=" in banner and "udp=" in banner
+        stats = json.loads(err.splitlines()[-1])
+        assert stats == {"tcp_connections": 0, "udp_peers": 0,
+                         "wire_errors": 0, "closed": 0, "flows_lost": 0,
+                         "frames_out": 0, "writes_out": 0}
+
+
 class TestMalformedInput:
     """Garbage at the socket never hangs a coroutine or leaks an
     unhandled exception — it counts, and the connection closes."""
@@ -250,12 +283,14 @@ class TestMalformedInput:
             client.send(("alloc", 2, ("c", "echo-server"), 16))
             await client.expect("alloc-ok")
             assert server.active_connections == 1
+            assert server.active_flows == 1
             client.channel.close()
             for _ in range(100):
                 if server.active_connections == 0:
                     break
                 await asyncio.sleep(0.01)
             assert server.active_connections == 0
+            assert server.stats["flows_lost"] == 1
         run(_with_server(body))
 
 

@@ -216,3 +216,133 @@ class TestWallMode:
             await driver.stop()
         run(main())
         assert seen == [1]
+
+
+class TestDrain:
+    """enqueue + drain: a read batch runs to completion in its own turn."""
+
+    def test_enqueue_waits_for_drain_which_runs_synchronously(self):
+        engine = Engine()
+        driver = AsyncEngineDriver(engine, mode="wall")
+        seen = []
+
+        async def main():
+            driver.start()
+            await asyncio.sleep(0.01)   # pump is idle-sleeping
+            for index in range(3):
+                driver.enqueue(seen.append, index)
+            await asyncio.sleep(0.02)   # nobody was woken
+            assert seen == []
+            driver.drain()
+            assert seen == [0, 1, 2]    # no await in between
+            await driver.stop()
+        run(main())
+
+    def test_drain_inside_a_running_engine_is_a_no_op(self):
+        engine = Engine()
+        driver = AsyncEngineDriver(engine, mode="wall")
+        seen = []
+
+        async def main():
+            driver.start()
+
+            def nested():
+                driver.enqueue(seen.append, "inner")
+                driver.drain()          # must not re-enter engine.run
+                seen.append("outer")
+            driver.enqueue(nested)
+            driver.drain()
+            assert seen == ["outer", "inner"]
+            await driver.stop()
+        run(main())
+
+    def test_drain_that_arms_an_earlier_timer_wakes_the_pump(self):
+        """The pump sleeps towards the engine's next timer (0.2 s at a
+        time when there is none); only a drain that armed an earlier
+        one wakes it, to re-arm."""
+        engine = Engine()
+        driver = AsyncEngineDriver(engine, mode="wall")
+        fired = []
+
+        async def turns(count=3):
+            for _ in range(count):
+                await asyncio.sleep(0)
+
+        async def main():
+            driver.start()
+            await turns()
+            assert driver._armed == float("inf")     # idle
+            driver.enqueue(engine.call_later, 0.05, fired.append, "early")
+            driver.drain()
+            await turns()
+            early = engine.next_event_time()
+            assert driver._armed == early            # woken, re-armed
+            driver.enqueue(engine.call_later, 5.0, fired.append, "late")
+            driver.drain()
+            (waiter,) = driver._waiters
+            assert not waiter.done()                 # later timer: no wake
+            await turns()
+            assert driver._armed == early
+            deadline = asyncio.get_running_loop().time() + 2.0
+            while not fired and asyncio.get_running_loop().time() < deadline:
+                await asyncio.sleep(0.005)
+            await driver.stop()
+        run(main())
+        assert fired == ["early"]
+
+    def test_failing_callback_goes_to_on_error_and_nothing_runs_twice(self):
+        engine = Engine()
+        driver = AsyncEngineDriver(engine, mode="wall")
+        seen, errors = [], []
+
+        def boom():
+            raise RuntimeError("callback bug")
+
+        async def main():
+            driver.start()
+            driver.enqueue(seen.append, "before")
+            driver.enqueue(boom)
+            driver.enqueue(seen.append, "after")
+            driver.drain(errors.append)
+            assert seen == ["before", "after"]
+            assert [str(exc) for exc in errors] == ["callback bug"]
+            driver.enqueue(seen.append, "next batch")
+            driver.drain(errors.append)
+            assert seen == ["before", "after", "next batch"]
+            assert len(errors) == 1
+            await driver.stop()
+        run(main())
+
+    def test_failing_injection_is_reported_and_the_pump_survives(self):
+        engine = Engine()
+        driver = AsyncEngineDriver(engine, mode="wall")
+        seen, reported = [], []
+
+        def boom():
+            raise RuntimeError("callback bug")
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: reported.append(ctx))
+            driver.start()
+            driver.inject(boom)
+            await asyncio.sleep(0.02)
+            driver.inject(seen.append, "still pumping")
+            await asyncio.sleep(0.02)
+            await driver.stop()
+        run(main())
+        assert seen == ["still pumping"]
+        assert [str(ctx["exception"]) for ctx in reported] == ["callback bug"]
+
+    def test_drain_before_start_and_in_fast_mode_runs_nothing(self):
+        async def main():
+            wall = AsyncEngineDriver(Engine(), mode="wall")
+            fast = AsyncEngineDriver(Engine(), mode="fast")
+            seen = []
+            for driver in (wall, fast):
+                driver.enqueue(seen.append, driver.mode)
+                driver.drain()
+            assert seen == []
+            # fast mode: run_until owns the engine and was only woken
+            assert await fast.run_until(lambda: seen == ["fast"])
+        run(main())

@@ -16,9 +16,9 @@ from repro.core.codec import encode
 from repro.core.delimiting import Fragment
 from repro.shard.framing import FrameFormatError, pack_frame, unpack_frame
 from repro.gateway.wire import (LENGTH_PREFIX, MAX_FRAME_BYTES,
-                                StreamUnframer, decode_shim_frame,
-                                frame_from_wire, frame_to_wire,
-                                stream_record)
+                                StreamFramingError, StreamUnframer,
+                                decode_shim_frame, frame_from_wire,
+                                frame_to_wire, stream_record)
 
 FRAMES = [
     ("alloc", 2, ("echo-client", "echo-server"), 16),
@@ -165,6 +165,52 @@ class TestStreamFraming:
         unframer = StreamUnframer()
         with pytest.raises(FrameFormatError):
             unframer.feed(LENGTH_PREFIX.pack(0))
+
+    def test_frames_ahead_of_a_bad_prefix_ride_on_the_error(self):
+        unframer = StreamUnframer()
+        payloads = [frame_to_wire(f) for f in FRAMES[:2]]
+        stream = (b"".join(map(stream_record, payloads))
+                  + LENGTH_PREFIX.pack(MAX_FRAME_BYTES + 1) + b"tail")
+        with pytest.raises(StreamFramingError, match="oversize") as caught:
+            unframer.feed(stream)
+        assert caught.value.frames == payloads
+        # desynchronized for good: the bad prefix stays at the head
+        with pytest.raises(StreamFramingError) as again:
+            unframer.feed(stream_record(payloads[0]))
+        assert again.value.frames == []
+
+    @staticmethod
+    def _delivered(chunks, max_frame):
+        """(frames delivered, whether the stream was condemned) for one
+        way of cutting a byte string into reads."""
+        unframer = StreamUnframer(max_frame)
+        delivered = []
+        for chunk in chunks:
+            try:
+                delivered += unframer.feed(chunk)
+            except StreamFramingError as exc:
+                return delivered + exc.frames, True
+        return delivered, False
+
+    @given(st.lists(st.binary(min_size=2, max_size=24), max_size=5),
+           st.binary(max_size=12),
+           st.lists(st.integers(min_value=0, max_value=200), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_delivery_does_not_depend_on_segmentation(self, payloads, tail,
+                                                      cuts):
+        """Every way of cutting one byte string into reads delivers the
+        same frames and reaches the same verdict — in particular
+        ``record(A) + garbage`` delivers A whether or not the garbage
+        shares A's segment."""
+        stream = b"".join(map(stream_record, payloads)) + tail
+        bounds = sorted({min(cut, len(stream)) for cut in cuts}
+                        | {0, len(stream)})
+        chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+        whole = self._delivered([stream], max_frame=32)
+        assert self._delivered(chunks, max_frame=32) == whole
+        assert self._delivered([stream[i:i + 1] for i in range(len(stream))],
+                               max_frame=32) == whole
+        assert whole[0][:len(payloads)] == payloads
 
     def test_oversize_frame_rejected_at_sender(self):
         with pytest.raises(FrameFormatError, match="exceeds"):
