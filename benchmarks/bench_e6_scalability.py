@@ -4,8 +4,8 @@ plus the scale tier (wall-clock and events/sec at up to 1,021 systems).
 The stateful tier additionally emits ``benchmarks/BENCH_e6_scale.json``
 (path overridable via ``REPRO_BENCH_JSON``): one schema'd document with
 rounds, boundary steps, frames relayed, events/sec, wall-clock, and
-peak memory per tier and per round protocol, so the perf trajectory is
-a diffable artifact instead of scrollback.  Both bench artifacts live
+peak memory per tier, so the perf trajectory is a diffable artifact
+instead of scrollback.  Both bench artifacts live
 in ``benchmarks/`` — the emitted document next to the committed
 ``BENCH_e6_scale_reference.json`` that pins the deterministic columns
 of the same rows, diffed in CI by ``check_e6_scale_reference.py``.
@@ -19,44 +19,21 @@ from repro.experiments.e6_scalability import (iter_flood_jobs, iter_jobs,
                                               iter_scale_jobs, run_scale)
 from repro.sweeps import SweepRunner
 
-#: v2: rows carry ``peak_mem_mb`` (process high-water RSS at row
-#: completion) alongside the v1 wall-clock fields, and the document is
-#: emitted into ``benchmarks/`` instead of the repo root.
-BENCH_JSON_SCHEMA = "repro/bench-e6-scale/v2"
+#: v3: one round rule, so the ``comparisons`` block (per-channel vs
+#: global-min step ratios) and the rows' ``protocol`` / ``transport``
+#: columns are gone.  v2 added ``peak_mem_mb`` (process high-water RSS
+#: at row completion) and moved the document into ``benchmarks/``.
+BENCH_JSON_SCHEMA = "repro/bench-e6-scale/v3"
 
 
 def emit_bench_json(rows):
-    """Write the schema'd stateful-tier document into ``benchmarks/``
-    (or to ``REPRO_BENCH_JSON``).  ``rows`` are run_stateful_scale rows
-    spanning both protocols; the boundary-step ratio between matching
-    per-channel/global-min pairs is precomputed so the headline number
-    is first-class, not a post-processing step."""
+    """Write the schema'd stateful-tier document (``rows`` are
+    run_stateful_scale rows) into ``benchmarks/`` (or to
+    ``REPRO_BENCH_JSON``)."""
     path = os.environ.get("REPRO_BENCH_JSON") or os.path.join(
         os.path.dirname(os.path.abspath(__file__)),
         "BENCH_e6_scale.json")
-    by_key = {}
-    for row in rows:
-        by_key.setdefault((row["config"], row["shards"]), {})[
-            row.get("protocol", "serial")] = row
-    comparisons = []
-    for (config, shards), protocols in sorted(by_key.items()):
-        new, old = protocols.get("per-channel"), protocols.get("global-min")
-        if new and old:
-            comparisons.append({
-                "config": config,
-                "shards": shards,
-                "global_min_region_steps": old["region_steps"],
-                "per_channel_region_steps": new["region_steps"],
-                "boundary_step_ratio": round(
-                    old["region_steps"] / new["region_steps"], 2),
-                "global_min_rounds": old["rounds"],
-                "per_channel_rounds": new["rounds"],
-            })
-    document = {
-        "schema": BENCH_JSON_SCHEMA,
-        "tiers": rows,
-        "comparisons": comparisons,
-    }
+    document = {"schema": BENCH_JSON_SCHEMA, "tiers": rows}
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")
@@ -167,19 +144,13 @@ def test_e6_stateful_shard_tier(benchmark, table_sink):
                         "shards": shards, "seed": 1},
                 group="e6-stateful", label=f"e6-stateful 10x3 x{shards}")
             for shards in (1, 2, 4, 10)]
-    # the protocol comparison rows: the same 10-shard plant (dense and
-    # sparse) under per-channel grants vs the PR-5 global-min rule —
-    # the boundary-step separation these report is the tentpole claim
-    jobs += [Job("repro.experiments.e6_scalability:run_stateful_scale",
-                 kwargs={"regions": 10, "hosts_per_region": 3,
-                         "shards": 10, "seed": 1, "sparse": sparse,
-                         "protocol": protocol},
-                 group="e6-stateful",
-                 label=f"e6-stateful 10x3{'-sparse' if sparse else ''} "
-                       f"x10 {protocol}")
-             for sparse in (False, True)
-             for protocol in ("global-min", "per-channel")
-             if not (not sparse and protocol == "per-channel")]
+    # the sparse-traffic twin of the 10-shard row: where idle regions
+    # sitting rounds out shows in region_steps
+    jobs.append(Job("repro.experiments.e6_scalability:run_stateful_scale",
+                    kwargs={"regions": 10, "hosts_per_region": 3,
+                            "shards": 10, "seed": 1, "sparse": True},
+                    group="e6-stateful",
+                    label="e6-stateful 10x3-sparse x10"))
     rows = benchmark.pedantic(lambda: SweepRunner(workers=1).run(jobs),
                               rounds=1, iterations=1)
     table_sink("E6-stateful (§6.5): control plane, unsharded vs sharded",
@@ -197,13 +168,10 @@ def test_e6_stateful_shard_tier(benchmark, table_sink):
     with open(path) as handle:
         document = json.load(handle)
     assert document["schema"] == BENCH_JSON_SCHEMA
-    for comparison in document["comparisons"]:
-        # per-channel grants must beat global-min on boundary steps
-        # on every compared plant (the sparse plant by ≥ 3×, pinned
-        # harder in tests/test_shard_grants.py)
-        assert comparison["boundary_step_ratio"] > 1.0, comparison
-    table_sink("E6-stateful round protocols (BENCH_e6_scale.json)",
-               json.dumps(document["comparisons"], indent=2))
+    for row in document["tiers"][1:]:
+        # idle regions sit rounds out (pinned harder, with the exact
+        # counts, in tests/test_shard_grants.py and the CI reference)
+        assert row["region_steps"] < row["rounds"] * row["shards"], row
 
 
 def test_e6_state_and_scope(benchmark, table_sink, sweep):

@@ -4,8 +4,7 @@ reference.
 The perf-trajectory gate: ``BENCH_e6_scale_reference.json`` pins the
 *deterministic* columns of the stateful tier — rounds, per-region
 boundary steps, frames relayed, events, enrollments, and the RIB
-fingerprint — for both round protocols on the dense and sparse 10×3
-plants.  Unlike wall-clock numbers these are identical on every
+fingerprint — on the dense and sparse 10×3 plants.  Unlike wall-clock numbers these are identical on every
 machine, so CI can hard-diff them: an unintended change to grant
 computation, relay order, or workload construction shows up as a
 mismatch here before it shows up as a silent perf regression.
@@ -16,7 +15,7 @@ Usage::
     PYTHONPATH=src python benchmarks/check_e6_scale_reference.py --update
 
 ``--update`` rewrites the reference from the current build — only do
-that for a *deliberate* protocol change, and say so in the commit
+that for a *deliberate* round-rule change, and say so in the commit
 message (the same discipline as the golden trace fingerprints).
 """
 
@@ -32,13 +31,12 @@ REFERENCE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 #: The columns a row is keyed by (inputs) and compared by (outputs).
 #: ``table_rows`` / ``lsas_received`` joined the deterministic set with
 #: bench schema v2: they pin the aggregate routing state (LSDB and
-#: forwarding tables), independent of the round protocol.
+#: forwarding tables), independent of how the rounds are cut.
 #: ``grants`` / ``relay_batches`` — grant computations and non-empty
 #: relay deliveries — are scheduling-independent in every mode (the
 #: barrier loop consumes replies in region order).  Wall-clock keys
 #: stay deliberately excluded.
-KEY_FIELDS = ("config", "regions", "hosts_per_region", "shards", "sparse",
-              "protocol")
+KEY_FIELDS = ("config", "regions", "hosts_per_region", "shards", "sparse")
 CHECK_FIELDS = ("rounds", "grants", "region_steps", "frames_relayed",
                 "relay_batches", "events", "enrolled", "table_rows",
                 "lsas_received", "rib_sha256")
@@ -52,7 +50,7 @@ def measure(reference_row):
     row = run_stateful_scale(
         reference_row["regions"], reference_row["hosts_per_region"],
         shards=reference_row["shards"], seed=1, mode="inline",
-        sparse=reference_row["sparse"], protocol=reference_row["protocol"])
+        sparse=reference_row["sparse"])
     measured = {field: reference_row[field] for field in KEY_FIELDS}
     measured.update({field: row[field] for field in CHECK_FIELDS})
     return measured
@@ -92,7 +90,7 @@ def main(argv) -> int:
         return 0
     if failures:
         print(f"\n{len(failures)} configuration(s) diverged from "
-              f"{os.path.basename(REFERENCE_PATH)} — if the protocol "
+              f"{os.path.basename(REFERENCE_PATH)} — if the "
               f"change is deliberate, regenerate with --update and say "
               f"so in the commit message", file=sys.stderr)
         return 1

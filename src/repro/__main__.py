@@ -168,69 +168,33 @@ def _extract_bool_flag(args: List[str], flag: str) -> Tuple[List[str], bool]:
     return remaining, len(remaining) != len(args)
 
 
-#: Mirrors ``repro.shard.PROTOCOLS`` without importing the shard
-#: package on every CLI startup; the CLI test suite pins the mirror
-#: against the real tuple.
-PROTOCOL_CHOICES = ("per-channel", "global-min")
-
-
-def _extract_choice_flag(args: List[str], flag: str, choices: Tuple[str, ...]
-                         ) -> Tuple[List[str], Optional[str], Optional[str]]:
-    """Pull ``<flag> NAME`` (or ``<flag>=NAME``) out of an argument
-    list, validating NAME against ``choices``."""
-    remaining: List[str] = []
-    value: Optional[str] = None
-    index = 0
-    while index < len(args):
-        arg = args[index]
-        if arg == flag:
-            index += 1
-            if index >= len(args):
-                return remaining, None, f"{flag} requires a value"
-            value = args[index]
-        elif arg.startswith(flag + "="):
-            value = arg[len(flag) + 1:]
-        else:
-            remaining.append(arg)
-        index += 1
-    if value is not None and value not in choices:
-        return remaining, None, (f"{flag}: unknown value {value!r}; "
-                                 f"known: {', '.join(choices)}")
-    return remaining, value, None
-
-
 def _sharded_scale_main(shards: int, workers_flag: Optional[int],
-                        stateful: bool, balance: bool,
-                        protocol: Optional[str] = None) -> int:
-    """``repro e6-scale --shards N [--stateful] [--balance]
-    [--protocol P]``: the sharded tiers.
+                        stateful: bool, balance: bool) -> int:
+    """``repro e6-scale --shards N [--stateful] [--balance]``: the
+    sharded tiers.
 
     Default is the frame-level flood fan-out; ``--stateful`` runs the
     flat configuration's *control plane* (enrollment + RIEP + LSA
     flooding) region-sharded instead.  ``--balance`` swaps the modulo
-    region spread for the cost-weighted partitioner.  ``--protocol``
-    selects the round rule (per-channel / global-min) for the stateful
-    tier.  Each job is one whole sharded run whose
-    coordinator spawns its own per-region workers, so the sweep itself
-    defaults to serial dispatch (``--jobs`` still overrides; inside a
-    pool worker the coordinator falls back to in-process rounds).
+    region spread for the cost-weighted partitioner.  Each job is one
+    whole sharded run whose coordinator spawns its own per-region
+    workers, so the sweep itself defaults to serial dispatch
+    (``--jobs`` still overrides; inside a pool worker the coordinator
+    falls back to in-process rounds).
     """
     from .experiments.e6_scalability import iter_flood_jobs, iter_stateful_jobs
-    kwargs = {}
     if stateful:
         tiers = os.environ.get("REPRO_E6_STATEFUL_TIERS", "small,medium")
         iter_fn, tier_env, what = (iter_stateful_jobs,
                                    "REPRO_E6_STATEFUL_TIERS",
                                    "flat control plane (stateful)")
-        if protocol is not None:
-            kwargs["protocol"] = protocol
     else:
         tiers = os.environ.get("REPRO_E6_SCALE_TIERS", "small,medium,large")
         iter_fn, tier_env, what = (iter_flood_jobs, "REPRO_E6_SCALE_TIERS",
                                    "flat flooding fan-out")
     try:
         jobs = iter_fn([t.strip() for t in tiers.split(",") if t.strip()],
-                       shards=shards, balance=balance, **kwargs)
+                       shards=shards, balance=balance)
     except ValueError as exc:
         print(f"{tier_env}: {exc}", file=sys.stderr)
         return 2
@@ -240,8 +204,6 @@ def _sharded_scale_main(shards: int, workers_flag: Optional[int],
         return 2
     rows = runner.run(jobs)
     suffix = ", balanced partition" if balance else ""
-    if protocol:
-        suffix += f", {protocol} rounds"
     print(format_table(
         rows, title=f"e6-shard: {what}, unsharded vs "
                     f"{shards}-way region shards{suffix}"))
@@ -378,16 +340,6 @@ def main(argv: List[str]) -> int:
         return 2
     argv, stateful_flag = _extract_bool_flag(argv, "--stateful")
     argv, balance_flag = _extract_bool_flag(argv, "--balance")
-    argv, protocol_flag, error = _extract_choice_flag(
-        argv, "--protocol", PROTOCOL_CHOICES)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    if protocol_flag and not stateful_flag:
-        print("--protocol applies to `repro e6-scale --shards N "
-              "--stateful` only (the flood tier always uses the default "
-              "round rule)", file=sys.stderr)
-        return 2
     if shards_flag is not None:
         if argv != ["e6-scale"]:
             print("--shards applies to `repro e6-scale` only",
@@ -406,8 +358,7 @@ def main(argv: List[str]) -> int:
                   f"more", file=sys.stderr)
             return 2
         return _sharded_scale_main(shards_flag, workers_flag,
-                                   stateful_flag, balance_flag,
-                                   protocol=protocol_flag)
+                                   stateful_flag, balance_flag)
     if stateful_flag or balance_flag:
         print("--stateful/--balance apply to `repro e6-scale --shards N` "
               "only", file=sys.stderr)
@@ -418,7 +369,6 @@ def main(argv: List[str]) -> int:
         print("usage: python -m repro <experiment> [...] | all [--jobs N]\n"
               "       python -m repro e6-scale --shards N "
               "[--stateful] [--balance]\n"
-              "                [--protocol per-channel|global-min]\n"
               "       python -m repro scenarios list|run ...\n"
               "       python -m repro gateway serve|load|conformance ...\n")
         for key, (title, _jobs_fn) in EXPERIMENTS.items():

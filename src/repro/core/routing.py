@@ -26,18 +26,11 @@ Scaling (the E6 1,000-system tier) forced the routing task incremental:
   set (a pure sequence-number refresh) is stored and re-flooded but does
   **not** mark the SPF dirty — the hold-down timer still fires on the same
   schedule (the event stream is part of the determinism contract), the
-  Dijkstra is simply skipped;
-* optionally (``partial_spf``), a dirty-region check against the previous
-  run's distances proves many edge changes irrelevant — an added edge that
-  strictly improves no path, or a removed edge that was strictly off every
-  shortest path, cannot alter the table, so the Dijkstra is skipped.  The
-  check is conservative about ties (an equal-cost edge is always treated
-  as relevant) so the table stays byte-identical to a full recompute.
+  Dijkstra is simply skipped.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.engine import Engine, Timer
@@ -125,31 +118,25 @@ class LinkStateRouting:
         Invoked after each SPF run that recomputed the table.
     spf_delay:
         Hold-down between an LSDB change and the SPF run (batches floods).
-    partial_spf:
-        Enable the dirty-region skip: when every edge change since the
-        last run is provably irrelevant to the shortest-path tree, the
-        Dijkstra is elided.  Exact — disable only for A/B measurement.
     """
 
     __slots__ = ("_engine", "_local_addr_fn", "_flood", "_on_table_change",
-                 "_spf_delay", "_partial_spf", "_lsdb", "_own_seq",
-                 "_adjacencies", "_next_hop", "_spf_timer", "_claims",
-                 "_graph", "_dirty_edge_costs", "_dirty", "_spf_pending",
-                 "_dist", "_spf_source", "lsas_originated", "lsas_received",
-                 "lsas_reflooded", "spf_runs", "spf_skipped",
-                 "spf_partial_skips")
+                 "_spf_delay", "_lsdb", "_own_seq", "_adjacencies",
+                 "_next_hop", "_spf_timer", "_claims", "_graph", "_dirty",
+                 "_spf_pending", "_spf_source", "lsas_originated",
+                 "lsas_received", "lsas_reflooded", "spf_runs",
+                 "spf_skipped")
 
     def __init__(self, engine: Engine,
                  local_addr_fn: Callable[[], Optional[Address]],
                  flood_fn: Callable[[RiepMessage, Optional[Address]], int],
                  on_table_change: Optional[Callable[[Dict[Address, Address]], None]] = None,
-                 spf_delay: float = 0.02, partial_spf: bool = True) -> None:
+                 spf_delay: float = 0.02) -> None:
         self._engine = engine
         self._local_addr_fn = local_addr_fn
         self._flood = flood_fn
         self._on_table_change = on_table_change
         self._spf_delay = spf_delay
-        self._partial_spf = partial_spf
         self._lsdb: Dict[Address, Lsa] = {}
         self._own_seq = 0
         self._adjacencies: Dict[Address, float] = {}
@@ -158,12 +145,8 @@ class LinkStateRouting:
         # memoized two-way graph, patched incrementally as claims change
         self._claims: Dict[Address, Dict[Address, float]] = {}
         self._graph: Dict[Address, Dict[Address, float]] = {}
-        # edge → cost at the time of the last SPF run (None: absent then);
-        # only edges touched since that run appear here
-        self._dirty_edge_costs: Dict[Tuple[Address, Address], Optional[float]] = {}
         self._dirty = False            # any claim change since the last run
         self._spf_pending = False      # hold-down fired; recompute on query
-        self._dist: Dict[Address, float] = {}   # last run's distances
         self._spf_source: Optional[Address] = None
         # counters for the scalability/mobility experiments
         self.lsas_originated = 0
@@ -171,7 +154,6 @@ class LinkStateRouting:
         self.lsas_reflooded = 0
         self.spf_runs = 0
         self.spf_skipped = 0           # hold-down fired, nothing dirty
-        self.spf_partial_skips = 0     # dirty edges proved irrelevant
 
     # ------------------------------------------------------------------
     # Adjacency management (called by the IPCP's neighbor monitoring)
@@ -204,8 +186,6 @@ class LinkStateRouting:
         self._next_hop.clear()
         self._claims.clear()
         self._graph.clear()
-        self._dirty_edge_costs.clear()
-        self._dist = {}
         self._spf_source = None
         self._dirty = True
         self._spf_pending = False
@@ -322,16 +302,10 @@ class LinkStateRouting:
         if not self._dirty and self._spf_source == local:
             self.spf_skipped += 1
             return
-        dirty_edges = self._dirty_edge_costs
-        self._dirty_edge_costs = {}
         self._dirty = False
-        if (self._partial_spf and self._spf_source == local
-                and self._edges_irrelevant(dirty_edges)):
-            self.spf_partial_skips += 1
-            return
         self.spf_runs += 1
         self._spf_source = local
-        self._next_hop, self._dist = self._dijkstra(local, self._graph)
+        self._next_hop = self._dijkstra(local, self._graph)
         if self._on_table_change is not None:
             self._on_table_change(dict(self._next_hop))
 
@@ -375,9 +349,6 @@ class LinkStateRouting:
         cur = None if row is None else row.get(b)
         if new == cur:
             return
-        key = (a, b) if a < b else (b, a)
-        # remember the cost as of the last SPF run (first change wins)
-        self._dirty_edge_costs.setdefault(key, cur)
         if new is None:
             del row[b]
             if not row:
@@ -390,33 +361,9 @@ class LinkStateRouting:
             self._graph.setdefault(a, {})[b] = new
             self._graph.setdefault(b, {})[a] = new
 
-    def _edges_irrelevant(self,
-                          dirty: Dict[Tuple[Address, Address],
-                                      Optional[float]]) -> bool:
-        """True when every edge change since the last run provably leaves
-        the shortest-path tree alone (checked against the last run's
-        distances; conservative about equal-cost ties)."""
-        dist = self._dist
-        inf = math.inf
-        eps = 1e-12
-        for (a, b), old_cost in dirty.items():
-            new_cost = self._graph.get(a, {}).get(b)
-            if new_cost == old_cost:
-                continue  # changed and changed back between runs
-            da = dist.get(a, inf)
-            db = dist.get(b, inf)
-            if math.isinf(da) and math.isinf(db):
-                continue  # joins two nodes outside the old reachable set
-            for cost in (old_cost, new_cost):
-                if cost is None:
-                    continue
-                if da + cost <= db + eps or db + cost <= da + eps:
-                    return False  # on (or now shorter than) a shortest path
-        return True
-
     def _dijkstra(self, source: Address,
                   graph: Dict[Address, Dict[Address, float]]
-                  ) -> Tuple[Dict[Address, Address], Dict[Address, float]]:
+                  ) -> Dict[Address, Address]:
         from heapq import heappop, heappush
         dist: Dict[Address, float] = {source: 0.0}
         first_hop: Dict[Address, Optional[Address]] = {source: None}
@@ -446,7 +393,7 @@ class LinkStateRouting:
         for dst, hop in first_hop.items():
             if dst != source and hop is not None:
                 table[dst] = hop
-        return table, dist
+        return table
 
     # ------------------------------------------------------------------
     # Introspection / metrics

@@ -318,8 +318,6 @@ def run_scale(config: str, regions: int, hosts_per_region: int,
         # avoided across every member of this tier's stack
         "spf_runs": sum(ipcp.routing.spf_runs for ipcp in members),
         "spf_skipped": sum(ipcp.routing.spf_skipped for ipcp in members),
-        "spf_partial_skips": sum(ipcp.routing.spf_partial_skips
-                                 for ipcp in members),
         "build_s": round(build_wall, 2),
         "wall_s": round(wall, 2),
         "events": events,
@@ -502,10 +500,10 @@ STATEFUL_SETTLE = 1.2007
 #: Sparse-traffic variant knobs: hosts enroll six times farther apart
 #: and keepalives tick four times slower, so the plant spends most of
 #: its simulated time with activity in only one or two regions at once.
-#: This is the regime the per-channel grant protocol exists for — the
-#: round-count regression test pins its advantage over global-min here
-#: — and the values stay odd / co-prime with the 1/2 ms hop delays so
-#: the tie-freeness precondition holds (see repro.shard.stateful).
+#: This is the regime in which idle regions must sit rounds out — the
+#: step-count regression test pins that here — and the values stay odd
+#: / co-prime with the 1/2 ms hop delays so the tie-freeness
+#: precondition holds (see repro.shard.stateful).
 STATEFUL_SPARSE_HOST_SPACING = 0.0763
 STATEFUL_SPARSE_KEEPALIVE = 2.0113
 STATEFUL_SPARSE_SETTLE = 4.2007
@@ -558,11 +556,10 @@ def build_sparse_stateful_workload(regions: int,
     """The sparse-traffic stateful plant: same topology and causal
     structure as :func:`build_stateful_workload`, but enrollments are
     spread out and keepalives slowed so that at any simulated instant
-    only a couple of regions have work inside the old global-min
-    window.  Global-min rounds crawl through such a plant (every region
-    is stepped every 2 ms window regardless); per-channel grants let
-    the idle regions sit out — this workload is the regression anchor
-    for that separation."""
+    only a couple of regions have work inside the round's window.  A
+    coordinator that stepped every region every round would crawl
+    through such a plant; the round rule lets the idle regions sit out
+    — this workload is the regression anchor for that."""
     return build_stateful_workload(
         regions, hosts_per_region,
         host_spacing=STATEFUL_SPARSE_HOST_SPACING,
@@ -585,24 +582,19 @@ def _stateful_row(node_stats: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
                        seed: int = 1, mode: str = "auto",
-                       balance: bool = False, sparse: bool = False,
-                       protocol: str = "per-channel") -> Dict[str, Any]:
+                       balance: bool = False, sparse: bool = False
+                       ) -> Dict[str, Any]:
     """One stateful-tier row: the flat configuration's *control plane*
     (enrollment + RIEP + LSA flooding + keepalives) run unsharded
     (``shards=1``) or region-sharded over worker processes.
 
     The deterministic columns — enrolled members, total table rows,
     LSAs received, and the combined RIB fingerprint — must be
-    bit-invariant across shard counts *and* across protocols;
+    bit-invariant across shard counts;
     ``tests/test_shard_stateful.py`` pins the 2-shard split
     row-identical (float enrollment timestamps included) to the
     unsharded run.  ``sparse`` swaps in the sparse-traffic workload
-    (:func:`build_sparse_stateful_workload`); ``protocol`` selects the
-    round rule (``region_steps`` is where the protocols separate — see
-    :class:`repro.shard.coordinator.ShardRunResult`).  The
-    ``transport`` column is constant (``packed``; ``none`` on the
-    serial row): the coordinator has one relay path, and the column
-    stays so that committed row digests do not move.
+    (:func:`build_sparse_stateful_workload`).
     """
     from ..shard import RegionPlan, run_sharded, run_unsharded_stateful
     spec = build_flood_spec(regions, hosts_per_region)
@@ -621,8 +613,6 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
             "systems": n,
             "regions": regions,
             "shards": 1,
-            "protocol": "serial",
-            "transport": "none",
             "enrolled": reference["enrolled"],
             "rounds": 1,
             "grants": 1,
@@ -637,16 +627,13 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
         plan = RegionPlan(spec, flood_assignment(regions, hosts_per_region,
                                                  shards, balance=balance))
         result = run_sharded(plan, workload, seed=seed, mode=mode,
-                             protocol=protocol, until=until,
-                             collect_traces=False)
+                             until=until, collect_traces=False)
         wall = time.perf_counter() - started
         row = {
             "config": "flat-stateful" + ("-sparse" if sparse else ""),
             "systems": n,
             "regions": regions,
             "shards": len(plan.regions),
-            "protocol": result.protocol,
-            "transport": "packed",
             "enrolled": sum(s["enrolled"] for s in result.shards),
             "rounds": result.rounds,
             "grants": result.grants,
@@ -668,11 +655,9 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
 
 def iter_stateful_jobs(tiers: List[str] = ("small", "medium"),
                        shards: int = 2, seed: int = 1,
-                       balance: bool = False,
-                       protocol: str = "per-channel") -> List[Job]:
+                       balance: bool = False) -> List[Job]:
     """The stateful sharded tier as data: per tier, the single-engine
-    reference row and the ``shards``-way partitioned row (under the
-    requested round ``protocol``).  Same
+    reference row and the ``shards``-way partitioned row.  Same
     dispatch caveats as :func:`iter_flood_jobs` (each job is one whole
     sharded run)."""
     jobs = []
@@ -685,8 +670,7 @@ def iter_stateful_jobs(tiers: List[str] = ("small", "medium"),
             jobs.append(Job(
                 "repro.experiments.e6_scalability:run_stateful_scale",
                 kwargs={"regions": regions, "hosts_per_region": hosts,
-                        "shards": count, "seed": seed, "balance": balance,
-                        "protocol": protocol},
+                        "shards": count, "seed": seed, "balance": balance},
                 group="e6-stateful",
                 label=f"e6-stateful flat {tier} x{count}"))
     return jobs

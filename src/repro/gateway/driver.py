@@ -126,9 +126,11 @@ class AsyncEngineDriver:
 
     def _guarded(self, fn: Callable[..., None], args: Tuple[Any, ...]
                  ) -> None:
-        """An enqueued callback must not unwind ``engine.run``: the
-        engine would re-run the batch of events it was in the middle
-        of.  Fast mode has nobody to tell and lets it fail the session.
+        """An enqueued callback's failure belongs to the connection
+        being read (``on_error`` closes it), not to whoever called
+        ``engine.run``: the frames of the other connections queued
+        behind it in the same run are still served.  Fast mode has
+        nobody to tell and lets it fail the session.
         """
         try:
             fn(*args)

@@ -13,7 +13,7 @@ lookahead rule; `repro.experiments.e6_scalability` wires this into the
 E6 scale tier (``repro e6-scale --shards N``).
 """
 
-from .coordinator import (MODES, PROTOCOLS, ShardCoordinator, ShardRunError,
+from .coordinator import (MODES, ShardCoordinator, ShardRunError,
                           ShardRunResult, run_sharded)
 from .engine import (BoundaryFrame, BoundaryHalf, ShardEngine,
                      attach_workload)
@@ -22,19 +22,17 @@ from .flood import (all_nodes_announce, attach_flood, delivery_rows,
                     sparse_announce)
 from .framing import FrameFormatError, pack_frames, unpack_frames
 from .plan import (BoundaryPort, LinkSpec, NetworkSpec, RegionPlan,
-                   RegionSpec, ShardPlanError, assignment_by_prefix,
-                   grant_horizons)
+                   RegionSpec, ShardPlanError, assignment_by_prefix)
 from .stateful import (StatefulControlPlane, rib_fingerprint,
                        run_unsharded_stateful, stateful_workload)
 
 __all__ = [
     "BoundaryFrame", "BoundaryHalf", "BoundaryPort", "FrameFormatError",
-    "LinkSpec", "MODES", "NetworkSpec", "PROTOCOLS", "RegionPlan",
-    "RegionSpec", "ShardCoordinator", "ShardPlanError", "ShardRunError",
-    "ShardRunResult", "StatefulControlPlane", "all_nodes_announce",
-    "assignment_by_prefix", "attach_flood", "attach_workload",
-    "delivery_rows", "flood_workload", "grant_horizons", "node_stat_rows",
-    "pack_frames", "rib_fingerprint", "run_sharded", "run_unsharded",
-    "run_unsharded_stateful", "sparse_announce", "stateful_workload",
-    "unpack_frames",
+    "LinkSpec", "MODES", "NetworkSpec", "RegionPlan", "RegionSpec",
+    "ShardCoordinator", "ShardPlanError", "ShardRunError", "ShardRunResult",
+    "StatefulControlPlane", "all_nodes_announce", "assignment_by_prefix",
+    "attach_flood", "attach_workload", "delivery_rows", "flood_workload",
+    "node_stat_rows", "pack_frames", "rib_fingerprint", "run_sharded",
+    "run_unsharded", "run_unsharded_stateful", "sparse_announce",
+    "stateful_workload", "unpack_frames",
 ]

@@ -1,36 +1,27 @@
 """Drive per-region shard engines through conservative-lookahead rounds.
 
-One barrier round loop (documented in docs/ARCHITECTURE.md), with the
-grant rule selected by ``protocol=``:
+One barrier round loop with one grant rule (documented in
+docs/ARCHITECTURE.md):
 
-``per-channel`` (the default)
-    1. **ent** — each region's earliest possible activity: the minimum
-       of its next local event time and the arrival times of frames
-       already relayed toward it.
-    2. **grants** — :func:`~repro.shard.plan.grant_horizons` solves the
-       emission-bound fixpoint over the directed region channel graph
-       and grants region ``r`` the minimum over its *incoming* channels
-       of ``sender's bound + channel delay``.  The fixpoint is the
-       quiet-cut batching: a stretch of simulated time in which no
-       region has an event inside the old global-min window collapses
-       into one grant instead of a crawl of empty rounds.
-    3. **step the work set** — only regions that can actually act
-       (``ent <= grant``) are stepped; their pending frames are
-       injected at their exact recorded arrival times, they run to
-       their grant, and they return the frames they emitted.  Idle
-       regions are not contacted at all — a worker's boundary-round
-       count is the number of grants it consumes, not the number of
-       global barriers.
-    4. **relay** — emitted frames are routed to the far region of
-       their link and held until that region is next stepped, sorted
-       by arrival time (stable on emission order) so injection order
-       is identical in-process and across worker processes.
-
-``global-min`` (the PR-5 rule, the step-count baseline)
-    Every region, every round, runs to ``floor + lookahead(region)``
-    where ``floor`` is the global activity minimum — the coarser rule
-    the per-channel grants provably dominate (see the property test in
-    ``tests/test_shard_grants.py``).
+1. **ent** — each region's earliest possible activity: the minimum of
+   its next local event time and the arrival times of frames already
+   relayed toward it.  ``floor`` is the minimum over all regions.
+2. **equal windows** — every region is granted
+   ``floor + lookahead(region)`` (:func:`grant_round`, with the safety
+   argument).  All windows open at the same instant and are one delay
+   wide, so the regions with work run *side by side* instead of
+   handing one wide window back and forth.
+3. **step the work set** — only regions that can actually act
+   (``ent <= grant``) are stepped; their pending frames are injected at
+   their exact recorded arrival times, they run to their grant, and
+   they return the frames they emitted.  Idle regions are not
+   contacted at all — a worker's boundary-round count is the number of
+   grants it consumes, not the number of global barriers — and their
+   clocks merely lag until a frame or a local event brings them back.
+4. **relay** — emitted frames are routed to the far region of their
+   link and held until that region is next stepped, sorted by arrival
+   time (stable on emission order) so injection order is identical
+   in-process and across worker processes.
 
 Rounds repeat until every engine is drained and no frames are in
 flight (or the ``until`` cap is reached).  Workers are persistent
@@ -60,15 +51,14 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sweeps.runner import START_METHOD_ENV, available_cpu_count
 from .engine import BoundaryFrame, ShardEngine
 from .framing import pack_frames, unpack_frames
-from .plan import RegionPlan, grant_horizons
+from .plan import RegionPlan
 
 MODES = ("auto", "inline", "process")
-PROTOCOLS = ("per-channel", "global-min")
 
 
 class ShardRunError(RuntimeError):
@@ -86,11 +76,9 @@ class ShardRunResult:
     rounds: int = 0
     frames_relayed: int = 0
     mode: str = "inline"
-    protocol: str = "per-channel"
-    # boundary rounds actually executed, per region: under per-channel
-    # grants an idle region sits out a round entirely, so these count
-    # the per-worker synchronization cost the global `rounds` barrier
-    # count no longer measures
+    # boundary rounds actually executed, per region: an idle region
+    # sits out a round entirely, so these count the per-worker
+    # synchronization cost the global `rounds` barrier count does not
     region_steps: List[int] = field(default_factory=list)
     #: grant/floor computations the coordinator performed: one per
     #: round
@@ -204,12 +192,18 @@ class _ProcessShard:
         self._proc.start()
         child_conn.close()
 
-    def _recv(self, expected: str):
+    def _pipe(self, operation, *args):
+        """One pipe operation; a worker that is gone — before a reply,
+        between a header and its byte buffer, or before a command could
+        be written — is a :class:`ShardRunError` naming the region."""
         try:
-            message = self._conn.recv()
-        except EOFError:
-            raise ShardRunError(
-                f"shard {self.region} worker died without replying")
+            return operation(*args)
+        except (EOFError, OSError) as exc:
+            raise ShardRunError(f"shard {self.region} worker died "
+                                f"({type(exc).__name__})") from exc
+
+    def _recv(self, expected: str):
+        message = self._pipe(self._conn.recv)
         if message[0] == "error":
             raise ShardRunError(f"shard {self.region} failed: {message[1]}")
         if message[0] != expected:  # pragma: no cover - protocol misuse
@@ -225,18 +219,19 @@ class _ProcessShard:
                   frames: List[BoundaryFrame]) -> None:
         buf = pack_frames(frames) if frames else b""
         self.relay_bytes += len(buf)
-        self._conn.send(("step", horizon, len(buf)))
+        self._pipe(self._conn.send, ("step", horizon, len(buf)))
         if buf:
-            self._conn.send_bytes(buf)
+            self._pipe(self._conn.send_bytes, buf)
 
     def recv_step(self) -> Tuple[List[BoundaryFrame], float, Optional[float]]:
         nbytes, clock, nxt = self._recv("stepped")
-        frames = unpack_frames(self._conn.recv_bytes()) if nbytes else []
+        frames = (unpack_frames(self._pipe(self._conn.recv_bytes))
+                  if nbytes else [])
         self.relay_bytes += nbytes
         return frames, clock, nxt
 
     def finish(self, want_rows: bool, want_traces: bool):
-        self._conn.send(("finish", want_rows, want_traces))
+        self._pipe(self._conn.send, ("finish", want_rows, want_traces))
         return self._recv("done")
 
     def close(self) -> None:
@@ -272,6 +267,37 @@ class _LoopState:
         self.relay_batches = 0
 
 
+def grant_round(floor: float, ents: Sequence[float],
+                lookaheads: Sequence[float], until: Optional[float] = None
+                ) -> Tuple[List[float], List[int]]:
+    """The round rule: ``(horizons, working)`` for one barrier round.
+
+    ``ents[r]`` is region ``r``'s earliest possible activity (``inf``
+    when it is drained), ``floor`` their finite minimum and
+    ``lookaheads[r]`` the region's minimum cut-link delay (``inf``
+    without a cut).  Every region's window is
+    ``[floor, floor + lookaheads[r])``, clamped to ``until``; the work
+    set is the regions whose activity falls inside their window.
+
+    Safe: every frame not yet relayed is emitted at or after ``floor``
+    and reaches ``r`` no sooner than ``floor + lookaheads[r]``.  Live:
+    a region holding ``ent == floor`` is always in the work set, since
+    lookaheads are positive.  A drained region is never in it — tested
+    on ``ent`` itself, because without a cut its horizon is ``inf`` too
+    and ``inf <= inf`` holds.
+    """
+    horizons = []
+    working = []
+    for index, ent in enumerate(ents):
+        horizon = floor + lookaheads[index]
+        if until is not None and horizon > until:
+            horizon = until
+        horizons.append(horizon)
+        if ent <= horizon and not math.isinf(ent):
+            working.append(index)
+    return horizons, working
+
+
 class ShardCoordinator:
     """Run a :class:`RegionPlan` to completion, relaying boundary frames.
 
@@ -286,10 +312,6 @@ class ShardCoordinator:
         and spawning children is possible, inline otherwise (single
         region, single usable CPU, or running inside a daemonic pool
         worker).
-    protocol:
-        ``"per-channel"`` (fixpoint grants + quiet-cut batching, the
-        default) or ``"global-min"`` (the PR-5 floor+lookahead rule,
-        kept as the step-count baseline).
     start_method:
         ``multiprocessing`` start method for process mode; defaults to
         ``REPRO_START_METHOD`` (the sweeps knob), then the platform
@@ -298,19 +320,14 @@ class ShardCoordinator:
 
     def __init__(self, plan: RegionPlan, workload: Dict[str, Any],
                  seed: int = 0, mode: str = "auto",
-                 protocol: str = "per-channel",
                  start_method: Optional[str] = None,
                  max_rounds: int = 1_000_000) -> None:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; known: "
                              f"{', '.join(MODES)}")
-        if protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}; known: "
-                             f"{', '.join(PROTOCOLS)}")
         self.plan = plan
         self.workload = workload
         self.seed = seed
-        self.protocol = protocol
         self.max_rounds = max_rounds
         self.start_method = (start_method
                              or os.environ.get(START_METHOD_ENV) or None)
@@ -369,7 +386,7 @@ class ShardCoordinator:
         send-all-then-recv-all step per round."""
         plan = self.plan
         count = len(proxies)
-        per_channel = self.protocol == "per-channel"
+        lookaheads = [region.lookahead for region in plan.regions]
         while True:
             ents = []
             for index in range(count):
@@ -389,21 +406,7 @@ class ShardCoordinator:
             if st.rounds > self.max_rounds:
                 raise ShardRunError(self._livelock_report(
                     floor, ents, st.clocks, st.nexts, st.inboxes))
-            if per_channel:
-                horizons = grant_horizons(ents, plan.channels, until=until)
-                working = [index for index in range(count)
-                           if not math.isinf(ents[index])
-                           and ents[index] <= horizons[index]]
-            else:
-                horizons = []
-                for region in plan.regions:
-                    lookahead = region.lookahead
-                    horizon = (math.inf if math.isinf(lookahead)
-                               else floor + lookahead)
-                    if until is not None:
-                        horizon = min(horizon, until)
-                    horizons.append(horizon)
-                working = list(range(count))
+            horizons, working = grant_round(floor, ents, lookaheads, until)
             # frames injected in arrival order (stable on emission order)
             for index in working:
                 st.inboxes[index].sort(key=lambda frame: frame[0])
@@ -521,24 +524,21 @@ class ShardCoordinator:
                               shards=summaries, traces=traces,
                               rounds=st.rounds,
                               frames_relayed=st.frames_relayed,
-                              mode=self.mode, protocol=self.protocol,
-                              region_steps=st.region_steps,
+                              mode=self.mode, region_steps=st.region_steps,
                               grants=st.grants,
                               relay_batches=st.relay_batches,
                               relay_bytes=relay_bytes)
 
 
 def run_sharded(plan: RegionPlan, workload: Dict[str, Any], seed: int = 0,
-                mode: str = "auto", protocol: str = "per-channel",
-                start_method: Optional[str] = None,
+                mode: str = "auto", start_method: Optional[str] = None,
                 until: Optional[float] = None, collect_rows: bool = True,
                 collect_traces: bool = True) -> ShardRunResult:
     """One-call sharded execution of a plan + workload.
 
     Always deterministic (same plan + workload + seed ⇒ identical
-    per-shard traces, any mode or protocol), and every frame is
-    delivered at the exact timestamp the unsharded link would have
-    computed.  Exact *equivalence* with an unsharded run additionally
+    per-shard traces, any mode), and every frame is delivered at the
+    exact timestamp the unsharded link would have computed.  Exact *equivalence* with an unsharded run additionally
     requires the workload to be tie-free: at an exactly shared float
     timestamp an injected boundary frame executes after local events,
     where one engine may have interleaved them — see the lookahead
@@ -546,7 +546,6 @@ def run_sharded(plan: RegionPlan, workload: Dict[str, Any], seed: int = 0,
     (delivery counts, reach sets) are equivalent regardless.
     """
     coordinator = ShardCoordinator(plan, workload, seed=seed, mode=mode,
-                                   protocol=protocol,
                                    start_method=start_method)
     return coordinator.run(until=until, collect_rows=collect_rows,
                            collect_traces=collect_traces)

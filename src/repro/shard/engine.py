@@ -28,8 +28,8 @@ the unsharded build exactly.
 Frames whose arrival lands exactly on a region's granted horizon are
 injected after that region's step ends and execute in its next step —
 deterministically, since the receiving engine's clock never passes an
-injection's arrival time (the per-channel grant invariant proved in
-:func:`repro.shard.plan.grant_horizons`).  Because a frame is pure wire
+injection's arrival time (the grant invariant argued in
+:func:`repro.shard.coordinator.grant_round`).  Because a frame is pure wire
 data end to end, a round's whole batch also flattens losslessly into
 one byte buffer per direction (:mod:`repro.shard.framing`) for the trip
 across a worker pipe — the engine neither knows nor cares which
@@ -235,9 +235,9 @@ class ShardEngine:
             lines.append(f"counter {name}={value}")
         lines.extend(self.workload.trace_lines())
         # the *causal* clock (time of the last executed event), not the
-        # parked horizon: round protocols park engines at different —
-        # causally irrelevant — instants, and the fingerprint must be
-        # invariant across them
+        # parked horizon: where a grant parks an engine depends on the
+        # partition (a region that sat rounds out lags), is causally
+        # irrelevant, and must not reach the fingerprint
         lines.append(f"clock={self.network.engine.last_event_time!r} "
                      f"events={self.network.engine.events_processed}")
         return "\n".join(lines) + "\n"

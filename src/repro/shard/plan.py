@@ -15,21 +15,16 @@ serializable, diffable, and replayable.
 
 The lookahead rule is what makes sharded execution *exact* rather than
 approximate: a frame that crosses a boundary link is sent at some time
-``t`` at or after the sender's earliest possible activity, and arrives
-``delay`` later — so no region that only advances to the minimum over
-its *incoming* channels of ``sender's bound + channel delay`` can ever
-be surprised by a frame from its past.  :func:`grant_horizons` computes
-those per-channel bounds as a shortest-path fixpoint over the directed
-region graph (:attr:`RegionPlan.channels`); the scalar
-:attr:`RegionSpec.lookahead` survives as the coarser global-min bound
-it generalizes (and as the floor the per-channel grants provably never
-drop below).  A zero-delay boundary link would make every horizon
+``t`` at or after the earliest activity anywhere in the plant (the
+round's ``floor``), and arrives ``delay`` later — so a region that only
+advances to ``floor`` plus the minimum delay over its own boundary
+links (:attr:`RegionSpec.lookahead`) can never be surprised by a frame
+from its past.  A zero-delay boundary link would make every horizon
 degenerate, so :class:`RegionPlan` rejects it at construction.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -242,24 +237,6 @@ class RegionPlan:
         self.boundary_regions: Dict[str, Tuple[int, int]] = {
             link.name: (self.assignment[link.a], self.assignment[link.b])
             for link in boundary}
-        # directed channel graph: (sender region, receiver region) → the
-        # fastest boundary link between them.  Frames from ``s`` reach
-        # ``r`` no sooner than ``s``'s earliest activity plus this delay
-        # — the per-channel lookahead grant_horizons() propagates.
-        channels: Dict[Tuple[int, int], float] = {}
-        for link in boundary:
-            ra, rb = self.assignment[link.a], self.assignment[link.b]
-            for src, dst in ((ra, rb), (rb, ra)):
-                best = channels.get((src, dst))
-                if best is None or link.delay < best:
-                    channels[(src, dst)] = link.delay
-        self.channels: Dict[Tuple[int, int], float] = channels
-
-    def incoming_channels(self, region: int) -> List[Tuple[int, float]]:
-        """``(sender region, channel delay)`` rows for one region's
-        incoming boundary channels."""
-        return [(src, delay) for (src, dst), delay in self.channels.items()
-                if dst == region]
 
     @property
     def lookahead(self) -> float:
@@ -275,74 +252,6 @@ class RegionPlan:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<RegionPlan regions={len(self.regions)} "
                 f"boundary={len(self.boundary)} lookahead={self.lookahead}>")
-
-
-def grant_horizons(ents: Sequence[float],
-                   channels: Mapping[Tuple[int, int], float],
-                   until: Optional[float] = None) -> List[float]:
-    """Per-channel conservative horizon grants (the null-message rule).
-
-    ``ents[r]`` is region ``r``'s earliest possible activity — the
-    minimum of its next local event time and the arrival times of
-    frames already relayed to it (``math.inf`` when fully quiet).
-    ``channels`` is the directed region graph of
-    :attr:`RegionPlan.channels`.
-
-    Region ``r``'s *emission bound* ``lbts(r)`` — the earliest time it
-    could put a frame on any outgoing channel — satisfies::
-
-        lbts(r) = min(ents[r], min over incoming (s, d): lbts(s) + d)
-
-    because an emission is caused either by a local event or by a frame
-    that first had to arrive.  All channel delays are positive (plan
-    validation), so the least fixpoint is a single-source-set shortest
-    path, solved here with Dijkstra in one pass for every region.  The
-    grant is then::
-
-        horizon(r) = min over incoming (s, d): lbts(s) + d
-
-    (``inf`` when ``r`` has no incoming channels: nothing can ever
-    reach it), clamped to ``until``.  Running ``r`` to ``horizon(r)``
-    is safe: any frame a neighbor emits arrives at or after it.  The
-    fixpoint *is* the quiet-cut batching — iterating the recurrence
-    until no grant moves is exactly this closed form, so a stretch of
-    rounds in which every region's next event lies beyond the old
-    global-min window collapses into one grant.
-
-    Two properties the tests pin: every grant is ≥ the old global-min
-    horizon ``min(ents) + min incoming delay`` (the per-channel rule
-    only ever widens windows), and the argmin-``ents`` region always
-    satisfies ``ents[r] <= horizon(r)`` (some region can always act —
-    no livelock).
-    """
-    count = len(ents)
-    incoming: List[List[Tuple[int, float]]] = [[] for _ in range(count)]
-    outgoing: List[List[Tuple[int, float]]] = [[] for _ in range(count)]
-    for (src, dst), delay in channels.items():
-        incoming[dst].append((src, delay))
-        outgoing[src].append((dst, delay))
-    lbts = [float(ent) for ent in ents]
-    heap = [(bound, region) for region, bound in enumerate(lbts)
-            if not math.isinf(bound)]
-    heapq.heapify(heap)
-    while heap:
-        bound, region = heapq.heappop(heap)
-        if bound > lbts[region]:
-            continue
-        for dst, delay in outgoing[region]:
-            candidate = bound + delay
-            if candidate < lbts[dst]:
-                lbts[dst] = candidate
-                heapq.heappush(heap, (candidate, dst))
-    horizons = []
-    for region in range(count):
-        horizon = min((lbts[src] + delay
-                       for src, delay in incoming[region]),
-                      default=math.inf)
-        if until is not None:
-            horizon = min(horizon, until)
-        horizons.append(horizon)
-    return horizons
 
 
 def assignment_by_prefix(spec: NetworkSpec,

@@ -22,11 +22,10 @@ timestamps), not merely similar:
    lookahead rule accounts for exactly.  The schedule staggers starts
    (odd spacings, co-prime with hop delays) so no two causal chains
    collide on a float instant — the tie-freeness precondition of
-   docs/ARCHITECTURE.md.  Tie-freeness is also what keeps the
-   *per-channel* grant protocol exact: a frame arriving exactly on a
-   region's granted horizon is injected into its next step, which is
-   only order-identical to the unsharded run when no local event
-   shares that float instant.
+   docs/ARCHITECTURE.md.  Tie-freeness is also what keeps the round
+   rule exact: a frame arriving exactly on a region's granted horizon
+   is injected into its next step, which is only order-identical to
+   the unsharded run when no local event shares that float instant.
 
 2. **Replicated addressing authority without shared state.**  Each
    engine holds its own :class:`~repro.core.dif.Dif` replica, so the

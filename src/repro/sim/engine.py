@@ -92,7 +92,8 @@ class Engine:
         self._batches: Dict[float, List[Event]] = {}
         # consumed prefix of a partially drained batch (only the batch at
         # the minimum timestamp can be mid-drain when run() returns early
-        # on stop()/max_events, so this holds at most one meaningful entry)
+        # on stop()/max_events or unwinds on a raising callback, so this
+        # holds at most one meaningful entry)
         self._batch_pos: Dict[float, int] = {}
         self._seq = itertools.count()
         self._running = False
@@ -125,10 +126,9 @@ class Engine:
         leaves it untouched.  That makes it the *causal* end of a run —
         a function of the events alone — where the parked clock is an
         artifact of whichever horizon the caller chose.  The shard
-        traces render this value so per-shard fingerprints are
-        invariant across coordinator round protocols, whose grant
-        horizons park engines at different (causally irrelevant)
-        instants.
+        traces render this value so per-shard fingerprints do not
+        depend on the (causally irrelevant) instants at which the
+        coordinator's grants happened to park each engine.
         """
         return self._last_event_time
 
@@ -232,7 +232,9 @@ class Engine:
 
         Returns the simulated time at which the run stopped.  When an event
         horizon ``until`` is given and events remain beyond it, the clock is
-        advanced exactly to ``until``.
+        advanced exactly to ``until``.  An exception a callback raises
+        propagates; the event counts as executed, and the next ``run()``
+        resumes with the event after it.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
@@ -258,27 +260,35 @@ class Engine:
                 batch = batches[when]
                 pos = batch_pos.pop(when, 0)
                 interrupted = False
-                while pos < len(batch):
-                    event = batch[pos]
-                    if event.cancelled:
-                        event._expired = True
+                try:
+                    while pos < len(batch):
+                        event = batch[pos]
+                        if event.cancelled:
+                            event._expired = True
+                            pos += 1
+                            continue
+                        if budget is not None and budget <= 0:
+                            interrupted = True
+                            break
                         pos += 1
-                        continue
-                    if budget is not None and budget <= 0:
-                        interrupted = True
-                        break
-                    pos += 1
-                    event._expired = True
-                    self._live -= 1
-                    self._now = when
-                    self._last_event_time = when
-                    self._events_processed += 1
-                    if budget is not None:
-                        budget -= 1
-                    event.callback(*event.args)
-                    if self._stopped:
-                        interrupted = True
-                        break
+                        event._expired = True
+                        self._live -= 1
+                        self._now = when
+                        self._last_event_time = when
+                        self._events_processed += 1
+                        if budget is not None:
+                            budget -= 1
+                        event.callback(*event.args)
+                        if self._stopped:
+                            interrupted = True
+                            break
+                except BaseException:
+                    # a callback that raises is consumed like any other:
+                    # the batch stays queued, so the next run() must resume
+                    # after it, not re-execute the prefix (pos == len(batch)
+                    # is fine — that run drops the batch without a step)
+                    batch_pos[when] = pos
+                    raise
                 if interrupted and pos < len(batch):
                     # stop()/budget left live events at this timestamp:
                     # remember the consumed prefix for the next run()

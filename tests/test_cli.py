@@ -99,24 +99,6 @@ class TestShardedScaleFlags:
                      iter_flood_jobs(["small"], shards=2, balance=True)):
             assert jobs and all(job.kwargs["balance"] for job in jobs)
 
-    def test_choice_mirrors_match_shard_package(self):
-        # the CLI avoids importing repro.shard at startup by mirroring
-        # its protocol tuple; the mirror must never drift
-        from repro.__main__ import PROTOCOL_CHOICES
-        from repro.shard import PROTOCOLS
-        assert PROTOCOL_CHOICES == PROTOCOLS
-
-    def test_protocol_requires_stateful(self, capsys):
-        assert main(["e6-scale", "--shards", "2",
-                     "--protocol", "global-min"]) == 2
-        assert "--protocol applies" in capsys.readouterr().err
-
-    def test_unknown_protocol_rejected_with_choices(self, capsys):
-        assert main(["e6-scale", "--shards", "2", "--stateful",
-                     "--protocol", "psychic"]) == 2
-        err = capsys.readouterr().err
-        assert "psychic" in err and "global-min" in err
-
     def test_removed_transport_flag_is_rejected(self, capsys):
         # the relay has one path; the flag that used to select among
         # three is now an unknown argument like any other
@@ -124,20 +106,25 @@ class TestShardedScaleFlags:
                      "--transport", "packed"]) == 2
         assert capsys.readouterr().err
 
-    def test_stateful_tier_runs_global_min(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_E6_STATEFUL_TIERS", "small")
-        assert main(["e6-scale", "--shards", "2", "--stateful",
-                     "--protocol", "global-min"]) == 0
-        out = capsys.readouterr().out
-        assert "global-min" in out and "rib_sha256" in out
+    def test_removed_protocol_flag_is_rejected(self, capsys):
+        # one round rule, no switch: --protocol is an unknown argument,
+        # with or without the tier it used to apply to
+        for extra in (["--stateful"], []):
+            assert main(["e6-scale", "--shards", "2", *extra,
+                         "--protocol", "global-min"]) == 2
+            assert capsys.readouterr().err
+        assert main([]) == 0
+        assert "--protocol" not in capsys.readouterr().out
 
-    def test_stateful_jobs_carry_protocol(self):
+    def test_stateful_jobs_take_no_round_rule(self):
         from repro.experiments.e6_scalability import iter_stateful_jobs
-        jobs = iter_stateful_jobs(["small"], shards=2, protocol="global-min")
+        jobs = iter_stateful_jobs(["small"], shards=2)
         assert jobs
         for job in jobs:
-            assert job.kwargs["protocol"] == "global-min"
+            assert "protocol" not in job.kwargs
             assert "transport" not in job.kwargs
+        with pytest.raises(TypeError):
+            iter_stateful_jobs(["small"], shards=2, protocol="global-min")
 
 
 class TestJobsFlag:

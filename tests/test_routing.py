@@ -1,9 +1,5 @@
 """Unit tests for link-state routing inside a DIF."""
 
-import random
-
-import pytest
-
 from repro.core.names import Address
 from repro.core.riep import M_WRITE, RiepMessage
 from repro.core.routing import LSA_OBJ, LinkStateRouting, Lsa
@@ -335,38 +331,3 @@ class TestIncrementalSpf:
         assert task.spf_runs == 0                    # nobody asked yet
         assert task.next_hop(Address(2)) == Address(2)
         assert task.spf_runs == 1                    # billed to the query
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_property_partial_spf_matches_full_recompute(self, seed):
-        """The dirty-region skip must be exact: a task with partial_spf
-        and one without, fed the identical LSA stream, always agree."""
-        rng = random.Random(seed)
-        nodes = list(range(2, 9))
-        engine = Engine()
-        fast = LinkStateRouting(engine, lambda: Address(1),
-                                lambda m, e: 0, spf_delay=0.001,
-                                partial_spf=True)
-        slow = LinkStateRouting(engine, lambda: Address(1),
-                                lambda m, e: 0, spf_delay=0.001,
-                                partial_spf=False)
-        for task in (fast, slow):
-            task.neighbor_up(Address(2))
-            task.neighbor_up(Address(3))
-        seqs = {n: 0 for n in nodes}
-        neighbor_sets = {n: {} for n in nodes}
-        for step in range(40):
-            origin = rng.choice(nodes)
-            peers = [n for n in [1] + nodes if n != origin]
-            count = rng.randint(0, min(3, len(peers)))
-            neighbor_sets[origin] = {
-                Address(p): float(rng.choice([1, 1, 2, 5]))
-                for p in rng.sample(peers, count)}
-            seqs[origin] += 1
-            lsa = Lsa(Address(origin), seqs[origin], neighbor_sets[origin])
-            for task in (fast, slow):
-                task.handle_lsa(
-                    RiepMessage(M_WRITE, obj=LSA_OBJ, value=lsa.to_value()),
-                    Address(origin))
-            engine.run(until=engine.now + 0.01)
-            assert fast.table() == slow.table(), f"diverged at step {step}"
-        assert fast.spf_runs <= slow.spf_runs

@@ -300,11 +300,9 @@ class TestConditionSpecCapture:
         plan = RegionPlan(spec, {"a": 0, "b": 0, "c": 1, "d": 1})
         workload = all_nodes_announce(spec.nodes)
         reference = run_unsharded(spec, workload, seed=3)
-        for protocol in ("per-channel", "global-min"):
-            sharded = run_sharded(plan, workload, seed=3, mode="inline",
-                                  protocol=protocol)
-            assert sharded.rows == reference["rows"], protocol
-            assert sharded.node_stats == reference["node_stats"], protocol
+        sharded = run_sharded(plan, workload, seed=3, mode="inline")
+        assert sharded.rows == reference["rows"]
+        assert sharded.node_stats == reference["node_stats"]
 
     def test_conditioned_interior_links_survive_process_mode(self):
         spec = self.conditioned_spec()
@@ -408,6 +406,14 @@ class _EchoEngine:
         return self._frames
 
 
+def megabyte_batch():
+    """1,024 boundary frames of 1,000 payload bytes: far more than a
+    pipe buffer holds, so a send_bytes of it blocks mid-buffer."""
+    payload = ("T", "pdu", b"x" * 1000, 7, 0.125, None)
+    return [(0.001 * index, "border1--core", payload, 1000)
+            for index in range(1024)]
+
+
 class TestStepChannel:
     def test_batch_far_larger_than_the_pipe_buffer_crosses_intact(
             self, monkeypatch):
@@ -415,9 +421,7 @@ class TestStepChannel:
         # and resume, not truncate, and both ends must agree on framing
         monkeypatch.setattr(coordinator_module, "ShardEngine", _EchoEngine)
         _spec, plan, workload = canned_case()
-        payload = ("T", "pdu", b"x" * 1000, 7, 0.125, None)
-        frames = [(0.001 * index, "border1--core", payload, 1000)
-                  for index in range(1024)]
+        frames = megabyte_batch()
         proxy = coordinator_module._ProcessShard(
             _ThreadContext(), plan.regions[0], workload, 0)
         try:
@@ -433,3 +437,36 @@ class TestStepChannel:
         finally:
             proxy.close()
         assert not proxy._proc.is_alive()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the echo engine reaches the worker by fork inheritance")
+    def test_worker_killed_between_header_and_buffer_names_the_shard(
+            self, monkeypatch):
+        # regression: recv_bytes()/send() sat outside the wrapper that
+        # turns a dead pipe into a ShardRunError, so a worker lost
+        # mid-reply surfaced as a bare EOFError.  1 MiB cannot fit the
+        # pipe buffer: once the header is readable the worker is
+        # blocked inside send_bytes, and killing it there leaves the
+        # announced buffer cut short.
+        monkeypatch.setattr(coordinator_module, "ShardEngine", _EchoEngine)
+        _spec, plan, workload = canned_case()
+        frames = megabyte_batch()
+        proxy = coordinator_module._ProcessShard(
+            multiprocessing.get_context("fork"), plan.regions[1], workload, 0)
+        try:
+            proxy.handshake()
+            proxy.send_step(None, frames)
+            assert proxy._conn.poll(30)         # the "stepped" header
+            proxy._proc.kill()
+            proxy._proc.join(timeout=10)
+            assert not proxy._proc.is_alive()
+            with pytest.raises(ShardRunError,
+                               match="shard 1 worker died"):
+                proxy.recv_step()
+            # and a command written to the dead worker's pipe
+            with pytest.raises(ShardRunError,
+                               match="shard 1 worker died"):
+                proxy.send_step(None, frames)
+        finally:
+            proxy.close()

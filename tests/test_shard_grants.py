@@ -1,20 +1,23 @@
-"""The per-channel grant protocol: safety properties, quiet-cut
-batching, and the coordinator cap/livelock bugfixes.
+"""The round rule — equal windows, idle regions sit out — with its
+safety and liveness properties, the step-count regression, and the
+coordinator cap/livelock bugfixes.
 
-The two properties proved in :func:`repro.shard.plan.grant_horizons`'s
-docstring are pinned here over randomized channel graphs:
+:func:`repro.shard.coordinator.grant_round` is the whole rule, so its
+properties are pinned on the pure function over randomized rounds:
 
-1. **Dominance** — every per-channel grant is ≥ the old global-min
-   horizon (``floor + min incoming delay``), so the new protocol never
-   grants *less* than PR 5 did (safety is inherited, progress is not
-   lost).
-2. **No livelock** — some region with the globally earliest activity
-   always holds a grant covering that activity, so every round steps at
-   least one region that does real work.
+1. **Equal windows** — every grant is exactly the global-min horizon
+   ``floor + lookahead(region)`` (clamped to ``until``): never below it
+   (no progress is given away), never above it (a frame emitted at
+   ``floor`` arrives no sooner).
+2. **No livelock** — the region holding the globally earliest activity
+   is always in the work set, so every round steps at least one region
+   that does real work.
+3. **Idle regions sit out** — the work set is exactly the regions with
+   activity inside their window; a drained region is never in it.
 
-The round-count regression pins the point of the whole change: on the
-sparse-traffic 10×3 stateful plant the per-channel protocol does ≥ 3×
-fewer boundary steps than global-min while staying bit-identical.
+The end-to-end half runs the 10×3 stateful plants at 10 shards: rows,
+node stats and RIBs bit-identical to the unsharded build, with far
+fewer boundary steps than rounds × regions.
 """
 
 import math
@@ -27,145 +30,207 @@ from repro.experiments.e6_scalability import (build_flood_spec,
                                               build_stateful_workload,
                                               flood_assignment,
                                               run_stateful_scale)
-from repro.shard import (PROTOCOLS, LinkSpec, NetworkSpec, RegionPlan,
-                         ShardCoordinator, ShardRunError, all_nodes_announce,
-                         flood_workload, grant_horizons, run_sharded,
-                         run_unsharded, run_unsharded_stateful)
+from repro.shard import (LinkSpec, NetworkSpec, RegionPlan, ShardCoordinator,
+                         ShardRunError, all_nodes_announce, flood_workload,
+                         run_sharded, run_unsharded, run_unsharded_stateful)
+from repro.shard import coordinator as coordinator_module
+from repro.shard.coordinator import grant_round
 from repro.sweeps import stable_row
 
 
-def random_channel_graph(rng, regions):
-    """A random directed channel graph with positive delays; channels
-    come in symmetric pairs (cut links are bidirectional) but with
-    independent random delays the planner never produces — the
-    properties must hold for the pure function regardless."""
-    channels = {}
-    for a in range(regions):
-        for b in range(a + 1, regions):
-            if rng.random() < 0.6:
-                channels[(a, b)] = rng.choice([0.001, 0.002, 0.0007, 0.05])
-                channels[(b, a)] = rng.choice([0.001, 0.002, 0.0007, 0.05])
-    return channels
+def random_round(rng):
+    """One round's inputs: per-region earliest activity (some regions
+    drained, never all — the loop ends before granting then) and
+    per-region lookaheads (``inf``: a region without a cut)."""
+    regions = rng.randint(2, 8)
+    ents = [rng.choice([0.0, 0.1, 0.1005, 0.102, 1.5, 7.25, math.inf])
+            for _ in range(regions)]
+    if all(math.isinf(ent) for ent in ents):
+        ents[rng.randrange(regions)] = 0.1
+    lookaheads = [rng.choice([0.0007, 0.001, 0.002, 0.05, math.inf])
+                  for _ in range(regions)]
+    return ents, lookaheads
 
 
 class TestGrantProperties:
     @pytest.mark.parametrize("seed", range(20))
     def test_every_grant_dominates_the_global_min_horizon(self, seed):
-        rng = random.Random(seed)
-        regions = rng.randint(2, 8)
-        channels = random_channel_graph(rng, regions)
-        ents = [rng.choice([0.0, 0.1, 1.5, 7.25, math.inf])
-                for _ in range(regions)]
-        grants = grant_horizons(ents, channels)
+        # ... and is dominated by it: floor + the region's own minimum
+        # cut delay is the widest window that is safe without knowing
+        # more than the floor, and the rule grants exactly that
+        ents, lookaheads = random_round(random.Random(seed))
         floor = min(ents)
-        for region in range(regions):
-            incoming = [delay for (_src, dst), delay in channels.items()
-                        if dst == region]
-            if not incoming:
-                assert math.isinf(grants[region])
-                continue
-            if math.isinf(floor):
-                assert math.isinf(grants[region])
-                continue
-            old_horizon = floor + min(incoming)
-            assert grants[region] >= old_horizon, (
-                f"seed {seed} region {region}: per-channel grant "
-                f"{grants[region]} below the global-min horizon "
-                f"{old_horizon}")
+        horizons, working = grant_round(floor, ents, lookaheads)
+        for region, horizon in enumerate(horizons):
+            if math.isinf(lookaheads[region]):
+                assert math.isinf(horizon)
+            else:
+                assert horizon == floor + lookaheads[region]
+        # the work set is exactly the regions active inside their window
+        assert working == [region for region, ent in enumerate(ents)
+                           if not math.isinf(ent)
+                           and ent <= horizons[region]]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_some_earliest_region_is_always_granted_its_work(self, seed):
         # no livelock: the argmin-ent region's grant strictly exceeds
-        # its ent (its own activity never blocks on itself, and every
-        # incoming bound is ≥ floor + a positive delay)
+        # its ent (lookaheads are positive), capped or not — the loop
+        # only grants while floor <= until
         rng = random.Random(seed)
-        regions = rng.randint(2, 8)
-        channels = random_channel_graph(rng, regions)
-        ents = [rng.choice([0.0, 0.1, 1.5, 7.25]) for _ in range(regions)]
-        grants = grant_horizons(ents, channels)
+        ents, lookaheads = random_round(rng)
         floor = min(ents)
-        earliest = min(range(regions), key=lambda r: ents[r])
-        assert grants[earliest] > floor
+        earliest = ents.index(floor)
+        horizons, working = grant_round(floor, ents, lookaheads)
+        assert horizons[earliest] > floor
+        assert earliest in working
+        until = floor + rng.choice([0.0, 0.0005, 10.0])
+        _horizons, working = grant_round(floor, ents, lookaheads, until)
+        assert earliest in working
 
     def test_until_clamps_every_grant(self):
-        channels = {(0, 1): 0.002, (1, 0): 0.002}
-        grants = grant_horizons([0.0, 5.0], channels, until=1.0)
-        assert all(g <= 1.0 for g in grants)
+        horizons, working = grant_round(0.0, [0.0, 5.0], [0.002, math.inf],
+                                        until=1.0)
+        assert horizons == [0.002, 1.0]
+        assert working == [0]
 
     def test_isolated_region_gets_an_infinite_grant(self):
-        # no incoming channels: nothing can ever reach it, so it may
-        # run to quiescence in one hop
-        channels = {(0, 1): 0.002}     # 1 receives, 0 never does
-        grants = grant_horizons([0.0, 0.0], channels)
-        assert math.isinf(grants[0])
-        assert grants[1] == 0.002
+        # no cut link: nothing can ever reach it, so it may run to
+        # quiescence in one hop
+        horizons, working = grant_round(0.0, [0.0, 0.0], [math.inf, 0.002])
+        assert math.isinf(horizons[0])
+        assert horizons[1] == 0.002
+        assert working == [0, 1]
+
+    def test_drained_region_is_never_stepped(self):
+        # the trap: a drained region without a cut has ent == horizon
+        # == inf, and inf <= inf holds
+        horizons, working = grant_round(0.25, [0.25, math.inf],
+                                        [math.inf, math.inf])
+        assert horizons == [math.inf, math.inf]
+        assert working == [0]
+        # end to end: two regions with no link between them, one silent
+        spec = NetworkSpec(nodes=("a", "b"), links=())
+        plan = RegionPlan(spec, {"a": 0, "b": 1})
+        result = run_sharded(plan, flood_workload([("a", 0.25)]), seed=0,
+                             mode="inline")
+        assert result.region_steps == [1, 0]
 
     def test_grants_on_a_real_plan_dominate_the_plan_lookahead(self):
         spec = build_flood_spec(4, 2)
         plan = RegionPlan(spec, flood_assignment(4, 2, 4))
         ents = [0.1, 0.2, 0.3, 0.4]
-        grants = grant_horizons(ents, plan.channels)
-        floor = min(ents)
+        horizons, working = grant_round(
+            min(ents), ents, [region.lookahead for region in plan.regions])
         for index, region in enumerate(plan.regions):
-            assert grants[index] >= floor + region.lookahead
+            assert horizons[index] == 0.1 + region.lookahead
+            assert horizons[index] >= 0.1 + plan.lookahead
+        assert working == [0]
 
 
-class TestQuietCutBatching:
-    def test_sparse_stateful_plant_needs_3x_fewer_boundary_steps(self):
+def stateful_plant(sparse):
+    """The 10×3 stateful plant, one region per shard."""
+    spec = build_flood_spec(10, 3)
+    build = build_sparse_stateful_workload if sparse else build_stateful_workload
+    return spec, RegionPlan(spec, flood_assignment(10, 3, 10)), build(10, 3)
+
+
+class TestOneRule:
+    def test_idle_regions_sit_out_on_the_sparse_plant(self):
         # the headline regression: sparse traffic (stretched enrollment
         # schedule, slow keepalives) leaves most regions idle most of
-        # the time; global-min steps all 10 regions every round anyway,
-        # per-channel steps only the work set — and both stay
-        # bit-identical to the unsharded reference
-        spec = build_flood_spec(10, 3)
-        workload = build_sparse_stateful_workload(10, 3)
+        # the time, and an idle region is not contacted at all — while
+        # the outcome stays bit-identical to the unsharded reference
+        spec, plan, workload = stateful_plant(sparse=True)
         until = workload["until"]
-        plan = RegionPlan(spec, flood_assignment(10, 3, 10))
         reference = run_unsharded_stateful(spec, workload, seed=0,
                                            until=until)
-        new = run_sharded(plan, workload, seed=0, mode="inline", until=until)
-        old = run_sharded(plan, workload, seed=0, mode="inline",
-                          protocol="global-min", until=until)
-        assert new.rows == reference["rows"]
-        assert new.node_stats == reference["node_stats"]
-        assert old.rows == reference["rows"]
-        # global-min stepped every region every round, by construction
-        assert old.steps == old.rounds * len(plan.regions)
-        assert old.steps >= 3 * new.steps, (
-            f"quiet-cut batching regressed: global-min {old.steps} "
-            f"boundary steps vs per-channel {new.steps}")
-        assert new.rounds <= old.rounds
+        result = run_sharded(plan, workload, seed=0, mode="inline",
+                             until=until)
+        assert result.rows == reference["rows"]
+        assert result.node_stats == reference["node_stats"]
+        assert result.events == reference["events"]
+        assert result.steps <= result.rounds * len(plan.regions) / 2.5, (
+            f"idle regions are being stepped: {result.steps} boundary "
+            f"steps over {result.rounds} rounds")
+        # the backbone region works far more often than a leaf region
+        assert len(set(result.region_steps)) > 1
+        assert max(result.region_steps) <= result.rounds
 
-    def test_dense_stateful_plant_still_batches(self):
-        # even the dense default schedule sheds ≥ 2× of the boundary
-        # steps (the flood-coupled star keeps every round busy, but
-        # never with all regions at once)
-        spec = build_flood_spec(3, 2)
-        workload = build_stateful_workload(3, 2)
+    def test_dense_plant_still_skips_idle_regions(self):
+        spec, plan, workload = stateful_plant(sparse=False)
         until = workload["until"]
-        plan = RegionPlan(spec, flood_assignment(3, 2, 2))
-        new = run_sharded(plan, workload, seed=0, mode="inline", until=until)
-        old = run_sharded(plan, workload, seed=0, mode="inline",
-                          protocol="global-min", until=until)
-        assert new.rows == old.rows
-        assert old.steps > new.steps
+        reference = run_unsharded_stateful(spec, workload, seed=0,
+                                           until=until)
+        result = run_sharded(plan, workload, seed=0, mode="inline",
+                             until=until)
+        assert result.rows == reference["rows"]
+        assert result.node_stats == reference["node_stats"]
+        assert result.events == reference["events"]
+        assert result.steps < result.rounds * len(plan.regions) / 2
 
-    def test_result_reports_protocol_and_per_region_steps(self):
+    def test_every_window_in_a_round_opens_at_the_same_floor(
+            self, monkeypatch):
+        # equal windows, observed from the proxies: every horizon the
+        # coordinator hands out in one round is that round's floor plus
+        # the region's own lookahead.  The floor is recoverable from the
+        # stepped regions alone (the earliest region is always stepped).
+        # Every node its own region: the core's cuts are all 2 ms, every
+        # other region has a 1 ms cut, so lookaheads differ.
+        rounds, sending = [], []
+
+        class RecordingShard(coordinator_module._InlineShard):
+            def __init__(self, region, workload, seed):
+                super().__init__(region, workload, seed)
+                self.lookahead = region.lookahead
+
+            def send_step(self, horizon, frames):
+                nxt = self._shard.next_event_time()
+                ent = min([frame[0] for frame in frames]
+                          + [math.inf if nxt is None else nxt])
+                sending.append((horizon, ent, self.lookahead))
+                super().send_step(horizon, frames)
+
+            def recv_step(self):
+                if sending:         # first reply: the round's sends are over
+                    rounds.append(sending[:])
+                    sending.clear()
+                return super().recv_step()
+
+        monkeypatch.setattr(coordinator_module, "_InlineShard",
+                            RecordingShard)
+        spec = build_flood_spec(3, 4)
+        workload = build_stateful_workload(3, 4)
+        plan = RegionPlan(spec, {node: region
+                                 for region, node in enumerate(spec.nodes)})
+        assert len({region.lookahead for region in plan.regions}) == 2
+        until = workload["until"]
+        result = run_sharded(plan, workload, seed=0, mode="inline",
+                             until=until)
+        assert len(rounds) == result.rounds + 1     # + the cap-advance
+        for stepped in rounds[:result.rounds]:
+            floor = min(ent for _horizon, ent, _lookahead in stepped)
+            for horizon, ent, lookahead in stepped:
+                assert horizon == min(floor + lookahead, until)
+                assert ent <= horizon
+
+    def test_result_reports_per_region_steps(self):
         spec = build_flood_spec(2, 2)
         plan = RegionPlan(spec, flood_assignment(2, 2, 2))
         result = run_sharded(plan, all_nodes_announce(spec.nodes), seed=0,
                              mode="inline")
-        assert result.protocol == "per-channel"
+        assert not hasattr(result, "protocol")
         assert len(result.region_steps) == len(plan.regions)
         assert result.steps == sum(result.region_steps)
         assert 0 < result.steps <= result.rounds * len(plan.regions)
 
-    def test_unknown_protocol_rejected(self):
+    def test_there_is_no_protocol_argument(self):
         spec = build_flood_spec(2, 2)
         plan = RegionPlan(spec, flood_assignment(2, 2, 2))
-        with pytest.raises(ValueError, match="unknown protocol"):
-            ShardCoordinator(plan, all_nodes_announce(spec.nodes),
-                             protocol="optimistic")
+        workload = all_nodes_announce(spec.nodes)
+        with pytest.raises(TypeError):
+            ShardCoordinator(plan, workload, protocol="global-min")
+        with pytest.raises(TypeError):
+            run_sharded(plan, workload, protocol="per-channel")
 
 
 class TestCapAdvance:
@@ -251,8 +316,9 @@ class TestLivelockDiagnostics:
         assert "inbox=" in message
 
     def test_all_quiet_plant_cannot_exhaust_rounds(self):
-        # quiet-cut batching makes a capped run over a silent stretch
-        # cost zero rounds — max_rounds=1 must never trip on quiet time
+        # a capped run over a silent stretch costs zero rounds (the
+        # floor lies beyond the cap) — max_rounds=1 must never trip on
+        # quiet time
         spec = build_flood_spec(2, 2)
         plan = RegionPlan(spec, flood_assignment(2, 2, 2))
         workload = flood_workload([("core", 50.0)])   # nothing before 50 s
@@ -272,13 +338,12 @@ class TestSchedulingIndependence:
     COUNTERS = ("rounds", "grants", "region_steps", "relay_batches",
                 "frames_relayed")
 
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_counters_agree_in_any_mode(self, protocol):
+    def test_counters_agree_in_any_mode(self):
         spec = build_flood_spec(3, 2)
         workload = build_stateful_workload(3, 2)
         plan = RegionPlan(spec, flood_assignment(3, 2, 2))
         inline, first, second = (
-            run_sharded(plan, workload, seed=0, mode=mode, protocol=protocol,
+            run_sharded(plan, workload, seed=0, mode=mode,
                         until=workload["until"])
             for mode in ("inline", "process", "process"))
         for name in self.COUNTERS:
@@ -289,10 +354,8 @@ class TestSchedulingIndependence:
         assert inline.relay_bytes == 0              # inline: nothing packed
         assert first.relay_bytes == second.relay_bytes > 0
 
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_process_rows_reproduce(self, protocol):
+    def test_process_rows_reproduce(self):
         first, second = (
-            run_stateful_scale(3, 2, shards=2, seed=0, mode="process",
-                               protocol=protocol)
+            run_stateful_scale(3, 2, shards=2, seed=0, mode="process")
             for _ in range(2))
         assert stable_row(first) == stable_row(second)

@@ -183,8 +183,7 @@ class TestWireData:
         assert all(codec.is_wire_data(payload)
                    for _t, _l, payload, _s in frames)
 
-    @pytest.mark.parametrize("protocol", ["per-channel", "global-min"])
-    def test_cutting_every_link_is_behavior_invisible(self, protocol):
+    def test_cutting_every_link_is_behavior_invisible(self):
         # the transparency proof, on the production path: with every
         # node its own region *every* link is a cut, so every frame of
         # the whole stateful build crosses as codec.encode'd wire data
@@ -199,7 +198,7 @@ class TestWireData:
         assert len(plan.boundary_regions) == len(spec.links) == 15
         reference = run_unsharded_stateful(spec, workload, seed=0)
         cut = run_sharded(plan, workload, seed=0, mode="inline",
-                          protocol=protocol, until=workload["until"])
+                          until=workload["until"])
         assert cut.frames_relayed == 636
         assert cut.rows == reference["rows"]
         assert cut.node_stats == reference["node_stats"]

@@ -143,6 +143,65 @@ class TestRunControl:
         engine.call_at(1.0, reenter)
         engine.run()
 
+    @staticmethod
+    def _boom(seen):
+        seen.append("boom")
+        raise RuntimeError("boom")
+
+    def test_raising_event_is_consumed_and_the_batch_resumes_after_it(self):
+        # regression: the cursor into the timestamp batch was lost when a
+        # callback raised, so every later run() re-executed the batch
+        # from its first event and pending_count() went negative
+        engine = Engine()
+        seen = []
+        engine.call_at(1.0, seen.append, "a")
+        engine.call_at(1.0, self._boom, seen)
+        engine.call_at(1.0, seen.append, "c")
+        engine.call_at(2.0, seen.append, "d")
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert seen == ["a", "boom"]
+        assert engine.pending_count() == self._live_scan(engine) == 2
+        assert engine.next_event_time() == 1.0
+        engine.run()
+        assert seen == ["a", "boom", "c", "d"]
+        assert engine.pending_count() == 0
+        assert engine.events_processed == 4
+
+    def test_raising_last_event_of_a_batch_is_not_rerun(self):
+        engine = Engine()
+        seen = []
+        engine.call_at(1.0, seen.append, "a")
+        engine.call_at(1.0, self._boom, seen)
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert engine.pending_count() == 0
+        assert engine.next_event_time() is None
+        # a same-instant event scheduled after the failure still runs
+        engine.call_at(1.0, seen.append, "late")
+        engine.run()
+        assert seen == ["a", "boom", "late"]
+
+    def test_raise_interleaved_with_stop_and_max_events(self):
+        engine = Engine()
+        seen = []
+        engine.call_at(1.0, lambda: (seen.append("stop"), engine.stop()))
+        engine.call_at(1.0, self._boom, seen)
+        engine.call_at(1.0, seen.append, "c")
+        engine.call_at(1.0, seen.append, "d")
+        engine.run()                       # stop() parks after the first
+        assert seen == ["stop"]
+        with pytest.raises(RuntimeError):
+            engine.run(max_events=5)       # resumes at the raising one
+        assert seen == ["stop", "boom"]
+        engine.run(max_events=1)           # budget parks between c and d
+        assert seen == ["stop", "boom", "c"]
+        assert engine.pending_count() == self._live_scan(engine) == 1
+        engine.run()
+        assert seen == ["stop", "boom", "c", "d"]
+        # a raise is not a stop: the engine is reusable, not wedged
+        assert engine.pending_count() == 0 and engine.events_processed == 4
+
     def test_events_processed_counts_executions_only(self):
         engine = Engine()
         event = engine.call_at(1.0, lambda: None)
