@@ -17,8 +17,7 @@ from .addressing import (AddressingPolicy, FlatAddressing, TopologicalAddressing
 from .api import FlowWaiter, MessageFlow
 from .auth import (AllowAll, AllowList, AuthPolicy, ChallengeResponse, DenyAll,
                    FlowAccessPolicy, NoAuth, PresharedKey)
-from .codec import (CodecError, check_size_consistency, decode, encode,
-                    encoded_wire_size, is_wire_data)
+from .codec import WireError, decode, encode
 from .delimiting import Delimiter, Fragment, Reassembler
 from .dif import Dif, DifError, DifPolicies
 from .directory import DifDirectory, InterDifDirectory
@@ -51,8 +50,7 @@ __all__ = [
     "QosCube", "BEST_EFFORT", "RELIABLE", "LOW_LATENCY", "BULK",
     "DEFAULT_CUBES", "resolve_cube",
     "Pdu", "DataPdu", "ControlPdu", "ManagementPdu",
-    "CodecError", "encode", "decode", "encoded_wire_size",
-    "check_size_consistency", "is_wire_data",
+    "WireError", "encode", "decode",
     "EfcpConnection", "EfcpPolicy",
     "Delimiter", "Reassembler", "Fragment",
     "SduProtection", "SduProtectionError",

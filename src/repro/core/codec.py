@@ -1,306 +1,409 @@
-"""The wire-format codec: every PDU as pure data.
+"""The wire codec: the one encoder, live object to bytes in one pass.
 
 Everything that can cross a link has two representations.  In one
 engine, a PDU is a live object graph — interned :class:`Address`\\ es,
 a :class:`RiepMessage` with its cached size, handler references one hop
 up the stack.  At a *cut* (a shard boundary between worker processes,
-or a link asked to be wire-faithful) none of that may travel: what
-crosses is the **encoded form**, a tree of tagged tuples containing
-nothing but ``None``/``bool``/``int``/``float``/``str``/``bytes``.
+a gateway socket) none of that may travel: what crosses is the
+**encoded form**, a versioned big-endian byte string written straight
+from the live value by :func:`encode` and read back by :func:`decode`.
+There is no intermediate representation and no second encoder: shard
+batches (:mod:`repro.shard.framing`) and gateway records
+(:mod:`repro.gateway.wire`) carry these bytes opaquely.
+
+Layout (``q``/``Q`` = signed/unsigned 64-bit, ``I`` = u32, ``flag`` =
+``'T'``/``'F'``, ``addr?`` = u8 part count + that many ``Q``, count 0
+meaning ``None``)::
+
+    buffer := 0xB8 | version u8 | value
+    value  := 'N' | 'T' | 'F'
+            | 'i' q                       ints that fit
+            | 'I' I + decimal ascii       ints that do not
+            | 'd' f64                     bit-exact
+            | 's' I + utf8   | 'b' I + bytes
+            | '(' I value*   | '[' I value*      tuple, list
+            | '{' I (value value)*               dict, sender's key order
+            | 'A' addr                           Address (count >= 1)
+            | 'f' q q flag I + bytes             Fragment: message id,
+                                                 index, last, data
+            | 'D' q q q q q Q flag addr? addr? value
+                      DataPdu: ttl, priority, src cep, dst cep, seq,
+                      payload size, drf, src, dst, payload
+            | 'C' q q q q q q I q* addr? addr? value
+                      ControlPdu: ttl, priority, src cep, dst cep, ack
+                      seq, credit, sack count, sack, src, dst, kind
+            | 'M' q q addr? addr? value
+                      ManagementPdu: ttl, priority, src, dst, message
+            | 'R' q q Q value value value
+                      RiepMessage: invoke id, result, size estimate,
+                      opcode, obj, value
+            | 'L' q I addr (addr f64)*
+                      Lsa: seq, neighbor count, origin, neighbors in
+                      ascending address order
+
+Who sends which kind is counted in docs/ARCHITECTURE.md ("The
+wire-codec contract at the cut"); kinds without a sender are not here.
 
 The contract, enforced by ``tests/test_codec.py``:
 
 * **round trip** — ``decode(encode(x))`` is equal-valued to ``x`` for
-  every PDU kind, every RIEP message, every LSA, and every JSON-like
-  payload value;
-* **byte stability** — ``encode(decode(encode(x))) == encode(x)``: the
-  encoded form is canonical, so fingerprints of encoded traffic are
-  meaningful;
-* **size consistency** — :func:`encoded_wire_size` computes a PDU's
-  on-wire size from the encoded form *without decoding*, by the same
-  accounting :meth:`~repro.core.pdu.Pdu.wire_size` uses on the live
-  object.  A :class:`RiepMessage` additionally carries its size
-  estimate across the cut (restored into ``_size_cache`` on decode), so
-  a decoded message serializes in exactly the same number of bytes the
-  sender charged — re-flooding timing cannot drift at a process
-  boundary.  :func:`check_size_consistency` asserts all three
-  accountings agree.
+  every kind above; floats are bit-exact, ``bool`` stays ``bool``;
+* **canonical bytes** — ``encode(decode(b)) == b`` for every ``b`` that
+  :func:`decode` accepts, so fingerprints of encoded traffic are
+  meaningful: a big-int text that fits an ``i64`` or is not ``str(n)``,
+  a duplicate dict key, unsorted LSA neighbors and a flag byte other
+  than ``'T'``/``'F'`` are all refused;
+* **one error** — whatever is wrong with a buffer (truncation at any
+  offset, a length prefix overrunning it, trailing bytes, an unknown
+  tag, nesting past the recursion limit, an unhashable dict key, a
+  field of the wrong type, a constructor's own ``ValueError``),
+  :func:`decode` raises :class:`WireError` and nothing else; a value
+  :func:`encode` does not know raises the same error *at the sender* —
+  never a silent pickle — which is the runtime check that no live
+  object crosses a cut;
+* **size consistency** — a :class:`RiepMessage` carries its size
+  estimate across the cut (restored into ``_size_cache``), so a decoded
+  PDU's ``wire_size()`` is exactly what the sender's links charged, and
+  stays equal when the cache is cleared and the estimate recomputed.
 
 Decoding rebuilds the process-local fast paths: ``Address(*parts)``
-lands in the interning table (decoded addresses hit the identity fast
-path in forwarding dicts exactly like locally created ones), and the
-RIEP/LSA value caches are either carried (sizes) or lazily recomputed
-from the identical primitive values.
-
-Encoding is *strict*: an object the codec does not know is a
-:class:`CodecError`, not a silent pickle — a live reference leaking
-toward a cut should fail at the sender, loudly.
+lands in the interning table, so decoded addresses hit the identity
+fast path in forwarding dicts exactly like locally created ones.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+import struct
+from typing import Any, Callable, Optional, Tuple
 
 from .delimiting import Fragment
-from .names import Address, ApplicationName, DifName
-from .pdu import (CONTROL_HEADER_BYTES, DATA_HEADER_BYTES,
-                  MGMT_HEADER_BYTES, ControlPdu, DataPdu, ManagementPdu)
-from .riep import RiepMessage, _estimate_value_size
+from .names import Address
+from .pdu import ControlPdu, DataPdu, ManagementPdu
+from .riep import RiepMessage
 from .routing import Lsa
 
-#: Tags of the encoded forms.  Scalars pass through untagged (a scalar
-#: is never a tuple, so decoding is unambiguous); every container and
-#: object becomes a tuple whose first element is one of these.
-TAG_TUPLE = "T"
-TAG_LIST = "L"
-TAG_DICT = "D"
-TAG_SET = "S"
-TAG_FROZENSET = "FS"
-TAG_ADDRESS = "A"
-TAG_APP_NAME = "N"
-TAG_DIF_NAME = "DIF"
-TAG_RIEP = "R"
-TAG_LSA = "LSA"
-TAG_DATA_PDU = "PD"
-TAG_CONTROL_PDU = "PC"
-TAG_MGMT_PDU = "PM"
-TAG_FRAGMENT = "FR"
+MAGIC = 0xB8
+VERSION = 2
+_HEADER = bytes((MAGIC, VERSION))
 
-_SCALARS = (type(None), bool, int, float, str, bytes)
+#: the tag bytes of the layout above, as the ints indexing a buffer gives
+(_NONE, _TRUE, _FALSE, _INT, _BIGINT, _FLOAT, _STR, _BYTES, _TUPLE, _LIST,
+ _DICT, _ADDRESS, _FRAGMENT, _DATA, _CONTROL, _MGMT, _RIEP,
+ _LSA) = b"NTFiIdsb([{AfDCMRL"
+
+# one struct per fixed-width form, tag included, shared by both
+# directions: the encoder packs tag and fields in one call, the decoder
+# unpacks from the tag's offset and skips element 0
+_S_INT = struct.Struct(">Bq")
+_S_FLOAT = struct.Struct(">Bd")
+_S_LENGTH = struct.Struct(">BI")        # str, bytes, big int, containers
+_S_FRAGMENT = struct.Struct(">BqqcI")
+_S_DATA = struct.Struct(">BqqqqqQc")
+_S_CONTROL = struct.Struct(">BqqqqqqI")
+_S_MGMT = struct.Struct(">Bqq")
+_S_RIEP = struct.Struct(">BqqQ")
+_S_LSA = struct.Struct(">BqI")
+_S_COST = struct.Struct(">d")
+
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
+_FLAG = {True: b"T", False: b"F"}
+_UNFLAG = {b"T": True, b"F": False}
+_CONSTANTS = {_NONE: None, _TRUE: True, _FALSE: False}
 
 
-class CodecError(TypeError):
-    """An object that cannot be represented as wire data."""
+class WireError(ValueError):
+    """A value that cannot be encoded, or bytes that are not an
+    encoding."""
 
 
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
-def encode(value: Any) -> Any:
-    """The canonical pure-data form of ``value`` (scalars pass through)."""
-    if isinstance(value, _SCALARS):
-        return value
+def encode(value: Any) -> bytes:
+    """The canonical wire bytes of ``value``; :class:`WireError` for
+    anything the layout above has no form for."""
+    out = [_HEADER]
+    try:
+        _put(value, out.append)
+        return b"".join(out)
+    except WireError:
+        raise
+    except (struct.error, TypeError, ValueError, AttributeError, KeyError,
+            RecursionError) as exc:
+        # a field the fixed layout cannot hold: a non-int sequence
+        # number, a non-bytes fragment, a non-address source...
+        raise WireError(f"cannot encode {type(value).__name__} for the "
+                        f"wire: {type(exc).__name__}: {exc}") from None
+
+
+def _address(addr: Optional[Address]) -> bytes:
+    if addr is None:
+        return b"\0"
+    parts = addr.parts
+    return struct.pack(">B%dQ" % len(parts), len(parts), *parts)
+
+
+def _put(value: Any, put: Callable[[bytes], None]) -> None:
     kind = type(value)
-    if kind is tuple:
-        return (TAG_TUPLE,) + tuple(encode(item) for item in value)
-    if kind is list:
-        return (TAG_LIST,) + tuple(encode(item) for item in value)
-    if kind is dict:
-        return (TAG_DICT,) + tuple(
-            (encode(key), encode(val)) for key, val in value.items())
-    if kind is set or kind is frozenset:
-        tag = TAG_SET if kind is set else TAG_FROZENSET
-        # canonical member order: sets have none, the encoding must
-        return (tag,) + tuple(sorted((encode(item) for item in value),
-                                     key=repr))
-    if kind is Address:
-        return (TAG_ADDRESS,) + value.parts
-    if kind is ApplicationName:
-        return (TAG_APP_NAME, value.process, value.instance)
-    if kind is DifName:
-        return (TAG_DIF_NAME, value.value)
-    if kind is RiepMessage:
+    if kind is int:
+        if _I64_MIN <= value <= _I64_MAX:
+            put(_S_INT.pack(_INT, value))
+        else:
+            text = str(value).encode("ascii")
+            put(_S_LENGTH.pack(_BIGINT, len(text)))
+            put(text)
+    elif kind is str:
+        raw = value.encode("utf-8")
+        put(_S_LENGTH.pack(_STR, len(raw)))
+        put(raw)
+    elif kind is tuple or kind is list:
+        put(_S_LENGTH.pack(_TUPLE if kind is tuple else _LIST, len(value)))
+        for item in value:
+            _put(item, put)
+    elif value is None:
+        put(b"N")
+    elif kind is Fragment:
+        data = value.data
+        if type(data) is not bytes:
+            raise WireError(f"fragment data is {type(data).__name__}, "
+                            f"not bytes")
+        put(_S_FRAGMENT.pack(_FRAGMENT, value.message_id, value.index,
+                             _FLAG[value.last], len(data)))
+        put(data)
+    elif kind is float:
+        put(_S_FLOAT.pack(_FLOAT, value))
+    elif kind is bytes:
+        put(_S_LENGTH.pack(_BYTES, len(value)))
+        put(value)
+    elif kind is bool:
+        put(_FLAG[value])
+    elif kind is dict:
+        put(_S_LENGTH.pack(_DICT, len(value)))
+        for key, item in value.items():
+            _put(key, put)
+            _put(item, put)
+    elif kind is ManagementPdu:
+        put(_S_MGMT.pack(_MGMT, value.ttl, value.priority))
+        put(_address(value.src_addr))
+        put(_address(value.dst_addr))
+        _put(value.message, put)
+    elif kind is RiepMessage:
         # the size estimate crosses with the message: a decoded copy
         # must charge the links exactly what the original did
-        return (TAG_RIEP, value.opcode, value.obj, encode(value.value),
-                value.invoke_id, value.result, value.estimate_size())
-    if kind is Lsa:
-        return (TAG_LSA, (TAG_ADDRESS,) + value.origin.parts, value.seq,
-                tuple(((TAG_ADDRESS,) + addr.parts, cost)
-                      for addr, cost in sorted(value.neighbors.items())))
-    if kind is DataPdu:
-        return (TAG_DATA_PDU, encode(value.src_addr), encode(value.dst_addr),
-                value.ttl, value.priority, value.src_cep, value.dst_cep,
-                value.seq, encode(value.payload), value.payload_size,
-                value.drf)
-    if kind is ControlPdu:
-        return (TAG_CONTROL_PDU, encode(value.src_addr),
-                encode(value.dst_addr), value.ttl, value.priority,
-                value.kind, value.src_cep, value.dst_cep, value.ack_seq,
-                value.credit, (TAG_TUPLE,) + tuple(value.sack))
-    if kind is ManagementPdu:
-        return (TAG_MGMT_PDU, encode(value.src_addr), encode(value.dst_addr),
-                value.ttl, value.priority, encode(value.message))
-    if kind is Fragment:
-        # app payloads the delimiting module produced — the gateway
-        # carries these inside shim data frames across real sockets
-        return (TAG_FRAGMENT, value.message_id, value.index, value.last,
-                value.data)
-    raise CodecError(
-        f"cannot encode {kind.__name__} for the wire: only PDUs, RIEP "
-        f"messages, LSAs, fragments, names, and JSON-like values may "
-        f"cross a cut")
+        put(_S_RIEP.pack(_RIEP, value.invoke_id, value.result,
+                         value.estimate_size()))
+        _put(value.opcode, put)
+        _put(value.obj, put)
+        _put(value.value, put)
+    elif kind is ControlPdu:
+        sack = value.sack
+        put(_S_CONTROL.pack(_CONTROL, value.ttl, value.priority,
+                            value.src_cep, value.dst_cep, value.ack_seq,
+                            value.credit, len(sack)))
+        put(struct.pack(">%dq" % len(sack), *sack))
+        put(_address(value.src_addr))
+        put(_address(value.dst_addr))
+        _put(value.kind, put)
+    elif kind is DataPdu:
+        put(_S_DATA.pack(_DATA, value.ttl, value.priority, value.src_cep,
+                         value.dst_cep, value.seq, value.payload_size,
+                         _FLAG[value.drf]))
+        put(_address(value.src_addr))
+        put(_address(value.dst_addr))
+        _put(value.payload, put)
+    elif kind is Address:
+        put(b"A")
+        put(_address(value))
+    elif kind is Lsa:
+        neighbors = sorted(value.neighbors.items())
+        put(_S_LSA.pack(_LSA, value.seq, len(neighbors)))
+        put(_address(value.origin))
+        for addr, cost in neighbors:
+            put(_address(addr))
+            put(_S_COST.pack(cost))
+    else:
+        raise WireError(
+            f"cannot encode {kind.__name__} for the wire: only PDUs, RIEP "
+            f"messages, LSAs, fragments, addresses and JSON-like values "
+            f"may cross a cut")
 
 
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
-def decode(data: Any) -> Any:
-    """Rebuild the live value of an encoded form (interning addresses,
-    restoring size caches)."""
-    if not isinstance(data, tuple):
-        return data
-    tag = data[0]
-    if tag == TAG_TUPLE:
-        return tuple(decode(item) for item in data[1:])
-    if tag == TAG_LIST:
-        return [decode(item) for item in data[1:]]
-    if tag == TAG_DICT:
-        return {decode(key): decode(val) for key, val in data[1:]}
-    if tag == TAG_SET:
-        return {decode(item) for item in data[1:]}
-    if tag == TAG_FROZENSET:
-        return frozenset(decode(item) for item in data[1:])
-    if tag == TAG_ADDRESS:
-        return Address(*data[1:])
-    if tag == TAG_APP_NAME:
-        return ApplicationName(data[1], data[2])
-    if tag == TAG_DIF_NAME:
-        return DifName(data[1])
-    if tag == TAG_RIEP:
-        _tag, opcode, obj, value, invoke_id, result, size = data
-        message = RiepMessage(opcode, obj=obj, value=decode(value),
-                              invoke_id=invoke_id, result=result)
+def decode(buf: bytes) -> Any:
+    """Rebuild the live value of an :func:`encode` buffer (interning
+    addresses, restoring size caches).
+
+    Raises :class:`WireError` for any buffer :func:`encode` could not
+    have produced — never anything else, so a socket reader has one
+    failure mode to contain."""
+    try:
+        if buf[0] != MAGIC:
+            raise WireError(f"bad wire magic 0x{buf[0]:02x}")
+        if buf[1] != VERSION:
+            raise WireError(f"unsupported wire version {buf[1]}")
+        value, pos = _get(buf, 2)
+    except WireError:
+        raise
+    except (struct.error, IndexError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:   # ValueError covers UnicodeDecodeError
+        raise WireError(f"truncated or malformed wire buffer: "
+                        f"{type(exc).__name__}: {exc}") from None
+    if pos != len(buf):
+        raise WireError(f"wire buffer has {len(buf) - pos} trailing byte(s)")
+    return value
+
+
+def _sized(buf: bytes, pos: int) -> Tuple[int, int]:
+    """``(start, end)`` of the u32-length-prefixed slice behind the tag
+    at ``pos - 1``, which must lie wholly inside the buffer: a plain
+    slice past the end would come back silently short."""
+    start = pos + 4
+    end = start + _S_LENGTH.unpack_from(buf, pos - 1)[1]
+    if end > len(buf):
+        raise WireError(f"length prefix at offset {pos} overruns the "
+                        f"buffer by {end - len(buf)} byte(s)")
+    return start, end
+
+
+def _address_at(buf: bytes, pos: int, optional: bool = False
+                ) -> Tuple[Optional[Address], int]:
+    count = buf[pos]
+    if not count:
+        if optional:
+            return None, pos + 1
+        raise WireError(f"address with no components at offset {pos}")
+    return (Address(*struct.unpack_from(">%dQ" % count, buf, pos + 1)),
+            pos + 1 + 8 * count)
+
+
+def _text(value: Any, what: str) -> str:
+    if type(value) is not str:
+        raise WireError(f"{what} is {type(value).__name__}, not str")
+    return value
+
+
+def _get(buf: bytes, pos: int) -> Tuple[Any, int]:
+    # every fixed-width read goes through ``unpack_from``, which refuses
+    # a short buffer (as indexing refuses a missing tag byte)
+    tag = buf[pos]
+    pos += 1
+    if tag == _INT:
+        return _S_INT.unpack_from(buf, pos - 1)[1], pos + 8
+    if tag == _STR:
+        start, end = _sized(buf, pos)
+        return str(buf[start:end], "utf-8"), end
+    if tag == _TUPLE or tag == _LIST:
+        count = _S_LENGTH.unpack_from(buf, pos - 1)[1]
+        pos += 4
+        items = []
+        for _ in range(count):
+            item, pos = _get(buf, pos)
+            items.append(item)
+        return (tuple(items) if tag == _TUPLE else items), pos
+    if tag in _CONSTANTS:
+        return _CONSTANTS[tag], pos
+    if tag == _FRAGMENT:
+        _tag, message_id, index, last, length = _S_FRAGMENT.unpack_from(
+            buf, pos - 1)
+        start = pos - 1 + _S_FRAGMENT.size
+        end = start + length
+        if end > len(buf):
+            raise WireError(f"fragment data at offset {start} overruns the "
+                            f"buffer by {end - len(buf)} byte(s)")
+        return Fragment(message_id, index, _UNFLAG[last],
+                        bytes(buf[start:end])), end
+    if tag == _FLOAT:
+        return _S_FLOAT.unpack_from(buf, pos - 1)[1], pos + 8
+    if tag == _BYTES:
+        start, end = _sized(buf, pos)
+        return bytes(buf[start:end]), end
+    if tag == _DICT:
+        count = _S_LENGTH.unpack_from(buf, pos - 1)[1]
+        pos += 4
+        items = {}
+        for _ in range(count):
+            key, pos = _get(buf, pos)
+            items[key], pos = _get(buf, pos)   # unhashable: TypeError
+        if len(items) != count:
+            raise WireError("duplicate dict key")
+        return items, pos
+    if tag == _MGMT:
+        _tag, ttl, priority = _S_MGMT.unpack_from(buf, pos - 1)
+        src, pos = _address_at(buf, pos - 1 + _S_MGMT.size, True)
+        dst, pos = _address_at(buf, pos, True)
+        message, pos = _get(buf, pos)
+        return ManagementPdu(src, dst, message, ttl=ttl,
+                             priority=priority), pos
+    if tag == _RIEP:
+        _tag, invoke_id, result, size = _S_RIEP.unpack_from(buf, pos - 1)
+        opcode, pos = _get(buf, pos - 1 + _S_RIEP.size)
+        obj, pos = _get(buf, pos)
+        value, pos = _get(buf, pos)
+        message = RiepMessage(_text(opcode, "RIEP opcode"),
+                              obj=_text(obj, "RIEP object name"),
+                              value=value, invoke_id=invoke_id,
+                              result=result)
         message._size_cache = size
-        return message
-    if tag == TAG_LSA:
-        _tag, origin, seq, neighbors = data
-        return Lsa(Address(*origin[1:]), seq,
-                   {Address(*addr[1:]): cost for addr, cost in neighbors})
-    if tag == TAG_DATA_PDU:
-        (_tag, src, dst, ttl, priority, src_cep, dst_cep, seq, payload,
-         payload_size, drf) = data
-        return DataPdu(decode(src), decode(dst), src_cep, dst_cep, seq,
-                       decode(payload), payload_size, drf=drf, ttl=ttl,
-                       priority=priority)
-    if tag == TAG_CONTROL_PDU:
-        (_tag, src, dst, ttl, priority, kind, src_cep, dst_cep, ack_seq,
-         credit, sack) = data
-        return ControlPdu(decode(src), decode(dst), kind, src_cep, dst_cep,
-                          ack_seq=ack_seq, credit=credit,
-                          sack=decode(sack), ttl=ttl, priority=priority)
-    if tag == TAG_MGMT_PDU:
-        _tag, src, dst, ttl, priority, message = data
-        return ManagementPdu(decode(src), decode(dst), decode(message),
-                             ttl=ttl, priority=priority)
-    if tag == TAG_FRAGMENT:
-        _tag, message_id, index, last, raw = data
-        return Fragment(message_id, index, last, raw)
-    raise CodecError(f"unknown wire tag {tag!r}")
+        return message, pos
+    if tag == _CONTROL:
+        (_tag, ttl, priority, src_cep, dst_cep, ack_seq, credit,
+         count) = _S_CONTROL.unpack_from(buf, pos - 1)
+        pos += _S_CONTROL.size - 1
+        sack = struct.unpack_from(">%dq" % count, buf, pos)
+        src, pos = _address_at(buf, pos + 8 * count, True)
+        dst, pos = _address_at(buf, pos, True)
+        kind, pos = _get(buf, pos)
+        return ControlPdu(src, dst, _text(kind, "control PDU kind"),
+                          src_cep, dst_cep, ack_seq=ack_seq, credit=credit,
+                          sack=sack, ttl=ttl, priority=priority), pos
+    if tag == _DATA:
+        (_tag, ttl, priority, src_cep, dst_cep, seq, payload_size,
+         drf) = _S_DATA.unpack_from(buf, pos - 1)
+        src, pos = _address_at(buf, pos - 1 + _S_DATA.size, True)
+        dst, pos = _address_at(buf, pos, True)
+        payload, pos = _get(buf, pos)
+        return DataPdu(src, dst, src_cep, dst_cep, seq, payload,
+                       payload_size, drf=_UNFLAG[drf], ttl=ttl,
+                       priority=priority), pos
+    if tag == _ADDRESS:
+        return _address_at(buf, pos)
+    if tag == _BIGINT:
+        start, end = _sized(buf, pos)
+        text = str(buf[start:end], "ascii")
+        value = int(text)
+        if str(value) != text or _I64_MIN <= value <= _I64_MAX:
+            raise WireError(f"non-canonical big-int text {text!r:.40}")
+        return value, end
+    if tag == _LSA:
+        _tag, seq, count = _S_LSA.unpack_from(buf, pos - 1)
+        origin, pos = _address_at(buf, pos - 1 + _S_LSA.size)
+        neighbors = {}
+        previous = None
+        for _ in range(count):
+            addr, pos = _address_at(buf, pos)
+            if previous is not None and not previous < addr:
+                raise WireError("LSA neighbors out of address order")
+            neighbors[addr] = _S_COST.unpack_from(buf, pos)[0]
+            previous = addr
+            pos += 8
+        return Lsa(origin, seq, neighbors), pos
+    raise WireError(f"unknown wire tag {bytes((tag,))!r} at offset "
+                    f"{pos - 1}")
 
 
-def decode_reencode(data: Any) -> Any:
-    """``encode(decode(data))`` — the byte-stability probe.
-
-    Module-level so it can run as a sweeps :class:`~repro.sweeps.Job`
-    in a ``spawn``-ed worker: the round trip must canonicalize to the
-    same bytes in a fresh interpreter (no fork-inherited interning).
-    """
-    return encode(decode(data))
-
-
-def roundtrip_rows(samples: Tuple[Any, ...]) -> list:
-    """Sweeps job target: decode→re-encode each encoded sample and
+def roundtrip_rows(samples: Tuple[bytes, ...]) -> list:
+    """Sweeps job target: decode→re-encode each encoded PDU sample and
     report stability (run under ``spawn`` by ``tests/test_codec.py`` to
     prove the round trip holds in a fresh interpreter, where nothing —
     interned addresses included — is inherited from the parent)."""
     import os
     rows = []
     for index, data in enumerate(samples):
-        redone = decode_reencode(data)
-        rows.append({"index": index, "stable": redone == data,
-                     "size": (encoded_wire_size(data)
-                              if isinstance(data, tuple) and data[0] in
-                              (TAG_DATA_PDU, TAG_CONTROL_PDU, TAG_MGMT_PDU)
-                              else -1),
+        value = decode(data)
+        rows.append({"index": index, "stable": encode(value) == data,
+                     "size": value.wire_size(),
                      "pid": os.getpid()})
     return rows
-
-
-# ----------------------------------------------------------------------
-# Size accounting over the encoded form
-# ----------------------------------------------------------------------
-def encoded_wire_size(data: Any) -> int:
-    """A PDU's on-wire size computed from its *encoded* form.
-
-    Independent of both the live object's :meth:`wire_size` and the
-    size carried inside an encoded RIEP message — that independence is
-    what makes the consistency regression test meaningful.
-    """
-    if not isinstance(data, tuple):
-        raise CodecError(f"not an encoded PDU: {data!r}")
-    tag = data[0]
-    if tag == TAG_DATA_PDU:
-        return DATA_HEADER_BYTES + data[9]
-    if tag == TAG_CONTROL_PDU:
-        return CONTROL_HEADER_BYTES + 4 * (len(data[10]) - 1)
-    if tag == TAG_MGMT_PDU:
-        body = data[5]
-        if isinstance(body, tuple) and body and body[0] == TAG_RIEP:
-            return MGMT_HEADER_BYTES + encoded_riep_size(body)
-        return MGMT_HEADER_BYTES + 64   # non-RIEP bodies: flat record
-    raise CodecError(f"not an encoded PDU tag: {tag!r}")
-
-
-def encoded_riep_size(data: Any) -> int:
-    """A RIEP message's body size recomputed from its encoded form (the
-    same accounting as :meth:`RiepMessage.estimate_size`, ignoring the
-    carried size field)."""
-    if not isinstance(data, tuple) or data[0] != TAG_RIEP:
-        raise CodecError(f"not an encoded RIEP message: {data!r}")
-    _tag, opcode, obj, value, _invoke_id, _result, _size = data
-    body = len(opcode) + len(obj) + 12
-    if value is not None:
-        body += _encoded_value_size(value)
-    return body
-
-
-def _encoded_value_size(value: Any) -> int:
-    """:func:`repro.core.riep._estimate_value_size` over encoded data:
-    tags are free, members are charged by the live rules."""
-    if not isinstance(value, tuple):
-        return _estimate_value_size(value)
-    tag = value[0]
-    if tag in (TAG_TUPLE, TAG_LIST, TAG_SET, TAG_FROZENSET):
-        return 2 + sum(_encoded_value_size(item) for item in value[1:])
-    if tag == TAG_DICT:
-        return 2 + sum(_encoded_value_size(key) + _encoded_value_size(val)
-                       for key, val in value[1:])
-    # tagged objects (addresses, names, nested PDUs...) are "arbitrary
-    # objects" to the live estimator: a flat record
-    return 32
-
-
-def check_size_consistency(pdu: Any) -> None:
-    """Assert the three size accountings agree for one PDU:
-
-    1. the live object's ``wire_size()``;
-    2. :func:`encoded_wire_size` over the encoded form (recomputed,
-       carried caches ignored);
-    3. ``wire_size()`` of the decoded copy with every cache cleared.
-
-    Raises :class:`CodecError` on any mismatch.
-    """
-    live = pdu.wire_size()
-    encoded = encode(pdu)
-    from_encoded = encoded_wire_size(encoded)
-    copy = decode(encoded)
-    if isinstance(copy, ManagementPdu) and isinstance(copy.message,
-                                                     RiepMessage):
-        copy.message._size_cache = None   # force the recompute path
-    recomputed = copy.wire_size()
-    if not live == from_encoded == recomputed:
-        raise CodecError(
-            f"size accounting diverged for {type(pdu).__name__}: "
-            f"live={live} encoded={from_encoded} recomputed={recomputed}")
-
-
-def is_wire_data(data: Any) -> bool:
-    """True when ``data`` is pure wire data all the way down — nothing
-    but scalars and tuples.  The boundary-frame invariant the shard
-    tests pin: no live object references ever sit in an outbox."""
-    if isinstance(data, _SCALARS):
-        return True
-    if isinstance(data, tuple):
-        return all(is_wire_data(item) for item in data)
-    return False

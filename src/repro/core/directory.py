@@ -11,9 +11,8 @@ Across DIFs: an application may be reachable through several DIFs.  The
 :class:`InterDifDirectory` records which DIFs serve which application
 names.  In a full deployment this is itself a distributed application (the
 paper's "e-mall" catalog, §6.7); here it is a shared in-process registry —
-an out-of-band substitution documented in DESIGN.md that preserves the
-architectural property under test: applications name applications, never
-addresses.
+an out-of-band substitution that preserves the architectural property
+under test: applications name applications, never addresses.
 """
 
 from __future__ import annotations

@@ -46,24 +46,6 @@ class Pdu:
         """Size of this PDU on the wire, in bytes."""
         raise NotImplementedError
 
-    def encode(self) -> tuple:
-        """The pure-data wire form (see :mod:`repro.core.codec`): a
-        tagged tuple tree of scalars, safe to pickle across a process
-        boundary and canonical enough to fingerprint."""
-        from .codec import encode
-        return encode(self)
-
-    @staticmethod
-    def decode(data: tuple) -> "Pdu":
-        """Rebuild a PDU from its wire form (addresses re-interned,
-        size caches restored)."""
-        from .codec import decode
-        pdu = decode(data)
-        if not isinstance(pdu, Pdu):
-            raise TypeError(f"wire data decodes to {type(pdu).__name__}, "
-                            f"not a PDU")
-        return pdu
-
 
 class DataPdu(Pdu):
     """A DTP PDU: one SDU between EFCP connection endpoints.

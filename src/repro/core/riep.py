@@ -106,22 +106,6 @@ class RiepMessage:
             self._size_cache = body
         return self._size_cache
 
-    def encode(self) -> tuple:
-        """Pure-data wire form (tagged tuple; carries the size
-        estimate so a decoded copy charges links identically)."""
-        from .codec import encode
-        return encode(self)
-
-    @staticmethod
-    def decode(data: tuple) -> "RiepMessage":
-        """Rebuild a message from its wire form."""
-        from .codec import decode
-        message = decode(data)
-        if not isinstance(message, RiepMessage):
-            raise TypeError(f"wire data decodes to "
-                            f"{type(message).__name__}, not a RiepMessage")
-        return message
-
     @property
     def ok(self) -> bool:
         """True for successful responses."""

@@ -82,22 +82,6 @@ class Lsa:
         lsa._value_cache = value
         return lsa
 
-    def encode(self) -> tuple:
-        """Pure-data wire form (tagged tuple of scalars)."""
-        from .codec import encode
-        return encode(self)
-
-    @staticmethod
-    def decode(data: tuple) -> "Lsa":
-        """Rebuild an LSA from its wire form (addresses re-interned;
-        the value cache is recomputed lazily from identical data)."""
-        from .codec import decode
-        lsa = decode(data)
-        if not isinstance(lsa, Lsa):
-            raise TypeError(f"wire data decodes to {type(lsa).__name__}, "
-                            f"not an Lsa")
-        return lsa
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Lsa {self.origin} seq={self.seq} nbrs={len(self.neighbors)}>"
 

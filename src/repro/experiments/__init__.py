@@ -6,8 +6,7 @@ list of picklable :class:`repro.sweeps.Job` data — the form the
 multi-process sweep runner (CLI ``--jobs N``, bench ``REPRO_JOBS``)
 dispatches over a worker pool.  The ``benchmarks/`` suite times the
 sweeps and prints the paper-style tables, and
-``tests/test_experiments.py`` asserts the qualitative shapes; see
-DESIGN.md §4 for the experiment index and EXPERIMENTS.md for results.
+``tests/test_experiments.py`` asserts the qualitative shapes.
 
 * ``e1_two_system``         — Fig 1: one IPC layer between two hosts
 * ``e2_relay``              — Fig 2: relaying through dedicated systems

@@ -24,7 +24,7 @@ from .load import run_load
 from .server import GatewayServer
 from .shim import GATEWAY_CAPACITY_BPS, SocketLink, SocketShim
 from .wire import (MAX_FRAME_BYTES, StreamFramingError, StreamUnframer,
-                   decode_shim_frame, frame_from_wire, frame_to_wire)
+                   decode_shim_frame, frame_to_wire)
 
 __all__ = [
     "AsyncEngineDriver",
@@ -38,7 +38,6 @@ __all__ = [
     "StreamFramingError",
     "StreamUnframer",
     "decode_shim_frame",
-    "frame_from_wire",
     "frame_to_wire",
     "run_load",
     "run_simulated_session",

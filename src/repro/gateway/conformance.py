@@ -103,9 +103,9 @@ def _tap_end(end: Any, out: List[Tuple[Any, ...]]) -> None:
 
 def transcript_fingerprint(transcript: Dict[str, Any]) -> str:
     """SHA-256 over the canonical repr of a transcript.  ``repr`` of
-    the nested pure-data tuples (scalars, bytes, str) is deterministic
-    across runs and platforms; the codec's canonical encodings make the
-    payloads byte-stable."""
+    the frame tuples (str, int, the payload's encoded bytes) is
+    deterministic across runs and platforms; the codec's canonical
+    encodings make the payloads byte-stable."""
     body = repr((sorted(transcript),
                  [transcript[key] for key in sorted(transcript)]))
     return hashlib.sha256(body.encode("utf-8")).hexdigest()

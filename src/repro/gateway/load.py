@@ -23,8 +23,8 @@ import json
 import time
 from typing import Any, Dict, List, Optional
 
+from ..core.codec import WireError
 from ..core.delimiting import Fragment, Reassembler
-from ..shard.framing import FrameFormatError
 from .transport import FrameChannel, open_tcp_channel, open_udp_channel
 from .wire import decode_shim_frame, frame_to_wire
 
@@ -106,7 +106,7 @@ class _LoadConn:
     def _on_wire_bytes(self, buf: bytes) -> None:
         try:
             kind, flow_id, payload, _size = decode_shim_frame(buf)
-        except FrameFormatError:
+        except WireError:
             self.wire_errors += 1
             self.channel.close()
             return

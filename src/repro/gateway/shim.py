@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Optional
 
+from ..core.codec import WireError
 from ..core.names import DifName
 from ..core.shim import ShimIpcp
 from ..sim.engine import Engine
-from ..shard.framing import FrameFormatError
 from .driver import AsyncEngineDriver
 from .wire import decode_shim_frame, frame_to_wire
 
@@ -127,7 +127,7 @@ class SocketLink:
             return   # containment is final: not decoded, not delivered
         try:
             frame = decode_shim_frame(buf)
-        except FrameFormatError as exc:
+        except WireError as exc:
             self._contain(exc)
             return
         receiver = self._local._receiver

@@ -1,17 +1,17 @@
 """Byte-level frame layer of the gateway.
 
 One shim frame crosses the network as one *wire frame*: the frame tuple
-run through :func:`repro.core.codec.encode` (pure data), flattened by
-:func:`repro.shard.framing.pack_frame` (versioned magic, the shard
-subsystem's value grammar).  UDP carries one wire frame per datagram;
-TCP prefixes each with a u32 length (:class:`StreamUnframer` is the
-inverse, shared by the asyncio protocol and the fuzz tests).
+run through :func:`repro.core.codec.encode`, nothing added.  UDP
+carries one wire frame per datagram; TCP prefixes each with a u32
+length (:class:`StreamUnframer` is the inverse, shared by the asyncio
+protocol and the fuzz tests).  What this module owns is the gateway's
+own: the shim-frame shape check and the TCP record framing.
 
 Every way a peer can hand us garbage — truncated header, bad magic or
 version, trailing bytes, an oversize length prefix, a decodable value
-that is not a shim frame — funnels into :class:`FrameFormatError`, so
-socket readers have exactly one failure mode to contain: count it and
-close the connection.
+that is not a shim frame — is a :class:`~repro.core.codec.WireError`,
+so socket readers have exactly one failure mode to contain: count it
+and close the connection.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import struct
 from typing import Any, List, Tuple
 
-from ..core.codec import CodecError, decode, encode
-from ..shard.framing import FrameFormatError, pack_frame, unpack_frame
+from ..core.codec import WireError, decode, encode
 
 #: Ceiling on a single wire frame (and therefore on the TCP length
 #: prefix).  Shim frames are small — a data frame tops out around one
@@ -34,22 +33,9 @@ LENGTH_PREFIX = struct.Struct(">I")
 ShimFrame = Tuple[str, int, Any, int]
 
 
-def frame_to_wire(frame: ShimFrame) -> bytes:
-    """Encode one live shim frame to its wire bytes (strict: a payload
-    the codec does not know raises, at the sender, loudly)."""
-    return pack_frame(encode(frame))
-
-
-def frame_from_wire(buf: bytes) -> Any:
-    """Decode wire bytes back to a live value.
-
-    All malformed input — framing *and* codec level — surfaces as
-    :class:`FrameFormatError`.
-    """
-    try:
-        return decode(unpack_frame(buf))
-    except CodecError as exc:
-        raise FrameFormatError(f"undecodable frame payload: {exc}") from None
+#: One live shim frame as its wire bytes: the codec's encoding itself
+#: (strict — a payload it does not know raises at the sender, loudly).
+frame_to_wire = encode
 
 
 def decode_shim_frame(buf: bytes) -> ShimFrame:
@@ -62,25 +48,25 @@ def decode_shim_frame(buf: bytes) -> ShimFrame:
     the flow tables and byte counters, so their range is checked too: a
     size no wire frame could carry is as malformed as a wrong type.
     """
-    value = frame_from_wire(buf)
+    value = decode(buf)
     if (not isinstance(value, tuple) or len(value) != 4
             or not isinstance(value[0], str)
             or isinstance(value[1], bool) or not isinstance(value[1], int)
             or isinstance(value[3], bool) or not isinstance(value[3], int)
             or value[1] < 0 or not 0 <= value[3] <= MAX_FRAME_BYTES):
-        raise FrameFormatError(f"not a shim frame: {value!r:.120}")
+        raise WireError(f"not a shim frame: {value!r:.120}")
     return value
 
 
 def stream_record(buf: bytes) -> bytes:
     """``buf`` as one length-prefixed TCP record."""
     if len(buf) > MAX_FRAME_BYTES:
-        raise FrameFormatError(f"frame of {len(buf)} bytes exceeds "
-                               f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
+        raise WireError(f"frame of {len(buf)} bytes exceeds "
+                        f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
     return LENGTH_PREFIX.pack(len(buf)) + buf
 
 
-class StreamFramingError(FrameFormatError):
+class StreamFramingError(WireError):
     """A length prefix that cannot be a frame.
 
     ``frames`` holds the complete frames that preceded it in the same

@@ -20,16 +20,16 @@ from .engine import (BoundaryFrame, BoundaryHalf, ShardEngine,
 from .flood import (all_nodes_announce, attach_flood, delivery_rows,
                     flood_workload, node_stat_rows, run_unsharded,
                     sparse_announce)
-from .framing import FrameFormatError, pack_frames, unpack_frames
+from .framing import pack_frames, unpack_frames
 from .plan import (BoundaryPort, LinkSpec, NetworkSpec, RegionPlan,
                    RegionSpec, ShardPlanError, assignment_by_prefix)
 from .stateful import (StatefulControlPlane, rib_fingerprint,
                        run_unsharded_stateful, stateful_workload)
 
 __all__ = [
-    "BoundaryFrame", "BoundaryHalf", "BoundaryPort", "FrameFormatError",
-    "LinkSpec", "MODES", "NetworkSpec", "RegionPlan", "RegionSpec",
-    "ShardCoordinator", "ShardPlanError", "ShardRunError", "ShardRunResult",
+    "BoundaryFrame", "BoundaryHalf", "BoundaryPort", "LinkSpec", "MODES",
+    "NetworkSpec", "RegionPlan", "RegionSpec", "ShardCoordinator",
+    "ShardPlanError", "ShardRunError", "ShardRunResult",
     "StatefulControlPlane", "all_nodes_announce", "assignment_by_prefix",
     "attach_flood", "attach_workload", "delivery_rows", "flood_workload",
     "node_stat_rows", "pack_frames", "rib_fingerprint", "run_sharded",

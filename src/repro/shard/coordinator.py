@@ -39,10 +39,12 @@ pipe as one :func:`~repro.shard.framing.pack_frames` buffer, sent with
 ``Connection.send_bytes`` right after the control message that
 announces its length — ``("step", horizon, nbytes)`` one way,
 ``("stepped", nbytes, clock, next)`` the other; ``nbytes == 0`` means
-no buffer follows.  Packing is also the runtime check that no live
-object crosses a cut (:class:`~repro.shard.framing.FrameFormatError`).
-Inline rounds hand the frame lists over directly and are the
-transport-free reference the process path is pinned against.
+no buffer follows.  The payloads inside are already the codec's bytes
+(encoding at the sending half is the runtime check that no live object
+crosses a cut), so the coordinator unpacks headers to route and
+forwards payloads untouched.  Inline rounds hand the frame lists over
+directly and are the transport-free reference the process path is
+pinned against.
 """
 
 from __future__ import annotations

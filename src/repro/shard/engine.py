@@ -11,13 +11,13 @@ region's half-link delivers it at exactly ``arrival_time`` — the same
 float the unsharded :class:`~repro.sim.link.Link` would have computed,
 so delivery timing is bit-identical, not merely close.
 
-``wire_payload`` is **pure data**: the payload is run through the wire
-codec (:mod:`repro.core.codec`) at the serialization end and decoded at
-delivery, so a frame never carries live object references across the
-cut — which is what lets the *control plane* (enrollment RIEP, LSA
-floods, keepalives, flow allocation) cross persistent worker processes,
-not just primitive flood tuples.  A payload the codec rejects fails at
-the sender, loudly.
+``wire_payload`` is **bytes**: the payload is run through the wire
+codec (:func:`repro.core.codec.encode`) at the serialization end and
+decoded at delivery, so a frame never carries live object references
+across the cut — which is what lets the *control plane* (enrollment
+RIEP, LSA floods, keepalives, flow allocation) cross persistent worker
+processes, not just primitive flood tuples.  A payload the codec
+rejects fails at the sender, loudly.
 
 Each half also knows which side of the original link it owns
 (``local_index``): the local node attaches to the same end it would
@@ -29,11 +29,10 @@ Frames whose arrival lands exactly on a region's granted horizon are
 injected after that region's step ends and execute in its next step —
 deterministically, since the receiving engine's clock never passes an
 injection's arrival time (the grant invariant argued in
-:func:`repro.shard.coordinator.grant_round`).  Because a frame is pure wire
-data end to end, a round's whole batch also flattens losslessly into
-one byte buffer per direction (:mod:`repro.shard.framing`) for the trip
-across a worker pipe — the engine neither knows nor cares which
-transport carried the tuples back.
+:func:`repro.shard.coordinator.grant_round`).  Because the payload is
+already bytes, a round's whole batch is one envelope per direction
+(:mod:`repro.shard.framing`) for the trip across a worker pipe, and
+nobody between the two halves looks inside it.
 """
 
 from __future__ import annotations
@@ -41,15 +40,15 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core import codec as wire_codec
+from ..core.codec import decode, encode
 from ..sim.link import Link, LinkConditions
 from ..sim.network import Network
 from .flood import FLOOD_KIND, FloodRun, attach_flood
 from .plan import BoundaryPort, RegionSpec, UniformLoss
 
-#: (arrival_time, link_name, wire_payload, size_bytes) — pure data,
-#: picklable; ``wire_payload`` is the codec's tagged-tuple form
-BoundaryFrame = Tuple[float, str, Any, int]
+#: (arrival_time, link_name, wire_payload, size_bytes);
+#: ``wire_payload`` is the codec's encoded bytes
+BoundaryFrame = Tuple[float, str, bytes, int]
 
 
 def attach_workload(network: Network, workload: Dict[str, Any],
@@ -101,9 +100,9 @@ class BoundaryHalf(Link):
         # payload crosses as wire data — never as a live object.
         self._outbox.append(
             (self._engine.now + self.delay, self.name,
-             wire_codec.encode(payload), size))
+             encode(payload), size))
 
-    def deliver_inbound(self, payload: Any, size: int) -> None:
+    def deliver_inbound(self, payload: bytes, size: int) -> None:
         """Decode and deliver a relayed frame up the local stack
         (stats included, direction indices as on the unsharded link)."""
         if not self._up:
@@ -111,7 +110,7 @@ class BoundaryHalf(Link):
         self.frames_delivered[1 - self.local_index] += 1
         self.bytes_delivered[1 - self.local_index] += size
         self._trace_count("link.delivered")
-        self.ends[self.local_index].deliver(wire_codec.decode(payload), size)
+        self.ends[self.local_index].deliver(decode(payload), size)
 
 
 class ShardEngine:

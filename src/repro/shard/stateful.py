@@ -8,7 +8,7 @@ exchange, LSA flooding, and routing** — with every adjacency that
 crosses a region boundary riding a codec-encoded
 :class:`~repro.shard.engine.BoundaryHalf`.  The enrollment handshake,
 the LSDB fast-sync, the hop-by-hop flood acks, and the keepalives all
-cross worker processes as pure wire data.
+cross worker processes as the codec's bytes.
 
 Three design rules make the sharded build *equal* to the unsharded one
 (same enrollments, same addresses, same RIB rows, bit-identical

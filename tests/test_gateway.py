@@ -10,7 +10,11 @@ import asyncio
 import json
 
 import pytest
+from test_codec import live_sha256
 
+from repro.core.codec import decode, encode
+from repro.core.pdu import ManagementPdu
+from repro.core.riep import RiepMessage
 from repro.gateway.conformance import (SessionSpec, run_simulated_session,
                                        run_socket_session, strip_private,
                                        transcript_fingerprint)
@@ -25,9 +29,27 @@ from repro.gateway.wire import (LENGTH_PREFIX, MAX_FRAME_BYTES,
 #: produce byte-identical protocol transcripts.  Captured from the
 #: simulated reference (seed 0, quiet policies, SessionSpec defaults);
 #: a deliberate protocol change re-captures via
-#: ``python -m repro gateway conformance``.
+#: ``python -m repro gateway conformance``.  Re-captured once when the
+#: wire bytes changed (one-pass codec): the transcript hashes each
+#: payload's encoding, and the encoding is what moved —
+#: :data:`GOLDEN_SESSION_LIVE_SHA256` is the proof nothing else did.
 GOLDEN_SESSION_FINGERPRINT = (
-    "1aa44266fac11789d0d8d9769cdb55633b2aa4825e0f66a7ad27688e4e94f625")
+    "d8320038e3f89c661035b167bd2e5a84908a681a824670936a9bcdfe3a3a6c9c")
+
+#: The same transcript with every payload decoded and rendered from its
+#: live fields (``test_codec.live_fields``): independent of the byte
+#: format, captured at the commit *before* the one-pass codec and equal
+#: after it.  A wire-format change moves the fingerprint above and must
+#: leave this one alone.
+GOLDEN_SESSION_LIVE_SHA256 = (
+    "4d4ea362c0952e5807e96be20dd92dcb97e94604af4b888635ecf239ca44facf")
+
+
+def live_transcript_sha256(transcript):
+    return live_sha256({
+        direction: [(kind, flow_id, size, decode(payload))
+                    for kind, flow_id, size, payload in frames]
+        for direction, frames in sorted(transcript.items())})
 
 
 def run(coro, timeout=60.0):
@@ -219,12 +241,10 @@ class TestMalformedInput:
 
     def test_tcp_decodable_non_shim_frame_closes_connection(self):
         async def body(server):
-            from repro.core.codec import encode
-            from repro.shard.framing import pack_frame
             channel = await open_tcp_channel("127.0.0.1", server.tcp_port)
             closed = asyncio.Event()
             channel.on_close(closed.set)
-            assert channel.send(pack_frame(encode(("not", "a", "frame"))))
+            assert channel.send(encode(("not", "a", "frame")))
             await asyncio.wait_for(closed.wait(), 5.0)
             assert server.stats["wire_errors"] >= 1
         run(_with_server(body))
@@ -340,11 +360,15 @@ class TestConformance:
         transcript = strip_private(run_simulated_session())
         assert (transcript_fingerprint(transcript)
                 == GOLDEN_SESSION_FINGERPRINT)
+        assert (live_transcript_sha256(transcript)
+                == GOLDEN_SESSION_LIVE_SHA256)
 
     def test_socket_fingerprint_is_golden(self):
         transcript = strip_private(run_socket_session())
         assert (transcript_fingerprint(transcript)
                 == GOLDEN_SESSION_FINGERPRINT)
+        assert (live_transcript_sha256(transcript)
+                == GOLDEN_SESSION_LIVE_SHA256)
 
     def test_transcript_covers_the_protocol(self):
         """The pinned transcript actually exercises the protocol: both
@@ -358,6 +382,9 @@ class TestConformance:
         # app-flow deallocation is DIF-internal (EFCP teardown rides in
         # data frames); the shim flow carrying the DIF stays up, so no
         # shim-level dealloc appears — RIEP enrollment does, inside
-        # ManagementPdus ("PM")
-        flat = repr(transcript)
-        assert "'PM'" in flat and "'R'" in flat
+        # ManagementPdus
+        payloads = [decode(frame[3]) for frames in transcript.values()
+                    for frame in frames]
+        assert any(isinstance(payload, ManagementPdu)
+                   and isinstance(payload.message, RiepMessage)
+                   for payload in payloads)

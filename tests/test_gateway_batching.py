@@ -13,7 +13,9 @@ import asyncio
 import hashlib
 
 import pytest
+from test_codec import live_sha256
 
+from repro.core.codec import WireError
 from repro.core.delimiting import Fragment
 from repro.gateway.driver import AsyncEngineDriver
 from repro.gateway.server import GatewayServer
@@ -23,15 +25,23 @@ from repro.gateway.transport import (StreamFrameProtocol, TcpFrameChannel,
 from repro.gateway.wire import (LENGTH_PREFIX, MAX_FRAME_BYTES,
                                 StreamUnframer, decode_shim_frame,
                                 frame_to_wire, stream_record)
-from repro.shard.framing import FrameFormatError
 from repro.sim.engine import Engine
 
-#: SHA-256 of every byte the server sent during :func:`_scripted_session`,
-#: captured at the parent commit, where each frame was its own
-#: ``transport.write``.  Coalescing may regroup the writes; it may not
-#: change, drop or reorder a byte.
+#: SHA-256 of every byte the server sent during :func:`_scripted_session`.
+#: Coalescing may regroup the writes; it may not change, drop or reorder
+#: a byte.  First captured where each frame was its own
+#: ``transport.write``; re-captured once when the wire bytes themselves
+#: changed (one-pass codec) — :data:`PARENT_SESSION_FRAMES_SHA256` is
+#: the proof that only the spelling did.
 PARENT_SESSION_SHA256 = (
-    "228f095bc9a7dc90972f5715b0fbc179973e211eb402b318bca95e3252e101e6")
+    "23a635c6523f2fc5d431405537748338c922987058390d3676bc7a05e0f167c5")
+
+#: The same session as the *decoded* frames the client read — kind, flow
+#: id, payload fields, size, rendered by ``test_codec.live_fields`` —
+#: captured at the commit before the one-pass codec and equal after it:
+#: independent of the byte format, so a format change must not move it.
+PARENT_SESSION_FRAMES_SHA256 = (
+    "0c4aede8e10097705058e0df9960c606bfd0e7eada9659384babfa3a26acf0bd")
 
 
 def run(coro, timeout=30.0):
@@ -152,7 +162,7 @@ class TestChannelWrites:
         async def main():
             transport = FakeTransport()
             channel = TcpFrameChannel(transport)
-            with pytest.raises(FrameFormatError):
+            with pytest.raises(WireError):
                 channel.send(b"x" * (MAX_FRAME_BYTES + 1))
             await asyncio.sleep(0)
             assert transport.calls == [] and channel.frames_out == 0
@@ -417,5 +427,6 @@ class TestTranscript:
         round_kinds = [("data", 2)] + [("data", 4)] * 3 + [("data", 6)]
         assert kinds[3:18] == round_kinds * 3
         assert kinds[18:] == [("alloc-err", 8), ("data", 2)]
+        assert live_sha256(frames) == PARENT_SESSION_FRAMES_SHA256
         assert (hashlib.sha256(received).hexdigest()
                 == PARENT_SESSION_SHA256)

@@ -1,24 +1,24 @@
-"""Gateway wire layer: round trips and malformed-input fuzz.
+"""Gateway wire layer: the shim-frame shape check and TCP records.
 
-Every way a peer can hand the gateway garbage — truncated header, wrong
-magic, unknown version, trailing bytes, an oversize or impossible TCP
-length prefix, a decodable value that is not a shim frame — must
-surface as :class:`FrameFormatError`, the single failure mode the
-socket readers contain.
+A wire frame is the codec's bytes, nothing added (the byte format's own
+suite is ``tests/test_codec.py``); what the gateway adds is the shape
+and range check on what those bytes decode to, and the u32 record
+framing of a TCP stream.  Every way a peer can hand the gateway garbage
+— truncated header, wrong magic, unknown version, trailing bytes, an
+oversize or impossible TCP length prefix, a decodable value that is not
+a shim frame — must surface as :class:`WireError`, the single failure
+mode the socket readers contain.
 """
-
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.codec import encode
+from repro.core.codec import WireError, decode, encode
 from repro.core.delimiting import Fragment
-from repro.shard.framing import FrameFormatError, pack_frame, unpack_frame
 from repro.gateway.wire import (LENGTH_PREFIX, MAX_FRAME_BYTES,
                                 StreamFramingError, StreamUnframer,
-                                decode_shim_frame, frame_from_wire,
-                                frame_to_wire, stream_record)
+                                decode_shim_frame, frame_to_wire,
+                                stream_record)
 
 FRAMES = [
     ("alloc", 2, ("echo-client", "echo-server"), 16),
@@ -45,56 +45,62 @@ class TestRoundTrip:
             assert payload == frame[2]
 
     def test_wire_bytes_are_canonical(self):
-        frame = FRAMES[0]
-        assert frame_to_wire(frame) == frame_to_wire(frame)
+        # a wire frame is the codec's encoding of the tuple, to the byte
+        for frame in FRAMES:
+            wired = frame_to_wire(frame)
+            assert wired == encode(frame)
+            assert frame_to_wire(decode_shim_frame(wired)) == wired
 
     def test_fragment_codec_round_trip(self):
         fragment = Fragment(3, 1, False, b"\x00\xffmid")
-        encoded = encode(fragment)
-        assert encoded[0] == "FR"
-        rebuilt = frame_from_wire(pack_frame(encoded))
+        rebuilt = decode(encode(fragment))
         assert isinstance(rebuilt, Fragment)
-        assert rebuilt.data == fragment.data
+        assert (rebuilt.message_id, rebuilt.index, rebuilt.last,
+                rebuilt.data) == (3, 1, False, fragment.data)
 
     def test_live_object_payload_raises_at_sender(self):
-        with pytest.raises(TypeError):   # CodecError is a TypeError
+        with pytest.raises(WireError, match="cannot encode"):
             frame_to_wire(("data", 2, object(), 8))
 
 
 class TestMalformedFrames:
+    """What a socket reader calls is ``decode_shim_frame``: the codec's
+    one error must come through it unchanged, whatever the bytes."""
+
     def test_empty_buffer(self):
-        with pytest.raises(FrameFormatError):
-            unpack_frame(b"")
+        with pytest.raises(WireError):
+            decode_shim_frame(b"")
 
     def test_one_byte_header(self):
-        with pytest.raises(FrameFormatError):
-            unpack_frame(b"\xb8")
+        with pytest.raises(WireError):
+            decode_shim_frame(b"\xb8")
 
     def test_bad_magic(self):
         buf = bytearray(frame_to_wire(FRAMES[0]))
         buf[0] = 0xB7   # the *batch* magic — close, but not a frame
-        with pytest.raises(FrameFormatError, match="magic"):
-            frame_from_wire(bytes(buf))
+        with pytest.raises(WireError, match="magic"):
+            decode_shim_frame(bytes(buf))
 
     def test_bad_version(self):
         buf = bytearray(frame_to_wire(FRAMES[0]))
         buf[1] = 99
-        with pytest.raises(FrameFormatError, match="version"):
-            frame_from_wire(bytes(buf))
+        with pytest.raises(WireError, match="version"):
+            decode_shim_frame(bytes(buf))
 
     def test_trailing_bytes(self):
-        with pytest.raises(FrameFormatError, match="trailing"):
-            frame_from_wire(frame_to_wire(FRAMES[0]) + b"x")
+        with pytest.raises(WireError, match="trailing"):
+            decode_shim_frame(frame_to_wire(FRAMES[0]) + b"x")
 
     def test_truncated_body(self):
-        buf = frame_to_wire(FRAMES[0])
-        for cut in range(2, len(buf)):
-            with pytest.raises(FrameFormatError):
-                frame_from_wire(buf[:cut])
+        for frame in FRAMES:
+            buf = frame_to_wire(frame)
+            for cut in range(2, len(buf)):
+                with pytest.raises(WireError):
+                    decode_shim_frame(buf[:cut])
 
     def test_unknown_value_tag(self):
-        with pytest.raises(FrameFormatError):
-            frame_from_wire(b"\xb8\x01Z")
+        with pytest.raises(WireError, match="tag"):
+            decode_shim_frame(b"\xb8\x02Z")
 
     @pytest.mark.parametrize("value", [
         "not a tuple",
@@ -111,15 +117,15 @@ class TestMalformedFrames:
         ("data", 2, None, 2 ** 70),           # size no wire frame could carry
     ])
     def test_decodable_but_not_a_shim_frame(self, value):
-        with pytest.raises(FrameFormatError, match="not a shim frame"):
-            decode_shim_frame(pack_frame(encode(value)))
+        with pytest.raises(WireError, match="not a shim frame"):
+            decode_shim_frame(encode(value))
 
     @given(st.binary(max_size=64))
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_bytes_never_raise_anything_else(self, buf):
         try:
             decode_shim_frame(buf)
-        except FrameFormatError:
+        except WireError:
             pass
 
 
@@ -153,17 +159,17 @@ class TestStreamFraming:
 
     def test_oversize_length_prefix(self):
         unframer = StreamUnframer()
-        with pytest.raises(FrameFormatError, match="oversize"):
+        with pytest.raises(WireError, match="oversize"):
             unframer.feed(LENGTH_PREFIX.pack(MAX_FRAME_BYTES + 1))
 
     def test_tiny_length_prefix(self):
         unframer = StreamUnframer()
-        with pytest.raises(FrameFormatError, match="cannot hold"):
+        with pytest.raises(WireError, match="cannot hold"):
             unframer.feed(LENGTH_PREFIX.pack(1))
 
     def test_zero_length_prefix(self):
         unframer = StreamUnframer()
-        with pytest.raises(FrameFormatError):
+        with pytest.raises(WireError):
             unframer.feed(LENGTH_PREFIX.pack(0))
 
     def test_frames_ahead_of_a_bad_prefix_ride_on_the_error(self):
@@ -213,7 +219,7 @@ class TestStreamFraming:
         assert whole[0][:len(payloads)] == payloads
 
     def test_oversize_frame_rejected_at_sender(self):
-        with pytest.raises(FrameFormatError, match="exceeds"):
+        with pytest.raises(WireError, match="exceeds"):
             stream_record(b"x" * (MAX_FRAME_BYTES + 1))
 
     @given(st.binary(min_size=4, max_size=64))
@@ -224,7 +230,7 @@ class TestStreamFraming:
             for buf in unframer.feed(data):
                 try:
                     decode_shim_frame(buf)
-                except FrameFormatError:
+                except WireError:
                     pass
-        except FrameFormatError:
+        except WireError:
             pass

@@ -409,7 +409,7 @@ class _EchoEngine:
 def megabyte_batch():
     """1,024 boundary frames of 1,000 payload bytes: far more than a
     pipe buffer holds, so a send_bytes of it blocks mid-buffer."""
-    payload = ("T", "pdu", b"x" * 1000, 7, 0.125, None)
+    payload = b"x" * 1000      # opaque to the envelope and the pipe
     return [(0.001 * index, "border1--core", payload, 1000)
             for index in range(1024)]
 
