@@ -247,7 +247,15 @@ class EnrollmentTask:
             "dir": ipcp.directory.sync_snapshot(),
         }
         self._completed[port_id] = value
-        ipcp.send_mgmt_on_port(port_id, message.reply(value=value))
+        reply = message.reply(value=value)
+        # the LSDB is most of the reply and its LSA values never change:
+        # charge the empty list plus each LSA's cached size instead of
+        # re-walking every one for every joiner (this must equal the full
+        # walk — wire size sets the serialization time)
+        reply._size_cache = (
+            message.reply(value=dict(value, lsdb=[])).estimate_size()
+            + ipcp.routing.sync_lsdb_size())
+        ipcp.send_mgmt_on_port(port_id, reply)
         ipcp.bind_neighbor(port_id, address)
         ipcp.tracer.log(ipcp.engine.now, "enrollment-accepted",
                         member=str(ipcp.name),

@@ -102,7 +102,7 @@ class RiepMessage:
         if self._size_cache is None:
             body = len(self.opcode) + len(self.obj) + 12
             if self.value is not None:
-                body += _estimate_value_size(self.value)
+                body += estimate_value_size(self.value)
             self._size_cache = body
         return self._size_cache
 
@@ -115,7 +115,7 @@ class RiepMessage:
         return f"<RIEP {self.opcode} {self.obj} id={self.invoke_id} r={self.result}>"
 
 
-def _estimate_value_size(value: Any) -> int:
+def estimate_value_size(value: Any) -> int:
     """Rough, deterministic encoded-size estimate for JSON-like values."""
     if value is None:
         return 1
@@ -130,9 +130,9 @@ def _estimate_value_size(value: Any) -> int:
     if isinstance(value, bytes):
         return len(value)
     if isinstance(value, (list, tuple, set, frozenset)):
-        return 2 + sum(_estimate_value_size(v) for v in value)
+        return 2 + sum(estimate_value_size(v) for v in value)
     if isinstance(value, dict):
-        return 2 + sum(_estimate_value_size(k) + _estimate_value_size(v)
+        return 2 + sum(estimate_value_size(k) + estimate_value_size(v)
                        for k, v in value.items())
     # arbitrary objects: charge a flat record
     return 32

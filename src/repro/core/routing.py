@@ -17,11 +17,15 @@ LSAs travel as hop-scoped RIEP ``M_WRITE`` messages on the object
 **scope of a routing update is bounded by the DIF's scope** — the property
 experiments E5/E6 quantify.
 
-Scaling (the E6 1,000-system tier) forced the routing task incremental:
+Scaling: link-state is the same in every member of a DIF, so it is held once.
 
-* the two-way-confirmed graph is **memoized** and patched edge-by-edge as
-  LSAs arrive, instead of being rebuilt from the whole LSDB before every
-  SPF run;
+* an LSA is **one object per process** (:meth:`Lsa.from_value` hands every
+  member that receives the same value dict the same immutable ``Lsa``), and
+  a member's claim table stores the shared ``neighbors`` rows — a flood
+  costs one decode per origination, not one per member;
+* there is no per-member graph: SPF is lazy (hundreds of runs against tens
+  of thousands of LSAs), so Dijkstra applies the two-way check to the claim
+  rows as it walks them;
 * an accepted LSA that does not change its origin's advertised neighbor
   set (a pure sequence-number refresh) is stored and re-flooded but does
   **not** mark the SPF dirty — the hold-down timer still fires on the same
@@ -31,12 +35,14 @@ Scaling (the E6 1,000-system tier) forced the routing task incremental:
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from weakref import WeakValueDictionary
 
 from ..sim.engine import Engine, Timer
 from .addressing import aggregate_forwarding_table
 from .names import Address
-from .riep import M_WRITE, RiepMessage
+from .riep import M_WRITE, RiepMessage, estimate_value_size
 
 LSA_OBJ = "/routing/lsa"
 
@@ -45,9 +51,11 @@ DEFAULT_COST = 1.0
 
 
 class Lsa:
-    """One origin's view of its adjacencies."""
+    """One origin's view of its adjacencies; immutable once built, and
+    shared by every member of the process that is handed its value."""
 
-    __slots__ = ("origin", "seq", "neighbors", "_value_cache")
+    __slots__ = ("origin", "seq", "neighbors", "_value_cache", "_value_size",
+                 "__weakref__")
 
     def __init__(self, origin: Address, seq: int,
                  neighbors: Dict[Address, float]) -> None:
@@ -55,14 +63,11 @@ class Lsa:
         self.seq = seq
         self.neighbors = dict(neighbors)
         self._value_cache: Optional[dict] = None
+        self._value_size: Optional[int] = None
 
     def to_value(self) -> dict:
-        """JSON-like encoding carried in the RIEP message.
-
-        Cached (an LSA is immutable once stored): enrollment fast-sync
-        re-encodes the whole LSDB for every joining member, which at
-        thousand-member scale was quadratic dict construction.
-        """
+        """JSON-like encoding carried in the RIEP message, built once:
+        whoever is handed this very dict decodes it back to this object."""
         if self._value_cache is None:
             self._value_cache = {
                 "origin": self.origin.parts,
@@ -70,20 +75,39 @@ class Lsa:
                 "neighbors": [(addr.parts, cost)
                               for addr, cost in sorted(self.neighbors.items())],
             }
+            _DECODED[id(self._value_cache)] = self
         return self._value_cache
+
+    def value_size(self) -> int:
+        """RIEP size estimate of :meth:`to_value`, walked once."""
+        if self._value_size is None:
+            self._value_size = estimate_value_size(self.to_value())
+        return self._value_size
 
     @classmethod
     def from_value(cls, value: dict) -> "Lsa":
-        """Decode the RIEP payload."""
-        origin = Address(*value["origin"])
-        neighbors = {Address(*parts): float(cost)
-                     for parts, cost in value["neighbors"]}
-        lsa = cls(origin, int(value["seq"]), neighbors)
+        """Decode the RIEP payload — once per value dict per process."""
+        lsa = _DECODED.get(id(value))
+        if lsa is not None and lsa._value_cache is value:
+            return lsa
+        lsa = cls.__new__(cls)
+        lsa.origin = Address(*value["origin"])
+        lsa.seq = int(value["seq"])
+        lsa.neighbors = {Address(*parts): float(cost)
+                         for parts, cost in value["neighbors"]}
         lsa._value_cache = value
+        lsa._value_size = None
+        _DECODED[id(value)] = lsa
         return lsa
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Lsa {self.origin} seq={self.seq} nbrs={len(self.neighbors)}>"
+
+
+#: ``id(value dict) -> Lsa`` for every live LSA.  The LSA keeps its dict
+#: alive, so an id cannot be recycled while its entry exists; a dict that
+#: crossed a shard cut is a new dict and decodes afresh.
+_DECODED: "WeakValueDictionary[int, Lsa]" = WeakValueDictionary()
 
 
 class LinkStateRouting:
@@ -106,7 +130,7 @@ class LinkStateRouting:
 
     __slots__ = ("_engine", "_local_addr_fn", "_flood", "_on_table_change",
                  "_spf_delay", "_lsdb", "_own_seq", "_adjacencies",
-                 "_next_hop", "_spf_timer", "_claims", "_graph", "_dirty",
+                 "_next_hop", "_spf_timer", "_claims", "_dirty",
                  "_spf_pending", "_spf_source", "lsas_originated",
                  "lsas_received", "lsas_reflooded", "spf_runs",
                  "spf_skipped")
@@ -126,9 +150,8 @@ class LinkStateRouting:
         self._adjacencies: Dict[Address, float] = {}
         self._next_hop: Dict[Address, Address] = {}
         self._spf_timer = Timer(engine, self._run_spf, label="routing.spf")
-        # memoized two-way graph, patched incrementally as claims change
+        # origin -> claimed adjacency row (the LSA's own, shared, dict)
         self._claims: Dict[Address, Dict[Address, float]] = {}
-        self._graph: Dict[Address, Dict[Address, float]] = {}
         self._dirty = False            # any claim change since the last run
         self._spf_pending = False      # hold-down fired; recompute on query
         self._spf_source: Optional[Address] = None
@@ -169,7 +192,6 @@ class LinkStateRouting:
         self._adjacencies.clear()
         self._next_hop.clear()
         self._claims.clear()
-        self._graph.clear()
         self._spf_source = None
         self._dirty = True
         self._spf_pending = False
@@ -203,17 +225,15 @@ class LinkStateRouting:
     def handle_lsa(self, message: RiepMessage, from_neighbor: Address) -> None:
         """Process a received ``M_WRITE /routing/lsa`` message."""
         self.lsas_received += 1
-        # dedup on (origin, seq) before decoding the neighbor list
-        value = message.value
-        current = self._lsdb.get(Address(*value["origin"]))
-        if current is not None and current.seq >= int(value["seq"]):
+        lsa = Lsa.from_value(message.value)
+        current = self._lsdb.get(lsa.origin)
+        if current is not None and current.seq >= lsa.seq:
             return  # stale or duplicate: flooding stops here
-        lsa = Lsa.from_value(value)
         self._lsdb[lsa.origin] = lsa
         self.lsas_reflooded += 1
         self._flood(message, from_neighbor)
-        # patch the memoized graph; a pure seq refresh (identical neighbor
-        # set) leaves it clean, so the coming SPF fire will skip Dijkstra
+        # a pure seq refresh (identical neighbor set) leaves the claims
+        # clean, so the coming SPF fire will skip Dijkstra
         if lsa.origin != self._local_addr_fn():
             self._set_claim(lsa.origin, lsa.neighbors)
         self._schedule_spf()
@@ -221,6 +241,11 @@ class LinkStateRouting:
     def sync_lsdb(self) -> List[dict]:
         """Snapshot of the LSDB for bulk transfer to a newly enrolled member."""
         return [self._lsdb[origin].to_value() for origin in sorted(self._lsdb)]
+
+    def sync_lsdb_size(self) -> int:
+        """RIEP size estimate of :meth:`sync_lsdb`'s elements, from the
+        per-LSA caches (the snapshot is re-sent to every joiner)."""
+        return sum(lsa.value_size() for lsa in self._lsdb.values())
 
     def load_lsdb(self, values: Sequence[dict]) -> None:
         """Install a bulk LSDB snapshot (enrollment fast-sync)."""
@@ -289,85 +314,60 @@ class LinkStateRouting:
         self._dirty = False
         self.spf_runs += 1
         self._spf_source = local
-        self._next_hop = self._dijkstra(local, self._graph)
+        self._next_hop = self._dijkstra(local)
         if self._on_table_change is not None:
             self._on_table_change(dict(self._next_hop))
 
-    # -- memoized two-way graph ----------------------------------------
+    # -- claimed adjacencies --------------------------------------------
     def _sync_local_claim(self) -> None:
         """The local node's live adjacency set overrides its stored LSA so
         a just-changed neighbor is usable before the LSA round-trips."""
         local = self._local_addr_fn()
         if local is not None and self._claims.get(local) != self._adjacencies:
-            self._set_claim(local, self._adjacencies)
+            self._set_claim(local, dict(self._adjacencies))
 
     def _set_claim(self, origin: Address,
                    neighbors: Dict[Address, float]) -> None:
-        """Install one origin's claimed adjacency set and patch every
-        two-way edge it touches (standard two-way check: an edge exists
-        only when both endpoints claim each other; cost = max of claims)."""
-        old = self._claims.get(origin)
-        if old == neighbors:
+        """Install one origin's claimed adjacency row.  The row is stored
+        as given (an LSA's is shared by every member, so nobody writes to
+        it) and only a row that differs marks the SPF dirty."""
+        if self._claims.get(origin) == neighbors:
             return
-        if old is None:
-            old = {}
-        # only pairs whose claimed cost actually moved can change an edge
-        touched = [peer for peer in set(old) | set(neighbors)
-                   if old.get(peer) != neighbors.get(peer)]
         if neighbors:
-            self._claims[origin] = dict(neighbors)
+            self._claims[origin] = neighbors
         else:
             self._claims.pop(origin, None)
-        for peer in touched:
-            self._refresh_edge(origin, peer)
         self._dirty = True
 
-    def _refresh_edge(self, a: Address, b: Address) -> None:
-        claims = self._claims
-        row_a = claims.get(a)
-        row_b = claims.get(b)
-        ab = None if row_a is None else row_a.get(b)
-        ba = None if row_b is None else row_b.get(a)
-        new = max(ab, ba) if ab is not None and ba is not None else None
-        row = self._graph.get(a)
-        cur = None if row is None else row.get(b)
-        if new == cur:
-            return
-        if new is None:
-            del row[b]
-            if not row:
-                del self._graph[a]
-            back = self._graph[b]
-            del back[a]
-            if not back:
-                del self._graph[b]
-        else:
-            self._graph.setdefault(a, {})[b] = new
-            self._graph.setdefault(b, {})[a] = new
-
-    def _dijkstra(self, source: Address,
-                  graph: Dict[Address, Dict[Address, float]]
-                  ) -> Dict[Address, Address]:
-        from heapq import heappop, heappush
+    def _dijkstra(self, source: Address) -> Dict[Address, Address]:
+        """Shortest paths over the claims, with the standard two-way check
+        inline: an edge exists only when both endpoints claim each other,
+        and costs the larger of the two claims.  Heap pops are totally
+        ordered by ``(dist, parts)``, so the result does not depend on the
+        order rows are stored or iterated in."""
         dist: Dict[Address, float] = {source: 0.0}
         first_hop: Dict[Address, Optional[Address]] = {source: None}
         heap: List[Tuple[float, Tuple[int, ...], Address]] = [
             (0.0, source.parts, source)]
         visited: Set[Address] = set()
         dist_get = dist.get
-        graph_get = graph.get
+        claims_get = self._claims.get
         while heap:
             d, _tie, node = heappop(heap)
             if node in visited:
                 continue
             visited.add(node)
-            row = graph_get(node)
+            row = claims_get(node)
             if not row:
                 continue
             hop_via = first_hop[node]
             from_source = node == source
             for neighbor, cost in row.items():
-                nd = d + cost
+                back = claims_get(neighbor)
+                back_cost = None if back is None else back.get(node)
+                if back_cost is None:
+                    continue
+                nd = d + (cost if cost >= back_cost else back_cost)
                 cur = dist_get(neighbor)
                 if cur is None or nd < cur - 1e-12:
                     dist[neighbor] = nd

@@ -102,6 +102,8 @@ class Engine:
         self._last_event_time = self._now
         self._max_events: Optional[int] = None
         self._live = 0   # non-cancelled events currently queued
+        # bound once: every scheduling call hands it to its Event
+        self._on_cancel = self._note_cancel
 
     # ------------------------------------------------------------------
     # Clock
@@ -184,8 +186,8 @@ class Engine:
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at t={when:.6f}, clock is at t={self._now:.6f}")
-        event = Event(when, next(self._seq), callback, args, label=label,
-                      on_cancel=self._note_cancel)
+        event = Event(when, next(self._seq), callback, args, label,
+                      self._on_cancel)
         batch = self._batches.get(when)
         if batch is None:
             self._batches[when] = [event]
@@ -205,8 +207,8 @@ class Engine:
             raise SimulationError(f"negative delay {delay!r}")
         # inlined call_at: this is the hottest scheduling entry point
         when = self._now + delay
-        event = Event(when, next(self._seq), callback, args, label=label,
-                      on_cancel=self._note_cancel)
+        event = Event(when, next(self._seq), callback, args, label,
+                      self._on_cancel)
         batch = self._batches.get(when)
         if batch is None:
             self._batches[when] = [event]

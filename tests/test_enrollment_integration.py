@@ -181,3 +181,32 @@ class TestDeparture:
         assert dif.member_count() == 2
         assert not c_ipcp.enrolled
         assert a_ipcp.routing.next_hop(c_addr) is None
+
+
+class TestBulkSyncSize:
+    def test_preset_reply_size_equals_the_full_walk(self, monkeypatch):
+        """The enrolment reply charges its LSDB from the per-LSA size
+        caches; wire size sets serialization time, so the shortcut must
+        give exactly what walking the whole reply gives."""
+        from repro.core.enrollment import AUTH_OBJ
+        from repro.core.ipcp import Ipcp
+        from repro.core.riep import RiepMessage
+        from repro.experiments.e6_scalability import build_flat
+        replies = []
+        send = Ipcp.send_mgmt_on_port
+
+        def recording(self, port_id, message):
+            if message.obj == AUTH_OBJ and message.opcode == "M_START_R":
+                replies.append((message, message._size_cache))
+            return send(self, port_id, message)
+
+        monkeypatch.setattr(Ipcp, "send_mgmt_on_port", recording)
+        build_flat(3, 3, seed=0)
+        assert len(replies) == 12
+        assert max(len(m.value["lsdb"]) for m, _size in replies) >= 10
+        for message, preset in replies:
+            walked = RiepMessage(message.opcode, obj=message.obj,
+                                 value=message.value,
+                                 invoke_id=message.invoke_id)
+            assert preset is not None
+            assert preset == walked.estimate_size()

@@ -40,6 +40,33 @@ RUN_BUDGET = 45_000
 #: outstanding/receive maps, two timers and stats).
 CONNECTION_BUDGET = 3_500
 
+#: Traced bytes per member held by a *built* flat 5x10 control plane
+#: (56 members: IPCPs, RIBs, LSDBs, claim rows, forwarding tables).
+#: Read 31.2-31.7 KB/member with one shared ``Lsa`` per origination and
+#: no per-member graph; the parent commit (an ``Lsa`` decoded per member,
+#: a copied claim row and a two-way graph each) read 80.1-80.8 KB in the
+#: same session.  ~25 % headroom, and well under the unshared layout.
+CONTROL_PLANE_BUDGET = 40_000
+
+
+def test_flat_control_plane_stays_in_budget():
+    from repro.experiments.e6_scalability import build_flat
+    tracemalloc.start()
+    try:
+        network, _systems, difs = build_flat(5, 10, seed=1)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    members = difs["flat"].members()
+    assert len(members) == 56 and network.engine.events_processed > 0
+    per_member = held / len(members)
+    assert per_member < CONTROL_PLANE_BUDGET, (
+        f"a built flat 5x10 DIF holds {per_member:.0f} B/member (budget "
+        f"{CONTROL_PLANE_BUDGET}; read 31,700 with shared LSAs, 80,800 at "
+        f"the parent of PR 23 where every member decoded its own Lsa and "
+        f"patched a private two-way graph) — link-state is being copied "
+        f"per member again")
+
 
 def test_flood_plant_build_stays_in_budget():
     spec = build_flood_spec(REGIONS, HOSTS)

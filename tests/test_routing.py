@@ -1,6 +1,16 @@
 """Unit tests for link-state routing inside a DIF."""
 
+import copy
+import gc
+import random
+import weakref
+from heapq import heappop, heappush
+
+import pytest
+
+from repro.core import codec, routing
 from repro.core.names import Address
+from repro.core.pdu import ManagementPdu
 from repro.core.riep import M_WRITE, RiepMessage
 from repro.core.routing import LSA_OBJ, LinkStateRouting, Lsa
 from repro.sim.engine import Engine
@@ -331,3 +341,249 @@ class TestIncrementalSpf:
         assert task.spf_runs == 0                    # nobody asked yet
         assert task.next_hop(Address(2)) == Address(2)
         assert task.spf_runs == 1                    # billed to the query
+
+
+# ----------------------------------------------------------------------
+# One LSA, one object: the sharing contract of Lsa.from_value
+# ----------------------------------------------------------------------
+@pytest.fixture
+def lsa_census(monkeypatch):
+    """Counts what the routing code builds: ``made`` holds every ``Lsa``
+    that ``from_value`` had to construct (as opposed to finding it in the
+    memo), ``originated`` every ``Lsa(...)`` built from live state."""
+    census = {"made": [], "originated": 0}
+    decode = Lsa.from_value.__func__
+    init = Lsa.__init__
+
+    def from_value(cls, value):
+        known = routing._DECODED.get(id(value))
+        lsa = decode(cls, value)
+        if lsa is not known:
+            census["made"].append(lsa)
+        return lsa
+
+    def counted_init(self, origin, seq, neighbors):
+        census["originated"] += 1
+        init(self, origin, seq, neighbors)
+
+    monkeypatch.setattr(Lsa, "from_value", classmethod(from_value))
+    monkeypatch.setattr(Lsa, "__init__", counted_init)
+    return census
+
+
+def flat_members(regions, hosts, seed=0):
+    from repro.experiments.e6_scalability import build_flat
+    network, _systems, difs = build_flat(regions, hosts, seed)
+    return network, list(difs["flat"].members().values())
+
+
+class TestOneLsaOneObject:
+    def test_to_value_decodes_back_to_the_same_object(self):
+        lsa = Lsa(Address(1), 3, {Address(2): 1.0})
+        assert Lsa.from_value(lsa.to_value()) is lsa
+
+    def test_every_member_of_a_flat_build_holds_the_same_objects(
+            self, lsa_census):
+        _network, members = flat_members(3, 3)
+        assert len(members) == 13
+        for origin in members[0].routing._lsdb:
+            holders = {id(m.routing._lsdb[origin]) for m in members}
+            assert len(holders) == 1, f"{origin} decoded more than once"
+        # a member that installs an LSA stores the LSA's own row
+        for member in members:
+            for origin, row in member.routing._claims.items():
+                if origin != member.address:
+                    assert row is member.routing._lsdb[origin].neighbors
+        # in one process nothing crosses a cut: the only decodes are of
+        # values still in flight after their originator (the one holder
+        # so far) replaced them — a handful against 158 LSAs received
+        received = sum(m.routing.lsas_received for m in members)
+        assert received > 5 * lsa_census["originated"]
+        assert len(lsa_census["made"]) <= lsa_census["originated"] // 4
+
+    def test_equal_origin_and_seq_in_two_dicts_are_two_lsas(self):
+        # a recycled address after reset(): same (origin, seq), new content
+        first = Lsa(Address(4), 1, {Address(2): 1.0}).to_value()
+        second = Lsa(Address(4), 1, {Address(3): 1.0}).to_value()
+        a, b = Lsa.from_value(first), Lsa.from_value(second)
+        assert a is not b
+        assert a.neighbors == {Address(2): 1.0}
+        assert b.neighbors == {Address(3): 1.0}
+        # and an equal *copy* of a dict is a different dict
+        assert Lsa.from_value(dict(first)) is not a
+
+    def test_a_cut_crossing_decodes_once_per_side(self, lsa_census):
+        lsa = Lsa(Address(1), 7, {Address(2): 1.0, Address(3): 2.0})
+        pdu = ManagementPdu(Address(1), Address(2),
+                            RiepMessage(M_WRITE, obj=LSA_OBJ,
+                                        value=lsa.to_value()))
+        far = codec.decode(codec.encode(pdu)).message
+        assert far.value is not lsa.to_value()
+        decoded = Lsa.from_value(far.value)
+        assert decoded is not lsa and decoded.neighbors == lsa.neighbors
+        assert Lsa.from_value(far.value) is decoded
+        assert lsa_census["made"] == [decoded]
+
+    def test_sharded_build_decodes_at_most_once_per_frame(self, lsa_census):
+        from repro.experiments.e6_scalability import run_stateful_scale
+        row = run_stateful_scale(3, 2, shards=2, seed=0, mode="inline")
+        assert row["lsas_received"] == 90
+        assert 0 < len(lsa_census["made"]) < row["lsas_received"] // 2
+        assert len(lsa_census["made"]) <= (lsa_census["originated"]
+                                           + row["frames_relayed"])
+
+    def test_two_networks_share_nothing(self):
+        net_a, members_a = flat_members(2, 2)
+        net_b, members_b = flat_members(2, 2)
+        lsas_a = {id(l) for m in members_a for l in m.routing._lsdb.values()}
+        lsas_b = {id(l) for m in members_b for l in m.routing._lsdb.values()}
+        assert lsas_a and lsas_b and not lsas_a & lsas_b
+        # same seed, same plant: equal content in different objects
+        assert (members_a[0].routing.sync_lsdb()
+                == members_b[0].routing.sync_lsdb())
+        # ... unless handed the very same dict
+        value = members_a[0].routing.sync_lsdb()[0]
+        members_b[0].routing.reset()
+        members_b[0].routing.load_lsdb([value])
+        stored = members_a[0].routing._lsdb[Address(*value["origin"])]
+        assert members_b[0].routing._lsdb[stored.origin] is stored
+
+    def test_memo_empties_with_the_last_network(self):
+        gc.collect()
+        before = len(routing._DECODED)
+        network, members = flat_members(2, 2)
+        refs = [weakref.ref(l) for m in members
+                for l in m.routing._lsdb.values()]
+        assert refs and len(routing._DECODED) > before
+        del network, members
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(routing._DECODED) <= before
+
+    def test_nobody_writes_to_a_shared_row(self, monkeypatch):
+        from repro.scenarios import ScenarioRunner, canned
+        stored = []          # (the row object as stored, a copy taken then)
+        set_claim = LinkStateRouting._set_claim
+
+        def recording(self, origin, neighbors):
+            stored.append((neighbors, copy.deepcopy(neighbors)))
+            set_claim(self, origin, neighbors)
+
+        monkeypatch.setattr(LinkStateRouting, "_set_claim", recording)
+        runner = ScenarioRunner(canned("fault-storm"), seed=7)
+        runner.run("rina")
+        tracer = runner.network.tracer
+        assert tracer.counter_value("ipcp.crash") == 1
+        assert tracer.events("fault.reenrolled")
+        assert len(stored) > 50
+        assert all(row == snapshot for row, snapshot in stored)
+        # every live LSA still says what its wire value said
+        for lsa in list(routing._DECODED.values()):
+            assert sorted(lsa.neighbors.items()) == [
+                (Address(*parts), cost)
+                for parts, cost in lsa.to_value()["neighbors"]]
+
+
+# ----------------------------------------------------------------------
+# Dijkstra over the claim rows == Dijkstra over the explicit two-way graph
+# ----------------------------------------------------------------------
+def two_way_graph(claims):
+    """The graph the routing task used to maintain edge by edge: an edge
+    exists when both ends claim each other, at the larger claimed cost."""
+    graph = {}
+    for a, row in claims.items():
+        for b, cost in row.items():
+            back = claims.get(b, {}).get(a)
+            if back is not None:
+                graph.setdefault(a, {})[b] = max(cost, back)
+    return graph
+
+
+def reference_next_hops(source, graph):
+    dist = {source: 0.0}
+    first_hop = {source: None}
+    heap = [(0.0, source.parts, source)]
+    done = set()
+    while heap:
+        d, _tie, node = heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        for neighbor, cost in graph.get(node, {}).items():
+            nd = d + cost
+            if neighbor not in dist or nd < dist[neighbor] - 1e-12:
+                dist[neighbor] = nd
+                first_hop[neighbor] = (neighbor if node == source
+                                       else first_hop[node])
+                heappush(heap, (nd, neighbor.parts, neighbor))
+    return {dst: hop for dst, hop in first_hop.items() if hop is not None}
+
+
+def random_claims(rng):
+    nodes = [Address(region, host) for region in range(1, 4)
+             for host in range(1, rng.randint(2, 5))]
+    costs = (1.0, 1.0, 2.0, 2.5, 7.0)
+    claims = {node: {} for node in nodes}
+    for a in nodes:
+        for b in nodes:
+            if a < b and rng.random() < 0.3:
+                kind = rng.random()
+                if kind < 0.6:                       # two-way, equal cost
+                    claims[a][b] = claims[b][a] = rng.choice(costs)
+                elif kind < 0.8:                     # asymmetric costs
+                    claims[a][b] = rng.choice(costs)
+                    claims[b][a] = rng.choice(costs)
+                elif kind < 0.9:                     # one-sided claims
+                    claims[a][b] = rng.choice(costs)
+                else:
+                    claims[b][a] = rng.choice(costs)
+    for node in rng.sample(nodes, len(nodes) // 4):
+        claims[node] = {}                            # withdrawn origin
+    return nodes, claims
+
+
+class TestGraphFreeDijkstra:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_next_hops_equal_the_explicit_graph_reference(self, seed):
+        rng = random.Random(seed)
+        nodes, claims = random_claims(rng)
+        source = rng.choice(nodes)
+        task = LinkStateRouting(Engine(), lambda: source, lambda m, e: 0)
+        for neighbor, cost in claims[source].items():
+            task._adjacencies[neighbor] = cost
+        origins = [node for node in nodes if node != source]
+        rng.shuffle(origins)                         # rows in any order
+        seqs = dict.fromkeys(origins, 0)
+        for origin in origins + rng.sample(origins, len(origins) // 2):
+            # the repeats re-install a row after a withdrawal in between
+            seqs[origin] += 2
+            for row in ({}, claims[origin]):
+                items = list(row.items())
+                rng.shuffle(items)
+                seq = seqs[origin] + (1 if row else 0)
+                task.load_lsdb([Lsa(origin, seq, dict(items)).to_value()])
+        task.force_spf()
+        assert task.table() == reference_next_hops(
+            source, two_way_graph(claims))
+        assert task.reachable() <= set(nodes) - {source}
+
+    def test_the_per_member_graph_is_gone(self):
+        task = LinkStateRouting(Engine(), lambda: Address(1), lambda m, e: 0)
+        assert not hasattr(task, "_graph")
+        assert not hasattr(task, "_refresh_edge")
+
+
+class TestScopePin:
+    """ROADMAP 4(d), §6.5: the same 211 systems as one flat DIF and as
+    region DIFs under a backbone.  Exact counters, no wall clock — the
+    ratio cannot move without this failing."""
+
+    def test_flat_against_recursive_10x20(self):
+        from repro.experiments.e6_scalability import run_scale
+        flat = run_scale("flat", 10, 20, seed=0)
+        recursive = run_scale("recursive", 10, 20, seed=0)
+        assert (flat["lsas_reflooded"], flat["events"],
+                flat["mean_table"]) == (44_948, 310_007, 210.0)
+        assert (recursive["lsas_reflooded"], recursive["events"],
+                recursive["mean_table"]) == (4_381, 65_107, 20.48)
+        assert (flat["spf_runs"], flat["spf_skipped"]) == (211, 0)
