@@ -30,10 +30,14 @@ from __future__ import annotations
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .experiments.common import format_table
-from .sweeps import Job, SweepRunner, default_worker_count, parse_worker_count
+
+# the sweep runner (and multiprocessing) is imported by the commands
+# that dispatch jobs: `gateway serve` pays for every import it makes
+if TYPE_CHECKING:
+    from .sweeps import Job, SweepRunner
 
 
 def _e1_jobs() -> List[Job]:
@@ -131,22 +135,22 @@ def _extract_int_flag(args: List[str], flag: str, noun: str
     index = 0
     while index < len(args):
         arg = args[index]
+        index += 1
         if arg == flag:
-            index += 1
             if index >= len(args):
                 return remaining, None, f"{flag} requires a value"
-            try:
-                value = parse_worker_count(args[index], noun=noun)
-            except ValueError as exc:
-                return remaining, None, f"{flag}: {exc}"
+            text = args[index]
+            index += 1
         elif arg.startswith(flag + "="):
-            try:
-                value = parse_worker_count(arg[len(flag) + 1:], noun=noun)
-            except ValueError as exc:
-                return remaining, None, f"{flag}: {exc}"
+            text = arg[len(flag) + 1:]
         else:
             remaining.append(arg)
-        index += 1
+            continue
+        from .sweeps import parse_worker_count
+        try:
+            value = parse_worker_count(text, noun=noun)
+        except ValueError as exc:
+            return remaining, None, f"{flag}: {exc}"
     return remaining, value, None
 
 
@@ -220,12 +224,14 @@ def _resolve_workers(flag_value: Optional[int]) -> int:
     """
     if flag_value is not None:
         return flag_value
+    from .sweeps import default_worker_count
     return default_worker_count()
 
 
 def _make_runner(workers_flag: Optional[int]
                  ) -> Tuple[Optional[SweepRunner], Optional[str]]:
     """Build the sweep runner, or report the misconfigured knob."""
+    from .sweeps import SweepRunner
     try:
         workers = _resolve_workers(workers_flag)
     except ValueError as exc:

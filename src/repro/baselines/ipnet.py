@@ -13,9 +13,8 @@ every comparison in the benchmark suite is apples-to-apples.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+from collections import deque
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from ..sim.engine import Engine
 from ..sim.link import CorruptedFrame
@@ -112,6 +111,29 @@ class Route:
 
 
 ProtocolHandler = Callable[[IpPacket, "IpStack"], None]
+
+#: node → neighbour → ends, where ends maps both nodes to their ifnames
+Graph = Dict[str, Dict[str, Dict[str, str]]]
+
+
+def shortest_paths(graph: Graph, source: str,
+                   transit: Collection[str]) -> Dict[str, List[str]]:
+    """Fewest-hop path from ``source`` to every node it reaches, where
+    only ``source`` and the ``transit`` nodes forward.  Breadth first in
+    ``graph``'s neighbour order, a node keeps the first path to reach
+    it: that order alone breaks ties between equal-length paths."""
+    paths = {source: [source]}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        if node != source and node not in transit:
+            continue
+        path = paths[node]
+        for peer in graph[node]:
+            if peer not in paths:
+                paths[peer] = path + [peer]
+                queue.append(peer)
+    return paths
 
 
 class IpStack:
@@ -288,31 +310,35 @@ class IpRoutingDaemon:
     def _install(self) -> None:
         self.convergences += 1
         graph = self._usable_graph()
+        routers = {name for name, stack in self._stacks.items()
+                   if stack.forwarding}
         for name, stack in self._stacks.items():
             stack.clear_routes()
-            self._install_for(name, stack, graph)
+            self._install_for(name, stack, graph, routers)
 
-    def _usable_graph(self) -> "nx.Graph":
-        graph = nx.Graph()
-        graph.add_nodes_from(self._stacks)
+    def _usable_graph(self) -> Graph:
+        """The up links between stacks, every stack a node; parallel
+        links keep the first one's place and the last one's ends.
+
+        Each node lists its neighbours in the order route ties break in,
+        pinned by the golden ip traces: those earlier in stack order
+        first, in stack order, then the later ones in link order.
+        """
+        graph: Graph = {name: {} for name in self._stacks}
         for link in self._network.links.values():
             if not link.up:
                 continue
-            a = self._owner(link.ends[0])
-            b = self._owner(link.ends[1])
+            a, b = self._network.endpoints_of(link)
             if a in self._stacks and b in self._stacks:
                 a_if = self._ifname_for_end(a, link.ends[0])
                 b_if = self._ifname_for_end(b, link.ends[1])
                 if a_if and b_if:
-                    graph.add_edge(a, b, ends={a: a_if, b: b_if})
-        return graph
-
-    def _owner(self, end) -> Optional[str]:
-        for name in self._stacks:
-            for interface in self._network.node(name).interfaces():
-                if interface.end is end:
-                    return name
-        return None
+                    graph[a][b] = graph[b][a] = {a: a_if, b: b_if}
+        rank = {name: index for index, name in enumerate(graph)}
+        # sorted() is stable and all later neighbours share one key
+        return {name: {peer: neighbours[peer] for peer in sorted(
+                    neighbours, key=lambda peer: min(rank[peer], rank[name]))}
+                for name, neighbours in graph.items()}
 
     def _ifname_for_end(self, node_name: str, end) -> Optional[str]:
         stack = self._stacks[node_name]
@@ -321,7 +347,8 @@ class IpRoutingDaemon:
                 return ifname
         return None
 
-    def _install_for(self, name: str, stack: IpStack, graph: "nx.Graph") -> None:
+    def _install_for(self, name: str, stack: IpStack, graph: Graph,
+                     routers: Collection[str]) -> None:
         # connected subnets first
         connected = set()
         for ifname, ip_if in stack.interfaces.items():
@@ -329,22 +356,7 @@ class IpRoutingDaemon:
                 prefix, plen = ip_if.network
                 stack.add_route(prefix, plen, None, ifname)
                 connected.add((prefix, plen))
-        if name not in graph:
-            return
-        # hosts (forwarding off) must never transit traffic: compute paths
-        # on a directed view where only routers — and the source itself —
-        # have outgoing edges.
-        directed = nx.DiGraph()
-        directed.add_nodes_from(graph.nodes)
-        for u, v in graph.edges:
-            if u == name or self._stacks[u].forwarding:
-                directed.add_edge(u, v)
-            if v == name or self._stacks[v].forwarding:
-                directed.add_edge(v, u)
-        try:
-            lengths, paths = nx.single_source_dijkstra(directed, name)
-        except nx.NetworkXError:  # pragma: no cover - defensive
-            return
+        paths = shortest_paths(graph, name, routers)
         # routes are to *subnets* (as an IGP advertises prefixes), via the
         # nearest node attached to each subnet — never to hosts.
         for (prefix, plen), owners in self._subnet_owners().items():
@@ -352,20 +364,15 @@ class IpRoutingDaemon:
                 continue
             best = None
             for owner in owners:
-                if owner in lengths and owner != name:
-                    if best is None or lengths[owner] < lengths[best]:
+                if owner in paths and owner != name:
+                    if best is None or len(paths[owner]) < len(paths[best]):
                         best = owner
             if best is None:
                 continue
-            path = paths[best]
-            if len(path) < 2:
-                continue
-            neighbor = path[1]
-            edge = graph.edges[name, neighbor]
-            out_if = edge["ends"][name]
-            peer_if = edge["ends"][neighbor]
-            peer_addr = self._stacks[neighbor].interfaces[peer_if].address
-            stack.add_route(prefix, plen, peer_addr, out_if)
+            neighbor = paths[best][1]
+            ends = graph[name][neighbor]
+            peer = self._stacks[neighbor].interfaces[ends[neighbor]]
+            stack.add_route(prefix, plen, peer.address, ends[name])
 
     def _subnet_owners(self) -> Dict[Tuple[int, int], List[str]]:
         """Which nodes advertise each subnet into the IGP.

@@ -26,13 +26,17 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..apps.echo import EchoClient, EchoServer
 from ..core import (Dif, DifPolicies, Orchestrator, add_shims, build_dif_over,
                     make_systems, run_until, shim_between)
 from ..sim.network import Network
-from ..sweeps import Job
+
+# the job lists import the sweep runner (and multiprocessing) when they
+# are built: a process that only runs a tier never needs it
+if TYPE_CHECKING:
+    from ..sweeps import Job
 
 #: The scale tier: named (regions, hosts/region) sizes the hot-path work
 #: opened up.  ``large`` is 1,021 systems — the "scales indefinitely"
@@ -348,6 +352,7 @@ def iter_jobs(sizes: List[Tuple[int, int]] = ((3, 4), (4, 8)),
               seed: int = 1) -> List[Job]:
     """The E6 table as data: per size, the flat, recursive, and ip+rip
     configurations (the :func:`run_sweep` row order)."""
+    from ..sweeps import Job
     return [Job("repro.experiments.e6_scalability:run_config",
                 kwargs={"config": config, "regions": regions,
                         "hosts_per_region": hosts, "seed": seed},
@@ -363,6 +368,7 @@ def iter_scale_jobs(tiers: List[str] = ("small", "medium", "large"),
     :func:`run_scale_tier` row order.  Scale rows carry wall-clock
     fields (:data:`repro.sweeps.WALL_CLOCK_KEYS`), so only their
     deterministic columns are covered by serial equivalence."""
+    from ..sweeps import Job
     jobs = []
     for tier in tiers:
         if tier not in SCALE_SIZES:
@@ -660,6 +666,7 @@ def iter_stateful_jobs(tiers: List[str] = ("small", "medium"),
     reference row and the ``shards``-way partitioned row.  Same
     dispatch caveats as :func:`iter_flood_jobs` (each job is one whole
     sharded run)."""
+    from ..sweeps import Job
     jobs = []
     for tier in tiers:
         if tier not in STATEFUL_SIZES:
@@ -792,6 +799,7 @@ def iter_flood_jobs(tiers: List[str] = ("small", "medium", "large"),
     sharded run — the coordinator spawns its own per-region workers, so
     dispatch these with ``--jobs 1`` (inside a daemonic pool worker the
     coordinator falls back to in-process rounds)."""
+    from ..sweeps import Job
     jobs = []
     for tier in tiers:
         if tier not in FLOOD_SIZES:

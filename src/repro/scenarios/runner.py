@@ -16,12 +16,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..apps.echo import EchoClient, EchoServer
 from ..apps.filetransfer import FileSender, FileSink
 from ..apps.streaming import CbrSource, LatencySink
-from ..baselines.sockets import IpFabric
 from ..core.dif import Dif, DifPolicies
 from ..core.fabric import (Orchestrator, add_shims, build_dif_over,
                            make_systems, shim_between, shim_name_for)
@@ -32,6 +31,11 @@ from ..sim.network import Network
 from .faults import FaultContext, make_injector
 from .spec import (SHIM, LayerSpec, Scenario, SpecError, TopologySpec,
                    auto_layers)
+
+# the IP baseline is imported by the run that builds it: a rina-only
+# process never loads it
+if TYPE_CHECKING:
+    from ..baselines.sockets import IpFabric
 
 STACKS = ("rina", "ip")
 IP_RECONVERGE_DELAY = 0.3   # carrier change → routing daemon reconvergence
@@ -463,6 +467,7 @@ class ScenarioRunner:
                                      network=network)
             ctx = FaultContext(network, built=built)
         else:
+            from ..baselines.sockets import IpFabric
             fabric = IpFabric(network, routers=nodes)
             reconverge = _Reconverger(network, fabric)
             ctx = FaultContext(network, built=None,

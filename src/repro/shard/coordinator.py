@@ -24,12 +24,15 @@ docs/ARCHITECTURE.md):
    in-process and across worker processes.
 
 Rounds repeat until every engine is drained and no frames are in
-flight (or the ``until`` cap is reached).  Workers are persistent
-processes — one per region, built from the same pure-data
+flight (or the ``until`` cap is reached).  In process mode the
+coordinator hosts the first region itself and every other region runs
+in a persistent worker process, built from the same pure-data
 :class:`~repro.shard.plan.RegionSpec` + workload payloads the sweeps
 subsystem established for jobs (and honouring its
 ``REPRO_START_METHOD``), because a shard keeps live engine state
-between rounds and so cannot be a fire-and-forget pool job.  Inside a
+between rounds and so cannot be a fire-and-forget pool job.  A step
+sends to every worker before it receives from any, and the hosted
+region runs in between, so it steps while the workers do.  Inside a
 ``multiprocessing`` pool worker (daemonic processes cannot have
 children) the coordinator transparently falls back to in-process
 execution — same rounds, same traces.
@@ -105,16 +108,29 @@ class ShardRunResult:
 
 
 class _InlineShard:
-    """A region engine living in the coordinator's own process."""
+    """A region engine in the coordinator's own process (every region
+    inline, the first one in process mode); it fails as a worker does,
+    with a :class:`ShardRunError` naming the region."""
 
     #: inline rounds hand frame lists over directly — no channel, no
     #: bytes (kept as an attribute so the merge code is proxy-agnostic)
     relay_bytes = 0
 
     def __init__(self, region, workload, seed) -> None:
-        self._shard = ShardEngine(region, workload, seed=seed)
+        self.region = region.region
+        self._build = (region, workload, seed)
+
+    def _run(self, operation, *args):
+        try:
+            return operation(*args)
+        except Exception as exc:
+            raise ShardRunError(f"shard {self.region} failed: "
+                                f"{type(exc).__name__}: {exc}") from exc
 
     def handshake(self) -> Optional[float]:
+        # built here rather than in __init__: in process mode the
+        # workers are started by then and build their regions meanwhile
+        self._shard = self._run(ShardEngine, *self._build)
         return self._shard.next_event_time()
 
     def send_step(self, horizon: Optional[float],
@@ -123,8 +139,8 @@ class _InlineShard:
 
     def recv_step(self) -> Tuple[List[BoundaryFrame], float, Optional[float]]:
         horizon, frames = self._pending
-        self._shard.inject(frames)
-        out = self._shard.run_to(horizon)
+        self._run(self._shard.inject, frames)
+        out = self._run(self._shard.run_to, horizon)
         return out, self._shard.clock, self._shard.next_event_time()
 
     def finish(self, want_rows: bool, want_traces: bool):
@@ -308,7 +324,8 @@ class ShardCoordinator:
     plan, workload, seed:
         The pure-data description every region is built from.
     mode:
-        ``"process"`` (one persistent worker per region),
+        ``"process"`` (a persistent worker per region but the first,
+        which runs here),
         ``"inline"`` (all regions in this process, stepped round-robin),
         or ``"auto"`` — process when there is real parallelism to win
         and spawning children is possible, inline otherwise (single
@@ -377,7 +394,9 @@ class ShardCoordinator:
                 proxy.close()
 
     def _make_proxy(self, region):
-        if self.mode == "inline":
+        # process mode hosts the first region here and starts a worker
+        # for every other one
+        if self.mode == "inline" or region.region == 0:
             return _InlineShard(region, self.workload, self.seed)
         context = multiprocessing.get_context(self.start_method)
         return _ProcessShard(context, region, self.workload, self.seed)

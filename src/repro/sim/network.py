@@ -2,20 +2,18 @@
 
 :class:`Network` owns the engine, tracer, RNG streams, nodes, and links of
 one simulation, and offers builders for the topology families used across
-the benchmark suite: chains, stars, trees, grids, and random Waxman-style
-graphs (via networkx).
+the benchmark suite: chains, stars, trees, grids, rings of stars, and
+connected random graphs (a random spanning tree plus extra edges).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from .engine import Engine
 from .link import Link, LinkConditions, LossModel, WirelessLink
-from .node import Interface, Node
+from .node import Node
 from .rng import RandomStreams
 from .trace import Tracer
 
@@ -33,10 +31,6 @@ class Network:
         # link-end → owning node name, maintained by connect(); spares
         # endpoints_of() the O(nodes × interfaces) scan at scale
         self._end_owner: Dict[int, str] = {}
-        # ends deliberately left unattached (shard boundary half-links);
-        # graph() skips these, while a merely *forgotten* attachment
-        # still fails loudly
-        self._ghost_ends: set = set()
 
     # ------------------------------------------------------------------
     def add_node(self, name: str) -> Node:
@@ -109,9 +103,9 @@ class Network:
         half-links whose far end lives in another region's simulation —
         ``a=None`` when the local node owns the original link's *b*
         side, so frame direction indices (and anything keyed on them,
-        like shim flow-id parity) match the unsharded link exactly.
-        :meth:`graph` skips such links (their ghost end belongs to no
-        local node), while :meth:`endpoints_of` on one raises KeyError.
+        like shim flow-id parity) match the unsharded link exactly.  The
+        ghost end belongs to no local node: :meth:`endpoints_of` on such
+        a link raises KeyError.
         """
         if link.name in self.links:
             raise ValueError(f"duplicate link name {link.name!r}")
@@ -123,8 +117,6 @@ class Network:
             if owner is not None:
                 self.nodes[owner].add_interface(link.ends[index])
                 self._end_owner[id(link.ends[index])] = owner
-            else:
-                self._ghost_ends.add(id(link.ends[index]))
         return link
 
     def endpoints_of(self, link: Link) -> Tuple[str, str]:
@@ -277,25 +269,6 @@ class Network:
         for i, j in sorted(edges):
             self.connect(names[i], names[j], **link_kwargs)
         return names
-
-    # ------------------------------------------------------------------
-    def graph(self) -> "nx.Graph":
-        """The physical topology as a networkx graph (nodes by name).
-
-        Links with a *deliberately* unattached end (shard boundary
-        half-links registered via :meth:`attach_link` with ``b=None``)
-        are skipped — the local graph only contains edges both of whose
-        ends are here.  A merely forgotten attachment still raises, as
-        before.
-        """
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes)
-        for link in self.links.values():
-            if any(id(end) in self._ghost_ends for end in link.ends):
-                continue
-            g.add_edge(self._owner_of(link.ends[0]),
-                       self._owner_of(link.ends[1]), link=link)
-        return g
 
     def _owner_of(self, end) -> str:
         owner = self._end_owner.get(id(end))

@@ -1,10 +1,12 @@
 """Unit/integration tests for the IP baseline network layer."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.baselines.ipnet import (IpPacket, IpRoutingDaemon, IpStack, ip,
-                                   ip_str, prefix_of)
+                                   ip_str, prefix_of, shortest_paths)
 from repro.baselines.sockets import IpFabric
 from repro.sim.network import Network
 
@@ -177,3 +179,115 @@ class TestRoutingDaemon:
         network.run(until=1.0)
         assert len(got) == 1
         assert fabric.host("host").ip.packets_forwarded == 0
+
+
+def random_ip_plant(seed):
+    """A small random plant built to stress route tie-breaks: nodes
+    added in shuffled order, parallel links, isolated nodes, hosts with
+    forwarding off, failed links, and a routing daemon whose stack order
+    is shuffled apart from the node order (sometimes missing a node)."""
+    rng = random.Random(seed)
+    network = Network(seed=seed)
+    names = [f"n{i}" for i in range(rng.randint(1, 9))]
+    rng.shuffle(names)
+    for name in names:
+        network.add_node(name)
+    links = []
+    for _ in range(rng.randint(0, 2 * len(names)) if len(names) > 1 else 0):
+        a, b = rng.sample(names, 2)
+        links.append(network.connect(a, b))
+        if rng.random() < 0.15:                     # a parallel link
+            links.append(network.connect(b, a))
+    routers = [name for name in names if rng.random() < 0.6]
+    fabric = IpFabric(network, routers=routers)
+    for link in links:
+        if rng.random() < 0.15:
+            link.fail()
+    order = list(names)
+    rng.shuffle(order)
+    if len(order) > 2 and rng.random() < 0.2:
+        order.pop()
+    stacks = {name: fabric.host(name).ip for name in order}
+    return IpRoutingDaemon(network, stacks)
+
+
+def reference_graph(daemon, nx):
+    """The usable graph as the baseline built it with networkx."""
+    def owner(end):
+        for name in daemon._stacks:
+            for interface in daemon._network.node(name).interfaces():
+                if interface.end is end:
+                    return name
+        return None
+
+    graph = nx.Graph()
+    graph.add_nodes_from(daemon._stacks)
+    for link in daemon._network.links.values():
+        if not link.up:
+            continue
+        a, b = owner(link.ends[0]), owner(link.ends[1])
+        if a in daemon._stacks and b in daemon._stacks:
+            a_if = daemon._ifname_for_end(a, link.ends[0])
+            b_if = daemon._ifname_for_end(b, link.ends[1])
+            if a_if and b_if:
+                graph.add_edge(a, b, ends={a: a_if, b: b_if})
+    return graph
+
+
+def reference_paths(graph, source, stacks, nx):
+    """``networkx.single_source_dijkstra`` over the view in which only
+    routers and the source have outgoing edges."""
+    directed = nx.DiGraph()
+    directed.add_nodes_from(graph.nodes)
+    for u, v in graph.edges:
+        if u == source or stacks[u].forwarding:
+            directed.add_edge(u, v)
+        if v == source or stacks[v].forwarding:
+            directed.add_edge(v, u)
+    return nx.single_source_dijkstra(directed, source)
+
+
+class TestShortestPathsMatchNetworkx:
+    """The in-repo breadth-first search replaced a networkx Dijkstra;
+    routes (first hops) depend on which of several equal-length paths
+    wins, so lengths *and* full paths must match, on plants built to
+    produce many ties."""
+
+    def test_random_plants(self):
+        nx = pytest.importorskip("networkx")
+        sources = 0
+        for seed in range(2000):
+            daemon = random_ip_plant(seed)
+            graph = daemon._usable_graph()
+            reference = reference_graph(daemon, nx)
+            assert list(graph) == list(reference.nodes), seed
+            for u, peers in graph.items():
+                assert set(peers) == set(reference[u]), (seed, u)
+                for v, ends in peers.items():
+                    assert ends == reference.edges[u, v]["ends"], (seed, u, v)
+            routers = {name for name, stack in daemon._stacks.items()
+                       if stack.forwarding}
+            for source in daemon._stacks:
+                paths = shortest_paths(graph, source, routers)
+                lengths, expected = reference_paths(
+                    reference, source, daemon._stacks, nx)
+                assert paths == expected, (seed, source)
+                assert {node: len(path) - 1 for node, path in
+                        paths.items()} == lengths, (seed, source)
+                sources += 1
+        assert sources > 8000
+
+    def test_tie_breaks_are_not_link_order(self):
+        # s's neighbours: b (linked first), then a; a comes before s in
+        # stack order, so a is searched first and d is reached via a
+        network = Network(seed=1)
+        for name in ("a", "s", "b", "d"):
+            network.add_node(name)
+        network.connect("s", "b")
+        network.connect("s", "a")
+        network.connect("b", "d")
+        network.connect("a", "d")
+        fabric = IpFabric(network, routers=["a", "b"])
+        graph = fabric.daemon._usable_graph()
+        assert list(graph["s"]) == ["a", "b"]
+        assert shortest_paths(graph, "s", {"a", "b"})["d"] == ["s", "a", "d"]

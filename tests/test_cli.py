@@ -169,7 +169,7 @@ class TestJobsFlag:
             def run(self, jobs):
                 return []
 
-        monkeypatch.setattr("repro.__main__.SweepRunner", Recorder)
+        monkeypatch.setattr("repro.sweeps.SweepRunner", Recorder)
         monkeypatch.setitem(EXPERIMENTS, "e2", ("stub", lambda: []))
         monkeypatch.setenv(JOBS_ENV, "3")
         assert main(["e2"]) == 0

@@ -9,11 +9,17 @@ Three bug classes this PR fixed must stay fixed:
   on macOS) — the divisor follows ``sys.platform``;
 * implicit-Optional parameter annotations (``x: str = None``) — the
   whole ``src/`` tree is swept by AST so no new ones appear.
+
+And ``src/`` runs on the standard library alone: no process it starts
+imports a third-party package.
 """
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
 import sys
 import types
 
@@ -152,3 +158,47 @@ class TestNoImplicitOptionals:
         (the pre-fix ``ifname: str = None`` signature)."""
         tree = ast.parse("def addr(self, ifname: str = None) -> int: ...")
         assert self._offenders(tree, pathlib.Path("x.py"))
+
+
+#: what the CLI, the benchmark's children and ``gateway serve`` import
+ENTRY_MODULES = ("repro.experiments.e6_scalability", "repro.scenarios",
+                 "repro.gateway.cli", "repro.__main__")
+
+
+def _python(code):
+    """Run ``code`` in a fresh interpreter on ``src/``; its last stdout
+    line, parsed as JSON."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStandardLibraryOnly:
+    def test_runs_with_networkx_unimportable(self):
+        # None in sys.modules makes every `import networkx` raise
+        row = _python(f"""
+import importlib, json, sys
+sys.modules["networkx"] = None
+for name in {ENTRY_MODULES!r}:
+    importlib.import_module(name)
+from repro.scenarios import CANNED, ScenarioRunner
+row = ScenarioRunner(CANNED["e4-multihoming"](), seed=0).run("ip")
+print(json.dumps({{"events": row["events"]}}))
+""")
+        assert row["events"] > 0
+
+    def test_entry_points_import_no_dependency_they_never_use(self):
+        loaded = _python(f"""
+import importlib, json, sys
+import repro.__main__, repro.gateway.server
+serve = sorted({{"multiprocessing", "repro.sweeps"}} & set(sys.modules))
+import repro.scenarios
+rina = "repro.baselines" in sys.modules
+for name in {ENTRY_MODULES!r}:
+    importlib.import_module(name)
+print(json.dumps({{"networkx": "networkx" in sys.modules,
+                  "serve": serve, "rina": rina}}))
+""")
+        assert loaded == {"networkx": False, "serve": [], "rina": False}

@@ -102,16 +102,18 @@ class TestRegionPlan:
         assert NetworkSpec.from_network(network) == spec
 
     def test_region_network_graph_skips_boundary_half_links(self):
-        # a shard's local graph() must only contain edges both of whose
-        # ends live in the region — boundary halves have a ghost end
+        # a shard's local topology only joins nodes of the region: the
+        # boundary half is registered, but its far end is a ghost that
+        # belongs to no local node
         from repro.shard import ShardEngine
         _spec, plan, workload = canned_case()
-        shard = ShardEngine(plan.regions[0], workload, seed=0)
-        graph = shard.network.graph()
-        assert "border1--core" in shard.network.links
-        assert set(graph.nodes) == set(plan.regions[0].nodes)
-        assert all("border1--core" != data["link"].name
-                   for _a, _b, data in graph.edges(data=True))
+        network = ShardEngine(plan.regions[0], workload, seed=0).network
+        assert set(network.nodes) == set(plan.regions[0].nodes)
+        with pytest.raises(KeyError):
+            network.endpoints_of(network.links["border1--core"])
+        for name, link in network.links.items():
+            if name != "border1--core":
+                assert set(network.endpoints_of(link)) <= set(network.nodes)
 
 
 # ----------------------------------------------------------------------
@@ -353,21 +355,68 @@ class TestWorkerLifecycle:
 
         monkeypatch.setattr(coordinator_module, "_ProcessShard",
                             SecondStartFails)
-        _spec, plan, workload = canned_case()
+        # three regions: the coordinator hosts region 0, so regions 1
+        # and 2 are the first and second workers
+        _spec, plan, workload = canned_case(regions=3, shards=3)
         with pytest.raises(OSError, match="cannot start worker"):
             ShardCoordinator(plan, workload, mode="process").run()
         assert len(started) == 1
         assert not started[0]._proc.is_alive()
 
     def test_worker_dying_during_construction_names_the_shard(self):
-        # the engine build fails inside the fresh interpreter; the
-        # error crosses the pipe, run() raises it with the shard's
-        # number, and close() leaves no child behind
+        # the engine build fails inside the fresh interpreter (region
+        # 1's announcement lies in its past; the hosted region 0 builds
+        # fine); the error crosses the pipe, run() raises it with the
+        # shard's number, and close() leaves no child behind
         _spec, plan, _workload = canned_case()
-        coordinator = ShardCoordinator(plan, {"kind": "no-such-workload"},
+        coordinator = ShardCoordinator(plan, flood_workload([("h1_0", -1.0)]),
                                        mode="process", start_method="spawn")
-        with pytest.raises(ShardRunError, match="shard 0 failed"):
+        with pytest.raises(ShardRunError, match="shard 1 failed"):
             coordinator.run()
+        assert not [child for child in multiprocessing.active_children()
+                    if child.name.startswith("shard-")]
+
+    @pytest.mark.parametrize("stage", ["build", "step"])
+    def test_hosted_region_failure_names_the_shard(self, monkeypatch,
+                                                   stage):
+        # region 0 runs in the coordinator: a failure building or
+        # stepping it is the same ShardRunError a worker's would be,
+        # and the worker already started is still stopped
+        class StepFails(coordinator_module.ShardEngine):
+            def run_to(self, horizon):
+                if self.region.region == 0:
+                    raise RuntimeError("engine broke")
+                return super().run_to(horizon)
+
+        _spec, plan, workload = canned_case()
+        if stage == "build":
+            workload = flood_workload([("h0_0", -1.0)])
+        else:
+            monkeypatch.setattr(coordinator_module, "ShardEngine", StepFails)
+        with pytest.raises(ShardRunError, match="shard 0 failed"):
+            ShardCoordinator(plan, workload, mode="process").run()
+        assert not [child for child in multiprocessing.active_children()
+                    if child.name.startswith("shard-")]
+
+    def test_process_mode_starts_one_worker_per_region_but_the_first(
+            self, monkeypatch):
+        started = []
+
+        class Recorded(coordinator_module._ProcessShard):
+            def __init__(self, *args):
+                super().__init__(*args)
+                started.append(self)
+
+        monkeypatch.setattr(coordinator_module, "_ProcessShard", Recorded)
+        for regions in (2, 4):
+            started.clear()
+            _spec, plan, workload = canned_case(regions=regions, hosts=2,
+                                                shards=regions)
+            result = run_sharded(plan, workload, seed=0, mode="process")
+            assert len(result.shards) == regions
+            assert [proxy.region for proxy in started] == \
+                list(range(1, regions))
+            assert not any(proxy._proc.is_alive() for proxy in started)
         assert not [child for child in multiprocessing.active_children()
                     if child.name.startswith("shard-")]
 

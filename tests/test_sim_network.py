@@ -1,9 +1,18 @@
 """Unit tests for topology construction."""
 
-import networkx as nx
 import pytest
 
 from repro.sim.network import Network
+
+
+def adjacency(network):
+    """node -> set of neighbours, from the links' endpoints."""
+    graph = {name: set() for name in network.nodes}
+    for link in network.links.values():
+        a, b = network.endpoints_of(link)
+        graph[a].add(b)
+        graph[b].add(a)
+    return graph
 
 
 class TestNodesAndLinks:
@@ -119,9 +128,14 @@ class TestBuilders:
     def test_random_graph_connected(self):
         network = Network(seed=11)
         names = network.build_random(20, edge_factor=1.5)
-        graph = network.graph()
-        assert nx.is_connected(graph)
-        assert set(names) == set(graph.nodes)
+        graph = adjacency(network)
+        reached, frontier = {names[0]}, [names[0]]
+        while frontier:
+            fresh = [peer for node in frontier for peer in graph[node]
+                     if peer not in reached]
+            reached.update(fresh)
+            frontier = fresh
+        assert reached == set(names) == set(graph)
 
     def test_random_graph_deterministic_per_seed(self):
         first = Network(seed=3)
@@ -135,7 +149,7 @@ class TestGraphView:
     def test_graph_mirrors_topology(self):
         network = Network()
         network.build_chain(3)
-        graph = network.graph()
-        assert set(graph.nodes) == {"n0", "n1", "n2"}
-        assert graph.has_edge("n0", "n1") and graph.has_edge("n1", "n2")
-        assert not graph.has_edge("n0", "n2")
+        graph = adjacency(network)
+        assert graph == {"n0": {"n1"}, "n1": {"n0", "n2"}, "n2": {"n1"}}
+        link = network.link_between("n0", "n1")
+        assert network.endpoints_of(link) == ("n0", "n1")

@@ -68,6 +68,40 @@ GOLDEN_SHARDS = {
 }
 
 
+#: name -> sha256 of the ip-stack trace at seed 0, captured while the IP
+#: baseline still computed its routes with a third-party graph library.
+#: The in-repo breadth-first search that replaced it must reproduce
+#: every route, tie-breaks included.
+GOLDEN_IP = {
+    "corruption-storm":
+        "12da00f97a68eb511c053f34d7b66b8a90fbae376d4f012876d3220334133638",
+    "diurnal-load":
+        "6d47b8425a93745f16eadf3e6167b3226f11c1e5c24e26b0038e285994eb883c",
+    "e3-e2e": "8f7707c7747c13efaf9b71d51220341a0a7357d44bd02985728a3e53ad48f4df",
+    "e3-scoped":
+        "1a25d1a98bef9bc6f9ce71d576a9f2f81c4d935cff9b42019c4138aa480cc844",
+    "e4-multihoming":
+        "0fa8d084a3ea8f003ef3c7ed7147ac4f0111b800179a90b44625e2052b8f96aa",
+    "e5-mobility":
+        "63b3c707b1c6bee37e2eda516764bbcbb8df4347fe9d71b9ffc0d6e17ca703e3",
+    "fault-storm":
+        "ac01567769a01cf3b0737f21fe63f8bfc25cd54e01b2aa90936509a33defb636",
+    "flash-crowd":
+        "d50331a36daff98c9e282be865f53e8ba36be08892327b55179b5d4802416600",
+    "ring-of-stars":
+        "43dc8982e68ee0fd9597e6b1c14a931368b3073170b746e2f449582a2e076041",
+    "rolling-degradation":
+        "b794734ef34e06e58e1221817dee3dc099092c25958ef2ab87eefdcde3311185",
+}
+
+#: seed -> the ``digest`` perf/child.py reports for its ``data_clean_ip``
+#: job (the sha256 of the hex sha256 of the trace), same capture.
+GOLDEN_DATA_CLEAN_IP = {
+    0: "2ab0be6da277fd0dd79926e049f1cb3bb45575795f843ec25a08dc71a6f471da",
+    1: "83562d63cca869be5f7e22b765df817628bcf49a89cdda2c96042068c0880272",
+}
+
+
 def test_sharded_traces_match_pinned_fingerprints():
     from repro.experiments.e6_scalability import (build_flood_spec,
                                                   flood_assignment)
@@ -106,10 +140,45 @@ def test_canned_trace_matches_pre_overhaul_fingerprint(name):
         f"optimization leaked into observable behavior")
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_IP))
+def test_canned_ip_trace_matches_fingerprint(name):
+    runner = ScenarioRunner(CANNED[name](), seed=0)
+    runner.run("ip")
+    digest = hashlib.sha256(runner.trace.encode()).hexdigest()
+    assert digest == GOLDEN_IP[name], (
+        f"{name}: ip-stack trace diverged from the capture — the IP "
+        f"baseline's routes (or their tie-breaks) changed")
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DATA_CLEAN_IP))
+def test_benchmark_data_clean_ip_digest_matches_fingerprint(seed):
+    call, check = _perf_child().prepare("data_clean_ip", seed)
+    out = check(call())
+    assert (out["attempted"], out["failed"]) == (503, 0)
+    assert out["digest"] == GOLDEN_DATA_CLEAN_IP[seed]
+
+
+def _perf_child():
+    """perf/child.py, loaded by path (perf/ is scripts, not a package)."""
+    import importlib.util
+    import os
+    import sys
+    perf = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perf")
+    if perf not in sys.path:
+        sys.path.insert(0, perf)        # child.py imports its siblings
+    spec = importlib.util.spec_from_file_location(
+        "perf_child", os.path.join(perf, "child.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_canned_spec_is_fingerprinted_or_newer():
     # new canned specs are fine (no pre-overhaul capture exists), but a
     # *removed* golden entry means coverage silently shrank
     assert set(GOLDEN) <= set(CANNED)
+    assert set(GOLDEN_IP) == set(CANNED)
 
 
 def test_golden_fingerprints_reproduce_inside_pool_workers():
@@ -134,3 +203,15 @@ def test_golden_fingerprints_reproduce_inside_pool_workers():
             f"{row['name']}: worker-process trace diverged from the pinned "
             f"in-process fingerprint — fork/spawn-dependent state leaked "
             f"into the simulation")
+
+
+def test_golden_ip_fingerprints_reproduce_inside_pool_workers():
+    """The ip-stack pins, reproduced under ``spawn``: a fresh interpreter
+    that imports the IP baseline from scratch installs the same routes."""
+    from repro.sweeps import Job, SweepRunner
+    jobs = [Job("repro.scenarios.runner:canned_trace_digest",
+                kwargs={"name": name, "stack": "ip"}, group="golden-ip",
+                label=name)
+            for name in sorted(GOLDEN_IP)]
+    rows = SweepRunner(workers=2, start_method="spawn").run(jobs)
+    assert {row["name"]: row["sha256"] for row in rows} == GOLDEN_IP
