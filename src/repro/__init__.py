@@ -9,7 +9,7 @@ Packages
     The paper's architecture: recursive DIFs, EFCP, RIEP, enrollment,
     two-step routing, flow allocation.
 ``repro.baselines``
-    A "current Internet" stack (IP/TCP/UDP/DNS/NAT/Mobile-IP/SCTP) built on
+    A "current Internet" stack (IP/TCP/UDP/RIP/NAT/Mobile-IP/SCTP) built on
     the same substrate, for the §6 comparisons.
 ``repro.apps``
     Applications written against the IPC API (and the sockets foil).

@@ -2,12 +2,11 @@
 
 Every §6 comparison in the benchmark suite pits the IPC architecture
 against this package: IPv4-like forwarding with public interface
-addresses, TCP bound to (address, port), DNS returning addresses to
-requesters, NAT boxes, Mobile-IP tunnelling, and SCTP-style multihoming.
+addresses, TCP and UDP bound to (address, port), RIP, NAT boxes,
+Mobile-IP tunnelling, and SCTP-style multihoming.
 All of it runs on the same simulated links as :mod:`repro.core`.
 """
 
-from .dns import DnsClient, DnsServer
 from .ipnet import (IP_HEADER_BYTES, PROTO_IPIP, PROTO_SCTP, PROTO_TCP,
                     PROTO_UDP, IpInterface, IpPacket, IpRoutingDaemon, IpStack,
                     Route, ip, ip_str, prefix_of)
@@ -24,7 +23,7 @@ __all__ = [
     "IpRoutingDaemon", "Route", "IP_HEADER_BYTES",
     "PROTO_TCP", "PROTO_UDP", "PROTO_IPIP", "PROTO_SCTP",
     "TcpStack", "TcpConnection", "TcpSegment",
-    "UdpStack", "DnsServer", "DnsClient",
+    "UdpStack",
     "NatBox", "HomeAgent", "MobileNode",
     "RipDaemon", "RipRoute", "run_rip_network",
     "SctpStack", "SctpAssociation",

@@ -203,13 +203,6 @@ class IpStack:
         return any(ip_if.address == address and ip_if.up
                    for ip_if in self.interfaces.values())
 
-    def interface_for_address(self, address: int) -> Optional[str]:
-        """Name of the interface holding ``address``."""
-        for ifname, ip_if in self.interfaces.items():
-            if ip_if.address == address:
-                return ifname
-        return None
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------

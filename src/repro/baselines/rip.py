@@ -70,10 +70,6 @@ class RipDaemon:
         self._task.start(initial_delay=update_interval / 4)
 
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Cease advertising (the process dies)."""
-        self._task.stop()
-
     def table_size(self) -> int:
         """Live routes held by this RIP process."""
         return sum(1 for route in self._routes.values()

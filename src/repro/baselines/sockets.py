@@ -8,14 +8,13 @@ with :mod:`repro.core.api` (names in, port ids out) is visible in code.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..sim.network import Network
 from ..sim.node import Node
-from .dns import DnsClient, DnsServer
 from .ipnet import IpRoutingDaemon, IpStack, ip, ip_str
 from .sctp import SctpStack
-from .tcp import TcpConnection, TcpStack
+from .tcp import TcpStack
 from .udp import UdpStack
 
 
@@ -29,7 +28,6 @@ class Host:
         self.tcp = TcpStack(self.ip)
         self.udp = UdpStack(self.ip)
         self.sctp = SctpStack(self.ip)
-        self.dns_client: Optional[DnsClient] = None
 
     def addr(self, ifname: Optional[str] = None) -> int:
         """This host's (first, or named interface's) address."""
@@ -40,26 +38,6 @@ class Host:
         except StopIteration:
             raise RuntimeError(
                 f"{self.name} has no interfaces configured") from None
-
-    def use_dns(self, server_ip: int) -> DnsClient:
-        """Configure the stub resolver against ``server_ip``."""
-        self.dns_client = DnsClient(self.node.engine, self.udp,
-                                    self.addr(), server_ip)
-        return self.dns_client
-
-    def connect_by_name(self, name: str, port: int,
-                        on_conn: Callable[[Optional[TcpConnection]], None]) -> None:
-        """The canonical sockets ritual: resolve, then connect to the
-        address DNS handed back."""
-        if self.dns_client is None:
-            raise RuntimeError(f"{self.name} has no resolver configured")
-
-        def resolved(address: Optional[int]) -> None:
-            if address is None:
-                on_conn(None)
-                return
-            on_conn(self.tcp.connect(self.addr(), address, port))
-        self.dns_client.resolve(name, resolved)
 
 
 class IpFabric:

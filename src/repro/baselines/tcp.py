@@ -134,13 +134,6 @@ class TcpConnection:
             self.state = FIN_WAIT
             self._send_segment(FIN, self.snd_nxt, self.rcv_nxt)
 
-    def abort(self) -> None:
-        """Local abort: RST to peer, connection dead."""
-        if self.state in (CLOSED, ABORTED):
-            return
-        self._send_segment(RST, self.snd_nxt, self.rcv_nxt)
-        self._die()
-
     def _die(self) -> None:
         self.state = ABORTED
         self._timer.cancel()
@@ -328,10 +321,6 @@ class TcpStack:
         self._connections[conn.key] = conn
         conn.connect()
         return conn
-
-    def connection_count(self) -> int:
-        """Live connections on this stack."""
-        return len(self._connections)
 
     def _forget(self, conn: TcpConnection) -> None:
         self._connections.pop(conn.key, None)

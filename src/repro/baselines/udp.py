@@ -1,4 +1,4 @@
-"""A UDP-like datagram transport (used by DNS and Mobile-IP signalling)."""
+"""A UDP-like datagram transport (used by RIP and Mobile-IP signalling)."""
 
 from __future__ import annotations
 
@@ -49,10 +49,6 @@ class UdpStack:
             raise ValueError(f"UDP port {port} already bound")
         self._bindings[port] = handler
         return port
-
-    def unbind(self, port: int) -> None:
-        """Release a port binding."""
-        self._bindings.pop(port, None)
 
     def sendto(self, src_ip: int, src_port: int, dst_ip: int, dst_port: int,
                payload: object, payload_size: int) -> bool:

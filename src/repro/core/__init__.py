@@ -30,8 +30,6 @@ from .flow_allocator import FlowAllocator
 from .ipcp import Ipcp
 from .names import Address, ApplicationName, DifName, PortId
 from .pdu import ControlPdu, DataPdu, ManagementPdu, Pdu
-from .policy_spec import (PolicySpecError, load_policy_file,
-                          policies_from_spec, spec_from_policies)
 from .qos import (BEST_EFFORT, BULK, DEFAULT_CUBES, LOW_LATENCY, RELIABLE,
                   QosCube, resolve_cube)
 from .rib import Rib, RibError
@@ -40,9 +38,7 @@ from .rmt import (DrrScheduler, FifoScheduler, HashedPaths, PathSelector,
                   PreferFirstAlive, PriorityScheduler, Rmt, RoundRobinPaths,
                   Scheduler)
 from .routing import LinkStateRouting, Lsa
-from .sdu_protection import SduProtection, SduProtectionError
 from .shim import ShimIpcp
-from .shim_broadcast import BroadcastShimIpcp
 from .system import System
 
 __all__ = [
@@ -53,7 +49,6 @@ __all__ = [
     "WireError", "encode", "decode",
     "EfcpConnection", "EfcpPolicy",
     "Delimiter", "Reassembler", "Fragment",
-    "SduProtection", "SduProtectionError",
     "Rib", "RibError", "RiepMessage", "InvokeTable",
     "AuthPolicy", "NoAuth", "PresharedKey", "ChallengeResponse",
     "FlowAccessPolicy", "AllowAll", "DenyAll", "AllowList",
@@ -65,10 +60,8 @@ __all__ = [
     "DifDirectory", "InterDifDirectory",
     "Dif", "DifPolicies", "DifError",
     "EnrollmentTask", "FlowAllocator", "Flow", "FlowError",
-    "Ipcp", "ShimIpcp", "BroadcastShimIpcp", "System",
+    "Ipcp", "ShimIpcp", "System",
     "MessageFlow", "FlowWaiter",
-    "PolicySpecError", "policies_from_spec", "spec_from_policies",
-    "load_policy_file",
     "Orchestrator", "FabricError", "make_systems", "add_shims",
     "build_dif_over", "run_until", "shim_between", "shim_name_for",
 ]

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .addressing import AddressingPolicy, FlatAddressing
 from .auth import AllowAll, AuthPolicy, FlowAccessPolicy, NoAuth
-from .names import Address, ApplicationName, DifName
+from .names import Address, DifName
 from .qos import BEST_EFFORT, DEFAULT_CUBES, QosCube
 from .rmt import PATH_SELECTORS, SCHEDULERS, PathSelector, Scheduler
 
@@ -221,13 +221,6 @@ class Dif:
     def member_count(self) -> int:
         """Current scope size."""
         return len(self._members)
-
-    def member_by_name(self, name: ApplicationName) -> Optional["Ipcp"]:
-        """Find a member IPCP by its application name."""
-        for ipcp in self._members.values():
-            if ipcp.name == name:
-                return ipcp
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Dif {self.name} rank={self.rank} members={len(self._members)}>"

@@ -59,10 +59,6 @@ class DifDirectory:
         self._local_names.discard(name)
         self._advertise()
 
-    def local_names(self) -> Set[ApplicationName]:
-        """Applications registered at this member (copy)."""
-        return set(self._local_names)
-
     def _advertise(self) -> None:
         local = self._local_addr_fn()
         if local is None:

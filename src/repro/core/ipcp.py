@@ -189,14 +189,6 @@ class Ipcp:
                 return port.port_id
         return None
 
-    def lower_flow(self, port_id: int) -> Optional[Flow]:
-        """The (N-1) flow behind an RMT port."""
-        return self._lower_flows.get(port_id)
-
-    def lower_flow_count(self) -> int:
-        """Number of (N-1) attachments."""
-        return len(self._lower_flows)
-
     # ------------------------------------------------------------------
     # Management messaging
     # ------------------------------------------------------------------

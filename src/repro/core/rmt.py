@@ -318,10 +318,6 @@ class Rmt:
         """Install the next-hop function (routing's output)."""
         self._forwarding = fn
 
-    def set_path_selector(self, selector: PathSelector) -> None:
-        """Swap the PoA-selection policy."""
-        self._path_selector = selector
-
     def add_port(self, port_id: int, send_fn: Callable[[Any, int], bool],
                  nominal_bps: Optional[float] = None,
                  peer_addr: Optional[Address] = None) -> RmtPort:

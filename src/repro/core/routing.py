@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from weakref import WeakValueDictionary
 
 from ..sim.engine import Engine, Timer
-from .addressing import aggregate_forwarding_table
 from .names import Address
 from .riep import M_WRITE, RiepMessage, estimate_value_size
 
@@ -196,10 +195,6 @@ class LinkStateRouting:
         self._dirty = True
         self._spf_pending = False
         self._spf_timer.cancel()
-
-    def adjacencies(self) -> Dict[Address, float]:
-        """Current local adjacency set (copy)."""
-        return dict(self._adjacencies)
 
     def _originate(self) -> None:
         local = self._local_addr_fn()
@@ -396,11 +391,6 @@ class LinkStateRouting:
         """Number of destination entries — the E6/A1 metric."""
         self._ensure_table()
         return len(self._next_hop)
-
-    def aggregated_table_size(self) -> int:
-        """Entries after topological prefix aggregation (A1 metric)."""
-        self._ensure_table()
-        return len(aggregate_forwarding_table(self._next_hop))
 
     def reachable(self) -> Set[Address]:
         """Destinations the current table can reach."""

@@ -59,8 +59,8 @@ class ShimIpcp:
         self.system_name = system_name
         self._end = link_end
         self._end.attach(self._on_frame)
-        #: frames the wire damaged in flight, detected and dropped here —
-        #: the shim is the DIF boundary where SDU protection would run
+        #: frames the wire damaged in flight, detected and dropped here,
+        #: at the DIF boundary
         self.frames_corrupted = 0
         self._port_ids = port_ids if port_ids is not None else itertools.count(1)
         # even/odd flow-id split avoids initiator collisions

@@ -54,10 +54,6 @@ class _IpcpProvider:
     def name(self) -> DifName:
         return self._ipcp.dif.name
 
-    @property
-    def ipcp(self) -> Ipcp:
-        return self._ipcp
-
     def register_app(self, app: ApplicationName, listener: InboundListener) -> None:
         self._ipcp.register_local_app(app, listener)
 
@@ -103,18 +99,6 @@ class System:
             raise SystemError_(f"{self.name} already joined {name}")
         shim = ShimIpcp(self.engine, name, self.name, interface.end,
                         port_ids=self._port_ids)
-        self._providers[name] = shim
-        return shim
-
-    def add_broadcast_shim(self, endpoint, dif_name: str):
-        """Join a rank-0 multi-access facility over a shared medium
-        (:class:`~repro.sim.broadcast.BroadcastMedium` endpoint)."""
-        from .shim_broadcast import BroadcastShimIpcp
-        name = DifName(dif_name)
-        if name in self._providers:
-            raise SystemError_(f"{self.name} already joined {name}")
-        shim = BroadcastShimIpcp(self.engine, name, self.name, endpoint,
-                                 port_ids=self._port_ids)
         self._providers[name] = shim
         return shim
 

@@ -20,6 +20,7 @@ sweeps and prints the paper-style tables, and
 * ``a1_addressing``         — ablation: topological vs flat addresses
 * ``a2_efcp_policies``      — ablation: EFCP retransmission/congestion
 * (A3, schedulers, reuses the ``e8_utilization`` harness)
+* ``a5_depth``              — ablation: what each level of recursion costs
 """
 
 from . import common

@@ -88,20 +88,9 @@ def run_policy(retx: str, loss: float, total_bytes: int = 100_000,
     }
 
 
-def run_sweep(losses: List[float], total_bytes: int = 100_000,
-              seed: int = 1) -> List[Dict[str, Any]]:
-    """The A2 table."""
-    rows = []
-    for loss in losses:
-        for retx in ("selective", "gobackn", "none"):
-            rows.append(run_policy(retx, loss, total_bytes, seed=seed))
-    return rows
-
-
 def iter_jobs(losses: List[float] = (0.0, 0.05, 0.1, 0.2),
               total_bytes: int = 80_000, seed: int = 1) -> List[Job]:
-    """The A2 table as data: one job per (loss, retx policy), in the
-    :func:`run_sweep` row order."""
+    """The A2 table as data: one job per (loss, retx policy), loss-major."""
     return [Job("repro.experiments.a2_efcp_policies:run_policy",
                 kwargs={"retx": retx, "loss": loss,
                         "total_bytes": total_bytes, "seed": seed},

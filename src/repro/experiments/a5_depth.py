@@ -84,12 +84,6 @@ def run_depth(depth: int, total_bytes: int = 100_000,
     }
 
 
-def run_sweep(depths: List[int], total_bytes: int = 100_000,
-              seed: int = 1) -> List[Dict[str, Any]]:
-    """The A5 table."""
-    return [run_depth(depth, total_bytes, seed) for depth in depths]
-
-
 def iter_jobs(depths: List[int] = (1, 2, 3, 4), total_bytes: int = 100_000,
               seed: int = 1) -> List[Job]:
     """The A5 table as data: one job per stack depth."""

@@ -81,13 +81,6 @@ def run_transfer(loss: float, qos: Union[QosCube, str], messages: int = 200,
     }
 
 
-def run_sweep(losses: List[float], qos: Union[QosCube, str],
-              messages: int = 200, seed: int = 1) -> List[Dict[str, Any]]:
-    """Table: one row per loss rate."""
-    return [run_transfer(loss, qos, messages=messages, seed=seed)
-            for loss in losses]
-
-
 def iter_jobs(reliable_losses: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
               best_effort_losses: Sequence[float] = (0.1, 0.2),
               messages: int = 150, seed: int = 1) -> List[Job]:

@@ -71,11 +71,6 @@ def run_relay(routers: int, messages: int = 50, size: int = 400,
     }
 
 
-def run_sweep(router_counts: List[int], seed: int = 1) -> List[Dict[str, Any]]:
-    """Table: one row per chain length."""
-    return [run_relay(count, seed=seed) for count in router_counts]
-
-
 def iter_jobs(router_counts: Sequence[int] = (1, 2, 4, 8),
               seed: int = 1) -> List[Job]:
     """The E2 table as data: one job per chain length."""

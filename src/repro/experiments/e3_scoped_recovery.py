@@ -124,22 +124,11 @@ def run_bursty(config: str, total_bytes: int = 100_000, seed: int = 1,
     }
 
 
-def run_sweep(losses: List[float], total_bytes: int = 150_000,
-              seed: int = 1, wired_delay: float = 0.06) -> List[Dict[str, Any]]:
-    """Table: both configurations across the loss sweep."""
-    rows = []
-    for loss in losses:
-        for config in ("e2e", "scoped"):
-            rows.append(run_transfer(config, loss, total_bytes=total_bytes,
-                                     seed=seed, wired_delay=wired_delay))
-    return rows
-
-
 def iter_jobs(losses: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
               total_bytes: int = 120_000, seed: int = 1,
               bursty: bool = True) -> List[Job]:
-    """The E3 table as data: (loss × config) transfer points in the
-    serial sweep order, then the two bursty companion rows."""
+    """The E3 table as data: one transfer point per (loss, config),
+    loss-major, then the two bursty companion rows."""
     jobs = [Job("repro.experiments.e3_scoped_recovery:run_transfer",
                 kwargs={"config": config, "loss": loss,
                         "total_bytes": total_bytes, "seed": seed},

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..apps.echo import EchoClient, EchoServer
 from ..baselines import HomeAgent, IpFabric, MobileNode
-from ..core import Dif, run_until, shim_name_for
+from ..core import run_until, shim_name_for
 from ..scenarios.canned import e5_scenario
 from ..scenarios.runner import build_rina_stack, build_topology
 from ..sim.network import Network
@@ -83,9 +83,6 @@ class RinaMobilityScenario:
         self._lsa_baseline: Dict[str, int] = {}
 
     # -- measurement helpers -------------------------------------------
-    def _members_of(self, dif: Dif) -> List[str]:
-        return sorted({ipcp.system_name for ipcp in dif.members().values()})
-
     def lsa_counts(self) -> Dict[str, int]:
         """Total routing updates received, per DIF."""
         totals = {}

@@ -330,28 +330,10 @@ def run_scale(config: str, regions: int, hosts_per_region: int,
     }
 
 
-def run_scale_tier(tiers: List[str], seed: int = 1) -> List[Dict[str, Any]]:
-    """Scale rows for the named :data:`SCALE_SIZES` tiers, executed
-    in-process (:func:`iter_scale_jobs` is the single source of the
-    tier enumeration)."""
-    return [row for job in iter_scale_jobs(tiers, seed)
-            for row in job.run()]
-
-
-def run_sweep(sizes: List[Tuple[int, int]], seed: int = 1) -> List[Dict[str, Any]]:
-    """Table: (regions, hosts/region) pairs, both configurations."""
-    rows = []
-    for regions, hosts in sizes:
-        rows.append(run_config("flat", regions, hosts, seed))
-        rows.append(run_config("recursive", regions, hosts, seed))
-        rows.append(run_config("ip+rip", regions, hosts, seed))
-    return rows
-
-
 def iter_jobs(sizes: List[Tuple[int, int]] = ((3, 4), (4, 8)),
               seed: int = 1) -> List[Job]:
     """The E6 table as data: per size, the flat, recursive, and ip+rip
-    configurations (the :func:`run_sweep` row order)."""
+    configurations, in that row order."""
     from ..sweeps import Job
     return [Job("repro.experiments.e6_scalability:run_config",
                 kwargs={"config": config, "regions": regions,
@@ -364,10 +346,10 @@ def iter_jobs(sizes: List[Tuple[int, int]] = ((3, 4), (4, 8)),
 def iter_scale_jobs(tiers: List[str] = ("small", "medium", "large"),
                     seed: int = 1) -> List[Job]:
     """The scale tier as data: flat at the small size (the quadratic
-    baseline), recursive at every requested tier — the
-    :func:`run_scale_tier` row order.  Scale rows carry wall-clock
-    fields (:data:`repro.sweeps.WALL_CLOCK_KEYS`), so only their
-    deterministic columns are covered by serial equivalence."""
+    baseline), recursive at every requested tier, in tier order.  Scale
+    rows carry wall-clock fields (:data:`repro.sweeps.WALL_CLOCK_KEYS`),
+    so only their deterministic columns are covered by serial
+    equivalence."""
     from ..sweeps import Job
     jobs = []
     for tier in tiers:

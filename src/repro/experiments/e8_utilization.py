@@ -114,21 +114,11 @@ def run_point(scheduler: str, load: float, duration: float = 6.0,
     }
 
 
-def run_sweep(loads: List[float], schedulers: Optional[List[str]] = None,
-              duration: float = 6.0, seed: int = 1) -> List[Dict[str, Any]]:
-    """The E8 table."""
-    rows = []
-    for scheduler in (schedulers or ["fifo", "priority", "drr"]):
-        for load in loads:
-            rows.append(run_point(scheduler, load, duration, seed))
-    return rows
-
-
 def iter_jobs(loads: List[float] = (0.5, 0.8, 0.9, 1.0, 1.1),
               schedulers: Optional[List[str]] = None,
               duration: float = 4.0, seed: int = 1) -> List[Job]:
-    """The E8 table as data: one job per (scheduler, offered load), in
-    the :func:`run_sweep` row order."""
+    """The E8 table as data: one job per (scheduler, offered load),
+    scheduler-major."""
     return [Job("repro.experiments.e8_utilization:run_point",
                 kwargs={"scheduler": scheduler, "load": load,
                         "duration": duration, "seed": seed},

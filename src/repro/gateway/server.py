@@ -102,18 +102,6 @@ class GatewayServer:
         for shim in list(self._shims.values()):
             shim.link.channel.close()
 
-    async def serve(self, duration: Optional[float] = None) -> None:
-        """Run until cancelled (or for ``duration`` wall seconds)."""
-        await self.start()
-        try:
-            if duration is None:
-                while True:
-                    await asyncio.sleep(3600)
-            else:
-                await asyncio.sleep(duration)
-        finally:
-            await self.stop()
-
     @property
     def active_connections(self) -> int:
         return len(self._shims)

@@ -29,7 +29,7 @@ from .faults import (INJECTORS, BandwidthSqueeze, CongestionBurst,
 from .generate import generate_scenario, generate_specs
 from .runner import (RinaStack, ScenarioRunner, build_rina_stack,
                      build_topology, canned_trace_digest, determinism_jobs,
-                     run_determinism_row, run_scenario)
+                     run_determinism_row)
 from .spec import (FAULT_KINDS, SHIM, TOPOLOGY_FAMILIES, WORKLOAD_KINDS,
                    FaultSpec, LayerSpec, LinkSpec, Scenario, SpecError,
                    TopologySpec, WorkloadSpec, auto_layers)
@@ -42,7 +42,7 @@ __all__ = [
     "Partition", "CongestionBurst", "JitterStorm", "BandwidthSqueeze",
     "CorruptionStorm", "ReorderBurst", "INJECTORS", "make_injector",
     "ScenarioRunner", "RinaStack", "build_rina_stack", "build_topology",
-    "run_scenario", "run_determinism_row", "canned_trace_digest",
+    "run_determinism_row", "canned_trace_digest",
     "determinism_jobs",
     "generate_scenario", "generate_specs",
     "CANNED", "canned", "fault_storm", "e3_scenario", "e4_scenario",

@@ -442,8 +442,8 @@ class BandwidthSqueeze(ConditionWindow):
 
 class CorruptionStorm(ConditionWindow):
     """Per-frame payload corruption on one link for a window: frames
-    still arrive, but damaged — the receiving stack's SDU protection
-    must detect and count them, never deliver them."""
+    still arrive, but damaged — the receiving stack must detect and
+    count them, never deliver them."""
 
     slot = "corruption"
 

@@ -81,7 +81,7 @@ def build_topology(topology: TopologySpec, network: Network) -> List[str]:
                 spec.a, spec.b, name=spec.name,
                 capacity_bps=spec.capacity_bps, delay=spec.delay,
                 loss=None if spec.loss is None else UniformLoss(spec.loss),
-                wireless=spec.wireless, queue_limit=spec.queue_limit,
+                queue_limit=spec.queue_limit,
                 conditions=_link_conditions(spec.jitter, spec.shaper,
                                             spec.corruption, spec.reorder))
         return list(topology.nodes)
@@ -578,16 +578,6 @@ class _Reconverger:
         self._network.engine.call_later(
             IP_RECONVERGE_DELAY, self._fabric.daemon.converge,
             label="ip.reconverge")
-
-
-def run_scenario(scenario: Scenario, seed: int = 0,
-                 stacks: Tuple[str, ...] = ("rina", "ip")) -> List[Dict[str, Any]]:
-    """Run one spec on each requested stack; one metric row per stack."""
-    rows = []
-    for stack in stacks:
-        runner = ScenarioRunner(scenario, seed=seed)
-        rows.append(runner.run(stack))
-    return rows
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,6 @@ class LinkSpec:
     capacity_bps: float = 1e8
     delay: float = 0.001
     loss: Optional[float] = None      # None → perfect medium
-    wireless: bool = False
     queue_limit: int = 256
     jitter: Optional[Dict[str, Any]] = None
     shaper: Optional[Dict[str, Any]] = None

@@ -22,7 +22,7 @@ from .flood import (all_nodes_announce, attach_flood, delivery_rows,
                     sparse_announce)
 from .framing import pack_frames, unpack_frames
 from .plan import (BoundaryPort, LinkSpec, NetworkSpec, RegionPlan,
-                   RegionSpec, ShardPlanError, assignment_by_prefix)
+                   RegionSpec, ShardPlanError)
 from .stateful import (StatefulControlPlane, rib_fingerprint,
                        run_unsharded_stateful, stateful_workload)
 
@@ -30,7 +30,7 @@ __all__ = [
     "BoundaryFrame", "BoundaryHalf", "BoundaryPort", "LinkSpec", "MODES",
     "NetworkSpec", "RegionPlan", "RegionSpec", "ShardCoordinator",
     "ShardPlanError", "ShardRunError", "ShardRunResult",
-    "StatefulControlPlane", "all_nodes_announce", "assignment_by_prefix",
+    "StatefulControlPlane", "all_nodes_announce",
     "attach_flood", "attach_workload", "delivery_rows", "flood_workload",
     "node_stat_rows", "pack_frames", "rib_fingerprint", "run_sharded",
     "run_unsharded", "run_unsharded_stateful", "sparse_announce",

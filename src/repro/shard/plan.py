@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..sim.link import LinkConditions, NoLoss, UniformLoss
 from ..sim.network import Network
@@ -252,23 +252,3 @@ class RegionPlan:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<RegionPlan regions={len(self.regions)} "
                 f"boundary={len(self.boundary)} lookahead={self.lookahead}>")
-
-
-def assignment_by_prefix(spec: NetworkSpec,
-                         prefixes: Sequence[Tuple[str, int]],
-                         default: int = 0) -> Dict[str, int]:
-    """Build an assignment from (prefix, region) rules, first match wins.
-
-    Convenience for the topology families whose node names encode their
-    region (``h3_7``, ``border3``...); anything unmatched lands in
-    ``default``.
-    """
-    assignment = {}
-    for node in spec.nodes:
-        for prefix, region in prefixes:
-            if node.startswith(prefix):
-                assignment[node] = region
-                break
-        else:
-            assignment[node] = default
-    return assignment

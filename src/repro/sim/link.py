@@ -6,9 +6,8 @@ delay, and a loss model.  Payloads are opaque Python objects accompanied by
 an explicit wire size in bytes — the simulator never serializes for real.
 
 Loss models are strategy objects so experiments can swap a fixed loss rate
-for a bursty Gilbert–Elliott process or a signal-strength-driven wireless
-model without touching the link code (mechanism vs policy, as the paper
-prescribes for every component).
+for a bursty Gilbert–Elliott process without touching the link code
+(mechanism vs policy, as the paper prescribes for every component).
 """
 
 from __future__ import annotations
@@ -105,40 +104,6 @@ class GilbertElliott(LossModel):
         return rng.random() < rate
 
 
-class SignalLoss(LossModel):
-    """Loss governed by an externally set signal strength in [0, 1].
-
-    The mobility experiments move a host by lowering signal on the old
-    attachment and raising it on the new one — the paper's "mobility is
-    dynamic multihoming with controlled link failures" (§6.4).
-
-    Loss is 0 at or above ``good_threshold`` and ramps to 1 at or below
-    ``dead_threshold``.
-    """
-
-    __slots__ = ("good_threshold", "dead_threshold", "signal")
-
-    def __init__(self, signal: float = 1.0, good_threshold: float = 0.7,
-                 dead_threshold: float = 0.2) -> None:
-        if not dead_threshold < good_threshold:
-            raise ValueError("dead_threshold must be below good_threshold")
-        self.good_threshold = good_threshold
-        self.dead_threshold = dead_threshold
-        self.signal = signal
-
-    def loss_probability(self) -> float:
-        """Current loss probability implied by the signal strength."""
-        if self.signal >= self.good_threshold:
-            return 0.0
-        if self.signal <= self.dead_threshold:
-            return 1.0
-        span = self.good_threshold - self.dead_threshold
-        return (self.good_threshold - self.signal) / span
-
-    def should_drop(self, rng: random.Random, now: float) -> bool:
-        return rng.random() < self.loss_probability()
-
-
 # ----------------------------------------------------------------------
 # Composable link conditions: jitter, shaping, corruption, reordering.
 #
@@ -151,12 +116,12 @@ class SignalLoss(LossModel):
 class CorruptedFrame:
     """What the far end receives when the medium damaged a frame in flight.
 
-    ``bytes`` payloads are damaged literally (random byte XORs), so a
-    checksum such as :mod:`repro.core.sdu_protection`'s CRC32 catches
-    them; every other payload is a live Python object the simulator
-    cannot bit-flip, so it is delivered wrapped in this sentinel
-    instead.  Receiving stacks treat the sentinel as a failed integrity
-    check: count the frame and drop it, never hand the payload up.
+    ``bytes`` payloads are damaged literally (random byte XORs), so any
+    checksum over them catches the damage; every other payload is a
+    live Python object the simulator cannot bit-flip, so it is delivered
+    wrapped in this sentinel instead.  Receiving stacks treat the
+    sentinel as a failed integrity check: count the frame and drop it,
+    never hand the payload up.
     """
 
     __slots__ = ("payload",)
@@ -296,7 +261,7 @@ class CorruptionModel:
     a CRC sees it); any other payload is wrapped in
     :class:`CorruptedFrame`.  The frame still *arrives* — detection and
     the drop happen in the receiving stack, which is the whole point:
-    corruption exercises SDU protection, not the loss path.
+    corruption exercises integrity checks, not the loss path.
     """
 
     __slots__ = ("probability", "max_flips")
@@ -905,35 +870,3 @@ class Link:
         state = "up" if self._up else "DOWN"
         return f"<Link {self.name} {self.capacity_bps/1e6:.1f}Mbps {state}>"
 
-
-class WirelessLink(Link):
-    """A link whose loss follows an adjustable signal strength.
-
-    Convenience wrapper: constructs a :class:`SignalLoss` model and exposes
-    :attr:`signal` directly.  Used by Fig 3 (wireless DIFs) and Fig 5
-    (mobility) experiments.
-    """
-
-    __slots__ = ("_signal_loss",)
-
-    def __init__(self, engine: Engine, name: str, capacity_bps: float = 2e7,
-                 delay: float = 0.004, signal: float = 1.0,
-                 queue_limit: int = 128, rng: Optional[random.Random] = None,
-                 tracer: Optional[Tracer] = None,
-                 rng_factory: Optional[Callable[..., random.Random]] = None,
-                 conditions: Optional[LinkConditions] = None
-                 ) -> None:
-        self._signal_loss = SignalLoss(signal=signal)
-        super().__init__(engine, name, capacity_bps=capacity_bps, delay=delay,
-                         loss=self._signal_loss, queue_limit=queue_limit,
-                         rng=rng, tracer=tracer,
-                         rng_factory=rng_factory, conditions=conditions)
-
-    @property
-    def signal(self) -> float:
-        """Current signal strength in [0, 1]."""
-        return self._signal_loss.signal
-
-    @signal.setter
-    def signal(self, value: float) -> None:
-        self._signal_loss.signal = max(0.0, min(1.0, value))

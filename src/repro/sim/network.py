@@ -12,7 +12,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from .engine import Engine
-from .link import Link, LinkConditions, LossModel, WirelessLink
+from .link import Link, LinkConditions, LossModel
 from .node import Node
 from .rng import RandomStreams
 from .trace import Tracer
@@ -47,15 +47,13 @@ class Network:
 
     def connect(self, a: str, b: str, capacity_bps: float = 1e8,
                 delay: float = 0.001, loss: Optional[LossModel] = None,
-                queue_limit: int = 256, wireless: bool = False,
-                name: Optional[str] = None,
+                queue_limit: int = 256, name: Optional[str] = None,
                 conditions: Optional[LinkConditions] = None) -> Link:
         """Create a link between nodes ``a`` and ``b`` and plug it in.
 
-        With ``wireless=True`` a :class:`WirelessLink` (signal-driven loss)
-        is built instead; ``loss`` is then ignored.  ``conditions`` is an
-        optional :class:`~repro.sim.link.LinkConditions` impairment
-        bundle (jitter/shaping/corruption/reordering).
+        ``conditions`` is an optional
+        :class:`~repro.sim.link.LinkConditions` impairment bundle
+        (jitter/shaping/corruption/reordering).
         """
         # validate endpoints before any side effect (stream creation)
         self.node(a)
@@ -79,16 +77,10 @@ class Network:
             # one bundle may parameterize many links (builder families):
             # give each link its own copy of any stateful model
             conditions = conditions.fresh()
-        if wireless:
-            link: Link = WirelessLink(self.engine, name, capacity_bps=capacity_bps,
-                                      delay=delay, queue_limit=queue_limit,
-                                      rng_factory=rng_factory, tracer=self.tracer,
-                                      conditions=conditions)
-        else:
-            link = Link(self.engine, name, capacity_bps=capacity_bps, delay=delay,
-                        loss=loss, queue_limit=queue_limit,
-                        rng_factory=rng_factory,
-                        tracer=self.tracer, conditions=conditions)
+        link = Link(self.engine, name, capacity_bps=capacity_bps, delay=delay,
+                    loss=loss, queue_limit=queue_limit,
+                    rng_factory=rng_factory,
+                    tracer=self.tracer, conditions=conditions)
         return self.attach_link(link, a, b)
 
     def attach_link(self, link: Link, a: Optional[str],

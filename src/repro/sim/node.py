@@ -29,11 +29,6 @@ class Interface:
         """The link this interface is plugged into."""
         return self.end.link
 
-    @property
-    def peer_interface_name(self) -> str:
-        """Name of the link end on the far side (for diagnostics)."""
-        return self.end.peer.name
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Interface {self.node.name}.{self.name} on {self.link.name}>"
 

@@ -115,16 +115,9 @@ class Tracer:
         self._log_limit = log_limit
 
     # -- counters ------------------------------------------------------
-    def counter(self, name: str) -> Counter:
-        """Get or create the counter called ``name``."""
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = Counter(name)
-            self._counters[name] = counter
-        return counter
-
     def count(self, name: str, amount: int = 1) -> None:
-        """Shorthand for ``tracer.counter(name).incr(amount)``."""
+        """Add ``amount`` to the counter called ``name`` (created on first
+        use)."""
         counter = self._counters.get(name)
         if counter is None:
             counter = self._counters[name] = Counter(name)

@@ -1,8 +1,8 @@
-"""Tests for the baseline transports: TCP, UDP, DNS, SCTP."""
+"""Tests for the baseline transports: TCP, UDP, SCTP."""
 
 import pytest
 
-from repro.baselines import DnsServer, IpFabric, ip_str
+from repro.baselines import IpFabric
 from repro.sim.link import UniformLoss
 from repro.sim.network import Network
 
@@ -117,45 +117,6 @@ class TestUdpAndDns:
         a.udp.bind(5000, lambda *args: None)
         with pytest.raises(ValueError):
             a.udp.bind(5000, lambda *args: None)
-
-    def test_dns_resolution(self):
-        network, a, b = host_pair()
-        server = DnsServer(b.udp, b.addr())
-        server.add_record("www.example", b.addr())
-        a.use_dns(b.addr())
-        results = []
-        a.dns_client.resolve("www.example", results.append)
-        network.run(until=2.0)
-        assert results == [b.addr()]
-
-    def test_dns_nxdomain(self):
-        network, a, b = host_pair()
-        DnsServer(b.udp, b.addr())
-        a.use_dns(b.addr())
-        results = []
-        a.dns_client.resolve("no.such.name", results.append)
-        network.run(until=2.0)
-        assert results == [None]
-
-    def test_dns_retry_then_give_up_when_server_dead(self):
-        network, a, b = host_pair()
-        a.use_dns(b.addr())   # no server bound on b at all -> silent drops
-        results = []
-        a.dns_client.resolve("anything", results.append)
-        network.run(until=10.0)
-        assert results == [None]
-
-    def test_connect_by_name_uses_dns(self):
-        network, a, b = host_pair()
-        server = DnsServer(b.udp, b.addr())
-        server.add_record("svc", b.addr())
-        b.tcp.listen(80, lambda c: None)
-        a.use_dns(b.addr())
-        conns = []
-        a.connect_by_name("svc", 80, conns.append)
-        network.run(until=3.0)
-        assert conns and conns[0] is not None
-        assert conns[0].established
 
 
 class TestSctp:

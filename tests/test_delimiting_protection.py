@@ -1,12 +1,10 @@
-"""Unit tests for SDU delimiting and SDU protection."""
+"""Unit tests for SDU delimiting."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.delimiting import (FRAGMENT_HEADER_BYTES, Delimiter, Fragment,
                                    Reassembler)
-from repro.core.sdu_protection import (PROTECTION_OVERHEAD_BYTES,
-                                       SduProtection, SduProtectionError)
 
 
 class TestDelimiter:
@@ -96,69 +94,3 @@ class TestReassembler:
         for fragment in delimiter.delimit(b"hello"):
             result = reassembler.push(fragment)
         assert result == b"hello"
-
-
-class TestSduProtection:
-    def test_protect_unprotect_roundtrip(self):
-        protection = SduProtection()
-        assert protection.unprotect(protection.protect(b"data")) == b"data"
-
-    @given(st.binary(max_size=2000))
-    def test_property_roundtrip(self, data):
-        protection = SduProtection()
-        assert protection.unprotect(protection.protect(data)) == data
-
-    def test_overhead_is_constant(self):
-        protection = SduProtection()
-        wrapped = protection.protect(b"x" * 10)
-        assert len(wrapped) == 10 + PROTECTION_OVERHEAD_BYTES
-
-    def test_corruption_detected(self):
-        protection = SduProtection()
-        wrapped = bytearray(protection.protect(b"data"))
-        wrapped[2] ^= 0xFF
-        with pytest.raises(SduProtectionError):
-            protection.unprotect(bytes(wrapped))
-
-    def test_crc_disabled_skips_check(self):
-        protection = SduProtection(use_crc=False)
-        wrapped = bytearray(protection.protect(b"data"))
-        wrapped[2] ^= 0xFF
-        assert protection.unprotect(bytes(wrapped)) != b"data"
-
-    def test_hop_decrement_chain(self):
-        protection = SduProtection(max_hops=3)
-        wrapped = protection.protect(b"d")
-        for _ in range(2):
-            wrapped = protection.decrement_hops(wrapped)
-        assert protection.unprotect(wrapped) == b"d"
-
-    def test_lifetime_exhaustion(self):
-        protection = SduProtection(max_hops=1)
-        wrapped = protection.decrement_hops(protection.protect(b"d"))
-        with pytest.raises(SduProtectionError):
-            protection.unprotect(wrapped)
-
-    def test_decrement_exhausted_raises(self):
-        protection = SduProtection(max_hops=1)
-        wrapped = protection.decrement_hops(protection.protect(b"d"))
-        with pytest.raises(SduProtectionError):
-            protection.decrement_hops(wrapped)
-
-    def test_too_short_sdu_rejected(self):
-        with pytest.raises(SduProtectionError):
-            SduProtection().unprotect(b"xy")
-
-    def test_max_hops_validation(self):
-        with pytest.raises(ValueError):
-            SduProtection(max_hops=0)
-        with pytest.raises(ValueError):
-            SduProtection(max_hops=256)
-
-    @given(st.binary(max_size=200), st.integers(min_value=2, max_value=64))
-    def test_property_decrement_preserves_payload(self, data, hops):
-        protection = SduProtection(max_hops=hops)
-        wrapped = protection.protect(data)
-        for _ in range(hops - 1):
-            wrapped = protection.decrement_hops(wrapped)
-        assert protection.unprotect(wrapped) == data

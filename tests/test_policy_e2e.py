@@ -1,48 +1,43 @@
-"""End-to-end: a DIF configured entirely from a declarative JSON spec (§8).
+"""End-to-end: a DIF whose behaviour is its policy bundle (§8).
 
 The whole point of "only policies to specify": a facility's behaviour —
-auth, scheduling, EFCP tuning, admission, custom cubes — is data.  These
-tests build live networks from JSON documents and verify each declared
-behaviour actually governs the running system.
+auth, scheduling, EFCP tuning, admission, custom cubes — is one
+:class:`DifPolicies` value.  These tests build live networks from such
+bundles and verify each declared behaviour actually governs the running
+system.
 """
 
-import json
-
-import pytest
-
-from repro.core import (ApplicationName, Dif, FlowWaiter, MessageFlow,
-                        Orchestrator, QosCube, add_shims, build_dif_over,
-                        make_systems, policies_from_spec, run_until,
-                        shim_between)
+from repro.core import (DEFAULT_CUBES, ApplicationName, Dif, DifPolicies,
+                        FlowWaiter, MessageFlow, Orchestrator, PresharedKey,
+                        QosCube, add_shims, build_dif_over, make_systems,
+                        run_until, shim_between)
 from repro.sim.network import Network
 
-SPEC = {
-    "auth": {"type": "psk", "secret": "spec-secret"},
-    "scheduler": {"type": "priority"},
-    "keepalive": {"interval": 0.25, "dead_factor": 3},
-    "efcp": {"rto_min": 0.01},
-    "qos_cubes": [
-        {"name": "spec-voice", "max_delay": 0.05, "priority": 0,
-         "loss_tolerance": 0.05, "avg_bandwidth": 2e6},
-    ],
-    "admission": {"type": "guaranteed-bandwidth", "capacity_bps": 4e6},
-}
+
+def spec_policies(secret="spec-secret"):
+    """PSK auth, priority scheduling, a 0.25 s × 3 keepalive, a fast EFCP
+    RTO floor, one custom 2 Mb/s cube and a 4 Mb/s admission budget."""
+    voice = QosCube("spec-voice", max_delay=0.05, avg_bandwidth=2e6,
+                    loss_tolerance=0.05, priority=0)
+    return DifPolicies(auth=PresharedKey(secret), scheduler="priority",
+                       keepalive_interval=0.25, dead_factor=3.0,
+                       efcp_overrides={"rto_min": 0.01},
+                       qos_cubes={**DEFAULT_CUBES, voice.name: voice},
+                       admission_capacity_bps=4e6)
 
 
-def build_from_spec(spec, joiner_spec=None, seed=1):
+def build_from_spec(policies, joiner_policies=None, seed=1):
     network = Network(seed=seed)
     network.add_node("a")
     network.add_node("b")
     network.connect("a", "b")
     systems = make_systems(network)
     add_shims(systems, network)
-    dif = Dif("specnet", policies_from_spec(spec))
+    dif = Dif("specnet", policies)
     ipcp_a = systems["a"].create_ipcp(dif)
     ipcp_a.bootstrap()
     systems["a"].publish_ipcp("specnet", shim_between(network, "a", "b"))
-    joiner_policies = policies_from_spec(
-        joiner_spec if joiner_spec is not None else spec)
-    joiner_dif = Dif("specnet", joiner_policies)
+    joiner_dif = Dif("specnet", joiner_policies or spec_policies())
     # NB: separate Dif object simulates an independently configured system;
     # enrollment is what reconciles them (or rejects the mismatch)
     systems["b"].create_ipcp(joiner_dif)
@@ -55,23 +50,19 @@ def build_from_spec(spec, joiner_spec=None, seed=1):
 
 
 class TestSpecDrivenFacility:
-    def test_spec_round_trips_through_json(self):
-        policies_from_spec(json.loads(json.dumps(SPEC)))
-
     def test_matching_secrets_enroll(self):
-        _n, systems, dif, (ok, _reason) = build_from_spec(SPEC)
+        _n, systems, dif, (ok, _reason) = build_from_spec(spec_policies())
         assert ok
         assert dif.enrollments_accepted == 1
         assert systems["b"].ipcp("specnet").enrolled
 
     def test_mismatched_secret_rejected(self):
-        wrong = dict(SPEC)
-        wrong["auth"] = {"type": "psk", "secret": "guess"}
-        _n, _s, dif, (ok, reason) = build_from_spec(SPEC, joiner_spec=wrong)
+        _n, _s, dif, (ok, reason) = build_from_spec(
+            spec_policies(), joiner_policies=spec_policies(secret="guess"))
         assert not ok and reason == "auth-denied"
 
     def test_declared_cube_is_allocatable(self):
-        network, systems, _dif, (ok, _r) = build_from_spec(SPEC)
+        network, systems, _dif, (ok, _r) = build_from_spec(spec_policies())
         assert ok
         systems["b"].register_app(ApplicationName("svc"), lambda f: None)
         network.run(until=network.engine.now + 0.5)
@@ -86,7 +77,7 @@ class TestSpecDrivenFacility:
         assert flow.qos.name == "spec-voice"
 
     def test_declared_admission_budget_enforced(self):
-        network, systems, _dif, (ok, _r) = build_from_spec(SPEC)
+        network, systems, _dif, (ok, _r) = build_from_spec(spec_policies())
         assert ok
         systems["b"].register_app(ApplicationName("svc"), lambda f: None)
         network.run(until=network.engine.now + 0.5)
@@ -110,7 +101,7 @@ class TestSpecDrivenFacility:
         network.connect("a", "b", name="t#1")
         systems = make_systems(network)
         add_shims(systems, network)
-        dif = Dif("specnet", policies_from_spec(SPEC))
+        dif = Dif("specnet", spec_policies())
         orchestrator = Orchestrator(network)
         from repro.core import shim_name_for
         build_dif_over(orchestrator, dif, systems, adjacencies=[

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.link import (GilbertElliott, Link, NoLoss, SignalLoss,
-                            UniformLoss, WirelessLink)
+from repro.sim.link import GilbertElliott, Link, NoLoss, UniformLoss
 
 
 def make_link(**kwargs):
@@ -147,18 +146,6 @@ class TestLossModels:
         with pytest.raises(ValueError):
             GilbertElliott(p_good_to_bad=2.0)
 
-    def test_signal_loss_ramp(self):
-        model = SignalLoss(signal=1.0, good_threshold=0.8, dead_threshold=0.2)
-        assert model.loss_probability() == 0.0
-        model.signal = 0.5
-        assert model.loss_probability() == pytest.approx(0.5)
-        model.signal = 0.1
-        assert model.loss_probability() == 1.0
-
-    def test_signal_loss_threshold_validation(self):
-        with pytest.raises(ValueError):
-            SignalLoss(good_threshold=0.2, dead_threshold=0.5)
-
     def test_lossy_link_drops_frames(self):
         engine = Engine()
         link = Link(engine, "lossy", loss=UniformLoss(1.0),
@@ -171,27 +158,7 @@ class TestLossModels:
         assert link.frames_dropped_loss[0] == 1
 
 
-class TestWirelessLink:
-    def test_signal_attribute_drives_loss(self):
-        engine = Engine()
-        link = WirelessLink(engine, "radio", signal=1.0, rng=random.Random(5))
-        inbox = []
-        link.ends[1].attach(lambda p, s: inbox.append(p))
-        link.ends[0].send("good", 100)
-        engine.run()
-        assert inbox == ["good"]
-        link.signal = 0.0
-        link.ends[0].send("dead", 100)
-        engine.run()
-        assert inbox == ["good"]
-
-    def test_signal_clamped_to_unit_interval(self):
-        link = WirelessLink(Engine(), "radio")
-        link.signal = 5.0
-        assert link.signal == 1.0
-        link.signal = -1.0
-        assert link.signal == 0.0
-
+class TestValidation:
     def test_validation(self):
         with pytest.raises(ValueError):
             Link(Engine(), "bad", capacity_bps=0)

@@ -59,14 +59,6 @@ class TestNodesAndLinks:
         with pytest.raises(KeyError):
             network.link_between("a", "b")
 
-    def test_wireless_flag_builds_wireless_link(self):
-        from repro.sim.link import WirelessLink
-        network = Network()
-        network.add_node("a")
-        network.add_node("b")
-        link = network.connect("a", "b", wireless=True)
-        assert isinstance(link, WirelessLink)
-
     def test_run_delegates_to_engine(self):
         network = Network()
         seen = []
