@@ -111,8 +111,7 @@ EXPERIMENTS: Dict[str, tuple] = {
     "e6-scale": ("§6.5 scale tier: 56/211/1,021-system builds, "
                  "wall-clock + events/sec (REPRO_E6_SCALE_TIERS; "
                  "--shards N adds the sharded flood tier, --stateful "
-                 "shards the control plane itself, --balance weighs "
-                 "the partition)",
+                 "shards the control plane itself)",
                  _e6_scale_jobs),
     "e7": ("§6.1: attack surface", _e7_jobs),
     "e8": ("§6.6: utilization before QoS violation", _e8_jobs),
@@ -173,18 +172,16 @@ def _extract_bool_flag(args: List[str], flag: str) -> Tuple[List[str], bool]:
 
 
 def _sharded_scale_main(shards: int, workers_flag: Optional[int],
-                        stateful: bool, balance: bool) -> int:
-    """``repro e6-scale --shards N [--stateful] [--balance]``: the
-    sharded tiers.
+                        stateful: bool) -> int:
+    """``repro e6-scale --shards N [--stateful]``: the sharded tiers.
 
     Default is the frame-level flood fan-out; ``--stateful`` runs the
     flat configuration's *control plane* (enrollment + RIEP + LSA
-    flooding) region-sharded instead.  ``--balance`` swaps the modulo
-    region spread for the cost-weighted partitioner.  Each job is one
-    whole sharded run whose coordinator spawns its own per-region
-    workers, so the sweep itself defaults to serial dispatch
-    (``--jobs`` still overrides; inside a pool worker the coordinator
-    falls back to in-process rounds).
+    flooding) region-sharded instead.  Region ``r`` lands on shard
+    ``r % N``.  Each job is one whole sharded run whose coordinator
+    spawns its own per-region workers, so the sweep itself defaults to
+    serial dispatch (``--jobs`` still overrides; inside a pool worker
+    the coordinator falls back to in-process rounds).
     """
     from .experiments.e6_scalability import iter_flood_jobs, iter_stateful_jobs
     if stateful:
@@ -198,7 +195,7 @@ def _sharded_scale_main(shards: int, workers_flag: Optional[int],
                                    "flat flooding fan-out")
     try:
         jobs = iter_fn([t.strip() for t in tiers.split(",") if t.strip()],
-                       shards=shards, balance=balance)
+                       shards=shards)
     except ValueError as exc:
         print(f"{tier_env}: {exc}", file=sys.stderr)
         return 2
@@ -207,10 +204,9 @@ def _sharded_scale_main(shards: int, workers_flag: Optional[int],
         print(error, file=sys.stderr)
         return 2
     rows = runner.run(jobs)
-    suffix = ", balanced partition" if balance else ""
     print(format_table(
         rows, title=f"e6-shard: {what}, unsharded vs "
-                    f"{shards}-way region shards{suffix}"))
+                    f"{shards}-way region shards"))
     return 0
 
 
@@ -345,36 +341,30 @@ def main(argv: List[str]) -> int:
         print(error, file=sys.stderr)
         return 2
     argv, stateful_flag = _extract_bool_flag(argv, "--stateful")
-    argv, balance_flag = _extract_bool_flag(argv, "--balance")
     if shards_flag is not None:
         if argv != ["e6-scale"]:
             print("--shards applies to `repro e6-scale` only",
                   file=sys.stderr)
             return 2
-        if shards_flag == 1 and (stateful_flag or balance_flag):
+        if shards_flag == 1 and stateful_flag:
             # mirroring the --jobs validation: a contradictory flag
             # combination is an error, not a silently degenerate run —
-            # --shards 1 is the unsharded reference row, which neither
-            # shards the control plane nor has a partition to weigh
-            flags = "/".join(flag for flag, on in
-                             (("--stateful", stateful_flag),
-                              ("--balance", balance_flag)) if on)
-            print(f"{flags} contradicts --shards 1: the unsharded "
-                  f"reference row has no partition; use --shards 2 or "
-                  f"more", file=sys.stderr)
+            # --shards 1 is the unsharded reference row, which does not
+            # shard the control plane
+            print("--stateful contradicts --shards 1: the unsharded "
+                  "reference row has no partition; use --shards 2 or "
+                  "more", file=sys.stderr)
             return 2
-        return _sharded_scale_main(shards_flag, workers_flag,
-                                   stateful_flag, balance_flag)
-    if stateful_flag or balance_flag:
-        print("--stateful/--balance apply to `repro e6-scale --shards N` "
-              "only", file=sys.stderr)
+        return _sharded_scale_main(shards_flag, workers_flag, stateful_flag)
+    if stateful_flag:
+        print("--stateful applies to `repro e6-scale --shards N` only",
+              file=sys.stderr)
         return 2
     if not argv:
         print("repro — 'Networking is IPC' (Day/Matta/Mattar 2008), "
               "executable reproduction\n")
         print("usage: python -m repro <experiment> [...] | all [--jobs N]\n"
-              "       python -m repro e6-scale --shards N "
-              "[--stateful] [--balance]\n"
+              "       python -m repro e6-scale --shards N [--stateful]\n"
               "       python -m repro scenarios list|run ...\n"
               "       python -m repro gateway serve|load|conformance ...\n")
         for key, (title, _jobs_fn) in EXPERIMENTS.items():

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from ..apps.echo import EchoClient, EchoServer
 from ..core import (Dif, DifPolicies, Orchestrator, add_shims, build_dif_over,
-                    make_systems, run_until, shim_between)
+                    make_systems, run_until, shim_name_for)
 from ..sim.network import Network
 
 # the job lists import the sweep runner (and multiprocessing) when they
@@ -85,22 +85,40 @@ def _peak_mem_mb() -> Optional[float]:
     return round(rss / divisor, 1)
 
 
+def _speed_columns(events: int, wall: float) -> Dict[str, Any]:
+    """The wall-clock tail every performance row ends with."""
+    return {
+        "wall_s": round(wall, 2),
+        "events": events,
+        "events_per_s": int(events / wall) if wall > 0 else 0,
+        "peak_mem_mb": _peak_mem_mb(),
+    }
+
+
 def _region_names(region: int, hosts: int) -> Tuple[str, List[str]]:
     border = f"border{region}"
     return border, [f"h{region}_{i}" for i in range(hosts)]
+
+
+def _plant(regions: int, hosts_per_region: int
+           ) -> Iterator[Tuple[str, str, str, float]]:
+    """The E6 plant, stated once: ``(node, peer, link name, delay)`` per
+    link, in creation order.  Each region's border uplinks to the core,
+    then its hosts attach to the border; ``core`` precedes every row."""
+    for region in range(regions):
+        border, hosts = _region_names(region, hosts_per_region)
+        yield border, "core", f"{border}--core", 0.002
+        for host in hosts:
+            yield host, border, f"{host}--{border}", 0.001
 
 
 def build_physical(regions: int, hosts_per_region: int, seed: int = 1) -> Network:
     """k regional stars joined by a core node."""
     network = Network(seed=seed)
     network.add_node("core")
-    for region in range(regions):
-        border, hosts = _region_names(region, hosts_per_region)
-        network.add_node(border)
-        network.connect(border, "core", delay=0.002)
-        for host in hosts:
-            network.add_node(host)
-            network.connect(host, border, delay=0.001)
+    for node, peer, name, delay in _plant(regions, hosts_per_region):
+        network.add_node(node)
+        network.connect(node, peer, delay=delay, name=name)
     return network
 
 
@@ -109,68 +127,57 @@ def _policies() -> DifPolicies:
                        refresh_interval=None)
 
 
-def build_flat(regions: int, hosts_per_region: int, seed: int = 1):
-    """One DIF over everything."""
-    network = build_physical(regions, hosts_per_region, seed)
-    systems = make_systems(network)
-    add_shims(systems, network)
-    dif = Dif("flat", _policies())
-    adjacencies = []
-    for region in range(regions):
-        border, hosts = _region_names(region, hosts_per_region)
-        adjacencies.append((border, "core", shim_between(network, border, "core")))
-        for host in hosts:
-            adjacencies.append((host, border, shim_between(network, host, border)))
-    orchestrator = Orchestrator(network)
-    build_dif_over(orchestrator, dif, systems, adjacencies=adjacencies,
-                   bootstrap="core", settle=1.0)
-    orchestrator.run(timeout=600)
-    return network, systems, {"flat": dif}
+def _layers(config: str, regions: int, hosts_per_region: int
+            ) -> List[Tuple[str, List[Tuple[str, str, str]], str, float]]:
+    """One configuration's DIFs, lowest rank first, as rows of
+    ``(name, adjacencies, bootstrap, settle)``.  An adjacency names the
+    lower DIF it rides: a link's shim, or a DIF of an earlier row."""
+    shims = [(node, peer, shim_name_for(name))
+             for node, peer, name, _delay in _plant(regions, hosts_per_region)]
+    if config == "flat":
+        # one DIF over everything
+        return [("flat", shims, "core", 1.0)]
+    if config != "recursive":
+        raise ValueError(f"unknown config {config!r}")
+    # a DIF per region, the backbone over the borders, and a host-to-host
+    # DIF from the first host of region 0 to the first host of the last
+    # region, riding the region DIFs and the backbone
+    layers = [(f"region{region}",
+               [adjacency for adjacency in shims
+                if adjacency[1] == f"border{region}"],
+               f"border{region}", 0.3)
+              for region in range(regions)]
+    layers.append(("backbone",
+                   [adjacency for adjacency in shims if adjacency[1] == "core"],
+                   "core", 0.3))
+    last = regions - 1
+    layers.append(("h2h", [("h0_0", "border0", "region0"),
+                           ("border0", f"border{last}", "backbone"),
+                           (f"border{last}", f"h{last}_0", f"region{last}")],
+                   "border0", 0.3))
+    return layers
 
 
-def build_recursive(regions: int, hosts_per_region: int, seed: int = 1,
-                    talkers: int = 2):
-    """Region DIFs + backbone DIF + a host-to-host DIF for the talkers."""
+def build_stack(config: str, regions: int, hosts_per_region: int,
+                seed: int = 1):
+    """The E6 plant with one configuration's DIFs built over it:
+    ``flat`` is one DIF over every system; ``recursive`` is the region
+    DIFs, the backbone DIF and the host-to-host DIF."""
+    layers = _layers(config, regions, hosts_per_region)
     network = build_physical(regions, hosts_per_region, seed)
     systems = make_systems(network)
     add_shims(systems, network)
     orchestrator = Orchestrator(network)
     difs: Dict[str, Dif] = {}
-
-    for region in range(regions):
-        border, hosts = _region_names(region, hosts_per_region)
-        dif = Dif(f"region{region}", _policies())
-        difs[str(dif.name)] = dif
-        adjacencies = [(host, border, shim_between(network, host, border))
-                       for host in hosts]
+    for name, adjacencies, bootstrap, settle in layers:
+        dif = difs[name] = Dif(name, _policies())
         build_dif_over(orchestrator, dif, systems, adjacencies=adjacencies,
-                       bootstrap=border, settle=0.3)
-
-    backbone = Dif("backbone", _policies())
-    difs["backbone"] = backbone
-    adjacencies = [(f"border{region}", "core",
-                    shim_between(network, f"border{region}", "core"))
-                   for region in range(regions)]
-    build_dif_over(orchestrator, backbone, systems, adjacencies=adjacencies,
-                   bootstrap="core", settle=0.3)
-
-    # the host-to-host DIF: first host of region 0 talks to first host of
-    # the last region, through their borders (adjacencies ride the region
-    # DIFs and the backbone)
-    top = Dif("h2h", _policies())
-    difs["h2h"] = top
-    src = f"h0_0"
-    dst = f"h{regions - 1}_0"
-    build_dif_over(orchestrator, top, systems, adjacencies=[
-        (src, "border0", "region0"),
-        ("border0", f"border{regions - 1}", "backbone"),
-        (f"border{regions - 1}", dst, f"region{regions - 1}")],
-        bootstrap="border0", settle=0.3)
+                       bootstrap=bootstrap, settle=settle)
     orchestrator.run(timeout=600)
     return network, systems, difs
 
 
-def _state_stats(systems, difs: Dict[str, Dif]) -> Dict[str, float]:
+def _state_stats(difs: Dict[str, Dif]) -> Dict[str, float]:
     per_system: Dict[str, int] = {}
     for dif in difs.values():
         for ipcp in dif.members().values():
@@ -184,14 +191,17 @@ def _state_stats(systems, difs: Dict[str, Dif]) -> Dict[str, float]:
     }
 
 
-def _flap_scope(network: Network, systems, difs: Dict[str, Dif],
-                link_name: str) -> int:
+#: The access link every configuration flaps to measure update scope.
+_FLAP_LINK = "h0_1--border0"
+
+
+def _flap_scope(network: Network, difs: Dict[str, Dif]) -> int:
     """Fail+repair one access link; count systems receiving an update."""
     before = {}
     for dif in difs.values():
         for ipcp in dif.members().values():
             before[(str(dif.name), ipcp.system_name)] = ipcp.routing.lsas_received
-    link = network.links[link_name]
+    link = network.links[_FLAP_LINK]
     link.fail()
     network.run(until=network.engine.now + 4.0)
     link.repair()
@@ -236,17 +246,16 @@ def run_ip_rip(regions: int, hosts_per_region: int,
                        for key, r in d._routes.items()}
                 for name, d in daemons.items()}
     before = snapshot()
-    link = network.link_between("h0_1", "border0")
+    link = network.links[_FLAP_LINK]
     link.fail()
     network.run(until=network.engine.now + 8 * update_interval)
     during = snapshot()   # the failure's footprint across tables
     link.repair()
     network.run(until=network.engine.now + 8 * update_interval)
     touched = sum(1 for name in daemons if before[name] != during[name])
-    n = 1 + regions * (1 + hosts_per_region)
     return {
         "config": "ip+rip",
-        "systems": n,
+        "systems": len(network.nodes),
         "regions": regions,
         "mean_table": round(sum(sizes) / len(sizes), 2),
         "max_table": max(sizes),
@@ -256,31 +265,19 @@ def run_ip_rip(regions: int, hosts_per_region: int,
     }
 
 
+#: The routing-state columns of an E6 row, after ``config``.
+_TABLE_COLUMNS = ("systems", "regions", "mean_table", "max_table",
+                 "total_state", "flap_update_scope")
+
+
 def run_config(config: str, regions: int, hosts_per_region: int,
                seed: int = 1) -> Dict[str, Any]:
-    """One row of the E6 table."""
-    if config == "flat":
-        network, systems, difs = build_flat(regions, hosts_per_region, seed)
-    elif config == "recursive":
-        network, systems, difs = build_recursive(regions, hosts_per_region, seed)
-    elif config == "ip+rip":
+    """One row of the E6 table: the routing-state columns of
+    :func:`run_scale`'s row, or the RIP baseline's row for ``ip+rip``."""
+    if config == "ip+rip":
         return run_ip_rip(regions, hosts_per_region, seed)
-    else:
-        raise ValueError(f"unknown config {config!r}")
-    n = 1 + regions * (1 + hosts_per_region)
-    stats = _state_stats(systems, difs)
-    scope = _flap_scope(network, systems, difs,
-                        network.link_between("h0_1", "border0").name)
-    row = {
-        "config": config,
-        "systems": n,
-        "regions": regions,
-        "mean_table": round(stats["mean_table"], 2),
-        "max_table": stats["max_table"],
-        "total_state": stats["total_state"],
-        "flap_update_scope": scope,
-    }
-    return row
+    row = run_scale(config, regions, hosts_per_region, seed)
+    return {"config": config, **{key: row[key] for key in _TABLE_COLUMNS}}
 
 
 def run_scale(config: str, regions: int, hosts_per_region: int,
@@ -292,26 +289,19 @@ def run_scale(config: str, regions: int, hosts_per_region: int,
     hot-path regressions show up in the bench JSON as a falling
     ``events_per_s``, not as a silently slower CI.
     """
-    if config == "flat":
-        builder = build_flat
-    elif config == "recursive":
-        builder = build_recursive
-    else:
-        raise ValueError(f"unknown scale config {config!r}")
     started = time.perf_counter()
-    network, systems, difs = builder(regions, hosts_per_region, seed)
+    network, _systems, difs = build_stack(config, regions, hosts_per_region,
+                                          seed)
     build_wall = time.perf_counter() - started
-    stats = _state_stats(systems, difs)
-    scope = _flap_scope(network, systems, difs,
-                        network.link_between("h0_1", "border0").name)
+    stats = _state_stats(difs)
+    scope = _flap_scope(network, difs)
     wall = time.perf_counter() - started
-    events = network.engine.events_processed
     members = [ipcp for dif in difs.values()
                for ipcp in dif.members().values()]
     reflooded = sum(ipcp.routing.lsas_reflooded for ipcp in members)
     return {
         "config": f"{config}-scale",
-        "systems": 1 + regions * (1 + hosts_per_region),
+        "systems": len(network.nodes),
         "regions": regions,
         "mean_table": round(stats["mean_table"], 2),
         "max_table": stats["max_table"],
@@ -323,10 +313,7 @@ def run_scale(config: str, regions: int, hosts_per_region: int,
         "spf_runs": sum(ipcp.routing.spf_runs for ipcp in members),
         "spf_skipped": sum(ipcp.routing.spf_skipped for ipcp in members),
         "build_s": round(build_wall, 2),
-        "wall_s": round(wall, 2),
-        "events": events,
-        "events_per_s": int(events / wall) if wall > 0 else 0,
-        "peak_mem_mb": _peak_mem_mb(),
+        **_speed_columns(network.engine.events_processed, wall),
     }
 
 
@@ -369,96 +356,27 @@ def iter_scale_jobs(tiers: List[str] = ("small", "medium", "large"),
     return jobs
 
 
-def _hosts_per_region_list(regions: int, hosts_per_region) -> List[int]:
-    """Normalize the per-region host count: an int plant is uniform, a
-    sequence is a skewed plant (one entry per region)."""
-    if isinstance(hosts_per_region, int):
-        return [hosts_per_region] * regions
-    counts = [int(count) for count in hosts_per_region]
-    if len(counts) != regions:
-        raise ValueError(f"skewed plant needs {regions} host counts, "
-                         f"got {len(counts)}")
-    return counts
-
-
-def build_flood_spec(regions: int, hosts_per_region):
+def build_flood_spec(regions: int, hosts_per_region: int):
     """The E6 physical plant as a pure-data
-    :class:`~repro.shard.plan.NetworkSpec` (same shape as
-    :func:`build_physical`, shardable by region).
-
-    ``hosts_per_region`` may be a sequence (one count per region) to
-    build a *skewed* plant — the shape the cost-weighted shard balance
-    exists for.
-    """
+    :class:`~repro.shard.plan.NetworkSpec`: the rows of
+    :func:`build_physical`, shardable by region."""
     from ..shard import LinkSpec, NetworkSpec
-    counts = _hosts_per_region_list(regions, hosts_per_region)
-    nodes = ["core"]
-    links = []
-    for region in range(regions):
-        border, hosts = _region_names(region, counts[region])
-        nodes.append(border)
-        links.append(LinkSpec(a=border, b="core",
-                              name=f"{border}--core", delay=0.002))
-        for host in hosts:
-            nodes.append(host)
-            links.append(LinkSpec(a=host, b=border,
-                                  name=f"{host}--{border}", delay=0.001))
-    return NetworkSpec(nodes=tuple(nodes), links=tuple(links))
+    rows = list(_plant(regions, hosts_per_region))
+    return NetworkSpec(
+        nodes=("core",) + tuple(node for node, _peer, _name, _delay in rows),
+        links=tuple(LinkSpec(a=node, b=peer, name=name, delay=delay)
+                    for node, peer, name, delay in rows))
 
 
-def region_weights(regions: int, hosts_per_region) -> List[float]:
-    """Expected event volume per region, up to a constant: flood and
-    control-plane work alike scale with a region's link count (hosts
-    plus the border's backbone uplink)."""
-    return [float(count + 1)
-            for count in _hosts_per_region_list(regions, hosts_per_region)]
-
-
-def balanced_assignment(regions: int, hosts_per_region,
-                        shards: int) -> Dict[str, int]:
-    """Greedy cost-weighted partitioner (the adaptive shard balance).
-
-    Regions are weighed by expected event volume and placed
-    longest-processing-time-first onto the least-loaded shard; the
-    core — the backbone — is pinned with its heaviest talker region, so
-    the busiest shard is not also the one paying every relay.  On a
-    uniform plant this degenerates to a round-robin-equivalent spread;
-    on a skewed plant it tightens the round barrier (the per-round wait
-    is the *maximum* shard's work, which LPT minimizes to within 4/3 of
-    optimal).
-    """
-    shards = max(1, min(shards, regions))
-    weights = region_weights(regions, hosts_per_region)
-    order = sorted(range(regions), key=lambda r: (-weights[r], r))
-    load = [0.0] * shards
-    region_shard: Dict[int, int] = {}
-    for region in order:
-        target = min(range(shards), key=lambda s: (load[s], s))
-        region_shard[region] = target
-        load[target] += weights[region]
-    counts = _hosts_per_region_list(regions, hosts_per_region)
-    assignment = {"core": region_shard[order[0]]}
-    for region in range(regions):
-        border, hosts = _region_names(region, counts[region])
-        for node in [border] + hosts:
-            assignment[node] = region_shard[region]
-    return assignment
-
-
-def flood_assignment(regions: int, hosts_per_region,
-                     shards: int, balance: bool = False) -> Dict[str, int]:
+def flood_assignment(regions: int, hosts_per_region: int,
+                     shards: int) -> Dict[str, int]:
     """Node → shard: region ``r`` (border + hosts) lands on shard
     ``r % shards``; the core rides with shard 0, so every cut link is a
-    border–core backbone link (delay 0.002 — the lookahead).  With
-    ``balance`` the modulo spread is replaced by the cost-weighted
-    :func:`balanced_assignment`."""
-    if balance:
-        return balanced_assignment(regions, hosts_per_region, shards)
+    border–core backbone link (delay 0.002 — the lookahead)."""
     shards = max(1, min(shards, regions))
-    counts = _hosts_per_region_list(regions, hosts_per_region)
     assignment = {"core": 0}
     for region in range(regions):
-        border, hosts = _region_names(region, counts[region])
+        border, hosts = _region_names(region, hosts_per_region)
         for node in [border] + hosts:
             assignment[node] = region % shards
     return assignment
@@ -497,7 +415,7 @@ STATEFUL_SPARSE_KEEPALIVE = 2.0113
 STATEFUL_SPARSE_SETTLE = 4.2007
 
 
-def build_stateful_workload(regions: int, hosts_per_region, *,
+def build_stateful_workload(regions: int, hosts_per_region: int, *,
                             host_spacing: float = STATEFUL_HOST_SPACING,
                             settle: float = STATEFUL_SETTLE,
                             policies: Optional[Dict[str, float]] = None,
@@ -515,11 +433,10 @@ def build_stateful_workload(regions: int, hosts_per_region, *,
     regions are idle at any instant.
     """
     from ..shard import stateful_workload
-    counts = _hosts_per_region_list(regions, hosts_per_region)
     hints: Dict[str, Tuple[int, ...]] = {"core": (1,)}
     enrollments: List[Tuple[str, str, str, float]] = []
     for region in range(regions):
-        border, _hosts = _region_names(region, counts[region])
+        border, _hosts = _region_names(region, hosts_per_region)
         hints[border] = (2 + region, 0)
         enrollments.append((border, "core", f"shim:{border}--core",
                             STATEFUL_BORDER_START
@@ -528,7 +445,7 @@ def build_stateful_workload(regions: int, hosts_per_region, *,
                   + STATEFUL_HOST_MARGIN)
     index = 0
     for region in range(regions):
-        border, hosts = _region_names(region, counts[region])
+        border, hosts = _region_names(region, hosts_per_region)
         for host_index, host in enumerate(hosts):
             hints[host] = (2 + region, 1 + host_index)
             enrollments.append((host, border, f"shim:{host}--{border}",
@@ -539,8 +456,8 @@ def build_stateful_workload(regions: int, hosts_per_region, *,
                              policies=policies, until=until)
 
 
-def build_sparse_stateful_workload(regions: int,
-                                   hosts_per_region) -> Dict[str, Any]:
+def build_sparse_stateful_workload(regions: int, hosts_per_region: int
+                                   ) -> Dict[str, Any]:
     """The sparse-traffic stateful plant: same topology and causal
     structure as :func:`build_stateful_workload`, but enrollments are
     spread out and keepalives slowed so that at any simulated instant
@@ -568,10 +485,21 @@ def _stateful_row(node_stats: List[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
+def _reference_result(reference: Dict[str, Any]):
+    """A single-engine reference run as a one-shard
+    :class:`~repro.shard.ShardRunResult` (one round, one grant, one
+    region step, nothing relayed), so a tier's row reads its counts the
+    same way at every shard count."""
+    from ..shard import ShardRunResult
+    return ShardRunResult(rows=reference["rows"],
+                          node_stats=reference["node_stats"],
+                          shards=[reference], rounds=1, grants=1,
+                          region_steps=[1])
+
+
 def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
                        seed: int = 1, mode: str = "auto",
-                       balance: bool = False, sparse: bool = False
-                       ) -> Dict[str, Any]:
+                       sparse: bool = False) -> Dict[str, Any]:
     """One stateful-tier row: the flat configuration's *control plane*
     (enrollment + RIEP + LSA flooding + keepalives) run unsharded
     (``shards=1``) or region-sharded over worker processes.
@@ -590,60 +518,35 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
              else build_stateful_workload)
     workload = build(regions, hosts_per_region)
     until = workload["until"]
-    n = len(spec.nodes)
     started = time.perf_counter()
     if shards <= 1:
-        reference = run_unsharded_stateful(spec, workload, seed=seed,
-                                           until=until)
-        wall = time.perf_counter() - started
-        row = {
-            "config": "flat-stateful" + ("-sparse" if sparse else ""),
-            "systems": n,
-            "regions": regions,
-            "shards": 1,
-            "enrolled": reference["enrolled"],
-            "rounds": 1,
-            "grants": 1,
-            "region_steps": 1,
-            "frames_relayed": 0,
-            "relay_batches": 0,
-            "relay_bytes": 0,
-        }
-        row.update(_stateful_row(reference["node_stats"]))
-        events = reference["events"]
+        result = _reference_result(run_unsharded_stateful(
+            spec, workload, seed=seed, until=until))
     else:
         plan = RegionPlan(spec, flood_assignment(regions, hosts_per_region,
-                                                 shards, balance=balance))
+                                                 shards))
         result = run_sharded(plan, workload, seed=seed, mode=mode,
                              until=until, collect_traces=False)
-        wall = time.perf_counter() - started
-        row = {
-            "config": "flat-stateful" + ("-sparse" if sparse else ""),
-            "systems": n,
-            "regions": regions,
-            "shards": len(plan.regions),
-            "enrolled": sum(s["enrolled"] for s in result.shards),
-            "rounds": result.rounds,
-            "grants": result.grants,
-            "region_steps": result.steps,
-            "frames_relayed": result.frames_relayed,
-            "relay_batches": result.relay_batches,
-            "relay_bytes": result.relay_bytes,
-        }
-        row.update(_stateful_row(result.node_stats))
-        events = result.events
-    row.update({
-        "wall_s": round(wall, 2),
-        "events": events,
-        "events_per_s": int(events / wall) if wall > 0 else 0,
-        "peak_mem_mb": _peak_mem_mb(),
-    })
-    return row
+    wall = time.perf_counter() - started
+    return {
+        "config": "flat-stateful" + ("-sparse" if sparse else ""),
+        "systems": len(spec.nodes),
+        "regions": regions,
+        "shards": len(result.shards),
+        "enrolled": sum(s["enrolled"] for s in result.shards),
+        "rounds": result.rounds,
+        "grants": result.grants,
+        "region_steps": result.steps,
+        "frames_relayed": result.frames_relayed,
+        "relay_batches": result.relay_batches,
+        "relay_bytes": result.relay_bytes,
+        **_stateful_row(result.node_stats),
+        **_speed_columns(result.events, wall),
+    }
 
 
 def iter_stateful_jobs(tiers: List[str] = ("small", "medium"),
-                       shards: int = 2, seed: int = 1,
-                       balance: bool = False) -> List[Job]:
+                       shards: int = 2, seed: int = 1) -> List[Job]:
     """The stateful sharded tier as data: per tier, the single-engine
     reference row and the ``shards``-way partitioned row.  Same
     dispatch caveats as :func:`iter_flood_jobs` (each job is one whole
@@ -659,7 +562,7 @@ def iter_stateful_jobs(tiers: List[str] = ("small", "medium"),
             jobs.append(Job(
                 "repro.experiments.e6_scalability:run_stateful_scale",
                 kwargs={"regions": regions, "hosts_per_region": hosts,
-                        "shards": count, "seed": seed, "balance": balance},
+                        "shards": count, "seed": seed},
                 group="e6-stateful",
                 label=f"e6-stateful flat {tier} x{count}"))
     return jobs
@@ -683,7 +586,6 @@ def stateful_trace_digests(regions: int, hosts_per_region: int,
 
 def run_flood_scale(regions: int, hosts_per_region: int, shards: int = 1,
                     seed: int = 1, mode: str = "auto",
-                    balance: bool = False,
                     origins: Optional[int] = None) -> Dict[str, Any]:
     """One sharded-tier row: the flat configuration's flooding fan-out
     (every system originates one LSA-style announcement, flooded to all
@@ -708,52 +610,30 @@ def run_flood_scale(regions: int, hosts_per_region: int, shards: int = 1,
     spec = build_flood_spec(regions, hosts_per_region)
     workload = (all_nodes_announce(spec.nodes) if origins is None
                 else sparse_announce(spec.nodes, origins))
-    n = 1 + regions * (1 + hosts_per_region)
+    n = len(spec.nodes)
     started = time.perf_counter()
     if shards <= 1:
-        reference = run_unsharded(spec, workload, seed=seed,
-                                  collect_rows=False)
-        wall = time.perf_counter() - started
-        events = reference["events"]
-        row = {
-            "config": "flat-flood",
-            "systems": n,
-            "regions": regions,
-            "shards": 1,
-            "origins": origins if origins is not None else n,
-            "deliveries": reference["deliveries"],
-            "duplicates": reference["duplicates"],
-            "rounds": 1,
-            "region_steps": 1,
-            "frames_relayed": 0,
-        }
+        result = _reference_result(run_unsharded(spec, workload, seed=seed,
+                                                 collect_rows=False))
     else:
-        plan = RegionPlan(spec,
-                          flood_assignment(regions, hosts_per_region,
-                                           shards, balance=balance))
+        plan = RegionPlan(spec, flood_assignment(regions, hosts_per_region,
+                                                 shards))
         result = run_sharded(plan, workload, seed=seed, mode=mode,
                              collect_rows=False, collect_traces=False)
-        wall = time.perf_counter() - started
-        events = result.events
-        row = {
-            "config": "flat-flood",
-            "systems": n,
-            "regions": regions,
-            "shards": len(plan.regions),
-            "origins": origins if origins is not None else n,
-            "deliveries": sum(s["deliveries"] for s in result.shards),
-            "duplicates": sum(s["duplicates"] for s in result.shards),
-            "rounds": result.rounds,
-            "region_steps": result.steps,
-            "frames_relayed": result.frames_relayed,
-        }
-    row.update({
-        "wall_s": round(wall, 2),
-        "events": events,
-        "events_per_s": int(events / wall) if wall > 0 else 0,
-        "peak_mem_mb": _peak_mem_mb(),
-    })
-    return row
+    wall = time.perf_counter() - started
+    return {
+        "config": "flat-flood",
+        "systems": n,
+        "regions": regions,
+        "shards": len(result.shards),
+        "origins": origins if origins is not None else n,
+        "deliveries": sum(s["deliveries"] for s in result.shards),
+        "duplicates": sum(s["duplicates"] for s in result.shards),
+        "rounds": result.rounds,
+        "region_steps": result.steps,
+        "frames_relayed": result.frames_relayed,
+        **_speed_columns(result.events, wall),
+    }
 
 
 def shard_trace_digests(regions: int, hosts_per_region: int,
@@ -774,8 +654,7 @@ def shard_trace_digests(regions: int, hosts_per_region: int,
 
 
 def iter_flood_jobs(tiers: List[str] = ("small", "medium", "large"),
-                    shards: int = 2, seed: int = 1,
-                    balance: bool = False) -> List[Job]:
+                    shards: int = 2, seed: int = 1) -> List[Job]:
     """The sharded tier as data: per tier, the single-engine reference
     row and the ``shards``-way partitioned row.  Each job is one whole
     sharded run — the coordinator spawns its own per-region workers, so
@@ -794,7 +673,7 @@ def iter_flood_jobs(tiers: List[str] = ("small", "medium", "large"),
             jobs.append(Job(
                 "repro.experiments.e6_scalability:run_flood_scale",
                 kwargs={"regions": regions, "hosts_per_region": hosts,
-                        "shards": count, "seed": seed, "balance": balance,
+                        "shards": count, "seed": seed,
                         "origins": origins},
                 group="e6-shard",
                 label=f"e6-shard flat-flood {tier} x{count}"))
@@ -845,7 +724,8 @@ def verify_end_to_end(regions: int = 3, hosts_per_region: int = 4,
                       seed: int = 1) -> Dict[str, Any]:
     """Sanity check: the recursive stack really carries application data
     end to end through the h2h DIF."""
-    network, systems, difs = build_recursive(regions, hosts_per_region, seed)
+    network, systems, _difs = build_stack("recursive", regions,
+                                          hosts_per_region, seed)
     src = "h0_0"
     dst = f"h{regions - 1}_0"
     server = EchoServer(systems[dst], dif_names=["h2h"])

@@ -120,8 +120,7 @@ def run_commands(out_dir: str) -> None:
     _run(_repro("all", "--jobs", "1"), out_dir, **small)
     _run(_repro("e1", "e2", "--jobs", "2"), out_dir,
          REPRO_START_METHOD="spawn")
-    for flags in ([], ["--stateful"], ["--balance"],
-                  ["--stateful", "--balance"]):
+    for flags in ([], ["--stateful"]):
         _run(_repro("e6-scale", "--shards", "2", *flags), out_dir, **small)
     _run(_repro("e6-scale", "--shards", "1"), out_dir, **small)
     _run(_repro("scenarios", "list"), out_dir)

@@ -47,13 +47,11 @@ class TestCli:
 
 
 class TestShardedScaleFlags:
-    """``--shards`` / ``--stateful`` / ``--balance`` wiring."""
+    """``--shards`` / ``--stateful`` wiring."""
 
-    def test_stateful_and_balance_require_shards(self, capsys):
+    def test_stateful_requires_shards(self, capsys):
         assert main(["e6-scale", "--stateful"]) == 2
-        assert "--stateful/--balance" in capsys.readouterr().err
-        assert main(["e2", "--balance"]) == 2
-        assert "--stateful/--balance" in capsys.readouterr().err
+        assert "--stateful" in capsys.readouterr().err
 
     def test_shards_applies_to_e6_scale_only(self, capsys):
         assert main(["e2", "--shards", "2"]) == 2
@@ -66,17 +64,6 @@ class TestShardedScaleFlags:
         assert main(["e6-scale", "--shards", "1", "--stateful"]) == 2
         err = capsys.readouterr().err
         assert "--stateful" in err and "--shards 1" in err
-
-    def test_balance_with_one_shard_is_a_contradiction(self, capsys):
-        assert main(["e6-scale", "--shards", "1", "--balance"]) == 2
-        err = capsys.readouterr().err
-        assert "--balance" in err and "--shards 1" in err
-
-    def test_both_flags_with_one_shard_name_both(self, capsys):
-        assert main(["e6-scale", "--shards", "1", "--stateful",
-                     "--balance"]) == 2
-        err = capsys.readouterr().err
-        assert "--stateful/--balance" in err
 
     def test_stateful_tier_runs_and_pins_fingerprint(self, capsys,
                                                      monkeypatch):
@@ -92,19 +79,13 @@ class TestShardedScaleFlags:
         assert main(["e6-scale", "--shards", "2", "--stateful"]) == 2
         assert "REPRO_E6_STATEFUL_TIERS" in capsys.readouterr().err
 
-    def test_stateful_jobs_honour_balance(self):
-        from repro.experiments.e6_scalability import (iter_flood_jobs,
-                                                      iter_stateful_jobs)
-        for jobs in (iter_stateful_jobs(["small"], shards=2, balance=True),
-                     iter_flood_jobs(["small"], shards=2, balance=True)):
-            assert jobs and all(job.kwargs["balance"] for job in jobs)
-
     def test_removed_transport_flag_is_rejected(self, capsys):
-        # the relay has one path; the flag that used to select among
-        # three is now an unknown argument like any other
-        assert main(["e6-scale", "--shards", "2", "--stateful",
-                     "--transport", "packed"]) == 2
-        assert capsys.readouterr().err
+        # the relay has one path and placement is one rule: the flags
+        # that used to select among them are unknown arguments now
+        for removed in (["--transport", "packed"], ["--balance"]):
+            assert main(["e6-scale", "--shards", "2", "--stateful",
+                         *removed]) == 2
+            assert capsys.readouterr().err
 
     def test_removed_protocol_flag_is_rejected(self, capsys):
         # one round rule, no switch: --protocol is an unknown argument,

@@ -191,7 +191,7 @@ class TestBulkSyncSize:
         from repro.core.enrollment import AUTH_OBJ
         from repro.core.ipcp import Ipcp
         from repro.core.riep import RiepMessage
-        from repro.experiments.e6_scalability import build_flat
+        from repro.experiments.e6_scalability import build_stack
         replies = []
         send = Ipcp.send_mgmt_on_port
 
@@ -201,7 +201,7 @@ class TestBulkSyncSize:
             return send(self, port_id, message)
 
         monkeypatch.setattr(Ipcp, "send_mgmt_on_port", recording)
-        build_flat(3, 3, seed=0)
+        build_stack("flat", 3, 3, seed=0)
         assert len(replies) == 12
         assert max(len(m.value["lsdb"]) for m, _size in replies) >= 10
         for message, preset in replies:

@@ -50,10 +50,10 @@ CONTROL_PLANE_BUDGET = 40_000
 
 
 def test_flat_control_plane_stays_in_budget():
-    from repro.experiments.e6_scalability import build_flat
+    from repro.experiments.e6_scalability import build_stack
     tracemalloc.start()
     try:
-        network, _systems, difs = build_flat(5, 10, seed=1)
+        network, _systems, difs = build_stack("flat", 5, 10, seed=1)
         held, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

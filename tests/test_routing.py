@@ -372,8 +372,8 @@ def lsa_census(monkeypatch):
 
 
 def flat_members(regions, hosts, seed=0):
-    from repro.experiments.e6_scalability import build_flat
-    network, _systems, difs = build_flat(regions, hosts, seed)
+    from repro.experiments.e6_scalability import build_stack
+    network, _systems, difs = build_stack("flat", regions, hosts, seed)
     return network, list(difs["flat"].members().values())
 
 

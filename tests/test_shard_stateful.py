@@ -13,17 +13,13 @@ no live object references ever sit in a ``BoundaryFrame``.
 
 import hashlib
 
-import pytest
-
 from repro.core import codec
-from repro.experiments.e6_scalability import (balanced_assignment,
-                                              build_flood_spec,
+from repro.experiments.e6_scalability import (build_flood_spec,
                                               build_stateful_workload,
                                               flood_assignment,
-                                              region_weights,
                                               run_stateful_scale)
 from repro.shard import (RegionPlan, ShardEngine, all_nodes_announce,
-                         run_sharded, run_unsharded, run_unsharded_stateful)
+                         run_sharded, run_unsharded_stateful)
 
 #: Golden fingerprints of the canned stateful case (E6 plant at 3x2,
 #: seed 0): the combined node-stats rendering of the unsharded build,
@@ -46,11 +42,10 @@ GOLDEN_STATEFUL_SHARDS = {
 }
 
 
-def canned_stateful(regions=3, hosts=2, shards=2, balance=False):
+def canned_stateful(regions=3, hosts=2, shards=2):
     spec = build_flood_spec(regions, hosts)
     workload = build_stateful_workload(regions, hosts)
-    plan = RegionPlan(spec, flood_assignment(regions, hosts, shards,
-                                             balance=balance))
+    plan = RegionPlan(spec, flood_assignment(regions, hosts, shards))
     return spec, plan, workload
 
 
@@ -116,11 +111,9 @@ class TestStatefulEquivalence:
     def test_stateful_scale_row_invariant_across_shard_counts(self):
         serial = run_stateful_scale(3, 2, shards=1, seed=1)
         sharded = run_stateful_scale(3, 2, shards=2, seed=1)
-        balanced = run_stateful_scale(3, 2, shards=2, seed=1, balance=True)
         for key in ("systems", "enrolled", "table_rows", "lsas_received",
                     "rib_sha256", "events"):
             assert sharded[key] == serial[key], key
-            assert balanced[key] == serial[key], key
         assert serial["shards"] == 1 and sharded["shards"] == 2
         assert sharded["frames_relayed"] > 0
 
@@ -201,73 +194,6 @@ class TestWireData:
         assert cut.rows == reference["rows"]
         assert cut.node_stats == reference["node_stats"]
         assert cut.events == reference["events"]
-
-
-# ----------------------------------------------------------------------
-# Adaptive shard balance (the cost-weighted partitioner)
-# ----------------------------------------------------------------------
-class TestShardBalance:
-    def test_balanced_partition_tightens_the_round_barrier(self):
-        # a skewed plant: one whale region and three minnows.  The
-        # modulo spread lumps the whale with a minnow and the core;
-        # the weighted partitioner isolates it, so the busiest shard
-        # (the round barrier — every round waits for the slowest
-        # engine) carries strictly less work.
-        regions, hosts, shards = 4, [30, 2, 2, 2], 2
-        weights = region_weights(regions, hosts)
-
-        def max_load(assignment_fn):
-            assignment = assignment_fn()
-            load = {}
-            for region in range(regions):
-                shard = assignment[f"border{region}"]
-                load[shard] = load.get(shard, 0.0) + weights[region]
-            return max(load.values())
-
-        modulo = max_load(lambda: flood_assignment(regions, hosts, shards))
-        balanced = max_load(
-            lambda: balanced_assignment(regions, hosts, shards))
-        assert balanced < modulo
-        # the barrier is visible in per-shard event totals too
-        spec = build_flood_spec(regions, hosts)
-        workload = all_nodes_announce(spec.nodes)
-
-        def busiest_events(balance):
-            plan = RegionPlan(spec, flood_assignment(regions, hosts, shards,
-                                                     balance=balance))
-            result = run_sharded(plan, workload, seed=0, mode="inline",
-                                 collect_rows=False, collect_traces=False)
-            return max(s["events"] for s in result.shards)
-
-        assert busiest_events(balance=True) < busiest_events(balance=False)
-
-    def test_balanced_partition_is_still_exact(self):
-        # balance only relabels regions; delivery rows stay identical
-        # to the unsharded run
-        regions, hosts = 4, [6, 2, 2, 2]
-        spec = build_flood_spec(regions, hosts)
-        workload = all_nodes_announce(spec.nodes)
-        reference = run_unsharded(spec, workload, seed=0)
-        plan = RegionPlan(spec, balanced_assignment(regions, hosts, 2))
-        sharded = run_sharded(plan, workload, seed=0, mode="inline")
-        assert sharded.rows == reference["rows"]
-
-    def test_core_rides_with_the_heaviest_region(self):
-        assignment = balanced_assignment(4, [2, 40, 2, 2], 2)
-        assert assignment["core"] == assignment["border1"]
-
-    def test_uniform_plant_spreads_evenly(self):
-        assignment = balanced_assignment(4, 3, 2)
-        shards = {assignment[f"border{r}"] for r in range(4)}
-        assert shards == {0, 1}
-        counts = [sum(1 for r in range(4)
-                      if assignment[f"border{r}"] == shard)
-                  for shard in (0, 1)]
-        assert counts == [2, 2]
-
-    def test_skewed_spec_validates_lengths(self):
-        with pytest.raises(ValueError, match="host counts"):
-            build_flood_spec(3, [1, 2])
 
 
 # ----------------------------------------------------------------------
