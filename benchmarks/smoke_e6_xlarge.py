@@ -22,11 +22,13 @@ from __future__ import annotations
 import json
 import sys
 
-#: Peak-RSS ceiling for build + first wave.  ~630 MB on the reference
-#: box; 1.5 GB fails CI on per-entity object-graph creep (eager
-#: per-link PRNGs alone were ~250 MB before they became lazy)
-#: without flaking on allocator variance.
-PEAK_MEM_BUDGET_MB = 1_500
+#: Peak-RSS ceiling for build + first wave.  460.5 MB on the reference
+#: box (2 vCPU, CPython 3.11.7); 617.4 MB while every link made its two
+#: transmit deques up front and every flood node a ``set``.  600 MB
+#: fails CI on per-entity object-graph creep of that size (eager
+#: per-link PRNGs alone were ~250 MB before they became lazy) without
+#: flaking on allocator variance.
+PEAK_MEM_BUDGET_MB = 600
 
 
 def main() -> int:

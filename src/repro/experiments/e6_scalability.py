@@ -706,7 +706,7 @@ def flood_build_smoke(tier: str = "xlarge", seed: int = 1) -> Dict[str, Any]:
     network.run(until=0.010)
     wall = time.perf_counter() - started
     n = len(spec.nodes)
-    deliveries = sum(len(f.deliveries) for f in floods.values())
+    deliveries = sum(f.received for f in floods.values())
     return {
         "tier": tier,
         "systems": n,

@@ -81,8 +81,8 @@ class BoundaryHalf(Link):
     serialization end; ingress frames are injected by
     :meth:`ShardEngine.inject` and delivered through
     :meth:`deliver_inbound`, which decodes and keeps the
-    delivered-frame statistics and trace counters of the unsharded
-    link.
+    delivered-frame statistics of the unsharded link (the tracer's
+    ``link.delivered`` reads them through the region's network).
     """
 
     __slots__ = ("_outbox", "local_index")
@@ -109,7 +109,6 @@ class BoundaryHalf(Link):
             return
         self.frames_delivered[1 - self.local_index] += 1
         self.bytes_delivered[1 - self.local_index] += size
-        self._trace_count("link.delivered")
         self.ends[self.local_index].deliver(decode(payload), size)
 
 

@@ -6,8 +6,8 @@ link-state announcement traverses every link of a 1,000-system plant.
 :class:`FloodNode` models exactly that data path at the sim layer: each
 node originates sequence-numbered announcements and refloods first
 copies out of every other interface, deduplicating by ``(origin, seq)``
-the way the LSDB does.  Payloads are plain tuples, so frames cross shard
-process boundaries by pickling, unchanged.
+the way the LSDB does.  Payloads are plain ``(origin, seq)`` tuples, so
+frames cross shard process boundaries through the wire codec unchanged.
 
 The workload itself is pure data (a dict of announcement times), so one
 description drives the unsharded reference run, every in-process shard,
@@ -17,6 +17,7 @@ sharded-vs-unsharded delivery equivalence testable at all.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.network import Network
@@ -78,21 +79,30 @@ def sparse_announce(nodes: Tuple[str, ...], origins: int,
 
 
 class FloodNode:
-    """Per-origin sequence-numbered flooding on one node, LSA-style."""
+    """Per-origin sequence-numbered flooding on one node, LSA-style.
 
-    __slots__ = ("node", "name", "_engine", "_tracer", "_seen", "_next_seq",
-                 "deliveries", "announced", "duplicates", "forwarded",
-                 "_interfaces")
+    Every node of one :func:`attach_flood` call shares ``keys`` (payload
+    → small int, one per announcement of the workload) and ``payloads``
+    (the reverse), so a node's state is flat: one ``bytearray`` of seen
+    flags indexed by key, and its first deliveries as an ``array`` of
+    times beside an ``array`` of keys.
+    """
 
-    def __init__(self, node, tracer=None) -> None:
+    __slots__ = ("node", "name", "_engine", "_keys", "_payloads", "_seen",
+                 "_next_seq", "_times", "_delivered", "announced",
+                 "duplicates", "forwarded", "_interfaces")
+
+    def __init__(self, node, keys: Dict[Tuple[str, int], int],
+                 payloads: List[Tuple[str, int]]) -> None:
         self.node = node
         self.name = node.name
         self._engine = node.engine
-        self._tracer = tracer
-        self._seen: set = set()
+        self._keys = keys
+        self._payloads = payloads
+        self._seen = bytearray(len(keys))
         self._next_seq = 0
-        #: (time, origin, seq) per first delivery, in delivery order
-        self.deliveries: List[Tuple[float, str, int]] = []
+        self._times = array("d")
+        self._delivered = array("I")
         self.announced = 0
         self.duplicates = 0
         self.forwarded = 0
@@ -102,42 +112,48 @@ class FloodNode:
             end.attach(lambda payload, size, _end=end:
                        self._receive(_end, payload, size))
 
+    @property
+    def deliveries(self) -> List[Tuple[float, str, int]]:
+        """(time, origin, seq) per first delivery, in delivery order."""
+        payloads = self._payloads
+        return [(time,) + payloads[key]
+                for time, key in zip(self._times, self._delivered)]
+
+    @property
+    def received(self) -> int:
+        """Number of first deliveries."""
+        return len(self._times)
+
     def announce(self, size_bytes: int = DEFAULT_SIZE) -> None:
         """Originate one announcement and flood it on every interface."""
-        seq = self._next_seq
+        key = self._keys[self.name, self._next_seq]
         self._next_seq += 1
-        payload = (self.name, seq)
-        self._seen.add(payload)
+        payload = self._payloads[key]
+        self._seen[key] = 1
         self.announced += 1
-        self._count("flood.announced")
         for interface in self._interfaces:
             interface.end.send(payload, size_bytes)
             self.forwarded += 1
 
     def _receive(self, from_end, payload, size: int) -> None:
-        if payload in self._seen:
+        key = self._keys[payload]
+        if self._seen[key]:
             self.duplicates += 1
-            self._count("flood.duplicate")
             return
-        self._seen.add(payload)
-        origin, seq = payload
-        self.deliveries.append((self._engine.now, origin, seq))
-        self._count("flood.delivered")
+        self._seen[key] = 1
+        self._times.append(self._engine.now)
+        self._delivered.append(key)
         for interface in self._interfaces:
             if interface.end is not from_end:
                 interface.end.send(payload, size)
                 self.forwarded += 1
-
-    def _count(self, name: str) -> None:
-        if self._tracer is not None:
-            self._tracer.count(name)
 
     def stats(self) -> Dict[str, Any]:
         """Order-insensitive per-node result row."""
         return {
             "node": self.name,
             "announced": self.announced,
-            "received": len(self.deliveries),
+            "received": self.received,
             "duplicates": self.duplicates,
             "forwarded": self.forwarded,
         }
@@ -151,14 +167,33 @@ def attach_flood(network: Network, workload: Dict[str, Any],
 
     Interfaces must all be plugged in before this is called (boundary
     half-links included) — a flood node snapshots its interface list.
+    The network's tracer reads ``flood.announced`` / ``flood.delivered``
+    / ``flood.duplicate`` from the nodes' own counts.
     """
     if workload.get("kind") != FLOOD_KIND:
         raise ValueError(f"unknown workload kind {workload.get('kind')!r}")
     size = int(workload.get("size_bytes", DEFAULT_SIZE))
     names = tuple(local_nodes) if local_nodes is not None \
         else tuple(network.nodes)
-    floods = {name: FloodNode(network.nodes[name], tracer=network.tracer)
+    # one key per announcement in the whole workload, local or not: a
+    # remote origin's payload arrives here too
+    payloads: List[Tuple[str, int]] = []
+    next_seq: Dict[str, int] = {}
+    for node, _at in workload["announcements"]:
+        seq = next_seq.get(node, 0)
+        next_seq[node] = seq + 1
+        payloads.append((node, seq))
+    keys = {payload: key for key, payload in enumerate(payloads)}
+    floods = {name: FloodNode(network.nodes[name], keys, payloads)
               for name in names}
+    nodes = tuple(floods.values())
+    tracer = network.tracer
+    tracer.read_from("flood.announced",
+                     lambda: sum(f.announced for f in nodes))
+    tracer.read_from("flood.delivered",
+                     lambda: sum(f.received for f in nodes))
+    tracer.read_from("flood.duplicate",
+                     lambda: sum(f.duplicates for f in nodes))
     for node, at in workload["announcements"]:
         flood = floods.get(node)
         if flood is not None:
@@ -187,8 +222,7 @@ class FloodRun:
 
     def summary_extra(self) -> Dict[str, Any]:
         return {
-            "deliveries": sum(len(f.deliveries)
-                              for f in self.floods.values()),
+            "deliveries": sum(f.received for f in self.floods.values()),
             "duplicates": sum(f.duplicates for f in self.floods.values()),
         }
 
@@ -246,6 +280,6 @@ def run_unsharded(spec, workload: Dict[str, Any], seed: int = 0,
         "node_stats": node_stat_rows(floods) if collect_rows else [],
         "events": network.engine.events_processed,
         "clock": network.engine.now,
-        "deliveries": sum(len(f.deliveries) for f in floods.values()),
+        "deliveries": sum(f.received for f in floods.values()),
         "duplicates": sum(f.duplicates for f in floods.values()),
     }

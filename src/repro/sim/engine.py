@@ -4,9 +4,9 @@ Everything in this reproduction — the IPC architecture under test and the
 TCP/IP-style baseline — runs on this engine, never on real sockets.  The
 engine keeps a simulated clock (float seconds), a binary heap of distinct
 pending timestamps, and a per-timestamp batch of events.  Determinism is
-guaranteed by breaking timestamp ties with a monotonically increasing
-sequence number (batch append order), so two runs with the same seed and
-the same call order produce identical traces.
+guaranteed by running a timestamp's events in batch append order, which
+is scheduling order, so two runs with the same seed and the same call
+order produce identical traces.
 
 Typical use::
 
@@ -17,9 +17,13 @@ Typical use::
 
 from __future__ import annotations
 
+import gc
 import heapq
-import itertools
+import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+
+_INF = math.inf
 
 
 class SimulationError(RuntimeError):
@@ -34,14 +38,13 @@ class Event:
     is skipped when reached (lazy deletion), which keeps cancellation O(1).
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label",
+    __slots__ = ("time", "callback", "args", "cancelled", "label",
                  "_expired", "_on_cancel")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., None],
+    def __init__(self, time: float, callback: Callable[..., None],
                  args: Tuple[Any, ...], label: str = "",
                  on_cancel: Optional[Callable[["Event"], None]] = None) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -62,12 +65,9 @@ class Event:
         """True if the event has not been cancelled."""
         return not self.cancelled
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} seq={self.seq} {self.label!r} {state}>"
+        return f"<Event t={self.time:.6f} {self.label!r} {state}>"
 
 
 class Engine:
@@ -85,9 +85,7 @@ class Engine:
         # timestamp once; the events for a timestamp live in a list keyed
         # by that exact float.  A burst of N simultaneous deliveries costs
         # one heappush plus N list appends instead of N heap sifts, and
-        # within a batch append order IS seq order (the seq counter is
-        # monotonic across scheduling calls), so execution order is
-        # byte-identical to the old (time, seq) tuple heap.
+        # within a batch append order is scheduling order.
         self._heap: List[float] = []
         self._batches: Dict[float, List[Event]] = {}
         # consumed prefix of a partially drained batch (only the batch at
@@ -95,12 +93,10 @@ class Engine:
         # on stop()/max_events or unwinds on a raising callback, so this
         # holds at most one meaningful entry)
         self._batch_pos: Dict[float, int] = {}
-        self._seq = itertools.count()
         self._running = False
         self._stopped = False
         self._events_processed = 0
         self._last_event_time = self._now
-        self._max_events: Optional[int] = None
         self._live = 0   # non-cancelled events currently queued
         # bound once: every scheduling call hands it to its Event
         self._on_cancel = self._note_cancel
@@ -181,13 +177,15 @@ class Engine:
                 *args: Any, label: str = "") -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``.
 
-        Raises :class:`SimulationError` if ``when`` is in the past.
+        Raises :class:`SimulationError` unless ``now <= when < inf``; the
+        chained comparison is False for NaN, so NaN is refused too (a NaN
+        key would sit in the heap comparing False against everything and
+        let later events run out of order).
         """
-        if when < self._now:
+        if not self._now <= when < _INF:
             raise SimulationError(
-                f"cannot schedule at t={when:.6f}, clock is at t={self._now:.6f}")
-        event = Event(when, next(self._seq), callback, args, label,
-                      self._on_cancel)
+                f"cannot schedule at t={when!r}, clock is at t={self._now!r}")
+        event = Event(when, callback, args, label, self._on_cancel)
         batch = self._batches.get(when)
         if batch is None:
             self._batches[when] = [event]
@@ -201,14 +199,16 @@ class Engine:
                    *args: Any, label: str = "") -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds.
 
-        Raises :class:`SimulationError` for negative delays.
+        Raises :class:`SimulationError` unless ``delay >= 0`` and the
+        resulting time is finite (NaN fails both comparisons).
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
         # inlined call_at: this is the hottest scheduling entry point
         when = self._now + delay
-        event = Event(when, next(self._seq), callback, args, label,
-                      self._on_cancel)
+        if not (delay >= 0.0 and when < _INF):
+            raise SimulationError(
+                f"cannot schedule after delay {delay!r}, clock is at "
+                f"t={self._now!r}")
+        event = Event(when, callback, args, label, self._on_cancel)
         batch = self._batches.get(when)
         if batch is None:
             self._batches[when] = [event]
@@ -237,11 +237,21 @@ class Engine:
         advanced exactly to ``until``.  An exception a callback raises
         propagates; the event counts as executed, and the next ``run()``
         resumes with the event after it.
+
+        The cyclic garbage collector is paused for the call and left as
+        the caller had it on return, exception or not (an inner run on
+        another engine finds it paused and leaves it paused).  Its passes
+        rescan a live heap that grows during a run, while reference
+        counting already frees every frame, event and PDU; the little
+        cyclic garbage a run leaves waits for the first pass after it
+        (docs/ARCHITECTURE.md, "The engine core").
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
         self._stopped = False
+        collecting = gc.isenabled()
+        gc.disable()
         budget = max_events
         heap = self._heap
         batches = self._batches
@@ -255,9 +265,9 @@ class Engine:
                 if until is not None and when > until:
                     self._now = until
                     break
-                # drain the batch at the minimum timestamp in append (= seq)
-                # order; callbacks may append same-time events to the live
-                # list, which land after the cursor with higher seqs, so
+                # drain the batch at the minimum timestamp in append
+                # (= scheduling) order; callbacks may append same-time
+                # events to the live list, which land after the cursor, so
                 # len(batch) is re-read every iteration
                 batch = batches[when]
                 pos = batch_pos.pop(when, 0)
@@ -304,6 +314,8 @@ class Engine:
                     self._now = until
         finally:
             self._running = False
+            if collecting:
+                gc.enable()
         return self._now
 
     def stop(self) -> None:

@@ -533,6 +533,11 @@ class Link:
         A :class:`LossModel` shared by both directions.
     queue_limit:
         Maximum frames queued per direction awaiting serialization.
+    tracer:
+        Where the rare per-frame events are counted (drops, corruption).
+        Delivered frames are not counted per frame: ``frames_delivered``
+        is the count, and :class:`~repro.sim.network.Network` hands the
+        tracer a read of it.
     rng / rng_factory:
         The per-link PRNG feeding the loss model.  ``rng_factory`` defers
         construction until the first frame actually needs a loss draw —
@@ -584,12 +589,13 @@ class Link:
             LinkEnd(self, 0, f"{name}[0]"),
             LinkEnd(self, 1, f"{name}[1]"),
         )
-        # per-direction state: queue of (payload, size) and busy flag.
-        # deques: transmit queues are pure FIFOs and the O(n) list.pop(0)
-        # dominated the hot path at thousand-system scale.
-        self._queues: Tuple[Deque[Tuple[Any, int]], Deque[Tuple[Any, int]]] = (
-            deque(), deque())
+        # per-direction state: busy flag and queue of (payload, size).  A
+        # frame on an idle direction starts serializing at once, so a
+        # direction's deque is made only when a frame finds it busy: most
+        # links of a large plant never queue, and two empty deques are
+        # ~1.2 KB per link.
         self._busy = [False, False]
+        self._queues: List[Optional[Deque[Tuple[Any, int]]]] = [None, None]
         self._up = True
         # observers notified with (link, up) on fail/repair — used by stacks
         # that model carrier detection (interface down when the link dies)
@@ -678,8 +684,9 @@ class Link:
         if not self._up:
             return
         self._up = False
-        for direction in (0, 1):
-            self._queues[direction].clear()
+        for queue in self._queues:
+            if queue is not None:
+                queue.clear()
         held = self._reorder_held
         if held is not None:
             # frames parked by the reorder model die with the link, like
@@ -699,10 +706,6 @@ class Link:
         for callback in list(self._observers):
             callback(self, True)
 
-    def serialization_delay(self, size_bytes: int) -> float:
-        """Time to clock ``size_bytes`` onto the wire at this capacity."""
-        return size_bytes * 8.0 / self.capacity_bps
-
     # ------------------------------------------------------------------
     def transmit(self, from_index: int, payload: Any, size_bytes: int) -> bool:
         """Queue a frame in the given direction; returns False on tail drop."""
@@ -713,14 +716,18 @@ class Link:
             self._trace_count("link.drop.down")
             return False
         queue = self._queues[from_index]
-        if len(queue) >= self.queue_limit:
+        if (0 if queue is None else len(queue)) >= self.queue_limit:
             self.frames_dropped_queue[from_index] += 1
             self._trace_count("link.drop.queue")
             return False
-        queue.append((payload, size_bytes))
         self.frames_sent[from_index] += 1
         if not self._busy[from_index]:
-            self._serve(from_index)
+            # idle direction (so its queue is empty): no queue round trip
+            self._start(from_index, payload, size_bytes)
+        elif queue is None:
+            self._queues[from_index] = deque(((payload, size_bytes),))
+        else:
+            queue.append((payload, size_bytes))
         return True
 
     def _serve(self, direction: int) -> None:
@@ -728,9 +735,14 @@ class Link:
         if not queue or not self._up:
             self._busy[direction] = False
             return
-        self._busy[direction] = True
         payload, size = queue.popleft()
-        tx_time = self.serialization_delay(size)
+        self._start(direction, payload, size)
+
+    def _start(self, direction: int, payload: Any, size: int) -> None:
+        """Put one frame on the wire: the direction is busy until its
+        serialization (and any shaper wait) ends."""
+        self._busy[direction] = True
+        tx_time = size * 8.0 / self.capacity_bps
         conditions = self._conditions
         if conditions is not None and conditions.shaper is not None:
             # the token-bucket wait precedes serialization, so shaping
@@ -850,7 +862,6 @@ class Link:
             return
         self.frames_delivered[direction] += 1
         self.bytes_delivered[direction] += size
-        self._trace_count("link.delivered")
         self.ends[1 - direction].deliver(payload, size)
 
     def _trace_count(self, name: str) -> None:

@@ -31,6 +31,7 @@ class Network:
         # link-end → owning node name, maintained by connect(); spares
         # endpoints_of() the O(nodes × interfaces) scan at scale
         self._end_owner: Dict[int, str] = {}
+        self.tracer.read_from("link.delivered", self._frames_delivered)
 
     # ------------------------------------------------------------------
     def add_node(self, name: str) -> Node:
@@ -129,6 +130,10 @@ class Network:
             if set(self.endpoints_of(link)) == {a, b}:
                 return link
         raise KeyError(f"no link between {a!r} and {b!r}")
+
+    def _frames_delivered(self) -> int:
+        return sum(sum(link.frames_delivered)
+                   for link in self.links.values())
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:

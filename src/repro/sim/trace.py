@@ -11,7 +11,7 @@ Three small primitives cover everything the benchmark harness reports:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class Counter:
@@ -106,10 +106,16 @@ class Tracer:
     Components grab counters/series by name; the experiment harness reads
     them afterwards.  An optional bounded event log captures qualitative
     traces (handoffs, enrollments, failovers) for assertions in tests.
+
+    A count its owner already keeps (frames a link delivered, a flood
+    node's first deliveries) is not counted per event: the owner
+    registers a read with :meth:`read_from`, and the counter's value is
+    taken from it when :meth:`counters` / :meth:`counter_value` render.
     """
 
     def __init__(self, log_limit: int = 100_000) -> None:
         self._counters: Dict[str, Counter] = {}
+        self._reads: Dict[str, List[Callable[[], int]]] = {}
         self._series: Dict[str, TimeSeries] = {}
         self._log: List[Tuple[float, str, Dict[str, Any]]] = []
         self._log_limit = log_limit
@@ -123,14 +129,27 @@ class Tracer:
             counter = self._counters[name] = Counter(name)
         counter.incr(amount)
 
+    def read_from(self, name: str, read: Callable[[], int]) -> None:
+        """Add ``read()``, an owner's running total, to the counter called
+        ``name`` whenever it is rendered."""
+        self._reads.setdefault(name, []).append(read)
+
     def counter_value(self, name: str) -> int:
         """Value of ``name`` (0 if never touched)."""
         counter = self._counters.get(name)
-        return counter.value if counter is not None else 0
+        value = counter.value if counter is not None else 0
+        return value + sum(read() for read in self._reads.get(name, ()))
 
     def counters(self) -> Dict[str, int]:
-        """Snapshot of all counters as a plain dict."""
-        return {name: c.value for name, c in sorted(self._counters.items())}
+        """Snapshot of all counters as a plain dict, sorted by name.  A
+        read-from counter appears once its owners' total is non-zero, as
+        a per-event counter appears on its first count."""
+        values = {name: c.value for name, c in self._counters.items()}
+        for name, reads in self._reads.items():
+            total = sum(read() for read in reads)
+            if total:
+                values[name] = values.get(name, 0) + total
+        return dict(sorted(values.items()))
 
     # -- time series ---------------------------------------------------
     def series(self, name: str) -> TimeSeries:

@@ -26,14 +26,18 @@ REGIONS, HOSTS = 10, 20
 MEMBERS = 1 + REGIONS * (1 + HOSTS)
 
 #: Peak traced bytes per member for the *built* plant (nodes, links,
-#: ends, flood state — no traffic).  Measured ~5.1 KB/member; the old
-#: layout's eager per-link PRNG alone added ~2.5 KB/member on top.
-BUILD_BUDGET = 8_000
+#: ends, flood state — no traffic).  Measured 3,946 B/member, with no
+#: transmit deque until a frame finds its direction busy; 5,125 when
+#: every link made its two deques up front (~1.2 KB per link), and the
+#: old layout's eager per-link PRNG alone added ~2.5 KB/member on top.
+BUILD_BUDGET = 5_000
 
-#: Peak traced bytes per member across the full every-node flood run
-#: (dominated by the per-node first-delivery rows the experiments
-#: read back).  Measured ~29.5 KB/member.
-RUN_BUDGET = 45_000
+#: Peak traced bytes per member across the full every-node flood run.
+#: Measured 8,231 B/member with each node's seen flags in one
+#: ``bytearray`` and its first deliveries in two ``array``s; 29,400
+#: with a ``set`` of payload tuples and a ``(time, origin, seq)`` tuple
+#: per delivery.
+RUN_BUDGET = 10_500
 
 #: Peak traced bytes per standalone EFCP connection (measured 2,137 B:
 #: the slotted object with its twelve protocol scalars, send queue,

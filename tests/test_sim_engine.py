@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +54,33 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Engine().call_later(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("when", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, when):
+        engine = Engine(start_time=1.0)
+        with pytest.raises(SimulationError):
+            engine.call_at(when, lambda: None)
+        assert engine.pending_count() == 0
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, 1e308])
+    def test_non_finite_resulting_time_rejected(self, delay):
+        engine = Engine(start_time=1e308)   # 1e308 + 1e308 overflows
+        with pytest.raises(SimulationError):
+            engine.call_later(delay, lambda: None)
+        assert engine.pending_count() == 0
+
+    def test_a_refused_nan_cannot_reorder_the_queue(self):
+        # regression: a NaN key compares False against everything, so
+        # the heap accepted it and then ran b@0.2, c@0.1, nan, a@0.5
+        engine = Engine()
+        seen = []
+        engine.call_later(0.5, seen.append, "a")
+        with pytest.raises(SimulationError):
+            engine.call_later(math.nan, seen.append, "nan")
+        engine.call_later(0.2, seen.append, "b")
+        engine.call_later(0.1, seen.append, "c")
+        engine.run()
+        assert seen == ["c", "b", "a"]
 
     def test_fifo_order_for_simultaneous_events(self):
         engine = Engine()
@@ -273,6 +303,105 @@ class TestRunControl:
         assert engine.pending_count() == self._live_scan(engine)
         engine.run()
         assert engine.pending_count() == self._live_scan(engine) == 0
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector enabled, and left as the test found it."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    def test_paused_inside_and_restored_on_return(self, collector):
+        engine = Engine()
+        inside = []
+        engine.call_at(1.0, lambda: inside.append(gc.isenabled()))
+        engine.run()
+        assert inside == [False] and gc.isenabled()
+        gc.disable()
+        engine.call_at(2.0, lambda: inside.append(gc.isenabled()))
+        engine.run()
+        assert inside == [False, False] and not gc.isenabled()
+
+    def test_restored_when_a_callback_raises(self, collector):
+        engine = Engine()
+        engine.call_at(1.0, TestRunControl._boom, [])
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert gc.isenabled()
+
+    def test_a_nested_run_leaves_the_outer_pause_alone(self, collector):
+        outer, inner = Engine(), Engine()
+        seen = []
+        inner.call_at(1.0, lambda: seen.append(("inner", gc.isenabled())))
+
+        def run_inner():
+            inner.run()
+            seen.append(("after inner", gc.isenabled()))
+        outer.call_at(1.0, run_inner)
+        outer.run()
+        assert seen == [("inner", False), ("after inner", False)]
+        assert gc.isenabled()
+
+    def test_no_collector_pass_inside_a_run(self, collector):
+        engine = Engine()
+        passes = []
+        marks = []
+
+        def churn():
+            # far more container allocations than a generation-0 threshold
+            for _ in range(2000):
+                cell = []
+                cell.append(cell)
+
+        def on_pass(phase, _info):
+            if phase == "start":
+                passes.append(phase)
+        engine.call_at(0.0, lambda: marks.append(len(passes)))
+        for index in range(20):
+            engine.call_at(1.0 + index, churn)
+        engine.call_at(100.0, lambda: marks.append(len(passes)))
+        gc.collect()
+        gc.callbacks.append(on_pass)
+        try:
+            engine.run()
+        finally:
+            gc.callbacks.remove(on_pass)
+        assert marks[0] == marks[1]
+
+    @staticmethod
+    def _cyclic_garbage_after(duration):
+        """Cyclic objects a steady-state run of ``duration`` simulated
+        seconds leaves for the collector: keepalives on every DIF and an
+        echo flow pinging every 10 ms (EFCP retransmission and ack
+        timers) over a two-level plant."""
+        from repro.apps.echo import EchoClient, EchoServer
+        from repro.core import run_until
+        from repro.experiments.e6_scalability import build_stack
+        network, systems, _difs = build_stack("recursive", 2, 2, seed=1)
+        EchoServer(systems["h1_0"], dif_names=["h2h"])
+        network.run(until=network.engine.now + 0.5)
+        client = EchoClient(systems["h0_0"], dif_name="h2h")
+        run_until(network, lambda: client.waiter.done(), timeout=20)
+        assert client.ready
+        PeriodicTask(network.engine, 0.01, lambda: client.ping(200)).start()
+        gc.collect()
+        gc.disable()     # nothing may collect between the run and the count
+        replies = client.replies
+        network.run(until=network.engine.now + duration)
+        assert client.replies - replies >= 90 * duration
+        return gc.collect()
+
+    def test_what_the_pause_defers_does_not_grow_with_run_length(
+            self, collector):
+        assert (self._cyclic_garbage_after(1.0)
+                == self._cyclic_garbage_after(4.0))
 
 
 class TestTimer:

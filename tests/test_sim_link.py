@@ -75,6 +75,58 @@ class TestDelivery:
         assert link.frames_delivered[0] == 2
 
 
+class TestLazyQueues:
+    def test_a_built_idle_plant_holds_no_queue(self):
+        from repro.experiments.e6_scalability import build_flood_spec
+        from repro.shard import all_nodes_announce, attach_flood
+        spec = build_flood_spec(10, 20)
+        network = spec.build(seed=1)
+        attach_flood(network, all_nodes_announce(spec.nodes))
+        assert len(network.links) == 210
+        assert all(queue is None for link in network.links.values()
+                   for queue in link._queues)
+
+    def test_burst_keeps_fifo_and_tail_drops_at_the_limit(self):
+        engine, link, inbox_a, inbox_b = make_link(queue_limit=2,
+                                                   capacity_bps=1e6)
+        results = [link.ends[0].send(str(i), 1000) for i in range(5)]
+        # one frame on the wire, two queued behind it, two dropped
+        assert results == [True, True, True, False, False]
+        assert link.frames_sent == [3, 0]
+        assert link.frames_dropped_queue == [2, 0]
+        assert link._queues[1] is None
+        engine.run()
+        assert [p for _t, p, _s in inbox_b] == ["0", "1", "2"]
+        assert inbox_a == []
+        # the drained direction serves the next burst the same way
+        results = [link.ends[0].send(str(i), 1000) for i in range(5, 9)]
+        assert results == [True, True, True, False]
+        engine.run()
+        assert [p for _t, p, _s in inbox_b] == ["0", "1", "2", "5", "6", "7"]
+
+    def test_zero_queue_limit_drops_every_frame(self):
+        engine, link, _a, inbox_b = make_link(queue_limit=0)
+        assert [link.ends[0].send("x", 100) for _ in range(3)] == [False] * 3
+        engine.run()
+        assert inbox_b == []
+        assert link.frames_sent == [0, 0]
+        assert link.frames_dropped_queue == [3, 0]
+        assert link._queues == [None, None]
+
+    def test_fail_with_and_without_a_queue(self):
+        engine, link, _a, inbox_b = make_link(capacity_bps=1e6)
+        link.ends[0].send("x", 1250)
+        link.ends[0].send("y", 1250)     # queued: direction 0 is busy
+        assert link._queues[1] is None
+        engine.call_at(0.005, link.fail)
+        engine.run()
+        assert inbox_b == []
+        link.repair()
+        link.ends[0].send("z", 1250)
+        engine.run()
+        assert [p for _t, p, _s in inbox_b] == ["z"]
+
+
 class TestFailure:
     def test_failed_link_drops_everything(self):
         engine, link, _a, inbox_b = make_link()

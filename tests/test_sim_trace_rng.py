@@ -88,6 +88,21 @@ class TestTracer:
         tracer.count("a")
         assert list(tracer.counters()) == ["a", "b"]
 
+    def test_read_from_adds_the_owner_total_when_rendered(self):
+        tracer = Tracer()
+        owners = [0, 0]
+        tracer.read_from("b", lambda: owners[0])
+        tracer.read_from("b", lambda: owners[1])
+        tracer.count("a")
+        # a read-from name appears once its total is non-zero, as a
+        # per-event counter appears on its first count
+        assert tracer.counters() == {"a": 1}
+        assert tracer.counter_value("b") == 0
+        owners[:] = [2, 3]
+        tracer.count("b")
+        assert tracer.counters() == {"a": 1, "b": 6}
+        assert tracer.counter_value("b") == 6
+
     def test_series_sampling(self):
         tracer = Tracer()
         tracer.sample("s", 1.0, 10.0)
