@@ -30,7 +30,6 @@ class Broker:
         self._flows: List[MessageFlow] = []
         # topic -> set of MessageFlow indexes subscribed
         self._topics: Dict[str, Set[int]] = {}
-        self.publications = 0
         self.deliveries = 0
         system.register_app(self.app_name, self._on_flow, dif_names)
 
@@ -52,7 +51,6 @@ class Broker:
         message_flow.set_message_receiver(on_message)
 
     def _fan_out(self, topic: str, data: str, exclude: int) -> None:
-        self.publications += 1
         payload = json.dumps({"op": "event", "topic": topic,
                               "data": data}).encode()
         for index in sorted(self._topics.get(topic, ())):

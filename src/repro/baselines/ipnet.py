@@ -147,11 +147,8 @@ class IpStack:
         self.interfaces: Dict[str, IpInterface] = {}
         self.routes: List[Route] = []
         self.protocols: Dict[int, ProtocolHandler] = {}
-        self.packets_sent = 0
         self.packets_forwarded = 0
-        self.packets_delivered = 0
         self.packets_dropped = 0
-        self.packets_corrupted = 0
         #: middlebox hook: packet arriving on an interface may be rewritten
         #: (return a packet) or consumed (return None).  NAT and Mobile-IP
         #: home agents — the in-network functions §6 calls kludges — attach
@@ -208,7 +205,6 @@ class IpStack:
     # ------------------------------------------------------------------
     def send(self, packet: IpPacket) -> bool:
         """Originate a packet from this stack."""
-        self.packets_sent += 1
         if self.send_hook is not None:
             hooked = self.send_hook(packet)
             if hooked is None:
@@ -245,8 +241,7 @@ class IpStack:
 
     def _on_receive(self, packet: IpPacket, ifname: str) -> None:
         if isinstance(packet, CorruptedFrame):
-            # link-layer FCS failure: the NIC counts and drops the frame
-            self.packets_corrupted += 1
+            # link-layer FCS failure: the NIC drops the frame
             return
         ip_if = self.interfaces.get(ifname)
         if ip_if is None or not ip_if.up:
@@ -274,7 +269,6 @@ class IpStack:
         if handler is None:
             self.packets_dropped += 1
             return
-        self.packets_delivered += 1
         handler(packet, self)
 
 
@@ -290,7 +284,6 @@ class IpRoutingDaemon:
     def __init__(self, network: Network, stacks: Dict[str, IpStack]) -> None:
         self._network = network
         self._stacks = stacks
-        self.convergences = 0
 
     def converge(self, delay: float = 0.0) -> None:
         """(Re)install routes, after ``delay`` simulated seconds."""
@@ -301,7 +294,6 @@ class IpRoutingDaemon:
             self._install()
 
     def _install(self) -> None:
-        self.convergences += 1
         graph = self._usable_graph()
         routers = {name for name, stack in self._stacks.items()
                    if stack.forwarding}

@@ -37,7 +37,6 @@ class HomeAgent:
         self._udp = udp
         self.agent_ip = agent_ip
         self._bindings: Dict[int, int] = {}  # home address -> care-of address
-        self.registrations = 0
         self.packets_tunneled = 0
         udp.bind(MOBILE_IP_PORT, self._on_registration)
         stack.receive_hook = self._hook
@@ -51,7 +50,6 @@ class HomeAgent:
         kind, home_address, care_of = payload
         if kind != _REGISTER:
             return
-        self.registrations += 1
         if care_of == 0:
             self._bindings.pop(home_address, None)  # deregistration: at home
         else:

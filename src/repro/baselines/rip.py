@@ -56,13 +56,11 @@ class RipDaemon:
         self.stack = stack
         self.udp = udp
         self.engine: Engine = stack.engine
-        self.update_interval = update_interval
         self.route_timeout = (route_timeout if route_timeout is not None
                               else 3.5 * update_interval)
         self._routes: Dict[Tuple[int, int], RipRoute] = {}
         self.updates_sent = 0
         self.updates_received = 0
-        self.routes_expired = 0
         udp.bind(RIP_PORT, self._on_update)
         self._seed_connected()
         self._task = PeriodicTask(self.engine, update_interval, self._tick,
@@ -110,12 +108,10 @@ class RipDaemon:
                 ip_if = self.stack.interfaces.get(route.ifname)
                 if ip_if is None or not ip_if.up:
                     del self._routes[key]
-                    self.routes_expired += 1
                 continue
             if now - route.last_heard > self.route_timeout \
                     and route.metric < INFINITY_METRIC:
                 route.metric = INFINITY_METRIC   # poisoned, advertised once
-                self.routes_expired += 1
 
     def _install(self) -> None:
         """Copy the live RIP table into the stack's forwarding table."""

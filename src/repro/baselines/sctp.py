@@ -103,7 +103,6 @@ class SctpAssociation:
         self._rto_max = rto_max
         # data transfer
         self._next_tsn = 0
-        self._cum_acked = 0
         self._inflight: Dict[int, Tuple[int, int]] = {}  # tsn -> (length, path)
         self._retx_timer = Timer(self._engine, self._on_data_timeout,
                                  label="sctp.rto")
@@ -117,7 +116,6 @@ class SctpAssociation:
         self.on_data: Optional[Callable[[int], None]] = None
         self.failover_events: List[Tuple[float, int, int]] = []  # (t, old, new)
         self.messages_delivered = 0
-        self.retransmissions = 0
 
     # ------------------------------------------------------------------
     @property
@@ -192,7 +190,6 @@ class SctpAssociation:
         self._record_path_error(self.primary)
         self._rto = min(self._rto_max, self._rto * 2)
         tsn = min(self._inflight)
-        self.retransmissions += 1
         # SCTP retransmits on an alternate active path when there is one
         retx_path = self.primary
         retx_index = self.primary_index
@@ -295,7 +292,6 @@ class SctpAssociation:
                 acked_paths.add(path_index)
                 progressed = True
         if progressed:
-            self._cum_acked = chunk.cum_tsn
             self._rto = self._rto_initial
             # credit only the paths whose transmissions were acknowledged;
             # a dead primary keeps accumulating errors toward failover

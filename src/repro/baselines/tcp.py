@@ -104,9 +104,6 @@ class TcpConnection:
         self.on_connected: Optional[Callable[[], None]] = None
         self.on_data: Optional[Callable[[int], None]] = None  # bytes delivered
         self.on_aborted: Optional[Callable[[], None]] = None
-        # stats
-        self.bytes_delivered = 0
-        self.segments_sent = 0
         self.retransmissions = 0
 
     # ------------------------------------------------------------------
@@ -174,7 +171,6 @@ class TcpConnection:
                       length: int = 0) -> None:
         segment = TcpSegment(self.local_port, self.remote_port, seq, ack,
                              flags, 65535, length)
-        self.segments_sent += 1
         packet = IpPacket(self.local_ip, self.remote_ip, PROTO_TCP, segment,
                           segment.wire_size())
         self._stack.ip.send(packet)
@@ -286,7 +282,6 @@ class TcpConnection:
             self.rcv_nxt += length
             delivered += length
         if delivered:
-            self.bytes_delivered += delivered
             if self.on_data is not None:
                 self.on_data(delivered)
         self._send_segment(ACKF, self.snd_nxt, self.rcv_nxt)

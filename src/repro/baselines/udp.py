@@ -37,7 +37,6 @@ class UdpStack:
         self.ip = ip_stack
         self._ephemeral = itertools.count(32768)
         self._bindings: Dict[int, DatagramHandler] = {}
-        self.datagrams_received = 0
         self.datagrams_dropped = 0
         ip_stack.register_protocol(PROTO_UDP, self._on_packet)
 
@@ -64,6 +63,5 @@ class UdpStack:
         if handler is None:
             self.datagrams_dropped += 1
             return
-        self.datagrams_received += 1
         handler(datagram.payload, datagram.payload_size, packet.src,
                 datagram.src_port)

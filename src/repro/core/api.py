@@ -48,7 +48,6 @@ class MessageFlow:
         self._retry_timer = Timer(engine, self._drain, label="msgflow.retry")
         self.messages_sent = 0
         self.messages_received = 0
-        self.bytes_received = 0
         flow.set_receiver(self._on_sdu)
 
     def set_message_receiver(self, receiver: MessageReceiver) -> None:
@@ -81,7 +80,6 @@ class MessageFlow:
         message = self._reassembler.push(payload)
         if message is not None:
             self.messages_received += 1
-            self.bytes_received += len(message)
             if self._receiver is not None:
                 self._receiver(message)
 

@@ -50,8 +50,10 @@ class DifPolicies:
     efcp_cube_overrides:
         Per-cube-name overrides layered on top of ``efcp_overrides``
         (e.g. ``{"bulk": {"congestion": "aimd"}}``).
-    scheduler / scheduler_kwargs:
-        RMT multiplexing discipline per (N-1) port (ablation A3).
+    scheduler:
+        RMT multiplexing discipline per (N-1) port (ablation A3); every
+        port is paced at its lower flow's nominal rate, which is what gives
+        the discipline effect.
     path_selector:
         Step-two PoA selection among ports to the same next hop (Fig 4).
     keepalive_interval / dead_factor:
@@ -79,9 +81,6 @@ class DifPolicies:
         Hop-by-hop reliable flooding (the OSPF-LSAck mechanism): each
         flooded update is acknowledged by the adjacent member and resent up
         to ``flood_attempts`` times at ``flood_ack_timeout`` spacing.
-    pace_ports:
-        Whether RMT ports are paced at the lower flow's nominal rate
-        (required for scheduler policies to have effect).
     admission_capacity_bps:
         Guaranteed-bandwidth admission control (§3.1's "allocate resources
         required to meet the desired properties", IntServ-style): each
@@ -92,12 +91,11 @@ class DifPolicies:
 
     __slots__ = ("addressing", "auth", "access", "qos_cubes",
                  "efcp_overrides", "efcp_cube_overrides", "scheduler",
-                 "scheduler_kwargs", "path_selector", "keepalive_interval",
-                 "dead_factor", "spf_delay", "mgmt_timeout",
-                 "allocate_retries", "allocate_retry_delay",
-                 "lower_flow_cube", "max_members", "refresh_interval",
-                 "enroll_attempts", "flood_attempts", "flood_ack_timeout",
-                 "pace_ports", "admission_capacity_bps")
+                 "path_selector", "keepalive_interval", "dead_factor",
+                 "spf_delay", "mgmt_timeout", "allocate_retries",
+                 "allocate_retry_delay", "lower_flow_cube", "max_members",
+                 "refresh_interval", "enroll_attempts", "flood_attempts",
+                 "flood_ack_timeout", "admission_capacity_bps")
 
     def __init__(self,
                  addressing: Optional[AddressingPolicy] = None,
@@ -107,7 +105,6 @@ class DifPolicies:
                  efcp_overrides: Optional[Dict[str, Any]] = None,
                  efcp_cube_overrides: Optional[Dict[str, Dict[str, Any]]] = None,
                  scheduler: str = "fifo",
-                 scheduler_kwargs: Optional[Dict[str, Any]] = None,
                  path_selector: str = "first-alive",
                  keepalive_interval: float = 1.0,
                  dead_factor: float = 3.0,
@@ -121,7 +118,6 @@ class DifPolicies:
                  enroll_attempts: int = 3,
                  flood_attempts: int = 4,
                  flood_ack_timeout: float = 0.4,
-                 pace_ports: bool = True,
                  admission_capacity_bps: Optional[float] = None) -> None:
         if scheduler not in SCHEDULERS:
             raise DifError(f"unknown scheduler policy {scheduler!r}")
@@ -138,7 +134,6 @@ class DifPolicies:
             name: dict(overrides)
             for name, overrides in (efcp_cube_overrides or {}).items()}
         self.scheduler = scheduler
-        self.scheduler_kwargs = dict(scheduler_kwargs or {})
         self.path_selector = path_selector
         self.keepalive_interval = keepalive_interval
         self.dead_factor = dead_factor
@@ -152,7 +147,6 @@ class DifPolicies:
         self.enroll_attempts = max(1, enroll_attempts)
         self.flood_attempts = max(1, flood_attempts)
         self.flood_ack_timeout = flood_ack_timeout
-        self.pace_ports = pace_ports
         if admission_capacity_bps is not None and admission_capacity_bps <= 0:
             raise DifError("admission capacity must be positive or None")
         self.admission_capacity_bps = admission_capacity_bps
@@ -165,7 +159,7 @@ class DifPolicies:
 
     def make_scheduler(self) -> Scheduler:
         """Instantiate one RMT port scheduler per current policy."""
-        return SCHEDULERS[self.scheduler](**self.scheduler_kwargs)
+        return SCHEDULERS[self.scheduler]()
 
     def make_path_selector(self) -> PathSelector:
         """Instantiate the PoA selection policy."""

@@ -29,7 +29,7 @@ class DifDirectory:
     """The name→address directory replicated inside one DIF member."""
 
     __slots__ = ("_local_addr_fn", "_flood", "_own_seq", "_local_names",
-                 "_remote", "updates_received", "updates_reflooded")
+                 "_remote", "updates_reflooded")
 
     def __init__(self, local_addr_fn: Callable[[], Optional[Address]],
                  flood_fn: Callable[[RiepMessage, Optional[Address]], int]) -> None:
@@ -39,7 +39,6 @@ class DifDirectory:
         self._local_names: Set[ApplicationName] = set()
         # origin address -> (seq, set of names registered there)
         self._remote: Dict[Address, Tuple[int, Set[ApplicationName]]] = {}
-        self.updates_received = 0
         self.updates_reflooded = 0
 
     # ------------------------------------------------------------------
@@ -90,7 +89,6 @@ class DifDirectory:
         value = message.value
         origin = Address(*value["origin"])
         seq = int(value["seq"])
-        self.updates_received += 1
         local = self._local_addr_fn()
         if local is not None and origin == local:
             return

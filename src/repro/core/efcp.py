@@ -104,23 +104,14 @@ class EfcpPolicy:
 class EfcpStats:
     """Per-connection counters exposed to experiments."""
 
-    __slots__ = ("pdus_sent", "retransmissions", "pdus_received", "duplicates",
-                 "out_of_order", "sdus_delivered", "bytes_delivered",
-                 "acks_sent", "acks_received", "timeouts", "stalls",
-                 "send_rejected", "window_drops", "corrupted")
+    __slots__ = ("retransmissions", "duplicates", "sdus_delivered",
+                 "timeouts", "send_rejected", "window_drops", "corrupted")
 
     def __init__(self) -> None:
-        self.pdus_sent = 0
         self.retransmissions = 0
-        self.pdus_received = 0
         self.duplicates = 0
-        self.out_of_order = 0
         self.sdus_delivered = 0
-        self.bytes_delivered = 0
-        self.acks_sent = 0
-        self.acks_received = 0
         self.timeouts = 0
-        self.stalls = 0
         self.send_rejected = 0
         self.window_drops = 0
         self.corrupted = 0
@@ -154,7 +145,7 @@ class EfcpConnection:
                  "_credit", "_retries", "_retx_timer", "_srtt", "_rttvar",
                  "_rto", "_cwnd", "_ssthresh", "_sack_passes",
                  "_recovery_point", "_rcv_buffer", "_rcv_expected",
-                 "_rcv_window", "_ack_timer", "_ack_pending")
+                 "_rcv_window", "_ack_timer")
 
     def __init__(self, engine: Engine, local_addr: Address, remote_addr: Address,
                  local_cep: int, remote_cep: int, policy: EfcpPolicy,
@@ -203,7 +194,6 @@ class EfcpConnection:
         self._rcv_expected = 0                 # next in-order seq expected
         self._rcv_window = policy.initial_credit
         self._ack_timer = Timer(engine, self._send_ack_now, label="efcp.ack")
-        self._ack_pending = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -280,7 +270,6 @@ class EfcpConnection:
                                       retransmit or already_retx)
             if not self._retx_timer.running:
                 self._retx_timer.start(self._rto)
-        self.stats.pdus_sent += 1
         if retransmit:
             self.stats.retransmissions += 1
         self._output(pdu)
@@ -294,7 +283,6 @@ class EfcpConnection:
         self.stats.timeouts += 1
         self._retries += 1
         if self._retries > self.policy.max_retries:
-            self.stats.stalls += 1
             if self._on_stall is not None:
                 self._on_stall()
             if self.policy.give_up:
@@ -346,7 +334,6 @@ class EfcpConnection:
             return
         if pdu.kind != ACK:
             return
-        self.stats.acks_received += 1
         now = self._engine.now
         newly_acked = [seq for seq in self._outstanding if seq < pdu.ack_seq]
         for seq in pdu.sack:
@@ -427,7 +414,6 @@ class EfcpConnection:
             # discarded, never delivered — retransmission recovers it
             self.stats.corrupted += 1
             return
-        self.stats.pdus_received += 1
         seq = pdu.seq
         if not self.policy.reliable:
             self._receive_unreliable(pdu)
@@ -441,8 +427,6 @@ class EfcpConnection:
             self.stats.duplicates += 1
             self._schedule_ack()
             return
-        if seq > self._rcv_expected:
-            self.stats.out_of_order += 1
         self._rcv_buffer[seq] = (pdu.payload, pdu.payload_size)
         while self._rcv_expected in self._rcv_buffer:
             payload, size = self._rcv_buffer.pop(self._rcv_expected)
@@ -460,27 +444,23 @@ class EfcpConnection:
 
     def _deliver_sdu(self, payload: Any, size: int) -> None:
         self.stats.sdus_delivered += 1
-        self.stats.bytes_delivered += size
         self._deliver(payload, size)
 
     def _schedule_ack(self) -> None:
         if self.policy.ack_delay <= 0.0:
             self._send_ack_now()
             return
-        self._ack_pending = True
         if not self._ack_timer.running:
             self._ack_timer.start(self.policy.ack_delay)
 
     def _send_ack_now(self) -> None:
         if self.closed:
             return
-        self._ack_pending = False
         sack = tuple(sorted(self._rcv_buffer))[:self.policy.sack_limit]
         credit = self._rcv_expected + self._rcv_window
         pdu = ControlPdu(self.local_addr, self.remote_addr, ACK,
                          self.local_cep, self.remote_cep,
                          ack_seq=self._rcv_expected, credit=credit, sack=sack)
-        self.stats.acks_sent += 1
         self._output(pdu)
 
     # ------------------------------------------------------------------

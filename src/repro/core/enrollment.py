@@ -54,10 +54,6 @@ class EnrollmentTask:
         # authenticator side: completed enrollments, replayed on duplicate
         # M_START (the joiner retries when our reply is lost)
         self._completed: Dict[int, dict] = {}
-        self.joins_completed = 0
-        self.joins_failed = 0
-        self.joins_accepted = 0
-        self.joins_denied = 0
 
     # ------------------------------------------------------------------
     # Joiner side
@@ -128,7 +124,6 @@ class EnrollmentTask:
             # short handshake: both sides already members
             if peer_addr is not None:
                 ipcp.bind_neighbor(port_id, peer_addr)
-            self.joins_completed += 1
             if done is not None:
                 done(True, "adjacency")
             return
@@ -162,14 +157,12 @@ class EnrollmentTask:
         if peer_addr is not None:
             ipcp.bind_neighbor(port_id, peer_addr)
         ipcp.directory.announce_all()
-        self.joins_completed += 1
         ipcp.tracer.log(ipcp.engine.now, "enrolled",
                         ipcp=str(ipcp.name), address=str(address))
         if done is not None:
             done(True, "enrolled")
 
     def _fail(self, done: Optional[DoneFn], reason: str) -> None:
-        self.joins_failed += 1
         self._ipcp.tracer.count("enrollment.failed")
         if done is not None:
             done(False, reason)
@@ -223,7 +216,6 @@ class EnrollmentTask:
         region = pending[2] if pending else ()
         presented = message.value.get("credentials")
         if not ipcp.dif.policies.auth.verify(presented, challenge):
-            self.joins_denied += 1
             ipcp.dif.enrollments_denied += 1
             ipcp.tracer.count("enrollment.denied")
             ipcp.tracer.log(ipcp.engine.now, "enrollment-denied",
@@ -234,12 +226,10 @@ class EnrollmentTask:
         try:
             address = ipcp.dif.assign_address(region or None)
         except DifError as exc:
-            self.joins_denied += 1
             ipcp.send_mgmt_on_port(
                 port_id, message.reply(value={"error": str(exc)},
                                        result=RESULT_ERROR))
             return
-        self.joins_accepted += 1
         ipcp.dif.enrollments_accepted += 1
         value = {
             "address": address.parts,

@@ -40,7 +40,7 @@ class Flow:
                  "provider_name", "state", "nominal_bps", "_receiver",
                  "_send_fn", "_dealloc_fn", "on_allocated", "on_failed",
                  "on_deallocated", "failure_reason", "sdus_sent",
-                 "sdus_received", "bytes_sent", "bytes_received")
+                 "sdus_received", "bytes_sent")
 
     def __init__(self, port_id: PortId, local_app: ApplicationName,
                  remote_app: ApplicationName, qos: QosCube,
@@ -62,7 +62,6 @@ class Flow:
         self.sdus_sent = 0
         self.sdus_received = 0
         self.bytes_sent = 0
-        self.bytes_received = 0
 
     # ------------------------------------------------------------------
     # User side
@@ -130,7 +129,6 @@ class Flow:
     def provider_deliver(self, payload: Any, size: int) -> None:
         """Hand one inbound SDU to the user."""
         self.sdus_received += 1
-        self.bytes_received += size
         if self._receiver is not None:
             self._receiver(payload, size)
 

@@ -43,16 +43,14 @@ FLOW_OBJ = "/flowalloc"
 class FlowRecord:
     """State of one allocated flow endpoint inside the allocator."""
 
-    __slots__ = ("flow", "local_cep", "remote_cep", "remote_addr", "efcp",
-                 "initiator")
+    __slots__ = ("flow", "local_cep", "remote_cep", "remote_addr", "efcp")
 
-    def __init__(self, flow: Flow, local_cep: int, initiator: bool) -> None:
+    def __init__(self, flow: Flow, local_cep: int) -> None:
         self.flow = flow
         self.local_cep = local_cep
         self.remote_cep: Optional[int] = None
         self.remote_addr: Optional[Address] = None
         self.efcp: Optional[EfcpConnection] = None
-        self.initiator = initiator
 
 
 class FlowAllocator:
@@ -62,9 +60,6 @@ class FlowAllocator:
         self._ipcp = ipcp
         self._cep_ids = itertools.count(1)
         self._records: Dict[int, FlowRecord] = {}   # local cep -> record
-        self.allocations_ok = 0
-        self.allocations_failed = 0
-        self.allocations_denied_access = 0
         self.allocations_denied_admission = 0
         self.stray_pdus = 0
         # guaranteed-bandwidth admission state (policy: admission_capacity)
@@ -83,7 +78,6 @@ class FlowAllocator:
         try:
             cube = resolve_cube(flow.qos, ipcp.dif.policies.qos_cubes)
         except LookupError as exc:
-            self.allocations_failed += 1
             flow.provider_failed(str(exc))
             return
         if retries_left is None:
@@ -101,7 +95,7 @@ class FlowAllocator:
         # commit the bandwidth demand now so concurrent requests cannot
         # oversubscribe the budget while replies are in flight
         self._commit_admission(local_cep, cube)
-        record = FlowRecord(flow, local_cep, initiator=True)
+        record = FlowRecord(flow, local_cep)
         record.remote_addr = dst_addr
         self._records[local_cep] = record
         value = {
@@ -126,7 +120,6 @@ class FlowAllocator:
                 self.allocate, flow, retries_left - 1,
                 label="fa.retry")
             return
-        self.allocations_failed += 1
         flow.provider_failed(reason)
 
     def _on_allocate_reply(self, reply: Optional[RiepMessage],
@@ -144,17 +137,14 @@ class FlowAllocator:
             elif reply.result == RESULT_NOT_FOUND:
                 self._retry_or_fail(flow, retries_left, "destination-unknown")
             elif reply.result == RESULT_DENIED:
-                self.allocations_failed += 1
                 why = (reply.value or {}).get("why")
                 flow.provider_failed("admission-denied" if why == "admission"
                                      else "access-denied")
             else:
-                self.allocations_failed += 1
                 flow.provider_failed("error")
             return
         record.remote_cep = int(reply.value["dst_cep"])
         self._bind(record, cube)
-        self.allocations_ok += 1
         flow.provider_allocated()
 
     # ------------------------------------------------------------------
@@ -180,7 +170,6 @@ class FlowAllocator:
                                         message.reply(result=RESULT_NOT_FOUND))
             return
         if not ipcp.dif.policies.access.allow(src_app, dst_app):
-            self.allocations_denied_access += 1
             ipcp.tracer.count("flow.denied")
             ipcp.tracer.log(ipcp.engine.now, "flow-denied",
                             src=str(src_app), dst=str(dst_app))
@@ -203,7 +192,7 @@ class FlowAllocator:
         local_cep = next(self._cep_ids)
         flow = Flow(PortId(ipcp.next_port_id()), dst_app, src_app, cube,
                     ipcp.dif.name)
-        record = FlowRecord(flow, local_cep, initiator=False)
+        record = FlowRecord(flow, local_cep)
         record.remote_cep = int(value["src_cep"])
         record.remote_addr = Address(*value["src_addr"])
         self._records[local_cep] = record

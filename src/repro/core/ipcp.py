@@ -73,7 +73,6 @@ class Ipcp:
         self.rmt.set_forwarding(lambda addr: self.routing.next_hop(addr))
         self.routing = LinkStateRouting(
             engine, lambda: self.address, self._flood,
-            on_table_change=self._on_table_change,
             spf_delay=policies.spf_delay)
         self.directory = DifDirectory(lambda: self.address, self._flood)
         self.enrollment = EnrollmentTask(self)
@@ -146,8 +145,7 @@ class Ipcp:
                        peer_addr: Optional[Address] = None) -> int:
         """Adopt an (N-1) flow as an RMT port; returns the port id."""
         port_id = flow.port_id.value
-        nominal = flow.nominal_bps if self.dif.policies.pace_ports else None
-        self.rmt.add_port(port_id, flow.send, nominal_bps=nominal,
+        self.rmt.add_port(port_id, flow.send, nominal_bps=flow.nominal_bps,
                           peer_addr=peer_addr)
         flow.set_receiver(lambda pdu, size: self._on_lower_pdu(pdu, port_id))
         flow.on_deallocated = lambda _f: self.remove_lower_flow(port_id)
@@ -488,10 +486,6 @@ class Ipcp:
         self.tracer.log(self.engine.now, "ipcp-restart", ipcp=str(self.name))
 
     # ------------------------------------------------------------------
-    def _on_table_change(self, table: Dict[Address, Address]) -> None:
-        self.tracer.sample(f"routing.table_size.{self.name}",
-                           self.engine.now, len(table))
-
     def _on_rmt_drop(self, pdu: Pdu, reason: str) -> None:
         self.tracer.count(f"rmt.drop.{reason}")
 

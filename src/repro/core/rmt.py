@@ -259,8 +259,7 @@ class RmtPort:
     liveness flag maintained by neighbor monitoring."""
 
     __slots__ = ("port_id", "send_fn", "scheduler", "nominal_bps",
-                 "peer_addr", "alive", "busy", "pdus_out", "pdus_dropped",
-                 "bytes_out")
+                 "peer_addr", "alive", "busy")
 
     def __init__(self, port_id: int, send_fn: Callable[[Any, int], bool],
                  scheduler: Scheduler, nominal_bps: Optional[float] = None,
@@ -272,9 +271,6 @@ class RmtPort:
         self.peer_addr = peer_addr
         self.alive = True
         self.busy = False
-        self.pdus_out = 0
-        self.pdus_dropped = 0
-        self.bytes_out = 0
 
     def queue_depth(self) -> int:
         """PDUs waiting in this port's scheduler."""
@@ -430,17 +426,11 @@ class Rmt:
     def _enqueue(self, port: RmtPort, pdu: Pdu) -> None:
         if port.nominal_bps is None:
             # unpaced port: hand straight to the (N-1) flow
-            size = pdu.wire_size()
-            if not port.send_fn(pdu, size):
-                port.pdus_dropped += 1
+            if not port.send_fn(pdu, pdu.wire_size()):
                 self._drop(pdu, "lower-layer-refused")
-            else:
-                port.pdus_out += 1
-                port.bytes_out += size
             return
         displaced = port.scheduler.push(pdu)
         if displaced is not None:
-            port.pdus_dropped += 1
             self._drop(displaced, "queue-full")
         if not port.busy:
             self._serve(port)
@@ -452,11 +442,7 @@ class Rmt:
             return
         port.busy = True
         size = pdu.wire_size()
-        if port.send_fn(pdu, size):
-            port.pdus_out += 1
-            port.bytes_out += size
-        else:
-            port.pdus_dropped += 1
+        if not port.send_fn(pdu, size):
             self._drop(pdu, "lower-layer-refused")
         service_time = size * 8.0 / port.nominal_bps
         self._engine.call_later(service_time, self._serve, port,

@@ -121,28 +121,23 @@ class LinkStateRouting:
     flood_fn:
         ``flood_fn(message, exclude_neighbor)`` sends a hop-scoped RIEP
         message to every adjacent member except ``exclude_neighbor``.
-    on_table_change:
-        Invoked after each SPF run that recomputed the table.
     spf_delay:
         Hold-down between an LSDB change and the SPF run (batches floods).
     """
 
-    __slots__ = ("_engine", "_local_addr_fn", "_flood", "_on_table_change",
-                 "_spf_delay", "_lsdb", "_own_seq", "_adjacencies",
-                 "_next_hop", "_spf_timer", "_claims", "_dirty",
-                 "_spf_pending", "_spf_source", "lsas_originated",
-                 "lsas_received", "lsas_reflooded", "spf_runs",
-                 "spf_skipped")
+    __slots__ = ("_engine", "_local_addr_fn", "_flood", "_spf_delay",
+                 "_lsdb", "_own_seq", "_adjacencies", "_next_hop",
+                 "_spf_timer", "_claims", "_dirty", "_spf_pending",
+                 "_spf_source", "lsas_received", "lsas_reflooded",
+                 "spf_runs", "spf_skipped")
 
     def __init__(self, engine: Engine,
                  local_addr_fn: Callable[[], Optional[Address]],
                  flood_fn: Callable[[RiepMessage, Optional[Address]], int],
-                 on_table_change: Optional[Callable[[Dict[Address, Address]], None]] = None,
                  spf_delay: float = 0.02) -> None:
         self._engine = engine
         self._local_addr_fn = local_addr_fn
         self._flood = flood_fn
-        self._on_table_change = on_table_change
         self._spf_delay = spf_delay
         self._lsdb: Dict[Address, Lsa] = {}
         self._own_seq = 0
@@ -155,7 +150,6 @@ class LinkStateRouting:
         self._spf_pending = False      # hold-down fired; recompute on query
         self._spf_source: Optional[Address] = None
         # counters for the scalability/mobility experiments
-        self.lsas_originated = 0
         self.lsas_received = 0
         self.lsas_reflooded = 0
         self.spf_runs = 0
@@ -204,7 +198,6 @@ class LinkStateRouting:
         lsa = Lsa(local, self._own_seq, self._adjacencies)
         self._lsdb[local] = lsa
         self._sync_local_claim()
-        self.lsas_originated += 1
         message = RiepMessage(M_WRITE, obj=LSA_OBJ, value=lsa.to_value())
         self._flood(message, None)
         self._schedule_spf()
@@ -310,8 +303,6 @@ class LinkStateRouting:
         self.spf_runs += 1
         self._spf_source = local
         self._next_hop = self._dijkstra(local)
-        if self._on_table_change is not None:
-            self._on_table_change(dict(self._next_hop))
 
     # -- claimed adjacencies --------------------------------------------
     def _sync_local_claim(self) -> None:

@@ -57,7 +57,6 @@ class AsyncEngineDriver:
         #: deterministic-replay transcript: ("advance", sim_time) and
         #: ("inject", label) entries, in execution order
         self.journal: Optional[List[Tuple[str, Any]]] = [] if record else None
-        self.injected = 0
         self._inflight = 0
         self._activity = 0
         self._wake_pending = False
@@ -85,7 +84,6 @@ class AsyncEngineDriver:
         queued (a lone callback goes through :meth:`inject`)."""
         self.engine.call_at(self.engine.now, self._guarded, fn, args,
                             label=label)
-        self.injected += 1
         self._activity += 1
         if self.journal is not None:
             self.journal.append(("inject", label))

@@ -74,7 +74,10 @@ class GatewayServer:
         if self.rpc is not None:
             self.rpc.register_method("add", _rpc_add)
             self.rpc.register_method("echo", _rpc_echo)
-        self.broker = Broker(self.system) if "pubsub" in apps else None
+        if "pubsub" in apps:
+            # the system's listener table holds the broker (its bound
+            # flow handler) for as long as the app stays registered
+            Broker(self.system)
 
     # ------------------------------------------------------------------
     async def start(self) -> None:

@@ -74,7 +74,7 @@ class SocketLink:
 
     __slots__ = ("name", "capacity_bps", "ends", "_local", "_channel",
                  "_driver", "_tracked", "_on_wire_error", "wire_errors",
-                 "last_error", "_condemned")
+                 "_condemned")
 
     def __init__(self, name: str, channel: Any, local_side: int,
                  driver: AsyncEngineDriver,
@@ -93,7 +93,6 @@ class SocketLink:
         self._tracked = tracked
         self._on_wire_error = on_wire_error
         self.wire_errors = 0
-        self.last_error: Optional[str] = None
         self._condemned = False
         channel.set_receiver(self._on_wire_bytes, self._on_batch_end)
 
@@ -142,7 +141,6 @@ class SocketLink:
 
     def _contain(self, exc: Exception) -> None:
         self.wire_errors += 1
-        self.last_error = f"{type(exc).__name__}: {exc}"
         self._condemned = True
         self._channel.close()   # replies accepted so far go out first
         if self._on_wire_error is not None:

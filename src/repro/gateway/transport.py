@@ -40,7 +40,6 @@ class FrameChannel:
         self._on_batch_end: Optional[Callable[[], None]] = None
         self._close_cbs: List[Callable[[], None]] = []
         self._open = True
-        self.frames_in = 0
         self.frames_out = 0
         #: socket writes issued; ``frames_out / writes_out`` is the
         #: coalescing ratio (1.0 on UDP by construction)
@@ -71,7 +70,6 @@ class FrameChannel:
     def _feed_batch(self, frames: Sequence[bytes]) -> None:
         """Hand the frames of one read to the receiver, then signal
         end-of-batch."""
-        self.frames_in += len(frames)
         receiver = self._receiver
         if receiver is None:
             return

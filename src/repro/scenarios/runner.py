@@ -130,15 +130,14 @@ class RinaStack:
     def __init__(self, network: Network, systems: Dict[str, Any],
                  layers: Dict[str, Dif], layer_order: List[str],
                  layer_members: Dict[str, List[str]],
-                 resolved_adjacencies: Dict[str, List[Tuple[str, str, str]]],
-                 orchestrator: Orchestrator) -> None:
+                 resolved_adjacencies: Dict[str, List[Tuple[str, str, str]]]
+                 ) -> None:
         self.network = network
         self.systems = systems
         self.layers = layers
         self.layer_order = layer_order
         self.layer_members = layer_members
         self.resolved_adjacencies = resolved_adjacencies
-        self.orchestrator = orchestrator
 
     @property
     def top_layer(self) -> str:
@@ -201,7 +200,7 @@ def build_rina_stack(scenario: Scenario, seed: int = 0,
         resolved[layer.name] = adjacencies
     orchestrator.run(timeout=scenario.build_timeout)
     return RinaStack(network, systems, layers, layer_order, layer_members,
-                     resolved, orchestrator)
+                     resolved)
 
 
 def _resolve_lower(lower: str, a: str, b: str, network: Network,

@@ -54,11 +54,10 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..sweeps.runner import START_METHOD_ENV, available_cpu_count
+from ..sweeps.runner import available_cpu_count, resolve_start_method
 from .engine import BoundaryFrame, ShardEngine
 from .framing import pack_frames, unpack_frames
 from .plan import RegionPlan
@@ -348,14 +347,7 @@ class ShardCoordinator:
         self.workload = workload
         self.seed = seed
         self.max_rounds = max_rounds
-        self.start_method = (start_method
-                             or os.environ.get(START_METHOD_ENV) or None)
-        if self.start_method is not None:
-            known = multiprocessing.get_all_start_methods()
-            if self.start_method not in known:
-                raise ValueError(f"unknown start method "
-                                 f"{self.start_method!r}; known: "
-                                 f"{', '.join(known)}")
+        self.start_method = resolve_start_method(start_method)
         if mode == "auto":
             # process mode only pays when there is real parallelism to
             # win: multiple regions, more than one usable CPU, and the
@@ -552,8 +544,8 @@ class ShardCoordinator:
 
 
 def run_sharded(plan: RegionPlan, workload: Dict[str, Any], seed: int = 0,
-                mode: str = "auto", start_method: Optional[str] = None,
-                until: Optional[float] = None, collect_rows: bool = True,
+                mode: str = "auto", until: Optional[float] = None,
+                collect_rows: bool = True,
                 collect_traces: bool = True) -> ShardRunResult:
     """One-call sharded execution of a plan + workload.
 
@@ -566,7 +558,6 @@ def run_sharded(plan: RegionPlan, workload: Dict[str, Any], seed: int = 0,
     section of docs/ARCHITECTURE.md.  Order-insensitive results
     (delivery counts, reach sets) are equivalent regardless.
     """
-    coordinator = ShardCoordinator(plan, workload, seed=seed, mode=mode,
-                                   start_method=start_method)
+    coordinator = ShardCoordinator(plan, workload, seed=seed, mode=mode)
     return coordinator.run(until=until, collect_rows=collect_rows,
                            collect_traces=collect_traces)

@@ -6,7 +6,7 @@ composable impairments, nodes with interfaces, topology builders, seeded
 randomness, and a tracer for experiment metrics.
 """
 
-from .engine import Engine, EngineClock, Event, PeriodicTask, SimulationError, Timer
+from .engine import Engine, Event, PeriodicTask, SimulationError, Timer
 from .link import GilbertElliott, Link, LinkEnd, LossModel, NoLoss, UniformLoss
 from .network import Network
 from .node import Interface, Node
@@ -14,7 +14,7 @@ from .rng import RandomStreams
 from .trace import Counter, TimeSeries, Tracer
 
 __all__ = [
-    "Engine", "EngineClock", "Event", "PeriodicTask", "SimulationError", "Timer",
+    "Engine", "Event", "PeriodicTask", "SimulationError", "Timer",
     "Link", "LinkEnd", "LossModel", "NoLoss", "UniformLoss", "GilbertElliott",
     "Network", "Node", "Interface", "RandomStreams",
     "Counter", "TimeSeries", "Tracer",

@@ -38,27 +38,20 @@ class Event:
     is skipped when reached (lazy deletion), which keeps cancellation O(1).
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "label",
-                 "_expired", "_on_cancel")
+    __slots__ = ("time", "callback", "args", "cancelled", "label")
 
     def __init__(self, time: float, callback: Callable[..., None],
-                 args: Tuple[Any, ...], label: str = "",
-                 on_cancel: Optional[Callable[["Event"], None]] = None) -> None:
+                 args: Tuple[Any, ...], label: str = "") -> None:
         self.time = time
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.label = label
-        self._expired = False      # popped from the heap (executed or skipped)
-        self._on_cancel = on_cancel
 
     def cancel(self) -> None:
-        """Mark the event so the engine skips it when its time comes."""
-        if self.cancelled or self._expired:
-            return
+        """Mark the event so the engine skips it when its time comes
+        (harmless once it has run)."""
         self.cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel(self)
 
     @property
     def active(self) -> bool:
@@ -71,16 +64,10 @@ class Event:
 
 
 class Engine:
-    """A priority-queue discrete-event simulator.
+    """A priority-queue discrete-event simulator; the clock starts at 0."""
 
-    Parameters
-    ----------
-    start_time:
-        Initial value of the simulated clock (seconds).
-    """
-
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         # Same-timestamp batching: the heap holds each *distinct* pending
         # timestamp once; the events for a timestamp live in a list keyed
         # by that exact float.  A burst of N simultaneous deliveries costs
@@ -88,18 +75,14 @@ class Engine:
         # within a batch append order is scheduling order.
         self._heap: List[float] = []
         self._batches: Dict[float, List[Event]] = {}
-        # consumed prefix of a partially drained batch (only the batch at
-        # the minimum timestamp can be mid-drain when run() returns early
-        # on stop()/max_events or unwinds on a raising callback, so this
-        # holds at most one meaningful entry)
+        # consumed prefix of a partially drained batch: the batch at the
+        # minimum timestamp when run() unwinds on a raising callback, or
+        # when next_event_time() skipped its cancelled head (so this holds
+        # at most one meaningful entry)
         self._batch_pos: Dict[float, int] = {}
         self._running = False
-        self._stopped = False
         self._events_processed = 0
         self._last_event_time = self._now
-        self._live = 0   # non-cancelled events currently queued
-        # bound once: every scheduling call hands it to its Event
-        self._on_cancel = self._note_cancel
 
     # ------------------------------------------------------------------
     # Clock
@@ -130,17 +113,6 @@ class Engine:
         """
         return self._last_event_time
 
-    def pending_count(self) -> int:
-        """Number of live (non-cancelled) events still in the queue.
-
-        O(1): a live-event counter is maintained on schedule/cancel/pop
-        instead of scanning the heap (which grows with lazy deletions).
-        """
-        return self._live
-
-    def _note_cancel(self, _event: Event) -> None:
-        self._live -= 1
-
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest live event, or None when the queue is
         drained.
@@ -160,7 +132,6 @@ class Engine:
             pos = batch_pos.pop(when, 0)
             length = len(batch)
             while pos < length and batch[pos].cancelled:
-                batch[pos]._expired = True
                 pos += 1
             if pos < length:
                 if pos:
@@ -185,14 +156,13 @@ class Engine:
         if not self._now <= when < _INF:
             raise SimulationError(
                 f"cannot schedule at t={when!r}, clock is at t={self._now!r}")
-        event = Event(when, callback, args, label, self._on_cancel)
+        event = Event(when, callback, args, label)
         batch = self._batches.get(when)
         if batch is None:
             self._batches[when] = [event]
             heapq.heappush(self._heap, when)
         else:
             batch.append(event)
-        self._live += 1
         return event
 
     def call_later(self, delay: float, callback: Callable[..., None],
@@ -208,14 +178,13 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule after delay {delay!r}, clock is at "
                 f"t={self._now!r}")
-        event = Event(when, callback, args, label, self._on_cancel)
+        event = Event(when, callback, args, label)
         batch = self._batches.get(when)
         if batch is None:
             self._batches[when] = [event]
             heapq.heappush(self._heap, when)
         else:
             batch.append(event)
-        self._live += 1
         return event
 
     def call_soon(self, callback: Callable[..., None], *args: Any,
@@ -227,16 +196,18 @@ class Engine:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or ``max_events``
-        events have been processed.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the queue drains or the event horizon ``until`` is
+        reached.
 
-        Returns the simulated time at which the run stopped.  When an event
-        horizon ``until`` is given and events remain beyond it, the clock is
-        advanced exactly to ``until``.  An exception a callback raises
-        propagates; the event counts as executed, and the next ``run()``
-        resumes with the event after it.
+        Returns the simulated time at which the run stopped.  With a
+        horizon the clock ends exactly at ``until``, whether events remain
+        beyond it or the queue drained first.  A horizon before the clock
+        raises :class:`SimulationError`, like scheduling in the past: the
+        clock never moves backwards (NaN is refused too; ``until == now``
+        is a legal no-op).  An exception a callback raises propagates; the
+        event counts as executed, and the next ``run()`` resumes with the
+        event after it.
 
         The cyclic garbage collector is paused for the call and left as
         the caller had it on return, exception or not (an inner run on
@@ -248,22 +219,20 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
+        if until is not None and not until >= self._now:
+            raise SimulationError(
+                f"cannot run until t={until!r}, clock is at t={self._now!r}")
         self._running = True
-        self._stopped = False
         collecting = gc.isenabled()
         gc.disable()
-        budget = max_events
         heap = self._heap
         batches = self._batches
         batch_pos = self._batch_pos
         heappop = heapq.heappop
         try:
             while heap:
-                if self._stopped:
-                    break
                 when = heap[0]
                 if until is not None and when > until:
-                    self._now = until
                     break
                 # drain the batch at the minimum timestamp in append
                 # (= scheduling) order; callbacks may append same-time
@@ -271,29 +240,16 @@ class Engine:
                 # len(batch) is re-read every iteration
                 batch = batches[when]
                 pos = batch_pos.pop(when, 0)
-                interrupted = False
                 try:
                     while pos < len(batch):
                         event = batch[pos]
-                        if event.cancelled:
-                            event._expired = True
-                            pos += 1
-                            continue
-                        if budget is not None and budget <= 0:
-                            interrupted = True
-                            break
                         pos += 1
-                        event._expired = True
-                        self._live -= 1
+                        if event.cancelled:
+                            continue
                         self._now = when
                         self._last_event_time = when
                         self._events_processed += 1
-                        if budget is not None:
-                            budget -= 1
                         event.callback(*event.args)
-                        if self._stopped:
-                            interrupted = True
-                            break
                 except BaseException:
                     # a callback that raises is consumed like any other:
                     # the batch stays queued, so the next run() must resume
@@ -301,29 +257,19 @@ class Engine:
                     # is fine — that run drops the batch without a step)
                     batch_pos[when] = pos
                     raise
-                if interrupted and pos < len(batch):
-                    # stop()/budget left live events at this timestamp:
-                    # remember the consumed prefix for the next run()
-                    batch_pos[when] = pos
-                    break
                 del batches[when]
                 heappop(heap)
-            else:
-                # queue drained
-                if until is not None and until > self._now:
-                    self._now = until
+            if until is not None:
+                self._now = until
         finally:
             self._running = False
             if collecting:
                 gc.enable()
         return self._now
 
-    def stop(self) -> None:
-        """Stop a run in progress after the current event completes."""
-        self._stopped = True
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Engine t={self._now:.6f} pending={self._live}>"
+        return (f"<Engine t={self._now:.6f} "
+                f"executed={self._events_processed}>")
 
 
 class Timer:
@@ -366,15 +312,13 @@ class PeriodicTask:
     """Repeatedly invoke a callback at a fixed period until stopped."""
 
     def __init__(self, engine: Engine, period: float,
-                 callback: Callable[[], None], label: str = "",
-                 jitter_fn: Optional[Callable[[], float]] = None) -> None:
+                 callback: Callable[[], None], label: str = "") -> None:
         if period <= 0:
             raise SimulationError(f"period must be positive, got {period!r}")
         self._engine = engine
         self._period = period
         self._callback = callback
         self._label = label
-        self._jitter_fn = jitter_fn
         self._event: Optional[Event] = None
         self._stopped = True
 
@@ -406,18 +350,4 @@ class PeriodicTask:
         if self._stopped:
             return
         self._callback()
-        jitter = self._jitter_fn() if self._jitter_fn is not None else 0.0
-        self._schedule(max(1e-9, self._period + jitter))
-
-
-class EngineClock:
-    """A read-only view of an engine's clock, handed to components that must
-    not be able to schedule events."""
-
-    def __init__(self, engine: Engine) -> None:
-        self._engine = engine
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._engine.now
+        self._schedule(self._period)

@@ -135,10 +135,9 @@ class Network:
         return sum(sum(link.frames_delivered)
                    for link in self.links.values())
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run the underlying engine."""
-        return self.engine.run(until=until, max_events=max_events)
+        return self.engine.run(until=until)
 
     # ------------------------------------------------------------------
     # Topology builders.  Each returns the list of node names created.

@@ -6,6 +6,11 @@ Three small primitives cover everything the benchmark harness reports:
 * :class:`TimeSeries` — (time, value) samples, with summary statistics.
 * :class:`Tracer` — a bag of counters/series plus an optional event log,
   shared by a whole simulation.
+
+What a trace renders is the counters and the event log.  No layer
+samples a series during a run: a sample nobody reads costs a call per
+event and tells no one anything, so a series is added together with
+its reader.
 """
 
 from __future__ import annotations

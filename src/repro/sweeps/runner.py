@@ -67,6 +67,24 @@ def default_worker_count() -> int:
     return available_cpu_count()
 
 
+def resolve_start_method(start_method: Optional[str] = None
+                         ) -> Optional[str]:
+    """``start_method``, else ``REPRO_START_METHOD``, else None (the
+    platform default).
+
+    Raises :class:`ValueError` on a name this platform's
+    ``multiprocessing`` does not know, so a runner fails at
+    construction, not mid-dispatch after output has been produced.
+    """
+    method = start_method or os.environ.get(START_METHOD_ENV) or None
+    if method is not None:
+        known = multiprocessing.get_all_start_methods()
+        if method not in known:
+            raise ValueError(f"unknown start method {method!r}; "
+                             f"known: {', '.join(known)}")
+    return method
+
+
 def _execute(job: Job) -> List[Dict[str, Any]]:
     # module-level so the pool can pickle it by reference under spawn
     return job.run()
@@ -79,16 +97,7 @@ class SweepRunner:
                  start_method: Optional[str] = None) -> None:
         self.workers = (default_worker_count() if workers is None
                         else parse_worker_count(workers))
-        self.start_method = (start_method
-                             or os.environ.get(START_METHOD_ENV) or None)
-        # fail at construction, not mid-dispatch after serial output
-        # has already been produced
-        if self.start_method is not None:
-            known = multiprocessing.get_all_start_methods()
-            if self.start_method not in known:
-                raise ValueError(
-                    f"unknown start method {self.start_method!r}; "
-                    f"known: {', '.join(known)}")
+        self.start_method = resolve_start_method(start_method)
 
     def map(self, jobs: Sequence[Job]) -> List[List[Dict[str, Any]]]:
         """Per-job row lists, in job order.

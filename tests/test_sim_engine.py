@@ -6,16 +6,20 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import (Engine, EngineClock, PeriodicTask,
-                              SimulationError, Timer)
+from repro.sim.engine import Engine, PeriodicTask, SimulationError, Timer
+
+
+def pending_count(engine):
+    """Live events still queued: each batch past its consumed prefix,
+    cancelled events excluded (a scan; the engine keeps no count)."""
+    return sum(not event.cancelled
+               for when, batch in engine._batches.items()
+               for event in batch[engine._batch_pos.get(when, 0):])
 
 
 class TestScheduling:
     def test_clock_starts_at_zero(self):
         assert Engine().now == 0.0
-
-    def test_clock_starts_at_given_time(self):
-        assert Engine(start_time=5.0).now == 5.0
 
     def test_call_at_runs_at_time(self):
         engine = Engine()
@@ -25,7 +29,8 @@ class TestScheduling:
         assert seen == [1.5]
 
     def test_call_later_relative(self):
-        engine = Engine(start_time=2.0)
+        engine = Engine()
+        engine.run(until=2.0)
         seen = []
         engine.call_later(0.5, lambda: seen.append(engine.now))
         engine.run()
@@ -47,7 +52,8 @@ class TestScheduling:
         assert seen == [("x", 2)]
 
     def test_scheduling_in_past_rejected(self):
-        engine = Engine(start_time=10.0)
+        engine = Engine()
+        engine.run(until=10.0)
         with pytest.raises(SimulationError):
             engine.call_at(5.0, lambda: None)
 
@@ -57,17 +63,19 @@ class TestScheduling:
 
     @pytest.mark.parametrize("when", [math.nan, math.inf, -math.inf])
     def test_non_finite_time_rejected(self, when):
-        engine = Engine(start_time=1.0)
+        engine = Engine()
+        engine.run(until=1.0)
         with pytest.raises(SimulationError):
             engine.call_at(when, lambda: None)
-        assert engine.pending_count() == 0
+        assert engine.next_event_time() is None
 
     @pytest.mark.parametrize("delay", [math.nan, math.inf, 1e308])
     def test_non_finite_resulting_time_rejected(self, delay):
-        engine = Engine(start_time=1e308)   # 1e308 + 1e308 overflows
+        engine = Engine()
+        engine.run(until=1e308)   # 1e308 + 1e308 overflows
         with pytest.raises(SimulationError):
             engine.call_later(delay, lambda: None)
-        assert engine.pending_count() == 0
+        assert engine.next_event_time() is None
 
     def test_a_refused_nan_cannot_reorder_the_queue(self):
         # regression: a NaN key compares False against everything, so
@@ -146,23 +154,28 @@ class TestRunControl:
         engine.run(until=7.0)
         assert engine.now == 7.0
 
-    def test_max_events_bounds_execution(self):
+    def test_run_until_before_the_clock_is_refused(self):
+        # regression: a horizon in the past set the clock back, and an
+        # event scheduled after that ran at t=6, after t=10 was reached
         engine = Engine()
         seen = []
-        for index in range(10):
-            engine.call_at(float(index + 1), lambda i=index: seen.append(i))
-        engine.run(max_events=3)
-        assert seen == [0, 1, 2]
+        engine.call_at(12.0, seen.append, 12.0)
+        engine.run(until=10.0)
+        for until in (5.0, math.nan):
+            with pytest.raises(SimulationError):
+                engine.run(until=until)
+            assert engine.now == 10.0
+        engine.call_later(1.0, lambda: seen.append(engine.now))
+        engine.run()
+        assert seen == [11.0, 12.0]
 
-    def test_stop_inside_callback(self):
+    def test_run_until_now_is_a_no_op(self):
         engine = Engine()
         seen = []
-        engine.call_at(1.0, lambda: (seen.append(1), engine.stop()))
-        engine.call_at(2.0, lambda: seen.append(2))
-        engine.run()
-        assert seen == [1]
-        engine.run()
-        assert seen == [1, 2]
+        engine.call_at(5.0, seen.append, "later")
+        engine.run(until=2.0)
+        assert engine.run(until=2.0) == 2.0
+        assert seen == [] and engine.next_event_time() == 5.0
 
     def test_reentrant_run_rejected(self):
         engine = Engine()
@@ -181,7 +194,7 @@ class TestRunControl:
     def test_raising_event_is_consumed_and_the_batch_resumes_after_it(self):
         # regression: the cursor into the timestamp batch was lost when a
         # callback raised, so every later run() re-executed the batch
-        # from its first event and pending_count() went negative
+        # from its first event
         engine = Engine()
         seen = []
         engine.call_at(1.0, seen.append, "a")
@@ -191,11 +204,11 @@ class TestRunControl:
         with pytest.raises(RuntimeError):
             engine.run()
         assert seen == ["a", "boom"]
-        assert engine.pending_count() == self._live_scan(engine) == 2
+        assert pending_count(engine) == 2
         assert engine.next_event_time() == 1.0
         engine.run()
         assert seen == ["a", "boom", "c", "d"]
-        assert engine.pending_count() == 0
+        assert pending_count(engine) == 0
         assert engine.events_processed == 4
 
     def test_raising_last_event_of_a_batch_is_not_rerun(self):
@@ -205,32 +218,40 @@ class TestRunControl:
         engine.call_at(1.0, self._boom, seen)
         with pytest.raises(RuntimeError):
             engine.run()
-        assert engine.pending_count() == 0
+        assert pending_count(engine) == 0
         assert engine.next_event_time() is None
         # a same-instant event scheduled after the failure still runs
         engine.call_at(1.0, seen.append, "late")
         engine.run()
         assert seen == ["a", "boom", "late"]
 
-    def test_raise_interleaved_with_stop_and_max_events(self):
+    def test_consecutive_raises_in_one_batch_resume_in_order(self):
+        # runs that end part-way through a batch, then resume from its
+        # cursor, with next_event_time() moving the cursor past a
+        # cancelled event in between
         engine = Engine()
         seen = []
-        engine.call_at(1.0, lambda: (seen.append("stop"), engine.stop()))
+        engine.call_at(1.0, seen.append, "a")
         engine.call_at(1.0, self._boom, seen)
-        engine.call_at(1.0, seen.append, "c")
+        engine.call_at(1.0, self._boom, seen)
+        engine.call_at(1.0, seen.append, "x").cancel()
         engine.call_at(1.0, seen.append, "d")
-        engine.run()                       # stop() parks after the first
-        assert seen == ["stop"]
+        engine.call_at(2.0, seen.append, "e")
         with pytest.raises(RuntimeError):
-            engine.run(max_events=5)       # resumes at the raising one
-        assert seen == ["stop", "boom"]
-        engine.run(max_events=1)           # budget parks between c and d
-        assert seen == ["stop", "boom", "c"]
-        assert engine.pending_count() == self._live_scan(engine) == 1
+            engine.run()
+        assert seen == ["a", "boom"]
+        with pytest.raises(RuntimeError):
+            engine.run(until=1.0)          # resumes at the second raise
+        assert seen == ["a", "boom", "boom"]
+        assert engine.next_event_time() == 1.0      # "d", past "x"
+        assert pending_count(engine) == 2
+        engine.run(until=1.0)
+        assert seen == ["a", "boom", "boom", "d"]
+        assert engine.next_event_time() == 2.0
         engine.run()
-        assert seen == ["stop", "boom", "c", "d"]
-        # a raise is not a stop: the engine is reusable, not wedged
-        assert engine.pending_count() == 0 and engine.events_processed == 4
+        assert seen == ["a", "boom", "boom", "d", "e"]
+        # a raise does not wedge the engine
+        assert pending_count(engine) == 0 and engine.events_processed == 5
 
     def test_events_processed_counts_executions_only(self):
         engine = Engine()
@@ -245,7 +266,8 @@ class TestRunControl:
         event = engine.call_at(1.0, lambda: None)
         engine.call_at(2.0, lambda: None)
         event.cancel()
-        assert engine.pending_count() == 1
+        assert pending_count(engine) == 1
+        assert engine.next_event_time() == 2.0
 
     def test_pending_count_double_cancel_counts_once(self):
         engine = Engine()
@@ -253,56 +275,39 @@ class TestRunControl:
         engine.call_at(2.0, lambda: None)
         event.cancel()
         event.cancel()
-        assert engine.pending_count() == 1
+        assert pending_count(engine) == 1
 
     def test_pending_count_after_execution(self):
         engine = Engine()
         event = engine.call_at(1.0, lambda: None)
         engine.call_at(2.0, lambda: None)
-        engine.run(max_events=1)
-        assert engine.pending_count() == 1
-        # cancelling an already-executed event must not corrupt the counter
+        engine.run(until=1.0)
+        assert pending_count(engine) == 1
+        # cancelling an already-executed event changes nothing
         event.cancel()
-        assert engine.pending_count() == 1
-
-    def _live_scan(self, engine):
-        # pending events live in per-timestamp batch lists
-        return sum(1 for batch in engine._batches.values()
-                   for ev in batch if ev.active and not ev._expired)
-
-    def test_pending_counter_matches_heap_scan(self):
-        # the O(1) counter must agree with a full heap scan through an
-        # arbitrary schedule/cancel/run interleaving
-        engine = Engine()
-        events = [engine.call_at(float(i), lambda: None) for i in range(10)]
-        assert engine.pending_count() == self._live_scan(engine) == 10
-        for event in events[::3]:
-            event.cancel()
-        assert engine.pending_count() == self._live_scan(engine)
-        engine.run(max_events=3)
-        assert engine.pending_count() == self._live_scan(engine)
-        events[8].cancel()
-        events[8].cancel()
-        assert engine.pending_count() == self._live_scan(engine)
+        assert pending_count(engine) == 1
         engine.run()
-        assert engine.pending_count() == self._live_scan(engine) == 0
+        assert engine.events_processed == 2
 
     @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=100.0,
                                         allow_nan=False),
                               st.booleans()), min_size=1, max_size=40))
     def test_property_pending_counter_consistency(self, plan):
         engine = Engine()
-        events = []
         for when, cancel in plan:
-            events.append((engine.call_at(when, lambda: None), cancel))
-        for event, cancel in events:
+            event = engine.call_at(when, lambda: None)
             if cancel:
                 event.cancel()
-        assert engine.pending_count() == self._live_scan(engine)
-        engine.run(max_events=len(events) // 2)
-        assert engine.pending_count() == self._live_scan(engine)
+        live = sorted(when for when, cancel in plan if not cancel)
+        assert pending_count(engine) == len(live)
+        horizon = sorted(when for when, _cancel in plan)[len(plan) // 2]
+        engine.run(until=horizon)
+        assert pending_count(engine) == sum(when > horizon for when in live)
+        assert engine.next_event_time() == min(
+            (when for when in live if when > horizon), default=None)
         engine.run()
-        assert engine.pending_count() == self._live_scan(engine) == 0
+        assert pending_count(engine) == 0
+        assert engine.events_processed == len(live)
 
 
 @pytest.fixture
@@ -484,22 +489,3 @@ class TestPeriodicTask:
         assert task.running
         task.stop()
         assert not task.running
-
-    def test_jitter_applied(self):
-        engine = Engine()
-        seen = []
-        task = PeriodicTask(engine, 1.0, lambda: seen.append(engine.now),
-                            jitter_fn=lambda: 0.1)
-        task.start()
-        engine.run(until=3.5)
-        # first firing after plain period, subsequent with +0.1 jitter
-        assert seen == pytest.approx([1.0, 2.1, 3.2])
-
-
-class TestEngineClock:
-    def test_read_only_view_tracks_time(self):
-        engine = Engine()
-        clock = EngineClock(engine)
-        engine.call_at(4.0, lambda: None)
-        engine.run()
-        assert clock.now == 4.0
