@@ -573,6 +573,10 @@ class TestGraphFreeDijkstra:
         assert not hasattr(task, "_refresh_edge")
 
 
+#: (flat, recursive) engine events of the 10x20 plants at seed 0.
+SCOPE_EVENTS = (310_007, 65_107)
+
+
 class TestScopePin:
     """ROADMAP 4(d), §6.5: the same 211 systems as one flat DIF and as
     region DIFs under a backbone.  Exact counters, no wall clock — the
@@ -582,8 +586,11 @@ class TestScopePin:
         from repro.experiments.e6_scalability import run_scale
         flat = run_scale("flat", 10, 20, seed=0)
         recursive = run_scale("recursive", 10, 20, seed=0)
-        assert (flat["lsas_reflooded"], flat["events"],
-                flat["mean_table"]) == (44_948, 310_007, 210.0)
-        assert (recursive["lsas_reflooded"], recursive["events"],
-                recursive["mean_table"]) == (4_381, 65_107, 20.48)
+        assert (flat["lsas_reflooded"], flat["mean_table"]) == \
+            (44_948, 210.0)
+        assert (recursive["lsas_reflooded"], recursive["mean_table"]) == \
+            (4_381, 20.48)
         assert (flat["spf_runs"], flat["spf_skipped"]) == (211, 0)
+        # the engine's event count is a cost, pinned apart from what the
+        # plants say (tests/test_trace_golden.py)
+        assert (flat["events"], recursive["events"]) == SCOPE_EVENTS

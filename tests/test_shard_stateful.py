@@ -11,7 +11,10 @@ Every frame that crosses a cut does so as ``repro.core.codec`` bytes —
 no live object references ever sit in a ``BoundaryFrame``.
 """
 
+import functools
 import hashlib
+
+from test_trace_golden import events_in, masked_sha256
 
 from repro.core import codec
 from repro.experiments.e6_scalability import (build_flood_spec,
@@ -28,7 +31,9 @@ from repro.shard import (RegionPlan, ShardEngine, all_nodes_announce,
 #: traces were recaptured when the async-grants protocol landed,
 #: because their final ``clock=`` line now renders the protocol-
 #: invariant ``Engine.last_event_time`` instead of the parked grant
-#: horizon (every event, counter, and stat line is unchanged).  A
+#: horizon (every event, counter, and stat line is unchanged).  The
+#: shard SHAs cover the trace with its event count masked, and the
+#: counts are pinned apart (see tests/test_trace_golden.py).  A
 #: mismatch means a change leaked into the control plane's observable
 #: behavior — enrollment timing, address assignment, LSA contents, or
 #: the codec itself.
@@ -37,9 +42,10 @@ GOLDEN_STATEFUL_NODE_STATS = \
 GOLDEN_STATEFUL_ROWS = \
     "d33d38b2df3eed4be4cde09506512a8d4146fdee6dd5a27a6e2cb1e1ff931bb0"
 GOLDEN_STATEFUL_SHARDS = {
-    0: "d6c3513b1fe73eb6d67d4937a2a1f47fe3c5a3bfa438ea978ffa69763fa34c2a",
-    1: "81ea00a5f9242f33cd5ed6c2d05db56aeb137f7275b27a69bcb7bec127a99cad",
+    0: "3ed421235312a4f1dec4369871f97c58c11d84293f9a8b82c7b69bf3db811021",
+    1: "0e6d6d56400ddddb488dddb897d689b32f16152863f420317fc166889904753b",
 }
+GOLDEN_STATEFUL_SHARDS_EVENTS = {0: 662, 1: 229}
 
 
 def canned_stateful(regions=3, hosts=2, shards=2):
@@ -47,6 +53,16 @@ def canned_stateful(regions=3, hosts=2, shards=2):
     workload = build_stateful_workload(regions, hosts)
     plan = RegionPlan(spec, flood_assignment(regions, hosts, shards))
     return spec, plan, workload
+
+
+@functools.lru_cache(maxsize=None)
+def canned_stateful_traces():
+    """shard index -> trace of the canned stateful 2-way split."""
+    _spec, plan, workload = canned_stateful()
+    result = run_sharded(plan, workload, seed=0, mode="inline",
+                         until=workload["until"])
+    return {s["shard"]: text for s, text in zip(result.shards,
+                                                 result.traces)}
 
 
 def digest(rows):
@@ -81,11 +97,11 @@ class TestStatefulEquivalence:
         assert digest(reference["rows"]) == GOLDEN_STATEFUL_ROWS
 
     def test_sharded_traces_match_golden_fingerprints(self):
-        _spec, plan, workload = canned_stateful()
-        result = run_sharded(plan, workload, seed=0, mode="inline",
-                             until=workload["until"])
-        assert {s["shard"]: s["trace_sha256"] for s in result.shards} == \
-            GOLDEN_STATEFUL_SHARDS
+        traces = canned_stateful_traces()
+        assert {shard: masked_sha256(text)
+                for shard, text in traces.items()} == GOLDEN_STATEFUL_SHARDS
+        assert {shard: events_in(text) for shard, text in traces.items()} \
+            == GOLDEN_STATEFUL_SHARDS_EVENTS
 
     def test_process_mode_matches_inline_mode(self):
         _spec, plan, workload = canned_stateful()
@@ -201,8 +217,8 @@ class TestWireData:
 # ----------------------------------------------------------------------
 def test_stateful_fingerprints_reproduce_inside_pool_workers():
     """Per-shard stateful traces produced inside a spawn-ed pool worker
-    (coordinator in its in-process fallback) match the pinned digests —
-    proof that the whole control plane, codec included, rebuilds from
+    (coordinator in its in-process fallback) are byte-identical to the
+    in-process traces pinned above — proof that the whole control plane, codec included, rebuilds from
     pure data in a fresh interpreter."""
     from repro.sweeps import Job, SweepRunner
     jobs = [Job("repro.experiments.e6_scalability:stateful_trace_digests",
@@ -210,5 +226,6 @@ def test_stateful_fingerprints_reproduce_inside_pool_workers():
                         "seed": 0},
                 group="golden-stateful", label="canned stateful split")] * 2
     rows = SweepRunner(workers=2, start_method="spawn").run(jobs)
-    assert {row["shard"]: row["sha256"] for row in rows} == \
-        GOLDEN_STATEFUL_SHARDS
+    assert {row["shard"]: row["sha256"] for row in rows} == {
+        shard: hashlib.sha256(text.encode()).hexdigest()
+        for shard, text in canned_stateful_traces().items()}

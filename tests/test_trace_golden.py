@@ -20,39 +20,81 @@ policy default), re-capture with::
 
 and say so in the commit message — never re-capture to make an
 optimization pass.
+
+Every pin is split in two.  The SHA-256 covers the trace with the
+engine's event count masked (:func:`mask_events`); the count itself is
+pinned apart, exactly, in the matching ``*_EVENTS`` dict.  How many
+events a run dispatches is a cost, not an observable: a change that
+only removes events (an idle RMT port that sends at once, a clean link
+that schedules no serialization-end event) edits the ``*_EVENTS`` dicts
+and nothing else.  The masked SHAs were captured on the tree before any
+such change and stay byte-untouched — that is the proof that every
+delivery time, drop, counter and RNG draw came out the same.
 """
 
+import functools
 import hashlib
+import re
 
 import pytest
 
 from repro.scenarios import CANNED, ScenarioRunner
 
-#: name -> sha256 of the rina-stack trace at seed 0, captured pre-overhaul.
-#: (ring-of-stars joined the registry after the capture; its determinism
-#: is covered by the generic two-run checks instead.)
+_EVENTS = re.compile(r'("events": |events=)(\d+)')
+
+
+def mask_events(text):
+    """The trace with its engine event count(s) replaced by ``N``."""
+    return _EVENTS.sub(r"\1N", text)
+
+
+def events_in(text):
+    """The engine event count a trace renders (its only one)."""
+    (count,) = [int(match.group(2)) for match in _EVENTS.finditer(text)]
+    return count
+
+
+def masked_sha256(text):
+    return hashlib.sha256(mask_events(text).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def canned_trace(name, stack):
+    """One canned spec's trace at seed 0 (shared by the in-process pins
+    and the worker checks, which compare against it)."""
+    runner = ScenarioRunner(CANNED[name](), seed=0)
+    runner.run(stack)
+    return runner.trace
+
+
+#: name -> sha256 of the masked rina-stack trace at seed 0.  The masked
+#: SHAs were taken on a tree whose full traces still matched the
+#: pre-overhaul capture.  (ring-of-stars joined the registry after that
+#: capture; its determinism is covered by the generic two-run checks
+#: instead.)
 GOLDEN = {
-    "e3-e2e": "2361c1e40f69ce17cc263edcf459238bd391cf697e07bc5b6f57521f24a1f9e3",
-    "e3-scoped": "2294a2261316ea09a8ed4d9557993215f5dad2d199e25bc63d20bb5929b18852",
-    "e4-multihoming": "5a8c41b5117aa5829e25120c6f6868458df0a960aa22ce2b9e79f62cb304032f",
-    "e5-mobility": "3dbcc7040c3210e6c10e6939a7252e0d92aff7335c1f25a59a8fcbf19ee48ab4",
-    "fault-storm": "23d41f038bc9447f93e4776e66238faf98c035ca2d7bf2d169c0cbb32df91410",
+    "e3-e2e": "f7f7c7523c9d4f13699266f633b381070c4b2dbb4d0f7366878f31c10b790568",
+    "e3-scoped": "6f6a4d83e7b5fa20034c6f41cf2f103111a3b89807ec8fc92ec73f410cd83950",
+    "e4-multihoming": "7c12634ecc700d6ba450434a06dcabc53371b842de09ad691efaf9bfac7f1501",
+    "e5-mobility": "4a6146f7e41b6d746baeb4eb2ab8e3a06073e18432e7669b0bc1c2117670b969",
+    "fault-storm": "f19ca45ba8a938d4d00202f768919baa9c44ccfb283ac403fd1f4097b9d46609",
     # network-condition families, captured at their introduction (the
     # jitter/shaping/corruption/reorder models + injector windows):
     "flash-crowd":
-        "5fc7bdde8ceb3ce682f5912b4bf85a7fd161df663387a7e6acb84ada8c9b4915",
+        "cf823541780b50f03a6847d761ff3304677a170310e567eb0aa9e14955fb1c79",
     "diurnal-load":
-        "1ee533e2b19f0986cf26cc77e6af512633e8827d0ba2854b4bb253646a2e98b7",
+        "71752c42a661cfb8f84ff0f30c942e708b765488758abcb28252e38d34aeb078",
     "rolling-degradation":
-        "dd0037cf8a79a8d360cc529471e4a9d85590fa2675ba2143729ae97702169907",
+        "2a900d6c165d798191eae67cf262dcad2099faa16467449495d3e21a0c054068",
     "corruption-storm":
-        "9e35a524db146ea084edb9dca55b2b10018b66271fa27ed367ca2dc181ab8739",
+        "d00f5796688fe399fcad2e1cd4c2eef7b5d24a982f293409f3a9680eb4d57678",
 }
 
 
-#: shard index -> sha256 of that shard's trace for the canned 2-region
-#: split (E6 plant at 2x3, all-nodes-announce flood, seed 0) — captured
-#: when the async-grants protocol landed.  (The previous captures' final
+#: shard index -> sha256 of that shard's masked trace for the canned
+#: 2-region split (E6 plant at 2x3, all-nodes-announce flood, seed 0);
+#: the full traces were captured when the async-grants protocol landed.
+#: (The previous captures' final
 #: ``clock=`` line rendered the *parked* engine clock, which is an
 #: artifact of the round protocol's last grant horizon; the line now
 #: renders ``Engine.last_event_time`` — the causal end of the run — so
@@ -63,46 +105,65 @@ GOLDEN = {
 #: injection order, boundary arrival arithmetic, or the flood workload
 #: itself.
 GOLDEN_SHARDS = {
-    0: "1adc9abf4f35a353e32ff7a7499b8d466b33fc5fbf7dbad82311c5e1442a405f",
-    1: "cb953bd90a0c9cbcf399934375373c6cffd98c5d7114448124120bc1f7013f00",
+    0: "12725736feb49140a943f9fa7eef36fd787391f883531106eec9f80ae6043cbc",
+    1: "f624f57dec3660abb2348f1744cdb0720d26cc99e983b44f8bb289ed9c59a5f3",
 }
 
 
-#: name -> sha256 of the ip-stack trace at seed 0, captured while the IP
-#: baseline still computed its routes with a third-party graph library.
+#: name -> sha256 of the masked ip-stack trace at seed 0; the full
+#: traces were first captured while the IP baseline still computed its
+#: routes with a third-party graph library.
 #: The in-repo breadth-first search that replaced it must reproduce
 #: every route, tie-breaks included.
 GOLDEN_IP = {
     "corruption-storm":
-        "12da00f97a68eb511c053f34d7b66b8a90fbae376d4f012876d3220334133638",
+        "0ad090e4eb554dc41e8c442a146e4ed78f47cbd338b7747733228518b482b51a",
     "diurnal-load":
-        "6d47b8425a93745f16eadf3e6167b3226f11c1e5c24e26b0038e285994eb883c",
-    "e3-e2e": "8f7707c7747c13efaf9b71d51220341a0a7357d44bd02985728a3e53ad48f4df",
+        "d3136d299f9ffc5989207aca1f89369a18890db91f01316ed8b459bafb4b354d",
+    "e3-e2e": "8df6bc616b65d73ec1cee353726e03cbfeb863cf821e2a2b1ffe6aab705f8d43",
     "e3-scoped":
-        "1a25d1a98bef9bc6f9ce71d576a9f2f81c4d935cff9b42019c4138aa480cc844",
+        "d7a119d79ba7f35eebe8908683de59a0083a33715d168d2e3d56d8b7d2c861af",
     "e4-multihoming":
-        "0fa8d084a3ea8f003ef3c7ed7147ac4f0111b800179a90b44625e2052b8f96aa",
+        "d135b0bb4a4605406e80f5f2f400b05227608d1fcd5b3ebfa4a8f83f5c1cca5c",
     "e5-mobility":
-        "63b3c707b1c6bee37e2eda516764bbcbb8df4347fe9d71b9ffc0d6e17ca703e3",
+        "d772a3ad6d832f5140b82807b7c62211f13618836651a385e25a16e03cc8ad1f",
     "fault-storm":
-        "ac01567769a01cf3b0737f21fe63f8bfc25cd54e01b2aa90936509a33defb636",
+        "ab5d831553f473dfae3b5de449011384d56707e99d96f50c364ae25bff2533c4",
     "flash-crowd":
-        "d50331a36daff98c9e282be865f53e8ba36be08892327b55179b5d4802416600",
+        "a3b7b0380157777fda85e9e1a250d58c395b5d9a531348121efb3f5814c670fa",
     "ring-of-stars":
-        "43dc8982e68ee0fd9597e6b1c14a931368b3073170b746e2f449582a2e076041",
+        "a48a70ad194867e7e293ca7afe252ba978b3be5725d5dd2fbe28f94741e5774b",
     "rolling-degradation":
-        "b794734ef34e06e58e1221817dee3dc099092c25958ef2ab87eefdcde3311185",
+        "4f41a660e8a68215e030449616bf9746d37fc622d92d07580d27a40a20530238",
 }
 
-#: seed -> the ``digest`` perf/child.py reports for its ``data_clean_ip``
-#: job (the sha256 of the hex sha256 of the trace), same capture.
+#: seed -> the sha256 of the masked ``data_clean_ip`` trace: the
+#: perf/child.py job (its spec, its seed), captured with the split.
 GOLDEN_DATA_CLEAN_IP = {
-    0: "2ab0be6da277fd0dd79926e049f1cb3bb45575795f843ec25a08dc71a6f471da",
-    1: "83562d63cca869be5f7e22b765df817628bcf49a89cdda2c96042068c0880272",
+    0: "974056d231f351c0d0217375f92c36709885e8dcba0ef9e53788f0bd7f36b6c9",
+    1: "ee29135f1e6ad28426925fd248b6636f54beaaedb1c9434a11cb7c26b5e22f40",
 }
 
+#: The engine event count of each pinned trace above, exact.
+GOLDEN_EVENTS = {
+    "corruption-storm": 9_659, "diurnal-load": 12_350, "e3-e2e": 1_341,
+    "e3-scoped": 2_122, "e4-multihoming": 2_409, "e5-mobility": 19_247,
+    "fault-storm": 13_574, "flash-crowd": 7_386,
+    "rolling-degradation": 15_471,
+}
+GOLDEN_IP_EVENTS = {
+    "corruption-storm": 2_308, "diurnal-load": 4_267, "e3-e2e": 321,
+    "e3-scoped": 321, "e4-multihoming": 204, "e5-mobility": 1_331,
+    "fault-storm": 2_104, "flash-crowd": 2_138, "ring-of-stars": 2_469,
+    "rolling-degradation": 3_892,
+}
+GOLDEN_SHARDS_EVENTS = {0: 86, 1: 67}
+GOLDEN_DATA_CLEAN_IP_EVENTS = {0: 133_103, 1: 133_143}
 
-def test_sharded_traces_match_pinned_fingerprints():
+
+@functools.lru_cache(maxsize=None)
+def sharded_traces():
+    """shard index -> trace of the canned 2-region flood split."""
     from repro.experiments.e6_scalability import (build_flood_spec,
                                                   flood_assignment)
     from repro.shard import RegionPlan, all_nodes_announce, run_sharded
@@ -110,52 +171,62 @@ def test_sharded_traces_match_pinned_fingerprints():
     plan = RegionPlan(spec, flood_assignment(2, 3, 2))
     result = run_sharded(plan, all_nodes_announce(spec.nodes), seed=0,
                          mode="inline")
-    assert {s["shard"]: s["trace_sha256"] for s in result.shards} == \
-        GOLDEN_SHARDS, ("per-shard trace diverged from the capture — a "
-                        "change leaked into the shard protocol's "
-                        "observable behavior")
+    return {s["shard"]: text for s, text in zip(result.shards,
+                                                 result.traces)}
+
+
+def test_sharded_traces_match_pinned_fingerprints():
+    traces = sharded_traces()
+    assert {shard: masked_sha256(text) for shard, text in traces.items()} \
+        == GOLDEN_SHARDS, ("per-shard trace diverged from the capture — a "
+                           "change leaked into the shard protocol's "
+                           "observable behavior")
+    assert {shard: events_in(text) for shard, text in traces.items()} == \
+        GOLDEN_SHARDS_EVENTS
 
 
 def test_sharded_fingerprints_reproduce_inside_pool_workers():
     """Per-shard traces produced by a sharded run *inside a pool worker*
-    (spawn start method, coordinator in its in-process fallback) match
-    the pinned digests — the shard analogue of the scenario-trace worker
-    check below."""
+    (spawn start method, coordinator in its in-process fallback) are
+    byte-identical to the in-process run pinned above — the shard
+    analogue of the scenario-trace worker check below."""
     from repro.sweeps import Job, SweepRunner
     jobs = [Job("repro.experiments.e6_scalability:shard_trace_digests",
                 kwargs={"regions": 2, "hosts_per_region": 3, "shards": 2,
                         "seed": 0},
                 group="golden-shard", label="canned 2-region split")] * 2
     rows = SweepRunner(workers=2, start_method="spawn").run(jobs)
-    assert {row["shard"]: row["sha256"] for row in rows} == GOLDEN_SHARDS
+    assert {row["shard"]: row["sha256"] for row in rows} == {
+        shard: hashlib.sha256(text.encode()).hexdigest()
+        for shard, text in sharded_traces().items()}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_canned_trace_matches_pre_overhaul_fingerprint(name):
-    runner = ScenarioRunner(CANNED[name](), seed=0)
-    runner.run("rina")
-    digest = hashlib.sha256(runner.trace.encode()).hexdigest()
-    assert digest == GOLDEN[name], (
+    text = canned_trace(name, "rina")
+    assert masked_sha256(text) == GOLDEN[name], (
         f"{name}: trace diverged from the pre-overhaul capture — an "
         f"optimization leaked into observable behavior")
+    assert events_in(text) == GOLDEN_EVENTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_IP))
 def test_canned_ip_trace_matches_fingerprint(name):
-    runner = ScenarioRunner(CANNED[name](), seed=0)
-    runner.run("ip")
-    digest = hashlib.sha256(runner.trace.encode()).hexdigest()
-    assert digest == GOLDEN_IP[name], (
+    text = canned_trace(name, "ip")
+    assert masked_sha256(text) == GOLDEN_IP[name], (
         f"{name}: ip-stack trace diverged from the capture — the IP "
         f"baseline's routes (or their tie-breaks) changed")
+    assert events_in(text) == GOLDEN_IP_EVENTS[name]
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DATA_CLEAN_IP))
 def test_benchmark_data_clean_ip_digest_matches_fingerprint(seed):
-    call, check = _perf_child().prepare("data_clean_ip", seed)
-    out = check(call())
-    assert (out["attempted"], out["failed"]) == (503, 0)
-    assert out["digest"] == GOLDEN_DATA_CLEAN_IP[seed]
+    child = _perf_child()
+    runner = ScenarioRunner(child._scenario(False, seed), seed)
+    metrics = runner.run("ip")
+    assert child._scenario_ops(metrics, False) == (503, 0)
+    assert masked_sha256(runner.trace) == GOLDEN_DATA_CLEAN_IP[seed]
+    assert events_in(runner.trace) == GOLDEN_DATA_CLEAN_IP_EVENTS[seed]
 
 
 def _perf_child():
@@ -179,11 +250,13 @@ def test_every_canned_spec_is_fingerprinted_or_newer():
     # *removed* golden entry means coverage silently shrank
     assert set(GOLDEN) <= set(CANNED)
     assert set(GOLDEN_IP) == set(CANNED)
+    assert set(GOLDEN_EVENTS) == set(GOLDEN)
+    assert set(GOLDEN_IP_EVENTS) == set(GOLDEN_IP)
 
 
 def test_golden_fingerprints_reproduce_inside_pool_workers():
-    """Traces produced in a worker process match the pinned in-process
-    SHA-256s.
+    """Traces produced in a worker process are byte-identical to the
+    pinned in-process traces.
 
     Run under the ``spawn`` start method deliberately: the child
     re-imports the whole stack from scratch, so fork-inherited state
@@ -199,9 +272,10 @@ def test_golden_fingerprints_reproduce_inside_pool_workers():
     rows = SweepRunner(workers=2, start_method="spawn").run(jobs)
     assert [row["name"] for row in rows] == sorted(GOLDEN)
     for row in rows:
-        assert row["sha256"] == GOLDEN[row["name"]], (
+        expected = canned_trace(row["name"], "rina").encode()
+        assert row["sha256"] == hashlib.sha256(expected).hexdigest(), (
             f"{row['name']}: worker-process trace diverged from the pinned "
-            f"in-process fingerprint — fork/spawn-dependent state leaked "
+            f"in-process trace — fork/spawn-dependent state leaked "
             f"into the simulation")
 
 
@@ -214,4 +288,6 @@ def test_golden_ip_fingerprints_reproduce_inside_pool_workers():
                 label=name)
             for name in sorted(GOLDEN_IP)]
     rows = SweepRunner(workers=2, start_method="spawn").run(jobs)
-    assert {row["name"]: row["sha256"] for row in rows} == GOLDEN_IP
+    assert {row["name"]: row["sha256"] for row in rows} == {
+        name: hashlib.sha256(canned_trace(name, "ip").encode()).hexdigest()
+        for name in GOLDEN_IP}
