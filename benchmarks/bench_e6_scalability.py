@@ -42,10 +42,13 @@ def emit_bench_json(rows):
 
 SIZES = [(3, 4), (4, 8), (5, 12)]   # (regions, hosts/region)
 
-#: events/sec of the seed (pre queue/SPF overhaul) on the reference box:
-#: the full flat 5x10 config (build + state stats + flap scope) processed
-#: 28,211 events in 0.582 s.  The overhaul's acceptance was >= 3x this.
-SEED_FLAT_5x10_EVENTS_PER_S = 48_500
+#: wall-clock of the seed (pre queue/SPF overhaul) on the reference box:
+#: the full flat 5x10 config (build + state stats + flap scope) took
+#: 0.582 s (28,211 events, 48,500 events/s).  The overhaul's acceptance
+#: was >= 3x its events/sec; the floor is kept in seconds because an
+#: event is no longer a fixed unit of work (a clean hop dispatches one
+#: event where it dispatched three, 10,658 events for the same row).
+SEED_FLAT_5x10_WALL_S = 0.582
 
 
 def test_e6_scale_tier(benchmark, table_sink):
@@ -75,12 +78,12 @@ def test_e6_scale_tier(benchmark, table_sink):
         assert row["total_state"] > 0
     flat = rows[0]
     # the headline hot-path budget: the flat 5x10 config must stay well
-    # clear of the seed's measured throughput (3x achieved, 2x floor).
+    # clear of the seed's measured time (3x achieved, 2x floor).
     # The floor is an absolute number from the reference box, so it is
     # opt-in — set REPRO_E6_STRICT=1 on hardware at least as fast (the
     # CI gate for arbitrary runners is the wall-clock-capped smoke job)
     if os.environ.get("REPRO_E6_STRICT"):
-        assert flat["events_per_s"] >= 2 * SEED_FLAT_5x10_EVENTS_PER_S, flat
+        assert flat["wall_s"] <= SEED_FLAT_5x10_WALL_S / 2, flat
     # the §6.5 property at scale: a flat member carries the whole graph,
     # a recursive member's state is bounded by its region, not the network
     assert flat["mean_table"] == flat["systems"] - 1

@@ -22,9 +22,11 @@ from __future__ import annotations
 import json
 import sys
 
-#: Peak-RSS ceiling for build + first wave.  460.5 MB on the reference
-#: box (2 vCPU, CPython 3.11.7); 617.4 MB while every link made its two
-#: transmit deques up front and every flood node a ``set``.  600 MB
+#: Peak-RSS ceiling for build + first wave.  446 MB on the reference
+#: box (2 vCPU, CPython 3.11.7) since a clean link schedules one event
+#: per frame (457 MB, measured alongside, with a serialization-end
+#: event per frame); 617.4 MB while every link made its two transmit
+#: deques up front and every flood node a ``set``.  600 MB
 #: fails CI on per-entity object-graph creep of that size (eager
 #: per-link PRNGs alone were ~250 MB before they became lazy) without
 #: flaking on allocator variance.

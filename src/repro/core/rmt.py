@@ -256,10 +256,14 @@ PATH_SELECTORS: Dict[str, Callable[[], PathSelector]] = {
 # ----------------------------------------------------------------------
 class RmtPort:
     """An (N-1) flow as seen by the RMT: a send function, a scheduler, and a
-    liveness flag maintained by neighbor monitoring."""
+    liveness flag maintained by neighbor monitoring.
+
+    A paced port is free again at ``free_at``; ``serving`` is True while
+    a serve event is pending, which is exactly while PDUs wait in the
+    scheduler."""
 
     __slots__ = ("port_id", "send_fn", "scheduler", "nominal_bps",
-                 "peer_addr", "alive", "busy")
+                 "peer_addr", "alive", "free_at", "serving")
 
     def __init__(self, port_id: int, send_fn: Callable[[Any, int], bool],
                  scheduler: Scheduler, nominal_bps: Optional[float] = None,
@@ -270,7 +274,8 @@ class RmtPort:
         self.nominal_bps = nominal_bps
         self.peer_addr = peer_addr
         self.alive = True
-        self.busy = False
+        self.free_at = 0.0
+        self.serving = False
 
     def queue_depth(self) -> int:
         """PDUs waiting in this port's scheduler."""
@@ -429,24 +434,39 @@ class Rmt:
             if not port.send_fn(pdu, pdu.wire_size()):
                 self._drop(pdu, "lower-layer-refused")
             return
+        if not port.serving:
+            now = self._engine.now
+            if now >= port.free_at:
+                # an idle port sends at once: no event, no queue trip
+                self._send(port, pdu, now)
+                return
         displaced = port.scheduler.push(pdu)
         if displaced is not None:
             self._drop(displaced, "queue-full")
-        if not port.busy:
-            self._serve(port)
+        if not port.serving:
+            port.serving = True
+            self._engine.call_at(port.free_at, self._serve, port,
+                                 label="rmt.serve")
 
     def _serve(self, port: RmtPort) -> None:
+        """Send the scheduler's next PDU; serve again only while PDUs
+        still wait."""
         pdu = port.scheduler.pop()
-        if pdu is None:
-            port.busy = False
-            return
-        port.busy = True
+        if pdu is not None:
+            self._send(port, pdu, self._engine.now)
+        if pdu is not None and len(port.scheduler):
+            self._engine.call_at(port.free_at, self._serve, port,
+                                 label="rmt.serve")
+        else:
+            port.serving = False
+
+    def _send(self, port: RmtPort, pdu: Pdu, now: float) -> None:
         size = pdu.wire_size()
+        # the port is busy for the PDU's time at the nominal rate (set
+        # before send_fn, so a PDU enqueued from inside it waits)
+        port.free_at = now + size * 8.0 / port.nominal_bps
         if not port.send_fn(pdu, size):
             self._drop(pdu, "lower-layer-refused")
-        service_time = size * 8.0 / port.nominal_bps
-        self._engine.call_later(service_time, self._serve, port,
-                                label="rmt.serve")
 
     def _drop(self, pdu: Pdu, reason: str) -> None:
         self.pdus_dropped += 1

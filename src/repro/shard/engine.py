@@ -3,16 +3,17 @@
 A boundary link is cut in two.  The sending region owns the transmit
 queue, the serialization clock, and the (absent, by plan validation)
 loss decision — everything up to the moment the frame is "on the wire".
-At that point, instead of scheduling local delivery, the egress half
-records a **timestamped boundary frame** ``(arrival_time, link,
-wire_payload, size)`` with ``arrival_time = now + propagation delay``.
+Where the link would schedule local delivery, the egress half records a
+**timestamped boundary frame** ``(arrival_time, link, wire_payload,
+size)`` with ``arrival_time = serialization end + propagation delay``;
+a clean half does so when the frame is sent (:meth:`Link.transmit`).
 The coordinator relays the frame between rounds, and the receiving
 region's half-link delivers it at exactly ``arrival_time`` — the same
 float the unsharded :class:`~repro.sim.link.Link` would have computed,
 so delivery timing is bit-identical, not merely close.
 
 ``wire_payload`` is **bytes**: the payload is run through the wire
-codec (:func:`repro.core.codec.encode`) at the serialization end and
+codec (:func:`repro.core.codec.encode`) when it is captured and
 decoded at delivery, so a frame never carries live object references
 across the cut — which is what lets the *control plane* (enrollment
 RIEP, LSA floods, keepalives, flow allocation) cross persistent worker
@@ -77,8 +78,8 @@ class BoundaryHalf(Link):
     The local node attaches to end ``local_index`` — the same end it
     owns on the unsharded link — and transmits normally; the other end
     is a ghost (the real peer lives in another region's simulation).
-    Egress frames land in the shard's outbox, codec-encoded, at
-    serialization end; ingress frames are injected by
+    Egress frames land in the shard's outbox, codec-encoded, when
+    they are sent, stamped with their arrival; ingress frames are injected by
     :meth:`ShardEngine.inject` and delivered through
     :meth:`deliver_inbound`, which decodes and keeps the
     delivered-frame statistics of the unsharded link (the tracer's
@@ -93,14 +94,14 @@ class BoundaryHalf(Link):
         self._outbox = outbox
         self.local_index = local_index
 
-    def _schedule_delivery(self, direction: int, payload: Any,
-                           size: int) -> None:
-        # identical float arithmetic to Link.call_later(delay, ...):
-        # the peer region will deliver at exactly this time.  The
-        # payload crosses as wire data — never as a live object.
-        self._outbox.append(
-            (self._engine.now + self.delay, self.name,
-             encode(payload), size))
+    def _arrival(self, direction: int, payload: Any, size: int,
+                 end: float) -> None:
+        # identical float arithmetic to Link._arrival: the peer region
+        # will deliver at exactly this time.  The payload crosses as wire
+        # data — never as a live object.  Nothing fails, conditions or
+        # re-rates a half, so no captured frame is ever recalled.
+        self._outbox.append((end + self._delay, self.name,
+                             encode(payload), size))
 
     def deliver_inbound(self, payload: bytes, size: int) -> None:
         """Decode and deliver a relayed frame up the local stack

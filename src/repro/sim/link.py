@@ -5,6 +5,12 @@ has a FIFO transmit queue, a serialization rate (bits/s), a propagation
 delay, and a loss model.  Payloads are opaque Python objects accompanied by
 an explicit wire size in bytes — the simulator never serializes for real.
 
+A frame costs one engine event, its arrival, on a clean direction: FIFO
+service there is arithmetic (see :meth:`Link.transmit`).  Conditions, a
+lossy model or a mid-run change put a direction on the event path,
+which steps through a ``.tx`` event at every serialization end.  Both
+give every frame the same arrival time, drop and RNG draw.
+
 Loss models are strategy objects so experiments can swap a fixed loss rate
 for a bursty Gilbert–Elliott process without touching the link code
 (mechanism vs policy, as the paper prescribes for every component).
@@ -18,7 +24,7 @@ import random
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from .engine import Engine
+from .engine import Engine, Event
 from .trace import Tracer
 
 ReceiveCallback = Callable[[Any, int], None]
@@ -110,8 +116,8 @@ class GilbertElliott(LossModel):
 # Like the loss models above, each condition is a strategy object; the
 # link only supplies mechanism (where in the frame path each applies)
 # and the deterministic per-purpose RNG streams.  A link with
-# ``conditions=None`` executes byte-for-byte the same event sequence it
-# always has — the golden-trace contract.
+# ``conditions=None`` delivers byte-for-byte what it always has — the
+# golden-trace contract.
 # ----------------------------------------------------------------------
 class CorruptedFrame:
     """What the far end receives when the medium damaged a frame in flight.
@@ -557,7 +563,7 @@ class Link:
         injectors turn conditions on and off mid-run.
     """
 
-    __slots__ = ("_engine", "name", "capacity_bps", "delay", "loss",
+    __slots__ = ("_engine", "name", "_capacity_bps", "_delay", "_loss",
                  "queue_limit", "_rng", "_rng_factory", "_tracer",
                  "ends", "_queues", "_busy", "_up", "_observers",
                  "frames_sent", "frames_dropped_queue", "frames_dropped_loss",
@@ -578,9 +584,9 @@ class Link:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self._engine = engine
         self.name = name
-        self.capacity_bps = float(capacity_bps)
-        self.delay = float(delay)
-        self.loss = loss if loss is not None else _NO_LOSS
+        self._capacity_bps = float(capacity_bps)
+        self._delay = float(delay)
+        self._loss = loss if loss is not None else _NO_LOSS
         self.queue_limit = queue_limit
         self._rng = rng
         self._rng_factory = rng_factory
@@ -589,13 +595,13 @@ class Link:
             LinkEnd(self, 0, f"{name}[0]"),
             LinkEnd(self, 1, f"{name}[1]"),
         )
-        # per-direction state: busy flag and queue of (payload, size).  A
-        # frame on an idle direction starts serializing at once, so a
-        # direction's deque is made only when a frame finds it busy: most
-        # links of a large plant never queue, and two empty deques are
-        # ~1.2 KB per link.
-        self._busy = [False, False]
-        self._queues: List[Optional[Deque[Tuple[Any, int]]]] = [None, None]
+        # per-direction service state (see transmit): None when idle, True
+        # while the event path serializes a frame, or the arithmetic
+        # path's last frame record.  A direction's deque is made only when
+        # a frame finds it busy: most links of a large plant never queue,
+        # and two empty deques are ~1.2 KB per link.
+        self._busy: List[Any] = [None, None]
+        self._queues: List[Optional[Deque[Tuple[Any, ...]]]] = [None, None]
         self._up = True
         # observers notified with (link, up) on fail/repair — used by stacks
         # that model carrier detection (interface down when the link dies)
@@ -626,6 +632,39 @@ class Link:
         """False while the link is administratively failed."""
         return self._up
 
+    # The parameters a frame's path reads are properties so that a change
+    # mid-run first recalls the frames the arithmetic path has in service
+    # (see _recall); the scenario fault injectors assign them.
+    @property
+    def capacity_bps(self) -> float:
+        """Serialization rate of each direction, bits per second."""
+        return self._capacity_bps
+
+    @capacity_bps.setter
+    def capacity_bps(self, value: float) -> None:
+        self._recall()
+        self._capacity_bps = value
+
+    @property
+    def delay(self) -> float:
+        """One-way propagation delay, seconds."""
+        return self._delay
+
+    @delay.setter
+    def delay(self, value: float) -> None:
+        self._recall()
+        self._delay = value
+
+    @property
+    def loss(self) -> LossModel:
+        """The loss model both directions draw from."""
+        return self._loss
+
+    @loss.setter
+    def loss(self, value: LossModel) -> None:
+        self._recall()
+        self._loss = value
+
     @property
     def conditions(self) -> Optional[LinkConditions]:
         """The impairment bundle in effect, or None for a clean link."""
@@ -636,6 +675,7 @@ class Link:
         if value is not None and not isinstance(value, LinkConditions):
             raise TypeError(f"conditions must be LinkConditions or None, "
                             f"got {type(value).__name__}")
+        self._recall()
         self._conditions = value
         if value is not None:
             if value.reorder is not None and self._reorder_held is None:
@@ -683,6 +723,7 @@ class Link:
         """Take the link down: queued and future frames are discarded."""
         if not self._up:
             return
+        self._recall()
         self._up = False
         for queue in self._queues:
             if queue is not None:
@@ -708,32 +749,118 @@ class Link:
 
     # ------------------------------------------------------------------
     def transmit(self, from_index: int, payload: Any, size_bytes: int) -> bool:
-        """Queue a frame in the given direction; returns False on tail drop."""
+        """Queue a frame in the given direction; returns False on tail drop.
+
+        A clean direction (no conditions, a lossless model, no frame
+        serializing on the event path) serves its FIFO by arithmetic: the
+        frame starts when the direction frees, ``end = start + tx_time``,
+        and its arrival is scheduled at once at ``end + delay`` — the same
+        floats, in the same association order, as stepping through a
+        ``.tx`` event at ``end``.  The direction keeps the last frame's
+        ``(end, arrival, payload, size)`` record; the frames still
+        serializing (kept in the deque once one had to wait) are what
+        :meth:`_recall` hands back to the event path when a parameter
+        changes.  Every other direction steps through events as before.
+        """
         if size_bytes <= 0:
             raise ValueError(f"frame size must be positive, got {size_bytes}")
         if not self._up:
             self.frames_dropped_queue[from_index] += 1
             self._trace_count("link.drop.down")
             return False
-        queue = self._queues[from_index]
-        if (0 if queue is None else len(queue)) >= self.queue_limit:
+        last = self._busy[from_index]
+        if (last is True or self._conditions is not None
+                or not self._loss.lossless):
+            return self._enqueue(from_index, payload, size_bytes)
+        now = self._engine.now
+        queue = None
+        if last is None or last[0] <= now:
+            start, waiting = now, 0
+        else:
+            # the direction is busy until the last frame's end: keep the
+            # frames from the one in service on, dropping those finished
+            start = last[0]
+            queue = self._queues[from_index]
+            while queue and queue[0][0] <= now:
+                queue.popleft()
+            if not queue:
+                queue = self._queues[from_index] = deque((last,))
+            waiting = len(queue) - 1
+        if waiting >= self.queue_limit:
             self.frames_dropped_queue[from_index] += 1
             self._trace_count("link.drop.queue")
             return False
         self.frames_sent[from_index] += 1
-        if not self._busy[from_index]:
+        end = start + size_bytes * 8.0 / self._capacity_bps
+        record = (end, self._arrival(from_index, payload, size_bytes, end),
+                  payload, size_bytes)
+        self._busy[from_index] = record
+        if queue is not None:
+            queue.append(record)
+        return True
+
+    def _recall(self) -> None:
+        """Hand the frames the arithmetic path has still serializing back
+        to the event path, before a parameter, a condition or the link's
+        state changes.
+
+        The frame in service gets its ``.tx`` event at its serialization
+        end, the frames not yet started go back into the queue in order,
+        and their precomputed arrivals are cancelled.  Each direction then
+        is exactly where stepping through events would have it, so a
+        change reaches every frame at the same point in its life as
+        before: a loss draw, conditions and the delay at serialization
+        end, the rate at serialization start, and a failure kills a frame
+        still serializing.  A frame whose serialization ended at this very
+        instant counts as on the wire.
+        """
+        now = self._engine.now
+        for direction in (0, 1):
+            last = self._busy[direction]
+            if last is True:
+                continue
+            queue = self._queues[direction]
+            if last is None or last[0] <= now:
+                records = []
+            elif queue and queue[-1] is last:
+                records = [record for record in queue if record[0] > now]
+            else:
+                records = [last]
+            for _end, arrival, _payload, _size in records:
+                arrival.cancel()
+            # the first record is the frame in service, the rest wait
+            self._busy[direction] = True if records else None
+            self._queues[direction] = (deque(record[2:] for record
+                                             in records[1:])
+                                       if len(records) > 1 else None)
+            if records:
+                end, _arrival, payload, size = records[0]
+                self._engine.call_at(end, self._finish_serialization,
+                                     direction, payload, size,
+                                     label=self._tx_label)
+
+    def _enqueue(self, direction: int, payload: Any, size: int) -> bool:
+        """The event path's FIFO: a ``.tx`` event at every serialization
+        end, where the loss draw and the conditions apply."""
+        queue = self._queues[direction]
+        if (0 if queue is None else len(queue)) >= self.queue_limit:
+            self.frames_dropped_queue[direction] += 1
+            self._trace_count("link.drop.queue")
+            return False
+        self.frames_sent[direction] += 1
+        if self._busy[direction] is None:
             # idle direction (so its queue is empty): no queue round trip
-            self._start(from_index, payload, size_bytes)
+            self._start(direction, payload, size)
         elif queue is None:
-            self._queues[from_index] = deque(((payload, size_bytes),))
+            self._queues[direction] = deque(((payload, size),))
         else:
-            queue.append((payload, size_bytes))
+            queue.append((payload, size))
         return True
 
     def _serve(self, direction: int) -> None:
         queue = self._queues[direction]
         if not queue or not self._up:
-            self._busy[direction] = False
+            self._busy[direction] = None
             return
         payload, size = queue.popleft()
         self._start(direction, payload, size)
@@ -742,7 +869,7 @@ class Link:
         """Put one frame on the wire: the direction is busy until its
         serialization (and any shaper wait) ends."""
         self._busy[direction] = True
-        tx_time = size * 8.0 / self.capacity_bps
+        tx_time = size * 8.0 / self._capacity_bps
         conditions = self._conditions
         if conditions is not None and conditions.shaper is not None:
             # the token-bucket wait precedes serialization, so shaping
@@ -757,7 +884,7 @@ class Link:
         # The frame is on the wire; schedule delivery after propagation,
         # then immediately serve the next queued frame.
         if self._up:
-            loss = self.loss
+            loss = self._loss
             if loss.lossless:
                 # fast path: no RNG draw, and the lazy PRNG never exists
                 self._schedule_delivery(direction, payload, size)
@@ -774,15 +901,23 @@ class Link:
                     self._schedule_delivery(direction, payload, size)
         self._serve(direction)
 
-    def _schedule_delivery(self, direction: int, payload: Any, size: int) -> None:
-        """Queue the on-the-wire frame for delivery after propagation.
+    def _arrival(self, direction: int, payload: Any, size: int,
+                 end: float) -> Optional[Event]:
+        """Schedule a clean frame's arrival after propagation, given its
+        serialization end.
 
-        This is the serialization end — the single seam where a live
-        payload becomes wire data: subclasses that cut a link at a
-        simulation boundary (the shard subsystem's half-links) override
-        this seam to capture the encoded frame instead of scheduling
-        local delivery.  The loss decision, queueing, and serialization
-        above it stay shared either way.
+        The single seam where a live payload becomes wire data:
+        subclasses that cut a link at a simulation boundary (the shard
+        subsystem's half-links) override it to capture the encoded frame
+        instead of scheduling local delivery.  Queueing, serialization
+        and the loss decision stay shared either way.
+        """
+        return self._engine.call_at(end + self._delay, self._deliver,
+                                    direction, payload, size,
+                                    label=self._rx_label)
+
+    def _schedule_delivery(self, direction: int, payload: Any, size: int) -> None:
+        """Put the event path's frame on the wire at its serialization end.
 
         Conditions apply here, to the wire form, in a fixed order —
         corruption, then jitter, then reordering — each drawing from its
@@ -790,9 +925,7 @@ class Link:
         """
         conditions = self._conditions
         if conditions is None:
-            self._engine.call_later(
-                self.delay, self._deliver, direction, payload, size,
-                label=self._rx_label)
+            self._arrival(direction, payload, size, self._engine.now)
             return
         corruption = conditions.corruption
         if corruption is not None:
@@ -801,7 +934,7 @@ class Link:
                 payload = corruption.corrupt(rng, payload)
                 self.frames_corrupted[direction] += 1
                 self._trace_count("link.corrupted")
-        delay = self.delay
+        delay = self._delay
         jitter = conditions.jitter
         if jitter is not None:
             delay += jitter.sample(self._condition_rng("jitter"))
@@ -858,6 +991,12 @@ class Link:
                                    entry.delay, None)
 
     def _deliver(self, direction: int, payload: Any, size: int) -> None:
+        last = self._busy[direction]
+        if last is not None and last is not True and \
+                last[0] <= self._engine.now:
+            # the direction's last arithmetic frame is on the wire and
+            # nothing is left to recall: let the records (and payloads) go
+            self._busy[direction] = self._queues[direction] = None
         if not self._up:
             return
         self.frames_delivered[direction] += 1
@@ -874,10 +1013,10 @@ class Link:
         bytes (an a-posteriori estimate used by the utilization experiment)."""
         if elapsed <= 0:
             return math.nan
-        busy = self.bytes_delivered[direction] * 8.0 / self.capacity_bps
+        busy = self.bytes_delivered[direction] * 8.0 / self._capacity_bps
         return busy / elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self._up else "DOWN"
-        return f"<Link {self.name} {self.capacity_bps/1e6:.1f}Mbps {state}>"
+        return f"<Link {self.name} {self._capacity_bps/1e6:.1f}Mbps {state}>"
 

@@ -53,12 +53,12 @@ ROW_PINS = {
 
 #: case -> the row's ``events`` column (the config rows have none).
 ROW_EVENTS = {
-    "scale-flat-5x10": 28_211,
-    "scale-recursive-5x10": 13_392,
-    "flood-3x2-x1": 190,
-    "flood-3x2-x2": 190,
-    "stateful-3x2-x1": 891,
-    "stateful-3x2-x2": 891,
+    "scale-flat-5x10": 10_658,
+    "scale-recursive-5x10": 5_568,
+    "flood-3x2-x1": 100,
+    "flood-3x2-x2": 100,
+    "stateful-3x2-x1": 366,
+    "stateful-3x2-x2": 366,
 }
 
 

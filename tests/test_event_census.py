@@ -98,23 +98,32 @@ def _flood():
 
 
 #: Captured before the engine lost its test-only bookkeeping; they must
-#: not move when the dispatch loop changes shape.
+#: not move when the dispatch loop changes shape.  Since then two rows
+#: moved, and only these:
+#:
+#: * ``<link>.tx`` is gone: a clean link direction computes each frame's
+#:   serialization end when the frame is sent and schedules only its
+#:   arrival (``<link>.rx``, unchanged).  Conditioned, lossy or re-rated
+#:   directions still step through ``.tx`` events; none runs here.
+#: * ``rmt.serve`` is left only where PDUs queue behind a busy port: an
+#:   idle port sends at once.  control_flat 1,172 -> 23; data_clean's
+#:   rina stack 2,987 -> 655, which are real waits behind EFCP bursts.
 EXPECTED = {
     "control_flat": {
         "(unlabelled)": 1, "<ipcp>.keepalive": 288, "<link>.rx": 1186,
-        "<link>.tx": 1186, "fabric.start": 1, "rmt.serve": 1172,
-        "routing.spf": 80, "shim.alloc-retry": 15},
+        "fabric.start": 1, "rmt.serve": 23, "routing.spf": 80,
+        "shim.alloc-retry": 15},
     "data_clean_ip": {
-        "<link>.rx": 2060, "<link>.tx": 2060, "wl.cbr.pump": 250,
-        "wl.cbr.start": 1, "wl.echo.pump": 50, "wl.echo.start": 1,
-        "wl.xfer.push": 14, "wl.xfer.start": 2},
+        "<link>.rx": 2060, "wl.cbr.pump": 250, "wl.cbr.start": 1,
+        "wl.echo.pump": 50, "wl.echo.start": 1, "wl.xfer.push": 14,
+        "wl.xfer.start": 2},
     "data_clean_rina": {
         "(unlabelled)": 2, "<ipcp>.keepalive": 210, "<link>.rx": 2997,
-        "<link>.tx": 2997, "cbr.tick": 250, "fa.allocate": 9, "fa.retry": 1,
-        "fabric.start": 1, "rmt.serve": 2987, "routing.spf": 18,
+        "cbr.tick": 250, "fa.allocate": 9, "fa.retry": 1,
+        "fabric.start": 1, "rmt.serve": 655, "routing.spf": 18,
         "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 50,
         "wl.echo.start": 1, "wl.xfer.start": 2},
-    "flood": {"<link>.rx": 90, "<link>.tx": 90, "flood.announce": 10},
+    "flood": {"<link>.rx": 90, "flood.announce": 10},
 }
 
 RUNS = {

@@ -33,11 +33,14 @@ MEMBERS = 1 + REGIONS * (1 + HOSTS)
 BUILD_BUDGET = 5_000
 
 #: Peak traced bytes per member across the full every-node flood run.
-#: Measured 8,231 B/member with each node's seen flags in one
-#: ``bytearray`` and its first deliveries in two ``array``s; 29,400
-#: with a ``set`` of payload tuples and a ``(time, origin, seq)`` tuple
-#: per delivery.
-RUN_BUDGET = 10_500
+#: Measured 7,218 B/member since a clean link schedules only each
+#: frame's arrival and lets its record go when the frame arrives (8,176,
+#: measured alongside, with a serialization-end event per frame; 8,231
+#: when first measured); each node keeps its seen flags in one
+#: ``bytearray`` and its first deliveries in two ``array``s (29,400 with
+#: a ``set`` of payload tuples and a ``(time, origin, seq)`` tuple per
+#: delivery).
+RUN_BUDGET = 9_000
 
 #: Peak traced bytes per standalone EFCP connection (measured 2,137 B:
 #: the slotted object with its twelve protocol scalars, send queue,

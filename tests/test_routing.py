@@ -574,7 +574,7 @@ class TestGraphFreeDijkstra:
 
 
 #: (flat, recursive) engine events of the 10x20 plants at seed 0.
-SCOPE_EVENTS = (310_007, 65_107)
+SCOPE_EVENTS = (111_985, 26_143)
 
 
 class TestScopePin:

@@ -45,7 +45,7 @@ GOLDEN_STATEFUL_SHARDS = {
     0: "3ed421235312a4f1dec4369871f97c58c11d84293f9a8b82c7b69bf3db811021",
     1: "0e6d6d56400ddddb488dddb897d689b32f16152863f420317fc166889904753b",
 }
-GOLDEN_STATEFUL_SHARDS_EVENTS = {0: 662, 1: 229}
+GOLDEN_STATEFUL_SHARDS_EVENTS = {0: 270, 1: 96}
 
 
 def canned_stateful(regions=3, hosts=2, shards=2):
@@ -218,8 +218,8 @@ class TestWireData:
 def test_stateful_fingerprints_reproduce_inside_pool_workers():
     """Per-shard stateful traces produced inside a spawn-ed pool worker
     (coordinator in its in-process fallback) are byte-identical to the
-    in-process traces pinned above — proof that the whole control plane, codec included, rebuilds from
-    pure data in a fresh interpreter."""
+    in-process traces pinned above — proof that the whole control plane,
+    codec included, rebuilds from pure data in a fresh interpreter."""
     from repro.sweeps import Job, SweepRunner
     jobs = [Job("repro.experiments.e6_scalability:stateful_trace_digests",
                 kwargs={"regions": 3, "hosts_per_region": 2, "shards": 2,

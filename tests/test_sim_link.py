@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.link import GilbertElliott, Link, NoLoss, UniformLoss
+from repro.sim.link import (BandwidthShaper, CorruptionModel, GilbertElliott,
+                            Link, LinkConditions, NoLoss, ReorderModel,
+                            UniformJitter, UniformLoss)
 
 
 def make_link(**kwargs):
@@ -216,3 +219,199 @@ class TestValidation:
             Link(Engine(), "bad", capacity_bps=0)
         with pytest.raises(ValueError):
             Link(Engine(), "bad", delay=-1)
+
+
+# ----------------------------------------------------------------------
+# The failure rule, against a reference that always steps through events
+# ----------------------------------------------------------------------
+#: condition bundles a script may install (a fresh one per link: the
+#: shaper keeps per-link bucket state)
+CONDITIONS = {
+    "none": lambda: None,
+    "jitter": lambda: LinkConditions(jitter=UniformJitter(0.0007)),
+    "shaper": lambda: LinkConditions(shaper=BandwidthShaper(2e5, 400)),
+    "corrupt": lambda: LinkConditions(corruption=CorruptionModel(0.5)),
+    "reorder": lambda: LinkConditions(
+        reorder=ReorderModel(0.5, depth=2, max_hold=0.004)),
+}
+
+
+def twin_run(script, **kwargs):
+    """Run one script of ``(time, op, arg)`` on a ``NoLoss`` link and on
+    its event-path reference; returns both links' per-direction arrivals
+    ``(time, payload, size)`` and counters.
+
+    ``UniformLoss(0.0)`` is not ``lossless``, so the reference steps
+    through a ``.tx`` event at every serialization end and never drops a
+    frame.  ``loss`` ops switch between the link's own lossless model and
+    ``UniformLoss(1.0)``, which drops every frame whatever its draw, so
+    the two links' loss streams never need to agree.
+    """
+    outcomes = []
+    for quiet in (NoLoss(), UniformLoss(0.0)):
+        engine = Engine()
+        link = Link(engine, "twin", loss=quiet, rng=random.Random(5),
+                    **kwargs)
+        arrivals = ([], [])
+        for direction in (0, 1):
+            link.ends[1 - direction].attach(
+                lambda payload, size, box=arrivals[direction]:
+                box.append((engine.now, payload, size)))
+
+        def apply(op, arg, link=link, quiet=quiet):
+            if op == "send":
+                direction, size, tag = arg
+                link.ends[direction].send(b"frame-%d" % tag, size)
+            elif op == "fail":
+                link.fail()
+            elif op == "repair":
+                link.repair()
+            elif op == "delay":
+                link.delay = arg
+            elif op == "capacity":
+                link.capacity_bps = arg
+            elif op == "loss":
+                link.loss = UniformLoss(1.0) if arg else quiet
+            else:
+                link.conditions = CONDITIONS[arg]()
+
+        for when, op, arg in script:
+            engine.call_at(when, apply, op, arg)
+        engine.run()
+        outcomes.append((arrivals, {
+            name: list(getattr(link, name))
+            for name in ("frames_sent", "frames_dropped_queue",
+                         "frames_dropped_loss", "frames_delivered",
+                         "bytes_delivered", "frames_corrupted")}))
+    return outcomes
+
+
+def run_twins(script, **kwargs):
+    """The subject's outcome, asserted equal to the reference's."""
+    subject, reference = twin_run(script, **kwargs)
+    assert subject == reference
+    return subject
+
+
+#: 1,250 B at 1 Mb/s serialize in 10 ms; the propagation delay is 10 ms
+SLOW = {"capacity_bps": 1e6, "delay": 0.01}
+
+
+def arrival_times(outcome, direction=0):
+    return [when for when, _payload, _size in outcome[0][direction]]
+
+
+class TestFailureRule:
+    """A clean direction serves its FIFO by arithmetic and schedules one
+    event per frame, its arrival; conditions, a lossy model or a mid-run
+    change of ``loss``, ``delay``, ``capacity_bps`` or ``conditions`` hand
+    the frames still serializing back to the event path, which steps
+    through a ``.tx`` event at every serialization end.  The rule both
+    keep: a frame dies if the link is down at its serialization end or at
+    its arrival, and frames still queued when the link fails are
+    discarded."""
+
+    def test_fail_while_queued_discards_the_queue(self):
+        outcome = run_twins([(0.0, "send", (0, 1250, 0)),
+                             (0.0, "send", (0, 1250, 1)),
+                             (0.0, "send", (0, 1250, 2)),
+                             (0.015, "fail", None),
+                             (0.0155, "repair", None),
+                             (0.03, "send", (0, 1250, 3))], **SLOW)
+        # at the failure frame 0 was on the wire, frame 1 serializing and
+        # frame 2 queued: the link is up at 0's arrival and at 1's
+        # serialization end, so only 2 is lost
+        assert [p for _t, p, _s in outcome[0][0]] == \
+            [b"frame-0", b"frame-1", b"frame-3"]
+        assert arrival_times(outcome) == pytest.approx([0.02, 0.03, 0.05])
+
+    def test_fail_during_serialization_kills_the_frame(self):
+        outcome = run_twins([(0.0, "send", (0, 1250, 0)),
+                             (0.005, "fail", None),
+                             (0.015, "repair", None)], **SLOW)
+        assert outcome[0] == ([], [])
+        assert outcome[1]["frames_sent"] == [1, 0]
+
+    def test_fail_and_repair_within_one_serialization_spares_it(self):
+        outcome = run_twins([(0.0, "send", (0, 1250, 0)),
+                             (0.003, "fail", None),
+                             (0.006, "repair", None)], **SLOW)
+        assert arrival_times(outcome) == pytest.approx([0.02])
+
+    def test_fail_in_flight_kills_the_frame_at_arrival(self):
+        outcome = run_twins([(0.0, "send", (0, 1250, 0)),
+                             (0.015, "fail", None),
+                             (0.025, "repair", None)], **SLOW)
+        assert outcome[0] == ([], [])
+
+    def test_jitter_opened_mid_serialization_reaches_the_frame(self):
+        outcome = run_twins([(0.0, "send", (0, 1250, 0)),
+                             (0.005, "conditions", "jitter")], **SLOW)
+        (when,) = arrival_times(outcome)
+        assert 0.02 < when <= 0.0207
+
+    def test_zero_queue_limit_drops_on_both_paths(self):
+        outcome = run_twins([(0.0, "send", (0, 100, 0)),
+                             (0.001, "loss", True),
+                             (0.002, "send", (0, 100, 1))], queue_limit=0)
+        assert outcome[0] == ([], [])
+        assert outcome[1]["frames_dropped_queue"] == [2, 0]
+
+    def test_rate_change_reaches_only_frames_not_yet_started(self):
+        outcome = run_twins([(0.0, "send", (0, 1250, 0)),
+                             (0.0, "send", (0, 1250, 1)),
+                             (0.005, "capacity", 2e6)], **SLOW)
+        # frame 0 keeps its 10 ms, frame 1 serializes in 5 ms
+        assert arrival_times(outcome) == pytest.approx([0.02, 0.025])
+
+    def test_a_change_at_a_serialization_end_finds_the_frame_on_the_wire(self):
+        # The one tie arithmetic cannot order: a change at exactly the
+        # instant a frame's serialization ends.  The event path resolves
+        # it by the order its events were scheduled in; the arithmetic
+        # path counts the frame as already on the wire, so it keeps the
+        # delay it was sent with and survives a failure repaired before
+        # its arrival.
+        engine = Engine()
+        link = Link(engine, "tie", **SLOW)
+        inbox = []
+        link.ends[1].attach(lambda p, s: inbox.append((engine.now, p)))
+        end = 0.0 + 1250 * 8.0 / 1e6
+        engine.call_at(end, setattr, link, "delay", 0.05)
+        engine.call_at(end, link.fail)
+        engine.call_at(end + 0.005, link.repair)
+        link.ends[0].send("x", 1250)
+        engine.run()
+        assert inbox == [(end + 0.01, "x")]
+
+    def test_a_loss_model_installed_mid_serialization_draws_for_it(self):
+        outcome = run_twins([(0.0, "send", (0, 1250, 0)),
+                             (0.005, "loss", True),
+                             (0.015, "loss", False)], **SLOW)
+        assert outcome[0] == ([], [])
+        assert outcome[1]["frames_dropped_loss"] == [1, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(sends=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 1),
+                                    st.integers(50, 2500)),
+                          min_size=1, max_size=30),
+           changes=st.lists(st.tuples(st.integers(0, 60), st.one_of(
+               st.tuples(st.sampled_from(["fail", "repair"]), st.none()),
+               st.tuples(st.just("delay"),
+                         st.sampled_from([0.0, 0.001, 0.004])),
+               st.tuples(st.just("capacity"),
+                         st.sampled_from([3e5, 1e6, 4e6])),
+               st.tuples(st.just("loss"), st.booleans()),
+               st.tuples(st.just("conditions"),
+                         st.sampled_from(sorted(CONDITIONS))))),
+               max_size=12),
+           queue_limit=st.integers(0, 4))
+    def test_arithmetic_path_equals_the_event_path(self, sends, changes,
+                                                   queue_limit):
+        # sends sit on a 1 ms grid and every change 0.37 ms past it, so
+        # no change lands on a serialization end (the tie above)
+        script = [(slot * 1e-3, "send", (direction, size, tag))
+                  for tag, (slot, direction, size) in enumerate(sends)]
+        script += [(slot * 1e-3 + 3.7123e-4, op, arg)
+                   for slot, (op, arg) in changes]
+        run_twins(script, capacity_bps=1e6, delay=0.002,
+                  queue_limit=queue_limit)

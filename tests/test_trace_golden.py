@@ -146,19 +146,19 @@ GOLDEN_DATA_CLEAN_IP = {
 
 #: The engine event count of each pinned trace above, exact.
 GOLDEN_EVENTS = {
-    "corruption-storm": 9_659, "diurnal-load": 12_350, "e3-e2e": 1_341,
-    "e3-scoped": 2_122, "e4-multihoming": 2_409, "e5-mobility": 19_247,
-    "fault-storm": 13_574, "flash-crowd": 7_386,
-    "rolling-degradation": 15_471,
+    "corruption-storm": 4_591, "diurnal-load": 5_763, "e3-e2e": 836,
+    "e3-scoped": 1_533, "e4-multihoming": 1_120, "e5-mobility": 8_741,
+    "fault-storm": 5_958, "flash-crowd": 3_907,
+    "rolling-degradation": 6_909,
 }
 GOLDEN_IP_EVENTS = {
-    "corruption-storm": 2_308, "diurnal-load": 4_267, "e3-e2e": 321,
-    "e3-scoped": 321, "e4-multihoming": 204, "e5-mobility": 1_331,
-    "fault-storm": 2_104, "flash-crowd": 2_138, "ring-of-stars": 2_469,
-    "rolling-degradation": 3_892,
+    "corruption-storm": 1_401, "diurnal-load": 2_653, "e3-e2e": 246,
+    "e3-scoped": 246, "e4-multihoming": 164, "e5-mobility": 728,
+    "fault-storm": 1_177, "flash-crowd": 1_501, "ring-of-stars": 1_299,
+    "rolling-degradation": 2_195,
 }
-GOLDEN_SHARDS_EVENTS = {0: 86, 1: 67}
-GOLDEN_DATA_CLEAN_IP_EVENTS = {0: 133_103, 1: 133_143}
+GOLDEN_SHARDS_EVENTS = {0: 45, 1: 36}
+GOLDEN_DATA_CLEAN_IP_EVENTS = {0: 68_523, 1: 68_543}
 
 
 @functools.lru_cache(maxsize=None)
