@@ -238,6 +238,11 @@ class EfcpConnection:
             return False
         seq = self._next_seq
         self._next_seq += 1
+        if not self.policy.reliable:
+            # no acks will arrive to slide a window, so none applies: the
+            # SDU goes out at once and the send queue stays empty
+            self._transmit(seq, payload, size, retransmit=False)
+            return True
         self._send_queue.append((seq, payload, size))
         self._pump()
         return True
@@ -247,9 +252,6 @@ class EfcpConnection:
         edge = self._credit
         if self.policy.congestion == CONGESTION_AIMD:
             edge = min(edge, self._send_base + int(self._cwnd))
-        if not self.policy.reliable:
-            # no acks will arrive to slide the window: unconstrained
-            return self._next_seq
         return edge
 
     def _pump(self) -> None:

@@ -19,6 +19,7 @@ on.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..sim.engine import Engine, PeriodicTask
@@ -66,14 +67,14 @@ class Ipcp:
         self._port_ids = port_ids if port_ids is not None else itertools.count(1)
         policies = dif.policies
         self.invoke_table = InvokeTable(engine, policies.mgmt_timeout)
-        self.rmt = Rmt(engine, lambda: self.address, self._deliver_local,
+        self.rmt = Rmt(engine, self._deliver_local,
                        scheduler_factory=policies.make_scheduler,
                        path_selector=policies.make_path_selector(),
                        on_drop=self._on_rmt_drop)
-        self.rmt.set_forwarding(lambda addr: self.routing.next_hop(addr))
         self.routing = LinkStateRouting(
             engine, lambda: self.address, self._flood,
             spf_delay=policies.spf_delay)
+        self.rmt.set_forwarding(self.routing.next_hop)
         self.directory = DifDirectory(lambda: self.address, self._flood)
         self.enrollment = EnrollmentTask(self)
         self.flow_allocator = FlowAllocator(self)
@@ -98,8 +99,14 @@ class Ipcp:
     # ------------------------------------------------------------------
     def set_address(self, address: Address) -> None:
         """Adopt the DIF-internal address assigned at enrollment."""
-        self.address = address
+        self._bind_address(address)
         self.rib.write("/ipcp/address", address.parts)
+
+    def _bind_address(self, address: Optional[Address]) -> None:
+        """The one writer of this IPCP's address: the RMT keeps its own
+        copy, read on every PDU, so both change together."""
+        self.address = address
+        self.rmt.local_addr = address
 
     def bootstrap(self, region_hint: Optional[Sequence[int]] = None) -> Address:
         """Become the initial member of the DIF (§5.1): self-assign."""
@@ -147,7 +154,7 @@ class Ipcp:
         port_id = flow.port_id.value
         self.rmt.add_port(port_id, flow.send, nominal_bps=flow.nominal_bps,
                           peer_addr=peer_addr)
-        flow.set_receiver(lambda pdu, size: self._on_lower_pdu(pdu, port_id))
+        flow.set_receiver(partial(self._on_lower_pdu, port_id))
         flow.on_deallocated = lambda _f: self.remove_lower_flow(port_id)
         self._lower_flows[port_id] = flow
         self._last_heard[port_id] = self.engine.now
@@ -251,7 +258,7 @@ class Ipcp:
     # ------------------------------------------------------------------
     # Inbound demultiplexing
     # ------------------------------------------------------------------
-    def _on_lower_pdu(self, pdu: Pdu, port_id: int) -> None:
+    def _on_lower_pdu(self, port_id: int, pdu: Pdu, size: int) -> None:
         port = self.rmt._ports.get(port_id)
         if port is None:
             # a flow this IPCP no longer owns — e.g. the peer's half of an
@@ -444,7 +451,7 @@ class Ipcp:
             if flow is not None:
                 flow.deallocate()
             self.remove_lower_flow(port_id)
-        self.address = None
+        self._bind_address(None)
         self._keepalive_task.stop()
 
     # ------------------------------------------------------------------
@@ -460,7 +467,7 @@ class Ipcp:
         # identity and routing state go first: with no address, dropping
         # the attachments below cannot originate LSA withdrawals toward
         # still-reachable neighbors (that would be a graceful departure)
-        self.address = None
+        self._bind_address(None)
         self.routing.reset()
         for port_id in list(self._lower_flows):
             self.remove_lower_flow(port_id)

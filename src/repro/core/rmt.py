@@ -289,25 +289,28 @@ class RmtPort:
 class Rmt:
     """The relaying-and-multiplexing task of one IPC process."""
 
-    __slots__ = ("_engine", "_local_addr_fn", "_deliver_local",
+    __slots__ = ("_engine", "local_addr", "_deliver_local",
                  "_scheduler_factory", "_path_selector", "_on_drop",
                  "_forwarding", "_ports", "_neighbor_ports", "pdus_relayed",
                  "pdus_delivered", "pdus_dropped")
 
-    def __init__(self, engine: Engine, local_addr_fn: Callable[[], Optional[Address]],
-                 deliver_local: DeliverFn,
+    def __init__(self, engine: Engine, deliver_local: DeliverFn,
                  scheduler_factory: Callable[[], Scheduler] = FifoScheduler,
                  path_selector: Optional[PathSelector] = None,
                  on_drop: Optional[DropFn] = None) -> None:
         self._engine = engine
-        self._local_addr_fn = local_addr_fn
+        #: this IPCP's address (None before enrollment); the owning IPCP
+        #: writes it whenever its own address changes
+        self.local_addr: Optional[Address] = None
         self._deliver_local = deliver_local
         self._scheduler_factory = scheduler_factory
         self._path_selector = path_selector or PreferFirstAlive()
         self._on_drop = on_drop
         self._forwarding: ForwardingFn = lambda addr: None
         self._ports: Dict[int, RmtPort] = {}
-        self._neighbor_ports: Dict[Address, List[int]] = {}
+        # neighbor -> its ports, in attachment order; _relay reads these
+        # lists as they are, so they hold the port objects themselves
+        self._neighbor_ports: Dict[Address, List[RmtPort]] = {}
         self.pdus_relayed = 0
         self.pdus_delivered = 0
         self.pdus_dropped = 0
@@ -329,28 +332,33 @@ class Rmt:
                        nominal_bps=nominal_bps, peer_addr=peer_addr)
         self._ports[port_id] = port
         if peer_addr is not None:
-            self._neighbor_ports.setdefault(peer_addr, []).append(port_id)
+            self._neighbor_ports.setdefault(peer_addr, []).append(port)
         return port
 
     def remove_port(self, port_id: int) -> None:
-        """Forget an (N-1) flow (deallocated or lost)."""
+        """Forget an (N-1) flow (deallocated or lost).
+
+        PDUs still waiting in the port's scheduler are dropped
+        (``port-removed``): the flow below is gone, or no longer this
+        IPCP's, so a pending serve event finds the scheduler empty and
+        sends nothing.
+        """
         port = self._ports.pop(port_id, None)
         if port is None:
             return
-        if port.peer_addr is not None:
-            ids = self._neighbor_ports.get(port.peer_addr, [])
-            if port_id in ids:
-                ids.remove(port_id)
-            if not ids:
-                self._neighbor_ports.pop(port.peer_addr, None)
+        self._unlink_neighbor(port)
+        scheduler = port.scheduler
+        while len(scheduler):
+            self._drop(scheduler.pop(), "port-removed")
 
     def port(self, port_id: int) -> RmtPort:
         """Look up a registered port."""
         return self._ports[port_id]
 
     def ports_to(self, neighbor: Address) -> List[RmtPort]:
-        """All ports attaching to ``neighbor`` (the PoA candidates)."""
-        return [self._ports[pid] for pid in self._neighbor_ports.get(neighbor, [])]
+        """All ports attaching to ``neighbor`` (the PoA candidates), as a
+        new list."""
+        return list(self._neighbor_ports.get(neighbor, ()))
 
     def neighbors(self) -> List[Address]:
         """Neighbor IPCP addresses with at least one registered port."""
@@ -359,15 +367,22 @@ class Rmt:
     def set_peer(self, port_id: int, peer_addr: Address) -> None:
         """Bind a port to its neighbor's address (learned at enrollment)."""
         port = self._ports[port_id]
-        if port.peer_addr is not None:
-            old = self._neighbor_ports.get(port.peer_addr, [])
-            if port_id in old:
-                old.remove(port_id)
-            if not old:
-                self._neighbor_ports.pop(port.peer_addr, None)
+        self._unlink_neighbor(port)
         port.peer_addr = peer_addr
-        if port_id not in self._neighbor_ports.setdefault(peer_addr, []):
-            self._neighbor_ports[peer_addr].append(port_id)
+        ports = self._neighbor_ports.setdefault(peer_addr, [])
+        if port not in ports:
+            ports.append(port)
+
+    def _unlink_neighbor(self, port: RmtPort) -> None:
+        """Take ``port`` out of its neighbor's list (and drop the list
+        once empty)."""
+        if port.peer_addr is None:
+            return
+        ports = self._neighbor_ports.get(port.peer_addr, [])
+        if port in ports:
+            ports.remove(port)
+        if not ports:
+            self._neighbor_ports.pop(port.peer_addr, None)
 
     def set_alive(self, port_id: int, alive: bool) -> None:
         """Neighbor-monitoring verdict for one port."""
@@ -379,8 +394,10 @@ class Rmt:
     # ------------------------------------------------------------------
     def submit(self, pdu: Pdu) -> None:
         """Entry point for PDUs, both locally generated and relayed."""
-        local = self._local_addr_fn()
-        if pdu.dst_addr is None or (local is not None and pdu.dst_addr == local):
+        dst = pdu.dst_addr
+        local = self.local_addr
+        # addresses are interned: identity settles the common case
+        if dst is None or dst is local or (local is not None and dst == local):
             self.pdus_delivered += 1
             self._deliver_local(pdu, -1)
             return
@@ -388,8 +405,9 @@ class Rmt:
 
     def receive(self, pdu: Pdu, port_id: int) -> None:
         """Entry point for PDUs arriving on an (N-1) port."""
-        local = self._local_addr_fn()
-        if pdu.dst_addr is None or (local is not None and pdu.dst_addr == local):
+        dst = pdu.dst_addr
+        local = self.local_addr
+        if dst is None or dst is local or (local is not None and dst == local):
             self.pdus_delivered += 1
             self._deliver_local(pdu, port_id)
             return
@@ -418,7 +436,7 @@ class Rmt:
         if next_hop is None:
             self._drop(pdu, "no-route")
             return
-        candidates = self.ports_to(next_hop)
+        candidates = self._neighbor_ports.get(next_hop)
         if not candidates:
             self._drop(pdu, "no-port")
             return
@@ -450,7 +468,8 @@ class Rmt:
 
     def _serve(self, port: RmtPort) -> None:
         """Send the scheduler's next PDU; serve again only while PDUs
-        still wait."""
+        still wait.  A removed port's scheduler was emptied, so its last
+        serve event sends nothing."""
         pdu = port.scheduler.pop()
         if pdu is not None:
             self._send(port, pdu, self._engine.now)

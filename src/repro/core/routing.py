@@ -370,7 +370,10 @@ class LinkStateRouting:
     # ------------------------------------------------------------------
     def next_hop(self, destination: Address) -> Optional[Address]:
         """Step one of two-step routing: destination → next-hop address."""
-        self._ensure_table()
+        # _ensure_table inline: the RMT calls this once per relayed PDU
+        if self._spf_pending:
+            self._spf_pending = False
+            self._compute_spf()
         return self._next_hop.get(destination)
 
     def table(self) -> Dict[Address, Address]:

@@ -14,6 +14,7 @@ at any other layer boundary.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..sim.engine import Engine
@@ -108,7 +109,7 @@ class ShimIpcp:
         flow = Flow(PortId(next(self._port_ids)), src_app, dst_app,
                     qos or BEST_EFFORT, self.dif_name)
         flow.provider_bind(
-            send_fn=lambda payload, size: self._send_data(flow_id, payload, size),
+            send_fn=partial(self._send_data, flow_id),
             dealloc_fn=lambda: self._deallocate(flow_id),
             nominal_bps=self.link_capacity_bps)
         self._pending[flow_id] = flow
@@ -195,7 +196,7 @@ class ShimIpcp:
         flow = Flow(PortId(next(self._port_ids)), dst_app, src_app,
                     BEST_EFFORT, self.dif_name)
         flow.provider_bind(
-            send_fn=lambda p, s: self._send_data(flow_id, p, s),
+            send_fn=partial(self._send_data, flow_id),
             dealloc_fn=lambda: self._deallocate(flow_id),
             nominal_bps=self.link_capacity_bps)
         self._flows[flow_id] = flow

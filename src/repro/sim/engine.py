@@ -67,7 +67,10 @@ class Engine:
     """A priority-queue discrete-event simulator; the clock starts at 0."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute, read on
+        #: every send, arrival and timer; only this constructor and
+        #: :meth:`run` write it.
+        self.now = 0.0
         # Same-timestamp batching: the heap holds each *distinct* pending
         # timestamp once; the events for a timestamp live in a list keyed
         # by that exact float.  A burst of N simultaneous deliveries costs
@@ -82,16 +85,11 @@ class Engine:
         self._batch_pos: Dict[float, int] = {}
         self._running = False
         self._events_processed = 0
-        self._last_event_time = self._now
+        self._last_event_time = 0.0
 
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events executed so far (cancelled events excluded)."""
@@ -153,9 +151,9 @@ class Engine:
         key would sit in the heap comparing False against everything and
         let later events run out of order).
         """
-        if not self._now <= when < _INF:
+        if not self.now <= when < _INF:
             raise SimulationError(
-                f"cannot schedule at t={when!r}, clock is at t={self._now!r}")
+                f"cannot schedule at t={when!r}, clock is at t={self.now!r}")
         event = Event(when, callback, args, label)
         batch = self._batches.get(when)
         if batch is None:
@@ -173,11 +171,11 @@ class Engine:
         resulting time is finite (NaN fails both comparisons).
         """
         # inlined call_at: this is the hottest scheduling entry point
-        when = self._now + delay
+        when = self.now + delay
         if not (delay >= 0.0 and when < _INF):
             raise SimulationError(
                 f"cannot schedule after delay {delay!r}, clock is at "
-                f"t={self._now!r}")
+                f"t={self.now!r}")
         event = Event(when, callback, args, label)
         batch = self._batches.get(when)
         if batch is None:
@@ -191,7 +189,7 @@ class Engine:
                   label: str = "") -> Event:
         """Schedule ``callback(*args)`` at the current time, after events
         already queued for this instant."""
-        return self.call_at(self._now, callback, *args, label=label)
+        return self.call_at(self.now, callback, *args, label=label)
 
     # ------------------------------------------------------------------
     # Running
@@ -219,9 +217,9 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
-        if until is not None and not until >= self._now:
+        if until is not None and not until >= self.now:
             raise SimulationError(
-                f"cannot run until t={until!r}, clock is at t={self._now!r}")
+                f"cannot run until t={until!r}, clock is at t={self.now!r}")
         self._running = True
         collecting = gc.isenabled()
         gc.disable()
@@ -246,7 +244,7 @@ class Engine:
                         pos += 1
                         if event.cancelled:
                             continue
-                        self._now = when
+                        self.now = when
                         self._last_event_time = when
                         self._events_processed += 1
                         event.callback(*event.args)
@@ -260,15 +258,15 @@ class Engine:
                 del batches[when]
                 heappop(heap)
             if until is not None:
-                self._now = until
+                self.now = until
         finally:
             self._running = False
             if collecting:
                 gc.enable()
-        return self._now
+        return self.now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Engine t={self._now:.6f} "
+        return (f"<Engine t={self.now:.6f} "
                 f"executed={self._events_processed}>")
 
 

@@ -1,0 +1,90 @@
+"""Call budget: Python calls into ``src/repro`` on the small builders
+behind the ``data_clean`` and ``flood`` workloads.
+
+A ``sys.setprofile`` hook counts every ``call`` event whose code lives
+under ``src/repro``, generator resumptions included.  List, dict and
+set comprehensions are left out: CPython 3.12 inlines them (PEP 709)
+where 3.10 and 3.11 call them, so without them the count is the same
+on all three.  Calls into the standard library and builtins are not
+counted, so only this repository's code moves the numbers.  Each
+builder runs once before it is counted, so the count is the steady
+state whatever ran earlier in the process.
+
+The expectations are exact, like the event census: an indirection put
+back on the per-PDU path shows here as a number, not as a wall time
+inside the noise.  The per-PDU path is bound when a stack is wired
+(docs/ARCHITECTURE.md, "One call per layer crossing"): the clock is an
+attribute, the RMT holds its IPCP's address, forwarding and receivers
+are bound methods and partials, a neighbour's port list is read as it
+is, an unreliable EFCP send skips the window pump, ``next_hop`` tests
+for a pending SPF inline, and PDU constructors and the link's delivery
+make one call less each.  The same runs, before → after:
+
+* ``data_clean`` rina 216,202 → 151,551 (−30 %);
+* ``data_clean`` ip 64,294 → 58,140 (−10 %);
+* ``flood`` 1,334 → 1,001 (−25 %).
+"""
+
+import os
+import sys
+
+import pytest
+
+import repro
+from test_event_census import _data_clean, _flood
+
+SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+
+def count_calls(run):
+    """``(run(), calls into src/repro while it ran)``."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            code = frame.f_code
+            if (code.co_filename.startswith(SRC)
+                    and code.co_name not in _COMPREHENSIONS):
+                count += 1
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
+EXPECTED = {
+    "data_clean_rina": 151551,
+    "data_clean_ip": 58140,
+    "flood": 1001,
+}
+
+RUNS = {
+    "data_clean_rina": lambda: _data_clean("rina"),
+    "data_clean_ip": lambda: _data_clean("ip"),
+    "flood": _flood,
+}
+
+
+@pytest.mark.parametrize("workload", sorted(RUNS))
+def test_calls_into_repro(workload):
+    # a first run imports what the builder imports lazily: executing a
+    # module body is a call too, and whether an earlier test already
+    # imported it must not move the count
+    RUNS[workload]()
+    _events, calls = count_calls(RUNS[workload])
+    assert calls == EXPECTED[workload]
+
+
+def test_counter_counts_only_repro_code():
+    from repro.sim.engine import Engine
+
+    def run():
+        engine = Engine()
+        engine.call_later(1.0, sorted, [3, 1, 2])   # a builtin: not counted
+        return engine.run()
+    # Engine.__init__, call_later, Event.__init__, run
+    assert count_calls(run) == (1.0, 4)

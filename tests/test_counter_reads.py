@@ -6,15 +6,19 @@
 :class:`~repro.shard.flood.FloodNode` fields when it renders.  These
 tests put the per-event counts back beside them, under an ``event.``
 prefix, by wrapping the calls each one used to count in, and check the
-two agree on a sharded flood and on a link failed mid-run.
+two agree on a sharded flood and on a link failed mid-run.  A frame is
+delivered by ``Link._deliver`` on a whole link and by
+``BoundaryHalf.deliver_inbound`` on a half-link, each while the link
+is up.
 """
 
 import pytest
 
 from repro.shard import (LinkSpec, NetworkSpec, RegionPlan,
                          all_nodes_announce, attach_flood, run_sharded)
+from repro.shard.engine import BoundaryHalf
 from repro.shard.flood import FloodNode
-from repro.sim.link import LinkEnd
+from repro.sim.link import Link
 
 OWNER_READ = ("link.delivered", "flood.announced", "flood.delivered",
               "flood.duplicate")
@@ -24,13 +28,20 @@ OWNER_READ = ("link.delivered", "flood.announced", "flood.delivered",
 def per_event(monkeypatch):
     """Count each owner-read counter per event again, as ``event.<name>``
     in the same tracer the owner's read lands in."""
-    deliver = LinkEnd.deliver
+    deliver = Link._deliver
+    deliver_inbound = BoundaryHalf.deliver_inbound
     announce = FloodNode.announce
     receive = FloodNode._receive
 
-    def counted_deliver(end, payload, size):
-        end.link._tracer.count("event.link.delivered")
-        deliver(end, payload, size)
+    def counted_deliver(link, direction, payload, size):
+        if link.up:
+            link._tracer.count("event.link.delivered")
+        deliver(link, direction, payload, size)
+
+    def counted_deliver_inbound(half, payload, size):
+        if half.up:
+            half._tracer.count("event.link.delivered")
+        deliver_inbound(half, payload, size)
 
     def counted_announce(flood, size_bytes=64):
         flood._interfaces[0].end.link._tracer.count("event.flood.announced")
@@ -43,7 +54,9 @@ def per_event(monkeypatch):
                 else "event.flood.duplicate")
         from_end.link._tracer.count(name)
 
-    monkeypatch.setattr(LinkEnd, "deliver", counted_deliver)
+    monkeypatch.setattr(Link, "_deliver", counted_deliver)
+    monkeypatch.setattr(BoundaryHalf, "deliver_inbound",
+                        counted_deliver_inbound)
     monkeypatch.setattr(FloodNode, "announce", counted_announce)
     monkeypatch.setattr(FloodNode, "_receive", counted_receive)
 

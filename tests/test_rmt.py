@@ -147,8 +147,9 @@ class TestRmtForwarding:
         engine = Engine()
         delivered = []
         dropped = []
-        rmt = Rmt(engine, lambda: local, lambda pdu, port: delivered.append(pdu),
+        rmt = Rmt(engine, lambda pdu, port: delivered.append(pdu),
                   on_drop=lambda pdu, reason: dropped.append(reason))
+        rmt.local_addr = local
         return engine, rmt, delivered, dropped
 
     def test_local_destination_delivered(self):
@@ -251,7 +252,8 @@ class TestRmtForwarding:
 class TestRmtPacing:
     def test_paced_port_spaces_transmissions(self):
         engine = Engine()
-        rmt = Rmt(engine, lambda: Address(1), lambda pdu, port: None)
+        rmt = Rmt(engine, lambda pdu, port: None)
+        rmt.local_addr = Address(1)
         sent = []
         rmt.add_port(5, lambda p, s: sent.append(engine.now) or True,
                      nominal_bps=8000.0, peer_addr=Address(2))  # 1000 B/s
@@ -263,7 +265,8 @@ class TestRmtPacing:
 
     def test_unpaced_port_sends_immediately(self):
         engine = Engine()
-        rmt = Rmt(engine, lambda: Address(1), lambda pdu, port: None)
+        rmt = Rmt(engine, lambda pdu, port: None)
+        rmt.local_addr = Address(1)
         sent = []
         rmt.add_port(5, lambda p, s: sent.append(engine.now) or True,
                      peer_addr=Address(2))
@@ -274,7 +277,8 @@ class TestRmtPacing:
 
     def test_queue_depths_reported(self):
         engine = Engine()
-        rmt = Rmt(engine, lambda: Address(1), lambda pdu, port: None)
+        rmt = Rmt(engine, lambda pdu, port: None)
+        rmt.local_addr = Address(1)
         rmt.add_port(5, lambda p, s: True, nominal_bps=80.0,
                      peer_addr=Address(2))
         rmt.set_forwarding(lambda addr: Address(2))
