@@ -109,7 +109,7 @@ def aggregate_forwarding_table(
     LEAF = object()
     for address, next_hop in table.items():
         node = root
-        for part in address.parts:
+        for part in address:
             node = node.setdefault(part, {})
         node[LEAF] = next_hop
 

@@ -140,8 +140,7 @@ def encode(value: Any) -> bytes:
 def _address(addr: Optional[Address]) -> bytes:
     if addr is None:
         return b"\0"
-    parts = addr.parts
-    return struct.pack(">B%dQ" % len(parts), len(parts), *parts)
+    return struct.pack(">B%dQ" % len(addr), len(addr), *addr)
 
 
 def _put(value: Any, put: Callable[[bytes], None]) -> None:

@@ -17,7 +17,7 @@ The paper's naming rules (§3.1, §5.3, §6.3, §7, after Saltzer and Shoch):
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class ApplicationName:
@@ -65,7 +65,7 @@ class ApplicationName:
         return cls(text)
 
 
-class Address:
+class Address(tuple):
     """A DIF-internal address: a tuple of non-negative integers.
 
     A flat address is a 1-tuple (``Address(7)``); a topological address is a
@@ -73,72 +73,66 @@ class Address:
     labels (``Address(2, 0, 13)`` = region 2, sub-region 0, host 13).  The
     paper requires topological addresses for stable routing (§5.3) and we
     ablate this choice in experiment A1.
+
+    An address *is* its tuple of components, so hashing, equality and
+    ordering run in C on every routing and forwarding dict probe, and
+    ``Address(2, 0, 13) == (2, 0, 13)`` with equal hashes.  Addresses are
+    interned: one object per address per process, which pickling and
+    copying hand back too.
     """
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ()
 
-    # addresses are immutable value objects keying every forwarding and
-    # routing dict on the hot path; interning them makes dict lookups hit
-    # the identity fast path instead of tuple __eq__ per probe
-    _interned: Dict[Tuple[int, ...], "Address"] = {}
+    # every address, found by its plain components
+    _interned: Dict["Address", "Address"] = {}
+    # its plain components, one tuple per address: every RIEP value
+    # built from ``parts`` shares it instead of holding a fresh copy
+    _parts: Dict["Address", Tuple[int, ...]] = {}
 
     def __new__(cls, *parts: int) -> "Address":
-        if cls is Address:
-            interned = cls._interned.get(parts)
-            if interned is not None:
-                return interned
-        return super().__new__(cls)
-
-    def __init__(self, *parts: int) -> None:
-        if parts and self._interned.get(parts) is self:
-            return  # interned instance handed back by __new__
+        interned = cls._interned.get(parts)
+        if interned is not None:
+            return interned
         if not parts:
             raise ValueError("address needs at least one component")
         for p in parts:
             if not isinstance(p, int) or p < 0:
                 raise ValueError(f"address components must be ints >= 0, got {parts!r}")
-        self.parts = tuple(parts)
-        self._hash = hash(self.parts)
-        if type(self) is Address:
-            self._interned[self.parts] = self
+        address = super().__new__(cls, parts)
+        cls._interned[address] = address
+        cls._parts[address] = parts
+        return address
+
+    def __reduce__(self):
+        # every pickle protocol and copy/deepcopy rebuild through
+        # __new__, so they hand back the interned instance
+        return (Address, tuple(self))
+
+    @property
+    def parts(self) -> Tuple[int, ...]:
+        """The components as a plain tuple (what RIEP values carry)."""
+        return self._parts[self]
 
     @property
     def is_flat(self) -> bool:
         """True for single-component addresses."""
-        return len(self.parts) == 1
+        return len(self) == 1
 
     def prefix(self, length: int) -> Tuple[int, ...]:
         """The first ``length`` components (for aggregation)."""
-        if not 0 <= length <= len(self.parts):
+        if not 0 <= length <= len(self):
             raise ValueError(f"prefix length {length} out of range for {self!r}")
-        return self.parts[:length]
+        return self[:length]
 
     def matches_prefix(self, prefix: Tuple[int, ...]) -> bool:
         """True when this address begins with ``prefix``."""
-        return self.parts[:len(prefix)] == tuple(prefix)
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return isinstance(other, Address) and self.parts == other.parts
-
-    def __lt__(self, other: "Address") -> bool:
-        return self.parts < other.parts
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
+        return self[:len(prefix)] == tuple(prefix)
 
     def __repr__(self) -> str:
-        return "Addr(" + ".".join(str(p) for p in self.parts) + ")"
+        return "Addr(" + ".".join(str(p) for p in self) + ")"
 
     def __str__(self) -> str:
-        return ".".join(str(p) for p in self.parts)
+        return ".".join(str(p) for p in self)
 
 
 class PortId:

@@ -20,6 +20,7 @@ import itertools
 from typing import Any, Callable, Dict, Optional
 
 from ..sim.engine import Engine
+from .names import Address
 
 # Operation codes (the CDAP verbs the paper's reference model uses).
 M_CONNECT = "M_CONNECT"      # start an application/management connection
@@ -129,6 +130,10 @@ def estimate_value_size(value: Any) -> int:
         return len(value)
     if isinstance(value, bytes):
         return len(value)
+    if isinstance(value, Address):
+        # a live address is charged as any opaque object is, not as
+        # the plain tuple of components a RIEP value carries
+        return 32
     if isinstance(value, (list, tuple, set, frozenset)):
         return 2 + sum(estimate_value_size(v) for v in value)
     if isinstance(value, dict):

@@ -226,9 +226,14 @@ class LinkStateRouting:
             self._set_claim(lsa.origin, lsa.neighbors)
         self._schedule_spf()
 
+    def lsas(self) -> List[Lsa]:
+        """The LSDB in origin order; the :class:`Lsa` objects are the
+        ones every member of the process shares."""
+        return [self._lsdb[origin] for origin in sorted(self._lsdb)]
+
     def sync_lsdb(self) -> List[dict]:
         """Snapshot of the LSDB for bulk transfer to a newly enrolled member."""
-        return [self._lsdb[origin].to_value() for origin in sorted(self._lsdb)]
+        return [lsa.to_value() for lsa in self.lsas()]
 
     def sync_lsdb_size(self) -> int:
         """RIEP size estimate of :meth:`sync_lsdb`'s elements, from the
@@ -329,17 +334,16 @@ class LinkStateRouting:
         """Shortest paths over the claims, with the standard two-way check
         inline: an edge exists only when both endpoints claim each other,
         and costs the larger of the two claims.  Heap pops are totally
-        ordered by ``(dist, parts)``, so the result does not depend on the
+        ordered by ``(dist, address)``, so the result does not depend on the
         order rows are stored or iterated in."""
         dist: Dict[Address, float] = {source: 0.0}
         first_hop: Dict[Address, Optional[Address]] = {source: None}
-        heap: List[Tuple[float, Tuple[int, ...], Address]] = [
-            (0.0, source.parts, source)]
+        heap: List[Tuple[float, Address]] = [(0.0, source)]
         visited: Set[Address] = set()
         dist_get = dist.get
         claims_get = self._claims.get
         while heap:
-            d, _tie, node = heappop(heap)
+            d, node = heappop(heap)
             if node in visited:
                 continue
             visited.add(node)
@@ -358,7 +362,7 @@ class LinkStateRouting:
                 if cur is None or nd < cur - 1e-12:
                     dist[neighbor] = nd
                     first_hop[neighbor] = neighbor if from_source else hop_via
-                    heappush(heap, (nd, neighbor.parts, neighbor))
+                    heappush(heap, (nd, neighbor))
         table = {}
         for dst, hop in first_hop.items():
             if dst != source and hop is not None:

@@ -32,7 +32,9 @@ subsystem established for jobs (and honouring its
 ``REPRO_START_METHOD``), because a shard keeps live engine state
 between rounds and so cannot be a fire-and-forget pool job.  A step
 sends to every worker before it receives from any, and the hosted
-region runs in between, so it steps while the workers do.  Inside a
+region runs in between, so it steps while the workers do; the closing
+finish follows the same rule, so every region renders its rows and
+trace side by side.  Inside a
 ``multiprocessing`` pool worker (daemonic processes cannot have
 children) the coordinator transparently falls back to in-process
 execution — same rounds, same traces.
@@ -142,12 +144,11 @@ class _InlineShard:
         out = self._run(self._shard.run_to, horizon)
         return out, self._shard.clock, self._shard.next_event_time()
 
-    def finish(self, want_rows: bool, want_traces: bool):
-        shard = self._shard
-        return (shard.delivery_rows() if want_rows else [],
-                shard.node_stats() if want_rows else [],
-                shard.summary(include_trace=want_traces),
-                shard.trace_text() if want_traces else "")
+    def send_finish(self, want_rows: bool, want_traces: bool) -> None:
+        self._pending = (want_rows, want_traces)
+
+    def recv_finish(self):
+        return self._run(self._shard.finish, *self._pending)
 
     def close(self) -> None:
         pass
@@ -176,11 +177,7 @@ def _shard_worker(conn, region, workload, seed) -> None:
                     conn.send_bytes(buf)
             elif message[0] == "finish":
                 _kind, want_rows, want_traces = message
-                conn.send(("done",
-                           shard.delivery_rows() if want_rows else [],
-                           shard.node_stats() if want_rows else [],
-                           shard.summary(include_trace=want_traces),
-                           shard.trace_text() if want_traces else ""))
+                conn.send(("done",) + shard.finish(want_rows, want_traces))
                 return
             elif message[0] == "stop":
                 return
@@ -201,6 +198,8 @@ class _ProcessShard:
     def __init__(self, context, region, workload, seed) -> None:
         self.region = region.region
         self.relay_bytes = 0
+        # a command was sent whose whole reply has not been read yet
+        self._owes_reply = False
         self._conn, child_conn = context.Pipe()
         self._proc = context.Process(
             target=_shard_worker,
@@ -236,6 +235,7 @@ class _ProcessShard:
                   frames: List[BoundaryFrame]) -> None:
         buf = pack_frames(frames) if frames else b""
         self.relay_bytes += len(buf)
+        self._owes_reply = True
         self._pipe(self._conn.send, ("step", horizon, len(buf)))
         if buf:
             self._pipe(self._conn.send_bytes, buf)
@@ -245,20 +245,32 @@ class _ProcessShard:
         frames = (unpack_frames(self._pipe(self._conn.recv_bytes))
                   if nbytes else [])
         self.relay_bytes += nbytes
+        self._owes_reply = False
         return frames, clock, nxt
 
-    def finish(self, want_rows: bool, want_traces: bool):
+    def send_finish(self, want_rows: bool, want_traces: bool) -> None:
+        self._owes_reply = True
         self._pipe(self._conn.send, ("finish", want_rows, want_traces))
-        return self._recv("done")
+
+    def recv_finish(self):
+        reply = self._recv("done")
+        self._owes_reply = False
+        return reply
 
     def close(self) -> None:
-        # an explicit stop, not just EOF: a forked worker inherits the
-        # coordinator's end of its own pipe, so closing that end alone
-        # never wakes its recv()
-        try:
-            self._conn.send(("stop",))
-        except OSError:
-            pass        # the worker already exited (finished or failed)
+        # a forked worker inherits the coordinator's end of its own
+        # pipe, so closing that end never wakes it: not in recv(), which
+        # takes an explicit stop, and not in a send() of a reply larger
+        # than the pipe buffer, which never sees EPIPE.  A worker that
+        # still owes a reply (the run failed between a command and its
+        # answer) is stopped at once instead of waiting out the join.
+        if self._owes_reply:
+            self._proc.terminate()
+        else:
+            try:
+                self._conn.send(("stop",))
+            except OSError:
+                pass    # the worker already exited (finished or failed)
         self._conn.close()
         self._proc.join(timeout=10)
         if self._proc.is_alive():  # pragma: no cover - hung worker
@@ -522,9 +534,12 @@ class ShardCoordinator:
         summaries: List[Dict[str, Any]] = []
         traces: List[str] = []
         relay_bytes = 0
+        # every worker renders its results while the hosted region
+        # renders its own: send all, then receive, as a step does
         for proxy in proxies:
-            shard_rows, shard_stats, summary, trace = proxy.finish(
-                collect_rows, collect_traces)
+            proxy.send_finish(collect_rows, collect_traces)
+        for proxy in proxies:
+            shard_rows, shard_stats, summary, trace = proxy.recv_finish()
             rows.extend(shard_rows)
             node_stats.extend(shard_stats)
             summaries.append(summary)

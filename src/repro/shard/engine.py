@@ -191,33 +191,35 @@ class ShardEngine:
         return out
 
     # ------------------------------------------------------------------
-    def delivery_rows(self) -> List[Dict[str, Any]]:
-        """This shard's delivery rows (workload-defined; always carry
-        ``node``/``origin``/``seq`` merge keys)."""
-        return self.workload.delivery_rows()
+    def finish(self, want_rows: bool, want_traces: bool
+               ) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]],
+                          Dict[str, Any], str]:
+        """The run's results, as one finish reply carries them:
+        ``(delivery rows, node stat rows, summary, trace text)``.
 
-    def node_stats(self) -> List[Dict[str, Any]]:
-        """This shard's per-node stat rows."""
-        return self.workload.node_stat_rows()
-
-    def summary(self, include_trace: bool = True) -> Dict[str, Any]:
-        """One row describing this shard's run.
-
-        ``include_trace=False`` skips rendering (and hashing) the full
-        trace text — a scale run's trace is megabytes of delivery lines
-        nobody will pin.
+        Delivery rows are workload-defined and always carry
+        ``node``/``origin``/``seq`` merge keys.  ``want_rows=False`` /
+        ``want_traces=False`` skip the rows and the trace (empty in the
+        reply) — a scale run's trace is megabytes of delivery lines
+        nobody will pin.  The trace is rendered once: the summary's
+        ``trace_sha256`` hashes the very text returned.
         """
-        row = {
+        workload = self.workload
+        rows = workload.delivery_rows() if want_rows else []
+        stats = workload.node_stat_rows() if want_rows else []
+        summary = {
             "shard": self.region.region,
             "nodes": len(self.region.nodes),
             "events": self.network.engine.events_processed,
             "clock": self.clock,
         }
-        row.update(self.workload.summary_extra())
-        if include_trace:
-            row["trace_sha256"] = hashlib.sha256(
-                self.trace_text().encode()).hexdigest()
-        return row
+        summary.update(workload.summary_extra())
+        trace = ""
+        if want_traces:
+            trace = self.trace_text()
+            summary["trace_sha256"] = hashlib.sha256(
+                trace.encode()).hexdigest()
+        return rows, stats, summary, trace
 
     def trace_text(self) -> str:
         """The canonical byte-stable trace of this shard's run.

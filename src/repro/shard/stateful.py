@@ -190,16 +190,18 @@ class StatefulControlPlane:
     def node_stat_rows(self) -> List[Dict[str, Any]]:
         """Per-member control-plane state, RIB fingerprint included.
 
-        Cached per engine position: rendering and hashing every
-        member's table + LSDB is O(members²), and a shard's ``finish``
-        reads the rows twice (stat rows and trace lines).  State only
-        changes by processing events, so the event counter is a sound
-        cache key.
+        The members' fingerprints share one :class:`_LsaLines`, so each
+        LSA is rendered once per call, not once per member holding it.
+        Cached per engine position: hashing every member's table + LSDB
+        is still O(members²), and a shard's ``finish`` reads the rows
+        twice (stat rows and trace lines).  State only changes by
+        processing events, so the event counter is a sound cache key.
         """
         stamp = self.network.engine.events_processed
         if self._stat_cache is not None and self._stat_cache[0] == stamp:
             return self._stat_cache[1]
         rows = []
+        lsa_lines = _LsaLines()
         for name in sorted(self.systems):
             ipcp = self.systems[name].ipcp(self.dif_name)
             rows.append({
@@ -209,7 +211,7 @@ class StatefulControlPlane:
                 "lsdb_size": ipcp.routing.lsdb_size(),
                 "lsas_received": ipcp.routing.lsas_received,
                 "lsas_reflooded": ipcp.routing.lsas_reflooded,
-                "rib_sha256": rib_fingerprint(ipcp),
+                "rib_sha256": rib_fingerprint(ipcp, lsa_lines),
             })
         self._stat_cache = (stamp, rows)
         return rows
@@ -237,25 +239,56 @@ class StatefulControlPlane:
         return lines
 
 
-def rib_fingerprint(ipcp) -> str:
+class _AddressTexts(dict):
+    """``str(address)`` for every address asked for, rendered once."""
+
+    __slots__ = ()
+
+    def __missing__(self, address) -> str:
+        text = self[address] = str(address)
+        return text
+
+
+class _LsaLines(dict):
+    """The fingerprint line of every :class:`~repro.core.routing.Lsa`
+    asked for, rendered once.  Keyed by the LSA object itself: the
+    members of a process share one object per LSA (link-state is the
+    same in every member of a DIF), so one cache serves them all."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.texts = _AddressTexts()
+
+    def __missing__(self, lsa) -> str:
+        texts = self.texts
+        neighbors = ",".join(f"{texts[addr]}:{cost!r}"
+                             for addr, cost in sorted(lsa.neighbors.items()))
+        line = self[lsa] = (f"lsa {texts[lsa.origin]} seq={lsa.seq} "
+                            f"nbrs=[{neighbors}]")
+        return line
+
+
+def rib_fingerprint(ipcp, lsa_lines: Optional[_LsaLines] = None) -> str:
     """SHA-256 of one member's canonical RIB/routing rendering: address,
     next-hop table, LSDB (origin/seq/neighbor sets), adjacency list.
 
     This is the "RIB-row" identity the sharded acceptance pins: a
     sharded member must end with exactly the state its unsharded twin
-    holds, down to every table row and LSA sequence number.
+    holds, down to every table row and LSA sequence number.  Callers
+    that fingerprint many members pass one ``lsa_lines`` cache to all
+    of them, so each shared LSA and address is rendered once.
     """
+    if lsa_lines is None:
+        lsa_lines = _LsaLines()
+    texts = lsa_lines.texts
     lines = [f"address={ipcp.address}"]
-    for dst, hop in sorted(ipcp.routing.table().items()):
-        lines.append(f"route {dst}->{hop}")
-    for value in ipcp.routing.sync_lsdb():
-        neighbors = ",".join(
-            f"{'.'.join(str(p) for p in parts)}:{cost!r}"
-            for parts, cost in value["neighbors"])
-        origin = ".".join(str(p) for p in value["origin"])
-        lines.append(f"lsa {origin} seq={value['seq']} nbrs=[{neighbors}]")
-    for neighbor in ipcp.rmt.neighbors():
-        lines.append(f"neighbor {neighbor}")
+    lines += [f"route {texts[dst]}->{texts[hop]}"
+              for dst, hop in sorted(ipcp.routing.table().items())]
+    lines += [lsa_lines[lsa] for lsa in ipcp.routing.lsas()]
+    lines += [f"neighbor {texts[neighbor]}"
+              for neighbor in ipcp.rmt.neighbors()]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

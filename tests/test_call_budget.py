@@ -1,5 +1,6 @@
 """Call budget: Python calls into ``src/repro`` on the small builders
-behind the ``data_clean`` and ``flood`` workloads.
+behind the ``control_flat``, ``data_clean``, ``flood`` and serial
+stateful workloads.
 
 A ``sys.setprofile`` hook counts every ``call`` event whose code lives
 under ``src/repro``, generator resumptions included.  List, dict and
@@ -23,6 +24,16 @@ make one call less each.  The same runs, before → after:
 * ``data_clean`` rina 216,202 → 151,551 (−30 %);
 * ``data_clean`` ip 64,294 → 58,140 (−10 %);
 * ``flood`` 1,334 → 1,001 (−25 %).
+
+``Address`` is a ``tuple`` subclass, so the hash and equality of every
+address-keyed dict probe run in C, and a stateful plant's RIB
+fingerprints render each shared LSA once for all members
+(docs/ARCHITECTURE.md, "Pay once per process for what members share"):
+
+* ``data_clean`` rina 151,551 → 134,292 (−11 %);
+* ``control_flat`` (flat E6 build at 3×4) 48,891 → 41,597 (−15 %);
+* ``stateful_serial`` (the unsharded stateful run at 3×4, node stat
+  rows included) 44,668 → 29,463 (−34 %).
 """
 
 import os
@@ -31,7 +42,7 @@ import sys
 import pytest
 
 import repro
-from test_event_census import _data_clean, _flood
+from test_event_census import _control_flat, _data_clean, _flood
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
@@ -56,16 +67,28 @@ def count_calls(run):
     return result, count
 
 
+def _stateful_serial():
+    from repro.experiments.e6_scalability import (build_flood_spec,
+                                                  build_stateful_workload)
+    from repro.shard import run_unsharded_stateful
+    return run_unsharded_stateful(build_flood_spec(3, 4),
+                                  build_stateful_workload(3, 4), seed=0)
+
+
 EXPECTED = {
-    "data_clean_rina": 151551,
+    "control_flat": 41597,
+    "data_clean_rina": 134292,
     "data_clean_ip": 58140,
     "flood": 1001,
+    "stateful_serial": 29463,
 }
 
 RUNS = {
+    "control_flat": _control_flat,
     "data_clean_rina": lambda: _data_clean("rina"),
     "data_clean_ip": lambda: _data_clean("ip"),
     "flood": _flood,
+    "stateful_serial": _stateful_serial,
 }
 
 

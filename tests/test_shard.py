@@ -9,6 +9,7 @@ unsharded link would have used, and the conservative lookahead
 guarantees no region ever simulates past a frame it has not yet seen.
 """
 
+import hashlib
 import math
 import multiprocessing
 import os
@@ -149,6 +150,28 @@ class TestEquivalence:
         first = run_sharded(plan, workload, seed=0, mode="inline")
         second = run_sharded(plan, workload, seed=0, mode="inline")
         assert first.traces == second.traces
+
+    def test_each_shard_renders_its_trace_once(self, monkeypatch):
+        # the summary's trace_sha256 hashes the very text finish
+        # returns: one render per shard, not one per use
+        renders = []
+
+        class Counted(coordinator_module.ShardEngine):
+            def trace_text(self):
+                renders.append(self.region.region)
+                return super().trace_text()
+
+        monkeypatch.setattr(coordinator_module, "ShardEngine", Counted)
+        _spec, plan, workload = canned_case()
+        result = run_sharded(plan, workload, seed=0, mode="inline")
+        assert sorted(renders) == [0, 1]
+        assert [s["trace_sha256"] for s in result.shards] == \
+            [hashlib.sha256(text.encode()).hexdigest()
+             for text in result.traces]
+        renders.clear()
+        run_sharded(plan, workload, seed=0, mode="inline",
+                    collect_traces=False)
+        assert renders == []
 
     def test_four_way_split_keeps_delivery_counts(self):
         plan4 = RegionPlan(build_flood_spec(4, 2),
@@ -376,25 +399,42 @@ class TestWorkerLifecycle:
         assert not [child for child in multiprocessing.active_children()
                     if child.name.startswith("shard-")]
 
-    @pytest.mark.parametrize("stage", ["build", "step"])
+    @pytest.mark.parametrize("stage", ["build", "step", "finish"])
     def test_hosted_region_failure_names_the_shard(self, monkeypatch,
                                                    stage):
-        # region 0 runs in the coordinator: a failure building or
-        # stepping it is the same ShardRunError a worker's would be,
-        # and the worker already started is still stopped
-        class StepFails(coordinator_module.ShardEngine):
+        # region 0 runs in the coordinator: a failure building,
+        # stepping or finishing it is the same ShardRunError a worker's
+        # would be, and the worker already started is still stopped.
+        # The finish stage runs the 10x20 every-node flood, whose
+        # worker reply (about 21,000 delivery rows) is far larger than
+        # the pipe's buffers: that worker is told to finish before
+        # region 0 renders, is still writing its reply when region 0
+        # fails, and must not hold the failure up
+        class Fails(coordinator_module.ShardEngine):
             def run_to(self, horizon):
-                if self.region.region == 0:
+                if stage == "step" and self.region.region == 0:
                     raise RuntimeError("engine broke")
                 return super().run_to(horizon)
 
-        _spec, plan, workload = canned_case()
+            def finish(self, want_rows, want_traces):
+                if stage == "finish" and self.region.region == 0:
+                    raise RuntimeError("engine broke")
+                return super().finish(want_rows, want_traces)
+
+        if stage == "finish":
+            spec = build_flood_spec(10, 20)
+            plan = RegionPlan(spec, flood_assignment(10, 20, 2))
+            workload = all_nodes_announce(spec.nodes)
+        else:
+            _spec, plan, workload = canned_case()
         if stage == "build":
             workload = flood_workload([("h0_0", -1.0)])
-        else:
-            monkeypatch.setattr(coordinator_module, "ShardEngine", StepFails)
+        monkeypatch.setattr(coordinator_module, "ShardEngine", Fails)
+        coordinator = ShardCoordinator(plan, workload, mode="process")
+        started = time.monotonic()
         with pytest.raises(ShardRunError, match="shard 0 failed"):
-            ShardCoordinator(plan, workload, mode="process").run()
+            coordinator.run()
+        assert time.monotonic() - started < 3.0
         assert not [child for child in multiprocessing.active_children()
                     if child.name.startswith("shard-")]
 
