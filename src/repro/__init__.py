@@ -14,7 +14,8 @@ Packages
 ``repro.apps``
     Applications written against the IPC API (and the sockets foil).
 ``repro.experiments``
-    Scenario builders and metric harnesses behind ``benchmarks/``.
+    Scenario builders and metric harnesses, one module per figure or
+    claim: ``python -m repro`` prints their tables.
 """
 
 __version__ = "1.0.0"

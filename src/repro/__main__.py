@@ -369,7 +369,7 @@ def main(argv: List[str]) -> int:
               "       python -m repro gateway serve|load|conformance ...\n")
         for key, (title, _jobs_fn) in EXPERIMENTS.items():
             print(f"  {key}   {title}")
-        print("\n(see also: pytest benchmarks/ --benchmark-only, examples/)")
+        print("\n(see also: examples/)")
         return 0
     if argv[0] == "scenarios":
         return scenarios_main(argv[1:], workers_flag=workers_flag)

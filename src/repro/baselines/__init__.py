@@ -1,6 +1,6 @@
 """The 'current Internet' baseline stack the paper argues against.
 
-Every §6 comparison in the benchmark suite pits the IPC architecture
+Every §6 comparison in the experiments pits the IPC architecture
 against this package: IPv4-like forwarding with public interface
 addresses, TCP and UDP bound to (address, port), RIP, NAT boxes,
 Mobile-IP tunnelling, and SCTP-style multihoming.

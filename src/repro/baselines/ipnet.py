@@ -8,7 +8,7 @@ Deliberately faithful to the properties §6 criticises:
 * transport is a separate layer bound to (address, port) pairs.
 
 The stack runs on the same simulated links as the IPC architecture, so
-every comparison in the benchmark suite is apples-to-apples.
+every comparison in the experiments is apples-to-apples.
 """
 
 from __future__ import annotations

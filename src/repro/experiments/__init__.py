@@ -3,10 +3,10 @@
 Each module exposes ``run_*`` functions returning plain dict rows, plus
 an ``iter_jobs()`` that renders its default configuration sweep as a
 list of picklable :class:`repro.sweeps.Job` data — the form the
-multi-process sweep runner (CLI ``--jobs N``, bench ``REPRO_JOBS``)
-dispatches over a worker pool.  The ``benchmarks/`` suite times the
-sweeps and prints the paper-style tables, and
-``tests/test_experiments.py`` asserts the qualitative shapes.
+multi-process sweep runner (CLI ``--jobs N`` or ``REPRO_JOBS``)
+dispatches over a worker pool.  ``python -m repro`` prints the
+paper-style tables, and ``tests/test_experiments.py`` asserts their
+qualitative shapes.
 
 * ``e1_two_system``         — Fig 1: one IPC layer between two hosts
 * ``e2_relay``              — Fig 2: relaying through dedicated systems

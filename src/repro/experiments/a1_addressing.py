@@ -119,12 +119,6 @@ def run_policy(policy: str, side: int = 4, seed: int = 1) -> Dict[str, Any]:
     }
 
 
-def run_comparison(side: int = 4, seed: int = 1) -> List[Dict[str, Any]]:
-    """The A1 table: all three policies."""
-    return [run_policy(policy, side, seed)
-            for policy in ("flat", "topological", "mismatched")]
-
-
 def iter_jobs(side: int = 5, seed: int = 1) -> List[Job]:
     """The A1 table as data: one job per addressing policy."""
     return [Job("repro.experiments.a1_addressing:run_policy",

@@ -99,13 +99,6 @@ def iter_jobs(losses: List[float] = (0.0, 0.05, 0.1, 0.2),
             for retx in ("selective", "gobackn", "none")]
 
 
-def run_congestion_ablation(loss: float = 0.02, total_bytes: int = 200_000,
-                            seed: int = 1) -> List[Dict[str, Any]]:
-    """Companion table: pure credit vs AIMD window adaptation."""
-    return [run_policy("selective", loss, total_bytes, congestion=cc, seed=seed)
-            for cc in ("none", "aimd")]
-
-
 def _sender_efcp(system) -> Dict[str, int]:
     stats = {"retransmissions": 0, "timeouts": 0}
     for record in system.ipcp("net").flow_allocator.records().values():

@@ -3,7 +3,7 @@
 Every experiment module exposes ``run_*`` functions returning plain dicts
 (one per table row), so that:
 
-* ``benchmarks/bench_*.py`` can time them and print the paper-style table;
+* ``python -m repro`` can print the paper-style table;
 * ``tests/test_experiments.py`` can assert the qualitative *shape* of each
   result (who wins, where the crossover is) — the reproduction criterion
   for a position paper with no published numbers.
@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 def format_table(rows: Sequence[Dict[str, Any]],
                  columns: Optional[Sequence[str]] = None,
                  title: str = "") -> str:
-    """Render result rows as an aligned text table (for bench output)."""
+    """Render result rows as an aligned text table (for CLI output)."""
     if not rows:
         return f"{title}\n(no rows)"
     if columns is None:

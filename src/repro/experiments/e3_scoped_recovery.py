@@ -24,7 +24,7 @@ feedback loops" is that an end-to-end recovery costs at least one long RTT
 while a local recovery costs one short one.  With a LAN-scale wired delay
 both configurations recover cheaply and the layering overhead dominates —
 scoping is a *policy for a range*, not a free win, which is itself a §4
-claim worth demonstrating (see the bench's ablation row).
+claim worth demonstrating (see the table's loss-free row).
 
 Expected shape: goodput of **scoped** degrades slowly with loss; **e2e**
 collapses — and the gap widens with loss rate.

@@ -182,22 +182,10 @@ def run_sctp(heartbeat_interval: float = 0.5, path_max_retrans: int = 3,
     }
 
 
-def run_comparison(seed: int = 1,
-                   rina_keepalives: Optional[List[float]] = None
-                   ) -> List[Dict[str, Any]]:
-    """The E4 table: one row per stack/parameterization."""
-    rows = []
-    for keepalive in (rina_keepalives or [0.1, 0.2, 0.5]):
-        rows.append(run_rina(keepalive_interval=keepalive, seed=seed))
-    rows.append(run_tcp(seed=seed))
-    rows.append(run_sctp(seed=seed))
-    return rows
-
-
 def iter_jobs(rina_keepalives: Optional[List[float]] = None,
               seed: int = 1) -> List[Job]:
-    """The E4 table as data: one job per stack/parameterization, in the
-    :func:`run_comparison` row order."""
+    """The E4 table as data: one job per stack/parameterization, the
+    RINA keepalives first, then TCP and SCTP."""
     jobs = [Job("repro.experiments.e4_multihoming:run_rina",
                 kwargs={"keepalive_interval": keepalive, "seed": seed},
                 group="e4", label=f"e4 rina keepalive={keepalive}")

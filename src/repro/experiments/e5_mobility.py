@@ -292,11 +292,6 @@ def run_mobileip(seed: int = 1, detection_delay: float = 0.1) -> List[Dict[str, 
     return rows
 
 
-def run_comparison(seed: int = 1) -> List[Dict[str, Any]]:
-    """Full E5 table: RINA moves then Mobile-IP moves."""
-    return run_rina(seed) + run_mobileip(seed)
-
-
 def run_rina_break_before_make(seed: int = 1) -> List[Dict[str, Any]]:
     """The A4 ablation rows: the inter-region move *without*
     make-before-break (enrollment starts only after the old PoA drops)."""

@@ -285,9 +285,10 @@ def run_scale(config: str, regions: int, hosts_per_region: int,
     """One scale-tier row: build the stack, record wall-clock and
     events/sec alongside the routing-state metrics.
 
-    Unlike :func:`run_config` this is a *performance* row — it exists so
-    hot-path regressions show up in the bench JSON as a falling
-    ``events_per_s``, not as a silently slower CI.
+    Unlike :func:`run_config` this is a *performance* row: its
+    ``events`` are pinned exactly in ``tests/test_event_census.py`` and
+    ``tests/test_e6_rows.py``, and ``python -m repro e6-scale`` prints
+    its wall-clock and ``events_per_s``.
     """
     started = time.perf_counter()
     network, _systems, difs = build_stack(config, regions, hosts_per_region,
@@ -682,10 +683,11 @@ def iter_flood_jobs(tiers: List[str] = ("small", "medium", "large"),
 
 def flood_build_smoke(tier: str = "xlarge", seed: int = 1) -> Dict[str, Any]:
     """Build one flood tier's plant and run its *first* announcement to
-    complete flooding — the CI smoke for the 100k-system tier.
+    complete flooding — the 100k-system tier's memory check
+    (``tests/test_memory_budget.py`` runs it in a fresh interpreter).
 
     A full xlarge flood (8 origins x 100k deliveries each) is a
-    minutes-scale bench run; CI only needs to prove the engine
+    minutes-scale run; the check only needs to prove the engine
     *builds* a 100k-system plant in bounded memory and pushes one flood
     wave through it.  A single announcement fully floods the
     star-of-stars in ~6 ms simulated (host->border->core->border->host

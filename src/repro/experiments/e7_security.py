@@ -213,15 +213,6 @@ def run_ip_scan(seed: int = 1, address_probes: int = 64) -> Dict[str, Any]:
     }
 
 
-def run_comparison(seed: int = 1) -> List[Dict[str, Any]]:
-    """The E7 table."""
-    rows = [run_rina_outsider(auth, seed=seed)
-            for auth in ("challenge", "psk", "none")]
-    rows.append(run_rina_insider_acl(seed=seed))
-    rows.append(run_ip_scan(seed=seed))
-    return rows
-
-
 def iter_jobs(seed: int = 1) -> List[Job]:
     """The E7 table as data: the three outsider auth policies, the
     insider ACL row, and the IP scan baseline."""

@@ -125,13 +125,3 @@ def iter_jobs(loads: List[float] = (0.5, 0.8, 0.9, 1.0, 1.1),
                 group="e8", label=f"e8 {scheduler} load={load}")
             for scheduler in (schedulers or ["fifo", "priority", "drr"])
             for load in loads]
-
-
-def achievable_utilization(rows: List[Dict[str, Any]]) -> Dict[str, float]:
-    """Headline: highest offered load meeting the SLA, per scheduler."""
-    best: Dict[str, float] = {}
-    for row in rows:
-        if row["sla_met"]:
-            best[row["scheduler"]] = max(best.get(row["scheduler"], 0.0),
-                                         row["offered_load"])
-    return best

@@ -240,16 +240,6 @@ def run_rina(sites: int = 3, hosts_per_site: int = 2,
     }
 
 
-def run_comparison(sites: int = 3, hosts_per_site: int = 2,
-                   flows_per_host: int = 40, port_pool: int = 64,
-                   seed: int = 1) -> List[Dict[str, Any]]:
-    """The E9 table: NAT world vs DIF world."""
-    return [
-        run_ip_nat(sites, hosts_per_site, flows_per_host, port_pool, seed),
-        run_rina(sites, hosts_per_site, flows_per_host, seed),
-    ]
-
-
 def iter_jobs(sites: int = 3, hosts_per_site: int = 2,
               flows_per_host: int = 40, port_pool: int = 64,
               seed: int = 1) -> List[Job]:

@@ -6,7 +6,7 @@ Two families live here:
   specs — the experiment modules now *build their stacks from these* and
   keep only their measurement logic;
 * composite demonstrations (``fault-storm``) that exercise every injector
-  in one run, used by the CLI, the S1 benchmark, and the examples.
+  in one run, used by the CLI, the tests, and the examples.
 
 Every entry in :data:`CANNED` is a zero-argument callable returning a
 fresh :class:`~repro.scenarios.spec.Scenario`.

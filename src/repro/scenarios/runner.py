@@ -610,17 +610,15 @@ def run_determinism_row(spec: Dict[str, Any], seed: int = 0,
 
 
 def determinism_jobs(scenarios: List[Scenario], seed: int = 0,
-                     stacks: Tuple[str, ...] = STACKS,
-                     group: str = "scenarios") -> List["Job"]:
+                     stacks: Tuple[str, ...] = STACKS) -> List["Job"]:
     """The :func:`run_determinism_row` job list for a scenario batch:
     one job per (spec, stack), specs serialized to pure data.  The
-    single source of this construction for the CLI, the S1 bench, and
-    the equivalence tests."""
+    single source of this construction for the CLI and the tests."""
     from ..sweeps import Job
     return [Job("repro.scenarios.runner:run_determinism_row",
                 kwargs={"spec": scenario.to_dict(), "seed": seed,
                         "stack": stack},
-                group=group, label=f"{scenario.name}/{stack}")
+                group="scenarios", label=f"{scenario.name}/{stack}")
             for scenario in scenarios for stack in stacks]
 
 

@@ -2,7 +2,7 @@
 
 :class:`Network` owns the engine, tracer, RNG streams, nodes, and links of
 one simulation, and offers builders for the topology families used across
-the benchmark suite: chains, stars, trees, grids, rings of stars, and
+the experiments: chains, stars, trees, grids, rings of stars, and
 connected random graphs (a random spanning tree plus extra edges).
 """
 

@@ -1,6 +1,6 @@
 """Metrics and tracing for experiments.
 
-Three small primitives cover everything the benchmark harness reports:
+Three small primitives cover everything the experiments report:
 
 * :class:`Counter` — monotonically increasing named counts.
 * :class:`TimeSeries` — (time, value) samples, with summary statistics.

@@ -12,7 +12,7 @@ this package executes them:
   ``multiprocessing`` pool and merges the row dicts back **in job
   order**, so the output is bit-for-bit independent of scheduling
   (``workers=1`` is a plain in-process loop, the reference semantics);
-* worker-count plumbing shared by the CLI and the bench suite
+* worker-count plumbing for the CLI
   (``--jobs N`` / ``REPRO_JOBS``, default the usable CPU count).
 
 The serial-equivalence contract — rows from ``--jobs N`` are identical

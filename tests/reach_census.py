@@ -10,8 +10,6 @@ an AST inventory of ``src/repro``:
 * ``commands``   -- every ``repro`` command in the usage strings, at its
   smallest size (``gateway serve`` driven by ``gateway load``);
 * ``examples``   -- ``examples/*.py``;
-* ``benchmarks`` -- ``benchmarks/bench_*.py`` under pytest, and the CI
-  scripts beside them;
 * ``tests``      -- each tier-1 test file in its own pytest run, so a
   function reached only by its own unit tests says which.
 
@@ -28,8 +26,8 @@ classes; nested functions count as part of their enclosing function.
 Lines are a definition's own lines, decorators to last line.  The file
 is not collected by pytest and needs nothing outside the standard
 library and the test dependencies.  Memory stays near one simulation at
-a time (the 100k smoke peaks around 0.7 GB); a full run takes about six
-minutes on 2 vCPUs.
+a time (the 100k-system memory test peaks around 0.7 GB); a full run
+takes about six minutes on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 CENSUS_PATH = os.path.join(HERE, "census")
-SURFACES = ("workloads", "commands", "examples", "benchmarks", "tests")
+SURFACES = ("workloads", "commands", "examples", "tests")
 WORKLOADS = ("control_flat", "data_clean", "data_lossy", "flood",
              "shard_stateful", "gateway_echo", "gateway_echo_8k")
 
@@ -145,25 +143,6 @@ def run_examples(out_dir: str) -> None:
         _run([sys.executable, path], out_dir)
 
 
-def run_benchmarks(out_dir: str) -> None:
-    scratch = tempfile.mkdtemp(prefix="census-bench-")
-    try:
-        benches = sorted(glob.glob(os.path.join(ROOT, "benchmarks",
-                                                "bench_*.py")))
-        # timed rounds run with tracing paused; disabled, each benchmarked
-        # call runs once, traced
-        _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-              "--benchmark-disable", *benches], out_dir,
-             REPRO_SCENARIO_BUDGET_S="10",
-             REPRO_BENCH_JSON=os.path.join(scratch, "e6.json"),
-             REPRO_BENCH_JSON_S1=os.path.join(scratch, "s1.json"))
-    finally:
-        shutil.rmtree(scratch)
-    for script in ("smoke_gateway_load.py", "check_e6_scale_reference.py",
-                   "smoke_e6_xlarge.py"):
-        _run([sys.executable, os.path.join("benchmarks", script)], out_dir)
-
-
 def run_tests(out_dir: str) -> None:
     files = sorted(glob.glob(os.path.join(ROOT, "tests", "test_*.py")))
     files.append(os.path.join(ROOT, "perf", "test_perf_contract.py"))
@@ -174,8 +153,7 @@ def run_tests(out_dir: str) -> None:
 
 
 RUNNERS = {"workloads": run_workloads, "commands": run_commands,
-           "examples": run_examples, "benchmarks": run_benchmarks,
-           "tests": run_tests}
+           "examples": run_examples, "tests": run_tests}
 
 
 # -- reading ------------------------------------------------------------

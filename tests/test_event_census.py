@@ -1,5 +1,6 @@
 """Event census: dispatched events per label on the small builders
-behind the ``control_flat``, ``data_clean`` and ``flood`` workloads.
+behind the ``control_flat``, ``data_clean`` and ``flood`` workloads, and
+on the scale tier's flat 5x10 row.
 
 The census lives on the test side.  A fixture wraps ``Engine.call_at``
 and ``Engine.call_later`` (``call_soon`` goes through ``call_at``) so
@@ -87,6 +88,11 @@ def _control_flat():
     return run_scale("flat", 3, 4, seed=0)["events"]
 
 
+def _scale_flat():
+    from repro.experiments.e6_scalability import run_scale
+    return run_scale("flat", 5, 10)["events"]
+
+
 def _data_clean(stack):
     from repro.scenarios import ScenarioRunner
     return ScenarioRunner(_data_scenario(), 0).run(stack)["events"]
@@ -124,6 +130,12 @@ EXPECTED = {
         "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 50,
         "wl.echo.start": 1, "wl.xfer.start": 2},
     "flood": {"<link>.rx": 90, "flood.announce": 10},
+    # the scale tier's flat row, whose cost was once held to a wall-clock
+    # floor: build plus flap scope at seed 1, 10,658 events
+    "scale_flat_5x10": {
+        "(unlabelled)": 1, "<ipcp>.keepalive": 1064, "<link>.rx": 8860,
+        "fabric.start": 1, "rmt.serve": 73, "routing.spf": 604,
+        "shim.alloc-retry": 55},
 }
 
 RUNS = {
@@ -131,6 +143,7 @@ RUNS = {
     "data_clean_rina": lambda: _data_clean("rina"),
     "data_clean_ip": lambda: _data_clean("ip"),
     "flood": _flood,
+    "scale_flat_5x10": _scale_flat,
 }
 
 

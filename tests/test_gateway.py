@@ -325,6 +325,39 @@ class TestLoadHarness:
         assert row["conns"] == 4
         assert row["clients"] == 40
 
+    def test_thousand_tcp_and_two_hundred_udp_clients(self):
+        """The open-loop acceptance floor: 1,000 TCP clients (one shim
+        flow each) over 64 connections, then 200 UDP RPC clients, against
+        one gateway.  Open loop, so a slow server shows as missing
+        replies, not as a slower test."""
+        async def body(server):
+            rows = [
+                await run_load("127.0.0.1", server.tcp_port,
+                               transport="tcp", clients=1_000, pings=3,
+                               timeout=60.0),
+                await run_load("127.0.0.1", server.udp_port,
+                               transport="udp", clients=200, pings=3,
+                               workload="rpc", timeout=60.0),
+            ]
+            # the clients' last frames and FINs are still in flight
+            for _ in range(500):
+                stats = server.stats
+                if (not server.active_flows
+                        and stats["closed"] >= stats["tcp_connections"]):
+                    break
+                await asyncio.sleep(0.01)
+            return rows, server.active_flows, server
+        rows, flows_left, server = run(_with_server(body), timeout=150.0)
+        for row in rows:
+            assert row["complete"], row
+            assert row["wire_errors"] == 0, row
+        stats = server.stats
+        # every flow was released by its dealloc, none by connection loss
+        assert flows_left == 0 and stats["flows_lost"] == 0, stats
+        assert server.active_connections == 0
+        assert stats["closed"] == stats["tcp_connections"] + stats["udp_peers"]
+        assert stats["wire_errors"] == 0, stats
+
     def test_rejects_unknown_transport_and_workload(self):
         with pytest.raises(ValueError):
             run(run_load("127.0.0.1", 1, transport="sctp"))

@@ -10,14 +10,20 @@ Budgets are peak *traced* bytes per member on a fixed plant —
 deterministic modulo interpreter version, so they carry generous but
 regression-sized headroom: the pre-refactor layout (eager ~2.5 KB
 Mersenne state per link, instance dicts on links/nodes/ends) blows the
-build budget by itself.
+build budget by itself.  The 100,001-system plant itself is held to a
+peak-RSS budget, in an interpreter of its own.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 from repro.core.efcp import EfcpConnection, EfcpPolicy
 from repro.core.names import Address
-from repro.experiments.e6_scalability import build_flood_spec
+from repro.experiments.e6_scalability import (build_flood_spec,
+                                              flood_build_smoke)
 from repro.shard import all_nodes_announce, attach_flood
 from repro.sim.engine import Engine
 
@@ -54,6 +60,18 @@ CONNECTION_BUDGET = 3_500
 #: a copied claim row and a two-way graph each) read 80.1-80.8 KB in the
 #: same session.  ~25 % headroom, and well under the unshared layout.
 CONTROL_PLANE_BUDGET = 40_000
+
+#: Peak RSS in MB of a fresh interpreter that builds the 100,001-system
+#: flood tier and floods its first announcement.  Read 446 MB (2 vCPU,
+#: CPython 3.11.7) since a clean link schedules one event per frame, and
+#: 617.4 MB while every link made its two transmit deques up front and
+#: every flood node a ``set``.  600 MB fails on per-entity creep of that
+#: size (eager per-link PRNGs alone were ~250 MB) without flaking on
+#: allocator variance.
+XLARGE_PEAK_MEM_MB = 600
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def test_flat_control_plane_stays_in_budget():
@@ -133,3 +151,23 @@ def test_efcp_connection_stays_in_budget():
     assert peak / count < CONNECTION_BUDGET, (
         f"an EFCP connection costs {peak / count:.0f} B "
         f"(budget {CONNECTION_BUDGET})")
+
+
+def test_hundred_thousand_system_first_wave_stays_in_budget():
+    """Build the xlarge flood plant (sim/ and shard/flood.py only, no
+    core/) and run one announcement until every other system heard it.
+    Peak RSS is a process's high-water mark, so the plant gets an
+    interpreter of its own; ``src/`` goes first on the inherited
+    ``PYTHONPATH``, so a ``sitecustomize`` there (tests/census) loads."""
+    code = ("import json\n"
+            f"from {flood_build_smoke.__module__} import flood_build_smoke\n"
+            "print(json.dumps(flood_build_smoke('xlarge')))")
+    path = filter(None, [SRC, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    row = json.loads(done.stdout.splitlines()[-1])
+    assert row["systems"] == 100_001
+    assert row["first_wave_deliveries"] == row["systems"] - 1, row
+    assert row["peak_mem_mb"] < XLARGE_PEAK_MEM_MB, row

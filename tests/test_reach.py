@@ -2,8 +2,8 @@
 every attribute it stores has a reader.
 
 A module-level function or class, or a non-dunder method, must be
-referenced somewhere in ``src/``, ``tests/``, ``benchmarks/``,
-``examples/`` or ``perf/``.  A reference is a ``Name`` that is read, an
+referenced somewhere in ``src/``, ``tests/``, ``examples/`` or
+``perf/``.  A reference is a ``Name`` that is read, an
 ``Attribute`` of that name (any object: the check is by name, so it is
 conservative), a name imported with ``from ... import``, or the
 function part of a ``"module:function"`` sweep-job target string.  A
@@ -27,7 +27,7 @@ import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "repro")
-SEARCHED = ("src", "tests", "benchmarks", "examples", "perf")
+SEARCHED = ("src", "tests", "examples", "perf")
 
 #: Called by the asyncio event loop on a datagram protocol, never by
 #: name from Python code.

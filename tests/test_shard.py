@@ -19,7 +19,7 @@ from multiprocessing.connection import Connection
 
 import pytest
 
-from repro.experiments.e6_scalability import (build_flood_spec,
+from repro.experiments.e6_scalability import (FLOOD_SIZES, build_flood_spec,
                                               flood_assignment,
                                               run_flood_scale)
 from repro.shard import (LinkSpec, NetworkSpec, RegionPlan, ShardCoordinator,
@@ -188,6 +188,16 @@ class TestEquivalence:
         for key in ("deliveries", "duplicates", "events", "systems"):
             assert sharded[key] == serial[key], key
         assert sharded["shards"] == 3 and serial["shards"] == 1
+        # the sharded scale tier: every system hears every origin
+        for tier in ("small", "medium"):
+            serial = run_flood_scale(*FLOOD_SIZES[tier], shards=1)
+            sharded = run_flood_scale(*FLOOD_SIZES[tier], shards=2)
+            assert serial["shards"] == 1 and sharded["shards"] == 2
+            assert sharded["deliveries"] == serial["deliveries"]
+            assert sharded["events"] == serial["events"]
+            assert sharded["frames_relayed"] > 0
+            assert serial["deliveries"] == (serial["origins"]
+                                            * (serial["systems"] - 1))
 
     def test_sharded_runs_inside_pool_workers_fall_back_inline(self):
         # a daemonic pool worker cannot spawn region processes; the

@@ -13,6 +13,7 @@ no live object references ever sit in a ``BoundaryFrame``.
 
 import functools
 import hashlib
+import json
 
 from test_trace_golden import events_in, masked_sha256
 
@@ -46,6 +47,26 @@ GOLDEN_STATEFUL_SHARDS = {
     1: "0e6d6d56400ddddb488dddb897d689b32f16152863f420317fc166889904753b",
 }
 GOLDEN_STATEFUL_SHARDS_EVENTS = {0: 270, 1: 96}
+
+#: The round rule's deterministic counts on the dense and the sparse
+#: 10x3 plant (10 regions, 10 shards, seed 1, inline mode), keyed by
+#: ``sparse``.  Every field is scheduling-independent and identical on
+#: every machine: a mismatch means grant computation, relay order or
+#: workload construction changed, which shows here before it shows as
+#: a slower run.  ``events`` last moved when a clean link hop became
+#: one event (11,806 -> 4,478 and 12,394 -> 4,934).
+REFERENCE_10x3 = {
+    False: {"config": "flat-stateful", "rounds": 340, "grants": 340,
+            "region_steps": 1455, "frames_relayed": 1374,
+            "relay_batches": 839, "events": 4478, "enrolled": 41,
+            "table_rows": 1640, "lsas_received": 1640,
+            "rib_sha256": "4b8e61727f72a1f0"},
+    True: {"config": "flat-stateful-sparse", "rounds": 467, "grants": 467,
+           "region_steps": 1589, "frames_relayed": 1386,
+           "relay_batches": 846, "events": 4934, "enrolled": 41,
+           "table_rows": 1640, "lsas_received": 1640,
+           "rib_sha256": "4b8e61727f72a1f0"},
+}
 
 
 def canned_stateful(regions=3, hosts=2, shards=2):
@@ -125,13 +146,30 @@ class TestStatefulEquivalence:
         assert sharded.node_stats == reference["node_stats"]
 
     def test_stateful_scale_row_invariant_across_shard_counts(self):
-        serial = run_stateful_scale(3, 2, shards=1, seed=1)
-        sharded = run_stateful_scale(3, 2, shards=2, seed=1)
-        for key in ("systems", "enrolled", "table_rows", "lsas_received",
-                    "rib_sha256", "events"):
-            assert sharded[key] == serial[key], key
-        assert serial["shards"] == 1 and sharded["shards"] == 2
-        assert sharded["frames_relayed"] > 0
+        # the 3x2 plant at 2 shards, then the 10x3 plant at 2, 4 and 10
+        for regions, hosts, counts in ((3, 2, (2,)), (10, 3, (2, 4, 10))):
+            serial = run_stateful_scale(regions, hosts, shards=1, seed=1)
+            assert serial["shards"] == 1
+            assert serial["enrolled"] == serial["systems"]
+            for count in counts:
+                sharded = run_stateful_scale(regions, hosts, shards=count,
+                                             seed=1)
+                for key in ("systems", "enrolled", "table_rows",
+                            "lsas_received", "rib_sha256", "events"):
+                    assert sharded[key] == serial[key], key
+                assert sharded["shards"] == count
+                assert sharded["frames_relayed"] > 0
+                # idle regions sit rounds out
+                assert (sharded["region_steps"]
+                        < sharded["rounds"] * sharded["shards"])
+
+    def test_round_counts_match_reference(self):
+        for sparse, expected in REFERENCE_10x3.items():
+            row = run_stateful_scale(10, 3, shards=10, seed=1,
+                                     mode="inline", sparse=sparse)
+            assert row["shards"] == 10
+            assert {key: row[key] for key in expected} == expected
+            assert json.loads(json.dumps(row)) == row
 
 
 # ----------------------------------------------------------------------
