@@ -1,6 +1,6 @@
 """Event census: dispatched events per label on the small builders
-behind the ``control_flat``, ``data_clean`` and ``flood`` workloads, and
-on the scale tier's flat 5x10 row.
+behind the ``control_flat``, ``data_clean``, ``data_lossy`` and
+``flood`` workloads, and on the scale tier's flat 5x10 row.
 
 The census lives on the test side.  A fixture wraps ``Engine.call_at``
 and ``Engine.call_later`` (``call_soon`` goes through ``call_at``) so
@@ -60,14 +60,26 @@ def census(monkeypatch):
     return counts
 
 
-def _data_scenario():
+#: ``data_lossy``'s link conditions, on every link of the chain.
+LOSSY_LINK = {
+    "loss": 0.01,
+    "jitter": {"model": "uniform", "amplitude": 0.0005},
+    "corruption": {"probability": 0.005, "max_flips": 3},
+    "reorder": {"probability": 0.02, "depth": 3, "max_hold": 0.01},
+}
+
+
+def _data_scenario(**conditions):
     """``data_clean``'s spec, shortened: the same 6-node chain, two DIF
-    ranks and workload mix, 3 simulated seconds and 100 kB transfers."""
+    ranks and workload mix, 3 simulated seconds and 100 kB transfers.
+    ``conditions`` are added to every link (``LOSSY_LINK`` makes it
+    ``data_lossy``'s plant)."""
     from repro.scenarios import Scenario
     return Scenario.from_dict({
-        "name": "census-data-clean",
+        "name": "census-data-lossy" if conditions else "census-data-clean",
         "topology": {"family": "chain", "params": {"count": 6},
-                     "link": {"capacity_bps": 1e8, "delay": 0.001}},
+                     "link": {"capacity_bps": 1e8, "delay": 0.001,
+                              **conditions}},
         "dif_depth": 2,
         "duration": 3.0,
         "workloads": [
@@ -96,6 +108,12 @@ def _scale_flat():
 def _data_clean(stack):
     from repro.scenarios import ScenarioRunner
     return ScenarioRunner(_data_scenario(), 0).run(stack)["events"]
+
+
+def _data_lossy():
+    from repro.scenarios import ScenarioRunner
+    return ScenarioRunner(_data_scenario(**LOSSY_LINK), 0).run(
+        "rina")["events"]
 
 
 def _flood():
@@ -129,6 +147,15 @@ EXPECTED = {
         "fabric.start": 1, "rmt.serve": 655, "routing.spf": 18,
         "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 50,
         "wl.echo.start": 1, "wl.xfer.start": 2},
+    # data_clean_rina's run on the lossy plant: conditioned links still
+    # step through ``.tx``, and EFCP recovery shows in ``efcp.retx``
+    "data_lossy_rina": {
+        "(unlabelled)": 2, "<ipcp>.keepalive": 360, "<link>.rx": 3887,
+        "<link>.tx": 3841, "cbr.tick": 250, "efcp.retx": 3,
+        "fa.allocate": 9, "fa.retry": 1, "fabric.start": 1,
+        "riep.invoke": 5, "rmt.serve": 1287, "routing.spf": 29,
+        "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 50,
+        "wl.echo.start": 1, "wl.xfer.start": 2},
     "flood": {"<link>.rx": 90, "flood.announce": 10},
     # the scale tier's flat row, whose cost was once held to a wall-clock
     # floor: build plus flap scope at seed 1, 10,658 events
@@ -141,6 +168,7 @@ EXPECTED = {
 RUNS = {
     "control_flat": _control_flat,
     "data_clean_rina": lambda: _data_clean("rina"),
+    "data_lossy_rina": _data_lossy,
     "data_clean_ip": lambda: _data_clean("ip"),
     "flood": _flood,
     "scale_flat_5x10": _scale_flat,
@@ -152,6 +180,28 @@ def test_events_per_label(census, workload):
     events = RUNS[workload]()
     assert sum(census.values()) == events
     assert dict(census) == EXPECTED[workload]
+
+
+#: The same lossy run's reliable EFCP connections, summed: what loss
+#: recovery cost (every resend, every copy the receiver already held,
+#: every expired retransmission timer).
+LOSSY_RECOVERY = {"retransmissions": 81, "duplicates": 63, "timeouts": 3}
+
+
+def test_data_lossy_recovery_counters(monkeypatch):
+    from repro.core.efcp import EfcpConnection
+    connections = []
+    init = EfcpConnection.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        connections.append(self)
+    monkeypatch.setattr(EfcpConnection, "__init__", recorded)
+    _data_lossy()
+    reliable = [c for c in connections if c.policy.reliable]
+    assert reliable
+    assert {counter: sum(getattr(c.stats, counter) for c in reliable)
+            for counter in LOSSY_RECOVERY} == LOSSY_RECOVERY
 
 
 def test_instance_labels_group_by_kind():

@@ -34,6 +34,7 @@ delivery time, drop, counter and RNG draw came out the same.
 
 import functools
 import hashlib
+import json
 import re
 
 import pytest
@@ -59,12 +60,26 @@ def masked_sha256(text):
 
 
 @functools.lru_cache(maxsize=None)
-def canned_trace(name, stack):
-    """One canned spec's trace at seed 0 (shared by the in-process pins
-    and the worker checks, which compare against it)."""
+def canned_run(name, stack):
+    """One canned spec's ``(trace, metrics)`` at seed 0 (shared by the
+    in-process pins and the worker checks, which compare against it)."""
     runner = ScenarioRunner(CANNED[name](), seed=0)
-    runner.run(stack)
-    return runner.trace
+    metrics = runner.run(stack)
+    return runner.trace, metrics
+
+
+def canned_trace(name, stack):
+    return canned_run(name, stack)[0]
+
+
+def outcome_sha256(metrics):
+    """SHA-256 of a run's metrics without its engine event count: what
+    the run achieved (completions, deliveries, goodput, outages), not
+    what it cost."""
+    outcome = {key: value for key, value in metrics.items()
+               if key != "events"}
+    return hashlib.sha256(
+        json.dumps(outcome, sort_keys=True).encode()).hexdigest()
 
 
 #: name -> sha256 of the masked rina-stack trace at seed 0.  The masked
@@ -158,6 +173,34 @@ GOLDEN_IP_EVENTS = {
     "rolling-degradation": 2_195,
 }
 GOLDEN_SHARDS_EVENTS = {0: 45, 1: 36}
+
+#: name -> :func:`outcome_sha256` of the rina-stack metrics at seed 0,
+#: every canned spec.  A change to how EFCP recovers may move a trace
+#: (its timing, its event count) and must still leave this pin alone:
+#: the same transfers complete, the same echoes and stream messages
+#: arrive, the same outages are measured.
+GOLDEN_OUTCOMES = {
+    "corruption-storm":
+        "49fc27fbb26a8c4987cf2135aacabe9808af091b68f760b13307682b9f3ed0e8",
+    "diurnal-load":
+        "10e19ab18c3a82ef9bae924ca17ac13789b713ee1e61f870ec5cd1ae06e47a81",
+    "e3-e2e":
+        "ec6c301d2b8effacb7915b02efda693f6a03be7d5b657f3918f27ab15b6c1157",
+    "e3-scoped":
+        "38e6f737703c6b8c80457a5c74dc6cda99007f39003dc05ec8359bbd0d38c34e",
+    "e4-multihoming":
+        "597b1e9c869f17b1a52aacf6ab649fbe7e78b0279555d5ce2ed5b27547b471c9",
+    "e5-mobility":
+        "dc45b4636f147295d94e5285105ca757fcdc617ede4fa60cd76251c06da5ad65",
+    "fault-storm":
+        "35a76068ccc5f6232a1d7bd3dbbc9e3baa07d969d5133fc093bf1693985ce393",
+    "flash-crowd":
+        "b5a9887d71ba338872f78188fdd439b2fba89c041d2687dd43441fdb88103b9d",
+    "ring-of-stars":
+        "f4138433ac3cb25d8fd233e097325021327f91f53ad6f1e8779324b799f1801b",
+    "rolling-degradation":
+        "fb8094c9fb8cfd44e4dc6e15499b0e05839cca4bee4a62c821fccea776183b1b",
+}
 GOLDEN_DATA_CLEAN_IP_EVENTS = {0: 68_523, 1: 68_543}
 
 
@@ -210,6 +253,13 @@ def test_canned_trace_matches_pre_overhaul_fingerprint(name):
     assert events_in(text) == GOLDEN_EVENTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTCOMES))
+def test_canned_outcome_matches_fingerprint(name):
+    assert outcome_sha256(canned_run(name, "rina")[1]) == \
+        GOLDEN_OUTCOMES[name], (
+            f"{name}: what the run achieved changed, not only its cost")
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_IP))
 def test_canned_ip_trace_matches_fingerprint(name):
     text = canned_trace(name, "ip")
@@ -250,6 +300,7 @@ def test_every_canned_spec_is_fingerprinted_or_newer():
     # *removed* golden entry means coverage silently shrank
     assert set(GOLDEN) <= set(CANNED)
     assert set(GOLDEN_IP) == set(CANNED)
+    assert set(GOLDEN_OUTCOMES) == set(CANNED)
     assert set(GOLDEN_EVENTS) == set(GOLDEN)
     assert set(GOLDEN_IP_EVENTS) == set(GOLDEN_IP)
 
