@@ -45,6 +45,11 @@ class EfcpPolicy:
 
     Attributes mirror the knobs the paper says must be tunable per DIF so
     each layer can "operate over different ranges of the performance space".
+
+    ``sack_limit`` caps the selective acknowledgement an ACK carries: the
+    highest ``sack_limit`` sequence numbers the receiver holds beyond its
+    in-order edge, ascending.  ``0`` sends none (recovery then rests on
+    the retransmission timer alone).
     """
 
     __slots__ = ("reliable", "in_order", "retx", "congestion", "initial_credit",
@@ -69,6 +74,8 @@ class EfcpPolicy:
             raise ValueError("a reliable flow needs a retransmission policy")
         if initial_credit < 1:
             raise ValueError("credit window must be at least 1")
+        if sack_limit < 0:
+            raise ValueError("sack_limit must not be negative")
         self.reliable = reliable
         self.in_order = in_order
         self.retx = retx
@@ -371,18 +378,28 @@ class EfcpConnection:
     def _fast_retransmit(self, pdu: ControlPdu) -> None:
         """SACK-driven loss recovery: a PDU passed over by three selective
         acks of later sequence numbers is presumed lost and resent without
-        waiting for the retransmission timer."""
+        waiting for the retransmission timer.  An ACK passes a PDU only
+        once the PDU's latest copy is one smoothed RTT old (any ACK
+        before the first RTT sample): ACKs still in flight when it was
+        resent cannot report on the resend, and counting them would
+        fire it again every third ACK."""
         if self.policy.retx != RETX_SELECTIVE or not pdu.sack:
             return
         highest_sacked = max(pdu.sack)
+        now = self._engine.now
+        srtt = self._srtt
         retransmitted = False
         for seq in sorted(self._outstanding):
             if seq >= highest_sacked:
                 break
+            payload, size, sent_at, _r = self._outstanding[seq]
+            if srtt is not None and now - sent_at < srtt:
+                # its latest copy is younger than a round trip: this ACK
+                # cannot have seen it, so it says nothing about its loss
+                continue
             passes = self._sack_passes.get(seq, 0) + 1
             if passes >= 3:
                 self._sack_passes[seq] = 0
-                payload, size, _t, _r = self._outstanding[seq]
                 self._transmit(seq, payload, size, retransmit=True)
                 retransmitted = True
             else:
@@ -458,7 +475,11 @@ class EfcpConnection:
     def _send_ack_now(self) -> None:
         if self.closed:
             return
-        sack = tuple(sorted(self._rcv_buffer))[:self.policy.sack_limit]
+        limit = self.policy.sack_limit
+        # the newest buffered PDUs: the one that triggered this ACK is
+        # among them, and the oldest were named by earlier ACKs
+        # (RFC 2018 §4); ``[-0:]`` would name them all
+        sack = tuple(sorted(self._rcv_buffer)[-limit:]) if limit else ()
         credit = self._rcv_expected + self._rcv_window
         pdu = ControlPdu(self.local_addr, self.remote_addr, ACK,
                          self.local_cep, self.remote_cep,

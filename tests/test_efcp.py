@@ -284,7 +284,7 @@ class TestRtoEstimation:
 class TestFastRetransmit:
     def test_sack_passes_trigger_retransmit_before_rto(self):
         policy = EfcpPolicy(rto_initial=5.0, rto_min=5.0, rto_max=10.0)
-        engine, wire, a, _b, _da, db = make_pair(policy)
+        engine, wire, a, b, _da, db = make_pair(policy)
         dropped = []
 
         def drop_seq_0_once(side, pdu):
@@ -298,8 +298,71 @@ class TestFastRetransmit:
             a.send(index, 10)
         engine.run(until=2.0)  # far below the 5 s RTO
         assert [payload for payload, _s in db] == list(range(8))
-        assert a.stats.retransmissions >= 1
+        # one loss, one resend: ACKs for PDUs sent before the resend
+        # cannot have seen it and must not fire it again
+        assert a.stats.retransmissions == 1
+        assert b.stats.duplicates == 0
         assert a.stats.timeouts == 0
+
+    def test_a_lost_resend_is_resent_once_more(self):
+        policy = EfcpPolicy(rto_initial=5.0, rto_min=5.0, rto_max=10.0)
+        engine, wire, a, b, _da, db = make_pair(policy)
+        drops = []
+
+        def drop_seq_0_twice(side, pdu):
+            if side == "a" and isinstance(pdu, DataPdu) and pdu.seq == 0 \
+                    and len(drops) < 2:
+                drops.append(pdu)
+                return True
+            return False
+        wire.drop_filter = drop_seq_0_twice
+        for index in range(32):
+            a.send(index, 10)
+        engine.run(until=12.0)
+        assert len(drops) == 2
+        assert [payload for payload, _s in db] == list(range(32))
+        # the fast resend is lost too; the 28 SACKs still in flight
+        # behind it say nothing about it, so the RTO sends the last copy
+        assert a.stats.retransmissions <= 2
+        assert b.stats.duplicates == 0
+
+    def test_sack_names_the_newest_buffered_pdus(self):
+        policy = EfcpPolicy(rto_initial=5.0, rto_min=5.0, rto_max=10.0,
+                            sack_limit=4)
+        engine, wire, a, _b, _da, _db = make_pair(policy)
+        wire.drop_filter = (lambda side, pdu: side == "a"
+                            and isinstance(pdu, DataPdu) and pdu.seq == 0)
+        for index in range(10):
+            a.send(index, 10)
+        engine.run(until=1.0)
+        acks = [pdu for side, pdu in wire.sent
+                if side == "b" and isinstance(pdu, ControlPdu)]
+        assert acks[-1].ack_seq == 0
+        # nine PDUs wait behind the hole; the ACK names the four newest
+        assert acks[-1].sack == (6, 7, 8, 9)
+        assert a.outstanding_count() == 1      # every SACKed PDU released
+
+    def test_sack_limit_zero_sends_no_sack(self):
+        policy = EfcpPolicy(rto_initial=0.5, rto_min=0.5, sack_limit=0)
+        engine, wire, a, _b, _da, db = make_pair(policy)
+        dropped = []
+
+        def drop_seq_0_once(side, pdu):
+            if side == "a" and isinstance(pdu, DataPdu) and pdu.seq == 0 \
+                    and not dropped:
+                dropped.append(pdu)
+                return True
+            return False
+        wire.drop_filter = drop_seq_0_once
+        for index in range(6):
+            a.send(index, 10)
+        engine.run(until=2.0)
+        acks = [pdu for side, pdu in wire.sent
+                if side == "b" and isinstance(pdu, ControlPdu)]
+        assert acks and all(ack.sack == () for ack in acks)
+        # no SACK, no fast retransmit: the timer recovers the hole
+        assert [payload for payload, _s in db] == list(range(6))
+        assert a.stats.timeouts == 1
 
 
 class TestGoBackN:
@@ -419,6 +482,11 @@ class TestPolicyDerivation:
     def test_credit_window_must_be_positive(self):
         with pytest.raises(ValueError):
             EfcpPolicy(initial_credit=0)
+
+    def test_sack_limit_must_not_be_negative(self):
+        with pytest.raises(ValueError):
+            EfcpPolicy(sack_limit=-1)
+        assert EfcpPolicy(sack_limit=0).sack_limit == 0
 
 
 class TestClose:
