@@ -148,10 +148,7 @@ EXPECTED = {
         "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 50,
         "wl.echo.start": 1, "wl.xfer.start": 2},
     # data_clean_rina's run on the lossy plant: conditioned links still
-    # step through ``.tx``, and EFCP recovery shows in ``efcp.retx``.
-    # One resend per loss took it from 9,734 events to 8,225:
-    # <link>.rx 3,887 -> 3,241, <link>.tx 3,841 -> 3,201, rmt.serve
-    # 1,287 -> 1,063, efcp.retx 3 -> 4.
+    # step through ``.tx``, and EFCP recovery shows in ``efcp.retx``
     "data_lossy_rina": {
         "(unlabelled)": 2, "<ipcp>.keepalive": 360, "<link>.rx": 3241,
         "<link>.tx": 3201, "cbr.tick": 250, "efcp.retx": 4,
@@ -187,9 +184,7 @@ def test_events_per_label(census, workload):
 
 #: The same lossy run's reliable EFCP connections, summed: what loss
 #: recovery cost (every resend, every copy the receiver already held,
-#: every expired retransmission timer).  81 / 63 / 3 before a PDU
-#: earned a SACK pass only once its latest copy was a round trip old and
-#: the ACK named the newest buffered PDUs.
+#: every expired retransmission timer).
 LOSSY_RECOVERY = {"retransmissions": 12, "duplicates": 2, "timeouts": 4}
 
 
