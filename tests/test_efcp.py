@@ -50,6 +50,19 @@ class Wire:
         return [p for s, p in self.sent if s == side and isinstance(p, DataPdu)]
 
 
+def drop_first_copies(seq, count):
+    """A drop filter losing the first ``count`` copies a sends of ``seq``."""
+    drops = []
+
+    def drop(side, pdu):
+        if side == "a" and isinstance(pdu, DataPdu) and pdu.seq == seq \
+                and len(drops) < count:
+            drops.append(pdu)
+            return True
+        return False
+    return drop
+
+
 def make_pair(policy=None, peer_policy=None, delay=0.005):
     engine = Engine()
     wire = Wire(engine, delay=delay)
@@ -307,23 +320,16 @@ class TestFastRetransmit:
     def test_a_lost_resend_is_resent_once_more(self):
         policy = EfcpPolicy(rto_initial=5.0, rto_min=5.0, rto_max=10.0)
         engine, wire, a, b, _da, db = make_pair(policy)
-        drops = []
-
-        def drop_seq_0_twice(side, pdu):
-            if side == "a" and isinstance(pdu, DataPdu) and pdu.seq == 0 \
-                    and len(drops) < 2:
-                drops.append(pdu)
-                return True
-            return False
-        wire.drop_filter = drop_seq_0_twice
+        wire.drop_filter = drop_first_copies(0, 2)
         for index in range(32):
             a.send(index, 10)
         engine.run(until=12.0)
-        assert len(drops) == 2
         assert [payload for payload, _s in db] == list(range(32))
         # the fast resend is lost too; the 28 SACKs still in flight
         # behind it say nothing about it, so the RTO sends the last copy
-        assert a.stats.retransmissions <= 2
+        # (two resends are the least two losses of one PDU can cost)
+        assert a.stats.retransmissions == 2
+        assert a.stats.timeouts == 1
         assert b.stats.duplicates == 0
 
     def test_sack_names_the_newest_buffered_pdus(self):
@@ -345,15 +351,7 @@ class TestFastRetransmit:
     def test_sack_limit_zero_sends_no_sack(self):
         policy = EfcpPolicy(rto_initial=0.5, rto_min=0.5, sack_limit=0)
         engine, wire, a, _b, _da, db = make_pair(policy)
-        dropped = []
-
-        def drop_seq_0_once(side, pdu):
-            if side == "a" and isinstance(pdu, DataPdu) and pdu.seq == 0 \
-                    and not dropped:
-                dropped.append(pdu)
-                return True
-            return False
-        wire.drop_filter = drop_seq_0_once
+        wire.drop_filter = drop_first_copies(0, 1)
         for index in range(6):
             a.send(index, 10)
         engine.run(until=2.0)
