@@ -569,7 +569,7 @@ class Link:
                  "frames_sent", "frames_dropped_queue", "frames_dropped_loss",
                  "frames_delivered", "bytes_delivered", "frames_corrupted",
                  "_conditions", "_cond_rngs", "_reorder_held",
-                 "_last_delivery", "_tx_label", "_rx_label")
+                 "_last_delivery", "_tx_due", "_tx_label", "_rx_label")
 
     def __init__(self, engine: Engine, name: str, capacity_bps: float = 1e8,
                  delay: float = 0.001, loss: Optional[LossModel] = None,
@@ -619,6 +619,9 @@ class Link:
         self._reorder_held: Optional[Tuple[List[_HeldFrame],
                                            List[_HeldFrame]]] = None
         self._last_delivery: Optional[List[float]] = None
+        # the event path's serialization end per direction, made when the
+        # event path first serves a frame (see _enqueue)
+        self._tx_due: Optional[List[float]] = None
         # event labels, precomputed: an f-string per scheduled event is
         # measurable at scale
         self._tx_label = f"{name}.tx"
@@ -838,12 +841,25 @@ class Link:
                 self._engine.call_at(end, self._finish_serialization,
                                      direction, payload, size,
                                      label=self._tx_label)
+                due = self._tx_due
+                if due is None:
+                    due = self._tx_due = [0.0, 0.0]
+                due[direction] = end
 
     def _enqueue(self, direction: int, payload: Any, size: int) -> bool:
         """The event path's FIFO: a ``.tx`` event at every serialization
-        end, where the loss draw and the conditions apply."""
+        end, where the loss draw and the conditions apply.
+
+        A frame whose serialization ends at this very instant has left
+        the queue's count even while its ``.tx`` event is still due, as
+        on the arithmetic path: the tail-drop decision must not depend on
+        whether this send or that event was scheduled first.
+        """
         queue = self._queues[direction]
-        if (0 if queue is None else len(queue)) >= self.queue_limit:
+        waiting = 0 if queue is None else len(queue)
+        limit = self.queue_limit
+        if waiting >= limit and (not waiting or waiting > limit
+                                 or self._tx_due[direction] > self._engine.now):
             self.frames_dropped_queue[direction] += 1
             self._trace_count("link.drop.queue")
             return False
@@ -876,9 +892,13 @@ class Link:
             # keeps FIFO order and holds the direction busy meanwhile
             tx_time += conditions.shaper.reserve(direction, size,
                                                  self._engine.now)
-        self._engine.call_later(
+        event = self._engine.call_later(
             tx_time, self._finish_serialization, direction, payload, size,
             label=self._tx_label)
+        due = self._tx_due
+        if due is None:
+            due = self._tx_due = [0.0, 0.0]
+        due[direction] = event.time
 
     def _finish_serialization(self, direction: int, payload: Any, size: int) -> None:
         # The frame is on the wire; schedule delivery after propagation,

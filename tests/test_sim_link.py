@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.link import (BandwidthShaper, CorruptionModel, GilbertElliott,
@@ -405,10 +405,16 @@ class TestFailureRule:
                          st.sampled_from(sorted(CONDITIONS))))),
                max_size=12),
            queue_limit=st.integers(0, 4))
+    # a send at exactly frame 0's serialization end, scheduled before its
+    # .tx event, with the one queue slot taken: the slot frees that
+    # instant on both paths, so frame 1 is queued, not tail-dropped
+    @example(sends=[(51, 0, 1000), (59, 0, 50), (51, 0, 50)], changes=[],
+             queue_limit=1)
     def test_arithmetic_path_equals_the_event_path(self, sends, changes,
                                                    queue_limit):
-        # sends sit on a 1 ms grid and every change 0.37 ms past it, so
-        # no change lands on a serialization end (the tie above)
+        # sends sit on a 1 ms grid, so one can land on a serialization
+        # end; every change sits 0.37 ms past the grid, so no change does
+        # (the tie above)
         script = [(slot * 1e-3, "send", (direction, size, tag))
                   for tag, (slot, direction, size) in enumerate(sends)]
         script += [(slot * 1e-3 + 3.7123e-4, op, arg)
