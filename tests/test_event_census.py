@@ -35,13 +35,17 @@ def kind(label):
 
 
 @pytest.fixture
-def census(monkeypatch):
-    """A ``Counter`` of dispatched events per :func:`kind`."""
-    counts = Counter()
+def schedule_census(monkeypatch):
+    """``(scheduled, dispatched)``: two ``Counter`` s of events per
+    :func:`kind`, one counted when an event is scheduled and one when it
+    is dispatched.  Their difference is what was cancelled or still
+    pending when the run ended."""
+    scheduled, counts = Counter(), Counter()
     call_at, call_later = Engine.call_at, Engine.call_later
 
     def counted(callback, label):
         row = kind(label)
+        scheduled[row] += 1
 
         def dispatch(*args):
             counts[row] += 1
@@ -57,7 +61,13 @@ def census(monkeypatch):
                           label=label)
     monkeypatch.setattr(Engine, "call_at", wrapped_at)
     monkeypatch.setattr(Engine, "call_later", wrapped_later)
-    return counts
+    return scheduled, counts
+
+
+@pytest.fixture
+def census(schedule_census):
+    """A ``Counter`` of dispatched events per :func:`kind`."""
+    return schedule_census[1]
 
 
 #: ``data_lossy``'s link conditions, on every link of the chain.
@@ -180,6 +190,26 @@ def test_events_per_label(census, workload):
     events = RUNS[workload]()
     assert sum(census.values()) == events
     assert dict(census) == EXPECTED[workload]
+
+
+#: Events *scheduled* per label on the scale tier's flat 5x10 row, beside
+#: its dispatched row in ``EXPECTED``.  Each flooded copy arms a
+#: ``riep.invoke`` timeout that its acknowledgement cancels: none fires.
+SCHEDULED = {
+    "scale_flat_5x10": {
+        "(unlabelled)": 1, "<ipcp>.keepalive": 1120, "<link>.rx": 8860,
+        "fabric.start": 1, "riep.invoke": 3358, "rmt.serve": 73,
+        "routing.spf": 604, "shim.alloc-retry": 55},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SCHEDULED))
+def test_scheduled_against_dispatched(schedule_census, workload):
+    scheduled, dispatched = schedule_census
+    events = RUNS[workload]()
+    assert sum(dispatched.values()) == events
+    assert dict(dispatched) == EXPECTED[workload]
+    assert dict(scheduled) == SCHEDULED[workload]
 
 
 #: The same lossy run's reliable EFCP connections, summed: what loss

@@ -591,6 +591,18 @@ class TestScopePin:
         assert (recursive["lsas_reflooded"], recursive["mean_table"]) == \
             (4_381, 20.48)
         assert (flat["spf_runs"], flat["spf_skipped"]) == (211, 0)
+        assert flat["flap_update_scope"] == 211
         # the engine's event count is a cost, pinned apart from what the
         # plants say (tests/test_trace_golden.py)
         assert (flat["events"], recursive["events"]) == SCOPE_EVENTS
+
+    def test_flat_5x10_invariants(self):
+        # what the flat plant says at the scale tier's small size (seed
+        # 1): a change to how flooding is made reliable must not move it
+        from repro.experiments.e6_scalability import run_scale
+        flat = run_scale("flat", 5, 10)
+        assert {key: flat[key] for key in (
+            "lsas_reflooded", "mean_table", "spf_runs",
+            "flap_update_scope")} == {
+            "lsas_reflooded": 3_248, "mean_table": 55.0, "spf_runs": 56,
+            "flap_update_scope": 56}
