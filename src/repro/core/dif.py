@@ -78,9 +78,10 @@ class DifPolicies:
     enroll_attempts:
         Retries for each enrollment request message before giving up.
     flood_attempts / flood_ack_timeout:
-        Hop-by-hop reliable flooding (the OSPF-LSAck mechanism): each
-        flooded update is acknowledged by the adjacent member and resent up
-        to ``flood_attempts`` times at ``flood_ack_timeout`` spacing.
+        Hop-by-hop reliable flooding (OSPF's delayed LSAck): a member acks
+        a port's copies in one message, soon after the first arrived, and a
+        copy unacked ``flood_ack_timeout`` after a send is resent,
+        ``flood_attempts`` sends in all.
     admission_capacity_bps:
         Guaranteed-bandwidth admission control (§3.1's "allocate resources
         required to meet the desired properties", IntServ-style): each

@@ -31,8 +31,8 @@ from .flow import Flow
 from .flow_allocator import FLOW_OBJ, FlowAllocator
 from .names import Address, ApplicationName
 from .pdu import KEEPALIVE, ControlPdu, DataPdu, ManagementPdu, Pdu
-from .riep import (InvokeTable, M_READ, RESULT_NOT_FOUND, RESULT_OK,
-                   RiepMessage)
+from .riep import (FLOOD_ACK_OBJ, DeadlineFifo, InvokeTable, M_READ,
+                   M_WRITE_R, RESULT_NOT_FOUND, RESULT_OK, RiepMessage)
 from .rmt import Rmt
 from .routing import LSA_OBJ, LinkStateRouting
 from .directory import DIRECTORY_OBJ
@@ -44,6 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 InboundListener = Callable[[Flow], None]
 
+#: Flooded copies are acked this share of ``flood_ack_timeout`` after the
+#: first one owed arrived, well inside every DIF's retransmission timeout
+#: (OSPF's delayed LSAck, RFC 2328 §13.5).
+ACK_DELAY_SHARE = 1 / 8
+
 
 class Ipcp:
     """One IPC process.  Create via :meth:`repro.core.system.System.create_ipcp`."""
@@ -52,7 +57,8 @@ class Ipcp:
                  "rib", "_port_ids", "invoke_table", "rmt", "routing",
                  "directory", "enrollment", "flow_allocator", "_local_apps",
                  "_lower_flows", "_last_heard", "_keepalive_task",
-                 "_refresh_task")
+                 "_refresh_task", "_flood_ids", "_unacked", "_acks_due",
+                 "_flooded")
 
     def __init__(self, engine: Engine, system_name: str, dif: Dif,
                  tracer: Optional[Tracer] = None,
@@ -67,6 +73,13 @@ class Ipcp:
         self._port_ids = port_ids if port_ids is not None else itertools.count(1)
         policies = dif.policies
         self.invoke_table = InvokeTable(engine, policies.mgmt_timeout)
+        self._flood_ids = itertools.count(1)
+        self._unacked: Dict[Address, DeadlineFifo] = {}
+        self._acks_due = DeadlineFifo(
+            engine, policies.flood_ack_timeout * ACK_DELAY_SHARE,
+            self._flush_acks, "riep.flood-ack")
+        self._flooded = 0
+        self.tracer.read_from("mgmt.flooded", lambda: self._flooded)
         self.rmt = Rmt(engine, self._deliver_local,
                        scheduler_factory=policies.make_scheduler,
                        path_selector=policies.make_path_selector(),
@@ -221,39 +234,43 @@ class Ipcp:
                exclude_neighbor: Optional[Address]) -> int:
         """Send a hop-scoped update to every adjacent member, reliably.
 
-        Each per-neighbor copy is acknowledged by the receiving member and
-        retransmitted up to ``flood_attempts`` times (the OSPF-LSAck
-        mechanism), so flooding converges even over lossy media.
+        The neighbour acks each copy's invoke-id, batched per port after
+        :data:`ACK_DELAY_SHARE` of ``flood_ack_timeout``.  A copy unacked
+        ``flood_ack_timeout`` after a send is resent, ``flood_attempts``
+        sends in all, so flooding converges even over lossy media.
         """
         sent = 0
         for neighbor in self.rmt.neighbors():
-            if exclude_neighbor is not None and neighbor == exclude_neighbor:
-                continue
-            if self._flood_to_neighbor(neighbor, message,
-                                       self.dif.policies.flood_attempts):
-                sent += 1
-                self.tracer.count("mgmt.flooded")
+            if neighbor != exclude_neighbor:
+                copy = RiepMessage(message.opcode, obj=message.obj,
+                                   value=message.value,
+                                   invoke_id=next(self._flood_ids))
+                # the payload is shared, so the size estimate carries over
+                copy._size_cache = message.estimate_size()
+                sent += self._send_copy(
+                    neighbor, copy, self.dif.policies.flood_attempts - 1)
+        self._flooded += sent
         return sent
 
-    def _flood_to_neighbor(self, neighbor: Address, template: RiepMessage,
-                           attempts: int) -> bool:
+    def _send_copy(self, neighbor: Address, copy: RiepMessage,
+                   attempts_left: int) -> bool:
+        """Send a flooded copy on the first live port to ``neighbor`` and
+        time it in that neighbour's :class:`DeadlineFifo`."""
         port_id = self.first_alive_port_to(neighbor)
         if port_id is None:
             return False
-        copy = RiepMessage(template.opcode, obj=template.obj,
-                           value=template.value)
-        # the payload is shared, so the encoded-size estimate carries over
-        # (re-walking a large LSA value per neighbor was a measured cost)
-        copy._size_cache = template.estimate_size()
-
-        def on_reply(reply: Optional[RiepMessage]) -> None:
-            if reply is None and attempts > 1:
-                self.tracer.count("mgmt.flood-retx")
-                self._flood_to_neighbor(neighbor, template, attempts - 1)
-
-        self.invoke_table.new_request(
-            copy, on_reply, timeout=self.dif.policies.flood_ack_timeout)
+        unacked = self._unacked.get(neighbor)
+        if unacked is None:
+            unacked = self._unacked[neighbor] = DeadlineFifo(
+                self.engine, self.dif.policies.flood_ack_timeout,
+                partial(self._flood_expired, neighbor), "riep.flood-retx")
+        unacked.setdefault(copy.invoke_id, (copy, attempts_left))
         return self.send_mgmt_on_port(port_id, copy)
+
+    def _flood_expired(self, neighbor: Address, _id: int, entry) -> None:
+        copy, left = entry                  # unacked a timeout after a send
+        if left and self._send_copy(neighbor, copy, left - 1):
+            self.tracer.count("mgmt.flood-retx")
 
     # ------------------------------------------------------------------
     # Inbound demultiplexing
@@ -304,7 +321,11 @@ class Ipcp:
         if port_id >= 0 and port_id in self.rmt._ports:
             from_neighbor = self.rmt._ports[port_id].peer_addr
         obj = message.obj
-        if obj == LSA_OBJ and message.opcode != M_READ:
+        if obj == FLOOD_ACK_OBJ:
+            unacked = self._unacked.get(from_neighbor)
+            for invoke_id in message.value if unacked is not None else ():
+                unacked.pending.pop(invoke_id, None)
+        elif obj == LSA_OBJ and message.opcode != M_READ:
             self._ack_flood(message, port_id)
             self.routing.handle_lsa(message, from_neighbor)
         elif obj == DIRECTORY_OBJ and message.opcode != M_READ:
@@ -382,12 +403,15 @@ class Ipcp:
         return bool(obj) and obj.startswith("/") and obj.strip("/")
 
     def _ack_flood(self, message: RiepMessage, port_id: int) -> None:
-        """Hop-by-hop acknowledgement of a flooded update (no value: the
-        ack only stops the neighbor's retransmission)."""
+        """Owe the port's neighbour an ack for a flooded copy, duplicate
+        or stale too; the first copy owed starts the port's ack delay."""
         if message.invoke_id and port_id >= 0:
-            reply = RiepMessage(message.opcode + "_R", obj=message.obj,
-                                invoke_id=message.invoke_id)
-            self.send_mgmt_on_port(port_id, reply)
+            self._acks_due.setdefault(port_id, []).append(message.invoke_id)
+
+    def _flush_acks(self, port_id: int, due: List[int]) -> None:
+        """Ack every copy owed on the port in one ``M_WRITE_R``."""
+        self.send_mgmt_on_port(
+            port_id, RiepMessage(M_WRITE_R, obj=FLOOD_ACK_OBJ, value=due))
 
     # ------------------------------------------------------------------
     # Neighbor liveness (keepalives)
@@ -469,6 +493,9 @@ class Ipcp:
         # still-reachable neighbors (that would be a graceful departure)
         self._bind_address(None)
         self.routing.reset()
+        for unacked in (self._acks_due, *self._unacked.values()):
+            unacked.pending.clear()         # its armed head finds nothing
+        self._unacked.clear()
         for port_id in list(self._lower_flows):
             self.remove_lower_flow(port_id)
         self._keepalive_task.stop()

@@ -11,12 +11,14 @@ the wire vocabulary of the whole management plane lives in this module.
 :class:`RiepMessage` is the unit carried by a
 :class:`~repro.core.pdu.ManagementPdu`.  :class:`InvokeTable` provides
 request/response matching with timeouts for the handful of RPC-like
-exchanges (enrollment, flow allocation).
+exchanges (enrollment, flow allocation); :class:`DeadlineFifo` times out
+flooded copies, one per neighbour.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Any, Callable, Dict, Optional
 
 from ..sim.engine import Engine
@@ -38,6 +40,8 @@ M_START = "M_START"          # start a task/flow at the peer
 M_START_R = "M_START_R"
 M_STOP = "M_STOP"
 M_STOP_R = "M_STOP_R"
+
+FLOOD_ACK_OBJ = "/flood/ack"  # an M_WRITE_R listing flooded copies' ids
 
 RESULT_OK = 0
 RESULT_ERROR = 1
@@ -162,9 +166,7 @@ class InvokeTable:
         invoke_id = next(self._ids)
         message.invoke_id = invoke_id
         delay = self._default_timeout if timeout is None else timeout
-        # one raw engine event instead of a Timer wrapper: requests are
-        # made (and almost always answered, cancelling the event) for
-        # every flooded management message — the hottest timer site
+        # a raw engine event, which the answer cancels
         event = self._engine.call_later(delay, self._timeout, invoke_id,
                                         label="riep.invoke")
         self._pending[invoke_id] = (handler, event)
@@ -190,3 +192,46 @@ class InvokeTable:
             return
         handler, _timer = entry
         handler(None)
+
+
+class DeadlineFifo:
+    """Keys that expire ``delay`` seconds after they are added, timed by
+    one engine event at the queue's head, not one per key: the delay is
+    shared, so deadlines queue in order.  The owner settles a key by
+    popping it from :attr:`pending`, and the head skips its entry.
+    Expired keys go to ``on_expire(key, value)`` in the order added.
+    """
+
+    __slots__ = ("pending", "_engine", "_delay", "_on_expire", "_label",
+                 "_queue")
+
+    def __init__(self, engine: Engine, delay: float,
+                 on_expire: Callable[[Any, Any], None], label: str) -> None:
+        self.pending: Dict[Any, Any] = {}    # until popped or expired
+        self._engine, self._delay = engine, delay
+        self._on_expire, self._label = on_expire, label
+        self._queue: deque = deque()         # (deadline, key); armed if any
+
+    def setdefault(self, key: Any, value: Any) -> Any:
+        """The value pending under ``key``; an absent key is added with
+        ``value`` and expires one delay from now."""
+        if key in self.pending:
+            return self.pending[key]
+        self.pending[key] = value
+        self._queue.append((self._engine.now + self._delay, key))
+        if len(self._queue) == 1:
+            self._engine.call_at(self._queue[0][0], self._fire,
+                                 label=self._label)
+        return value
+
+    def _fire(self) -> None:
+        queue, pending, now = self._queue, self.pending, self._engine.now
+        expired = []
+        while queue and (queue[0][0] <= now or queue[0][1] not in pending):
+            key = queue.popleft()[1]
+            if key in pending:
+                expired.append((key, pending.pop(key)))
+        if queue:
+            self._engine.call_at(queue[0][0], self._fire, label=self._label)
+        for key, value in expired:
+            self._on_expire(key, value)
