@@ -34,6 +34,15 @@ fingerprints render each shared LSA once for all members
 * ``control_flat`` (flat E6 build at 3×4) 48,891 → 41,597 (−15 %);
 * ``stateful_serial`` (the unsharded stateful run at 3×4, node stat
   rows included) 44,668 → 29,463 (−34 %).
+
+A member acks the flooded copies a port brought in once, after a delay,
+and times a neighbour's copies with one deadline queue instead of a
+closure and an ``InvokeTable`` entry each (docs/ARCHITECTURE.md, "Flood
+acknowledgement: one ack and one timer per neighbour"):
+
+* ``control_flat`` 41,597 → 36,124 (−13 %);
+* ``data_clean`` rina 134,292 → 132,034 (−1.7 %);
+* ``stateful_serial`` 29,463 → 24,703 (−16 %).
 """
 
 import os
@@ -76,11 +85,11 @@ def _stateful_serial():
 
 
 EXPECTED = {
-    "control_flat": 41597,
-    "data_clean_rina": 134292,
+    "control_flat": 36124,
+    "data_clean_rina": 132034,
     "data_clean_ip": 58140,
     "flood": 1001,
-    "stateful_serial": 29463,
+    "stateful_serial": 24703,
 }
 
 RUNS = {

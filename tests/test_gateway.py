@@ -33,8 +33,13 @@ from repro.gateway.wire import (LENGTH_PREFIX, MAX_FRAME_BYTES,
 #: wire bytes changed (one-pass codec): the transcript hashes each
 #: payload's encoding, and the encoding is what moved —
 #: :data:`GOLDEN_SESSION_LIVE_SHA256` is the proof nothing else did.
+#: Re-captured again, with the live pin below, when flooded copies came
+#: to be acked once per port after a delay: acks are ``M_WRITE_R``
+#: ``/flood/ack`` listing invoke-ids (two directory acks became one, so
+#: client-to-server frames went 21 -> 20), and flow allocation's
+#: invoke-ids no longer share a counter with flooded copies.
 GOLDEN_SESSION_FINGERPRINT = (
-    "d8320038e3f89c661035b167bd2e5a84908a681a824670936a9bcdfe3a3a6c9c")
+    "677e232cce9bafc83cbc633cdc2fb2266eeea95df958eb9ea677bcf17c6d0995")
 
 #: The same transcript with every payload decoded and rendered from its
 #: live fields (``test_codec.live_fields``): independent of the byte
@@ -42,7 +47,7 @@ GOLDEN_SESSION_FINGERPRINT = (
 #: after it.  A wire-format change moves the fingerprint above and must
 #: leave this one alone.
 GOLDEN_SESSION_LIVE_SHA256 = (
-    "4d4ea362c0952e5807e96be20dd92dcb97e94604af4b888635ecf239ca44facf")
+    "243a487f5c7226ad2fdd88e67767e8225d6e3c572e3bc5718006fc8092ae3b89")
 
 
 def live_transcript_sha256(transcript):
