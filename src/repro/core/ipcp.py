@@ -245,7 +245,9 @@ class Ipcp:
                 copy = RiepMessage(message.opcode, obj=message.obj,
                                    value=message.value,
                                    invoke_id=next(self._flood_ids))
-                # the payload is shared, so the size estimate carries over
+                # the payload is shared, so the encoded-size estimate
+                # carries over (re-walking a large LSA value per neighbor
+                # was a measured cost)
                 copy._size_cache = message.estimate_size()
                 sent += self._send_copy(
                     neighbor, copy, self.dif.policies.flood_attempts - 1)
@@ -267,7 +269,8 @@ class Ipcp:
         unacked.setdefault(copy.invoke_id, (copy, attempts_left))
         return self.send_mgmt_on_port(port_id, copy)
 
-    def _flood_expired(self, neighbor: Address, _id: int, entry) -> None:
+    def _flood_expired(self, neighbor: Address, _id: int,
+                       entry: tuple) -> None:
         copy, left = entry                  # unacked a timeout after a send
         if left and self._send_copy(neighbor, copy, left - 1):
             self.tracer.count("mgmt.flood-retx")
@@ -323,8 +326,9 @@ class Ipcp:
         obj = message.obj
         if obj == FLOOD_ACK_OBJ:
             unacked = self._unacked.get(from_neighbor)
-            for invoke_id in message.value if unacked is not None else ():
-                unacked.pending.pop(invoke_id, None)
+            if unacked is not None:
+                for invoke_id in message.value:
+                    unacked.pending.pop(invoke_id, None)
         elif obj == LSA_OBJ and message.opcode != M_READ:
             self._ack_flood(message, port_id)
             self.routing.handle_lsa(message, from_neighbor)
