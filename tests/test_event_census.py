@@ -178,7 +178,7 @@ EXPECTED = {
         "wl.xfer.start": 2},
     "flood": {"<link>.rx": 90, "flood.announce": 10},
     # the scale tier's flat row, whose cost was once held to a wall-clock
-    # floor: build plus flap scope at seed 1, 10,658 events
+    # floor: build plus flap scope at seed 1, 8,404 events
     "scale_flat_5x10": {
         "(unlabelled)": 1, "<ipcp>.keepalive": 1064, "<link>.rx": 6001,
         "fabric.start": 1, "riep.flood-ack": 389, "riep.flood-retx": 220,
