@@ -339,14 +339,24 @@ class TestA2EfcpPolicies:
 
 class TestE3Bursty:
     def test_scoped_wins_under_bursty_fades(self):
+        """Over a seed panel, at the experiment's two sizes: the mean
+        scoped goodput beats the mean end-to-end goodput, and the scoped
+        configuration never retransmits at the top layer.  One seed says
+        little about a bursty channel: at seed 2 the end-to-end run meets
+        no fade and beats scoped on its own."""
         from repro.experiments.e3_scoped_recovery import run_bursty
-        e2e = run_bursty("e2e", total_bytes=60_000)
-        scoped = run_bursty("scoped", total_bytes=60_000)
-        assert scoped["goodput_mbps"] > e2e["goodput_mbps"]
-        assert scoped["top_layer_retx"] == 0
-        # the E3 table's bursty rows
-        assert (run_bursty("scoped")["goodput_mbps"]
-                > run_bursty("e2e")["goodput_mbps"])
+        seeds = (1, 2, 3)
+        for total_bytes in (60_000, 100_000):
+            goodput = {}
+            for config in ("e2e", "scoped"):
+                rows = [run_bursty(config, total_bytes=total_bytes,
+                                   seed=seed) for seed in seeds]
+                goodput[config] = sum(row["goodput_mbps"]
+                                      for row in rows) / len(seeds)
+                if config == "scoped":
+                    assert [row["top_layer_retx"] for row in rows] == \
+                        [0] * len(seeds)
+            assert goodput["scoped"] > goodput["e2e"], (total_bytes, goodput)
 
 
 class TestA4HandoverStrategy:
