@@ -222,7 +222,9 @@ class TcpConnection:
         if segment.flags == RST:
             self._die()
             return
-        if self.state == LISTEN and segment.flags == SYN:
+        if segment.flags == SYN and self.state in (LISTEN, SYN_RCVD):
+            # a SYN again in SYN_RCVD means our SYN-ACK was lost: answer
+            # it again, as Linux's tcp_check_req does
             self.rcv_nxt = segment.seq
             self.state = SYN_RCVD
             self._send_segment(SYNACK, self.snd_nxt, self.rcv_nxt)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import IpFabric
-from repro.sim.link import UniformLoss
+from repro.sim.link import LossModel, UniformLoss
 from repro.sim.network import Network
 
 
@@ -46,6 +46,27 @@ class TestTcp:
         network.run(until=60.0)
         assert sum(got) == 20_000
         assert conn.retransmissions > 0
+
+    def test_lost_syn_ack_is_answered_on_the_retransmitted_syn(self):
+        """The passive side answers a SYN that comes again in SYN_RCVD
+        with its SYN-ACK again, as Linux's ``tcp_check_req`` does: the
+        SYN-ACK was lost, and nothing else would resend it."""
+        class DropTheSecondFrame(LossModel):
+            frames = 0
+
+            def should_drop(self, rng, now, direction=0):
+                self.frames += 1
+                return self.frames == 2
+
+        loss = DropTheSecondFrame()
+        network, a, b = host_pair(loss=loss)
+        got = []
+        b.tcp.listen(80, lambda c: setattr(c, "on_data", got.append))
+        conn = a.tcp.connect(a.addr(), b.addr(), 80)
+        conn.on_connected = lambda: conn.send(20_000)
+        network.run(until=60.0)
+        assert network.link_between("a", "b").frames_dropped_loss == [0, 1]
+        assert sum(got) == 20_000
 
     def test_syn_to_closed_port_gets_rst(self):
         network, a, b = host_pair()
