@@ -42,8 +42,13 @@ class LossModel:
 
     lossless = False
 
-    def should_drop(self, rng: random.Random, now: float) -> bool:
-        """Return True to drop the frame currently being delivered."""
+    def should_drop(self, rng: random.Random, now: float,
+                    direction: int = 0) -> bool:
+        """Return True to drop the frame currently being delivered.
+
+        ``rng`` is the stream of the frame's direction; a model with
+        state keeps it per ``direction`` too, so the two directions'
+        draws never depend on how their frames interleave."""
         raise NotImplementedError
 
 
@@ -54,7 +59,8 @@ class NoLoss(LossModel):
 
     lossless = True
 
-    def should_drop(self, rng: random.Random, now: float) -> bool:
+    def should_drop(self, rng: random.Random, now: float,
+                    direction: int = 0) -> bool:
         return False
 
 
@@ -72,7 +78,8 @@ class UniformLoss(LossModel):
             raise ValueError(f"loss probability must be in [0,1], got {probability}")
         self.probability = probability
 
-    def should_drop(self, rng: random.Random, now: float) -> bool:
+    def should_drop(self, rng: random.Random, now: float,
+                    direction: int = 0) -> bool:
         return rng.random() < self.probability
 
 
@@ -81,6 +88,8 @@ class GilbertElliott(LossModel):
 
     Parameters are per-frame transition probabilities and per-state loss
     rates.  Defaults give ~1% average loss with occasional deep fades.
+    Each direction has its own channel state, as a
+    :class:`BandwidthShaper` has its own bucket per direction.
     """
 
     __slots__ = ("p_good_to_bad", "p_bad_to_good", "loss_good", "loss_bad",
@@ -97,16 +106,19 @@ class GilbertElliott(LossModel):
         self.p_bad_to_good = p_bad_to_good
         self.loss_good = loss_good
         self.loss_bad = loss_bad
-        self._bad = False
+        self._bad = [False, False]
 
-    def should_drop(self, rng: random.Random, now: float) -> bool:
-        if self._bad:
+    def should_drop(self, rng: random.Random, now: float,
+                    direction: int = 0) -> bool:
+        bad = self._bad[direction]
+        if bad:
             if rng.random() < self.p_bad_to_good:
-                self._bad = False
+                bad = False
         else:
             if rng.random() < self.p_good_to_bad:
-                self._bad = True
-        rate = self.loss_bad if self._bad else self.loss_good
+                bad = True
+        self._bad[direction] = bad
+        rate = self.loss_bad if bad else self.loss_good
         return rng.random() < rate
 
 
@@ -545,17 +557,19 @@ class Link:
         is the count, and :class:`~repro.sim.network.Network` hands the
         tracer a read of it.
     rng / rng_factory:
-        The per-link PRNG feeding the loss model.  ``rng_factory`` defers
-        construction until the first frame actually needs a loss draw —
-        a lossless link never materializes its PRNG, which matters at
-        100k-link scale (a ``random.Random`` is ~2.5 KB of Mersenne
-        state).  An explicit ``rng`` wins over the factory.  A factory
-        may additionally accept one positional stream-suffix argument
-        (``"jitter"``, ``"corrupt"``, ``"reorder"``): condition models
-        draw from those separately named streams, so installing a
-        condition never perturbs the loss stream (or any other link's
-        streams).  The bare ``factory()`` call keeps feeding the loss
-        model exactly as before.
+        The PRNG feeding direction 0's loss draws.  ``rng_factory``
+        defers construction until the first frame actually needs a loss
+        draw — a lossless link never materializes its PRNG, which
+        matters at 100k-link scale (a ``random.Random`` is ~2.5 KB of
+        Mersenne state).  An explicit ``rng`` wins over the factory.  A
+        factory may additionally accept one positional stream-suffix
+        argument: every other stream is named by one, so each direction
+        of each purpose draws alone and installing a condition never
+        perturbs the loss stream (or any other link's streams).
+        Direction 0 keeps the names the streams had when both directions
+        shared them (the bare ``factory()`` for loss, ``"jitter"``,
+        ``"corrupt"``, ``"reorder"``); direction 1 appends ``:1``
+        (``"loss:1"``, ``"jitter:1"``, ...).
     conditions:
         Optional :class:`LinkConditions` bundle (jitter, shaping,
         corruption, reordering), also assignable at runtime via the
@@ -693,29 +707,33 @@ class Link:
                 for entry in list(self._reorder_held[direction]):
                     self._release_held(direction, entry)
 
-    def _condition_rng(self, purpose: str) -> random.Random:
-        """The lazily built, per-purpose deterministic PRNG.
+    def _condition_rng(self, purpose: str, direction: int) -> random.Random:
+        """The lazily built deterministic PRNG of one purpose in one
+        direction.
 
-        Each purpose (``jitter``/``corrupt``/``reorder``) gets its own
-        named stream via the link's ``rng_factory`` — independent of the
-        loss stream and of every other link — so installing a condition
-        mid-run cannot perturb any pre-existing draw sequence.  Links
+        Each purpose (``jitter``/``corrupt``/``reorder``, and ``loss`` in
+        direction 1) gets its own named stream per direction via the
+        link's ``rng_factory`` — independent of the loss stream and of
+        every other link — so installing a condition mid-run cannot
+        perturb any pre-existing draw sequence, and a draw's value does
+        not depend on how the two directions' frames interleave.  Links
         built without a factory derive a stable seed from
-        ``"<link name>:<purpose>"`` instead.
+        ``"<link name>:<stream name>"`` instead.
         """
+        name = purpose if direction == 0 else f"{purpose}:1"
         rngs = self._cond_rngs
         if rngs is None:
             rngs = self._cond_rngs = {}
-        rng = rngs.get(purpose)
+        rng = rngs.get(name)
         if rng is None:
             factory = self._rng_factory
             if factory is not None:
-                rng = factory(purpose)
+                rng = factory(name)
             else:
                 digest = hashlib.sha256(
-                    f"{self.name}:{purpose}".encode()).digest()
+                    f"{self.name}:{name}".encode()).digest()
                 rng = random.Random(int.from_bytes(digest[:8], "big"))
-            rngs[purpose] = rng
+            rngs[name] = rng
         return rng
 
     def observe(self, callback: Callable[["Link", bool], None]) -> None:
@@ -909,12 +927,16 @@ class Link:
                 # fast path: no RNG draw, and the lazy PRNG never exists
                 self._schedule_delivery(direction, payload, size)
             else:
-                rng = self._rng
-                if rng is None:
-                    factory = self._rng_factory
-                    rng = factory() if factory is not None else random.Random(0)
-                    self._rng = rng
-                if loss.should_drop(rng, self._engine.now):
+                if direction:
+                    rng = self._condition_rng("loss", 1)
+                else:
+                    rng = self._rng
+                    if rng is None:
+                        factory = self._rng_factory
+                        rng = (factory() if factory is not None
+                               else random.Random(0))
+                        self._rng = rng
+                if loss.should_drop(rng, self._engine.now, direction):
                     self.frames_dropped_loss[direction] += 1
                     self._trace_count("link.drop.loss")
                 else:
@@ -949,7 +971,7 @@ class Link:
             return
         corruption = conditions.corruption
         if corruption is not None:
-            rng = self._condition_rng("corrupt")
+            rng = self._condition_rng("corrupt", direction)
             if corruption.should_corrupt(rng):
                 payload = corruption.corrupt(rng, payload)
                 self.frames_corrupted[direction] += 1
@@ -957,11 +979,12 @@ class Link:
         delay = self._delay
         jitter = conditions.jitter
         if jitter is not None:
-            delay += jitter.sample(self._condition_rng("jitter"))
+            delay += jitter.sample(self._condition_rng("jitter", direction))
         reorder = conditions.reorder
         held = self._reorder_held
         if (reorder is not None and not held[direction]
-                and reorder.should_displace(self._condition_rng("reorder"))):
+                and reorder.should_displace(
+                    self._condition_rng("reorder", direction))):
             # park this frame; it re-enters the wire once `depth` later
             # frames have overtaken it (or at the max_hold fallback,
             # measured from the moment it was parked)

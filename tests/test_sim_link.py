@@ -197,6 +197,29 @@ class TestLossModels:
         runs = sum(1 for a, b in zip(outcomes, outcomes[1:]) if a and b)
         assert runs > drops * 0.5  # far more clustered than independent loss
 
+    def test_gilbert_elliott_fade_stays_in_its_direction(self):
+        """Each direction keeps its own channel state and its own stream:
+        a fade in one direction leaves the other's draws unchanged."""
+        def run(forward_traffic):
+            engine = Engine()
+            link = Link(engine, "ge", loss=GilbertElliott(
+                p_good_to_bad=0.05, p_bad_to_good=0.2, loss_good=0.0,
+                loss_bad=1.0))
+            back = []
+            link.ends[0].attach(lambda p, s: back.append((engine.now, p)))
+            for index in range(400):
+                engine.call_at(index * 0.001, link.ends[1].send, index, 100)
+                if forward_traffic:
+                    engine.call_at(index * 0.001, link.ends[0].send,
+                                   index, 100)
+            engine.run()
+            return back, link
+        quiet, _link = run(False)
+        busy, link = run(True)
+        assert link.frames_dropped_loss[0] > 0       # direction 0 faded
+        assert 0 < len(busy) < 400
+        assert busy == quiet
+
     def test_gilbert_elliott_validates_parameters(self):
         with pytest.raises(ValueError):
             GilbertElliott(p_good_to_bad=2.0)
