@@ -95,13 +95,12 @@ class BoundaryHalf(Link):
         self.local_index = local_index
 
     def _arrival(self, direction: int, payload: Any, size: int,
-                 end: float) -> None:
-        # identical float arithmetic to Link._arrival: the peer region
-        # will deliver at exactly this time.  The payload crosses as wire
-        # data — never as a live object.  Nothing fails, conditions or
-        # re-rates a half, so no captured frame is ever recalled.
-        self._outbox.append((end + self._delay, self.name,
-                             encode(payload), size))
+                 when: float) -> None:
+        # the peer region will deliver at exactly this time.  The
+        # payload crosses as wire data — never as a live object.  The
+        # plan refuses lossy and conditioned cuts and nothing fails a
+        # half, so no captured frame is ever cancelled or moved.
+        self._outbox.append((when, self.name, encode(payload), size))
 
     def deliver_inbound(self, payload: bytes, size: int) -> None:
         """Decode and deliver a relayed frame up the local stack

@@ -339,17 +339,26 @@ class ReorderModel:
 
 
 class _HeldFrame:
-    """One in-flight frame parked by a :class:`ReorderModel`."""
+    """One frame a :class:`ReorderModel` parked: it arrives ``delay``
+    after ``release``, which the send of a later frame may move
+    earlier."""
 
-    __slots__ = ("payload", "size", "remaining", "delay", "released")
+    __slots__ = ("payload", "size", "release", "remaining", "delay",
+                 "arrival")
 
-    def __init__(self, payload: Any, size: int, remaining: int,
-                 delay: float) -> None:
+    def __init__(self, payload: Any, size: int, release: float,
+                 remaining: int, delay: float) -> None:
         self.payload = payload
         self.size = size
+        self.release = release
         self.remaining = remaining
         self.delay = delay
-        self.released = False
+        self.arrival: Optional[Event] = None
+
+
+#: A sent frame as its direction keeps it: ``(serialization end, the
+#: arrival to cancel if the link fails first or None, payload, size)``.
+_Record = Tuple[float, Optional[Event], Any, int]
 
 
 class LinkConditions:
@@ -575,15 +584,19 @@ class Link:
         corruption, reordering), also assignable at runtime via the
         :attr:`conditions` property — that is how the scenario fault
         injectors turn conditions on and off mid-run.
+
+    ``capacity_bps``, ``delay``, ``loss`` and ``conditions`` may change
+    mid-run; a change applies to the frames sent after it
+    (:meth:`transmit`).
     """
 
-    __slots__ = ("_engine", "name", "_capacity_bps", "_delay", "_loss",
+    __slots__ = ("_engine", "name", "capacity_bps", "delay", "loss",
                  "queue_limit", "_rng", "_rng_factory", "_tracer",
                  "ends", "_queues", "_busy", "_up", "_observers",
                  "frames_sent", "frames_dropped_queue", "frames_dropped_loss",
                  "frames_delivered", "bytes_delivered", "frames_corrupted",
-                 "_conditions", "_cond_rngs", "_reorder_held",
-                 "_last_delivery", "_tx_due", "_tx_label", "_rx_label")
+                 "_conditions", "_cond_rngs", "_held", "_last_delivery",
+                 "_tx_due", "_tx_label", "_rx_label")
 
     def __init__(self, engine: Engine, name: str, capacity_bps: float = 1e8,
                  delay: float = 0.001, loss: Optional[LossModel] = None,
@@ -598,9 +611,9 @@ class Link:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self._engine = engine
         self.name = name
-        self._capacity_bps = float(capacity_bps)
-        self._delay = float(delay)
-        self._loss = loss if loss is not None else _NO_LOSS
+        self.capacity_bps = float(capacity_bps)
+        self.delay = float(delay)
+        self.loss = loss if loss is not None else _NO_LOSS
         self.queue_limit = queue_limit
         self._rng = rng
         self._rng_factory = rng_factory
@@ -609,13 +622,12 @@ class Link:
             LinkEnd(self, 0, f"{name}[0]"),
             LinkEnd(self, 1, f"{name}[1]"),
         )
-        # per-direction service state (see transmit): None when idle, True
-        # while the event path serializes a frame, or the arithmetic
-        # path's last frame record.  A direction's deque is made only when
-        # a frame finds it busy: most links of a large plant never queue,
-        # and two empty deques are ~1.2 KB per link.
-        self._busy: List[Any] = [None, None]
-        self._queues: List[Optional[Deque[Tuple[Any, ...]]]] = [None, None]
+        # per-direction service state (see transmit): the last frame's
+        # record, or None when idle.  A direction's deque is made only
+        # when a frame finds it busy: most links of a large plant never
+        # queue, and two empty deques are ~1.2 KB per link.
+        self._busy: List[Optional[_Record]] = [None, None]
+        self._queues: List[Optional[Deque[_Record]]] = [None, None]
         self._up = True
         # observers notified with (link, up) on fail/repair — used by stacks
         # that model carrier detection (interface down when the link dies)
@@ -630,14 +642,12 @@ class Link:
         # condition state, lazy: a clean link carries four None slots
         self._conditions: Optional[LinkConditions] = None
         self._cond_rngs: Optional[Dict[str, random.Random]] = None
-        self._reorder_held: Optional[Tuple[List[_HeldFrame],
-                                           List[_HeldFrame]]] = None
+        self._held: Optional[Tuple[Deque[_HeldFrame],
+                                   Deque[_HeldFrame]]] = None
         self._last_delivery: Optional[List[float]] = None
-        # the event path's serialization end per direction, made when the
-        # event path first serves a frame (see _enqueue)
-        self._tx_due: Optional[List[float]] = None
-        # event labels, precomputed: an f-string per scheduled event is
-        # measurable at scale
+        # the event label, precomputed: an f-string per scheduled event
+        # is measurable at scale
+        self._tx_due = None
         self._tx_label = f"{name}.tx"
         self._rx_label = f"{name}.rx"
         if conditions is not None:
@@ -649,39 +659,6 @@ class Link:
         """False while the link is administratively failed."""
         return self._up
 
-    # The parameters a frame's path reads are properties so that a change
-    # mid-run first recalls the frames the arithmetic path has in service
-    # (see _recall); the scenario fault injectors assign them.
-    @property
-    def capacity_bps(self) -> float:
-        """Serialization rate of each direction, bits per second."""
-        return self._capacity_bps
-
-    @capacity_bps.setter
-    def capacity_bps(self, value: float) -> None:
-        self._recall()
-        self._capacity_bps = value
-
-    @property
-    def delay(self) -> float:
-        """One-way propagation delay, seconds."""
-        return self._delay
-
-    @delay.setter
-    def delay(self, value: float) -> None:
-        self._recall()
-        self._delay = value
-
-    @property
-    def loss(self) -> LossModel:
-        """The loss model both directions draw from."""
-        return self._loss
-
-    @loss.setter
-    def loss(self, value: LossModel) -> None:
-        self._recall()
-        self._loss = value
-
     @property
     def conditions(self) -> Optional[LinkConditions]:
         """The impairment bundle in effect, or None for a clean link."""
@@ -692,20 +669,270 @@ class Link:
         if value is not None and not isinstance(value, LinkConditions):
             raise TypeError(f"conditions must be LinkConditions or None, "
                             f"got {type(value).__name__}")
-        self._recall()
         self._conditions = value
         if value is not None:
-            if value.reorder is not None and self._reorder_held is None:
-                self._reorder_held = ([], [])
+            if value.reorder is not None and self._held is None:
+                self._held = (deque(), deque())
             if value.jitter is not None and self._last_delivery is None:
                 self._last_delivery = [0.0, 0.0]
-        if (self._reorder_held is not None
-                and (value is None or value.reorder is None)):
-            # removing the reorder model releases any parked frame, in
-            # order — its time on the wire is already spent, not re-drawn
-            for direction in (0, 1):
-                for entry in list(self._reorder_held[direction]):
-                    self._release_held(direction, entry)
+
+    def _stream(self, purpose: str, direction: int) -> random.Random:
+        """The lazily built deterministic PRNG of one purpose in one
+        direction.
+
+        Each purpose (``loss``/``corrupt``/``jitter``/``reorder``) gets
+        its own named stream per direction via the link's
+        ``rng_factory`` — independent of every other link — so
+        installing a condition mid-run cannot perturb any pre-existing
+        draw sequence, and a draw's value does not depend on how the two
+        directions' frames interleave.  Direction 0's loss stream is the
+        link's ``rng`` (or the bare ``factory()``); links built without
+        a factory derive the others' seeds from
+        ``"<link name>:<stream name>"`` and fall back to
+        ``random.Random(0)`` for it.
+        """
+        if direction:
+            purpose += ":1"
+        elif purpose == "loss":
+            rng = self._rng
+            if rng is None:
+                factory = self._rng_factory
+                rng = self._rng = (factory() if factory is not None
+                                   else random.Random(0))
+            return rng
+        rngs = self._cond_rngs
+        if rngs is None:
+            rngs = self._cond_rngs = {}
+        rng = rngs.get(purpose)
+        if rng is None:
+            factory = self._rng_factory
+            if factory is not None:
+                rng = factory(purpose)
+            else:
+                digest = hashlib.sha256(
+                    f"{self.name}:{purpose}".encode()).digest()
+                rng = random.Random(int.from_bytes(digest[:8], "big"))
+            rngs[purpose] = rng
+        return rng
+
+    def observe(self, callback: Callable[["Link", bool], None]) -> None:
+        """Register for fail/repair notifications (carrier detection)."""
+        self._observers.append(callback)
+
+    def fail(self) -> None:
+        """Take the link down.
+
+        Frames still serializing (queued ones included) and frames a
+        :class:`ReorderModel` holds parked never arrive: their arrivals
+        are cancelled.  They keep their place on the wire — the
+        direction stays busy until they would have finished — because
+        their fate was decided when they were sent.  Frames already
+        propagating die on arrival while the link is down, and sends
+        are dropped until :meth:`repair`.
+        """
+        if not self._up:
+            return
+        self._up = False
+        now = self._engine.now
+        for direction in (0, 1):
+            last = self._busy[direction]
+            if last is None or last[0] <= now:
+                continue
+            queue = self._queues[direction]
+            for end, arrival, _payload, _size in (
+                    queue if queue and queue[-1] is last else (last,)):
+                if end > now and arrival is not None:
+                    arrival.cancel()
+        if self._held is not None:
+            for held in self._held:
+                for entry in held:
+                    if entry.release > now and entry.arrival is not None:
+                        entry.arrival.cancel()
+                        entry.arrival = None
+        for callback in list(self._observers):
+            callback(self, False)
+
+    def repair(self) -> None:
+        """Bring the link back up."""
+        if self._up:
+            return
+        self._up = True
+        for callback in list(self._observers):
+            callback(self, True)
+
+    # ------------------------------------------------------------------
+    def transmit(self, from_index: int, payload: Any, size_bytes: int) -> bool:
+        """Send a frame in the given direction; returns False on tail drop.
+
+        The one frame path.  Everything a frame meets on the link is
+        decided here, when it is sent, and the only event it costs is
+        its arrival: the frame starts when the direction frees
+        (``start``), waits for the shaper's tokens if one is installed,
+        serializes until ``end = start + tx_time``, and then draws, from
+        its direction's own streams, its loss, corruption, jitter and
+        reorder fate, in that order.  A clean direction (no conditions,
+        a lossless model, never a parked frame) skips the draws, and its
+        arrival is ``end + delay`` — the floats of stepping through an
+        event at ``end``.  Because the frames of one direction are sent
+        in the order they serialize, each stream is drawn in that order,
+        which is the order an event at each serialization end would
+        draw in.
+
+        The rate, delay, loss model and conditions in effect at the send
+        apply; a change later reaches only later frames.  The direction
+        keeps the last frame's ``(end, arrival, payload, size)`` record,
+        and the records of the frames still serializing once one had to
+        wait: those count against ``queue_limit`` (all but the one in
+        service), and :meth:`fail` cancels their arrivals.  A frame whose
+        serialization ends at this very instant has left the count.
+        """
+        if size_bytes <= 0:
+            raise ValueError(f"frame size must be positive, got {size_bytes}")
+        if not self._up:
+            self.frames_dropped_queue[from_index] += 1
+            self._trace_count("link.drop.down")
+            return False
+        now = self._engine.now
+        last = self._busy[from_index]
+        queue = None
+        if last is None or last[0] <= now:
+            start, waiting = now, 0
+        else:
+            # the direction is busy until the last frame's end: keep the
+            # frames from the one in service on, dropping those finished
+            start = last[0]
+            queue = self._queues[from_index]
+            while queue and queue[0][0] <= now:
+                queue.popleft()
+            if not queue:
+                queue = self._queues[from_index] = deque((last,))
+            waiting = len(queue) - 1
+        if waiting >= self.queue_limit:
+            self.frames_dropped_queue[from_index] += 1
+            self._trace_count("link.drop.queue")
+            return False
+        self.frames_sent[from_index] += 1
+        if (self._conditions is None and self.loss.lossless
+                and self._held is None):
+            end = start + size_bytes * 8.0 / self.capacity_bps
+            record = (end, self._arrival(from_index, payload, size_bytes,
+                                         end + self.delay),
+                      payload, size_bytes)
+        else:
+            record = self._decide(from_index, payload, size_bytes, start)
+        self._busy[from_index] = record
+        if queue is not None:
+            queue.append(record)
+        return True
+
+    def _decide(self, direction: int, payload: Any, size: int,
+                start: float) -> _Record:
+        """A frame's fate on a lossy, conditioned or reordering
+        direction, given its start; returns its record.
+
+        Conditions apply to the wire form in a fixed order — the
+        shaper's wait at the start, then at the end the loss draw,
+        corruption, jitter and reordering — each drawing from its own
+        stream (see :meth:`_stream`).  With ``preserve_order`` jitter
+        clamps the arrival to the latest one already decided in this
+        direction (the engine breaks ties by scheduling order, so
+        equality keeps FIFO).  A parked frame arrives ``max_hold`` after
+        its end plus its delay, unless the ``depth``-th later frame to
+        arrive ends first: that frame's send moves it to that frame's
+        end plus its delay.  At most one frame per direction is parked
+        at any instant.
+        """
+        conditions = self._conditions
+        tx_time = size * 8.0 / self.capacity_bps
+        if conditions is not None and conditions.shaper is not None:
+            # the token-bucket wait precedes serialization, so shaping
+            # keeps FIFO order and holds the direction busy meanwhile
+            tx_time += conditions.shaper.reserve(direction, size, start)
+        end = start + tx_time
+        loss = self.loss
+        if not loss.lossless and loss.should_drop(
+                self._stream("loss", direction), end, direction):
+            self.frames_dropped_loss[direction] += 1
+            self._trace_count("link.drop.loss")
+            return (end, None, payload, size)
+        delay = self.delay
+        jitter = reorder = None
+        if conditions is not None:
+            corruption = conditions.corruption
+            if corruption is not None:
+                rng = self._stream("corrupt", direction)
+                if corruption.should_corrupt(rng):
+                    payload = corruption.corrupt(rng, payload)
+                    self.frames_corrupted[direction] += 1
+                    self._trace_count("link.corrupted")
+            jitter = conditions.jitter
+            if jitter is not None:
+                delay += jitter.sample(self._stream("jitter", direction))
+            reorder = conditions.reorder
+        held = self._held[direction] if self._held is not None else None
+        parked = held[-1] if held else None
+        if parked is not None and parked.release <= end:
+            parked = None           # released before this frame ends
+        if (parked is None and reorder is not None
+                and reorder.should_displace(
+                    self._stream("reorder", direction))):
+            now = self._engine.now
+            while held and held[0].release <= now:
+                held.popleft()      # on the wire: nothing left to cancel
+            entry = _HeldFrame(payload, size, end + reorder.max_hold,
+                               reorder.depth, delay)
+            entry.arrival = self._arrival(direction, payload, size,
+                                          entry.release + delay)
+            held.append(entry)
+            return (end, None, payload, size)
+        when = end + delay
+        if jitter is not None and jitter.preserve_order:
+            last = self._last_delivery
+            if when < last[direction]:
+                when = last[direction]
+            last[direction] = when
+        record = (end, self._arrival(direction, payload, size, when),
+                  payload, size)
+        if parked is not None:
+            parked.remaining -= 1
+            if parked.remaining <= 0:
+                # overtaken `depth` times: it re-enters the wire at this
+                # frame's end (deliberately displaced, so no clamp)
+                parked.release = end
+                if parked.arrival is not None:
+                    parked.arrival.cancel()
+                    parked.arrival = self._arrival(
+                        direction, parked.payload, parked.size,
+                        end + parked.delay)
+        return record
+
+    def _arrival(self, direction: int, payload: Any, size: int,
+                 when: float) -> Optional[Event]:
+        """Schedule a frame's arrival at ``when``.
+
+        The single seam where a live payload becomes wire data:
+        subclasses that cut a link at a simulation boundary (the shard
+        subsystem's half-links) override it to capture the encoded frame
+        instead of scheduling local delivery.  Queueing, serialization
+        and every draw stay shared either way.
+        """
+        return self._engine.call_at(when, self._deliver, direction, payload,
+                                    size, label=self._rx_label)
+
+    def _deliver(self, direction: int, payload: Any, size: int) -> None:
+        last = self._busy[direction]
+        if last is not None and last[0] <= self._engine.now:
+            # the direction's last frame is on the wire: nothing is left
+            # serializing, so let the records (and payloads) go
+            self._busy[direction] = self._queues[direction] = None
+        if not self._up:
+            return
+        self.frames_delivered[direction] += 1
+        self.bytes_delivered[direction] += size
+        # LinkEnd.deliver inline: one call less per frame
+        receiver = self.ends[1 - direction]._receiver
+        if receiver is not None:
+            receiver(payload, size)
 
     def _condition_rng(self, purpose: str, direction: int) -> random.Random:
         """The lazily built deterministic PRNG of one purpose in one
@@ -735,134 +962,6 @@ class Link:
                 rng = random.Random(int.from_bytes(digest[:8], "big"))
             rngs[name] = rng
         return rng
-
-    def observe(self, callback: Callable[["Link", bool], None]) -> None:
-        """Register for fail/repair notifications (carrier detection)."""
-        self._observers.append(callback)
-
-    def fail(self) -> None:
-        """Take the link down: queued and future frames are discarded."""
-        if not self._up:
-            return
-        self._recall()
-        self._up = False
-        for queue in self._queues:
-            if queue is not None:
-                queue.clear()
-        held = self._reorder_held
-        if held is not None:
-            # frames parked by the reorder model die with the link, like
-            # any other in-flight frame; the timeout event then no-ops
-            for direction in (0, 1):
-                for entry in held[direction]:
-                    entry.released = True
-                held[direction].clear()
-        for callback in list(self._observers):
-            callback(self, False)
-
-    def repair(self) -> None:
-        """Bring the link back up."""
-        if self._up:
-            return
-        self._up = True
-        for callback in list(self._observers):
-            callback(self, True)
-
-    # ------------------------------------------------------------------
-    def transmit(self, from_index: int, payload: Any, size_bytes: int) -> bool:
-        """Queue a frame in the given direction; returns False on tail drop.
-
-        A clean direction (no conditions, a lossless model, no frame
-        serializing on the event path) serves its FIFO by arithmetic: the
-        frame starts when the direction frees, ``end = start + tx_time``,
-        and its arrival is scheduled at once at ``end + delay`` — the same
-        floats, in the same association order, as stepping through a
-        ``.tx`` event at ``end``.  The direction keeps the last frame's
-        ``(end, arrival, payload, size)`` record; the frames still
-        serializing (kept in the deque once one had to wait) are what
-        :meth:`_recall` hands back to the event path when a parameter
-        changes.  Every other direction steps through events as before.
-        """
-        if size_bytes <= 0:
-            raise ValueError(f"frame size must be positive, got {size_bytes}")
-        if not self._up:
-            self.frames_dropped_queue[from_index] += 1
-            self._trace_count("link.drop.down")
-            return False
-        last = self._busy[from_index]
-        if (last is True or self._conditions is not None
-                or not self._loss.lossless):
-            return self._enqueue(from_index, payload, size_bytes)
-        now = self._engine.now
-        queue = None
-        if last is None or last[0] <= now:
-            start, waiting = now, 0
-        else:
-            # the direction is busy until the last frame's end: keep the
-            # frames from the one in service on, dropping those finished
-            start = last[0]
-            queue = self._queues[from_index]
-            while queue and queue[0][0] <= now:
-                queue.popleft()
-            if not queue:
-                queue = self._queues[from_index] = deque((last,))
-            waiting = len(queue) - 1
-        if waiting >= self.queue_limit:
-            self.frames_dropped_queue[from_index] += 1
-            self._trace_count("link.drop.queue")
-            return False
-        self.frames_sent[from_index] += 1
-        end = start + size_bytes * 8.0 / self._capacity_bps
-        record = (end, self._arrival(from_index, payload, size_bytes, end),
-                  payload, size_bytes)
-        self._busy[from_index] = record
-        if queue is not None:
-            queue.append(record)
-        return True
-
-    def _recall(self) -> None:
-        """Hand the frames the arithmetic path has still serializing back
-        to the event path, before a parameter, a condition or the link's
-        state changes.
-
-        The frame in service gets its ``.tx`` event at its serialization
-        end, the frames not yet started go back into the queue in order,
-        and their precomputed arrivals are cancelled.  Each direction then
-        is exactly where stepping through events would have it, so a
-        change reaches every frame at the same point in its life as
-        before: a loss draw, conditions and the delay at serialization
-        end, the rate at serialization start, and a failure kills a frame
-        still serializing.  A frame whose serialization ended at this very
-        instant counts as on the wire.
-        """
-        now = self._engine.now
-        for direction in (0, 1):
-            last = self._busy[direction]
-            if last is True:
-                continue
-            queue = self._queues[direction]
-            if last is None or last[0] <= now:
-                records = []
-            elif queue and queue[-1] is last:
-                records = [record for record in queue if record[0] > now]
-            else:
-                records = [last]
-            for _end, arrival, _payload, _size in records:
-                arrival.cancel()
-            # the first record is the frame in service, the rest wait
-            self._busy[direction] = True if records else None
-            self._queues[direction] = (deque(record[2:] for record
-                                             in records[1:])
-                                       if len(records) > 1 else None)
-            if records:
-                end, _arrival, payload, size = records[0]
-                self._engine.call_at(end, self._finish_serialization,
-                                     direction, payload, size,
-                                     label=self._tx_label)
-                due = self._tx_due
-                if due is None:
-                    due = self._tx_due = [0.0, 0.0]
-                due[direction] = end
 
     def _enqueue(self, direction: int, payload: Any, size: int) -> bool:
         """The event path's FIFO: a ``.tx`` event at every serialization
@@ -903,7 +1002,7 @@ class Link:
         """Put one frame on the wire: the direction is busy until its
         serialization (and any shaper wait) ends."""
         self._busy[direction] = True
-        tx_time = size * 8.0 / self._capacity_bps
+        tx_time = size * 8.0 / self.capacity_bps
         conditions = self._conditions
         if conditions is not None and conditions.shaper is not None:
             # the token-bucket wait precedes serialization, so shaping
@@ -922,7 +1021,7 @@ class Link:
         # The frame is on the wire; schedule delivery after propagation,
         # then immediately serve the next queued frame.
         if self._up:
-            loss = self._loss
+            loss = self.loss
             if loss.lossless:
                 # fast path: no RNG draw, and the lazy PRNG never exists
                 self._schedule_delivery(direction, payload, size)
@@ -943,21 +1042,6 @@ class Link:
                     self._schedule_delivery(direction, payload, size)
         self._serve(direction)
 
-    def _arrival(self, direction: int, payload: Any, size: int,
-                 end: float) -> Optional[Event]:
-        """Schedule a clean frame's arrival after propagation, given its
-        serialization end.
-
-        The single seam where a live payload becomes wire data:
-        subclasses that cut a link at a simulation boundary (the shard
-        subsystem's half-links) override it to capture the encoded frame
-        instead of scheduling local delivery.  Queueing, serialization
-        and the loss decision stay shared either way.
-        """
-        return self._engine.call_at(end + self._delay, self._deliver,
-                                    direction, payload, size,
-                                    label=self._rx_label)
-
     def _schedule_delivery(self, direction: int, payload: Any, size: int) -> None:
         """Put the event path's frame on the wire at its serialization end.
 
@@ -976,7 +1060,7 @@ class Link:
                 payload = corruption.corrupt(rng, payload)
                 self.frames_corrupted[direction] += 1
                 self._trace_count("link.corrupted")
-        delay = self._delay
+        delay = self.delay
         jitter = conditions.jitter
         if jitter is not None:
             delay += jitter.sample(self._condition_rng("jitter", direction))
@@ -1033,22 +1117,6 @@ class Link:
         self._schedule_conditioned(direction, entry.payload, entry.size,
                                    entry.delay, None)
 
-    def _deliver(self, direction: int, payload: Any, size: int) -> None:
-        last = self._busy[direction]
-        if last is not None and last is not True and \
-                last[0] <= self._engine.now:
-            # the direction's last arithmetic frame is on the wire and
-            # nothing is left to recall: let the records (and payloads) go
-            self._busy[direction] = self._queues[direction] = None
-        if not self._up:
-            return
-        self.frames_delivered[direction] += 1
-        self.bytes_delivered[direction] += size
-        # LinkEnd.deliver inline: one call less per frame
-        receiver = self.ends[1 - direction]._receiver
-        if receiver is not None:
-            receiver(payload, size)
-
     def _trace_count(self, name: str) -> None:
         if self._tracer is not None:
             self._tracer.count(name)
@@ -1059,10 +1127,9 @@ class Link:
         bytes (an a-posteriori estimate used by the utilization experiment)."""
         if elapsed <= 0:
             return math.nan
-        busy = self.bytes_delivered[direction] * 8.0 / self._capacity_bps
+        busy = self.bytes_delivered[direction] * 8.0 / self.capacity_bps
         return busy / elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self._up else "DOWN"
-        return f"<Link {self.name} {self._capacity_bps/1e6:.1f}Mbps {state}>"
-
+        return f"<Link {self.name} {self.capacity_bps/1e6:.1f}Mbps {state}>"

@@ -291,7 +291,10 @@ class TestReorder:
         # (already-drawn) propagation delay applies
         assert inbox_b[0][0] == pytest.approx(0.02 + 0.001, abs=1e-5)
 
-    def test_removing_the_model_releases_held_frames(self):
+    def test_removing_the_model_leaves_a_parked_frame_parked(self):
+        # a change reaches only the frames sent after it: the frame
+        # parked before the injector window closed keeps its max_hold,
+        # and a frame sent after it overtakes it
         engine, link, _a, inbox_b = make_link(
             capacity_bps=1e9, delay=0.001,
             conditions=LinkConditions(
@@ -300,8 +303,10 @@ class TestReorder:
         engine.run(until=0.01)
         assert inbox_b == []                       # still parked
         link.conditions = None                     # injector window closes
+        link.ends[0].send("later", 100)
         engine.run()
-        assert [p for _t, p, _s in inbox_b] == ["parked"]
+        assert [p for _t, p, _s in inbox_b] == ["later", "parked"]
+        assert inbox_b[1][0] == pytest.approx(50.0 + 0.001, abs=1e-5)
 
     def test_held_frames_die_with_the_link(self):
         engine, link, _a, inbox_b = make_link(

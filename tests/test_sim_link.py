@@ -245,8 +245,178 @@ class TestValidation:
 
 
 # ----------------------------------------------------------------------
-# The failure rule, against a reference that always steps through events
+# The link contract, against a reference that steps through events
 # ----------------------------------------------------------------------
+class _Frame:
+    """A frame in :class:`SteppedLink`, with what it was sent under."""
+
+    def __init__(self, payload, size, link):
+        self.payload, self.size = payload, size
+        self.capacity, self.delay = link.capacity_bps, link.delay
+        self.loss, self.conditions = link.loss, link.conditions
+        self.end = None
+        self.dead = False
+
+
+class SteppedLink:
+    """The :class:`Link` contract, stepped through events: the reference
+    that ``TestFailureRule`` holds the link to.
+
+    A frame keeps the rate, delay, loss model and conditions in effect
+    when it was sent.  It starts when its direction frees (a shaper's
+    wait first, counted as serialization), and an event at its
+    serialization end draws its loss, corruption, jitter and reorder
+    fate, in that order, from its direction's streams, named as
+    :class:`Link` names them.  A parked frame waits for an event: its
+    ``max_hold`` timeout, or the serialization end of the ``depth``-th
+    later frame.  A failure marks the frames still queued, serializing or
+    parked dead: they keep their place and their draws but never
+    arrive, and an arrival while the link is down is lost too.
+    """
+
+    def __init__(self, engine, name, capacity_bps, delay, loss,
+                 queue_limit, rng_factory):
+        self.engine, self.name = engine, name
+        self.capacity_bps, self.delay, self.loss = capacity_bps, delay, loss
+        self.queue_limit = queue_limit
+        self.conditions = None
+        self.up = True
+        self.factory = rng_factory
+        self.streams = {}
+        self.queues = ([], [])
+        self.serving = [None, None]
+        self.held = [None, None]
+        self.floor = [0.0, 0.0]
+        self.ends = (_SteppedEnd(self, 0), _SteppedEnd(self, 1))
+        for counter in COUNTERS:
+            setattr(self, counter, [0, 0])
+
+    def stream(self, purpose, direction):
+        name = (purpose + ":1" if direction
+                else "" if purpose == "loss" else purpose)
+        if name not in self.streams:
+            self.streams[name] = self.factory(name)
+        return self.streams[name]
+
+    def send(self, direction, payload, size):
+        now = self.engine.now
+        if not self.up:
+            self.frames_dropped_queue[direction] += 1
+            return False
+        serving, queue = self.serving[direction], self.queues[direction]
+        in_flight = len(queue) + (serving is not None and serving.end > now)
+        if max(in_flight - 1, 0) >= self.queue_limit:
+            self.frames_dropped_queue[direction] += 1
+            return False
+        self.frames_sent[direction] += 1
+        frame = _Frame(payload, size, self)
+        if serving is None:
+            self.start(direction, frame)
+        else:
+            queue.append(frame)
+        return True
+
+    def start(self, direction, frame):
+        self.serving[direction] = frame
+        tx_time = frame.size * 8.0 / frame.capacity
+        shaper = frame.conditions and frame.conditions.shaper
+        if shaper:
+            tx_time += shaper.reserve(direction, frame.size, self.engine.now)
+        event = self.engine.call_later(tx_time, self.serialized, direction,
+                                       frame)
+        frame.end = event.time
+
+    def serialized(self, direction, frame):
+        self.fate(direction, frame)
+        queue = self.queues[direction]
+        if queue:
+            self.start(direction, queue.pop(0))
+        else:
+            self.serving[direction] = None
+
+    def fate(self, direction, frame):
+        now = self.engine.now
+        if not frame.loss.lossless and frame.loss.should_drop(
+                self.stream("loss", direction), now, direction):
+            self.frames_dropped_loss[direction] += 1
+            return
+        payload, delay = frame.payload, frame.delay
+        jitter = reorder = None
+        if frame.conditions is not None:
+            corruption = frame.conditions.corruption
+            if corruption is not None:
+                rng = self.stream("corrupt", direction)
+                if corruption.should_corrupt(rng):
+                    payload = corruption.corrupt(rng, payload)
+                    self.frames_corrupted[direction] += 1
+            jitter = frame.conditions.jitter
+            if jitter is not None:
+                delay += jitter.sample(self.stream("jitter", direction))
+            reorder = frame.conditions.reorder
+        held = self.held[direction]
+        if held is None and reorder is not None and reorder.should_displace(
+                self.stream("reorder", direction)):
+            held = self.held[direction] = [frame, payload, delay,
+                                           reorder.depth, None]
+            held[4] = self.engine.call_later(reorder.max_hold, self.release,
+                                             direction, held)
+            return
+        when = now + delay
+        if jitter is not None and jitter.preserve_order:
+            when = self.floor[direction] = max(when, self.floor[direction])
+        self.arrive(direction, frame, payload, when)
+        if held is not None:
+            held[3] -= 1
+            if held[3] == 0:
+                held[4].cancel()
+                self.release(direction, held)
+
+    def release(self, direction, held):
+        self.held[direction] = None
+        frame, payload, delay, _remaining, _timeout = held
+        self.arrive(direction, frame, payload, self.engine.now + delay)
+
+    def arrive(self, direction, frame, payload, when):
+        if not frame.dead:
+            self.engine.call_at(when, self.deliver, direction, payload,
+                                frame.size)
+
+    def deliver(self, direction, payload, size):
+        if self.up:
+            self.frames_delivered[direction] += 1
+            self.bytes_delivered[direction] += size
+            self.ends[1 - direction].receiver(payload, size)
+
+    def fail(self):
+        if not self.up:
+            return
+        self.up = False
+        now = self.engine.now
+        for direction in (0, 1):
+            serving = self.serving[direction]
+            if serving is not None and serving.end > now:
+                serving.dead = True
+            for frame in self.queues[direction]:
+                frame.dead = True
+            held = self.held[direction]
+            if held is not None and held[4].time > now:
+                held[0].dead = True
+
+    def repair(self):
+        self.up = True
+
+
+class _SteppedEnd:
+    def __init__(self, link, index):
+        self.link, self.index, self.receiver = link, index, None
+
+    def attach(self, receiver):
+        self.receiver = receiver
+
+    def send(self, payload, size):
+        return self.link.send(self.index, payload, size)
+
+
 #: condition bundles a script may install (a fresh one per link: the
 #: shaper keeps per-link bucket state)
 CONDITIONS = {
@@ -256,25 +426,43 @@ CONDITIONS = {
     "corrupt": lambda: LinkConditions(corruption=CorruptionModel(0.5)),
     "reorder": lambda: LinkConditions(
         reorder=ReorderModel(0.5, depth=2, max_hold=0.004)),
+    "park": lambda: LinkConditions(
+        reorder=ReorderModel(1.0, depth=1, max_hold=0.004)),
+    "jittered-reorder": lambda: LinkConditions(
+        jitter=UniformJitter(0.0007), corruption=CorruptionModel(0.3),
+        reorder=ReorderModel(0.5, depth=2, max_hold=0.004)),
 }
 
+COUNTERS = ("frames_sent", "frames_dropped_queue", "frames_dropped_loss",
+            "frames_delivered", "bytes_delivered", "frames_corrupted")
 
-def twin_run(script, **kwargs):
-    """Run one script of ``(time, op, arg)`` on a ``NoLoss`` link and on
-    its event-path reference; returns both links' per-direction arrivals
+
+def twin_run(script, capacity_bps, delay, queue_limit=256):
+    """Run one script of ``(time, op, arg)`` on a :class:`Link` whose
+    model is ``NoLoss``, on one whose model is ``UniformLoss(0.0)`` (not
+    ``lossless``, so every frame draws, and none drops) and on the
+    reference; returns each one's per-direction arrivals
     ``(time, payload, size)`` and counters.
 
-    ``UniformLoss(0.0)`` is not ``lossless``, so the reference steps
-    through a ``.tx`` event at every serialization end and never drops a
-    frame.  ``loss`` ops switch between the link's own lossless model and
-    ``UniformLoss(1.0)``, which drops every frame whatever its draw, so
-    the two links' loss streams never need to agree.
+    ``loss`` ops switch between the run's own quiet model and
+    ``UniformLoss(1.0)``, which drops every frame whatever its draw.  All
+    three build their streams from one factory, by name, so the draws
+    agree exactly where the contract says they must.
     """
+    def factory(name=""):
+        return random.Random(f"twin:{name}")
+
     outcomes = []
-    for quiet in (NoLoss(), UniformLoss(0.0)):
+    for quiet, kind in ((NoLoss(), Link), (UniformLoss(0.0), Link),
+                        (NoLoss(), SteppedLink)):
         engine = Engine()
-        link = Link(engine, "twin", loss=quiet, rng=random.Random(5),
-                    **kwargs)
+        if kind is Link:
+            link = Link(engine, "twin", capacity_bps=capacity_bps,
+                        delay=delay, loss=quiet, queue_limit=queue_limit,
+                        rng_factory=factory)
+        else:
+            link = SteppedLink(engine, "twin", capacity_bps, delay, quiet,
+                               queue_limit, factory)
         arrivals = ([], [])
         for direction in (0, 1):
             link.ends[1 - direction].attach(
@@ -301,19 +489,17 @@ def twin_run(script, **kwargs):
         for when, op, arg in script:
             engine.call_at(when, apply, op, arg)
         engine.run()
-        outcomes.append((arrivals, {
-            name: list(getattr(link, name))
-            for name in ("frames_sent", "frames_dropped_queue",
-                         "frames_dropped_loss", "frames_delivered",
-                         "bytes_delivered", "frames_corrupted")}))
+        outcomes.append((arrivals, {name: list(getattr(link, name))
+                                    for name in COUNTERS}))
     return outcomes
 
 
 def run_twins(script, **kwargs):
-    """The subject's outcome, asserted equal to the reference's."""
-    subject, reference = twin_run(script, **kwargs)
-    assert subject == reference
-    return subject
+    """The link's outcome, asserted equal to the reference's."""
+    quiet, drawing, reference = twin_run(script, **kwargs)
+    assert quiet == reference
+    assert drawing == reference
+    return reference
 
 
 #: 1,250 B at 1 Mb/s serialize in 10 ms; the propagation delay is 10 ms
@@ -325,14 +511,13 @@ def arrival_times(outcome, direction=0):
 
 
 class TestFailureRule:
-    """A clean direction serves its FIFO by arithmetic and schedules one
-    event per frame, its arrival; conditions, a lossy model or a mid-run
-    change of ``loss``, ``delay``, ``capacity_bps`` or ``conditions`` hand
-    the frames still serializing back to the event path, which steps
-    through a ``.tx`` event at every serialization end.  The rule both
-    keep: a frame dies if the link is down at its serialization end or at
-    its arrival, and frames still queued when the link fails are
-    discarded."""
+    """Every frame's fate is decided when it is sent, and the only event
+    it costs is its arrival; :class:`SteppedLink` steps through an event
+    at every serialization end instead.  The rule both keep: a change of
+    ``loss``, ``delay``, ``capacity_bps`` or ``conditions`` applies to the
+    frames sent after it; a failure loses the frames still queued,
+    serializing or parked (they keep their place on the wire), and a
+    frame arriving while the link is down."""
 
     def test_fail_while_queued_discards_the_queue(self):
         outcome = run_twins([(0.0, "send", (0, 1250, 0)),
@@ -340,13 +525,12 @@ class TestFailureRule:
                              (0.0, "send", (0, 1250, 2)),
                              (0.015, "fail", None),
                              (0.0155, "repair", None),
-                             (0.03, "send", (0, 1250, 3))], **SLOW)
+                             (0.025, "send", (0, 1250, 3))], **SLOW)
         # at the failure frame 0 was on the wire, frame 1 serializing and
-        # frame 2 queued: the link is up at 0's arrival and at 1's
-        # serialization end, so only 2 is lost
-        assert [p for _t, p, _s in outcome[0][0]] == \
-            [b"frame-0", b"frame-1", b"frame-3"]
-        assert arrival_times(outcome) == pytest.approx([0.02, 0.03, 0.05])
+        # frame 2 queued: both are lost, and frame 3 still waits for the
+        # wire time they were given (it starts at 0.03)
+        assert [p for _t, p, _s in outcome[0][0]] == [b"frame-0", b"frame-3"]
+        assert arrival_times(outcome) == pytest.approx([0.02, 0.05])
 
     def test_fail_during_serialization_kills_the_frame(self):
         outcome = run_twins([(0.0, "send", (0, 1250, 0)),
@@ -355,11 +539,11 @@ class TestFailureRule:
         assert outcome[0] == ([], [])
         assert outcome[1]["frames_sent"] == [1, 0]
 
-    def test_fail_and_repair_within_one_serialization_spares_it(self):
+    def test_fail_and_repair_within_one_serialization_kills_it(self):
         outcome = run_twins([(0.0, "send", (0, 1250, 0)),
                              (0.003, "fail", None),
                              (0.006, "repair", None)], **SLOW)
-        assert arrival_times(outcome) == pytest.approx([0.02])
+        assert outcome[0] == ([], [])
 
     def test_fail_in_flight_kills_the_frame_at_arrival(self):
         outcome = run_twins([(0.0, "send", (0, 1250, 0)),
@@ -367,33 +551,46 @@ class TestFailureRule:
                              (0.025, "repair", None)], **SLOW)
         assert outcome[0] == ([], [])
 
-    def test_jitter_opened_mid_serialization_reaches_the_frame(self):
+    def test_fail_kills_a_parked_reorder_frame(self):
+        outcome = run_twins([(0.0, "conditions", "park"),
+                             (0.0, "send", (0, 1250, 0)),
+                             (0.012, "fail", None),
+                             (0.013, "repair", None),
+                             (0.013, "send", (0, 1250, 1))], **SLOW)
+        # frame 0 is parked from its end (0.01) until max_hold (0.014):
+        # the failure loses it.  Frame 1 parks in turn and arrives
+        # max_hold after its end plus the delay
+        assert outcome[0] == ([(pytest.approx(0.037), b"frame-1", 1250)],
+                              [])
+
+    def test_jitter_opened_mid_serialization_reaches_only_later_frames(self):
         outcome = run_twins([(0.0, "send", (0, 1250, 0)),
-                             (0.005, "conditions", "jitter")], **SLOW)
-        (when,) = arrival_times(outcome)
-        assert 0.02 < when <= 0.0207
+                             (0.005, "conditions", "jitter"),
+                             (0.006, "send", (0, 1250, 1))], **SLOW)
+        first, second = arrival_times(outcome)
+        assert first == 0.02
+        assert 0.03 <= second <= 0.0307
 
     def test_zero_queue_limit_drops_on_both_paths(self):
         outcome = run_twins([(0.0, "send", (0, 100, 0)),
                              (0.001, "loss", True),
-                             (0.002, "send", (0, 100, 1))], queue_limit=0)
+                             (0.002, "send", (0, 100, 1))], queue_limit=0,
+                            capacity_bps=1e8, delay=0.001)
         assert outcome[0] == ([], [])
         assert outcome[1]["frames_dropped_queue"] == [2, 0]
 
-    def test_rate_change_reaches_only_frames_not_yet_started(self):
+    def test_rate_change_reaches_only_frames_sent_after_it(self):
         outcome = run_twins([(0.0, "send", (0, 1250, 0)),
                              (0.0, "send", (0, 1250, 1)),
-                             (0.005, "capacity", 2e6)], **SLOW)
-        # frame 0 keeps its 10 ms, frame 1 serializes in 5 ms
-        assert arrival_times(outcome) == pytest.approx([0.02, 0.025])
+                             (0.005, "capacity", 2e6),
+                             (0.006, "send", (0, 1250, 2))], **SLOW)
+        # frames 0 and 1 keep their 10 ms, frame 2 serializes in 5 ms
+        assert arrival_times(outcome) == pytest.approx([0.02, 0.03, 0.035])
 
     def test_a_change_at_a_serialization_end_finds_the_frame_on_the_wire(self):
-        # The one tie arithmetic cannot order: a change at exactly the
-        # instant a frame's serialization ends.  The event path resolves
-        # it by the order its events were scheduled in; the arithmetic
-        # path counts the frame as already on the wire, so it keeps the
-        # delay it was sent with and survives a failure repaired before
-        # its arrival.
+        # A change never reaches a frame already sent, and a failure at
+        # the very instant a frame's serialization ends finds it on the
+        # wire: it survives a failure repaired before its arrival.
         engine = Engine()
         link = Link(engine, "tie", **SLOW)
         inbox = []
@@ -406,11 +603,12 @@ class TestFailureRule:
         engine.run()
         assert inbox == [(end + 0.01, "x")]
 
-    def test_a_loss_model_installed_mid_serialization_draws_for_it(self):
+    def test_a_loss_model_installed_mid_serialization_spares_the_frame(self):
         outcome = run_twins([(0.0, "send", (0, 1250, 0)),
                              (0.005, "loss", True),
+                             (0.006, "send", (0, 1250, 1)),
                              (0.015, "loss", False)], **SLOW)
-        assert outcome[0] == ([], [])
+        assert arrival_times(outcome) == [0.02]
         assert outcome[1]["frames_dropped_loss"] == [1, 0]
 
     @settings(max_examples=150, deadline=None)
@@ -428,16 +626,16 @@ class TestFailureRule:
                          st.sampled_from(sorted(CONDITIONS))))),
                max_size=12),
            queue_limit=st.integers(0, 4))
-    # a send at exactly frame 0's serialization end, scheduled before its
-    # .tx event, with the one queue slot taken: the slot frees that
-    # instant on both paths, so frame 1 is queued, not tail-dropped
+    # a send at exactly frame 0's serialization end, scheduled before the
+    # reference's serialization-end event, with the one queue slot taken:
+    # the slot frees that instant, so frame 1 is queued, not tail-dropped
     @example(sends=[(51, 0, 1000), (59, 0, 50), (51, 0, 50)], changes=[],
              queue_limit=1)
     def test_arithmetic_path_equals_the_event_path(self, sends, changes,
                                                    queue_limit):
         # sends sit on a 1 ms grid, so one can land on a serialization
         # end; every change sits 0.37 ms past the grid, so no change does
-        # (the tie above)
+        # (a failure at a serialization end is the tie above)
         script = [(slot * 1e-3, "send", (direction, size, tag))
                   for tag, (slot, direction, size) in enumerate(sends)]
         script += [(slot * 1e-3 + 3.7123e-4, op, arg)

@@ -145,7 +145,7 @@ GOLDEN_SHARDS = {
 #: fault-storm, flash-crowd, rolling-degradation).
 GOLDEN_IP = {
     "corruption-storm":
-        "8f7d35e484b80f5fc6aa40f37aaa23f8657e80b66afb3b2cd03ab5465f57bb7a",
+        "a8510569b2639c2c556d1d1351eb0cc5a965f061ce80e3a89fddcc18b91984a3",
     "diurnal-load":
         "59616755e3cede9f10d353ccfa94b9840b7f01fb3736155ad48128958e0a8bed",
     "e3-e2e": "91e539a730635f1cbf8039fdc67f9dcae73f4faafd076c57c8b747752c24f082",
@@ -174,16 +174,16 @@ GOLDEN_DATA_CLEAN_IP = {
 
 #: The engine event count of each pinned trace above, exact.
 GOLDEN_EVENTS = {
-    "corruption-storm": 4_629, "diurnal-load": 5_778, "e3-e2e": 852,
-    "e3-scoped": 1_547, "e4-multihoming": 1_091, "e5-mobility": 5_902,
-    "fault-storm": 5_333, "flash-crowd": 3_898,
-    "rolling-degradation": 6_850,
+    "corruption-storm": 4_092, "diurnal-load": 5_082, "e3-e2e": 639,
+    "e3-scoped": 1_085, "e4-multihoming": 1_091, "e5-mobility": 5_902,
+    "fault-storm": 5_239, "flash-crowd": 3_397,
+    "rolling-degradation": 6_520,
 }
 GOLDEN_IP_EVENTS = {
-    "corruption-storm": 1_413, "diurnal-load": 2_653, "e3-e2e": 256,
-    "e3-scoped": 256, "e4-multihoming": 164, "e5-mobility": 728,
-    "fault-storm": 1_201, "flash-crowd": 1_501, "ring-of-stars": 1_299,
-    "rolling-degradation": 2_213,
+    "corruption-storm": 1_220, "diurnal-load": 2_329, "e3-e2e": 175,
+    "e3-scoped": 175, "e4-multihoming": 163, "e5-mobility": 728,
+    "fault-storm": 1_161, "flash-crowd": 1_275, "ring-of-stars": 1_299,
+    "rolling-degradation": 2_106,
 }
 GOLDEN_SHARDS_EVENTS = {0: 45, 1: 36}
 
