@@ -5,11 +5,12 @@ has a FIFO transmit queue, a serialization rate (bits/s), a propagation
 delay, and a loss model.  Payloads are opaque Python objects accompanied by
 an explicit wire size in bytes — the simulator never serializes for real.
 
-A frame costs one engine event, its arrival, on a clean direction: FIFO
-service there is arithmetic (see :meth:`Link.transmit`).  Conditions, a
-lossy model or a mid-run change put a direction on the event path,
-which steps through a ``.tx`` event at every serialization end.  Both
-give every frame the same arrival time, drop and RNG draw.
+One path serves every frame (:meth:`Link.transmit`): its fate — start,
+shaper wait, serialization end, loss, corruption, jitter, order clamp and
+reorder hold — is decided when it is sent, and the only engine event it
+costs is its arrival.  Each direction draws from its own named streams,
+so a draw at send has the value a draw at serialization end would have.
+A change of a link's parameters reaches the frames sent after it.
 
 Loss models are strategy objects so experiments can swap a fixed loss rate
 for a bursty Gilbert–Elliott process without touching the link code
@@ -152,7 +153,7 @@ class CorruptedFrame:
 
 
 class JitterModel:
-    """Per-frame extra propagation delay, sampled at serialization end.
+    """Per-frame extra propagation delay, sampled when the frame is sent.
 
     With ``preserve_order`` (the default) deliveries are clamped to the
     latest delivery already scheduled in that direction, so jitter
@@ -310,12 +311,12 @@ class ReorderModel:
     """Bounded-displacement reordering of in-flight frames.
 
     With probability ``probability`` a frame entering the wire is parked
-    while up to ``depth`` later frames overtake it, then released (also
-    released after ``max_hold`` seconds, so a lull cannot strand it, and
-    immediately if the model is removed mid-run).  At most one frame per
-    direction is parked at a time, which gives the invariant EFCP's
-    sequencing tests pin: no frame's delivery position differs from its
-    send position by more than ``depth``.
+    while up to ``depth`` later frames overtake it, then released (at the
+    latest ``max_hold`` seconds after its serialization end, so a lull
+    cannot strand it).  At most one frame per direction is parked at a
+    time, which gives the invariant EFCP's sequencing tests pin: no
+    frame's delivery position differs from its send position by more
+    than ``depth``.
     """
 
     __slots__ = ("probability", "depth", "max_hold")
@@ -359,6 +360,12 @@ class _HeldFrame:
 #: A sent frame as its direction keeps it: ``(serialization end, the
 #: arrival to cancel if the link fails first or None, payload, size)``.
 _Record = Tuple[float, Optional[Event], Any, int]
+
+#: A stream's place in a direction's draw list, and its name per
+#: direction (see :meth:`Link._stream`).
+_LOSS, _CORRUPT, _JITTER, _REORDER = range(4)
+_STREAM_NAMES = (("", "corrupt", "jitter", "reorder"),
+                 ("loss:1", "corrupt:1", "jitter:1", "reorder:1"))
 
 
 class LinkConditions:
@@ -566,19 +573,12 @@ class Link:
         is the count, and :class:`~repro.sim.network.Network` hands the
         tracer a read of it.
     rng / rng_factory:
-        The PRNG feeding direction 0's loss draws.  ``rng_factory``
-        defers construction until the first frame actually needs a loss
-        draw — a lossless link never materializes its PRNG, which
-        matters at 100k-link scale (a ``random.Random`` is ~2.5 KB of
-        Mersenne state).  An explicit ``rng`` wins over the factory.  A
-        factory may additionally accept one positional stream-suffix
-        argument: every other stream is named by one, so each direction
-        of each purpose draws alone and installing a condition never
-        perturbs the loss stream (or any other link's streams).
-        Direction 0 keeps the names the streams had when both directions
-        shared them (the bare ``factory()`` for loss, ``"jitter"``,
-        ``"corrupt"``, ``"reorder"``); direction 1 appends ``:1``
-        (``"loss:1"``, ``"jitter:1"``, ...).
+        The PRNG feeding direction 0's loss draws, or a factory that
+        builds it (``factory()``) when a frame first needs a draw — a
+        lossless link never materializes one, which matters at 100k-link
+        scale (a ``random.Random`` is ~2.5 KB of Mersenne state).  An
+        explicit ``rng`` wins.  ``factory(suffix)`` builds every other
+        stream (see :meth:`_stream`).
     conditions:
         Optional :class:`LinkConditions` bundle (jitter, shaping,
         corruption, reordering), also assignable at runtime via the
@@ -595,8 +595,8 @@ class Link:
                  "ends", "_queues", "_busy", "_up", "_observers",
                  "frames_sent", "frames_dropped_queue", "frames_dropped_loss",
                  "frames_delivered", "bytes_delivered", "frames_corrupted",
-                 "_conditions", "_cond_rngs", "_held", "_last_delivery",
-                 "_tx_due", "_tx_label", "_rx_label")
+                 "_conditions", "_cond_rngs", "_draws", "_held",
+                 "_last_delivery", "_rx_label")
 
     def __init__(self, engine: Engine, name: str, capacity_bps: float = 1e8,
                  delay: float = 0.001, loss: Optional[LossModel] = None,
@@ -639,16 +639,16 @@ class Link:
         self.frames_delivered = [0, 0]
         self.bytes_delivered = [0, 0]
         self.frames_corrupted = [0, 0]
-        # condition state, lazy: a clean link carries four None slots
+        # condition state, lazy: a clean link carries five None slots
         self._conditions: Optional[LinkConditions] = None
         self._cond_rngs: Optional[Dict[str, random.Random]] = None
+        self._draws: Optional[Tuple[List[Optional[random.Random]],
+                                    List[Optional[random.Random]]]] = None
         self._held: Optional[Tuple[Deque[_HeldFrame],
                                    Deque[_HeldFrame]]] = None
         self._last_delivery: Optional[List[float]] = None
         # the event label, precomputed: an f-string per scheduled event
         # is measurable at scale
-        self._tx_due = None
-        self._tx_label = f"{name}.tx"
         self._rx_label = f"{name}.rx"
         if conditions is not None:
             self.conditions = conditions
@@ -676,43 +676,36 @@ class Link:
             if value.jitter is not None and self._last_delivery is None:
                 self._last_delivery = [0.0, 0.0]
 
-    def _stream(self, purpose: str, direction: int) -> random.Random:
-        """The lazily built deterministic PRNG of one purpose in one
-        direction.
+    def _stream(self, kind: int, direction: int) -> random.Random:
+        """Build the PRNG of one purpose in one direction, on its first
+        draw, into the direction's draw list.
 
-        Each purpose (``loss``/``corrupt``/``jitter``/``reorder``) gets
-        its own named stream per direction via the link's
-        ``rng_factory`` — independent of every other link — so
-        installing a condition mid-run cannot perturb any pre-existing
-        draw sequence, and a draw's value does not depend on how the two
-        directions' frames interleave.  Direction 0's loss stream is the
-        link's ``rng`` (or the bare ``factory()``); links built without
-        a factory derive the others' seeds from
-        ``"<link name>:<stream name>"`` and fall back to
-        ``random.Random(0)`` for it.
+        Each direction of each purpose draws alone, so installing a
+        condition never perturbs another stream (nor another link's), and
+        a draw does not depend on how the directions' frames interleave.
+        Direction 0 keeps the names of the streams both once shared
+        (``rng`` for loss, ``"corrupt"``, ...); direction 1 appends
+        ``:1``.  Without a factory a name seeds from ``"<link
+        name>:<name>"``, and direction 0's loss from 0.
         """
-        if direction:
-            purpose += ":1"
-        elif purpose == "loss":
+        name = _STREAM_NAMES[direction][kind]
+        factory = self._rng_factory
+        if not name:
+            if self._rng is None:
+                self._rng = (factory() if factory is not None
+                             else random.Random(0))
             rng = self._rng
-            if rng is None:
-                factory = self._rng_factory
-                rng = self._rng = (factory() if factory is not None
-                                   else random.Random(0))
-            return rng
-        rngs = self._cond_rngs
-        if rngs is None:
-            rngs = self._cond_rngs = {}
-        rng = rngs.get(purpose)
-        if rng is None:
-            factory = self._rng_factory
+        else:
             if factory is not None:
-                rng = factory(purpose)
+                rng = factory(name)
             else:
                 digest = hashlib.sha256(
-                    f"{self.name}:{purpose}".encode()).digest()
+                    f"{self.name}:{name}".encode()).digest()
                 rng = random.Random(int.from_bytes(digest[:8], "big"))
-            rngs[purpose] = rng
+            if self._cond_rngs is None:
+                self._cond_rngs = {}
+            self._cond_rngs[name] = rng
+        self._draws[direction][kind] = rng
         return rng
 
     def observe(self, callback: Callable[["Link", bool], None]) -> None:
@@ -720,16 +713,11 @@ class Link:
         self._observers.append(callback)
 
     def fail(self) -> None:
-        """Take the link down.
-
-        Frames still serializing (queued ones included) and frames a
-        :class:`ReorderModel` holds parked never arrive: their arrivals
-        are cancelled.  They keep their place on the wire — the
-        direction stays busy until they would have finished — because
-        their fate was decided when they were sent.  Frames already
-        propagating die on arrival while the link is down, and sends
-        are dropped until :meth:`repair`.
-        """
+        """Take the link down: the arrivals of frames still serializing
+        (queued ones included) or parked are cancelled, but they keep
+        their place on the wire, as their fate was decided at the send.
+        Frames already propagating die on arrival while the link is
+        down, and sends are dropped until :meth:`repair`."""
         if not self._up:
             return
         self._up = False
@@ -764,27 +752,21 @@ class Link:
     def transmit(self, from_index: int, payload: Any, size_bytes: int) -> bool:
         """Send a frame in the given direction; returns False on tail drop.
 
-        The one frame path.  Everything a frame meets on the link is
-        decided here, when it is sent, and the only event it costs is
-        its arrival: the frame starts when the direction frees
-        (``start``), waits for the shaper's tokens if one is installed,
-        serializes until ``end = start + tx_time``, and then draws, from
-        its direction's own streams, its loss, corruption, jitter and
-        reorder fate, in that order.  A clean direction (no conditions,
-        a lossless model, never a parked frame) skips the draws, and its
-        arrival is ``end + delay`` — the floats of stepping through an
-        event at ``end``.  Because the frames of one direction are sent
-        in the order they serialize, each stream is drawn in that order,
-        which is the order an event at each serialization end would
-        draw in.
+        The one frame path: the frame's fate is decided here, under the
+        rate, delay, loss model and conditions in effect now, and its
+        only event is its arrival.  It starts when the direction frees,
+        serializes until ``end = start + tx_time`` and, on a clean
+        direction (no conditions, a lossless model, no reorder state),
+        arrives at ``end + delay`` — the floats of an event at ``end``.
+        Otherwise :meth:`_decide` draws its fate.  A direction's frames
+        are sent in the order they serialize, so its streams are drawn
+        in the order events at their ends would draw them.
 
-        The rate, delay, loss model and conditions in effect at the send
-        apply; a change later reaches only later frames.  The direction
-        keeps the last frame's ``(end, arrival, payload, size)`` record,
-        and the records of the frames still serializing once one had to
-        wait: those count against ``queue_limit`` (all but the one in
-        service), and :meth:`fail` cancels their arrivals.  A frame whose
-        serialization ends at this very instant has left the count.
+        The direction keeps its last frame's record, and those of the
+        frames still serializing once one had to wait: they count
+        against ``queue_limit`` (all but the one in service), and
+        :meth:`fail` cancels their arrivals.  A frame whose serialization
+        ends at this very instant has left the count.
         """
         if size_bytes <= 0:
             raise ValueError(f"frame size must be positive, got {size_bytes}")
@@ -830,19 +812,19 @@ class Link:
         """A frame's fate on a lossy, conditioned or reordering
         direction, given its start; returns its record.
 
-        Conditions apply to the wire form in a fixed order — the
-        shaper's wait at the start, then at the end the loss draw,
-        corruption, jitter and reordering — each drawing from its own
-        stream (see :meth:`_stream`).  With ``preserve_order`` jitter
-        clamps the arrival to the latest one already decided in this
-        direction (the engine breaks ties by scheduling order, so
-        equality keeps FIFO).  A parked frame arrives ``max_hold`` after
-        its end plus its delay, unless the ``depth``-th later frame to
-        arrive ends first: that frame's send moves it to that frame's
-        end plus its delay.  At most one frame per direction is parked
-        at any instant.
+        In a fixed order: the shaper's wait, then at the end the loss
+        draw, corruption, jitter and reordering, each from its own
+        stream.  ``preserve_order`` jitter clamps the arrival to the
+        latest one decided in this direction (ties run in scheduling
+        order, so equality keeps FIFO).  A parked frame arrives its delay
+        after ``end + max_hold``, or after the end of the ``depth``-th
+        later frame to arrive if that comes first.
         """
         conditions = self._conditions
+        draws = self._draws
+        if draws is None:
+            draws = self._draws = ([None] * 4, [None] * 4)
+        draws = draws[direction]
         tx_time = size * 8.0 / self.capacity_bps
         if conditions is not None and conditions.shaper is not None:
             # the token-bucket wait precedes serialization, so shaping
@@ -851,7 +833,8 @@ class Link:
         end = start + tx_time
         loss = self.loss
         if not loss.lossless and loss.should_drop(
-                self._stream("loss", direction), end, direction):
+                draws[_LOSS] or self._stream(_LOSS, direction), end,
+                direction):
             self.frames_dropped_loss[direction] += 1
             self._trace_count("link.drop.loss")
             return (end, None, payload, size)
@@ -860,14 +843,16 @@ class Link:
         if conditions is not None:
             corruption = conditions.corruption
             if corruption is not None:
-                rng = self._stream("corrupt", direction)
+                rng = (draws[_CORRUPT]
+                       or self._stream(_CORRUPT, direction))
                 if corruption.should_corrupt(rng):
                     payload = corruption.corrupt(rng, payload)
                     self.frames_corrupted[direction] += 1
                     self._trace_count("link.corrupted")
             jitter = conditions.jitter
             if jitter is not None:
-                delay += jitter.sample(self._stream("jitter", direction))
+                delay += jitter.sample(draws[_JITTER]
+                                       or self._stream(_JITTER, direction))
             reorder = conditions.reorder
         held = self._held[direction] if self._held is not None else None
         parked = held[-1] if held else None
@@ -875,7 +860,7 @@ class Link:
             parked = None           # released before this frame ends
         if (parked is None and reorder is not None
                 and reorder.should_displace(
-                    self._stream("reorder", direction))):
+                    draws[_REORDER] or self._stream(_REORDER, direction))):
             now = self._engine.now
             while held and held[0].release <= now:
                 held.popleft()      # on the wire: nothing left to cancel
@@ -933,189 +918,6 @@ class Link:
         receiver = self.ends[1 - direction]._receiver
         if receiver is not None:
             receiver(payload, size)
-
-    def _condition_rng(self, purpose: str, direction: int) -> random.Random:
-        """The lazily built deterministic PRNG of one purpose in one
-        direction.
-
-        Each purpose (``jitter``/``corrupt``/``reorder``, and ``loss`` in
-        direction 1) gets its own named stream per direction via the
-        link's ``rng_factory`` — independent of the loss stream and of
-        every other link — so installing a condition mid-run cannot
-        perturb any pre-existing draw sequence, and a draw's value does
-        not depend on how the two directions' frames interleave.  Links
-        built without a factory derive a stable seed from
-        ``"<link name>:<stream name>"`` instead.
-        """
-        name = purpose if direction == 0 else f"{purpose}:1"
-        rngs = self._cond_rngs
-        if rngs is None:
-            rngs = self._cond_rngs = {}
-        rng = rngs.get(name)
-        if rng is None:
-            factory = self._rng_factory
-            if factory is not None:
-                rng = factory(name)
-            else:
-                digest = hashlib.sha256(
-                    f"{self.name}:{name}".encode()).digest()
-                rng = random.Random(int.from_bytes(digest[:8], "big"))
-            rngs[name] = rng
-        return rng
-
-    def _enqueue(self, direction: int, payload: Any, size: int) -> bool:
-        """The event path's FIFO: a ``.tx`` event at every serialization
-        end, where the loss draw and the conditions apply.
-
-        A frame whose serialization ends at this very instant has left
-        the queue's count even while its ``.tx`` event is still due, as
-        on the arithmetic path: the tail-drop decision must not depend on
-        whether this send or that event was scheduled first.
-        """
-        queue = self._queues[direction]
-        waiting = 0 if queue is None else len(queue)
-        limit = self.queue_limit
-        if waiting >= limit and (not waiting or waiting > limit
-                                 or self._tx_due[direction] > self._engine.now):
-            self.frames_dropped_queue[direction] += 1
-            self._trace_count("link.drop.queue")
-            return False
-        self.frames_sent[direction] += 1
-        if self._busy[direction] is None:
-            # idle direction (so its queue is empty): no queue round trip
-            self._start(direction, payload, size)
-        elif queue is None:
-            self._queues[direction] = deque(((payload, size),))
-        else:
-            queue.append((payload, size))
-        return True
-
-    def _serve(self, direction: int) -> None:
-        queue = self._queues[direction]
-        if not queue or not self._up:
-            self._busy[direction] = None
-            return
-        payload, size = queue.popleft()
-        self._start(direction, payload, size)
-
-    def _start(self, direction: int, payload: Any, size: int) -> None:
-        """Put one frame on the wire: the direction is busy until its
-        serialization (and any shaper wait) ends."""
-        self._busy[direction] = True
-        tx_time = size * 8.0 / self.capacity_bps
-        conditions = self._conditions
-        if conditions is not None and conditions.shaper is not None:
-            # the token-bucket wait precedes serialization, so shaping
-            # keeps FIFO order and holds the direction busy meanwhile
-            tx_time += conditions.shaper.reserve(direction, size,
-                                                 self._engine.now)
-        event = self._engine.call_later(
-            tx_time, self._finish_serialization, direction, payload, size,
-            label=self._tx_label)
-        due = self._tx_due
-        if due is None:
-            due = self._tx_due = [0.0, 0.0]
-        due[direction] = event.time
-
-    def _finish_serialization(self, direction: int, payload: Any, size: int) -> None:
-        # The frame is on the wire; schedule delivery after propagation,
-        # then immediately serve the next queued frame.
-        if self._up:
-            loss = self.loss
-            if loss.lossless:
-                # fast path: no RNG draw, and the lazy PRNG never exists
-                self._schedule_delivery(direction, payload, size)
-            else:
-                if direction:
-                    rng = self._condition_rng("loss", 1)
-                else:
-                    rng = self._rng
-                    if rng is None:
-                        factory = self._rng_factory
-                        rng = (factory() if factory is not None
-                               else random.Random(0))
-                        self._rng = rng
-                if loss.should_drop(rng, self._engine.now, direction):
-                    self.frames_dropped_loss[direction] += 1
-                    self._trace_count("link.drop.loss")
-                else:
-                    self._schedule_delivery(direction, payload, size)
-        self._serve(direction)
-
-    def _schedule_delivery(self, direction: int, payload: Any, size: int) -> None:
-        """Put the event path's frame on the wire at its serialization end.
-
-        Conditions apply here, to the wire form, in a fixed order —
-        corruption, then jitter, then reordering — each drawing from its
-        own named RNG stream (see :meth:`_condition_rng`).
-        """
-        conditions = self._conditions
-        if conditions is None:
-            self._arrival(direction, payload, size, self._engine.now)
-            return
-        corruption = conditions.corruption
-        if corruption is not None:
-            rng = self._condition_rng("corrupt", direction)
-            if corruption.should_corrupt(rng):
-                payload = corruption.corrupt(rng, payload)
-                self.frames_corrupted[direction] += 1
-                self._trace_count("link.corrupted")
-        delay = self.delay
-        jitter = conditions.jitter
-        if jitter is not None:
-            delay += jitter.sample(self._condition_rng("jitter", direction))
-        reorder = conditions.reorder
-        held = self._reorder_held
-        if (reorder is not None and not held[direction]
-                and reorder.should_displace(
-                    self._condition_rng("reorder", direction))):
-            # park this frame; it re-enters the wire once `depth` later
-            # frames have overtaken it (or at the max_hold fallback,
-            # measured from the moment it was parked)
-            entry = _HeldFrame(payload, size, reorder.depth, delay)
-            held[direction].append(entry)
-            self._engine.call_later(
-                reorder.max_hold, self._release_held, direction,
-                entry, label=self._rx_label)
-            return
-        self._schedule_conditioned(direction, payload, size, delay, jitter)
-        if held is not None and held[direction]:
-            entry = held[direction][0]
-            entry.remaining -= 1
-            if entry.remaining <= 0:
-                self._release_held(direction, entry)
-
-    def _schedule_conditioned(self, direction: int, payload: Any, size: int,
-                              delay: float,
-                              jitter: Optional[JitterModel]) -> None:
-        engine = self._engine
-        when = engine.now + delay
-        if jitter is not None and jitter.preserve_order:
-            # clamp to the latest delivery already scheduled in this
-            # direction: jitter stretches gaps, never reorders (engine
-            # ties break by scheduling order, so equality is enough)
-            last = self._last_delivery
-            if when < last[direction]:
-                when = last[direction]
-            last[direction] = when
-        engine.call_at(when, self._deliver, direction, payload, size,
-                       label=self._rx_label)
-
-    def _release_held(self, direction: int, entry: _HeldFrame) -> None:
-        if entry.released:
-            return
-        entry.released = True
-        held = self._reorder_held
-        if held is not None:
-            try:
-                held[direction].remove(entry)
-            except ValueError:
-                pass
-        if not self._up:
-            return
-        # deliberately displaced: skip the preserve_order clamp
-        self._schedule_conditioned(direction, entry.payload, entry.size,
-                                   entry.delay, None)
 
     def _trace_count(self, name: str) -> None:
         if self._tracer is not None:
