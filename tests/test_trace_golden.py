@@ -142,7 +142,11 @@ GOLDEN_SHARDS = {
 #: every route, tie-breaks included.  Seven were recaptured when each
 #: direction of a lossy or conditioned link came to draw from its own
 #: streams (corruption-storm, diurnal-load, e3-e2e, e3-scoped,
-#: fault-storm, flash-crowd, rolling-degradation).
+#: fault-storm, flash-crowd, rolling-degradation).  corruption-storm was
+#: recaptured again when a link came to decide a frame's fate at its
+#: send: a frame still serializing when its first corruption window
+#: closes was sent under it, so it now draws corruption (and is
+#: corrupted), and one echo fewer arrives.
 GOLDEN_IP = {
     "corruption-storm":
         "a8510569b2639c2c556d1d1351eb0cc5a965f061ce80e3a89fddcc18b91984a3",
@@ -172,7 +176,9 @@ GOLDEN_DATA_CLEAN_IP = {
     1: "ee29135f1e6ad28426925fd248b6636f54beaaedb1c9434a11cb7c26b5e22f40",
 }
 
-#: The engine event count of each pinned trace above, exact.
+#: The engine event count of each pinned trace above, exact.  A link
+#: that decides a frame's fate at its send schedules no serialization-end
+#: event, which is why every lossy or conditioned spec's count fell then.
 GOLDEN_EVENTS = {
     "corruption-storm": 4_092, "diurnal-load": 5_082, "e3-e2e": 639,
     "e3-scoped": 1_085, "e4-multihoming": 1_091, "e5-mobility": 5_902,
