@@ -5,7 +5,10 @@ run through :func:`repro.core.codec.encode`, nothing added.  UDP
 carries one wire frame per datagram; TCP prefixes each with a u32
 length (:class:`StreamUnframer` is the inverse, shared by the asyncio
 protocol and the fuzz tests).  What this module owns is the gateway's
-own: the shim-frame shape check and the TCP record framing.
+own: the shim-frame shape check and the TCP record framing.  A data
+frame, nearly all the traffic, is written and read in one pass that is
+byte-equal to the codec and leaves every error the codec's path
+(``tests/test_gateway_wire.py::TestDataFramePass``).
 
 Every way a peer can hand us garbage — truncated header, bad magic or
 version, trailing bytes, an oversize length prefix, a decodable value
@@ -19,12 +22,14 @@ from __future__ import annotations
 import struct
 from typing import Any, List, Tuple
 
-from ..core.codec import WireError, decode, encode
+from ..core.codec import (_FLAG, _FRAGMENT, _INT, _S_FRAGMENT, _S_INT,
+                          _UNFLAG, WireError, decode, encode)
+from ..core.delimiting import Fragment
 
 #: Ceiling on a single wire frame (and therefore on the TCP length
-#: prefix).  Shim frames are small — a data frame tops out around one
-#: delimiting fragment (~1.4 KB) plus headers — so anything near this
-#: is an attack or a desynchronized stream, not traffic.
+#: prefix).  A client may send a whole message as one fragment (8 KB
+#: in the benchmark), so this bounds a message per frame; a length near
+#: it is an attack or a desynchronized stream, not traffic.
 MAX_FRAME_BYTES = 1 << 20
 
 #: TCP record framing: u32 big-endian payload length.
@@ -32,10 +37,31 @@ LENGTH_PREFIX = struct.Struct(">I")
 
 ShimFrame = Tuple[str, int, Any, int]
 
+# The data frame as the codec lays it out: constant prefix (the three
+# ``None`` placeholders stripped), flow id and fragment header, data, size.
+_DATA_PREFIX = encode(("data", None, None, None))[:-3]
+_S_DATA_HEAD = struct.Struct(">%ds" % len(_DATA_PREFIX) + _S_INT.format[1:]
+                             + _S_FRAGMENT.format[1:])
 
-#: One live shim frame as its wire bytes: the codec's encoding itself
-#: (strict — a payload it does not know raises at the sender, loudly).
-frame_to_wire = encode
+
+def frame_to_wire(frame: ShimFrame) -> bytes:
+    """One live shim frame as the codec's bytes: strict, loud at the sender."""
+    if type(frame) is tuple and len(frame) == 4:
+        kind, flow_id, fragment, size = frame
+        if (type(fragment) is Fragment and type(kind) is str
+                and kind == "data" and type(fragment.data) is bytes
+                and type(fragment.last) is bool
+                and type(flow_id) is type(size) is type(fragment.index)
+                is type(fragment.message_id) is int):
+            try:
+                return b"".join((_S_DATA_HEAD.pack(
+                    _DATA_PREFIX, _INT, flow_id, _FRAGMENT,
+                    fragment.message_id, fragment.index, _FLAG[fragment.last],
+                    len(fragment.data)), fragment.data,
+                    _S_INT.pack(_INT, size)))
+            except struct.error:    # an int outside i64: the codec decides
+                pass
+    return encode(frame)
 
 
 def decode_shim_frame(buf: bytes) -> ShimFrame:
@@ -48,6 +74,18 @@ def decode_shim_frame(buf: bytes) -> ShimFrame:
     the flow tables and byte counters, so their range is checked too: a
     size no wire frame could carry is as malformed as a wrong type.
     """
+    if len(buf) >= _S_DATA_HEAD.size + _S_INT.size:
+        (prefix, int_tag, flow_id, fragment_tag, message_id, index, flag,
+         length) = _S_DATA_HEAD.unpack_from(buf)
+        end = len(buf) - _S_INT.size
+        size_tag, size = _S_INT.unpack_from(buf, end)
+        if (prefix == _DATA_PREFIX and end == _S_DATA_HEAD.size + length
+                and int_tag == size_tag == _INT and fragment_tag == _FRAGMENT
+                and flag in _UNFLAG and flow_id >= 0
+                and 0 <= size <= MAX_FRAME_BYTES):
+            data = bytes(buf[_S_DATA_HEAD.size:end])
+            return "data", flow_id, Fragment(message_id, index,
+                                             _UNFLAG[flag], data), size
     value = decode(buf)
     if (not isinstance(value, tuple) or len(value) != 4
             or not isinstance(value[0], str)

@@ -3,12 +3,16 @@
 A wire frame is the codec's bytes, nothing added (the byte format's own
 suite is ``tests/test_codec.py``); what the gateway adds is the shape
 and range check on what those bytes decode to, and the u32 record
-framing of a TCP stream.  Every way a peer can hand the gateway garbage
+framing of a TCP stream.  A data frame is written and read in one pass
+of its own, held to the codec byte for byte and error for error by
+``TestDataFramePass``.  Every way a peer can hand the gateway garbage
 — truncated header, wrong magic, unknown version, trailing bytes, an
 oversize or impossible TCP length prefix, a decodable value that is not
 a shim frame — must surface as :class:`WireError`, the single failure
 mode the socket readers contain.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +65,139 @@ class TestRoundTrip:
     def test_live_object_payload_raises_at_sender(self):
         with pytest.raises(WireError, match="cannot encode"):
             frame_to_wire(("data", 2, object(), 8))
+
+
+class _Int(int):
+    """An int subclass: the codec refuses it as a value, packs it as a
+    fragment field."""
+
+
+class _Str(str):
+    """A str subclass equal to ``"data"``, which the codec refuses."""
+
+
+def _general_path(buf):
+    """The reference the data-frame pass is held to: the codec's decode
+    plus the shim-frame shape check, as :func:`decode_shim_frame` reads
+    any frame that is not a well-formed data frame."""
+    value = decode(buf)
+    if (not isinstance(value, tuple) or len(value) != 4
+            or not isinstance(value[0], str)
+            or isinstance(value[1], bool) or not isinstance(value[1], int)
+            or isinstance(value[3], bool) or not isinstance(value[3], int)
+            or value[1] < 0 or not 0 <= value[3] <= MAX_FRAME_BYTES):
+        raise WireError(f"not a shim frame: {value!r:.120}")
+    return value
+
+
+def _fields(value):
+    """A decoded value with each field's type made explicit, fragments
+    opened up, so equal fields means equal to the type."""
+    if isinstance(value, Fragment):
+        value = ("Fragment", value.message_id, value.index, value.last,
+                 value.data)
+    if isinstance(value, (tuple, list)):
+        return type(value), [_fields(item) for item in value]
+    return type(value), value
+
+
+def _outcome(read, buf):
+    try:
+        return "frame", _fields(read(buf))
+    except WireError as exc:
+        return "error", str(exc)
+
+
+_EDGES = [-1, 0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 70, -2 ** 63, -2 ** 63 - 1]
+_INTS = st.one_of(st.sampled_from(_EDGES), st.integers(),
+                  st.sampled_from([True, False, _Int(3), _Int(2 ** 63)]))
+_I64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+_DATA = st.binary(max_size=40)
+
+
+@st.composite
+def _data_frames(draw):
+    """Data frames whose every field may be off the pass's shape: edge
+    and big ints, bools and int subclasses, a non-bool ``last``, data
+    that is not ``bytes``."""
+    data = draw(st.one_of(_DATA, st.sampled_from([bytes(1400),
+                                                  bytes(range(256)) * 32])))
+    data = draw(st.sampled_from([data, bytearray(data), data.hex()]))
+    last = draw(st.one_of(st.booleans(),
+                          st.sampled_from([0, 1, 1.0, 2, "T", None])))
+    return ("data", draw(_INTS),
+            Fragment(draw(_INTS), draw(_INTS), last, data),
+            draw(st.one_of(_INTS, st.integers(0, MAX_FRAME_BYTES))))
+
+
+#: Data frames the shape check accepts: the pass's own shape, plus flow
+#: ids past i64 that only the codec's big-int form carries.
+_VALID_FRAMES = st.builds(
+    lambda flow_id, message_id, index, last, data, size:
+    ("data", flow_id, Fragment(message_id, index, last, data), size),
+    st.one_of(st.sampled_from([0, 2 ** 63 - 1, 2 ** 63, 2 ** 70]),
+              st.integers(min_value=0)),
+    _I64, _I64, st.booleans(), _DATA, st.integers(0, MAX_FRAME_BYTES))
+
+
+def _one_byte_changes(wired, values):
+    """Every truncation of ``wired``, then at each offset one mutation
+    and one insertion (the offset past the end: an extension), each
+    byte drawn from the iterator ``values``."""
+    yield from (wired[:cut] for cut in range(len(wired)))
+    for at in range(len(wired) + 1):
+        if at < len(wired):
+            yield wired[:at] + bytes((next(values),)) + wired[at + 1:]
+        yield wired[:at] + bytes((next(values),)) + wired[at:]
+
+
+class TestDataFramePass:
+    """A data frame is written and read in one pass of its own; it must
+    be the codec, byte for byte and error for error, whatever it is
+    handed."""
+
+    @given(_data_frames())
+    @settings(max_examples=400, deadline=None)
+    def test_encode_is_the_codec(self, frame):
+        for value in (frame, list(frame), ("dat",) + frame[1:],
+                      (_Str("data"),) + frame[1:]):
+            assert _outcome(frame_to_wire, value) == _outcome(encode, value)
+
+    @pytest.mark.parametrize("size", [0, 1400, 8192])
+    def test_full_size_fragments(self, size):
+        frame = ("data", 5, Fragment(9, 2, False, bytes(size)), size)
+        wired = frame_to_wire(frame)
+        assert wired == encode(frame)
+        for buf in (wired, wired[:-1], wired + b"\0"):
+            assert (_outcome(decode_shim_frame, buf)
+                    == _outcome(_general_path, buf))
+        frame = frame[:2] + (Fragment(9, 2, False, bytearray(size)), size)
+        assert _outcome(frame_to_wire, frame) == _outcome(encode, frame)
+
+    @given(_VALID_FRAMES, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_decode_is_the_general_path(self, frame, rng):
+        wired = encode(frame)
+        assert frame_to_wire(frame) == wired
+        values = iter(lambda: rng.randrange(256), None)
+        for buf in [wired, *_one_byte_changes(wired, values)]:
+            assert (_outcome(decode_shim_frame, buf)
+                    == _outcome(_general_path, buf)), buf
+
+    @pytest.mark.parametrize("frame", [
+        ("data", 0, Fragment(0, 0, True, b""), 0),
+        ("data", 2 ** 63 - 1, Fragment(-1, 2 ** 63 - 1, False, b"TF"),
+         MAX_FRAME_BYTES),
+        ("data", 7, Fragment(-2 ** 63, 3, True, b"\xb8\x02"), 21),
+    ])
+    def test_every_one_byte_change(self, frame):
+        """Every truncation, mutation and extension, every byte value."""
+        wired = frame_to_wire(frame)
+        assert wired == encode(frame)
+        for value in range(256):
+            for buf in _one_byte_changes(wired, itertools.repeat(value)):
+                assert (_outcome(decode_shim_frame, buf)
+                        == _outcome(_general_path, buf)), buf
 
 
 class TestMalformedFrames:
