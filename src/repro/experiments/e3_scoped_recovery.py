@@ -79,6 +79,7 @@ def run_transfer(config: str, loss: float, total_bytes: int = 150_000,
     row = {
         "config": config,
         "loss": loss,
+        "seed": seed,
         "bytes": total_bytes,
         "completed": finished,
         "elapsed_s": elapsed,
@@ -116,6 +117,7 @@ def run_bursty(config: str, total_bytes: int = 100_000, seed: int = 1,
     return {
         "config": config,
         "loss": "bursty(GE)",
+        "seed": seed,
         "bytes": total_bytes,
         "completed": finished,
         "elapsed_s": elapsed,
@@ -128,7 +130,7 @@ def iter_jobs(losses: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
               total_bytes: int = 120_000, seed: int = 1,
               bursty: bool = True) -> List[Job]:
     """The E3 table as data: one transfer point per (loss, config),
-    loss-major, then the two bursty companion rows."""
+    loss-major, then the bursty companion rows at seeds 1, 2 and 3."""
     jobs = [Job("repro.experiments.e3_scoped_recovery:run_transfer",
                 kwargs={"config": config, "loss": loss,
                         "total_bytes": total_bytes, "seed": seed},
@@ -136,9 +138,9 @@ def iter_jobs(losses: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
             for loss in losses for config in ("e2e", "scoped")]
     if bursty:
         jobs += [Job("repro.experiments.e3_scoped_recovery:run_bursty",
-                     kwargs={"config": config, "seed": seed},
-                     group="e3", label=f"e3 {config} bursty")
-                 for config in ("e2e", "scoped")]
+                     kwargs={"config": config, "seed": panel},
+                     group="e3", label=f"e3 {config} bursty seed={panel}")
+                 for panel in (1, 2, 3) for config in ("e2e", "scoped")]
     return jobs
 
 
