@@ -11,12 +11,13 @@ byte transcript of a whole session).
 
 import asyncio
 import hashlib
+import struct
 
 import pytest
 from test_codec import live_sha256
 
 from repro.core.codec import WireError
-from repro.core.delimiting import Fragment
+from repro.core.delimiting import Fragment, Reassembler
 from repro.gateway.driver import AsyncEngineDriver
 from repro.gateway.server import GatewayServer
 from repro.gateway.shim import SocketLink
@@ -43,6 +44,16 @@ PARENT_SESSION_SHA256 = (
 PARENT_SESSION_FRAMES_SHA256 = (
     "0c4aede8e10097705058e0df9960c606bfd0e7eada9659384babfa3a26acf0bd")
 
+#: The same session as the *messages* the client reassembled, in the
+#: order it completed them: SHA-256 over each ``(flow id, message)`` as
+#: a u32 flow id, a u32 length and the bytes.  Independent of how the
+#: server cuts a reply into fragments, so no change to the fragment
+#: size may move it.
+PARENT_SESSION_MESSAGES_SHA256 = (
+    "5d438d49e8c8d329e10e216d6ee849812501d506fe81a53bd457ed06b4aa2862")
+
+MESSAGE_HEAD = struct.Struct(">II")
+
 
 def run(coro, timeout=30.0):
     async def bounded():
@@ -57,6 +68,13 @@ def record(frame):
 def ping(flow_id, message_id, data):
     fragment = Fragment(message_id, 0, True, data)
     return record(("data", flow_id, fragment, fragment.wire_size()))
+
+
+def messages_sha256(messages):
+    digest = hashlib.sha256()
+    for flow_id, message in messages:
+        digest.update(MESSAGE_HEAD.pack(flow_id, len(message)) + message)
+    return digest.hexdigest()
 
 
 def frames_of(stream):
@@ -386,21 +404,40 @@ class TestTranscript:
         received = bytearray()
         unframer = StreamUnframer()
         frames = []
+        # what the client has read so far: every frame that is not data,
+        # and every message its data frames completed, however many
+        # fragments the server cut it into
+        messages = []
+        reassemblers = {}
+        events = 0
 
         async def read_until(count):
-            while len(frames) < count:
+            nonlocal events
+            while events < count:
                 data = await asyncio.wait_for(reader.read(1 << 16), 10.0)
                 assert data, "server hung up mid-session"
                 received.extend(data)
-                frames.extend(unframer.feed(data))
+                for buf in unframer.feed(data):
+                    frame = decode_shim_frame(buf)
+                    frames.append(frame)
+                    kind, flow_id, payload, _size = frame
+                    if kind != "data":
+                        events += 1
+                        continue
+                    message = reassemblers.setdefault(
+                        flow_id, Reassembler()).push(payload)
+                    if message is not None:
+                        messages.append((flow_id, message))
+                        events += 1
 
         flows = (2, 4, 6)
         writer.write(b"".join(
             record(("alloc", fid, (f"client-{fid}", "echo-server"), 16))
             for fid in flows))
         await read_until(3)
-        # three pipelined rounds; the 4,000 B message comes back as
-        # three fragments, so one reply batch mixes flows and fragments
+        # three pipelined rounds of one message per flow, so one reply
+        # batch mixes flows; the 4,000 B message is the one the server
+        # may cut into more than one fragment
         sizes = {2: 48, 4: 4000, 6: 1}
         expected = 3
         for round_index in range(3):
@@ -408,7 +445,7 @@ class TestTranscript:
                 ping(fid, round_index,
                      bytes([fid + round_index]) * sizes[fid])
                 for fid in flows))
-            expected += 1 + 3 + 1
+            expected += len(flows)
             await read_until(expected)
         # an allocation the server refuses, pipelined with a ping
         writer.write(record(("alloc", 8, ("client-8", "nobody-home"), 16))
@@ -417,16 +454,25 @@ class TestTranscript:
         writer.write(b"".join(record(("dealloc", fid, None, 0))
                               for fid in flows))
         writer.close()
-        return bytes(received), [decode_shim_frame(buf) for buf in frames]
+        return bytes(received), frames, messages
 
     def test_session_bytes_equal_the_parents(self):
-        received, frames = run(with_server(self._scripted_session))
+        received, frames, _messages = run(
+            with_server(self._scripted_session))
         kinds = [(frame[0], frame[1]) for frame in frames]
         assert kinds[:3] == [("alloc-ok", 2), ("alloc-ok", 4),
                              ("alloc-ok", 6)]
         round_kinds = [("data", 2)] + [("data", 4)] * 3 + [("data", 6)]
-        assert kinds[3:18] == round_kinds * 3
-        assert kinds[18:] == [("alloc-err", 8), ("data", 2)]
+        rounds_end = 3 + 3 * len(round_kinds)
+        assert kinds[3:rounds_end] == round_kinds * 3
+        assert kinds[rounds_end:] == [("alloc-err", 8), ("data", 2)]
         assert live_sha256(frames) == PARENT_SESSION_FRAMES_SHA256
         assert (hashlib.sha256(received).hexdigest()
                 == PARENT_SESSION_SHA256)
+
+    def test_session_messages_equal_the_parents(self):
+        _received, _frames, messages = run(
+            with_server(self._scripted_session))
+        assert ([(flow_id, len(message)) for flow_id, message in messages]
+                == [(2, 48), (4, 4000), (6, 1)] * 3 + [(2, 4)])
+        assert messages_sha256(messages) == PARENT_SESSION_MESSAGES_SHA256
