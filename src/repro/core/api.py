@@ -32,15 +32,15 @@ MessageReceiver = Callable[[bytes], None]
 class MessageFlow:
     """Message framing over a flow: send/receive whole byte messages.
 
-    Fragments that the flow refuses (send-buffer backpressure) are queued
-    and retried on a timer, preserving order.
+    Cut to the flow's ``max_sdu``; fragments the flow refuses (backpressure)
+    are queued and retried on a timer, preserving order.
     """
 
-    def __init__(self, engine: Engine, flow: Flow, max_fragment: int = 1400,
+    def __init__(self, engine: Engine, flow: Flow,
                  retry_delay: float = 0.01) -> None:
         self._engine = engine
         self.flow = flow
-        self._delimiter = Delimiter(max_fragment)
+        self._delimiter = Delimiter(flow.max_sdu)
         self._reassembler = Reassembler()
         self._receiver: Optional[MessageReceiver] = None
         self._backlog: Deque[Fragment] = deque()

@@ -19,6 +19,9 @@ from .qos import QosCube
 
 ReceiverFn = Callable[[Any, int], None]
 
+#: Data per SDU on a packet medium: with its headers, within a 1,500 B MTU.
+MAX_SDU_BYTES = 1400
+
 PENDING = "pending"
 ALLOCATED = "allocated"
 FAILED = "failed"
@@ -37,10 +40,10 @@ class Flow:
     """
 
     __slots__ = ("port_id", "local_app", "remote_app", "qos",
-                 "provider_name", "state", "nominal_bps", "_receiver",
-                 "_send_fn", "_dealloc_fn", "on_allocated", "on_failed",
-                 "on_deallocated", "failure_reason", "sdus_sent",
-                 "sdus_received", "bytes_sent")
+                 "provider_name", "state", "nominal_bps", "max_sdu",
+                 "_receiver", "_send_fn", "_dealloc_fn", "on_allocated",
+                 "on_failed", "on_deallocated", "failure_reason",
+                 "sdus_sent", "sdus_received", "bytes_sent")
 
     def __init__(self, port_id: PortId, local_app: ApplicationName,
                  remote_app: ApplicationName, qos: QosCube,
@@ -52,6 +55,7 @@ class Flow:
         self.provider_name = provider_name
         self.state = PENDING
         self.nominal_bps: Optional[float] = None
+        self.max_sdu = MAX_SDU_BYTES
         self._receiver: Optional[ReceiverFn] = None
         self._send_fn: Optional[Callable[[Any, int], bool]] = None
         self._dealloc_fn: Optional[Callable[[], None]] = None
@@ -101,11 +105,13 @@ class Flow:
     # ------------------------------------------------------------------
     def provider_bind(self, send_fn: Callable[[Any, int], bool],
                       dealloc_fn: Optional[Callable[[], None]] = None,
-                      nominal_bps: Optional[float] = None) -> None:
+                      nominal_bps: Optional[float] = None,
+                      max_sdu: int = MAX_SDU_BYTES) -> None:
         """Wire the provider's data path into the flow."""
         self._send_fn = send_fn
         self._dealloc_fn = dealloc_fn
         self.nominal_bps = nominal_bps
+        self.max_sdu = max_sdu
 
     def provider_allocated(self) -> None:
         """Mark allocation complete and notify the user."""

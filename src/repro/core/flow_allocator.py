@@ -27,7 +27,7 @@ import itertools
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from .efcp import EfcpConnection, EfcpPolicy
-from .flow import Flow
+from .flow import MAX_SDU_BYTES, Flow
 from .names import Address, ApplicationName, PortId
 from .pdu import ControlPdu, DataPdu
 from .qos import QosCube, resolve_cube
@@ -253,7 +253,7 @@ class FlowAllocator:
         record.efcp = efcp
         record.flow.provider_bind(
             send_fn=efcp.send,
-            dealloc_fn=lambda: self._deallocate(record))
+            dealloc_fn=lambda: self._deallocate(record), max_sdu=MAX_SDU_BYTES)
 
     def _deallocate(self, record: FlowRecord) -> None:
         ipcp = self._ipcp

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..sim.engine import Engine
 from ..sim.link import CorruptedFrame, LinkEnd
-from .flow import Flow
+from .flow import MAX_SDU_BYTES, Flow
 from .names import ApplicationName, DifName, PortId
 from .qos import BEST_EFFORT, QosCube
 
@@ -50,14 +50,18 @@ class ShimIpcp:
         The physical attachment this shim drives.
     port_ids:
         System-wide port-id counter shared with other providers.
+    max_sdu:
+        Data per frame on this medium, stated to every flow of the shim.
     """
 
     def __init__(self, engine: Engine, dif_name: DifName, system_name: str,
                  link_end: LinkEnd,
-                 port_ids: Optional[itertools.count] = None) -> None:
+                 port_ids: Optional[itertools.count] = None,
+                 max_sdu: int = MAX_SDU_BYTES) -> None:
         self._engine = engine
         self.dif_name = dif_name
         self.system_name = system_name
+        self.max_sdu = max_sdu
         self._end = link_end
         self._end.attach(self._on_frame)
         #: frames the wire damaged in flight, detected and dropped here,
@@ -111,7 +115,7 @@ class ShimIpcp:
         flow.provider_bind(
             send_fn=partial(self._send_data, flow_id),
             dealloc_fn=lambda: self._deallocate(flow_id),
-            nominal_bps=self.link_capacity_bps)
+            nominal_bps=self.link_capacity_bps, max_sdu=self.max_sdu)
         self._pending[flow_id] = flow
         self._alloc_attempt(flow_id, str(src_app), str(dst_app),
                             self.ALLOC_ATTEMPTS)
@@ -198,7 +202,7 @@ class ShimIpcp:
         flow.provider_bind(
             send_fn=partial(self._send_data, flow_id),
             dealloc_fn=lambda: self._deallocate(flow_id),
-            nominal_bps=self.link_capacity_bps)
+            nominal_bps=self.link_capacity_bps, max_sdu=self.max_sdu)
         self._flows[flow_id] = flow
         self._send_frame(_KIND_ALLOC_OK, flow_id, None, 0)
         flow.provider_allocated()

@@ -9,6 +9,10 @@ duck-types the simulated :class:`~repro.sim.link.Link` (two ends, a
 capacity, attach/send) over one framed byte channel, so the inherited
 shim logic cannot tell it left the simulator.
 
+The medium sets its flows' SDU size: TCP the record ceiling, so a message
+is one frame; UDP 1,400 B, since IP would split a larger datagram at the
+path MTU and lose all of it with any one piece.
+
 Inbound bytes are decoded and shape-checked at the engine boundary; a
 malformed frame counts against :attr:`SocketLink.wire_errors` and
 closes the connection — it never raises into the asyncio loop and never
@@ -167,7 +171,7 @@ class SocketShim(ShimIpcp):
                           capacity_bps=capacity_bps, tracked=tracked,
                           on_wire_error=on_wire_error)
         super().__init__(engine, dif_name, system_name, link.ends[side],
-                         port_ids=port_ids)
+                         port_ids=port_ids, max_sdu=channel.max_sdu)
         self.link = link
         self.driver = driver
         # channel teardown (loop context) -> flow teardown (engine context)

@@ -26,8 +26,9 @@ import asyncio
 import socket
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .wire import (MAX_FRAME_BYTES, StreamFramingError, StreamUnframer,
-                   stream_record)
+from ..core.flow import MAX_SDU_BYTES
+from .wire import (MAX_DATA_BYTES, MAX_FRAME_BYTES, StreamFramingError,
+                   StreamUnframer, stream_record)
 
 Receiver = Callable[[bytes], None]
 
@@ -99,6 +100,8 @@ class TcpFrameChannel(FrameChannel):
     a ``call_soon`` costs the loop one more turn — one more ``epoll`` —
     per read, which is what a one-frame batch cannot amortise.
     """
+
+    max_sdu = MAX_DATA_BYTES   # no packet size, only the record ceiling
 
     def __init__(self, transport: asyncio.Transport) -> None:
         super().__init__()
@@ -188,6 +191,8 @@ class StreamFrameProtocol(asyncio.Protocol):
 
 class UdpFrameChannel(FrameChannel):
     """One remote address on a shared UDP socket (one frame/datagram)."""
+
+    max_sdu = MAX_SDU_BYTES   # a datagram within the path MTU
 
     def __init__(self, transport: asyncio.DatagramTransport,
                  addr: Optional[Tuple[str, int]],

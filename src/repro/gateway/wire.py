@@ -27,9 +27,8 @@ from ..core.codec import (_FLAG, _FRAGMENT, _INT, _S_FRAGMENT, _S_INT,
 from ..core.delimiting import Fragment
 
 #: Ceiling on a single wire frame (and therefore on the TCP length
-#: prefix).  A client may send a whole message as one fragment (8 KB
-#: in the benchmark), so this bounds a message per frame; a length near
-#: it is an attack or a desynchronized stream, not traffic.
+#: prefix), so on one TCP message in either direction; a length near it
+#: is an attack or a desynchronized stream, not traffic.
 MAX_FRAME_BYTES = 1 << 20
 
 #: TCP record framing: u32 big-endian payload length.
@@ -42,6 +41,8 @@ ShimFrame = Tuple[str, int, Any, int]
 _DATA_PREFIX = encode(("data", None, None, None))[:-3]
 _S_DATA_HEAD = struct.Struct(">%ds" % len(_DATA_PREFIX) + _S_INT.format[1:]
                              + _S_FRAGMENT.format[1:])
+#: The most data a data frame within MAX_FRAME_BYTES carries: TCP's SDU.
+MAX_DATA_BYTES = MAX_FRAME_BYTES - _S_DATA_HEAD.size - _S_INT.size
 
 
 def frame_to_wire(frame: ShimFrame) -> bytes:

@@ -7,7 +7,11 @@ from repro.apps import (EchoClient, EchoServer, FileSender, FileSink, Mailbox,
 from repro.core import (Dif, DifPolicies, FlowWaiter, MessageFlow,
                         Orchestrator, add_shims, build_dif_over, make_systems,
                         run_until, shim_between)
-from repro.core.names import ApplicationName
+from repro.core.flow import MAX_SDU_BYTES
+from repro.core.names import ApplicationName, DifName
+from repro.core.shim import ShimIpcp
+from repro.sim.engine import Engine
+from repro.sim.link import Link
 from repro.sim.network import Network
 
 
@@ -27,6 +31,35 @@ def two_hosts(seed=1):
 
 
 class TestMessageFlow:
+    def test_packet_media_state_the_constant_sdu_size(self):
+        """A simulated shim's flows and an EFCP flow carry 1,400 B of
+        message data per SDU, and say so to the user."""
+        engine = Engine()
+        link = Link(engine, "wire", capacity_bps=1e8, delay=0.001)
+        left = ShimIpcp(engine, DifName("shim:wire"), "left", link.ends[0])
+        right = ShimIpcp(engine, DifName("shim:wire"), "right",
+                         link.ends[1])
+        accepted = []
+        right.register_app(ApplicationName("svc"), accepted.append)
+        shim_flow = left.allocate_flow(ApplicationName("cli"),
+                                       ApplicationName("svc"))
+        engine.run(until=1.0)
+        assert shim_flow.allocated and accepted
+
+        network, systems = two_hosts()
+        inbound = []
+        systems["b"].register_app(ApplicationName("svc"), inbound.append)
+        network.run(until=network.engine.now + 0.5)
+        from repro.core.qos import RELIABLE
+        efcp_flow = systems["a"].allocate_flow(
+            ApplicationName("cli"), ApplicationName("svc"), qos=RELIABLE)
+        run_until(network, FlowWaiter(efcp_flow).done, timeout=10)
+        assert efcp_flow.allocated and inbound
+        assert efcp_flow.provider_name == DifName("net")
+
+        for flow in (shim_flow, accepted[0], efcp_flow, inbound[0]):
+            assert flow.max_sdu == MAX_SDU_BYTES == 1400
+
     def test_large_message_fragments_and_reassembles(self):
         network, systems = two_hosts()
         inbound = []
@@ -37,14 +70,15 @@ class TestMessageFlow:
                                           ApplicationName("svc"), qos=RELIABLE)
         waiter = FlowWaiter(flow)
         run_until(network, waiter.done, timeout=10)
-        sender = MessageFlow(network.engine, flow, max_fragment=100)
+        sender = MessageFlow(network.engine, flow)
         receiver = MessageFlow(network.engine, inbound[0])
         got = []
         receiver.set_message_receiver(got.append)
-        big = bytes(range(256)) * 40   # 10240 bytes -> ~103 fragments
+        big = bytes(range(256)) * 40   # 10240 bytes -> 8 fragments
         sender.send_message(big)
         run_until(network, lambda: got, timeout=20)
         assert got == [big]
+        assert flow.sdus_sent == -(-len(big) // MAX_SDU_BYTES) == 8
         assert sender.messages_sent == 1
         assert receiver.messages_received == 1
 
@@ -58,7 +92,7 @@ class TestMessageFlow:
                                           ApplicationName("svc"), qos=RELIABLE)
         waiter = FlowWaiter(flow)
         run_until(network, waiter.done, timeout=10)
-        sender = MessageFlow(network.engine, flow, max_fragment=500)
+        sender = MessageFlow(network.engine, flow)
         receiver = MessageFlow(network.engine, inbound[0])
         got = []
         receiver.set_message_receiver(got.append)

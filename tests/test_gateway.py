@@ -13,6 +13,8 @@ import pytest
 from test_codec import live_sha256
 
 from repro.core.codec import decode, encode
+from repro.core.delimiting import Fragment, Reassembler
+from repro.core.flow import MAX_SDU_BYTES
 from repro.core.pdu import ManagementPdu
 from repro.core.riep import RiepMessage
 from repro.gateway.conformance import (SessionSpec, run_simulated_session,
@@ -21,9 +23,9 @@ from repro.gateway.conformance import (SessionSpec, run_simulated_session,
 from repro.gateway.load import run_load
 from repro.gateway.server import GatewayServer
 from repro.gateway.transport import open_tcp_channel, open_udp_channel
-from repro.gateway.wire import (LENGTH_PREFIX, MAX_FRAME_BYTES,
-                                decode_shim_frame, frame_to_wire,
-                                stream_record)
+from repro.gateway.wire import (LENGTH_PREFIX, MAX_DATA_BYTES,
+                                MAX_FRAME_BYTES, decode_shim_frame,
+                                frame_to_wire, stream_record)
 
 #: Socket and simulated runs of the scripted echo/RPC session must
 #: produce byte-identical protocol transcripts.  Captured from the
@@ -214,6 +216,77 @@ class TestSessions:
         assert stats["frames_out"] == 8 + 24        # alloc-oks + replies
         assert stats["flows_lost"] == 0             # deallocs beat the FIN
         assert 0 < stats["writes_out"] < stats["frames_out"]
+
+
+class TestMediumSduSize:
+    """The echo server's flow cuts a reply to the SDU size its medium
+    states: the record ceiling on TCP, 1,400 B on UDP."""
+
+    @staticmethod
+    async def _echo(channel, message, pieces):
+        """Allocate flow 2 to the echo server, send ``message`` cut into
+        fragments of at most ``pieces`` bytes, and return the wire
+        frames of the reply once it is whole."""
+        bufs = []
+        arrived = asyncio.Event()
+
+        def on_bytes(buf):
+            bufs.append(buf)
+            arrived.set()
+
+        async def until(done):
+            while not done():
+                arrived.clear()
+                await asyncio.wait_for(arrived.wait(), 10.0)
+
+        channel.set_receiver(on_bytes)
+        assert channel.send(frame_to_wire(
+            ("alloc", 2, ("sdu-client", "echo-server"), 16)))
+        await until(lambda: bufs)
+        assert decode_shim_frame(bufs.pop())[0] == "alloc-ok"
+        cuts = range(0, len(message), pieces)
+        for index, start in enumerate(cuts):
+            fragment = Fragment(0, index, index == len(cuts) - 1,
+                                message[start:start + pieces])
+            assert channel.send(frame_to_wire(
+                ("data", 2, fragment, fragment.wire_size())))
+        reassembler = Reassembler()
+        replies = []
+
+        def whole():
+            while len(replies) < len(bufs):
+                fragment = decode_shim_frame(bufs[len(replies)])[2]
+                replies.append(reassembler.push(fragment))
+            return replies and replies[-1] is not None
+
+        await until(whole)
+        channel.close()
+        assert replies[-1] == message
+        return bufs
+
+    @pytest.mark.parametrize("extra, frames", [(0, 1), (1, 2)])
+    def test_tcp_reply_is_one_frame_up_to_the_stated_maximum(self, extra,
+                                                             frames):
+        message = bytes(range(256)) * (MAX_DATA_BYTES // 256 + 1)
+        message = message[:MAX_DATA_BYTES + extra]
+
+        async def body(server):
+            channel = await open_tcp_channel("127.0.0.1", server.tcp_port)
+            return await self._echo(channel, message, MAX_DATA_BYTES)
+        bufs = run(_with_server(body, apps=("echo",)))
+        assert len(bufs) == frames
+        assert len(bufs[0]) == MAX_FRAME_BYTES
+        assert all(len(buf) <= MAX_FRAME_BYTES for buf in bufs)
+
+    def test_udp_reply_is_cut_to_the_packet_size(self):
+        message = bytes(range(200)) * 20
+
+        async def body(server):
+            channel = await open_udp_channel("127.0.0.1", server.udp_port)
+            return await self._echo(channel, message, len(message))
+        bufs = run(_with_server(body, apps=("echo",)))
+        sizes = [len(decode_shim_frame(buf)[2].data) for buf in bufs]
+        assert sizes == [MAX_SDU_BYTES, MAX_SDU_BYTES, 1200]
 
 
 class TestServeCli:

@@ -31,18 +31,24 @@ from repro.sim.engine import Engine
 #: SHA-256 of every byte the server sent during :func:`_scripted_session`.
 #: Coalescing may regroup the writes; it may not change, drop or reorder
 #: a byte.  First captured where each frame was its own
-#: ``transport.write``; re-captured once when the wire bytes themselves
+#: ``transport.write``; re-captured when the wire bytes themselves
 #: changed (one-pass codec) — :data:`PARENT_SESSION_FRAMES_SHA256` is
-#: the proof that only the spelling did.
+#: the proof that only the spelling did — and again when a TCP flow
+#: came to state the record ceiling as its SDU size: the 4,000 B reply
+#: is one fragment, no longer three of at most 1,400 B.  Both values
+#: are what the codec's ``encode`` makes of the hand-built frames.
 PARENT_SESSION_SHA256 = (
-    "23a635c6523f2fc5d431405537748338c922987058390d3676bc7a05e0f167c5")
+    "3a3dea757d3f7d4a32834e011640bbf92f2d9d296533ed98475f2af7e2d23801")
 
 #: The same session as the *decoded* frames the client read — kind, flow
 #: id, payload fields, size, rendered by ``test_codec.live_fields`` —
 #: captured at the commit before the one-pass codec and equal after it:
 #: independent of the byte format, so a format change must not move it.
+#: Re-captured with :data:`PARENT_SESSION_SHA256` when the 4,000 B reply
+#: became one fragment; :data:`PARENT_SESSION_MESSAGES_SHA256`, which
+#: did not move, is the proof that only the fragmenting did.
 PARENT_SESSION_FRAMES_SHA256 = (
-    "0c4aede8e10097705058e0df9960c606bfd0e7eada9659384babfa3a26acf0bd")
+    "dc3c32db306ad52484966140e14a6adb75ce2341737ea4d94159b45e5fcfd05b")
 
 #: The same session as the *messages* the client reassembled, in the
 #: order it completed them: SHA-256 over each ``(flow id, message)`` as
@@ -462,7 +468,8 @@ class TestTranscript:
         kinds = [(frame[0], frame[1]) for frame in frames]
         assert kinds[:3] == [("alloc-ok", 2), ("alloc-ok", 4),
                              ("alloc-ok", 6)]
-        round_kinds = [("data", 2)] + [("data", 4)] * 3 + [("data", 6)]
+        # one data frame per flow: over TCP a message is one fragment
+        round_kinds = [("data", 2), ("data", 4), ("data", 6)]
         rounds_end = 3 + 3 * len(round_kinds)
         assert kinds[3:rounds_end] == round_kinds * 3
         assert kinds[rounds_end:] == [("alloc-err", 8), ("data", 2)]

@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.codec import WireError, decode, encode
 from repro.core.delimiting import Fragment
-from repro.gateway.wire import (LENGTH_PREFIX, MAX_FRAME_BYTES,
-                                StreamFramingError, StreamUnframer,
-                                decode_shim_frame, frame_to_wire,
-                                stream_record)
+from repro.gateway.wire import (LENGTH_PREFIX, MAX_DATA_BYTES,
+                                MAX_FRAME_BYTES, StreamFramingError,
+                                StreamUnframer, decode_shim_frame,
+                                frame_to_wire, stream_record)
 
 FRAMES = [
     ("alloc", 2, ("echo-client", "echo-server"), 16),
@@ -163,7 +163,7 @@ class TestDataFramePass:
                       (_Str("data"),) + frame[1:]):
             assert _outcome(frame_to_wire, value) == _outcome(encode, value)
 
-    @pytest.mark.parametrize("size", [0, 1400, 8192])
+    @pytest.mark.parametrize("size", [0, 1400, 8192, MAX_DATA_BYTES])
     def test_full_size_fragments(self, size):
         frame = ("data", 5, Fragment(9, 2, False, bytes(size)), size)
         wired = frame_to_wire(frame)
@@ -293,6 +293,17 @@ class TestStreamFraming:
         assert unframer.feed(record[:-1]) == []
         assert unframer.buffered == len(record) - 1
         assert unframer.feed(record[-1:]) == [frame_to_wire(FRAMES[0])]
+
+    def test_largest_data_frame_fills_one_record(self):
+        """The largest fragment a TCP flow states makes a frame of
+        exactly the record ceiling: accepted, and one byte more is not."""
+        fragment = Fragment(0, 0, True, bytes(MAX_DATA_BYTES))
+        wired = frame_to_wire(("data", 2, fragment, fragment.wire_size()))
+        assert len(wired) == MAX_FRAME_BYTES
+        assert StreamUnframer().feed(stream_record(wired)) == [wired]
+        longer = LENGTH_PREFIX.pack(len(wired) + 1) + wired + b"\0"
+        with pytest.raises(WireError, match="oversize"):
+            StreamUnframer().feed(longer)
 
     def test_oversize_length_prefix(self):
         unframer = StreamUnframer()
