@@ -5,6 +5,33 @@ from hypothesis import given, strategies as st
 
 from repro.core.delimiting import (FRAGMENT_HEADER_BYTES, Delimiter, Fragment,
                                    Reassembler)
+from repro.core.flow import MAX_SDU_BYTES
+
+#: Message sizes around one SDU: empty, tiny, just under, exactly, just
+#: over, and several SDUs.
+ONE_SDU_SIZES = (0, 1, MAX_SDU_BYTES - 1, MAX_SDU_BYTES, MAX_SDU_BYTES + 1,
+                 3 * MAX_SDU_BYTES)
+
+
+def sliced(message, message_id, max_fragment=MAX_SDU_BYTES):
+    """The general slicing rule, written out: ``(message_id, index,
+    last, data, type(data))`` per fragment; an empty message is one
+    empty ``bytes`` fragment."""
+    if not message:
+        return [(message_id, 0, True, b"", bytes)]
+    pieces = [message[start:start + max_fragment]
+              for start in range(0, len(message), max_fragment)]
+    return [(message_id, index, index == len(pieces) - 1, piece, type(piece))
+            for index, piece in enumerate(pieces)]
+
+
+def fields(fragment):
+    return (fragment.message_id, fragment.index, fragment.last,
+            fragment.data, type(fragment.data))
+
+
+def sized_message(kind, size):
+    return kind((bytes(range(256)) * (size // 256 + 1))[:size])
 
 
 class TestDelimiter:
@@ -94,3 +121,41 @@ class TestReassembler:
         for fragment in delimiter.delimit(b"hello"):
             result = reassembler.push(fragment)
         assert result == b"hello"
+
+
+class TestOneSduEquivalence:
+    """Whatever path a message takes through delimiting, the fragments
+    and the reassembled message are the general rule's, type included."""
+
+    @pytest.mark.parametrize("kind", (bytes, bytearray))
+    @pytest.mark.parametrize("size", ONE_SDU_SIZES)
+    def test_delimit_equals_the_slicing_rule(self, size, kind):
+        message = sized_message(kind, size)
+        delimiter = Delimiter()
+        delimiter.delimit(b"earlier")          # message ids move on
+        fragments = delimiter.delimit(message)
+        assert [fields(f) for f in fragments] == sliced(message, 1)
+        if kind is bytearray:
+            # a mutable message is copied: changing it later changes no
+            # fragment already cut from it
+            assert all(f.data is not message for f in fragments)
+            expected = [f.data[:] for f in fragments]
+            message[:] = b"\xff" * len(message)
+            assert [f.data for f in fragments] == expected
+
+    @pytest.mark.parametrize("kind", (bytes, bytearray))
+    @pytest.mark.parametrize("size", ONE_SDU_SIZES)
+    def test_reassembled_message_equals_the_joined_fragments(self, size,
+                                                             kind):
+        message = sized_message(kind, size)
+        delimiter, reassembler = Delimiter(), Reassembler()
+        outputs = [reassembler.push(f) for f in delimiter.delimit(message)]
+        assert outputs[:-1] == [None] * (len(outputs) - 1)
+        assert type(outputs[-1]) is bytes and outputs[-1] == bytes(message)
+        # the reassembler is clean afterwards: the next message, and one
+        # that pre-empts an incomplete message, come out whole
+        assert reassembler.push(delimiter.delimit(message)[0]) == (
+            bytes(message) if size <= MAX_SDU_BYTES else None)
+        late = reassembler.push(delimiter.delimit(b"late")[0])
+        assert type(late) is bytes and late == b"late"
+        assert reassembler.messages_discarded == (size > MAX_SDU_BYTES)

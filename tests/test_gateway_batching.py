@@ -321,6 +321,30 @@ class TestContainment:
             assert server.echo.messages_echoed == 1
         run(with_server(body))
 
+    def test_a_frame_the_stack_rejects_mid_read_ends_the_read(self):
+        """The middle frame of one segment decodes, but its payload is
+        not a name pair: the frame ahead of it is answered, the frame
+        behind it is never echoed, and the connection closes."""
+        async def body(server):
+            protocol, transport = fake_connection(server)
+            protocol.data_received(
+                record(("alloc", 2, ("c", "echo-server"), 16)))
+            shim = next(iter(server._shims.values()))
+            protocol.data_received(
+                ping(2, 0, b"before")
+                + record(("alloc", 4, 7, 16))
+                + ping(2, 1, b"after"))
+            assert [call[0] for call in transport.calls] == [
+                "write", "write", "close"]
+            (reply,) = frames_of(transport.writes[1])
+            assert (reply[0], reply[1], reply[2].data) == ("data", 2,
+                                                           b"before")
+            assert shim.flow_count == 1
+            assert shim.wire_errors == 1
+            assert server.stats["wire_errors"] == 1
+            assert server.echo.messages_echoed == 1
+        run(with_server(body))
+
     def test_frames_before_a_bad_length_prefix_are_answered(self):
         """``record(A) + garbage`` in ONE segment delivers A, exactly as
         it does when the garbage arrives in a segment of its own."""
