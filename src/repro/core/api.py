@@ -22,7 +22,7 @@ from typing import Any, Callable, Deque, Optional
 
 from ..sim.engine import Engine, Timer
 from .delimiting import Delimiter, Fragment, Reassembler
-from .flow import Flow
+from .flow import ALLOCATED, PENDING, Flow
 from .names import ApplicationName
 from .qos import QosCube
 
@@ -55,14 +55,44 @@ class MessageFlow:
         self._receiver = receiver
 
     def send_message(self, data: bytes) -> None:
-        """Queue one message for transmission (fragments as needed)."""
-        self._backlog.extend(self._delimiter.delimit(data))
+        """Send one message (fragments as needed); what the flow cannot
+        take yet is queued, in order."""
+        fragments = self._delimiter.delimit(data)
         self.messages_sent += 1
+        flow = self.flow
+        if (len(fragments) == 1 and not self._backlog
+                and flow.state == ALLOCATED):
+            fragment = fragments[0]
+            if not flow.send(fragment, fragment.wire_size()):
+                self._backlog.append(fragment)
+                self._retry_timer.start(self._retry_delay)
+            return
+        if flow.state == PENDING and not self._backlog:
+            self._await_allocation()
+        self._backlog.extend(fragments)
         self._drain()
 
     def pending_fragments(self) -> int:
         """Fragments queued locally awaiting flow capacity."""
         return len(self._backlog)
+
+    def _await_allocation(self) -> None:
+        """Hold the backlog until the pending flow settles: sent once it
+        is allocated, dropped if allocation fails; the callbacks already
+        set on the flow run after, as before."""
+        flow = self.flow
+        told = flow.on_allocated, flow.on_failed
+
+        def settled(_flow: Flow, *reason: str) -> None:
+            flow.on_allocated, flow.on_failed = told
+            if reason:
+                self._backlog.clear()
+            else:
+                self._drain()
+            callback = told[1] if reason else told[0]
+            if callback is not None:
+                callback(flow, *reason)
+        flow.on_allocated = flow.on_failed = settled
 
     def _drain(self) -> None:
         if not self.flow.allocated:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .flow import MAX_SDU_BYTES
+
 #: Per-fragment delimiting header: message id, fragment index, flags, length.
 FRAGMENT_HEADER_BYTES = 8
 
@@ -38,7 +40,7 @@ class Fragment:
 class Delimiter:
     """Splits messages into :class:`Fragment` objects."""
 
-    def __init__(self, max_fragment: int = 1400) -> None:
+    def __init__(self, max_fragment: int = MAX_SDU_BYTES) -> None:
         if max_fragment < 1:
             raise ValueError("max_fragment must be at least 1 byte")
         self.max_fragment = max_fragment
@@ -48,6 +50,8 @@ class Delimiter:
         """Fragment one message; empty messages yield one empty fragment."""
         message_id = self._next_message_id
         self._next_message_id += 1
+        if type(message) is bytes and len(message) <= self.max_fragment:
+            return [Fragment(message_id, 0, True, message)]   # immutable
         if not message:
             return [Fragment(message_id, 0, True, b"")]
         pieces = [message[i:i + self.max_fragment]
@@ -82,6 +86,8 @@ class Reassembler:
                 # middle of a message whose head was lost
                 self.messages_discarded += 1
                 return None
+            if fragment.last and type(fragment.data) is bytes:
+                return fragment.data   # a lone fragment is the message
             self._current_id = fragment.message_id
         if fragment.index != self._next_index:
             # gap within the current message

@@ -22,9 +22,8 @@ reaches the stack above, and neither does any frame behind it.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
-from ..core.codec import WireError
 from ..core.names import DifName
 from ..core.shim import ShimIpcp
 from ..sim.engine import Engine
@@ -52,7 +51,14 @@ class SocketLinkEnd:
         self._receiver = receiver
 
     def send(self, payload: Any, size: int) -> bool:
-        return self.link.send_from(self.index, payload, size)
+        link = self.link
+        if self is not link._local:
+            raise RuntimeError(f"{link.name}: only the local end "
+                               f"[{link._local.index}] can send")
+        ok = link._channel.send(frame_to_wire(payload))
+        if ok and link._tracked:
+            link._driver.io_begin()
+        return ok
 
     @property
     def peer(self) -> "SocketLinkEnd":
@@ -78,7 +84,7 @@ class SocketLink:
 
     __slots__ = ("name", "capacity_bps", "ends", "_local", "_channel",
                  "_driver", "_tracked", "_on_wire_error", "wire_errors",
-                 "_condemned")
+                 "_condemned", "_read")
 
     def __init__(self, name: str, channel: Any, local_side: int,
                  driver: AsyncEngineDriver,
@@ -98,50 +104,44 @@ class SocketLink:
         self._on_wire_error = on_wire_error
         self.wire_errors = 0
         self._condemned = False
+        self._read: List[bytes] = []
         channel.set_receiver(self._on_wire_bytes, self._on_batch_end)
 
     @property
     def channel(self) -> Any:
         return self._channel
 
-    def send_from(self, index: int, payload: Any, size: int) -> bool:
-        if self.ends[index] is not self._local:
-            raise RuntimeError(f"{self.name}: only the local end "
-                               f"[{self._local.index}] can send")
-        ok = self._channel.send(frame_to_wire(payload))
-        if ok and self._tracked:
-            self._driver.io_begin()
-        return ok
-
     # -- loop context ---------------------------------------------------
     def _on_wire_bytes(self, buf: bytes) -> None:
         if self._tracked:
             self._driver.io_end()
-        self._driver.enqueue(self._deliver, buf, label="gw.rx")
+        self._read.append(buf)
 
     def _on_batch_end(self) -> None:
-        # the replies this produces are still queued on the channel when
-        # it returns; the channel writes them out, once, right after
+        # the read is one engine event; the replies it produces are still
+        # queued on the channel when drain returns, and the channel
+        # writes them out, once, right after
+        read, self._read = self._read, []
+        self._driver.enqueue(self._deliver, read, label="gw.rx")
         self._driver.drain(self._contain)
 
     # -- engine context -------------------------------------------------
-    def _deliver(self, buf: bytes) -> None:
+    def _deliver(self, read: List[bytes]) -> None:
         if self._condemned:
             return   # containment is final: not decoded, not delivered
-        try:
-            frame = decode_shim_frame(buf)
-        except WireError as exc:
-            self._contain(exc)
-            return
         receiver = self._local._receiver
-        if receiver is None:
-            return
-        try:
-            receiver(frame, len(buf))
-        except Exception as exc:   # a decodable frame the stack rejects
-            # (e.g. an alloc whose payload is not a name pair) must tear
-            # down this connection, not the event loop
-            self._contain(exc)
+        for buf in read:
+            try:
+                frame = decode_shim_frame(buf)
+                if receiver is not None:
+                    receiver(frame, len(buf))
+            except Exception as exc:
+                # a frame that does not decode, or one the stack rejects
+                # (e.g. an alloc whose payload is not a name pair), tears
+                # down this connection, not the event loop, and nothing
+                # behind it in the read is delivered
+                self._contain(exc)
+                return
 
     def _contain(self, exc: Exception) -> None:
         self.wire_errors += 1

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.flow import MAX_SDU_BYTES
 from .wire import (MAX_DATA_BYTES, MAX_FRAME_BYTES, StreamFramingError,
-                   StreamUnframer, stream_record)
+                   StreamUnframer, record_prefix)
 
 Receiver = Callable[[bytes], None]
 
@@ -113,10 +113,10 @@ class TcpFrameChannel(FrameChannel):
     def send(self, buf: bytes) -> bool:
         if not self._open or self._transport.is_closing():
             return False
-        record = stream_record(buf)
+        prefix = record_prefix(buf)
         if not self._pending and not self._in_batch:
             self._loop.call_soon(self.flush)
-        self._pending.append(record)
+        self._pending += (prefix, buf)   # joined once, by flush
         self.frames_out += 1
         return True
 

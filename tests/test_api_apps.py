@@ -7,7 +7,7 @@ from repro.apps import (EchoClient, EchoServer, FileSender, FileSink, Mailbox,
 from repro.core import (Dif, DifPolicies, FlowWaiter, MessageFlow,
                         Orchestrator, add_shims, build_dif_over, make_systems,
                         run_until, shim_between)
-from repro.core.flow import MAX_SDU_BYTES
+from repro.core.flow import FAILED, MAX_SDU_BYTES, PENDING
 from repro.core.names import ApplicationName, DifName
 from repro.core.shim import ShimIpcp
 from repro.sim.engine import Engine
@@ -101,6 +101,40 @@ class TestMessageFlow:
         run_until(network, lambda: len(got) == 50, timeout=60)
         assert len(got) == 50
         assert sender.pending_fragments() == 0
+
+
+class TestPendingFlow:
+    """Messages sent while the flow is still being allocated."""
+
+    def test_messages_leave_when_the_flow_is_allocated(self):
+        network, systems = two_hosts()
+        EchoServer(systems["b"])
+        network.run(until=network.engine.now + 0.5)
+        ready = []
+        client = EchoClient(systems["a"], on_ready=lambda: ready.append(
+            client.message_flow.pending_fragments()))
+        assert client.flow.state == PENDING
+        client.ping(64)
+        client.ping(3 * MAX_SDU_BYTES)
+        assert client.message_flow.pending_fragments() == 1 + 3
+        run_until(network, lambda: client.replies == 2, timeout=5)
+        assert client.replies == 2 and client.ready
+        # the backlog went out before the application heard of the
+        # allocation, and its callback is the flow's own again
+        assert ready == [0]
+        assert client.flow.on_allocated == client._on_allocated
+        assert client.message_flow.pending_fragments() == 0
+
+    def test_messages_are_dropped_when_allocation_fails(self):
+        network, systems = two_hosts()
+        client = EchoClient(systems["a"], server_name="nobody-home")
+        client.ping(64)
+        assert client.message_flow.pending_fragments() == 1
+        run_until(network, client.waiter.done, timeout=30)
+        assert client.flow.state == FAILED and not client.waiter.ok
+        assert client.waiter.reason == client.flow.failure_reason
+        assert client.message_flow.pending_fragments() == 0
+        assert client.flow.on_failed == client.waiter._on_fail
 
 
 class TestEcho:

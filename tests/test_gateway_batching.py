@@ -237,6 +237,20 @@ class TestServerBatches:
             assert (stats["frames_out"], stats["writes_out"]) == (16, 2)
         run(with_server(body))
 
+    def test_a_read_of_eight_requests_is_one_engine_event(self):
+        async def body(server):
+            protocol, transport = fake_connection(server)
+            flows = [2 * (index + 1) for index in range(8)]
+            protocol.data_received(b"".join(
+                record(("alloc", fid, (f"c{fid}", "echo-server"), 16))
+                for fid in flows))
+            before = server.engine.events_processed
+            protocol.data_received(b"".join(
+                ping(fid, 0, b"req-%d" % fid) for fid in flows))
+            assert server.engine.events_processed - before == 1
+            assert len(frames_of(transport.writes[1])) == 8
+        run(with_server(body))
+
     def test_segmentation_does_not_change_the_reply_stream(self):
         """The same request bytes cut at every third byte: more reads,
         more writes, the same reply bytes in the same order."""
