@@ -18,7 +18,7 @@ conveniences real applications want on top of raw SDUs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Tuple
 
 from ..sim.engine import Engine, Timer
 from .delimiting import Delimiter, Fragment, Reassembler
@@ -46,6 +46,8 @@ class MessageFlow:
         self._backlog: Deque[Fragment] = deque()
         self._retry_delay = retry_delay
         self._retry_timer = Timer(engine, self._drain, label="msgflow.retry")
+        #: the flow's allocation callbacks while a send waits for it
+        self._told: Tuple[Any, Any] = (None, None)
         self.messages_sent = 0
         self.messages_received = 0
         flow.set_receiver(self._on_sdu)
@@ -55,44 +57,35 @@ class MessageFlow:
         self._receiver = receiver
 
     def send_message(self, data: bytes) -> None:
-        """Send one message (fragments as needed); what the flow cannot
-        take yet is queued, in order."""
+        """Send one message, queueing what the flow cannot take yet."""
         fragments = self._delimiter.delimit(data)
         self.messages_sent += 1
         flow = self.flow
-        if (len(fragments) == 1 and not self._backlog
-                and flow.state == ALLOCATED):
-            fragment = fragments[0]
-            if not flow.send(fragment, fragment.wire_size()):
-                self._backlog.append(fragment)
-                self._retry_timer.start(self._retry_delay)
-            return
-        if flow.state == PENDING and not self._backlog:
-            self._await_allocation()
-        self._backlog.extend(fragments)
-        self._drain()
+        if self._backlog or len(fragments) > 1 or flow.state != ALLOCATED:
+            if flow.state == PENDING and not self._backlog:
+                self._told = flow.on_allocated, flow.on_failed
+                flow.on_allocated = flow.on_failed = self._settled
+            self._backlog.extend(fragments)
+            self._drain()
+        elif not flow.send(fragments[0], fragments[0].wire_size()):
+            self._backlog.append(fragments[0])
+            self._retry_timer.start(self._retry_delay)
 
     def pending_fragments(self) -> int:
         """Fragments queued locally awaiting flow capacity."""
         return len(self._backlog)
 
-    def _await_allocation(self) -> None:
-        """Hold the backlog until the pending flow settles: sent once it
-        is allocated, dropped if allocation fails; the callbacks already
-        set on the flow run after, as before."""
-        flow = self.flow
-        told = flow.on_allocated, flow.on_failed
-
-        def settled(_flow: Flow, *reason: str) -> None:
-            flow.on_allocated, flow.on_failed = told
-            if reason:
-                self._backlog.clear()
-            else:
-                self._drain()
-            callback = told[1] if reason else told[0]
-            if callback is not None:
-                callback(flow, *reason)
-        flow.on_allocated = flow.on_failed = settled
+    def _settled(self, flow: Flow, *reason: str) -> None:
+        """The pending flow was allocated, or failed for ``reason``: the
+        backlog leaves or is dropped, then the callbacks it stood in
+        for run."""
+        flow.on_allocated, flow.on_failed = self._told
+        if reason:
+            self._backlog.clear()
+        else:
+            self._drain()
+        if self._told[bool(reason)] is not None:
+            self._told[bool(reason)](flow, *reason)
 
     def _drain(self) -> None:
         if not self.flow.allocated:

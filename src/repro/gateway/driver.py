@@ -5,7 +5,7 @@ difference is who owns time.  :class:`AsyncEngineDriver` supports both
 ownership contracts:
 
 * ``mode="wall"`` — wall clock owns time.  ``loop.time()`` is mapped
-  onto the simulated clock.  What a socket read enqueues is run to
+  onto the simulated clock.  A socket read is one engine event, run to
   completion by :meth:`drain` at the end of that read, in the same loop
   turn; a background task sleeps until the engine's next timer (an
   actual ``loop.call_later`` deadline, pre-empted by :meth:`inject` or
@@ -26,10 +26,11 @@ ownership contracts:
   replay transcript.
 
 All engine mutations driven by sockets must go through :meth:`inject`
-(or :meth:`enqueue` + :meth:`drain` for the frames of one read), which
-schedule the callback as an ordinary engine event at the current
-simulated instant — socket callbacks never touch stack state directly,
-so engine-event ordering stays the only ordering there is.
+(or :meth:`enqueue` + :meth:`drain` for a read, all its frames in one
+callback), which schedule the callback as an ordinary engine event at
+the current simulated instant — socket callbacks never touch stack
+state directly, so engine-event ordering stays the only ordering there
+is.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ class AsyncEngineDriver:
                 label: str = "gw.inject") -> None:
         """Queue ``fn(*args)`` as an engine event at the current
         simulated instant, after events already queued for it.  Nothing
-        is woken: the caller owes a :meth:`drain` once its batch is
-        queued (a lone callback goes through :meth:`inject`)."""
+        is woken: the caller, a socket read queueing itself as one
+        event, owes a :meth:`drain` right after (a callback from
+        anywhere else goes through :meth:`inject`)."""
         self.engine.call_at(self.engine.now, self._guarded, fn, args,
                             label=label)
         self._activity += 1

@@ -13,10 +13,11 @@ The medium sets its flows' SDU size: TCP the record ceiling, so a message
 is one frame; UDP 1,400 B, since IP would split a larger datagram at the
 path MTU and lose all of it with any one piece.
 
-Inbound bytes are decoded and shape-checked at the engine boundary; a
-malformed frame counts against :attr:`SocketLink.wire_errors` and
-closes the connection — it never raises into the asyncio loop and never
-reaches the stack above, and neither does any frame behind it.
+One socket read is one engine event.  Its frames are decoded and
+shape-checked at the engine boundary, in order; a malformed frame counts
+against :attr:`SocketLink.wire_errors` and closes the connection — it
+never raises into the asyncio loop and never reaches the stack above,
+and neither does any frame behind it.
 """
 
 from __future__ import annotations
@@ -118,9 +119,8 @@ class SocketLink:
         self._read.append(buf)
 
     def _on_batch_end(self) -> None:
-        # the read is one engine event; the replies it produces are still
-        # queued on the channel when drain returns, and the channel
-        # writes them out, once, right after
+        # the read is one engine event; its replies are still queued on
+        # the channel when drain returns, and go out in one write after
         read, self._read = self._read, []
         self._driver.enqueue(self._deliver, read, label="gw.rx")
         self._driver.drain(self._contain)
@@ -135,11 +135,10 @@ class SocketLink:
                 frame = decode_shim_frame(buf)
                 if receiver is not None:
                     receiver(frame, len(buf))
-            except Exception as exc:
-                # a frame that does not decode, or one the stack rejects
-                # (e.g. an alloc whose payload is not a name pair), tears
-                # down this connection, not the event loop, and nothing
-                # behind it in the read is delivered
+            except Exception as exc:   # undecodable, or rejected by the
+                # stack (an alloc whose payload is not a name pair): this
+                # connection closes, not the event loop, and the rest of
+                # the read is dropped
                 self._contain(exc)
                 return
 
