@@ -18,7 +18,7 @@ conveniences real applications want on top of raw SDUs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Optional
 
 from ..sim.engine import Engine, Timer
 from .delimiting import Delimiter, Fragment, Reassembler
@@ -46,8 +46,6 @@ class MessageFlow:
         self._backlog: Deque[Fragment] = deque()
         self._retry_delay = retry_delay
         self._retry_timer = Timer(engine, self._drain, label="msgflow.retry")
-        #: the flow's allocation callbacks while a send waits for it
-        self._told: Tuple[Any, Any] = (None, None)
         self.messages_sent = 0
         self.messages_received = 0
         flow.set_receiver(self._on_sdu)
@@ -76,16 +74,16 @@ class MessageFlow:
         return len(self._backlog)
 
     def _settled(self, flow: Flow, *reason: str) -> None:
-        """The pending flow was allocated, or failed for ``reason``: the
-        backlog leaves or is dropped, then the callbacks it stood in
-        for run."""
+        """The pending flow was allocated, or failed for ``reason``: send
+        the backlog or drop it, then run the callbacks this stood in for."""
         flow.on_allocated, flow.on_failed = self._told
         if reason:
             self._backlog.clear()
         else:
             self._drain()
-        if self._told[bool(reason)] is not None:
-            self._told[bool(reason)](flow, *reason)
+        callback = self._told[1 if reason else 0]
+        if callback is not None:
+            callback(flow, *reason)
 
     def _drain(self) -> None:
         if not self.flow.allocated:

@@ -26,11 +26,10 @@ ownership contracts:
   replay transcript.
 
 All engine mutations driven by sockets must go through :meth:`inject`
-(or :meth:`enqueue` + :meth:`drain` for a read, all its frames in one
-callback), which schedule the callback as an ordinary engine event at
-the current simulated instant — socket callbacks never touch stack
-state directly, so engine-event ordering stays the only ordering there
-is.
+(or :meth:`enqueue` + :meth:`drain`, once per read for all its frames),
+which schedule the callback as an ordinary engine event at the current
+simulated instant — socket callbacks never touch stack state directly,
+so engine-event ordering stays the only ordering there is.
 """
 
 from __future__ import annotations
@@ -81,9 +80,8 @@ class AsyncEngineDriver:
                 label: str = "gw.inject") -> None:
         """Queue ``fn(*args)`` as an engine event at the current
         simulated instant, after events already queued for it.  Nothing
-        is woken: the caller, a socket read queueing itself as one
-        event, owes a :meth:`drain` right after (a callback from
-        anywhere else goes through :meth:`inject`)."""
+        is woken: the caller, a socket read, owes a :meth:`drain` right
+        after (a lone callback from elsewhere goes through :meth:`inject`)."""
         self.engine.call_at(self.engine.now, self._guarded, fn, args,
                             label=label)
         self._activity += 1
@@ -128,7 +126,7 @@ class AsyncEngineDriver:
                  ) -> None:
         """An enqueued callback's failure belongs to the connection
         being read (``on_error`` closes it), not to whoever called
-        ``engine.run``: the frames of the other connections queued
+        ``engine.run``: the reads of the other connections queued
         behind it in the same run are still served.  Fast mode has
         nobody to tell and lets it fail the session.
         """

@@ -26,9 +26,10 @@ import asyncio
 import socket
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.codec import WireError
 from ..core.flow import MAX_SDU_BYTES
-from .wire import (MAX_DATA_BYTES, MAX_FRAME_BYTES, StreamFramingError,
-                   StreamUnframer, record_prefix)
+from .wire import (LENGTH_PREFIX, MAX_DATA_BYTES, MAX_FRAME_BYTES,
+                   StreamFramingError, StreamUnframer)
 
 Receiver = Callable[[bytes], None]
 
@@ -91,11 +92,13 @@ class FrameChannel:
 class TcpFrameChannel(FrameChannel):
     """Length-prefixed frames over one TCP connection.
 
-    ``send`` only queues the record.  The queue is written out with one
-    ``transport.write`` by whichever comes first: the end of the read
-    batch being processed (same loop turn — the common case, a reply to
-    what was just read), ``close``, or a flush deferred to the next loop
-    turn for frames sent from anywhere else (timers, client coroutines).
+    ``send`` only queues the record, as its length prefix and the frame
+    itself: the flush's one join is the only copy.  The queue is written
+    out with one ``transport.write`` by whichever comes first: the end of
+    the read batch being processed (same loop turn — the common case, a
+    reply to what was just read), ``close``, or a flush deferred to the
+    next loop turn for frames sent from anywhere else (timers, client
+    coroutines).
     The flush at end-of-batch is a direct call, not a deferred callback:
     a ``call_soon`` costs the loop one more turn — one more ``epoll`` —
     per read, which is what a one-frame batch cannot amortise.
@@ -113,10 +116,12 @@ class TcpFrameChannel(FrameChannel):
     def send(self, buf: bytes) -> bool:
         if not self._open or self._transport.is_closing():
             return False
-        prefix = record_prefix(buf)
+        if len(buf) > MAX_FRAME_BYTES:   # as stream_record refuses it
+            raise WireError(f"frame of {len(buf)} bytes exceeds "
+                            f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
         if not self._pending and not self._in_batch:
             self._loop.call_soon(self.flush)
-        self._pending += (prefix, buf)   # joined once, by flush
+        self._pending += (LENGTH_PREFIX.pack(len(buf)), buf)
         self.frames_out += 1
         return True
 

@@ -97,17 +97,12 @@ def decode_shim_frame(buf: bytes) -> ShimFrame:
     return value
 
 
-def record_prefix(buf: bytes) -> bytes:
-    """The length prefix that makes ``buf`` one TCP record."""
+def stream_record(buf: bytes) -> bytes:
+    """``buf`` as one length-prefixed TCP record."""
     if len(buf) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(buf)} bytes exceeds "
                         f"MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
-    return LENGTH_PREFIX.pack(len(buf))
-
-
-def stream_record(buf: bytes) -> bytes:
-    """``buf`` as one length-prefixed TCP record."""
-    return record_prefix(buf) + buf
+    return LENGTH_PREFIX.pack(len(buf)) + buf
 
 
 class StreamFramingError(WireError):
