@@ -51,7 +51,7 @@ class Delimiter:
         message_id = self._next_message_id
         self._next_message_id += 1
         if type(message) is bytes and len(message) <= self.max_fragment:
-            return [Fragment(message_id, 0, True, message)]   # immutable
+            return [Fragment(message_id, 0, True, message)]   # no copy: immutable
         if not message:
             return [Fragment(message_id, 0, True, b"")]
         pieces = [message[i:i + self.max_fragment]
