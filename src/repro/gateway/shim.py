@@ -135,11 +135,8 @@ class SocketLink:
                 frame = decode_shim_frame(buf)
                 if receiver is not None:
                     receiver(frame, len(buf))
-            except Exception as exc:   # undecodable, or rejected by the
-                # stack (an alloc whose payload is not a name pair): this
-                # connection closes, not the event loop, and the rest of
-                # the read is dropped
-                self._contain(exc)
+            except Exception as exc:   # undecodable, or the stack refused
+                self._contain(exc)     # it: close, drop the rest of the read
                 return
 
     def _contain(self, exc: Exception) -> None:

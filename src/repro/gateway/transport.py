@@ -92,13 +92,12 @@ class FrameChannel:
 class TcpFrameChannel(FrameChannel):
     """Length-prefixed frames over one TCP connection.
 
-    ``send`` only queues the record, as its length prefix and the frame
-    itself: the flush's one join is the only copy.  The queue is written
-    out with one ``transport.write`` by whichever comes first: the end of
-    the read batch being processed (same loop turn — the common case, a
-    reply to what was just read), ``close``, or a flush deferred to the
-    next loop turn for frames sent from anywhere else (timers, client
-    coroutines).
+    ``send`` only queues the record, prefix and frame apart.  The queue
+    is joined once and written with one ``transport.write`` by whichever
+    comes first: the end of the read batch being processed (same loop
+    turn — the common case, a reply to what was just read), ``close``, or
+    a flush deferred to the next turn for frames sent from anywhere else
+    (timers, client coroutines).
     The flush at end-of-batch is a direct call, not a deferred callback:
     a ``call_soon`` costs the loop one more turn — one more ``epoll`` —
     per read, which is what a one-frame batch cannot amortise.
