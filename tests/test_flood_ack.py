@@ -21,8 +21,9 @@ from repro.core import (Dif, DifPolicies, Orchestrator, add_shims,
 from repro.core import ipcp as ipcp_module
 from repro.core.directory import DIRECTORY_OBJ
 from repro.core.ipcp import Ipcp
-from repro.core.riep import FLOOD_ACK_OBJ
+from repro.core.riep import FLOOD_ACK_OBJ, DeadlineFifo
 from repro.core.routing import LSA_OBJ
+from repro.sim.engine import Engine
 from repro.sim.network import Network
 
 TIMEOUT = 0.4                       # DifPolicies' flood_ack_timeout default
@@ -203,3 +204,83 @@ class TestCrash:
                 member.crash()
         network.engine.run()
         assert network.engine.next_event_time() is None
+
+
+class ArmLog(Engine):
+    """An engine that records the instant of every event armed on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = []
+
+    def call_at(self, when, callback, *args, label=""):
+        self.armed.append(when)
+        return super().call_at(when, callback, *args, label=label)
+
+
+def fifo(delay=1.0):
+    engine = ArmLog()
+    expired = []
+    queue = DeadlineFifo(
+        engine, delay,
+        lambda key, value: expired.append((engine.now, key, value)), "t")
+    return engine, queue, expired
+
+
+def at(engine, when, action):
+    """Run ``engine`` to ``when``, then do ``action``."""
+    engine.run(until=when)
+    action()
+
+
+class TestDeadlineFifo:
+    """The queue both flood-ack lists are: every key expires one delay
+    after it was added, in the order added, unless settled first."""
+
+    def test_keys_expire_in_the_order_added(self):
+        engine, queue, expired = fifo()
+        for when, key in ((0.0, "a"), (0.25, "b"), (0.25, "c"), (0.5, "d")):
+            at(engine, when, lambda key=key: queue.setdefault(key, key * 2))
+        assert queue.setdefault("a", "other") == "aa"     # already pending
+        engine.run()
+        assert expired == [(1.0, "a", "aa"), (1.25, "b", "bb"),
+                           (1.25, "c", "cc"), (1.5, "d", "dd")]
+        assert not queue.pending
+
+    def test_a_key_settled_before_its_deadline_never_expires(self):
+        engine, queue, expired = fifo()
+        queue.setdefault("a", 1)
+        at(engine, 0.25, lambda: queue.setdefault("b", 2))
+        at(engine, 0.5, lambda: queue.pending.pop("b"))
+        engine.run()
+        assert expired == [(1.0, "a", 1)]
+
+    def test_a_settled_head_rearms_at_the_next_live_key(self):
+        engine, queue, expired = fifo()
+        queue.setdefault("a", 1)
+        at(engine, 0.25, lambda: queue.setdefault("b", 2))
+        at(engine, 0.5, lambda: queue.setdefault("c", 3))
+        at(engine, 0.75, lambda: queue.pending.pop("a"))
+        engine.run()
+        assert expired == [(1.25, "b", 2), (1.5, "c", 3)]
+
+    def test_armed_instants(self):
+        # one event at a time, at the head's deadline: a settled head
+        # still fires at its own deadline and re-arms from there, and a
+        # key added while that event is armed arms nothing new
+        engine, queue, expired = fifo()
+        queue.setdefault("a", 1)
+        at(engine, 0.25, lambda: queue.setdefault("b", 2))
+        at(engine, 0.5, lambda: queue.pending.pop("a"))
+        at(engine, 0.6, lambda: queue.pending.pop("b"))
+        at(engine, 0.75, lambda: queue.setdefault("c", 3))
+        engine.run()
+        assert engine.armed == [1.0, 1.75]
+        assert expired == [(1.75, "c", 3)]
+        # idle again: the next key arms its own deadline
+        start = engine.now
+        queue.setdefault("d", 4)
+        at(engine, start + 0.5, lambda: queue.setdefault("e", 5))
+        engine.run()
+        assert engine.armed == [1.0, 1.75, start + 1.0, start + 1.5]
+        assert expired[1:] == [(start + 1.0, "d", 4), (start + 1.5, "e", 5)]

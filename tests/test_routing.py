@@ -1,6 +1,7 @@
 """Unit tests for link-state routing inside a DIF."""
 
 import copy
+import hashlib
 import gc
 import random
 import weakref
@@ -608,3 +609,124 @@ class TestScopePin:
             "flap_update_scope")} == {
             "lsas_reflooded": 3_248, "mean_table": 55.0, "spf_runs": 56,
             "flap_update_scope": 56}
+
+
+# ----------------------------------------------------------------------
+# Per-member SPF bookkeeping through a crash, a re-enrolment and an
+# address change
+# ----------------------------------------------------------------------
+def member_spf_rows(name, seed, monkeypatch):
+    """Run a canned spec on the IPC stack and return, for every routing
+    task in the order they were made: the four counters at the end of the
+    run, a SHA-256 of the next-hop table a query then reads, and
+    ``(spf_runs, spf_skipped)`` after that query."""
+    from repro.scenarios import ScenarioRunner, canned
+    made = []
+    init = LinkStateRouting.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(LinkStateRouting, "__init__", recording)
+    ScenarioRunner(canned(name), seed=seed).run("rina")
+    rows = []
+    for task in made:
+        counters = (task.spf_runs, task.spf_skipped, task.lsas_received,
+                    task.lsas_reflooded)
+        table = repr(sorted((dst.parts, hop.parts)
+                            for dst, hop in task.table().items()))
+        rows.append((counters, hashlib.sha256(table.encode()).hexdigest()[:16],
+                     (task.spf_runs, task.spf_skipped)))
+    return rows
+
+
+class TestSpfBookkeepingPin:
+    """Where a member's own row, an empty row, a reset and a changed
+    address decide what marks the SPF dirty, each member's counters and
+    its next-hop table are pinned exactly."""
+
+    def test_fault_storm_crash_and_reenrol(self, monkeypatch):
+        rows = member_spf_rows("fault-storm", 7, monkeypatch)
+        assert rows == FAULT_STORM_SPF
+
+    def test_e5_mobility_address_change(self, monkeypatch):
+        rows = member_spf_rows("e5-mobility", 7, monkeypatch)
+        assert rows == E5_MOBILITY_SPF
+
+
+#: ``member_spf_rows("fault-storm", 7)``: six members, one of them
+#: crashed and re-enrolled.
+FAULT_STORM_SPF = [
+    ((6, 0, 36, 29), '00d78f5e2b8e4159', (7, 0)),
+    ((4, 0, 29, 24), '75ffdd3a16a41ac9', (5, 0)),
+    ((1, 0, 40, 27), '78c7097e5924046e', (2, 0)),
+    ((4, 0, 29, 25), '92ab01feb5269245', (5, 0)),
+    ((1, 0, 38, 16), 'a8b5bf957df67aa8', (2, 0)),
+    ((5, 0, 30, 19), '681ac3e57dcf6fb4', (6, 0)),
+]
+
+#: ``member_spf_rows("e5-mobility", 7)``: the mobile host leaves its DIFs
+#: and enrols again under new addresses.
+E5_MOBILITY_SPF = [
+    ((2, 0, 5, 5), 'ca723e09c968a7a9', (2, 0)),
+    ((3, 0, 7, 7), 'b11eafea1d1ed8b4', (3, 0)),
+    ((0, 0, 4, 4), '8656430e53253fc6', (1, 0)),
+    ((3, 0, 4, 4), '7efec2bc153d8dd0', (3, 0)),
+    ((0, 0, 3, 3), '8398347d5eb66968', (1, 0)),
+    ((0, 0, 2, 2), 'ffe802b09fbb9b90', (1, 0)),
+    ((0, 0, 1, 1), 'ac3dfe7c6079f4ef', (1, 0)),
+    ((2, 0, 7, 7), '903931895a621247', (2, 0)),
+    ((2, 0, 8, 8), '804b21375d4ae8d5', (2, 0)),
+    ((0, 0, 6, 6), 'ddf5a91edce39087', (1, 0)),
+    ((3, 0, 4, 4), 'e1a8acd80b349b82', (3, 0)),
+    ((3, 0, 6, 6), '5571a8a57974aa82', (3, 0)),
+]
+
+
+class TestWhatMarksSpfDirty:
+    """One task, rows installed by hand: which changes re-run Dijkstra
+    at the next query and which let it be skipped."""
+
+    def test_each_kind_of_change(self):
+        local = [Address(1)]
+        task = LinkStateRouting(Engine(), lambda: local[0], lambda m, e: 0)
+
+        def install(origin, seq, neighbors):
+            task.load_lsdb([Lsa(Address(origin), seq, {
+                Address(n): 1.0 for n in neighbors}).to_value()])
+
+        def query():
+            task.force_spf()
+            return task.spf_runs, task.spf_skipped
+
+        task.neighbor_up(Address(2))
+        assert query() == (1, 0)              # own adjacency added
+        install(2, 1, [1, 3])
+        assert query() == (2, 0)              # a new origin's row
+        assert task.next_hop(Address(2)) == Address(2)
+        install(2, 2, [1, 3])
+        assert query() == (2, 1)              # sequence refresh only
+        install(3, 1, [])
+        assert query() == (3, 1)              # a new origin, empty row
+        install(3, 2, [2])
+        assert query() == (4, 1)              # its row filled
+        assert task.next_hop(Address(3)) == Address(2)
+        install(2, 3, [])
+        assert query() == (5, 1)              # a row withdrawn
+        assert task.table() == {}
+        install(2, 4, [1, 3])
+        assert query() == (6, 1)              # and installed again
+        assert query() == (6, 2)              # nothing changed
+        install(1, 9, [7])
+        assert query() == (6, 3)              # the own LSA is not read
+        task.neighbor_up(Address(2), cost=2.0)
+        assert query() == (7, 3)              # own cost changed
+        local[0] = Address(4)
+        assert query() == (8, 3)              # a new address
+        assert task.next_hop(Address(2)) is None
+        task.reset()
+        task.neighbor_up(Address(2))
+        install(2, 5, [4])
+        assert query() == (9, 3)              # after a crash
+        assert task.table() == {Address(2): Address(2)}
