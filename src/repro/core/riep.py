@@ -18,8 +18,7 @@ flooded copies, one per neighbour.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..sim.engine import Engine
 from .names import Address
@@ -196,42 +195,48 @@ class InvokeTable:
 
 class DeadlineFifo:
     """Keys that expire ``delay`` seconds after they are added, timed by
-    one engine event at the queue's head, not one per key: the delay is
-    shared, so deadlines queue in order.  The owner settles a key by
-    popping it from :attr:`pending`, and the head skips its entry.
+    one engine event at a time, not one per key.  :attr:`pending` maps
+    each key to ``(deadline, value)`` in the order added; the delay is
+    shared, so that is deadline order.  The owner settles a key by
+    popping it from :attr:`pending`; the armed event still fires at the
+    deadline it was armed for and re-arms at the first key left.
     Expired keys go to ``on_expire(key, value)`` in the order added.
     """
 
     __slots__ = ("pending", "_engine", "_delay", "_on_expire", "_label",
-                 "_queue")
+                 "_armed")
 
     def __init__(self, engine: Engine, delay: float,
                  on_expire: Callable[[Any, Any], None], label: str) -> None:
-        self.pending: Dict[Any, Any] = {}    # until popped or expired
+        self.pending: Dict[Any, Tuple[float, Any]] = {}
         self._engine, self._delay = engine, delay
         self._on_expire, self._label = on_expire, label
-        self._queue: deque = deque()         # (deadline, key); armed if any
+        self._armed = False
 
     def setdefault(self, key: Any, value: Any) -> Any:
         """The value pending under ``key``; an absent key is added with
         ``value`` and expires one delay from now."""
-        if key in self.pending:
-            return self.pending[key]
-        self.pending[key] = value
-        self._queue.append((self._engine.now + self._delay, key))
-        if len(self._queue) == 1:
-            self._engine.call_at(self._queue[0][0], self._fire,
-                                 label=self._label)
+        entry = self.pending.get(key)
+        if entry is not None:
+            return entry[1]
+        deadline = self._engine.now + self._delay
+        self.pending[key] = (deadline, value)
+        if not self._armed:
+            self._armed = True
+            self._engine.call_at(deadline, self._fire, label=self._label)
         return value
 
     def _fire(self) -> None:
-        queue, pending, now = self._queue, self.pending, self._engine.now
+        pending, now = self.pending, self._engine.now
         expired = []
-        while queue and (queue[0][0] <= now or queue[0][1] not in pending):
-            key = queue.popleft()[1]
-            if key in pending:
-                expired.append((key, pending.pop(key)))
-        if queue:
-            self._engine.call_at(queue[0][0], self._fire, label=self._label)
+        for key, (deadline, value) in pending.items():
+            if deadline > now:
+                self._engine.call_at(deadline, self._fire, label=self._label)
+                break
+            expired.append((key, value))
+        else:
+            self._armed = False
+        for key, _value in expired:
+            del pending[key]
         for key, value in expired:
             self._on_expire(key, value)

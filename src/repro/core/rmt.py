@@ -56,20 +56,24 @@ class FifoScheduler(Scheduler):
     __slots__ = ("_queue", "_limit")
 
     def __init__(self, limit: int = 256) -> None:
-        self._queue: Deque[Pdu] = deque()
+        # made when a PDU first has to wait: most ports never queue
+        self._queue: Optional[Deque[Pdu]] = None
         self._limit = limit
 
     def push(self, pdu: Pdu) -> Optional[Pdu]:
-        if len(self._queue) >= self._limit:
+        queue = self._queue
+        if queue is None:
+            queue = self._queue = deque()
+        if len(queue) >= self._limit:
             return pdu  # tail drop the newcomer
-        self._queue.append(pdu)
+        queue.append(pdu)
         return None
 
     def pop(self) -> Optional[Pdu]:
         return self._queue.popleft() if self._queue else None
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self._queue) if self._queue else 0
 
 
 class PriorityScheduler(Scheduler):

@@ -20,12 +20,12 @@ experiments E5/E6 quantify.
 Scaling: link-state is the same in every member of a DIF, so it is held once.
 
 * an LSA is **one object per process** (:meth:`Lsa.from_value` hands every
-  member that receives the same value dict the same immutable ``Lsa``), and
-  a member's claim table stores the shared ``neighbors`` rows — a flood
-  costs one decode per origination, not one per member;
-* there is no per-member graph: SPF is lazy (hundreds of runs against tens
-  of thousands of LSAs), so Dijkstra applies the two-way check to the claim
-  rows as it walks them;
+  member that receives the same value dict the same immutable ``Lsa``) —
+  a flood costs one decode per origination, not one per member;
+* there is no per-member graph and no second index over the LSDB: SPF is
+  lazy (hundreds of runs against tens of thousands of LSAs), so Dijkstra
+  reads each origin's row from its stored LSA, the member's own from its
+  live adjacencies, and applies the two-way check as it walks them;
 * an accepted LSA that does not change its origin's advertised neighbor
   set (a pure sequence-number refresh) is stored and re-flooded but does
   **not** mark the SPF dirty — the hold-down timer still fires on the same
@@ -127,7 +127,7 @@ class LinkStateRouting:
 
     __slots__ = ("_engine", "_local_addr_fn", "_flood", "_spf_delay",
                  "_lsdb", "_own_seq", "_adjacencies", "_next_hop",
-                 "_spf_timer", "_claims", "_dirty", "_spf_pending",
+                 "_spf_timer", "_dirty", "_spf_pending",
                  "_spf_source", "lsas_received", "lsas_reflooded",
                  "spf_runs", "spf_skipped")
 
@@ -144,9 +144,7 @@ class LinkStateRouting:
         self._adjacencies: Dict[Address, float] = {}
         self._next_hop: Dict[Address, Address] = {}
         self._spf_timer = Timer(engine, self._run_spf, label="routing.spf")
-        # origin -> claimed adjacency row (the LSA's own, shared, dict)
-        self._claims: Dict[Address, Dict[Address, float]] = {}
-        self._dirty = False            # any claim change since the last run
+        self._dirty = False            # any row change since the last run
         self._spf_pending = False      # hold-down fired; recompute on query
         self._spf_source: Optional[Address] = None
         # counters for the scalability/mobility experiments
@@ -163,7 +161,7 @@ class LinkStateRouting:
         if self._adjacencies.get(neighbor) == cost:
             return
         self._adjacencies[neighbor] = cost
-        self._sync_local_claim()
+        self._dirty = True
         self._originate()
 
     def neighbor_down(self, neighbor: Address) -> None:
@@ -171,7 +169,7 @@ class LinkStateRouting:
         if neighbor not in self._adjacencies:
             return
         del self._adjacencies[neighbor]
-        self._sync_local_claim()
+        self._dirty = True
         self._originate()
 
     def reset(self) -> None:
@@ -184,7 +182,6 @@ class LinkStateRouting:
         self._lsdb.clear()
         self._adjacencies.clear()
         self._next_hop.clear()
-        self._claims.clear()
         self._spf_source = None
         self._dirty = True
         self._spf_pending = False
@@ -197,7 +194,6 @@ class LinkStateRouting:
         self._own_seq += 1
         lsa = Lsa(local, self._own_seq, self._adjacencies)
         self._lsdb[local] = lsa
-        self._sync_local_claim()
         message = RiepMessage(M_WRITE, obj=LSA_OBJ, value=lsa.to_value())
         self._flood(message, None)
         self._schedule_spf()
@@ -220,10 +216,12 @@ class LinkStateRouting:
         self._lsdb[lsa.origin] = lsa
         self.lsas_reflooded += 1
         self._flood(message, from_neighbor)
-        # a pure seq refresh (identical neighbor set) leaves the claims
-        # clean, so the coming SPF fire will skip Dijkstra
-        if lsa.origin != self._local_addr_fn():
-            self._set_claim(lsa.origin, lsa.neighbors)
+        # a pure seq refresh (identical neighbor set) leaves the SPF
+        # clean, so the coming fire skips Dijkstra; the own row is the
+        # live adjacency set, never the stored LSA
+        if ((current is None or current.neighbors != lsa.neighbors)
+                and lsa.origin != self._local_addr_fn()):
+            self._dirty = True
         self._schedule_spf()
 
     def lsas(self) -> List[Lsa]:
@@ -249,8 +247,9 @@ class LinkStateRouting:
             current = self._lsdb.get(lsa.origin)
             if current is None or current.seq < lsa.seq:
                 self._lsdb[lsa.origin] = lsa
-                if lsa.origin != local:
-                    self._set_claim(lsa.origin, lsa.neighbors)
+                if ((current is None or current.neighbors != lsa.neighbors)
+                        and lsa.origin != local):
+                    self._dirty = True
                 changed = True
         if changed:
             self._schedule_spf()
@@ -294,13 +293,8 @@ class LinkStateRouting:
         local = self._local_addr_fn()
         if local is None:
             return
-        if self._spf_source is not None and self._spf_source != local:
-            # address changed without a reset: the old address is no
-            # longer locally overridden — fall back to its stored LSA
-            previous = self._lsdb.get(self._spf_source)
-            self._set_claim(self._spf_source,
-                            previous.neighbors if previous else {})
-        self._sync_local_claim()
+        # a changed address reads the old one's stored LSA and the new
+        # one's adjacencies, so it runs even when nothing is dirty
         if not self._dirty and self._spf_source == local:
             self.spf_skipped += 1
             return
@@ -309,52 +303,35 @@ class LinkStateRouting:
         self._spf_source = local
         self._next_hop = self._dijkstra(local)
 
-    # -- claimed adjacencies --------------------------------------------
-    def _sync_local_claim(self) -> None:
-        """The local node's live adjacency set overrides its stored LSA so
-        a just-changed neighbor is usable before the LSA round-trips."""
-        local = self._local_addr_fn()
-        if local is not None and self._claims.get(local) != self._adjacencies:
-            self._set_claim(local, dict(self._adjacencies))
-
-    def _set_claim(self, origin: Address,
-                   neighbors: Dict[Address, float]) -> None:
-        """Install one origin's claimed adjacency row.  The row is stored
-        as given (an LSA's is shared by every member, so nobody writes to
-        it) and only a row that differs marks the SPF dirty."""
-        if self._claims.get(origin) == neighbors:
-            return
-        if neighbors:
-            self._claims[origin] = neighbors
-        else:
-            self._claims.pop(origin, None)
-        self._dirty = True
-
     def _dijkstra(self, source: Address) -> Dict[Address, Address]:
-        """Shortest paths over the claims, with the standard two-way check
-        inline: an edge exists only when both endpoints claim each other,
-        and costs the larger of the two claims.  Heap pops are totally
-        ordered by ``(dist, address)``, so the result does not depend on the
-        order rows are stored or iterated in."""
+        """Shortest paths over the LSDB rows, the source's own row being
+        its live adjacency set (a just-changed neighbor is usable before
+        the LSA round-trips), with the standard two-way check inline: an
+        edge exists only when both endpoints claim each other, and costs
+        the larger of the two claims.  Heap pops are totally ordered by
+        ``(dist, address)``, so the result does not depend on the order
+        rows are stored or iterated in."""
+        lsdb = self._lsdb
+        lsdb_get = lsdb.get
         dist: Dict[Address, float] = {source: 0.0}
         first_hop: Dict[Address, Optional[Address]] = {source: None}
         heap: List[Tuple[float, Address]] = [(0.0, source)]
         visited: Set[Address] = set()
         dist_get = dist.get
-        claims_get = self._claims.get
         while heap:
             d, node = heappop(heap)
             if node in visited:
                 continue
             visited.add(node)
-            row = claims_get(node)
-            if not row:
-                continue
             hop_via = first_hop[node]
             from_source = node == source
+            # a node is pushed only once its LSA claimed the edge back
+            row = self._adjacencies if from_source else lsdb[node].neighbors
             for neighbor, cost in row.items():
-                back = claims_get(neighbor)
-                back_cost = None if back is None else back.get(node)
+                if neighbor in visited:
+                    continue        # settled: no cost is negative
+                back = lsdb_get(neighbor)
+                back_cost = None if back is None else back.neighbors.get(node)
                 if back_cost is None:
                     continue
                 nd = d + (cost if cost >= back_cost else back_cost)

@@ -64,6 +64,16 @@ read"):
 * ``data_clean`` rina 132,024 → 130,969 (−0.8 %: ``MessageFlow._drain``
   and ``Flow.allocated`` −352 each, one per one-SDU message sent, and
   ``Reassembler._reset`` −351, one per one-SDU message received).
+
+SPF reads each origin's row from the LSDB and its own from the live
+adjacencies, so ``_set_claim``, ``_sync_local_claim`` and the local
+address lookups they made are gone (docs/ARCHITECTURE.md, "Pay once per
+process for what members share"):
+
+* ``control_flat`` 36,093 → 35,471 (``_set_claim`` −438,
+  ``_sync_local_claim`` −84, the IPCP's address lambda −100);
+* ``data_clean`` rina 130,969 → 130,757 (−108, −52, −52);
+* ``stateful_serial`` 24,673 → 24,132 (−389, −76, −76).
 """
 
 import os
@@ -106,11 +116,11 @@ def _stateful_serial():
 
 
 EXPECTED = {
-    "control_flat": 36093,
-    "data_clean_rina": 130969,
+    "control_flat": 35471,
+    "data_clean_rina": 130757,
     "data_clean_ip": 58140,
     "flood": 1001,
-    "stateful_serial": 24673,
+    "stateful_serial": 24132,
 }
 
 RUNS = {

@@ -284,3 +284,14 @@ class TestDeadlineFifo:
         engine.run()
         assert engine.armed == [1.0, 1.75, start + 1.0, start + 1.5]
         assert expired[1:] == [(start + 1.0, "d", 4), (start + 1.5, "e", 5)]
+
+    def test_a_key_added_again_after_a_clear_waits_a_full_delay(self):
+        # crash() clears both lists; a key the member owes again must not
+        # inherit the deadline its cleared predecessor had
+        engine, queue, expired = fifo()
+        queue.setdefault("port", 1)
+        at(engine, 0.25, queue.pending.clear)
+        queue.setdefault("port", 2)
+        engine.run()
+        assert expired == [(1.25, "port", 2)]
+        assert engine.armed == [1.0, 1.25]

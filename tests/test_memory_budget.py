@@ -54,12 +54,13 @@ RUN_BUDGET = 9_000
 CONNECTION_BUDGET = 3_500
 
 #: Traced bytes per member held by a *built* flat 5x10 control plane
-#: (56 members: IPCPs, RIBs, LSDBs, claim rows, forwarding tables).
-#: Read 31.2-31.7 KB/member with one shared ``Lsa`` per origination and
-#: no per-member graph; the parent commit (an ``Lsa`` decoded per member,
-#: a copied claim row and a two-way graph each) read 80.1-80.8 KB in the
-#: same session.  ~25 % headroom, and well under the unshared layout.
-CONTROL_PLANE_BUDGET = 40_000
+#: (56 members: IPCPs, RIBs, LSDBs, flood-ack lists, forwarding tables).
+#: Read 25.6-27.1 KB/member since SPF reads the LSDB rows themselves and
+#: a deadline queue is its pending dict; 33.8-33.9 KB with a claim-row
+#: index beside the LSDB and a deque beside each pending dict, and
+#: 80.1-80.8 KB when every member decoded its own ``Lsa`` and kept a
+#: two-way graph.  ~25 % headroom over the current reading.
+CONTROL_PLANE_BUDGET = 34_000
 
 #: Peak RSS in MB of a fresh interpreter that builds the 100,001-system
 #: flood tier and floods its first announcement.  Read 446 MB (2 vCPU,
@@ -87,10 +88,10 @@ def test_flat_control_plane_stays_in_budget():
     per_member = held / len(members)
     assert per_member < CONTROL_PLANE_BUDGET, (
         f"a built flat 5x10 DIF holds {per_member:.0f} B/member (budget "
-        f"{CONTROL_PLANE_BUDGET}; read 31,700 with shared LSAs, 80,800 at "
-        f"the parent of PR 23 where every member decoded its own Lsa and "
-        f"patched a private two-way graph) — link-state is being copied "
-        f"per member again")
+        f"{CONTROL_PLANE_BUDGET}; read 27,100 with SPF over the shared "
+        f"LSDB rows, 80,800 where every member decoded its own Lsa and "
+        f"patched a private two-way graph) — control-plane state is being "
+        f"copied per member again")
 
 
 def test_flood_plant_build_stays_in_budget():

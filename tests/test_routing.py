@@ -390,11 +390,18 @@ class TestOneLsaOneObject:
         for origin in members[0].routing._lsdb:
             holders = {id(m.routing._lsdb[origin]) for m in members}
             assert len(holders) == 1, f"{origin} decoded more than once"
-        # a member that installs an LSA stores the LSA's own row
+        # the rows SPF reads are the shared LSAs' own: a member holds its
+        # LSDB, its live adjacencies and its table, and no second
+        # origin -> row index beside them
         for member in members:
-            for origin, row in member.routing._claims.items():
+            task = member.routing
+            held = {name for name in LinkStateRouting.__slots__
+                    if isinstance(getattr(task, name, None), dict)}
+            assert held == {"_lsdb", "_adjacencies", "_next_hop"}
+            for origin, lsa in task._lsdb.items():
                 if origin != member.address:
-                    assert row is member.routing._lsdb[origin].neighbors
+                    shared = members[0].routing._lsdb[origin]
+                    assert lsa.neighbors is shared.neighbors
         # in one process nothing crosses a cut: the only decodes are of
         # values still in flight after their originator (the one holder
         # so far) replaced them — a handful against 158 LSAs received
@@ -463,19 +470,29 @@ class TestOneLsaOneObject:
 
     def test_nobody_writes_to_a_shared_row(self, monkeypatch):
         from repro.scenarios import ScenarioRunner, canned
-        stored = []          # (the row object as stored, a copy taken then)
-        set_claim = LinkStateRouting._set_claim
+        # (member, row) -> (the row as the member installed it, a copy
+        # taken then); holding the row keeps its id unique
+        installed = {}
 
-        def recording(self, origin, neighbors):
-            stored.append((neighbors, copy.deepcopy(neighbors)))
-            set_claim(self, origin, neighbors)
+        def recording(method):
+            def installs(self, *args):
+                method(self, *args)
+                for lsa in self._lsdb.values():
+                    key = (id(self), id(lsa.neighbors))
+                    if key not in installed:
+                        installed[key] = (lsa.neighbors,
+                                          copy.deepcopy(lsa.neighbors))
+            return installs
 
-        monkeypatch.setattr(LinkStateRouting, "_set_claim", recording)
+        for name in ("handle_lsa", "load_lsdb", "_originate"):
+            monkeypatch.setattr(LinkStateRouting, name,
+                                recording(getattr(LinkStateRouting, name)))
         runner = ScenarioRunner(canned("fault-storm"), seed=7)
         runner.run("rina")
         tracer = runner.network.tracer
         assert tracer.counter_value("ipcp.crash") == 1
         assert tracer.events("fault.reenrolled")
+        stored = list(installed.values())
         assert len(stored) > 50
         assert all(row == snapshot for row, snapshot in stored)
         # every live LSA still says what its wire value said
