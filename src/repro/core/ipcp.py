@@ -498,7 +498,7 @@ class Ipcp:
         self._bind_address(None)
         self.routing.reset()
         for unacked in (self._acks_due, *self._unacked.values()):
-            unacked.pending.clear()         # its armed head finds nothing
+            unacked.pending.clear()         # its armed event finds nothing
         self._unacked.clear()
         for port_id in list(self._lower_flows):
             self.remove_lower_flow(port_id)

@@ -503,7 +503,7 @@ class TestOneLsaOneObject:
 
 
 # ----------------------------------------------------------------------
-# Dijkstra over the claim rows == Dijkstra over the explicit two-way graph
+# Dijkstra over the LSDB rows == Dijkstra over the explicit two-way graph
 # ----------------------------------------------------------------------
 def two_way_graph(claims):
     """The graph the routing task used to maintain edge by edge: an edge
@@ -747,3 +747,20 @@ class TestWhatMarksSpfDirty:
         install(2, 5, [4])
         assert query() == (9, 3)              # after a crash
         assert task.table() == {Address(2): Address(2)}
+
+    def test_an_unchanged_empty_row_leaves_the_spf_clean(self):
+        # rows are compared as installed, so an empty one is no
+        # different: its refresh, like a member's own empty adjacency
+        # set queried twice, skips Dijkstra
+        local = [Address(1)]
+        task = LinkStateRouting(Engine(), lambda: local[0], lambda m, e: 0)
+        task.neighbor_up(Address(2))
+        for seq in (1, 2):
+            task.load_lsdb([Lsa(Address(3), seq, {}).to_value()])
+            task.force_spf()
+        assert (task.spf_runs, task.spf_skipped) == (1, 1)
+        task.neighbor_down(Address(2))
+        task.force_spf()
+        task.force_spf()
+        assert (task.spf_runs, task.spf_skipped) == (2, 2)
+        assert task.table() == {}
