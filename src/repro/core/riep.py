@@ -211,6 +211,8 @@ class DeadlineFifo:
         self.pending: Dict[Any, Tuple[float, Any]] = {}
         self._engine, self._delay = engine, delay
         self._on_expire, self._label = on_expire, label
+        # one event out at a time; it stays out when pops empty the dict,
+        # so a key added meanwhile waits for it instead of arming another
         self._armed = False
 
     def setdefault(self, key: Any, value: Any) -> Any:
