@@ -150,12 +150,25 @@ class TcpFrameChannel(FrameChannel):
             self.flush()
 
 
-class StreamFrameProtocol(asyncio.Protocol):
+#: Bytes one socket read may return: asyncio's own ``max_size`` for a
+#: stream read, so a read is as large as under ``asyncio.Protocol``.
+READ_BUFFER_BYTES = 256 * 1024
+
+
+class StreamFrameProtocol(asyncio.BufferedProtocol):
     """The TCP side of the gateway wire: deframe, contain, hand off.
 
     ``on_channel(channel, peername)`` runs at connection time.  A
     framing violation closes the connection and (optionally) reports to
     ``on_error`` — it never propagates into the event loop.
+
+    Each connection reads into one buffer of its own.  ``asyncio.Protocol``
+    allocates a fresh 256 KiB ``bytes`` for every read, and the allocator
+    may hand that memory back to the kernel and fault it in again on the
+    next read, depending on the process's heap history
+    (docs/ARCHITECTURE.md, "One read buffer per connection").  The
+    unframer copies what a read brought in before the next read reuses
+    the buffer.
     """
 
     def __init__(self, on_channel: Callable[[TcpFrameChannel, object], None],
@@ -164,11 +177,18 @@ class StreamFrameProtocol(asyncio.Protocol):
         self._on_channel = on_channel
         self._on_error = on_error
         self._unframer = StreamUnframer(max_frame)
+        self._read_buf = memoryview(bytearray(READ_BUFFER_BYTES))
         self.channel: Optional[TcpFrameChannel] = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.channel = TcpFrameChannel(transport)  # type: ignore[arg-type]
         self._on_channel(self.channel, transport.get_extra_info("peername"))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read_buf
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._read_buf[:nbytes])
 
     def data_received(self, data: bytes) -> None:
         channel = self.channel

@@ -12,8 +12,10 @@ byte transcript of a whole session).
 import asyncio
 import hashlib
 import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_codec import live_sha256
 
 from repro.core.codec import WireError
@@ -21,8 +23,9 @@ from repro.core.delimiting import Fragment, Reassembler
 from repro.gateway.driver import AsyncEngineDriver
 from repro.gateway.server import GatewayServer
 from repro.gateway.shim import SocketLink
-from repro.gateway.transport import (StreamFrameProtocol, TcpFrameChannel,
-                                     open_tcp_channel, start_tcp_server)
+from repro.gateway.transport import (READ_BUFFER_BYTES, StreamFrameProtocol,
+                                     TcpFrameChannel, open_tcp_channel,
+                                     start_tcp_server)
 from repro.gateway.wire import (LENGTH_PREFIX, MAX_FRAME_BYTES,
                                 StreamUnframer, decode_shim_frame,
                                 frame_to_wire, stream_record)
@@ -405,6 +408,89 @@ class TestContainment:
             assert ran == ["behind the failure"]
             assert server.echo.messages_echoed == 1
         run(with_server(body))
+
+
+class TestReadBuffer:
+    """A connection reads into one buffer of its own, so a read
+    allocates nothing the size of a read (docs/ARCHITECTURE.md, "One
+    read buffer per connection")."""
+
+    @staticmethod
+    def _deliver(chunks, buffered):
+        """(frames received, errors reported, closed) for one way of
+        cutting a stream into reads, fed as ``asyncio`` feeds a
+        ``BufferedProtocol`` or as one ``data_received`` per read."""
+        async def main():
+            frames, errors = [], []
+            protocol = StreamFrameProtocol(
+                lambda channel, _peer: channel.set_receiver(frames.append),
+                on_error=errors.append, max_frame=32)
+            transport = FakeTransport()
+            protocol.connection_made(transport)
+            for chunk in chunks:
+                if transport.is_closing():
+                    break   # a closed transport reads no more
+                if buffered:
+                    buf = protocol.get_buffer(len(chunk))
+                    buf[:len(chunk)] = chunk
+                    protocol.buffer_updated(len(chunk))
+                else:
+                    protocol.data_received(chunk)
+            return frames, len(errors), transport.is_closing()
+        return run(main())
+
+    @given(st.lists(st.binary(min_size=2, max_size=24), max_size=5),
+           st.binary(max_size=12),
+           st.lists(st.integers(min_value=0, max_value=200), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_every_cut_through_the_buffer_delivers_what_data_received_does(
+            self, payloads, tail, cuts):
+        stream = b"".join(map(stream_record, payloads)) + tail
+        bounds = sorted({min(cut, len(stream)) for cut in cuts}
+                        | {0, len(stream)})
+        chunks = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+        whole = self._deliver([stream], buffered=False)
+        assert self._deliver(chunks, buffered=True) == whole
+        assert whole[0][:len(payloads)] == payloads
+
+    def test_a_loopback_read_allocates_no_read_sized_buffer(self):
+        """The parent's ``asyncio.Protocol`` path raised the peak by a
+        whole ``READ_BUFFER_BYTES`` (257 KiB) on each read; one buffer
+        per connection raises it by about 2 KiB over 100 reads."""
+        async def main():
+            got = []
+            arrived = asyncio.Event()
+
+            def on_frame(buf):
+                got.append(buf)
+                arrived.set()
+            server = await start_tcp_server(
+                "127.0.0.1", 0,
+                lambda channel, _peer: channel.set_receiver(on_frame))
+            port = server.sockets[0].getsockname()[1]
+            client = await open_tcp_channel("127.0.0.1", port)
+            frame = frame_to_wire(("data", 2, None, 0))
+
+            async def reads(count):
+                for _ in range(count):
+                    arrived.clear()
+                    client.send(frame)
+                    await asyncio.wait_for(arrived.wait(), 5.0)
+            tracemalloc.start()
+            try:
+                await reads(10)   # warm-up: the loop's own first allocations
+                tracemalloc.reset_peak()
+                base, _peak = tracemalloc.get_traced_memory()
+                await reads(100)
+                _now, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            client.close()
+            server.close()
+            await server.wait_closed()
+            assert len(got) == 110
+            return peak - base
+        assert run(main()) < 16 * 1024 < READ_BUFFER_BYTES
 
 
 class TestFastModeTracking:
