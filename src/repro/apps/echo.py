@@ -48,18 +48,14 @@ class EchoClient:
                  client_name: str = "echo-client",
                  qos: QosCube = RELIABLE,
                  dif_name: Optional[str] = None,
-                 on_reply: Optional[Callable[[bytes], None]] = None,
-                 on_ready: Optional[Callable[[], None]] = None) -> None:
+                 on_reply: Optional[Callable[[bytes], None]] = None) -> None:
         self.system = system
         self.on_reply = on_reply
-        self.on_ready = on_ready
         self.app_name = ApplicationName(client_name)
         self.flow = system.allocate_flow(self.app_name,
                                          ApplicationName(server_name),
                                          qos=qos, dif_name=dif_name)
         self.waiter = FlowWaiter(self.flow)
-        # chain after FlowWaiter's hook so `ready` stays truthful
-        self.flow.on_allocated = self._on_allocated
         self.message_flow = MessageFlow(system.engine, self.flow)
         self.message_flow.set_message_receiver(self._on_reply)
         self.rtts: List[float] = []
@@ -69,12 +65,7 @@ class EchoClient:
     @property
     def ready(self) -> bool:
         """True once the flow is allocated."""
-        return self.waiter.completed and self.waiter.ok
-
-    def _on_allocated(self, flow: Flow) -> None:
-        self.waiter._on_ok(flow)
-        if self.on_ready is not None:
-            self.on_ready()
+        return self.waiter.ok
 
     def ping(self, size: int = 64) -> None:
         """Send one message of ``size`` bytes."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..core.api import FlowWaiter, MessageFlow
-from ..core.flow import Flow
+from ..core.flow import ALLOCATED, Flow
 from ..core.names import ApplicationName
 from ..core.qos import BULK, QosCube
 from ..core.system import System
@@ -66,10 +66,9 @@ class FileSender:
                                          qos=qos, dif_name=dif_name)
         self.waiter = FlowWaiter(self.flow)
         self.message_flow = MessageFlow(system.engine, self.flow)
-        self.flow.on_allocated = self._begin
+        self.flow.when(ALLOCATED, self._begin)
 
     def _begin(self, _flow: Flow) -> None:
-        self.waiter._on_ok(_flow)
         self.started_at = self.system.engine.now
         self._push()
 

@@ -87,7 +87,7 @@ class PubSubClient:
     @property
     def ready(self) -> bool:
         """True once the broker flow is allocated."""
-        return self.waiter.completed and self.waiter.ok
+        return self.waiter.ok
 
     def subscribe(self, topic: str) -> None:
         """Express interest in ``topic``."""

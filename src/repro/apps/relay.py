@@ -99,16 +99,9 @@ class MailRelay:
                 self.app_name, ApplicationName(next_hop), qos=RELIABLE)
             message_flow = MessageFlow(self.system.engine, flow)
             self._out_flows[next_hop] = message_flow
-            payload = json.dumps(envelope).encode()
-            flow.on_allocated = lambda _f, p=payload: self._send(next_hop, p)
-            return
-        self._send(next_hop, json.dumps(envelope).encode())
-
-    def _send(self, next_hop: str, payload: bytes) -> None:
-        message_flow = self._out_flows[next_hop]
-        if message_flow.flow.allocated:
-            message_flow.send_message(payload)
-            self.forwarded += 1
+        # a pending flow's MessageFlow queues the envelope until allocation
+        message_flow.send_message(json.dumps(envelope).encode())
+        self.forwarded += 1
 
 
 def send_mail(system: System, sender_app: str, first_relay: str,
@@ -116,8 +109,7 @@ def send_mail(system: System, sender_app: str, first_relay: str,
     """Submit one message into the relay mesh from an end system."""
     flow = system.allocate_flow(ApplicationName(sender_app),
                                 ApplicationName(first_relay), qos=RELIABLE)
-    message_flow = MessageFlow(system.engine, flow)
-    envelope = json.dumps({"to": to_user, "from": sender_app,
-                           "body": body}).encode()
-    flow.on_allocated = lambda _f: message_flow.send_message(envelope)
+    MessageFlow(system.engine, flow).send_message(
+        json.dumps({"to": to_user, "from": sender_app,
+                    "body": body}).encode())
     return flow

@@ -76,7 +76,7 @@ class RpcClient:
     @property
     def ready(self) -> bool:
         """True once the flow is allocated."""
-        return self.waiter.completed and self.waiter.ok
+        return self.waiter.ok
 
     def call(self, method: str, params: dict,
              on_reply: Callable[[dict], None]) -> int:

@@ -22,7 +22,7 @@ from typing import Any, Callable, Deque, Optional
 
 from ..sim.engine import Engine, Timer
 from .delimiting import Delimiter, Fragment, Reassembler
-from .flow import ALLOCATED, PENDING, Flow
+from .flow import ALLOCATED, DEALLOCATED, FAILED, PENDING, Flow
 from .names import ApplicationName
 from .qos import QosCube
 
@@ -61,8 +61,10 @@ class MessageFlow:
         flow = self.flow
         if self._backlog or len(fragments) > 1 or flow.state != ALLOCATED:
             if flow.state == PENDING and not self._backlog:
-                self._told = flow.on_allocated, flow.on_failed
-                flow.on_allocated = flow.on_failed = self._settled
+                # the backlog leaves when the flow is allocated, and is
+                # dropped if it fails
+                flow.when(ALLOCATED, self._drain)
+                flow.when(FAILED, lambda _flow: self._backlog.clear())
             self._backlog.extend(fragments)
             self._drain()
         elif not flow.send(fragments[0], fragments[0].wire_size()):
@@ -73,19 +75,7 @@ class MessageFlow:
         """Fragments queued locally awaiting flow capacity."""
         return len(self._backlog)
 
-    def _settled(self, flow: Flow, *reason: str) -> None:
-        """The pending flow was allocated, or failed for ``reason``: send
-        the backlog or drop it, then run the callbacks this stood in for."""
-        flow.on_allocated, flow.on_failed = self._told
-        if reason:
-            self._backlog.clear()
-        else:
-            self._drain()
-        callback = self._told[1 if reason else 0]
-        if callback is not None:
-            callback(flow, *reason)
-
-    def _drain(self) -> None:
+    def _drain(self, _flow: Optional[Flow] = None) -> None:
         if not self.flow.allocated:
             return
         while self._backlog:
@@ -106,25 +96,21 @@ class MessageFlow:
 
 
 class FlowWaiter:
-    """Records a flow's allocation outcome for poll-style tests/examples."""
+    """Reads a flow's allocation outcome for poll-style tests/examples."""
 
     def __init__(self, flow: Flow) -> None:
         self.flow = flow
-        self.completed = False
-        self.ok = False
-        self.reason: Optional[str] = None
-        flow.on_allocated = self._on_ok
-        flow.on_failed = self._on_fail
-
-    def _on_ok(self, _flow: Flow) -> None:
-        self.completed = True
-        self.ok = True
-
-    def _on_fail(self, _flow: Flow, reason: str) -> None:
-        self.completed = True
-        self.ok = False
-        self.reason = reason
 
     def done(self) -> bool:
         """True once allocation succeeded or failed."""
-        return self.completed
+        return self.flow.state != PENDING
+
+    @property
+    def ok(self) -> bool:
+        """True once the flow was allocated, also after its release."""
+        return self.flow.state == ALLOCATED or self.flow.state == DEALLOCATED
+
+    @property
+    def reason(self) -> Optional[str]:
+        """Why allocation failed, or None."""
+        return self.flow.failure_reason

@@ -12,12 +12,13 @@ uniformly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from .names import ApplicationName, DifName, PortId
 from .qos import QosCube
 
 ReceiverFn = Callable[[Any, int], None]
+Watcher = Callable[["Flow"], None]
 
 #: Data per SDU on a packet medium: with its headers, within a 1,500 B MTU.
 MAX_SDU_BYTES = 1400
@@ -36,14 +37,16 @@ class Flow:
     """One end of an allocated communication channel at a layer boundary.
 
     Created by a provider (shim or DIF flow allocator); the provider wires
-    ``_send_fn`` and ``_dealloc_fn`` when allocation completes.
+    ``_send_fn`` and ``_dealloc_fn`` when allocation completes.  The flow
+    owns its lifecycle, PENDING → ALLOCATED | FAILED and ALLOCATED →
+    DEALLOCATED; whoever needs a transition subscribes with :meth:`when`.
     """
 
     __slots__ = ("port_id", "local_app", "remote_app", "qos",
                  "provider_name", "state", "nominal_bps", "max_sdu",
-                 "_receiver", "_send_fn", "_dealloc_fn", "on_allocated",
-                 "on_failed", "on_deallocated", "failure_reason",
-                 "sdus_sent", "sdus_received", "bytes_sent")
+                 "_receiver", "_send_fn", "_dealloc_fn", "_watchers",
+                 "failure_reason", "sdus_sent", "sdus_received",
+                 "bytes_sent")
 
     def __init__(self, port_id: PortId, local_app: ApplicationName,
                  remote_app: ApplicationName, qos: QosCube,
@@ -59,9 +62,7 @@ class Flow:
         self._receiver: Optional[ReceiverFn] = None
         self._send_fn: Optional[Callable[[Any, int], bool]] = None
         self._dealloc_fn: Optional[Callable[[], None]] = None
-        self.on_allocated: Optional[Callable[["Flow"], None]] = None
-        self.on_failed: Optional[Callable[["Flow", str], None]] = None
-        self.on_deallocated: Optional[Callable[["Flow"], None]] = None
+        self._watchers: Optional[List[Tuple[str, Watcher]]] = None
         self.failure_reason: Optional[str] = None
         self.sdus_sent = 0
         self.sdus_received = 0
@@ -86,14 +87,27 @@ class Flow:
         return accepted
 
     def deallocate(self) -> None:
-        """Release the flow; idempotent."""
-        if self.state in (DEALLOCATED, FAILED):
+        """Release the flow; idempotent.  Withdrawing a pending request
+        fails it with ``"deallocated"``: no flow ever existed."""
+        # set first, so the provider's teardown cannot release it again
+        if self.state == ALLOCATED:
+            self.state = DEALLOCATED
+        elif self.state == PENDING:
+            self.state, self.failure_reason = FAILED, "deallocated"
+        else:
             return
-        self.state = DEALLOCATED
         if self._dealloc_fn is not None:
             self._dealloc_fn()
-        if self.on_deallocated is not None:
-            self.on_deallocated(self)
+        if self._watchers:
+            self._notify()
+
+    def when(self, state: str, watcher: Watcher) -> None:
+        """Call ``watcher(flow)`` when the flow enters ``state``.  The
+        watchers of one state run in the order they subscribed
+        (docs/ARCHITECTURE.md, determinism contract 5)."""
+        if self._watchers is None:
+            self._watchers = []
+        self._watchers.append((state, watcher))
 
     @property
     def allocated(self) -> bool:
@@ -120,17 +134,17 @@ class Flow:
         if self._send_fn is None:
             raise FlowError("provider_bind must precede provider_allocated")
         self.state = ALLOCATED
-        if self.on_allocated is not None:
-            self.on_allocated(self)
+        if self._watchers:
+            self._notify()
 
     def provider_failed(self, reason: str) -> None:
         """Mark allocation failed and notify the user."""
-        if self.state in (DEALLOCATED, FAILED):
+        if self.state != PENDING:
             return
         self.state = FAILED
         self.failure_reason = reason
-        if self.on_failed is not None:
-            self.on_failed(self, reason)
+        if self._watchers:
+            self._notify()
 
     def provider_deliver(self, payload: Any, size: int) -> None:
         """Hand one inbound SDU to the user."""
@@ -140,11 +154,23 @@ class Flow:
 
     def provider_released(self) -> None:
         """Provider-initiated teardown (peer deallocated / facility lost)."""
-        if self.state in (DEALLOCATED, FAILED):
+        if self.state != ALLOCATED:
             return
         self.state = DEALLOCATED
-        if self.on_deallocated is not None:
-            self.on_deallocated(self)
+        if self._watchers:
+            self._notify()
+
+    def _notify(self) -> None:
+        """Run the watchers of the state just entered.  Only DEALLOCATED
+        can follow ALLOCATED, so the other watchers are dropped."""
+        state = self.state
+        watchers = self._watchers
+        self._watchers = ([entry for entry in watchers
+                           if entry[0] == DEALLOCATED]
+                          if state == ALLOCATED else None)
+        for wanted, watcher in watchers:
+            if wanted == state:
+                watcher(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Flow {self.port_id!r} {self.local_app}->{self.remote_app} "

@@ -27,7 +27,7 @@ import itertools
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from .efcp import EfcpConnection, EfcpPolicy
-from .flow import MAX_SDU_BYTES, Flow
+from .flow import MAX_SDU_BYTES, PENDING, Flow
 from .names import Address, ApplicationName, PortId
 from .pdu import ControlPdu, DataPdu
 from .qos import QosCube, resolve_cube
@@ -72,6 +72,8 @@ class FlowAllocator:
     def allocate(self, flow: Flow, retries_left: Optional[int] = None) -> None:
         """Drive allocation of ``flow`` (created by the system layer)."""
         ipcp = self._ipcp
+        if flow.state != PENDING:
+            return   # withdrawn while a retry waited
         if ipcp.address is None:
             flow.provider_failed("not-enrolled")
             return
@@ -126,8 +128,12 @@ class FlowAllocator:
                            record: FlowRecord, cube: QosCube,
                            retries_left: int) -> None:
         flow = record.flow
-        if flow.state != "pending":
-            self._records.pop(record.local_cep, None)
+        if flow.state != PENDING:
+            # withdrawn while the request was out: release the admission
+            # here and the flow the far end made for it
+            if reply is not None and reply.ok:
+                record.remote_cep = int(reply.value["dst_cep"])
+            self._deallocate(record)
             return
         if reply is None or not reply.ok:
             self._records.pop(record.local_cep, None)

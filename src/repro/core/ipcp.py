@@ -27,7 +27,7 @@ from ..sim.trace import Tracer
 from .dif import Dif
 from .directory import DifDirectory
 from .enrollment import EnrollmentTask
-from .flow import Flow
+from .flow import DEALLOCATED, Flow
 from .flow_allocator import FLOW_OBJ, FlowAllocator
 from .names import Address, ApplicationName
 from .pdu import KEEPALIVE, ControlPdu, DataPdu, ManagementPdu, Pdu
@@ -168,7 +168,7 @@ class Ipcp:
         self.rmt.add_port(port_id, flow.send, nominal_bps=flow.nominal_bps,
                           peer_addr=peer_addr)
         flow.set_receiver(partial(self._on_lower_pdu, port_id))
-        flow.on_deallocated = lambda _f: self.remove_lower_flow(port_id)
+        flow.when(DEALLOCATED, lambda _f: self.remove_lower_flow(port_id))
         self._lower_flows[port_id] = flow
         self._last_heard[port_id] = self.engine.now
         return port_id

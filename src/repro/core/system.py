@@ -27,7 +27,7 @@ from ..sim.node import Interface, Node
 from ..sim.trace import Tracer
 from .dif import Dif
 from .directory import InterDifDirectory
-from .flow import Flow
+from .flow import ALLOCATED, FAILED, Flow
 from .ipcp import Ipcp
 from .names import ApplicationName, DifName, PortId
 from .qos import QosCube
@@ -158,16 +158,11 @@ class System:
     # ------------------------------------------------------------------
     def publish_ipcp(self, dif_name: str, lower_dif: str) -> None:
         """Register the IPCP of ``dif_name`` as an application of
-        ``lower_dif`` so peers can reach it to enroll or attach."""
+        ``lower_dif`` so peers can reach it to enroll or attach: an
+        inbound (N-1) flow becomes an RMT port."""
         ipcp = self.ipcp(dif_name)
-        lower = self._providers[DifName(lower_dif)]
-        lower.register_app(
-            ipcp.name,
-            lambda flow: self._accept_lower_flow(ipcp, flow))
-
-    def _accept_lower_flow(self, ipcp: Ipcp, flow: Flow) -> None:
-        """Destination-side: adopt an inbound (N-1) flow as an RMT port."""
-        ipcp.add_lower_flow(flow)
+        self._providers[DifName(lower_dif)].register_app(
+            ipcp.name, ipcp.add_lower_flow)
 
     def enroll(self, dif_name: str, member_app: ApplicationName,
                lower_dif: str, region_hint: Optional[Sequence[int]] = None,
@@ -178,20 +173,9 @@ class System:
         Completion is signalled through ``done(ok, reason)``.
         """
         ipcp = self.ipcp(dif_name)
-        lower = self._providers[DifName(lower_dif)]
-        flow = lower.allocate_flow(ipcp.name, member_app,
-                                   qos=ipcp.dif.policies.lower_flow_cube)
-
-        def on_allocated(f: Flow) -> None:
-            port_id = ipcp.add_lower_flow(f)
-            ipcp.enrollment.start_join(port_id, region_hint, done)
-
-        def on_failed(_f: Flow, reason: str) -> None:
-            if done is not None:
-                done(False, f"lower-flow: {reason}")
-
-        flow.on_allocated = on_allocated
-        flow.on_failed = on_failed
+        self._lower_flow(ipcp, member_app, lower_dif, done, lambda flow: (
+            ipcp.enrollment.start_join(ipcp.add_lower_flow(flow),
+                                       region_hint, done)))
 
     def connect_neighbor(self, dif_name: str, member_app: ApplicationName,
                          lower_dif: str,
@@ -199,20 +183,23 @@ class System:
         """Bring up an additional attachment (multihoming/handover path)
         from this system's enrolled IPCP to another member."""
         ipcp = self.ipcp(dif_name)
-        lower = self._providers[DifName(lower_dif)]
-        flow = lower.allocate_flow(ipcp.name, member_app,
-                                   qos=ipcp.dif.policies.lower_flow_cube)
+        self._lower_flow(ipcp, member_app, lower_dif, done, lambda flow: (
+            ipcp.enrollment.start_adjacency(ipcp.add_lower_flow(flow),
+                                            done)))
 
-        def on_allocated(f: Flow) -> None:
-            port_id = ipcp.add_lower_flow(f)
-            ipcp.enrollment.start_adjacency(port_id, done)
-
-        def on_failed(_f: Flow, reason: str) -> None:
-            if done is not None:
-                done(False, f"lower-flow: {reason}")
-
-        flow.on_allocated = on_allocated
-        flow.on_failed = on_failed
+    def _lower_flow(self, ipcp: Ipcp, member_app: ApplicationName,
+                    lower_dif: str,
+                    done: Optional[Callable[[bool, str], None]],
+                    start: Callable[[Flow], None]) -> None:
+        """Allocate an (N-1) flow from ``ipcp`` to ``member_app`` over
+        ``lower_dif``: ``start(flow)`` once it is allocated, or report
+        the failure through ``done``."""
+        flow = self._providers[DifName(lower_dif)].allocate_flow(
+            ipcp.name, member_app, qos=ipcp.dif.policies.lower_flow_cube)
+        flow.when(ALLOCATED, start)
+        if done is not None:
+            flow.when(FAILED, lambda f: done(
+                False, f"lower-flow: {f.failure_reason}"))
 
     # ------------------------------------------------------------------
     # Application API (§3.1): names in, port ids out

@@ -150,9 +150,7 @@ class TcpFrameChannel(FrameChannel):
             self.flush()
 
 
-#: Bytes one socket read may return: asyncio's own ``max_size`` for a
-#: stream read, so a read is as large as under ``asyncio.Protocol``.
-READ_BUFFER_BYTES = 256 * 1024
+READ_BUFFER_BYTES = 256 * 1024   # asyncio's own read size
 
 
 class StreamFrameProtocol(asyncio.BufferedProtocol):
@@ -162,13 +160,9 @@ class StreamFrameProtocol(asyncio.BufferedProtocol):
     framing violation closes the connection and (optionally) reports to
     ``on_error`` — it never propagates into the event loop.
 
-    Each connection reads into one buffer of its own.  ``asyncio.Protocol``
-    allocates a fresh 256 KiB ``bytes`` for every read, and the allocator
-    may hand that memory back to the kernel and fault it in again on the
-    next read, depending on the process's heap history
-    (docs/ARCHITECTURE.md, "One read buffer per connection").  The
-    unframer copies what a read brought in before the next read reuses
-    the buffer.
+    A connection reads into one buffer of its own, which the unframer
+    copies out of at once (docs/ARCHITECTURE.md, "One read buffer per
+    connection").
     """
 
     def __init__(self, on_channel: Callable[[TcpFrameChannel, object], None],

@@ -24,6 +24,7 @@ from ..apps.streaming import CbrSource, LatencySink
 from ..core.dif import Dif, DifPolicies
 from ..core.fabric import (Orchestrator, add_shims, build_dif_over,
                            make_systems, shim_between, shim_name_for)
+from ..core.flow import ALLOCATED
 from ..core.qos import DEFAULT_CUBES, RELIABLE
 from ..experiments.common import delivery_gap, goodput_bps, percentile
 from ..sim.link import LinkConditions, UniformLoss
@@ -265,22 +266,19 @@ class _RinaWorkloads:
         stats.expected = spec.count
 
         def start() -> None:
-            holder = {}
+            client = EchoClient(
+                built.systems[spec.client], server_name=f"echo-srv-{index}",
+                client_name=f"echo-cli-{index}", qos=qos, dif_name=dif,
+                on_reply=lambda _data: self._delivered(stats))
 
-            def pump() -> None:
-                client = holder["client"]
+            def pump(_flow: Any = None) -> None:
                 if stats.sent < spec.count:
                     client.ping(spec.size)
                     stats.sent += 1
                     self.engine.call_later(spec.period, pump,
                                            label="wl.echo.pump")
-
-            holder["client"] = EchoClient(
-                built.systems[spec.client], server_name=f"echo-srv-{index}",
-                client_name=f"echo-cli-{index}", qos=qos, dif_name=dif,
-                on_reply=lambda _data: self._delivered(stats),
-                on_ready=pump)
-            self._keep.append(holder["client"])
+            client.flow.when(ALLOCATED, pump)
+            self._keep.append(client)
 
         self.engine.call_later(spec.start, start, label="wl.echo.start")
         self._keep.append(server)

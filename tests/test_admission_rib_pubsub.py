@@ -6,6 +6,7 @@ from repro.apps.pubsub import Broker, PubSubClient
 from repro.core import (Dif, DifPolicies, FlowWaiter, Orchestrator, QosCube,
                         add_shims, build_dif_over, make_systems, run_until,
                         shim_between)
+from repro.core.flow import FAILED, PENDING
 from repro.core.names import ApplicationName
 from repro.sim.network import Network
 
@@ -75,6 +76,33 @@ class TestAdmissionControl:
         network.run(until=network.engine.now + 1.0)
         late = self._allocate(network, systems, 1)
         assert late[0].ok
+
+    @pytest.mark.parametrize("request_out", [False, True])
+    def test_withdrawing_a_pending_flow_releases_both_ends(self,
+                                                           request_out):
+        """``deallocate()`` at once (the directory has not yet resolved
+        the name, so a retry waits) or once the request is out: a waiting
+        retry does nothing, a late ok reply is answered with an
+        ``M_DELETE`` for the far end's flow, and both ends give their
+        admitted bandwidth back."""
+        network, systems, _dif = build_pair(guaranteed_policies(1e7))
+        systems["b"].register_app(ApplicationName("svc"), lambda f: None)
+        network.run(until=network.engine.now + 0.5)
+        flow = systems["a"].allocate_flow(
+            ApplicationName("caller"), ApplicationName("svc"), qos=VOICE,
+            dif_name="d")
+        if request_out:
+            allocator = systems["a"].ipcp("d").flow_allocator
+            run_until(network, lambda: allocator.committed_bandwidth_bps(),
+                      timeout=10, step=1e-4)
+            assert flow.state == PENDING
+        flow.deallocate()
+        network.run(until=network.engine.now + 10.0)
+        assert flow.state == FAILED and flow.failure_reason == "deallocated"
+        for name in ("a", "b"):
+            allocator = systems[name].ipcp("d").flow_allocator
+            assert allocator.active_flow_count() == 0, name
+            assert allocator.committed_bandwidth_bps() == 0.0, name
 
     def test_best_effort_flows_unconstrained(self):
         network, systems, _dif = build_pair(guaranteed_policies(1e6))

@@ -7,7 +7,7 @@ from repro.apps import (EchoClient, EchoServer, FileSender, FileSink, Mailbox,
 from repro.core import (Dif, DifPolicies, FlowWaiter, MessageFlow,
                         Orchestrator, add_shims, build_dif_over, make_systems,
                         run_until, shim_between)
-from repro.core.flow import FAILED, MAX_SDU_BYTES, PENDING
+from repro.core.flow import ALLOCATED, FAILED, MAX_SDU_BYTES, PENDING
 from repro.core.names import ApplicationName, DifName
 from repro.core.shim import ShimIpcp
 from repro.sim.engine import Engine
@@ -110,19 +110,21 @@ class TestPendingFlow:
         network, systems = two_hosts()
         EchoServer(systems["b"])
         network.run(until=network.engine.now + 0.5)
-        ready = []
-        client = EchoClient(systems["a"], on_ready=lambda: ready.append(
-            client.message_flow.pending_fragments()))
+        seen = []
+        client = EchoClient(systems["a"])
+        client.flow.when(ALLOCATED, lambda f: seen.append(
+            ("before", client.message_flow.pending_fragments())))
         assert client.flow.state == PENDING
         client.ping(64)
         client.ping(3 * MAX_SDU_BYTES)
+        client.flow.when(ALLOCATED, lambda f: seen.append(
+            ("after", client.message_flow.pending_fragments())))
         assert client.message_flow.pending_fragments() == 1 + 3
         run_until(network, lambda: client.replies == 2, timeout=5)
         assert client.replies == 2 and client.ready
-        # the backlog went out before the application heard of the
-        # allocation, and its callback is the flow's own again
-        assert ready == [0]
-        assert client.flow.on_allocated == client._on_allocated
+        # the backlog went out at the allocation, between the watcher
+        # subscribed before the first ping and the one subscribed after
+        assert seen == [("before", 4), ("after", 0)]
         assert client.message_flow.pending_fragments() == 0
 
     def test_messages_are_dropped_when_allocation_fails(self):
@@ -130,11 +132,15 @@ class TestPendingFlow:
         client = EchoClient(systems["a"], server_name="nobody-home")
         client.ping(64)
         assert client.message_flow.pending_fragments() == 1
+        seen = []
+        client.flow.when(FAILED, lambda f: seen.append(
+            client.message_flow.pending_fragments()))
         run_until(network, client.waiter.done, timeout=30)
         assert client.flow.state == FAILED and not client.waiter.ok
         assert client.waiter.reason == client.flow.failure_reason
         assert client.message_flow.pending_fragments() == 0
-        assert client.flow.on_failed == client.waiter._on_fail
+        # the backlog was dropped before a later watcher heard of it
+        assert seen == [0]
 
 
 class TestEcho:
@@ -194,8 +200,10 @@ class TestRpc:
 
 
 class TestMailRelay:
-    def test_relay_forwards_to_mailbox(self):
-        # a - relay host b - c : mail submitted at a, relayed at b, boxed at c
+    @staticmethod
+    def _plant():
+        """a - relay host b - c: mail submitted at a, relayed at b,
+        boxed at c."""
         network = Network(seed=4)
         for name in ("a", "b", "c"):
             network.add_node(name)
@@ -212,11 +220,25 @@ class TestMailRelay:
         mailbox = Mailbox(systems["c"], "mbox-c", users=["alice"])
         relay = MailRelay(systems["b"], "relay-b", routes={"alice": "mbox-c"})
         network.run(until=network.engine.now + 0.5)
+        return network, systems, mailbox, relay
+
+    def test_relay_forwards_to_mailbox(self):
+        network, systems, mailbox, relay = self._plant()
         send_mail(systems["a"], "mua-a", "relay-b", "alice", "hi alice")
         run_until(network, lambda: mailbox.inbox("alice"), timeout=20)
         inbox = mailbox.inbox("alice")
         assert inbox[0]["body"] == "hi alice"
         assert relay.forwarded == 1
+
+    def test_envelopes_submitted_while_the_next_hop_is_pending_all_arrive(self):
+        network, _systems, mailbox, relay = self._plant()
+        relay.submit({"to": "alice", "body": "one"})
+        relay.submit({"to": "alice", "body": "two"})
+        run_until(network, lambda: len(mailbox.inbox("alice")) == 2,
+                  timeout=20)
+        network.run(until=network.engine.now + 1.0)
+        assert [m["body"] for m in mailbox.inbox("alice")] == ["one", "two"]
+        assert relay.forwarded == 2
 
     def test_unroutable_mail_stays_queued(self):
         network, systems = two_hosts()

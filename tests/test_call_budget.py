@@ -74,6 +74,28 @@ process for what members share"):
   ``_sync_local_claim`` −84, the IPCP's address lambda −100);
 * ``data_clean`` rina 130,969 → 130,757 (−108, −52, −52);
 * ``stateful_serial`` 24,673 → 24,132 (−389, −76, −76).
+
+A flow owns its lifecycle, and whoever needs a transition subscribes
+with ``Flow.when`` instead of overwriting a callback slot
+(docs/ARCHITECTURE.md, determinism contract 5).  Each subscription is
+one call, and a transition with watchers is one ``Flow._notify``; an
+inbound lower flow goes to ``Ipcp.add_lower_flow`` itself.  The per-SDU
+functions do not move:
+
+* ``control_flat`` 35,471 → 35,531 (+0.17 %): ``Flow.when`` 0 → 60
+  (ALLOCATED and FAILED on each of 15 enrolling lower flows, DEALLOCATED
+  on the 30 lower flows the IPCPs adopt), ``Flow._notify`` 0 → 15 (the
+  allocation of each enrolling lower flow), ``System._lower_flow``
+  0 → 15 and its caller's lambda 0 → 15 (one per enrollment), in place
+  of ``System.enroll``'s ``on_allocated`` 15 → 0; ``publish_ipcp``'s
+  lambda and ``System._accept_lower_flow`` 15 → 0 each (one per inbound
+  lower flow);
+* ``data_clean`` rina 130,757 → 130,798 (+0.03 %): ``Flow.when`` 0 → 43,
+  ``Flow._notify`` 0 → 13, ``System._lower_flow`` and its caller's
+  lambda 0 → 10 each, ``System.enroll``'s ``on_allocated`` 10 → 0,
+  ``publish_ipcp``'s lambda and ``System._accept_lower_flow`` 10 → 0
+  each, ``FlowWaiter._on_ok`` 4 → 0, ``EchoClient._on_allocated`` 1 → 0;
+* ``stateful_serial`` 24,132 → 24,192 (+0.25 %): as ``control_flat``.
 """
 
 import os
@@ -116,11 +138,11 @@ def _stateful_serial():
 
 
 EXPECTED = {
-    "control_flat": 35471,
-    "data_clean_rina": 130757,
+    "control_flat": 35531,
+    "data_clean_rina": 130798,
     "data_clean_ip": 58140,
     "flood": 1001,
-    "stateful_serial": 24132,
+    "stateful_serial": 24192,
 }
 
 RUNS = {

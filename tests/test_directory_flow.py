@@ -147,10 +147,11 @@ class TestFlow:
         flow = self._flow()
         assert flow.state == PENDING
         events = []
-        flow.on_allocated = lambda f: events.append("allocated")
+        flow.when(ALLOCATED, lambda f: events.append(f.state))
+        flow.when(FAILED, lambda f: events.append("failed"))
         flow.provider_bind(lambda p, s: True)
         flow.provider_allocated()
-        assert flow.state == ALLOCATED and events == ["allocated"]
+        assert flow.state == ALLOCATED and events == [ALLOCATED]
 
     def test_allocated_requires_bind(self):
         flow = self._flow()
@@ -178,7 +179,8 @@ class TestFlow:
     def test_failure_path(self):
         flow = self._flow()
         events = []
-        flow.on_failed = lambda f, reason: events.append(reason)
+        flow.when(FAILED, lambda f: events.append(f.failure_reason))
+        flow.when(ALLOCATED, lambda f: events.append("allocated"))
         flow.provider_failed("nope")
         assert flow.state == FAILED
         assert flow.failure_reason == "nope"
@@ -198,9 +200,10 @@ class TestFlow:
         flow.provider_bind(lambda p, s: True, dealloc_fn=lambda: released.append(1))
         flow.provider_allocated()
         events = []
-        flow.on_deallocated = lambda f: events.append(1)
+        flow.when(DEALLOCATED, lambda f: events.append(f.state))
         flow.deallocate()
-        assert flow.state == DEALLOCATED and released and events
+        assert flow.state == DEALLOCATED and released
+        assert events == [DEALLOCATED]
 
     def test_deallocate_idempotent(self):
         flow = self._flow()
@@ -216,12 +219,61 @@ class TestFlow:
         flow.provider_bind(lambda p, s: True)
         flow.provider_allocated()
         events = []
-        flow.on_deallocated = lambda f: events.append(1)
+        flow.when(DEALLOCATED, lambda f: events.append(f.state))
         flow.provider_released()
-        assert flow.state == DEALLOCATED and events
+        assert flow.state == DEALLOCATED and events == [DEALLOCATED]
 
     def test_failed_flow_ignores_later_transitions(self):
         flow = self._flow()
         flow.provider_failed("x")
         flow.provider_released()
         assert flow.state == FAILED
+
+    def test_withdrawing_a_pending_flow_fails_it(self):
+        """No flow ever existed, so its FAILED watchers run, with the
+        reason ``"deallocated"``, and no DEALLOCATED watcher does."""
+        flow = self._flow()
+        withdrawn, events = [], []
+        flow.provider_bind(lambda p, s: True,
+                           dealloc_fn=lambda: withdrawn.append(flow.state))
+        flow.when(FAILED, lambda f: events.append(f.failure_reason))
+        flow.when(DEALLOCATED, lambda f: events.append("deallocated-state"))
+        flow.deallocate()
+        assert flow.state == FAILED and flow.failure_reason == "deallocated"
+        assert withdrawn == [FAILED] and events == ["deallocated"]
+        flow.provider_allocated()   # a late grant changes nothing
+        flow.deallocate()
+        assert flow.state == FAILED and withdrawn == [FAILED]
+
+    def test_allocated_flow_fails_no_more(self):
+        flow = self._flow()
+        events = []
+        flow.when(FAILED, lambda f: events.append("failed"))
+        flow.provider_bind(lambda p, s: True)
+        flow.provider_allocated()
+        flow.provider_failed("late")
+        assert flow.state == ALLOCATED and flow.failure_reason is None
+        assert events == []
+
+    def test_watchers_of_a_state_run_in_subscription_order(self):
+        """Determinism contract 5 (docs/ARCHITECTURE.md): the watchers of
+        one state run in the order they subscribed, interleaved with the
+        other states' watchers however they were; one subscribed while
+        its state's watchers run waits for the next transition."""
+        flow = self._flow()
+        order = []
+        for name in ("a", "b"):
+            flow.when(ALLOCATED, lambda f, name=name: order.append(name))
+            flow.when(DEALLOCATED,
+                      lambda f, name=name: order.append(name.upper()))
+
+        def late(f):
+            order.append("c")
+            f.when(ALLOCATED, lambda f: order.append("never"))
+            f.when(DEALLOCATED, lambda f: order.append("C"))
+        flow.when(ALLOCATED, late)
+        flow.provider_bind(lambda p, s: True)
+        flow.provider_allocated()
+        assert order == ["a", "b", "c"]
+        flow.provider_released()
+        assert order == ["a", "b", "c", "A", "B", "C"]

@@ -5,6 +5,7 @@ import pytest
 from repro.core import (AllowList, Dif, DifPolicies, FlowWaiter, MessageFlow,
                         Orchestrator, add_shims, build_dif_over, make_systems,
                         run_until, shim_between)
+from repro.core.flow import DEALLOCATED, FAILED
 from repro.core.names import ApplicationName
 from repro.core.qos import BEST_EFFORT, RELIABLE, QosCube
 from repro.sim.network import Network
@@ -139,7 +140,7 @@ class TestDataAndDeallocation:
     def test_deallocate_releases_both_ends(self):
         network, systems, _dif, out_flow, in_flow = self._allocated()
         released = []
-        in_flow.on_deallocated = lambda f: released.append(1)
+        in_flow.when(DEALLOCATED, lambda f: released.append(1))
         out_flow.deallocate()
         network.run(until=network.engine.now + 2.0)
         assert released

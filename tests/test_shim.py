@@ -34,7 +34,7 @@ class TestAllocation:
         flow = left.allocate_flow(ApplicationName("cli"),
                                   ApplicationName("ghost"))
         failures = []
-        flow.on_failed = lambda f, reason: failures.append(reason)
+        flow.when("failed", lambda f: failures.append(f.failure_reason))
         engine.run(until=1.0)
         assert flow.state == "failed"
         assert failures == ["no-such-app"]
@@ -99,7 +99,7 @@ class TestDataTransfer:
     def test_deallocate_releases_far_end(self):
         engine, _link, out_flow, in_flow = self._allocated_pair()
         released = []
-        in_flow.on_deallocated = lambda f: released.append(1)
+        in_flow.when("deallocated", lambda f: released.append(1))
         out_flow.deallocate()
         engine.run(until=2.0)
         assert released
