@@ -454,10 +454,12 @@ class TestReadBuffer:
         assert whole[0][:len(payloads)] == payloads
 
     def test_a_loopback_read_allocates_no_read_sized_buffer(self):
-        """The parent's ``asyncio.Protocol`` path raised the peak by a
-        whole ``READ_BUFFER_BYTES`` (257 KiB) on each read; one buffer
-        per connection raises it by about 2 KiB over 100 reads."""
+        """Under ``asyncio.Protocol`` each read raised the peak by a
+        whole ``READ_BUFFER_BYTES`` (257 KiB); one buffer per connection
+        raises it by about 2 KiB over 100 reads."""
         async def main():
+            # debug mode (python -X dev) keeps a traceback per callback
+            asyncio.get_running_loop().set_debug(False)
             got = []
             arrived = asyncio.Event()
 
