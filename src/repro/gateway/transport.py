@@ -151,6 +151,9 @@ class TcpFrameChannel(FrameChannel):
 
 
 READ_BUFFER_BYTES = 256 * 1024   # asyncio's own read size
+# every connection reads into this one: asyncio fills it on the loop's
+# thread, and the unframer copies each read out of it at once
+_READ_BUF = memoryview(bytearray(READ_BUFFER_BYTES))
 
 
 class StreamFrameProtocol(asyncio.BufferedProtocol):
@@ -160,9 +163,9 @@ class StreamFrameProtocol(asyncio.BufferedProtocol):
     framing violation closes the connection and (optionally) reports to
     ``on_error`` — it never propagates into the event loop.
 
-    A connection reads into one buffer of its own, which the unframer
-    copies out of at once (docs/ARCHITECTURE.md, "One read buffer per
-    connection").
+    Every connection reads into one module-wide buffer, which the
+    unframer copies out of at once (docs/ARCHITECTURE.md, "One read
+    buffer for every connection").
     """
 
     def __init__(self, on_channel: Callable[[TcpFrameChannel, object], None],
@@ -171,7 +174,6 @@ class StreamFrameProtocol(asyncio.BufferedProtocol):
         self._on_channel = on_channel
         self._on_error = on_error
         self._unframer = StreamUnframer(max_frame)
-        self._read_buf = memoryview(bytearray(READ_BUFFER_BYTES))
         self.channel: Optional[TcpFrameChannel] = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -179,10 +181,10 @@ class StreamFrameProtocol(asyncio.BufferedProtocol):
         self._on_channel(self.channel, transport.get_extra_info("peername"))
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self._read_buf
+        return _READ_BUF
 
     def buffer_updated(self, nbytes: int) -> None:
-        self.data_received(self._read_buf[:nbytes])
+        self.data_received(_READ_BUF[:nbytes])
 
     def data_received(self, data: bytes) -> None:
         channel = self.channel

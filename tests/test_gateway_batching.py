@@ -411,9 +411,9 @@ class TestContainment:
 
 
 class TestReadBuffer:
-    """A connection reads into one buffer of its own, so a read
-    allocates nothing the size of a read (docs/ARCHITECTURE.md, "One
-    read buffer per connection")."""
+    """Every connection reads into one module-wide buffer, so neither a
+    read nor a connection allocates anything the size of a read
+    (docs/ARCHITECTURE.md, "One read buffer for every connection")."""
 
     @staticmethod
     def _deliver(chunks, buffered):
@@ -455,8 +455,8 @@ class TestReadBuffer:
 
     def test_a_loopback_read_allocates_no_read_sized_buffer(self):
         """Under ``asyncio.Protocol`` each read raised the peak by a
-        whole ``READ_BUFFER_BYTES`` (257 KiB); one buffer per connection
-        raises it by about 2 KiB over 100 reads."""
+        whole ``READ_BUFFER_BYTES`` (257 KiB); the shared buffer raises
+        it by about 2 KiB over 100 reads."""
         async def main():
             # debug mode (python -X dev) keeps a traceback per callback
             asyncio.get_running_loop().set_debug(False)
@@ -493,6 +493,41 @@ class TestReadBuffer:
             assert len(got) == 110
             return peak - base
         assert run(main()) < 16 * 1024 < READ_BUFFER_BYTES
+
+    def test_connections_hold_no_read_buffer_of_their_own(self):
+        """16 loopback connections, each read once at both ends, hold
+        about 70 KiB between them; a buffer per connection would hold
+        32 × ``READ_BUFFER_BYTES`` (8 MiB)."""
+        async def main():
+            asyncio.get_running_loop().set_debug(False)
+            got = []
+            server = await start_tcp_server(
+                "127.0.0.1", 0,
+                lambda channel, _peer: channel.set_receiver(got.append))
+            port = server.sockets[0].getsockname()[1]
+            frame = frame_to_wire(("data", 2, None, 0))
+            tracemalloc.start()
+            try:
+                base, _peak = tracemalloc.get_traced_memory()
+                clients = []
+                for _ in range(16):
+                    client = await open_tcp_channel("127.0.0.1", port)
+                    client.send(frame)
+                    clients.append(client)
+                for _ in range(500):
+                    if len(got) == 16:
+                        break
+                    await asyncio.sleep(0.01)
+                held, _peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            for client in clients:
+                client.close()
+            server.close()
+            await server.wait_closed()
+            assert len(got) == 16
+            return held - base
+        assert run(main()) < READ_BUFFER_BYTES
 
 
 class TestFastModeTracking:
