@@ -15,7 +15,7 @@ import json
 from typing import Callable, Dict, List, Optional
 
 from ..core.api import MessageFlow
-from ..core.flow import Flow
+from ..core.flow import DEALLOCATED, FAILED, Flow
 from ..core.names import ApplicationName
 from ..core.qos import RELIABLE
 from ..core.system import System
@@ -54,7 +54,8 @@ class MailRelay:
 
     ``routes`` maps user → next-hop application name (a further relay or a
     mailbox).  Unroutable envelopes stay queued — visible backlog, like a
-    real MTA.
+    real MTA.  ``forwarded`` counts envelopes on next-hop flows that did
+    not fail.
     """
 
     def __init__(self, system: System, name: str,
@@ -89,19 +90,28 @@ class MailRelay:
             if next_hop is None:
                 remaining.append(envelope)
                 continue
-            self._forward(next_hop, envelope)
+            if next_hop not in self._out_flows:
+                self._open_hop(next_hop)
+            # a pending flow's MessageFlow queues the envelope until allocation
+            self._out_flows[next_hop].send_message(
+                json.dumps(envelope).encode())
+            self.forwarded += 1
         self.queued = remaining
 
-    def _forward(self, next_hop: str, envelope: dict) -> None:
-        message_flow = self._out_flows.get(next_hop)
-        if message_flow is None:
-            flow = self.system.allocate_flow(
-                self.app_name, ApplicationName(next_hop), qos=RELIABLE)
-            message_flow = MessageFlow(self.system.engine, flow)
-            self._out_flows[next_hop] = message_flow
-        # a pending flow's MessageFlow queues the envelope until allocation
-        message_flow.send_message(json.dumps(envelope).encode())
-        self.forwarded += 1
+    def _open_hop(self, next_hop: str) -> None:
+        flow = self.system.allocate_flow(
+            self.app_name, ApplicationName(next_hop), qos=RELIABLE)
+        self._out_flows[next_hop] = MessageFlow(self.system.engine, flow)
+        # the next envelope for a hop whose flow failed or was released
+        # allocates a new one
+        flow.when(FAILED, lambda _flow: self._close_hop(next_hop))
+        flow.when(DEALLOCATED, lambda _flow: self._close_hop(next_hop))
+
+    def _close_hop(self, next_hop: str) -> None:
+        message_flow = self._out_flows.pop(next_hop)
+        if message_flow.flow.state == FAILED:
+            # nothing handed to a flow that never came up left
+            self.forwarded -= message_flow.messages_sent
 
 
 def send_mail(system: System, sender_app: str, first_relay: str,

@@ -240,6 +240,39 @@ class TestMailRelay:
         assert [m["body"] for m in mailbox.inbox("alice")] == ["one", "two"]
         assert relay.forwarded == 2
 
+    def test_a_released_next_hop_is_allocated_again(self):
+        network, _systems, mailbox, relay = self._plant()
+        relay.submit({"to": "alice", "body": "one"})
+        run_until(network, lambda: mailbox.inbox("alice"), timeout=20)
+        first = relay._out_flows["mbox-c"]
+        first.flow.deallocate()
+        assert "mbox-c" not in relay._out_flows
+        relay.submit({"to": "alice", "body": "two"})
+        assert relay._out_flows["mbox-c"] is not first
+        run_until(network, lambda: len(mailbox.inbox("alice")) == 2,
+                  timeout=20)
+        assert [m["body"] for m in mailbox.inbox("alice")] == ["one", "two"]
+        assert relay.forwarded == 2
+
+    def test_a_next_hop_that_does_not_exist_keeps_nothing(self):
+        """Envelopes handed to a next-hop flow that fails are not
+        counted as forwarded, its backlog goes with it, and the next
+        envelope for that hop allocates a new flow."""
+        network, _systems, _mailbox, relay = self._plant()
+        relay.routes["bob"] = "no-such-mbox"
+        for body in ("one", "two", "three"):
+            relay.submit({"to": "bob", "body": body})
+        first = relay._out_flows["no-such-mbox"]
+        assert relay.forwarded == 3 and first.pending_fragments() == 3
+        run_until(network, lambda: first.flow.state == FAILED, timeout=30)
+        assert relay.forwarded == 0 and first.pending_fragments() == 0
+        assert "no-such-mbox" not in relay._out_flows
+        relay.submit({"to": "bob", "body": "four"})
+        second = relay._out_flows["no-such-mbox"]
+        assert second is not first and second.flow.state == PENDING
+        run_until(network, lambda: second.flow.state == FAILED, timeout=30)
+        assert relay.forwarded == 0 and not relay._out_flows
+
     def test_unroutable_mail_stays_queued(self):
         network, systems = two_hosts()
         relay = MailRelay(systems["b"], "relay", routes={})
