@@ -250,9 +250,13 @@ class TestRmtForwarding:
 
 
 class TestRmtPacing:
+    """Ports with a nominal rate and a priority scheduler are paced; the
+    default FIFO scheduler's ports are not (see the FIFO case below)."""
+
     def test_paced_port_spaces_transmissions(self):
         engine = Engine()
-        rmt = Rmt(engine, lambda pdu, port: None)
+        rmt = Rmt(engine, lambda pdu, port: None,
+                  scheduler_factory=PriorityScheduler)
         rmt.local_addr = Address(1)
         sent = []
         rmt.add_port(5, lambda p, s: sent.append(engine.now) or True,
@@ -277,7 +281,8 @@ class TestRmtPacing:
 
     def test_queue_depths_reported(self):
         engine = Engine()
-        rmt = Rmt(engine, lambda pdu, port: None)
+        rmt = Rmt(engine, lambda pdu, port: None,
+                  scheduler_factory=PriorityScheduler)
         rmt.local_addr = Address(1)
         rmt.add_port(5, lambda p, s: True, nominal_bps=80.0,
                      peer_addr=Address(2))

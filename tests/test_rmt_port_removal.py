@@ -1,7 +1,7 @@
 """Removing a paced RMT port while PDUs still wait in its scheduler.
 
-A paced port that must wait schedules one ``rmt.serve`` event and keeps
-the PDUs in its scheduler.  When the port goes away first (the IPCP
+A paced port (here one with a priority scheduler) that must wait
+schedules one ``rmt.serve`` event and keeps the PDUs in its scheduler.  When the port goes away first (the IPCP
 leaves or crashes, a neighbour's ports are dropped, or the peer releases
 the flow), those PDUs are dropped as ``port-removed`` and the pending
 serve event sends nothing: before, it raised ``FlowError`` out of
@@ -27,7 +27,7 @@ def build_pair():
     network.connect("a", "b")
     systems = make_systems(network)
     add_shims(systems, network)
-    dif = Dif("d", DifPolicies(keepalive_interval=5.0))
+    dif = Dif("d", DifPolicies(keepalive_interval=5.0, scheduler="priority"))
     orchestrator = Orchestrator(network)
     build_dif_over(orchestrator, dif, systems,
                    adjacencies=[("a", "b", shim_between(network, "a", "b"))])
