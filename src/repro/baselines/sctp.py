@@ -298,9 +298,10 @@ class SctpAssociation:
             for index in acked_paths:
                 if 0 <= index < len(self.paths):
                     self.paths[index].error_count = 0
-            self._retx_timer.cancel()
             if self._inflight:
                 self._retx_timer.start(self._rto)
+            else:
+                self._retx_timer.cancel()
 
 
 class SctpStack:

@@ -268,9 +268,10 @@ class TcpConnection:
                     self.cwnd += self.MSS * length / self.cwnd
         self.snd_una = ack
         self._retries = 0
-        self._timer.cancel()
         if self._inflight:
             self._timer.start(self._rto)
+        else:
+            self._timer.cancel()
         self._pump()
 
     def _handle_data(self, segment: TcpSegment) -> None:

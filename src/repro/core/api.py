@@ -54,29 +54,35 @@ class MessageFlow:
         """Callback invoked with each completely reassembled message."""
         self._receiver = receiver
 
-    def send_message(self, data: bytes) -> None:
-        """Send one message, queueing what the flow cannot take yet."""
+    def send_message(self, data: bytes) -> bool:
+        """Send one message, queueing what the flow cannot take yet; False
+        once the flow has failed or been released."""
+        flow = self.flow
+        if flow.state == FAILED or flow.state == DEALLOCATED:
+            return False
         fragments = self._delimiter.delimit(data)
         self.messages_sent += 1
-        flow = self.flow
         if self._backlog or len(fragments) > 1 or flow.state != ALLOCATED:
             if flow.state == PENDING and not self._backlog:
                 # the backlog leaves when the flow is allocated, and is
                 # dropped if it fails
                 flow.when(ALLOCATED, self._drain)
-                flow.when(FAILED, lambda _flow: self._backlog.clear())
+                flow.when(FAILED, self._drain)
             self._backlog.extend(fragments)
             self._drain()
         elif not flow.send(fragments[0], fragments[0].wire_size()):
             self._backlog.append(fragments[0])
             self._retry_timer.start(self._retry_delay)
+        return True
 
     def pending_fragments(self) -> int:
         """Fragments queued locally awaiting flow capacity."""
         return len(self._backlog)
 
     def _drain(self, _flow: Optional[Flow] = None) -> None:
-        if not self.flow.allocated:
+        if self.flow.state != ALLOCATED:
+            if self.flow.state != PENDING:   # failed or released: drop it
+                self._backlog.clear()
             return
         while self._backlog:
             fragment = self._backlog[0]

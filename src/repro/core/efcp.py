@@ -369,9 +369,10 @@ class EfcpConnection:
         self._credit = max(self._credit, pdu.credit)
         if made_progress:
             self._retries = 0
-            self._retx_timer.cancel()
             if self._outstanding:
                 self._retx_timer.start(self._rto)
+            else:
+                self._retx_timer.cancel()
         self._fast_retransmit(pdu)
         self._pump()
 

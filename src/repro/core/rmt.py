@@ -10,10 +10,10 @@ are forwarded toward it.  The paper's Fig 4 two-step routing happens here:
 2. a :class:`PathSelector` policy picks among the (N-1) ports — the
    points of attachment — that reach that next hop.
 
-Multiplexing is policy-driven: each (N-1) port drains its queue through a
-pluggable :class:`Scheduler` (FIFO, strict priority, or deficit round
-robin), paced at the port's nominal rate so scheduling decisions are
-meaningful (experiments E8/A3).
+Multiplexing is policy-driven: a strict-priority or deficit-round-robin
+port drains its :class:`Scheduler` paced at the port's nominal rate, so the
+order is the RMT's (experiments E8/A3); a FIFO port orders nothing the
+(N-1) medium's own queue would not, so it hands every PDU straight down.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ class Scheduler:
 
     __slots__ = ()
 
+    paced = True   # a port waits in the RMT at its nominal rate
+
     def push(self, pdu: Pdu) -> Optional[Pdu]:
         """Enqueue; returns a displaced PDU if one had to be dropped."""
         raise NotImplementedError
@@ -51,9 +53,10 @@ class Scheduler:
 
 
 class FifoScheduler(Scheduler):
-    """Single drop-tail FIFO — the baseline best-effort discipline."""
+    """Single drop-tail FIFO — the best-effort discipline; never paced."""
 
     __slots__ = ("_queue", "_limit")
+    paced = False
 
     def __init__(self, limit: int = 256) -> None:
         # made when a PDU first has to wait: most ports never queue
@@ -262,9 +265,9 @@ class RmtPort:
     """An (N-1) flow as seen by the RMT: a send function, a scheduler, and a
     liveness flag maintained by neighbor monitoring.
 
-    A paced port is free again at ``free_at``; ``serving`` is True while
-    a serve event is pending, which is exactly while PDUs wait in the
-    scheduler."""
+    A paced port (a ``nominal_bps`` and a paced scheduler) is free again
+    at ``free_at``; ``serving`` is True exactly while PDUs wait in the
+    scheduler.  Any other port hands each PDU straight down."""
 
     __slots__ = ("port_id", "send_fn", "scheduler", "nominal_bps",
                  "peer_addr", "alive", "free_at", "serving")
@@ -291,7 +294,8 @@ class RmtPort:
 
 
 class Rmt:
-    """The relaying-and-multiplexing task of one IPC process."""
+    """The relaying-and-multiplexing task of one IPC process; whether a
+    port is paced is settled once, when it is added."""
 
     __slots__ = ("_engine", "local_addr", "_deliver_local",
                  "_scheduler_factory", "_path_selector", "_on_drop",
@@ -332,8 +336,10 @@ class Rmt:
         """Register an (N-1) flow the RMT may transmit on."""
         if port_id in self._ports:
             raise ValueError(f"RMT already has port {port_id}")
-        port = RmtPort(port_id, send_fn, self._scheduler_factory(),
-                       nominal_bps=nominal_bps, peer_addr=peer_addr)
+        scheduler = self._scheduler_factory()
+        port = RmtPort(port_id, send_fn, scheduler,
+                       nominal_bps=nominal_bps if scheduler.paced else None,
+                       peer_addr=peer_addr)
         self._ports[port_id] = port
         if peer_addr is not None:
             self._neighbor_ports.setdefault(peer_addr, []).append(port)
@@ -342,10 +348,9 @@ class Rmt:
     def remove_port(self, port_id: int) -> None:
         """Forget an (N-1) flow (deallocated or lost).
 
-        PDUs still waiting in the port's scheduler are dropped
-        (``port-removed``): the flow below is gone, or no longer this
-        IPCP's, so a pending serve event finds the scheduler empty and
-        sends nothing.
+        PDUs still waiting in a paced port's scheduler are dropped
+        (``port-removed``), so a pending serve event sends nothing; what
+        a port already handed down stays with the (N-1) medium.
         """
         port = self._ports.pop(port_id, None)
         if port is None:
@@ -452,7 +457,7 @@ class Rmt:
 
     def _enqueue(self, port: RmtPort, pdu: Pdu) -> None:
         if port.nominal_bps is None:
-            # unpaced port: hand straight to the (N-1) flow
+            # unpaced or FIFO port: hand straight to the (N-1) flow
             if not port.send_fn(pdu, pdu.wire_size()):
                 self._drop(pdu, "lower-layer-refused")
             return

@@ -275,7 +275,8 @@ class Timer:
 
     Protocol machinery (EFCP retransmission, enrollment timeouts, SCTP
     heartbeats...) uses this instead of raw events so restart/cancel logic
-    lives in one place.
+    lives in one place.  A restart to a later deadline keeps the pending
+    event, which re-arms itself at the deadline when it comes early.
     """
 
     def __init__(self, engine: Engine, callback: Callable[[], None],
@@ -284,6 +285,7 @@ class Timer:
         self._callback = callback
         self._label = label
         self._event: Optional[Event] = None
+        self._deadline = 0.0
 
     @property
     def running(self) -> bool:
@@ -292,6 +294,9 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer to fire ``delay`` seconds from now."""
+        self._deadline = deadline = self._engine.now + delay
+        if self._event is not None and self._event.time <= deadline < _INF:
+            return
         self.cancel()
         self._event = self._engine.call_later(delay, self._fire, label=self._label)
 
@@ -302,6 +307,10 @@ class Timer:
             self._event = None
 
     def _fire(self) -> None:
+        if self._deadline > self._engine.now:
+            self._event = self._engine.call_at(self._deadline, self._fire,
+                                               label=self._label)
+            return
         self._event = None
         self._callback()
 

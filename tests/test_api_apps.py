@@ -104,7 +104,8 @@ class TestMessageFlow:
 
 
 class TestPendingFlow:
-    """Messages sent while the flow is still being allocated."""
+    """Messages sent while the flow is not allocated: still pending, or
+    already failed or released."""
 
     def test_messages_leave_when_the_flow_is_allocated(self):
         network, systems = two_hosts()
@@ -141,6 +142,33 @@ class TestPendingFlow:
         assert client.message_flow.pending_fragments() == 0
         # the backlog was dropped before a later watcher heard of it
         assert seen == [0]
+
+    def test_messages_sent_after_the_failure_queue_nothing(self):
+        network, systems = two_hosts()
+        client = EchoClient(systems["a"], server_name="nobody-home")
+        run_until(network, client.waiter.done, timeout=30)
+        assert client.flow.state == FAILED
+        sent = client.message_flow.messages_sent
+        for _ in range(3):
+            client.ping(64)
+        assert client.message_flow.send_message(b"late") is False
+        network.run(until=network.engine.now + 5.0)
+        assert client.message_flow.pending_fragments() == 0
+        assert client.message_flow.messages_sent == sent
+
+    def test_a_released_flow_drops_its_backlog(self):
+        network, systems = two_hosts()
+        EchoServer(systems["b"])
+        client = EchoClient(systems["a"])
+        run_until(network, lambda: client.ready, timeout=5)
+        sender = client.message_flow
+        client.flow._send_fn = lambda payload, size: False   # refuse all
+        assert sender.send_message(b"held") is True
+        assert sender.pending_fragments() == 1
+        client.flow.deallocate()
+        network.run(until=network.engine.now + 1.0)
+        assert sender.pending_fragments() == 0
+        assert sender.send_message(b"late") is False
 
 
 class TestEcho:

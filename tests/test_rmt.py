@@ -267,6 +267,22 @@ class TestRmtPacing:
         engine.run()
         assert sent == pytest.approx([0.0, 0.1, 0.2])
 
+    def test_fifo_port_hands_a_burst_down_at_once(self):
+        # a FIFO port with a nominal rate is not paced: the medium's own
+        # queue does the waiting
+        engine = Engine()
+        rmt = Rmt(engine, lambda pdu, port: None)
+        rmt.local_addr = Address(1)
+        sent = []
+        port = rmt.add_port(5, lambda p, s: sent.append(engine.now) or True,
+                            nominal_bps=8000.0, peer_addr=Address(2))
+        rmt.set_forwarding(lambda addr: Address(2))
+        for index in range(3):
+            rmt.submit(data(Address(9), seq=index, size=80))
+        assert sent == [0.0, 0.0, 0.0]
+        assert port.nominal_bps is None and port.queue_depth() == 0
+        assert len(engine._heap) == 0   # no serve event
+
     def test_unpaced_port_sends_immediately(self):
         engine = Engine()
         rmt = Rmt(engine, lambda pdu, port: None)

@@ -10,8 +10,8 @@ The same shim-backed chain runs twice: with ``scheduler="fifo"`` and with
 ``"priority"``, which is paced.  A one-way transfer puts only data PDUs,
 one priority class, on the ports where anything waits, so strict
 priority serves them in FIFO order.  Every delivery time, counter and
-trace line must be equal; ``rmt.serve`` events (the RMT's waits) may
-differ, and the engine's event count with them.
+trace line must be equal.  Only the paced run schedules ``rmt.serve``
+events (the RMT's waits), so only the engine's event count differs.
 """
 
 from collections import Counter
@@ -71,7 +71,7 @@ def test_fifo_port_delivers_as_a_paced_one_class_port(serve_count):
     # the transfer completed, and the paced run really waited in the RMT
     assert fifo_metrics["transfers_completed"] == 1
     assert paced_serves > 0
-    assert fifo_serves <= paced_serves
+    assert fifo_serves == 0
     deliveries = [line for line in fifo_trace.splitlines()
                   if line.startswith("delivery ")]
     assert len(deliveries) >= 20

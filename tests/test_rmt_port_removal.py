@@ -20,14 +20,14 @@ from repro.sim.network import Network
 QUEUED = 20
 
 
-def build_pair():
+def build_pair(scheduler="priority"):
     network = Network(seed=1)
     network.add_node("a")
     network.add_node("b")
     network.connect("a", "b")
     systems = make_systems(network)
     add_shims(systems, network)
-    dif = Dif("d", DifPolicies(keepalive_interval=5.0, scheduler="priority"))
+    dif = Dif("d", DifPolicies(keepalive_interval=5.0, scheduler=scheduler))
     orchestrator = Orchestrator(network)
     build_dif_over(orchestrator, dif, systems,
                    adjacencies=[("a", "b", shim_between(network, "a", "b"))])
@@ -98,3 +98,26 @@ def test_peer_initiated_release():
     settle(network, a, port, late)
     assert a.tracer.counter_value("rmt.drop.port-removed") < QUEUED - 1
 
+
+def test_fifo_port_hands_its_burst_down_before_a_crash():
+    # a FIFO port is not paced: the whole burst is on the medium at once,
+    # and what was handed down stays there after the crash, as a link's
+    # own queue always did; nothing is sent on the removed port
+    network, a, b = build_pair("fifo")
+    port = a.rmt.ports_to(b.address)[0]
+    sent = []
+    send = port.send_fn
+
+    def watched(pdu, size):
+        sent.append(a.rmt._ports.get(port.port_id) is port)
+        return send(pdu, size)
+    port.send_fn = watched
+    for _ in range(QUEUED):
+        message = RiepMessage(M_WRITE, obj="/test/blob", value="x" * 4000)
+        assert a.rmt.send_on_port(port.port_id,
+                                  ManagementPdu(a.address, None, message))
+    assert sent == [True] * QUEUED and port.queue_depth() == 0
+    a.crash()
+    network.run(until=network.engine.now + 1.0)
+    assert sent == [True] * QUEUED
+    assert a.tracer.counter_value("rmt.drop.port-removed") == 0

@@ -593,8 +593,9 @@ class TestGraphFreeDijkstra:
 
 #: (flat, recursive) engine events of the 10x20 plants at seed 0; they
 #: were (111,985, 26,143) before flooded copies were acked once per port
-#: after a delay.
-SCOPE_EVENTS = (75_619, 23_525)
+#: after a delay, and (75,619, 23,525) before FIFO RMT ports stopped
+#: pacing (the ``rmt.serve`` events went).
+SCOPE_EVENTS = (75_379, 23_284)
 
 
 class TestScopePin:

@@ -450,6 +450,54 @@ class TestTimer:
         engine.run()
         assert not timer.running
 
+    def test_later_restart_keeps_one_pending_event(self):
+        engine = Engine()
+        seen = []
+        timer = Timer(engine, lambda: seen.append(engine.now))
+        timer.start(2.0)
+        for at in (0.5, 1.0, 1.5):
+            engine.call_at(at, timer.start, 2.0)
+        engine.run(until=1.6)
+        # each restart recorded its deadline and scheduled nothing
+        assert pending_count(engine) == 1
+        engine.run()
+        assert seen == [3.5]
+        # the early fire at 2.0 re-armed once, at the last deadline
+        assert engine.events_processed == 3 + 2
+
+    def test_earlier_restart_reschedules(self):
+        engine = Engine()
+        seen = []
+        timer = Timer(engine, lambda: seen.append(engine.now))
+        timer.start(5.0)
+        engine.call_at(1.0, timer.start, 0.5)
+        engine.run()
+        assert seen == [1.5]
+        assert engine.events_processed == 1 + 1
+
+    def test_cancel_after_a_lazy_restart_prevents_firing(self):
+        engine = Engine()
+        seen = []
+        timer = Timer(engine, lambda: seen.append(engine.now))
+        timer.start(1.0)
+        engine.call_at(0.5, timer.start, 1.0)
+        engine.call_at(1.2, timer.cancel)   # after the early fire re-armed
+        engine.run()
+        assert seen == []
+        assert not timer.running
+
+    def test_running_until_the_callback_runs(self):
+        engine = Engine()
+        states = []
+        timer = Timer(engine, lambda: states.append(timer.running))
+        timer.start(1.0)
+        engine.call_at(0.5, timer.start, 1.0)
+        engine.call_at(1.2, lambda: states.append(timer.running))
+        engine.run()
+        # armed across the early fire; disarmed when the callback runs
+        assert states == [True, False]
+        assert not timer.running
+
 
 class TestPeriodicTask:
     def test_fires_repeatedly(self):
