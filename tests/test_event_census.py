@@ -1,6 +1,8 @@
 """Event census: dispatched events per label on the small builders
 behind the ``control_flat``, ``data_clean``, ``data_lossy`` and
-``flood`` workloads, and on the scale tier's flat 5x10 row.
+``flood`` workloads, on the scale tier's flat 5x10 row, and on the
+full-size ``data_clean`` run at seed 0, the one whose transfers fill a
+send buffer.
 
 The census lives on the test side.  A fixture wraps ``Engine.call_at``
 and ``Engine.call_later`` (``call_soon`` goes through ``call_at``) so
@@ -131,6 +133,17 @@ def _flood():
     return run_flood_scale(3, 2, seed=0)["events"]
 
 
+def _data_clean_full():
+    """The benchmark's ``data_clean`` job at seed 0, through the same
+    perf/child.py wrapper: its 4 MB transfers are the only runs here
+    that fill an EFCP send buffer, so what backpressure costs in events
+    shows in this row."""
+    from test_trace_golden import _perf_child
+    call, _check = _perf_child().prepare("data_clean", 0)
+    (row,) = call()
+    return row["events"]
+
+
 #: Captured before the engine lost its test-only bookkeeping; they must
 #: not move when the dispatch loop changes shape.  Since then two rows
 #: moved, and only these:
@@ -192,6 +205,15 @@ EXPECTED = {
         "routing.spf": 18, "shim.alloc-retry": 5,
         "wl.cbr.start": 1, "wl.echo.pump": 50, "wl.echo.start": 1,
         "wl.xfer.start": 2},
+    # the benchmark's full-size run: the transfers outrun the links and
+    # wait on a full send buffer (``msgflow.retry``, ``file.push``)
+    "data_clean_full": {
+        "(unlabelled)": 2, "<ipcp>.keepalive": 1422, "<link>.rx": 70167,
+        "cbr.tick": 2949, "efcp.retx": 88, "fa.allocate": 9, "fa.retry": 1,
+        "fabric.start": 1, "file.push": 76, "msgflow.retry": 78,
+        "riep.flood-ack": 36, "riep.flood-retx": 40, "routing.spf": 18,
+        "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 500,
+        "wl.echo.start": 1, "wl.xfer.start": 2},
     # data_clean_rina's run on the lossy plant: EFCP recovery shows in
     # ``efcp.retx``
     "data_lossy_rina": {
@@ -214,6 +236,7 @@ EXPECTED = {
 RUNS = {
     "control_flat": _control_flat,
     "data_clean_rina": lambda: _data_clean("rina"),
+    "data_clean_full": _data_clean_full,
     "data_lossy_rina": _data_lossy,
     "data_clean_ip": lambda: _data_clean("ip"),
     "flood": _flood,
@@ -234,8 +257,18 @@ def test_events_per_label(census, workload):
 #: fired); a neighbour's copies now share one deadline queue, whose head
 #: is armed 220 times and always fires.  The 110 ``riep.invoke`` left are
 #: enrollment requests; none fires.  The 69 ``rmt.serve`` went when FIFO
-#: ports stopped pacing.
+#: ports stopped pacing.  The full-size ``data_clean`` run schedules an
+#: ``efcp.retx`` per restart that could not keep its pending event
+#: (1,102, of which 88 fire).
 SCHEDULED = {
+    "data_clean_full": {
+        "(unlabelled)": 2, "<ipcp>.keepalive": 1434, "<link>.rx": 70167,
+        "cbr.tick": 2950, "efcp.retx": 1102, "fa.allocate": 9,
+        "fa.retry": 1, "fabric.start": 1, "file.push": 76,
+        "msgflow.retry": 78, "riep.flood-ack": 36, "riep.flood-retx": 40,
+        "riep.invoke": 29, "routing.spf": 18, "shim.alloc-retry": 5,
+        "wl.cbr.start": 1, "wl.echo.pump": 500, "wl.echo.start": 1,
+        "wl.xfer.start": 2},
     "scale_flat_5x10": {
         "(unlabelled)": 1, "<ipcp>.keepalive": 1120, "<link>.rx": 6001,
         "fabric.start": 1, "riep.flood-ack": 389, "riep.flood-retx": 220,
