@@ -20,6 +20,7 @@ Run:  python examples/fault_storm.py
 
 from repro.apps.echo import EchoClient, EchoServer
 from repro.core import run_until
+from repro.core.flow import PENDING
 from repro.experiments.common import delivery_gap, format_table
 from repro.experiments.e5_mobility import RinaMobilityScenario
 from repro.scenarios import (FaultContext, FaultSpec, ScenarioRunner,
@@ -53,7 +54,7 @@ def act_two() -> None:
     EchoServer(scenario.systems["m"], dif_names=["metro"])
     network.run(until=network.engine.now + 1.0)
     client = EchoClient(scenario.systems["c"], dif_name="metro")
-    run_until(network, lambda: client.waiter.done(), timeout=15)
+    run_until(network, lambda: client.flow.state != PENDING, timeout=15)
 
     deliveries = []
     original = client.message_flow._receiver

@@ -17,6 +17,7 @@ Run:  python examples/management.py
 from repro.apps import EchoClient, EchoServer
 from repro.core import (Dif, DifPolicies, Orchestrator, add_shims,
                         build_dif_over, make_systems, run_until, shim_between)
+from repro.core.flow import PENDING
 from repro.experiments.common import format_table
 from repro.sim.network import Network
 
@@ -46,7 +47,7 @@ def main() -> None:
     EchoServer(systems["server-host"])
     network.run(until=network.engine.now + 0.5)
     client = EchoClient(systems["edge1"])
-    run_until(network, lambda: client.waiter.done(), timeout=15)
+    run_until(network, lambda: client.flow.state != PENDING, timeout=15)
     for _ in range(25):
         client.ping(300)
     run_until(network, lambda: client.replies >= 25, timeout=30)

@@ -20,8 +20,9 @@ Run:  python examples/marketplace.py
 
 from repro.apps import Mailbox, MailRelay, send_mail
 from repro.core import (ApplicationName, ChallengeResponse, Dif, DifPolicies,
-                        FlowWaiter, LOW_LATENCY, BULK, Orchestrator, add_shims,
+                        LOW_LATENCY, BULK, Orchestrator, add_shims,
                         build_dif_over, make_systems, run_until, shim_between)
+from repro.core.flow import PENDING
 from repro.sim.network import Network
 
 
@@ -71,7 +72,7 @@ def main() -> None:
 
     def on_probe_flow(flow):
         from repro.core import MessageFlow
-        message_flow = MessageFlow(network.engine, flow)
+        message_flow = MessageFlow(flow)
         message_flow.set_message_receiver(
             lambda data: probes.append((flow.qos.name, network.engine.now)))
         probes.append(message_flow)  # keep alive
@@ -82,9 +83,8 @@ def main() -> None:
         flow = systems["member1"].allocate_flow(
             ApplicationName(f"probe-{cube.name}"),
             ApplicationName("probe-sink"), qos=cube)
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=15)
-        print(f"sold a {cube.name!r} flow: allocated={waiter.ok} "
+        run_until(network, lambda: flow.state != PENDING, timeout=15)
+        print(f"sold a {cube.name!r} flow: allocated={flow.allocated} "
               f"(priority class {cube.priority})")
 
     # -- 3. application relaying as an IPC service -----------------------

@@ -9,9 +9,10 @@ interface.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import (ApplicationName, Dif, DifPolicies, FlowWaiter,
-                        MessageFlow, Orchestrator, RELIABLE, add_shims,
-                        build_dif_over, make_systems, run_until, shim_between)
+from repro.core import (ApplicationName, Dif, DifPolicies, MessageFlow,
+                        Orchestrator, RELIABLE, add_shims, build_dif_over,
+                        make_systems, run_until, shim_between)
+from repro.core.flow import PENDING
 from repro.sim.network import Network
 
 
@@ -40,7 +41,7 @@ def main() -> None:
     greetings = []
 
     def on_inbound(flow):
-        message_flow = MessageFlow(network.engine, flow)
+        message_flow = MessageFlow(flow)
 
         def on_message(data: bytes) -> None:
             greetings.append(data)
@@ -55,13 +56,12 @@ def main() -> None:
     flow = systems["alpha"].allocate_flow(ApplicationName("quickstart-client"),
                                           ApplicationName("greeter"),
                                           qos=RELIABLE)
-    waiter = FlowWaiter(flow)
-    run_until(network, waiter.done, timeout=10)
+    run_until(network, lambda: flow.state != PENDING, timeout=10)
     print(f"flow allocated: port={flow.port_id!r} qos={flow.qos.name!r} "
           f"(a local handle — not a well-known port)")
 
     replies = []
-    client = MessageFlow(network.engine, flow)
+    client = MessageFlow(flow)
     client.set_message_receiver(replies.append)
     client.send_message(b"world")
     run_until(network, lambda: replies, timeout=10)

@@ -9,8 +9,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
-from ..core.api import FlowWaiter, MessageFlow
-from ..core.flow import Flow
+from ..core.api import MessageFlow
+from ..core.flow import ALLOCATED, DEALLOCATED, Flow
 from ..core.names import ApplicationName
 from ..core.qos import QosCube, RELIABLE
 from ..core.system import System
@@ -28,7 +28,7 @@ class EchoServer:
         system.register_app(self.app_name, self._on_flow, dif_names)
 
     def _on_flow(self, flow: Flow) -> None:
-        message_flow = MessageFlow(self.system.engine, flow)
+        message_flow = MessageFlow(flow)
 
         def on_message(data: bytes) -> None:
             self.messages_echoed += 1
@@ -55,8 +55,7 @@ class EchoClient:
         self.flow = system.allocate_flow(self.app_name,
                                          ApplicationName(server_name),
                                          qos=qos, dif_name=dif_name)
-        self.waiter = FlowWaiter(self.flow)
-        self.message_flow = MessageFlow(system.engine, self.flow)
+        self.message_flow = MessageFlow(self.flow)
         self.message_flow.set_message_receiver(self._on_reply)
         self.rtts: List[float] = []
         self._sent_at: Deque[float] = deque()
@@ -64,8 +63,8 @@ class EchoClient:
 
     @property
     def ready(self) -> bool:
-        """True once the flow is allocated."""
-        return self.waiter.ok
+        """True once the flow was allocated, also after its release."""
+        return self.flow.state in (ALLOCATED, DEALLOCATED)
 
     def ping(self, size: int = 64) -> None:
         """Send one message of ``size`` bytes."""

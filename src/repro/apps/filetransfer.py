@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..core.api import FlowWaiter, MessageFlow
-from ..core.flow import ALLOCATED, Flow
+from ..core.api import MessageFlow
+from ..core.flow import ALLOCATED, WRITABLE, Flow
 from ..core.names import ApplicationName
 from ..core.qos import BULK, QosCube
 from ..core.system import System
@@ -34,7 +34,7 @@ class FileSink:
         system.register_app(self.app_name, self._on_flow, dif_names)
 
     def _on_flow(self, flow: Flow) -> None:
-        message_flow = MessageFlow(self.system.engine, flow)
+        message_flow = MessageFlow(flow)
 
         def on_message(data: bytes) -> None:
             if data.startswith(b"EOF:"):
@@ -64,26 +64,26 @@ class FileSender:
         self.flow = system.allocate_flow(ApplicationName(sender_name),
                                          ApplicationName(sink_name),
                                          qos=qos, dif_name=dif_name)
-        self.waiter = FlowWaiter(self.flow)
-        self.message_flow = MessageFlow(system.engine, self.flow)
-        self.flow.when(ALLOCATED, self._begin)
+        self.message_flow = MessageFlow(self.flow)
+        self.flow.when(ALLOCATED, self._push)
 
-    def _begin(self, _flow: Flow) -> None:
-        self.started_at = self.system.engine.now
-        self._push()
-
-    def _push(self) -> None:
+    def _push(self, _flow: Flow) -> None:
+        if self.started_at is None:
+            self.started_at = self.system.engine.now
         # keep the message-flow backlog shallow so memory stays bounded;
         # backpressure propagates from EFCP through MessageFlow to here.
         while (self.bytes_submitted < self.total_bytes
                and self.message_flow.pending_fragments() < 64):
             chunk = min(self.chunk_size, self.total_bytes - self.bytes_submitted)
-            self.message_flow.send_message(b"d" * chunk)
+            if not self.message_flow.send_message(b"d" * chunk):
+                return   # the flow failed or was released
             self.bytes_submitted += chunk
         if self.bytes_submitted >= self.total_bytes:
             self.message_flow.send_message(b"EOF:done")
             return
-        self.system.engine.call_later(0.01, self._push, label="file.push")
+        # the MessageFlow waits on the flow's next WRITABLE; subscribed
+        # after it, this refills the backlog right after it drains
+        self.flow.when(WRITABLE, self._push)
 
     @property
     def finished_submitting(self) -> bool:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, Set
 
-from ..core.api import FlowWaiter, MessageFlow
-from ..core.flow import Flow
+from ..core.api import MessageFlow
+from ..core.flow import ALLOCATED, DEALLOCATED, Flow
 from ..core.names import ApplicationName
 from ..core.qos import RELIABLE, QosCube
 from ..core.system import System
@@ -34,7 +34,7 @@ class Broker:
         system.register_app(self.app_name, self._on_flow, dif_names)
 
     def _on_flow(self, flow: Flow) -> None:
-        message_flow = MessageFlow(self.system.engine, flow)
+        message_flow = MessageFlow(flow)
         index = len(self._flows)
         self._flows.append(message_flow)
 
@@ -78,16 +78,15 @@ class PubSubClient:
         self.flow = system.allocate_flow(self.app_name,
                                          ApplicationName(broker_name),
                                          qos=qos, dif_name=dif_name)
-        self.waiter = FlowWaiter(self.flow)
-        self.message_flow = MessageFlow(system.engine, self.flow)
+        self.message_flow = MessageFlow(self.flow)
         self.message_flow.set_message_receiver(self._on_message)
         self.events: List[dict] = []
         self.on_event: Optional[Callable[[dict], None]] = None
 
     @property
     def ready(self) -> bool:
-        """True once the broker flow is allocated."""
-        return self.waiter.ok
+        """True once the broker flow was allocated, also after its release."""
+        return self.flow.state in (ALLOCATED, DEALLOCATED)
 
     def subscribe(self, topic: str) -> None:
         """Express interest in ``topic``."""

@@ -34,7 +34,7 @@ class Mailbox:
         system.register_app(self.app_name, self._on_flow, dif_names)
 
     def _on_flow(self, flow: Flow) -> None:
-        message_flow = MessageFlow(self.system.engine, flow)
+        message_flow = MessageFlow(flow)
 
         def on_message(data: bytes) -> None:
             envelope = json.loads(data.decode())
@@ -71,7 +71,7 @@ class MailRelay:
         system.register_app(self.app_name, self._on_flow, dif_names)
 
     def _on_flow(self, flow: Flow) -> None:
-        message_flow = MessageFlow(self.system.engine, flow)
+        message_flow = MessageFlow(flow)
 
         def on_message(data: bytes) -> None:
             self.submit(json.loads(data.decode()))
@@ -101,7 +101,7 @@ class MailRelay:
     def _open_hop(self, next_hop: str) -> None:
         flow = self.system.allocate_flow(
             self.app_name, ApplicationName(next_hop), qos=RELIABLE)
-        self._out_flows[next_hop] = MessageFlow(self.system.engine, flow)
+        self._out_flows[next_hop] = MessageFlow(flow)
         # the next envelope for a hop whose flow failed or was released
         # allocates a new one
         flow.when(FAILED, lambda _flow: self._close_hop(next_hop))
@@ -119,7 +119,7 @@ def send_mail(system: System, sender_app: str, first_relay: str,
     """Submit one message into the relay mesh from an end system."""
     flow = system.allocate_flow(ApplicationName(sender_app),
                                 ApplicationName(first_relay), qos=RELIABLE)
-    MessageFlow(system.engine, flow).send_message(
+    MessageFlow(flow).send_message(
         json.dumps({"to": to_user, "from": sender_app,
                     "body": body}).encode())
     return flow

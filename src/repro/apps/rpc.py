@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional
 
-from ..core.api import FlowWaiter, MessageFlow
-from ..core.flow import Flow
+from ..core.api import MessageFlow
+from ..core.flow import ALLOCATED, DEALLOCATED, Flow
 from ..core.names import ApplicationName
 from ..core.qos import QosCube, RELIABLE
 from ..core.system import System
@@ -39,7 +39,7 @@ class RpcServer:
         self._methods[method] = handler
 
     def _on_flow(self, flow: Flow) -> None:
-        message_flow = MessageFlow(self.system.engine, flow)
+        message_flow = MessageFlow(flow)
 
         def on_message(data: bytes) -> None:
             request = json.loads(data.decode())
@@ -66,8 +66,7 @@ class RpcClient:
         self.flow = system.allocate_flow(ApplicationName(client_name),
                                          ApplicationName(server_name),
                                          qos=qos, dif_name=dif_name)
-        self.waiter = FlowWaiter(self.flow)
-        self.message_flow = MessageFlow(system.engine, self.flow)
+        self.message_flow = MessageFlow(self.flow)
         self.message_flow.set_message_receiver(self._on_message)
         self._next_id = 1
         self._pending: Dict[int, Callable[[dict], None]] = {}
@@ -75,8 +74,8 @@ class RpcClient:
 
     @property
     def ready(self) -> bool:
-        """True once the flow is allocated."""
-        return self.waiter.ok
+        """True once the flow was allocated, also after its release."""
+        return self.flow.state in (ALLOCATED, DEALLOCATED)
 
     def call(self, method: str, params: dict,
              on_reply: Callable[[dict], None]) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from ..core.api import FlowWaiter, MessageFlow
+from ..core.api import MessageFlow
 from ..core.flow import Flow
 from ..core.names import ApplicationName
 from ..core.qos import QosCube
@@ -32,8 +32,7 @@ class CbrSource:
         self.flow = system.allocate_flow(ApplicationName(name),
                                          ApplicationName(sink_name),
                                          qos=qos, dif_name=dif_name)
-        self.waiter = FlowWaiter(self.flow)
-        self.message_flow = MessageFlow(system.engine, self.flow)
+        self.message_flow = MessageFlow(self.flow)
         self._running = False
 
     def start(self) -> None:
@@ -69,7 +68,7 @@ class LatencySink:
         system.register_app(ApplicationName(name), self._on_flow, dif_names)
 
     def _on_flow(self, flow: Flow) -> None:
-        message_flow = MessageFlow(self.engine, flow)
+        message_flow = MessageFlow(flow)
         source = str(flow.remote_app)
 
         def on_message(data: bytes) -> None:

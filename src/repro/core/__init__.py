@@ -14,7 +14,7 @@ our own experiments) follows:
 
 from .addressing import (AddressingPolicy, FlatAddressing, TopologicalAddressing,
                          aggregate_forwarding_table, lookup_aggregated)
-from .api import FlowWaiter, MessageFlow
+from .api import MessageFlow
 from .auth import (AllowAll, AllowList, AuthPolicy, ChallengeResponse, DenyAll,
                    FlowAccessPolicy, NoAuth, PresharedKey)
 from .codec import WireError, decode, encode
@@ -61,7 +61,7 @@ __all__ = [
     "Dif", "DifPolicies", "DifError",
     "EnrollmentTask", "FlowAllocator", "Flow", "FlowError",
     "Ipcp", "ShimIpcp", "System",
-    "MessageFlow", "FlowWaiter",
+    "MessageFlow",
     "Orchestrator", "FabricError", "make_systems", "add_shims",
     "build_dif_over", "run_until", "shim_between", "shim_name_for",
 ]

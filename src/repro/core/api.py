@@ -6,13 +6,10 @@ application, enforces access, allocates, and returns *port IDs* — never
 addresses, never well-known ports.
 
 :class:`~repro.core.system.System` provides exactly that
-(``register_app`` / ``allocate_flow``).  This module adds the two
-conveniences real applications want on top of raw SDUs:
-
-* :class:`MessageFlow` — arbitrary-size messages over a flow, using the
-  delimiting module, with an internal retry queue against backpressure;
-* :class:`FlowWaiter` — synchronous-style wait-for-allocation used by
-  examples and tests driving the simulator.
+(``register_app`` / ``allocate_flow``).  This module adds what real
+applications want on top of raw SDUs: :class:`MessageFlow`, messages of
+any size over a flow, cut by the delimiting module, with a backlog that
+waits out backpressure on the flow's WRITABLE notification.
 """
 
 from __future__ import annotations
@@ -20,11 +17,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from ..sim.engine import Engine, Timer
 from .delimiting import Delimiter, Fragment, Reassembler
-from .flow import ALLOCATED, DEALLOCATED, FAILED, PENDING, Flow
-from .names import ApplicationName
-from .qos import QosCube
+from .flow import ALLOCATED, DEALLOCATED, FAILED, PENDING, WRITABLE, Flow
 
 MessageReceiver = Callable[[bytes], None]
 
@@ -33,19 +27,17 @@ class MessageFlow:
     """Message framing over a flow: send/receive whole byte messages.
 
     Cut to the flow's ``max_sdu``; fragments the flow refuses (backpressure)
-    are queued and retried on a timer, preserving order.
+    are queued, in order, and leave at the flow's next WRITABLE or at the
+    next :meth:`send_message`, whichever comes first.
     """
 
-    def __init__(self, engine: Engine, flow: Flow,
-                 retry_delay: float = 0.01) -> None:
-        self._engine = engine
+    def __init__(self, flow: Flow) -> None:
         self.flow = flow
         self._delimiter = Delimiter(flow.max_sdu)
         self._reassembler = Reassembler()
         self._receiver: Optional[MessageReceiver] = None
         self._backlog: Deque[Fragment] = deque()
-        self._retry_delay = retry_delay
-        self._retry_timer = Timer(engine, self._drain, label="msgflow.retry")
+        self._waiting = False   # subscribed to the flow's next WRITABLE
         self.messages_sent = 0
         self.messages_received = 0
         flow.set_receiver(self._on_sdu)
@@ -72,14 +64,23 @@ class MessageFlow:
             self._drain()
         elif not flow.send(fragments[0], fragments[0].wire_size()):
             self._backlog.append(fragments[0])
-            self._retry_timer.start(self._retry_delay)
+            self._wait()
         return True
 
     def pending_fragments(self) -> int:
         """Fragments queued locally awaiting flow capacity."""
         return len(self._backlog)
 
-    def _drain(self, _flow: Optional[Flow] = None) -> None:
+    def _wait(self) -> None:
+        """Drain at the flow's next WRITABLE: one subscription per
+        refusal, however often the backlog is refused meanwhile."""
+        if not self._waiting:
+            self._waiting = True
+            self.flow.when(WRITABLE, self._drain)
+
+    def _drain(self, flow: Optional[Flow] = None) -> None:
+        if flow is not None:   # the flow called: a subscription is spent
+            self._waiting = False
         if self.flow.state != ALLOCATED:
             if self.flow.state != PENDING:   # failed or released: drop it
                 self._backlog.clear()
@@ -87,7 +88,7 @@ class MessageFlow:
         while self._backlog:
             fragment = self._backlog[0]
             if not self.flow.send(fragment, fragment.wire_size()):
-                self._retry_timer.start(self._retry_delay)
+                self._wait()
                 return
             self._backlog.popleft()
 
@@ -99,24 +100,3 @@ class MessageFlow:
             self.messages_received += 1
             if self._receiver is not None:
                 self._receiver(message)
-
-
-class FlowWaiter:
-    """Reads a flow's allocation outcome for poll-style tests/examples."""
-
-    def __init__(self, flow: Flow) -> None:
-        self.flow = flow
-
-    def done(self) -> bool:
-        """True once allocation succeeded or failed."""
-        return self.flow.state != PENDING
-
-    @property
-    def ok(self) -> bool:
-        """True once the flow was allocated, also after its release."""
-        return self.flow.state == ALLOCATED or self.flow.state == DEALLOCATED
-
-    @property
-    def reason(self) -> Optional[str]:
-        """Why allocation failed, or None."""
-        return self.flow.failure_reason

@@ -54,15 +54,14 @@ class EfcpPolicy:
 
     __slots__ = ("reliable", "in_order", "retx", "congestion", "initial_credit",
                  "send_buffer_limit", "rto_initial", "rto_min", "rto_max",
-                 "max_retries", "give_up", "ack_delay", "sack_limit",
-                 "initial_cwnd")
+                 "max_retries", "ack_delay", "sack_limit", "initial_cwnd")
 
     def __init__(self, reliable: bool = True, in_order: bool = True,
                  retx: Optional[str] = None, congestion: str = CONGESTION_NONE,
                  initial_credit: int = 64, send_buffer_limit: int = 1024,
                  rto_initial: float = 0.25, rto_min: float = 0.02,
                  rto_max: float = 4.0, max_retries: int = 30,
-                 give_up: bool = False, ack_delay: float = 0.0,
+                 ack_delay: float = 0.0,
                  sack_limit: int = 16, initial_cwnd: int = 4) -> None:
         if retx is None:
             retx = RETX_SELECTIVE if reliable else RETX_NONE
@@ -90,7 +89,6 @@ class EfcpPolicy:
         self.rto_min = float(rto_min)
         self.rto_max = float(rto_max)
         self.max_retries = max_retries
-        self.give_up = give_up
         self.ack_delay = ack_delay
         self.sack_limit = sack_limit
         self.initial_cwnd = initial_cwnd
@@ -143,11 +141,13 @@ class EfcpConnection:
         Callback receiving each in-order SDU ``(payload, size)``.
     priority:
         RMT scheduling priority stamped on data PDUs (from the QoS cube).
+    writable:
+        Called once ACKs have drained the buffer to half after a refusal.
     """
 
     __slots__ = ("_engine", "local_addr", "remote_addr", "local_cep",
                  "remote_cep", "policy", "_output", "_deliver", "_priority",
-                 "_on_stall", "_on_close", "stats", "closed",
+                 "_writable", "_refused", "stats", "closed",
                  "_send_queue", "_outstanding", "_next_seq", "_send_base",
                  "_credit", "_retries", "_retx_timer", "_srtt", "_rttvar",
                  "_rto", "_cwnd", "_ssthresh", "_sack_passes",
@@ -157,8 +157,7 @@ class EfcpConnection:
     def __init__(self, engine: Engine, local_addr: Address, remote_addr: Address,
                  local_cep: int, remote_cep: int, policy: EfcpPolicy,
                  output: OutputFn, deliver: DeliverFn, priority: int = 8,
-                 on_stall: Optional[Callable[[], None]] = None,
-                 on_close: Optional[Callable[[], None]] = None) -> None:
+                 writable: Optional[Callable[[], None]] = None) -> None:
         self._engine = engine
         self.local_addr = local_addr
         self.remote_addr = remote_addr
@@ -168,8 +167,8 @@ class EfcpConnection:
         self._output = output
         self._deliver = deliver
         self._priority = priority
-        self._on_stall = on_stall
-        self._on_close = on_close
+        self._writable = writable
+        self._refused = False   # a refusal awaits its ``writable`` call
         self.stats = EfcpStats()
         self.closed = False
 
@@ -242,6 +241,7 @@ class EfcpConnection:
         buffered = len(self._send_queue) + len(self._outstanding)
         if buffered >= self.policy.send_buffer_limit:
             self.stats.send_rejected += 1
+            self._refused = True
             return False
         seq = self._next_seq
         self._next_seq += 1
@@ -292,11 +292,6 @@ class EfcpConnection:
         self.stats.timeouts += 1
         self._retries += 1
         if self._retries > self.policy.max_retries:
-            if self._on_stall is not None:
-                self._on_stall()
-            if self.policy.give_up:
-                self.close()
-                return
             self._retries = self.policy.max_retries  # keep trying, stay capped
         # congestion response: multiplicative decrease on timeout
         if self.policy.congestion == CONGESTION_AIMD:
@@ -375,6 +370,11 @@ class EfcpConnection:
                 self._retx_timer.cancel()
         self._fast_retransmit(pdu)
         self._pump()
+        if self._refused and (len(self._send_queue) + len(self._outstanding)
+                              <= self.policy.send_buffer_limit // 2):
+            self._refused = False
+            if self._writable is not None:
+                self._writable()
 
     def _fast_retransmit(self, pdu: ControlPdu) -> None:
         """SACK-driven loss recovery: a PDU passed over by three selective
@@ -498,8 +498,6 @@ class EfcpConnection:
         self._send_queue.clear()
         self._outstanding.clear()
         self._rcv_buffer.clear()
-        if self._on_close is not None:
-            self._on_close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<EfcpConnection {self.local_addr}:{self.local_cep}->"

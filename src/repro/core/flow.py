@@ -27,6 +27,8 @@ PENDING = "pending"
 ALLOCATED = "allocated"
 FAILED = "failed"
 DEALLOCATED = "deallocated"
+#: Not a state: the provider takes sends again after refusing one.
+WRITABLE = "writable"
 
 
 class FlowError(RuntimeError):
@@ -40,6 +42,12 @@ class Flow:
     ``_send_fn`` and ``_dealloc_fn`` when allocation completes.  The flow
     owns its lifecycle, PENDING → ALLOCATED | FAILED and ALLOCATED →
     DEALLOCATED; whoever needs a transition subscribes with :meth:`when`.
+
+    A send the provider refuses (backpressure) is followed by WRITABLE
+    when it takes sends again, or by the flow leaving ALLOCATED, which
+    runs the WRITABLE watchers too.  EFCP raises it when its buffer has
+    drained to half; a shim over a simulated link raises none (a tail
+    drop or a down link), so its user retries at its next send.
     """
 
     __slots__ = ("port_id", "local_app", "remote_app", "qos",
@@ -99,12 +107,12 @@ class Flow:
         if self._dealloc_fn is not None:
             self._dealloc_fn()
         if self._watchers:
-            self._notify()
+            self._notify(self.state)
 
     def when(self, state: str, watcher: Watcher) -> None:
-        """Call ``watcher(flow)`` when the flow enters ``state``.  The
-        watchers of one state run in the order they subscribed
-        (docs/ARCHITECTURE.md, determinism contract 5)."""
+        """Call ``watcher(flow)`` when the flow enters ``state`` (once, at
+        the next WRITABLE).  The watchers of one state run in the order
+        they subscribed (docs/ARCHITECTURE.md, determinism contract 5)."""
         if self._watchers is None:
             self._watchers = []
         self._watchers.append((state, watcher))
@@ -135,7 +143,7 @@ class Flow:
             raise FlowError("provider_bind must precede provider_allocated")
         self.state = ALLOCATED
         if self._watchers:
-            self._notify()
+            self._notify(self.state)
 
     def provider_failed(self, reason: str) -> None:
         """Mark allocation failed and notify the user."""
@@ -144,7 +152,7 @@ class Flow:
         self.state = FAILED
         self.failure_reason = reason
         if self._watchers:
-            self._notify()
+            self._notify(self.state)
 
     def provider_deliver(self, payload: Any, size: int) -> None:
         """Hand one inbound SDU to the user."""
@@ -152,24 +160,32 @@ class Flow:
         if self._receiver is not None:
             self._receiver(payload, size)
 
+    def provider_writable(self) -> None:
+        """The provider takes sends again after refusing one: run each
+        WRITABLE watcher once (one subscribed meanwhile waits)."""
+        if self._watchers:
+            self._notify(WRITABLE)
+
     def provider_released(self) -> None:
         """Provider-initiated teardown (peer deallocated / facility lost)."""
         if self.state != ALLOCATED:
             return
         self.state = DEALLOCATED
         if self._watchers:
-            self._notify()
+            self._notify(self.state)
 
-    def _notify(self) -> None:
-        """Run the watchers of the state just entered.  Only DEALLOCATED
-        can follow ALLOCATED, so the other watchers are dropped."""
-        state = self.state
+    def _notify(self, event: str) -> None:
+        """Run the watchers of ``event``, the state just entered or
+        WRITABLE.  Only DEALLOCATED and WRITABLE can follow ALLOCATED, so
+        the other watchers are dropped; a flow that fails or is released
+        runs its WRITABLE watchers too."""
         watchers = self._watchers
-        self._watchers = ([entry for entry in watchers
-                           if entry[0] == DEALLOCATED]
-                          if state == ALLOCATED else None)
+        ended = event == FAILED or event == DEALLOCATED
+        self._watchers = None if ended else [
+            entry for entry in watchers if entry[0] == DEALLOCATED
+            or (entry[0] == WRITABLE and event == ALLOCATED)]
         for wanted, watcher in watchers:
-            if wanted == state:
+            if wanted == event or (ended and wanted == WRITABLE):
                 watcher(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -255,7 +255,7 @@ class FlowAllocator:
             record.local_cep, record.remote_cep, policy,
             output=ipcp.rmt.submit,
             deliver=record.flow.provider_deliver,
-            priority=cube.priority)
+            priority=cube.priority, writable=record.flow.provider_writable)
         record.efcp = efcp
         record.flow.provider_bind(
             send_fn=efcp.send,

@@ -23,6 +23,7 @@ from ..apps.filetransfer import FileSender, FileSink
 from ..core import (BEST_EFFORT, RELIABLE, Dif, DifPolicies, Orchestrator,
                     QosCube, add_shims, build_dif_over, make_systems, run_until,
                     shim_between)
+from ..core.flow import PENDING
 from ..sim.link import UniformLoss
 from ..sim.network import Network
 from ..sweeps import Job
@@ -61,7 +62,7 @@ def run_policy(retx: str, loss: float, total_bytes: int = 100_000,
     loss_model.probability = loss
     qos = BEST_EFFORT if retx == "none" else RELIABLE
     sender = FileSender(systems["a"], total_bytes, qos=qos)
-    run_until(network, lambda: sender.waiter.done(), timeout=10)
+    run_until(network, lambda: sender.flow.state != PENDING, timeout=10)
     start = sender.started_at if sender.started_at is not None else network.engine.now
     if retx == "none":
         # unreliable: wait until submission finished plus drain time

@@ -17,6 +17,7 @@ from ..apps.echo import EchoClient, EchoServer
 from ..apps.filetransfer import FileSender, FileSink
 from ..core import (RELIABLE, Dif, DifPolicies, Orchestrator, add_shims,
                     build_dif_over, make_systems, run_until, shim_between)
+from ..core.flow import PENDING
 from ..sim.network import Network
 from ..sweeps import Job
 from .common import goodput_bps
@@ -58,7 +59,7 @@ def run_depth(depth: int, total_bytes: int = 100_000,
     wire_before = sum(link.bytes_delivered)
     sender = FileSender(systems["a"], total_bytes, qos=RELIABLE,
                         dif_name=top)
-    run_until(network, lambda: sender.waiter.done(), timeout=15)
+    run_until(network, lambda: sender.flow.state != PENDING, timeout=15)
     start = (sender.started_at if sender.started_at is not None
              else network.engine.now)
     finished = run_until(network, lambda: sink.transfers_completed >= 1,
@@ -70,7 +71,7 @@ def run_depth(depth: int, total_bytes: int = 100_000,
     network.run(until=network.engine.now + 0.5)
     client = EchoClient(systems["a"], server_name=f"echo-{depth}",
                         dif_name=top)
-    run_until(network, lambda: client.waiter.done(), timeout=15)
+    run_until(network, lambda: client.flow.state != PENDING, timeout=15)
     for _ in range(20):
         client.ping(100)
     run_until(network, lambda: client.replies >= 20, timeout=30)

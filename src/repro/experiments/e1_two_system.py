@@ -18,6 +18,7 @@ from ..apps.echo import EchoClient, EchoServer
 from ..core import (BEST_EFFORT, RELIABLE, Dif, DifPolicies, Orchestrator,
                     QosCube, add_shims, build_dif_over, make_systems,
                     run_until, shim_between)
+from ..core.flow import PENDING
 from ..core.qos import DEFAULT_CUBES
 from ..sim.link import UniformLoss
 from ..sim.network import Network
@@ -57,9 +58,9 @@ def run_transfer(loss: float, qos: Union[QosCube, str], messages: int = 200,
     server = EchoServer(systems["h2"])
     network.run(until=network.engine.now + 0.5)
     client = EchoClient(systems["h1"], qos=qos)
-    run_until(network, lambda: client.waiter.done(), timeout=10)
+    run_until(network, lambda: client.flow.state != PENDING, timeout=10)
     if not client.ready:
-        raise RuntimeError(f"allocation failed: {client.waiter.reason}")
+        raise RuntimeError(f"allocation failed: {client.flow.failure_reason}")
     start = network.engine.now
     for _ in range(messages):
         client.ping(size)

@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Sequence
 from ..apps.echo import EchoClient, EchoServer
 from ..core import (RELIABLE, Dif, DifPolicies, Orchestrator, add_shims,
                     build_dif_over, make_systems, run_until, shim_between)
+from ..core.flow import PENDING
 from ..sim.network import Network
 from ..sweeps import Job
 
@@ -48,9 +49,9 @@ def run_relay(routers: int, messages: int = 50, size: int = 400,
     server = EchoServer(systems["h1"])
     network.run(until=network.engine.now + 0.5)
     client = EchoClient(systems["h0"])
-    run_until(network, lambda: client.waiter.done(), timeout=15)
+    run_until(network, lambda: client.flow.state != PENDING, timeout=15)
     if not client.ready:
-        raise RuntimeError(f"allocation failed: {client.waiter.reason}")
+        raise RuntimeError(f"allocation failed: {client.flow.failure_reason}")
     for _ in range(messages):
         client.ping(size)
     run_until(network, lambda: client.replies >= messages, timeout=60)

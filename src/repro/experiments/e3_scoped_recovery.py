@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Sequence
 
 from ..apps.filetransfer import FileSender, FileSink
 from ..core import RELIABLE, run_until
+from ..core.flow import PENDING
 from ..scenarios.canned import E3_WIRED_BPS as WIRED_BPS
 from ..scenarios.canned import E3_WIRELESS_BPS as WIRELESS_BPS
 from ..scenarios.canned import e3_scenario
@@ -69,7 +70,7 @@ def run_transfer(config: str, loss: float, total_bytes: int = 150_000,
     network.run(until=network.engine.now + 0.5)
     loss_model.probability = loss
     sender = FileSender(systems["sender"], total_bytes, qos=RELIABLE)
-    run_until(network, lambda: sender.waiter.done(), timeout=15)
+    run_until(network, lambda: sender.flow.state != PENDING, timeout=15)
     start = (sender.started_at if sender.started_at is not None
              else network.engine.now)
     finished = run_until(network,
@@ -108,7 +109,7 @@ def run_bursty(config: str, total_bytes: int = 100_000, seed: int = 1,
     radio.loss = GilbertElliott(p_good_to_bad=0.02, p_bad_to_good=0.3,
                                 loss_good=0.01, loss_bad=0.8)
     sender = FileSender(systems["sender"], total_bytes, qos=RELIABLE)
-    run_until(network, lambda: sender.waiter.done(), timeout=15)
+    run_until(network, lambda: sender.flow.state != PENDING, timeout=15)
     start = (sender.started_at if sender.started_at is not None
              else network.engine.now)
     finished = run_until(network,

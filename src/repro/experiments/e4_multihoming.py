@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional
 from ..apps.echo import EchoClient, EchoServer
 from ..baselines import IpFabric
 from ..core import run_until
+from ..core.flow import PENDING
 from ..scenarios.canned import e4_scenario
 from ..scenarios.faults import FaultContext, make_injector
 from ..scenarios.runner import build_rina_stack, build_topology
@@ -60,9 +61,9 @@ def run_rina(keepalive_interval: float = 0.2, seed: int = 1) -> Dict[str, Any]:
     server = EchoServer(systems["provider"])
     network.run(until=network.engine.now + 0.5)
     client = EchoClient(systems["host"])
-    run_until(network, lambda: client.waiter.done(), timeout=10)
+    run_until(network, lambda: client.flow.state != PENDING, timeout=10)
     if not client.ready:
-        raise RuntimeError(f"allocation failed: {client.waiter.reason}")
+        raise RuntimeError(f"allocation failed: {client.flow.failure_reason}")
 
     delivery_times: List[float] = []
     original = client.message_flow._receiver

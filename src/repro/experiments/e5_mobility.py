@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..apps.echo import EchoClient, EchoServer
 from ..baselines import HomeAgent, IpFabric, MobileNode
 from ..core import run_until, shim_name_for
+from ..core.flow import PENDING
 from ..scenarios.canned import e5_scenario
 from ..scenarios.runner import build_rina_stack, build_topology
 from ..sim.network import Network
@@ -156,9 +157,9 @@ def run_rina(seed: int = 1,
     server = EchoServer(scenario.systems["m"], dif_names=["metro"])
     network.run(until=network.engine.now + 1.0)
     client = EchoClient(scenario.systems["c"], dif_name="metro")
-    run_until(network, lambda: client.waiter.done(), timeout=15)
+    run_until(network, lambda: client.flow.state != PENDING, timeout=15)
     if not client.ready:
-        raise RuntimeError(f"allocation failed: {client.waiter.reason}")
+        raise RuntimeError(f"allocation failed: {client.flow.failure_reason}")
 
     delivery_times: List[float] = []
     original = client.message_flow._receiver

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 from ..apps.echo import EchoClient, EchoServer
 from ..core import (Dif, DifPolicies, Orchestrator, add_shims, build_dif_over,
                     make_systems, run_until, shim_name_for)
+from ..core.flow import PENDING
 from ..sim.network import Network
 
 # the job lists import the sweep runner (and multiprocessing) when they
@@ -733,9 +734,9 @@ def verify_end_to_end(regions: int = 3, hosts_per_region: int = 4,
     server = EchoServer(systems[dst], dif_names=["h2h"])
     network.run(until=network.engine.now + 0.5)
     client = EchoClient(systems[src], dif_name="h2h")
-    run_until(network, lambda: client.waiter.done(), timeout=20)
+    run_until(network, lambda: client.flow.state != PENDING, timeout=20)
     if not client.ready:
-        raise RuntimeError(f"allocation failed: {client.waiter.reason}")
+        raise RuntimeError(f"allocation failed: {client.flow.failure_reason}")
     for _ in range(10):
         client.ping(200)
     run_until(network, lambda: client.replies >= 10, timeout=30)

@@ -28,9 +28,10 @@ from typing import Any, Dict, List
 
 from ..baselines import IpFabric, ip_str
 from ..core import (AllowList, ApplicationName, ChallengeResponse, Dif,
-                    DifPolicies, FlowWaiter, NoAuth, Orchestrator, PresharedKey,
+                    DifPolicies, NoAuth, Orchestrator, PresharedKey,
                     add_shims, build_dif_over, make_systems, run_until,
                     shim_between)
+from ..core.flow import ALLOCATED, DEALLOCATED, PENDING
 from ..core.names import DifName
 from ..core.pdu import DataPdu, ManagementPdu
 from ..core.names import Address
@@ -121,8 +122,7 @@ def run_rina_outsider(auth: str = "challenge", probes: int = 50,
     rogue = attacker.allocate_flow(ApplicationName("rogue-app"),
                                    ApplicationName("payroll"),
                                    dif_name="provider")
-    rogue_waiter = FlowWaiter(rogue)
-    run_until(network, rogue_waiter.done, timeout=15)
+    run_until(network, lambda: rogue.state != PENDING, timeout=15)
     # what the attacker can see of the facility's interior
     attacker_view = (attacker_ipcp.routing.lsdb_size() if enrolled else 0)
     return {
@@ -132,8 +132,8 @@ def run_rina_outsider(auth: str = "challenge", probes: int = 50,
         "pdus_injected": injections,
         "pdus_blocked_at_gate": dropped,
         "members_discovered": attacker_view,
-        "service_reached": bool(rogue_waiter.ok),
-        "rogue_flow_failure": rogue_waiter.reason,
+        "service_reached": rogue.state in (ALLOCATED, DEALLOCATED),
+        "rogue_flow_failure": rogue.failure_reason,
     }
 
 
@@ -158,17 +158,15 @@ def run_rina_insider_acl(seed: int = 1) -> Dict[str, Any]:
 
     denied = systems["attacker"].allocate_flow(
         ApplicationName("rogue-app"), ApplicationName("payroll"))
-    denied_waiter = FlowWaiter(denied)
     granted = systems["s2"].allocate_flow(
         allowed_client, ApplicationName("payroll"))
-    granted_waiter = FlowWaiter(granted)
-    run_until(network, lambda: denied_waiter.done() and granted_waiter.done(),
+    run_until(network, lambda: PENDING not in (denied.state, granted.state),
               timeout=20)
     return {
         "world": "rina(insider-acl)",
-        "rogue_flow_granted": denied_waiter.ok,
-        "rogue_failure": denied_waiter.reason,
-        "allowed_flow_granted": granted_waiter.ok,
+        "rogue_flow_granted": denied.state in (ALLOCATED, DEALLOCATED),
+        "rogue_failure": denied.failure_reason,
+        "allowed_flow_granted": granted.state in (ALLOCATED, DEALLOCATED),
         "denials_logged": len(network.tracer.events("flow-denied")),
     }
 

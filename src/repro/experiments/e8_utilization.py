@@ -31,6 +31,7 @@ from ..apps.streaming import CbrSource, LatencySink
 from ..core import (BEST_EFFORT, LOW_LATENCY, Dif, DifPolicies, Orchestrator,
                     add_shims, build_dif_over, make_systems, run_until,
                     shim_between)
+from ..core.flow import PENDING
 from ..sim.network import Network
 from ..sweeps import Job
 from .common import percentile
@@ -84,8 +85,8 @@ def run_point(scheduler: str, load: float, duration: float = 6.0,
         period = bg_message * 8 / (background_bps / 2) if background_bps else 1e9
         bg_sources.append(CbrSource(systems[name], f"bg-{name}", "sink",
                                     BEST_EFFORT, bg_message, period))
-    run_until(network, lambda: ll.waiter.done() and
-              all(s.waiter.done() for s in bg_sources), timeout=15)
+    run_until(network, lambda: ll.flow.state != PENDING and
+              all(s.flow.state != PENDING for s in bg_sources), timeout=15)
     start = network.engine.now
     ll.start()
     for source in bg_sources:

@@ -28,8 +28,9 @@ from typing import Any, Dict, List
 
 from ..baselines import IpFabric, NatBox, ip, prefix_of
 from ..core import (ApplicationName, Dif, DifPolicies, FlatAddressing,
-                    FlowWaiter, Orchestrator, add_shims, build_dif_over,
+                    Flow, Orchestrator, add_shims, build_dif_over,
                     make_systems, run_until, shim_between)
+from ..core.flow import ALLOCATED, DEALLOCATED, PENDING
 from ..sim.network import Network
 from ..sweeps import Job
 
@@ -202,26 +203,26 @@ def run_rina(sites: int = 3, hosts_per_site: int = 2,
     network.run(until=network.engine.now + 1.0)
 
     # outbound flows from every first host
-    waiters: List[FlowWaiter] = []
+    flows: List[Flow] = []
     for site in range(sites):
         system = systems[f"h{site}_0"]
         for index in range(flows_per_host):
-            flow = system.allocate_flow(
+            flows.append(system.allocate_flow(
                 ApplicationName(f"site{site}-client-{index}"),
-                ApplicationName("webservice"), dif_name="provider")
-            waiters.append(FlowWaiter(flow))
-    run_until(network, lambda: all(w.done() for w in waiters), timeout=120)
+                ApplicationName("webservice"), dif_name="provider"))
+    run_until(network, lambda: all(f.state != PENDING for f in flows),
+              timeout=120)
 
     # inbound: the service opens flows toward the site agents *by name*
-    inbound_waiters: List[FlowWaiter] = []
-    for site in range(sites):
-        flow = systems["dc"].allocate_flow(
+    inbound: List[Flow] = [
+        systems["dc"].allocate_flow(
             ApplicationName("webservice"),
             ApplicationName(f"site{site}-agent"), dif_name="provider")
-        inbound_waiters.append(FlowWaiter(flow))
-    run_until(network, lambda: all(w.done() for w in inbound_waiters),
+        for site in range(sites)]
+    run_until(network, lambda: all(f.state != PENDING for f in inbound),
               timeout=60)
 
+    ok = (ALLOCATED, DEALLOCATED)    # allocated, also if since released
     # address reuse: identical address values across the site DIFs
     address_sets = [sorted(str(a) for a in dif.members()) for dif in site_difs]
     reused = all(addresses == address_sets[0] for addresses in address_sets)
@@ -229,11 +230,11 @@ def run_rina(sites: int = 3, hosts_per_site: int = 2,
     return {
         "world": "rina",
         "outbound_attempted": attempted,
-        "outbound_established": sum(1 for w in waiters if w.ok),
+        "outbound_established": sum(f.state in ok for f in flows),
         "border_state_total": 0,   # borders only relay; no translation table
         "pool_exhausted_drops": 0,
         "inbound_attempts": sites,
-        "inbound_succeeded": sum(1 for w in inbound_waiters if w.ok),
+        "inbound_succeeded": sum(f.state in ok for f in inbound),
         "inbound_blocked": False,
         "site_addresses_identical": reused,
         "site_address_sets": address_sets[0],

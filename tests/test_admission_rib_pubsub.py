@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.pubsub import Broker, PubSubClient
-from repro.core import (Dif, DifPolicies, FlowWaiter, Orchestrator, QosCube,
+from repro.core import (Dif, DifPolicies, Orchestrator, QosCube,
                         add_shims, build_dif_over, make_systems, run_until,
                         shim_between)
 from repro.core.flow import FAILED, PENDING
@@ -37,31 +37,29 @@ def guaranteed_policies(capacity=1e7):
 
 class TestAdmissionControl:
     def _allocate(self, network, systems, count):
-        waiters = []
-        for index in range(count):
-            flow = systems["a"].allocate_flow(
-                ApplicationName(f"caller-{index}"), ApplicationName("svc"),
-                qos=VOICE, dif_name="d")
-            waiters.append(FlowWaiter(flow))
-        run_until(network, lambda: all(w.done() for w in waiters), timeout=30)
-        return waiters
+        flows = [systems["a"].allocate_flow(
+            ApplicationName(f"caller-{index}"), ApplicationName("svc"),
+            qos=VOICE, dif_name="d") for index in range(count)]
+        run_until(network, lambda: PENDING not in [f.state for f in flows],
+                  timeout=30)
+        return flows
 
     def test_flows_admitted_within_budget(self):
         network, systems, _dif = build_pair(guaranteed_policies(1e7))
         systems["b"].register_app(ApplicationName("svc"), lambda f: None)
         network.run(until=network.engine.now + 0.5)
-        waiters = self._allocate(network, systems, 3)   # 9 of 10 Mb/s
-        assert all(w.ok for w in waiters)
+        flows = self._allocate(network, systems, 3)   # 9 of 10 Mb/s
+        assert all(f.allocated for f in flows)
 
     def test_flow_beyond_budget_denied(self):
         network, systems, dif = build_pair(guaranteed_policies(1e7))
         systems["b"].register_app(ApplicationName("svc"), lambda f: None)
         network.run(until=network.engine.now + 0.5)
-        waiters = self._allocate(network, systems, 4)   # 12 of 10 Mb/s
-        outcomes = sorted(w.ok for w in waiters)
+        flows = self._allocate(network, systems, 4)   # 12 of 10 Mb/s
+        outcomes = sorted(f.allocated for f in flows)
         assert outcomes == [False, True, True, True]
-        denied = [w for w in waiters if not w.ok][0]
-        assert denied.reason == "admission-denied"
+        denied = [f for f in flows if f.state == FAILED][0]
+        assert denied.failure_reason == "admission-denied"
         allocator = systems["a"].ipcp("d").flow_allocator
         assert allocator.allocations_denied_admission == 1
         assert allocator.committed_bandwidth_bps() == pytest.approx(9e6)
@@ -70,12 +68,12 @@ class TestAdmissionControl:
         network, systems, _dif = build_pair(guaranteed_policies(1e7))
         systems["b"].register_app(ApplicationName("svc"), lambda f: None)
         network.run(until=network.engine.now + 0.5)
-        waiters = self._allocate(network, systems, 3)
-        assert all(w.ok for w in waiters)
-        waiters[0].flow.deallocate()
+        flows = self._allocate(network, systems, 3)
+        assert all(f.allocated for f in flows)
+        flows[0].deallocate()
         network.run(until=network.engine.now + 1.0)
         late = self._allocate(network, systems, 1)
-        assert late[0].ok
+        assert late[0].allocated
 
     @pytest.mark.parametrize("request_out", [False, True])
     def test_withdrawing_a_pending_flow_releases_both_ends(self,
@@ -108,22 +106,20 @@ class TestAdmissionControl:
         network, systems, _dif = build_pair(guaranteed_policies(1e6))
         systems["b"].register_app(ApplicationName("svc"), lambda f: None)
         network.run(until=network.engine.now + 0.5)
-        waiters = []
-        for index in range(10):
-            flow = systems["a"].allocate_flow(
-                ApplicationName(f"be-{index}"), ApplicationName("svc"),
-                dif_name="d")
-            waiters.append(FlowWaiter(flow))
-        run_until(network, lambda: all(w.done() for w in waiters), timeout=30)
-        assert all(w.ok for w in waiters)
+        flows = [systems["a"].allocate_flow(
+            ApplicationName(f"be-{index}"), ApplicationName("svc"),
+            dif_name="d") for index in range(10)]
+        run_until(network, lambda: PENDING not in [f.state for f in flows],
+                  timeout=30)
+        assert all(f.allocated for f in flows)
 
     def test_no_capacity_means_no_admission_control(self):
         network, systems, _dif = build_pair(
             guaranteed_policies(capacity=None))
         systems["b"].register_app(ApplicationName("svc"), lambda f: None)
         network.run(until=network.engine.now + 0.5)
-        waiters = self._allocate(network, systems, 6)
-        assert all(w.ok for w in waiters)
+        flows = self._allocate(network, systems, 6)
+        assert all(f.allocated for f in flows)
 
 
 class TestRemoteRibRead:

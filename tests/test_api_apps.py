@@ -4,9 +4,9 @@ import pytest
 
 from repro.apps import (EchoClient, EchoServer, FileSender, FileSink, Mailbox,
                         MailRelay, RpcClient, RpcServer, send_mail)
-from repro.core import (Dif, DifPolicies, FlowWaiter, MessageFlow,
-                        Orchestrator, add_shims, build_dif_over, make_systems,
-                        run_until, shim_between)
+from repro.core import (Dif, DifPolicies, MessageFlow, Orchestrator,
+                        add_shims, build_dif_over, make_systems, run_until,
+                        shim_between)
 from repro.core.flow import ALLOCATED, FAILED, MAX_SDU_BYTES, PENDING
 from repro.core.names import ApplicationName, DifName
 from repro.core.shim import ShimIpcp
@@ -15,14 +15,14 @@ from repro.sim.link import Link
 from repro.sim.network import Network
 
 
-def two_hosts(seed=1):
+def two_hosts(seed=1, **policies):
     network = Network(seed=seed)
     network.add_node("a")
     network.add_node("b")
     network.connect("a", "b")
     systems = make_systems(network)
     add_shims(systems, network)
-    dif = Dif("net", DifPolicies(keepalive_interval=5.0))
+    dif = Dif("net", DifPolicies(keepalive_interval=5.0, **policies))
     orchestrator = Orchestrator(network)
     build_dif_over(orchestrator, dif, systems,
                    adjacencies=[("a", "b", shim_between(network, "a", "b"))])
@@ -53,7 +53,7 @@ class TestMessageFlow:
         from repro.core.qos import RELIABLE
         efcp_flow = systems["a"].allocate_flow(
             ApplicationName("cli"), ApplicationName("svc"), qos=RELIABLE)
-        run_until(network, FlowWaiter(efcp_flow).done, timeout=10)
+        run_until(network, lambda: efcp_flow.state != PENDING, timeout=10)
         assert efcp_flow.allocated and inbound
         assert efcp_flow.provider_name == DifName("net")
 
@@ -68,10 +68,9 @@ class TestMessageFlow:
         from repro.core.qos import RELIABLE
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("svc"), qos=RELIABLE)
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=10)
-        sender = MessageFlow(network.engine, flow)
-        receiver = MessageFlow(network.engine, inbound[0])
+        run_until(network, lambda: flow.state != PENDING, timeout=10)
+        sender = MessageFlow(flow)
+        receiver = MessageFlow(inbound[0])
         got = []
         receiver.set_message_receiver(got.append)
         big = bytes(range(256)) * 40   # 10240 bytes -> 8 fragments
@@ -90,10 +89,9 @@ class TestMessageFlow:
         from repro.core.qos import RELIABLE
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("svc"), qos=RELIABLE)
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=10)
-        sender = MessageFlow(network.engine, flow)
-        receiver = MessageFlow(network.engine, inbound[0])
+        run_until(network, lambda: flow.state != PENDING, timeout=10)
+        sender = MessageFlow(flow)
+        receiver = MessageFlow(inbound[0])
         got = []
         receiver.set_message_receiver(got.append)
         for index in range(50):
@@ -101,6 +99,65 @@ class TestMessageFlow:
         run_until(network, lambda: len(got) == 50, timeout=60)
         assert len(got) == 50
         assert sender.pending_fragments() == 0
+
+    def test_a_full_send_buffer_drains_at_the_ack_that_halves_it(
+            self, monkeypatch):
+        """EFCP takes 8 SDUs here.  Once it has refused one, the backlog
+        goes out inside the ACK that brings its buffer down to 4, half
+        its limit: not at the first free slot, and not on a clock."""
+        from repro.core.efcp import EfcpConnection
+        from repro.core.qos import RELIABLE
+        network, systems = two_hosts(efcp_overrides={"send_buffer_limit": 8})
+        inbound = []
+        systems["b"].register_app(ApplicationName("svc"), inbound.append)
+        network.run(until=network.engine.now + 0.5)
+        flow = systems["a"].allocate_flow(ApplicationName("cli"),
+                                          ApplicationName("svc"), qos=RELIABLE)
+        run_until(network, lambda: flow.state != PENDING, timeout=10)
+        (efcp,) = [record.efcp for record in systems["a"].ipcp("net")
+                   .flow_allocator.records().values() if record.flow is flow]
+
+        def buffered():
+            return efcp.queued_count() + efcp.outstanding_count()
+        acks = []          # SDUs buffered as each ACK arrived
+        in_ack = [False]
+        handle = EfcpConnection.handle_control
+
+        def acked(self, pdu):
+            if self is not efcp:
+                return handle(self, pdu)
+            acks.append(buffered())
+            in_ack[0] = True
+            handle(self, pdu)
+            in_ack[0] = False
+        monkeypatch.setattr(EfcpConnection, "handle_control", acked)
+        sends = []         # (accepted, buffered before, ACKs so far, in one)
+        send = flow._send_fn
+
+        def logged(payload, size):
+            before = buffered()
+            accepted = send(payload, size)
+            sends.append((accepted, before, len(acks), in_ack[0]))
+            return accepted
+        flow._send_fn = logged
+        sender = MessageFlow(flow)
+        receiver = MessageFlow(inbound[0])
+        got = []
+        receiver.set_message_receiver(got.append)
+        messages = [b"m%03d" % index for index in range(20)]
+        for message in messages:
+            sender.send_message(message)
+        # 8 taken; the 9th and each later message tried the backlog again
+        assert efcp.stats.send_rejected == 12
+        assert sender.pending_fragments() == 12
+        run_until(network, lambda: len(got) == 20, timeout=10)
+        assert got == messages and sender.pending_fragments() == 0
+        first_refused = [entry[0] for entry in sends].index(False)
+        resumed = next(entry for entry in sends[first_refused:] if entry[0])
+        # the fourth ACK took the buffer from 5 to 4 and drained the
+        # backlog while it was being handled
+        assert acks[:4] == [8, 7, 6, 5]
+        assert resumed == (True, 4, 4, True)
 
 
 class TestPendingFlow:
@@ -136,9 +193,9 @@ class TestPendingFlow:
         seen = []
         client.flow.when(FAILED, lambda f: seen.append(
             client.message_flow.pending_fragments()))
-        run_until(network, client.waiter.done, timeout=30)
-        assert client.flow.state == FAILED and not client.waiter.ok
-        assert client.waiter.reason == client.flow.failure_reason
+        run_until(network, lambda: client.flow.state != PENDING, timeout=30)
+        assert client.flow.state == FAILED and not client.ready
+        assert client.flow.failure_reason == "no-common-dif"
         assert client.message_flow.pending_fragments() == 0
         # the backlog was dropped before a later watcher heard of it
         assert seen == [0]
@@ -146,7 +203,7 @@ class TestPendingFlow:
     def test_messages_sent_after_the_failure_queue_nothing(self):
         network, systems = two_hosts()
         client = EchoClient(systems["a"], server_name="nobody-home")
-        run_until(network, client.waiter.done, timeout=30)
+        run_until(network, lambda: client.flow.state != PENDING, timeout=30)
         assert client.flow.state == FAILED
         sent = client.message_flow.messages_sent
         for _ in range(3):
@@ -166,7 +223,7 @@ class TestPendingFlow:
         assert sender.send_message(b"held") is True
         assert sender.pending_fragments() == 1
         client.flow.deallocate()
-        network.run(until=network.engine.now + 1.0)
+        # dropped at the release, which runs the WRITABLE watchers
         assert sender.pending_fragments() == 0
         assert sender.send_message(b"late") is False
 
@@ -177,7 +234,7 @@ class TestEcho:
         EchoServer(systems["b"])
         network.run(until=network.engine.now + 0.5)
         client = EchoClient(systems["a"])
-        run_until(network, lambda: client.waiter.done(), timeout=10)
+        run_until(network, lambda: client.flow.state != PENDING, timeout=10)
         assert client.ready
         client.ping(64)
         client.ping(64)
@@ -195,6 +252,23 @@ class TestFileTransfer:
         run_until(network, lambda: sink.transfers_completed >= 1, timeout=60)
         assert sink.bytes_received == 50_000
         assert sender.finished_submitting
+
+    def test_a_released_transfer_counts_only_what_it_sent(self):
+        """A flow released mid-transfer takes no more chunks, and the
+        sender counts as submitted only the chunks its flow took."""
+        network, systems = two_hosts()
+        sink = FileSink(systems["b"])
+        network.run(until=network.engine.now + 0.5)
+        sender = FileSender(systems["a"], total_bytes=2_000_000)
+        run_until(network, lambda: sink.bytes_received >= 200_000,
+                  timeout=60)
+        sender.flow.deallocate()
+        network.run(until=network.engine.now + 1.0)
+        assert sender.bytes_submitted == (sender.message_flow.messages_sent
+                                          * sender.chunk_size)
+        assert sender.bytes_submitted < sender.total_bytes
+        assert not sender.finished_submitting
+        assert sink.transfers_completed == 0
 
 
 class TestRpc:

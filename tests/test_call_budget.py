@@ -94,7 +94,8 @@ functions do not move:
   ``Flow._notify`` 0 → 13, ``System._lower_flow`` and its caller's
   lambda 0 → 10 each, ``System.enroll``'s ``on_allocated`` 10 → 0,
   ``publish_ipcp``'s lambda and ``System._accept_lower_flow`` 10 → 0
-  each, ``FlowWaiter._on_ok`` 4 → 0, ``EchoClient._on_allocated`` 1 → 0;
+  each, the allocation waiter's ``_on_ok`` 4 → 0,
+  ``EchoClient._on_allocated`` 1 → 0;
 * ``stateful_serial`` 24,132 → 24,192 (+0.25 %): as ``control_flat``.
 
 A FIFO RMT port hands every PDU straight to its (N-1) flow, and a
@@ -117,6 +118,17 @@ restarted ``Timer`` keeps its pending event when that is due first
   each (``tcp.rto`` restarts);
 * ``stateful_serial`` 24,192 → 23,682 (−2.1 %): ``Rmt._send`` −420, and
   −15 each as ``control_flat``.
+
+A refused send waits on its flow's WRITABLE notification instead of a
+retry timer, and the apps read their flow instead of an allocation
+waiter (docs/ARCHITECTURE.md, "Backpressure is a notification"):
+
+* ``data_clean`` rina 123,316 → 123,302: ``Timer.__init__`` −8 (one
+  per ``MessageFlow``), the allocation waiter's ``__init__`` −4 (one per
+  client app) and ``FileSender._begin`` −2 (``_push`` is subscribed to
+  the allocation itself).
+  The small plant never fills a send buffer, so nothing is refused and
+  no WRITABLE is raised.
 """
 
 import os
@@ -160,7 +172,7 @@ def _stateful_serial():
 
 EXPECTED = {
     "control_flat": 34450,
-    "data_clean_rina": 123316,
+    "data_clean_rina": 123302,
     "data_clean_ip": 57478,
     "flood": 1001,
     "stateful_serial": 23682,

@@ -217,14 +217,15 @@ class TestAppEdges:
     def test_streaming_sink_tracks_sources_separately(self):
         from repro.apps.streaming import CbrSource, LatencySink
         from repro.core import run_until
+        from repro.core.flow import PENDING
         from repro.core.qos import BEST_EFFORT
         network, systems = self._pair()
         sink = LatencySink(systems["b"], "sink")
         network.run(until=network.engine.now + 0.5)
         one = CbrSource(systems["a"], "src-one", "sink", BEST_EFFORT, 200, 0.05)
         two = CbrSource(systems["a"], "src-two", "sink", BEST_EFFORT, 200, 0.05)
-        run_until(network, lambda: one.waiter.done() and two.waiter.done(),
-                  timeout=15)
+        run_until(network, lambda: PENDING not in (one.flow.state,
+                                                   two.flow.state), timeout=15)
         one.start()
         two.start()
         network.run(until=network.engine.now + 1.0)

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.directory import (DIRECTORY_OBJ, DifDirectory,
                                   InterDifDirectory)
-from repro.core.flow import (ALLOCATED, DEALLOCATED, FAILED, PENDING, Flow,
-                             FlowError)
+from repro.core.flow import (ALLOCATED, DEALLOCATED, FAILED, PENDING,
+                             WRITABLE, Flow, FlowError)
 from repro.core.names import Address, ApplicationName, DifName, PortId
 from repro.core.qos import BEST_EFFORT
 from repro.core.riep import M_WRITE, RiepMessage
@@ -277,3 +277,59 @@ class TestFlow:
         assert order == ["a", "b", "c"]
         flow.provider_released()
         assert order == ["a", "b", "c", "A", "B", "C"]
+
+
+class TestWritable:
+    """A provider that refused a send says when it takes sends again."""
+
+    def _allocated(self):
+        flow = TestFlow()._flow()
+        flow.provider_bind(lambda p, s: False)
+        flow.provider_allocated()
+        return flow
+
+    def test_a_watcher_runs_once(self):
+        flow = self._allocated()
+        heard = []
+        flow.when(WRITABLE, heard.append)
+        flow.provider_writable()
+        flow.provider_writable()
+        assert heard == [flow]
+
+    def test_watchers_run_in_subscription_order(self):
+        flow = self._allocated()
+        order = []
+        flow.when(WRITABLE, lambda f: order.append("a"))
+        flow.when(DEALLOCATED, lambda f: order.append("released"))
+        flow.when(WRITABLE, lambda f: order.append("b"))
+        flow.provider_writable()
+        assert order == ["a", "b"]
+        assert flow.state == ALLOCATED
+
+    def test_a_watcher_subscribed_while_they_run_waits_for_the_next(self):
+        flow = self._allocated()
+        order = []
+
+        def again(f):
+            order.append("first")
+            f.when(WRITABLE, lambda f: order.append("second"))
+        flow.when(WRITABLE, again)
+        flow.provider_writable()
+        assert order == ["first"]
+        flow.provider_writable()
+        assert order == ["first", "second"]
+
+    @pytest.mark.parametrize("release", ["deallocate", "provider_released"])
+    def test_leaving_allocated_runs_them(self, release):
+        """Whichever end releases the flow, a backlog waiting on WRITABLE
+        hears of it at the release, in subscription order with the
+        DEALLOCATED watchers, and no WRITABLE runs it again."""
+        flow = self._allocated()
+        order = []
+        flow.when(WRITABLE, lambda f: order.append(("writable", f.state)))
+        flow.when(DEALLOCATED, lambda f: order.append(("released", f.state)))
+        getattr(flow, release)()
+        assert order == [("writable", DEALLOCATED),
+                         ("released", DEALLOCATED)]
+        flow.provider_writable()
+        assert len(order) == 2

@@ -255,44 +255,6 @@ class TestRtoEstimation:
         engine.run(until=30.0)
         assert repr(a.rto) == "4.0"                # rto_max wins
 
-    def test_stall_callback_after_max_retries(self):
-        stalls = []
-        engine = Engine()
-        wire = Wire(engine)
-        policy = EfcpPolicy(rto_initial=0.05, rto_max=0.1, max_retries=3)
-        a = EfcpConnection(engine, Address(1), Address(2), 1, 2, policy,
-                           output=wire.output_from("a"),
-                           deliver=lambda p, s: None,
-                           on_stall=lambda: stalls.append(engine.now))
-        b = EfcpConnection(engine, Address(2), Address(1), 2, 1, policy,
-                           output=wire.output_from("b"),
-                           deliver=lambda p, s: None)
-        wire.a, wire.b = a, b
-        wire.drop_filter = lambda side, pdu: True
-        a.send("x", 10)
-        engine.run(until=5.0)
-        assert stalls
-        assert not a.closed  # give_up defaults to False
-
-    def test_give_up_policy_closes_connection(self):
-        engine = Engine()
-        wire = Wire(engine)
-        policy = EfcpPolicy(rto_initial=0.05, rto_max=0.1, max_retries=2,
-                            give_up=True)
-        closed = []
-        a = EfcpConnection(engine, Address(1), Address(2), 1, 2, policy,
-                           output=wire.output_from("a"),
-                           deliver=lambda p, s: None,
-                           on_close=lambda: closed.append(True))
-        b = EfcpConnection(engine, Address(2), Address(1), 2, 1, policy,
-                           output=wire.output_from("b"),
-                           deliver=lambda p, s: None)
-        wire.a, wire.b = a, b
-        wire.drop_filter = lambda side, pdu: True
-        a.send("x", 10)
-        engine.run(until=5.0)
-        assert a.closed and closed
-
 
 class TestFastRetransmit:
     def test_sack_passes_trigger_retransmit_before_rto(self):

@@ -206,14 +206,16 @@ EXPECTED = {
         "wl.cbr.start": 1, "wl.echo.pump": 50, "wl.echo.start": 1,
         "wl.xfer.start": 2},
     # the benchmark's full-size run: the transfers outrun the links and
-    # wait on a full send buffer (``msgflow.retry``, ``file.push``)
+    # wait on a full send buffer.  They polled it, with 78
+    # ``msgflow.retry`` and 76 ``file.push`` events, until the buffer
+    # came to say when it drains (the flow's WRITABLE); every other row
+    # held
     "data_clean_full": {
         "(unlabelled)": 2, "<ipcp>.keepalive": 1422, "<link>.rx": 70167,
         "cbr.tick": 2949, "efcp.retx": 88, "fa.allocate": 9, "fa.retry": 1,
-        "fabric.start": 1, "file.push": 76, "msgflow.retry": 78,
-        "riep.flood-ack": 36, "riep.flood-retx": 40, "routing.spf": 18,
-        "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 500,
-        "wl.echo.start": 1, "wl.xfer.start": 2},
+        "fabric.start": 1, "riep.flood-ack": 36, "riep.flood-retx": 40,
+        "routing.spf": 18, "shim.alloc-retry": 5, "wl.cbr.start": 1,
+        "wl.echo.pump": 500, "wl.echo.start": 1, "wl.xfer.start": 2},
     # data_clean_rina's run on the lossy plant: EFCP recovery shows in
     # ``efcp.retx``
     "data_lossy_rina": {
@@ -259,16 +261,15 @@ def test_events_per_label(census, workload):
 #: enrollment requests; none fires.  The 69 ``rmt.serve`` went when FIFO
 #: ports stopped pacing.  The full-size ``data_clean`` run schedules an
 #: ``efcp.retx`` per restart that could not keep its pending event
-#: (1,102, of which 88 fire).
+#: (1,102, of which 88 fire), and no backpressure poll.
 SCHEDULED = {
     "data_clean_full": {
         "(unlabelled)": 2, "<ipcp>.keepalive": 1434, "<link>.rx": 70167,
         "cbr.tick": 2950, "efcp.retx": 1102, "fa.allocate": 9,
-        "fa.retry": 1, "fabric.start": 1, "file.push": 76,
-        "msgflow.retry": 78, "riep.flood-ack": 36, "riep.flood-retx": 40,
-        "riep.invoke": 29, "routing.spf": 18, "shim.alloc-retry": 5,
-        "wl.cbr.start": 1, "wl.echo.pump": 500, "wl.echo.start": 1,
-        "wl.xfer.start": 2},
+        "fa.retry": 1, "fabric.start": 1, "riep.flood-ack": 36,
+        "riep.flood-retx": 40, "riep.invoke": 29, "routing.spf": 18,
+        "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 500,
+        "wl.echo.start": 1, "wl.xfer.start": 2},
     "scale_flat_5x10": {
         "(unlabelled)": 1, "<ipcp>.keepalive": 1120, "<link>.rx": 6001,
         "fabric.start": 1, "riep.flood-ack": 389, "riep.flood-retx": 220,

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core import (AllowList, Dif, DifPolicies, FlowWaiter, MessageFlow,
+from repro.core import (AllowList, Dif, DifPolicies, MessageFlow,
                         Orchestrator, add_shims, build_dif_over, make_systems,
                         run_until, shim_between)
-from repro.core.flow import DEALLOCATED, FAILED
+from repro.core.flow import DEALLOCATED, FAILED, PENDING
 from repro.core.names import ApplicationName
 from repro.core.qos import BEST_EFFORT, RELIABLE, QosCube
 from repro.sim.network import Network
@@ -34,9 +34,8 @@ class TestAllocation:
         network.run(until=network.engine.now + 0.5)
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("svc"))
-        waiter = FlowWaiter(flow)
-        assert run_until(network, waiter.done, timeout=10)
-        assert waiter.ok
+        assert run_until(network, lambda: flow.state != PENDING, timeout=10)
+        assert flow.allocated
         assert inbound and inbound[0].port_id != flow.port_id or True
         # neither side's flow ever exposes an address
         assert not hasattr(flow, "address")
@@ -47,10 +46,9 @@ class TestAllocation:
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("nobody"),
                                           dif_name="d")
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=20)
-        assert not waiter.ok
-        assert waiter.reason == "destination-unknown"
+        run_until(network, lambda: flow.state != PENDING, timeout=20)
+        assert flow.state == FAILED
+        assert flow.failure_reason == "destination-unknown"
 
     def test_registration_race_covered_by_retries(self):
         network, systems, _dif = build_pair(
@@ -59,11 +57,10 @@ class TestAllocation:
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("late-svc"),
                                           dif_name="d")
-        waiter = FlowWaiter(flow)
         network.engine.call_later(0.5, lambda: systems["b"].register_app(
             ApplicationName("late-svc"), lambda f: None))
-        run_until(network, waiter.done, timeout=20)
-        assert waiter.ok
+        run_until(network, lambda: flow.state != PENDING, timeout=20)
+        assert flow.allocated
 
     def test_access_control_denies_unlisted_source(self):
         policies = DifPolicies(access=AllowList([ApplicationName("friend")]))
@@ -72,14 +69,13 @@ class TestAllocation:
         network.run(until=network.engine.now + 0.5)
         denied = systems["a"].allocate_flow(ApplicationName("stranger"),
                                             ApplicationName("svc"))
-        denied_waiter = FlowWaiter(denied)
         allowed = systems["a"].allocate_flow(ApplicationName("friend"),
                                              ApplicationName("svc"))
-        allowed_waiter = FlowWaiter(allowed)
-        run_until(network, lambda: denied_waiter.done() and allowed_waiter.done(),
+        run_until(network, lambda: PENDING not in (denied.state, allowed.state),
                   timeout=20)
-        assert not denied_waiter.ok and denied_waiter.reason == "access-denied"
-        assert allowed_waiter.ok
+        assert denied.state == FAILED
+        assert denied.failure_reason == "access-denied"
+        assert allowed.allocated
 
     def test_impossible_qos_fails_fast(self):
         network, systems, _dif = build_pair()
@@ -89,9 +85,8 @@ class TestAllocation:
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("svc"),
                                           qos=impossible)
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=10)
-        assert not waiter.ok
+        run_until(network, lambda: flow.state != PENDING, timeout=10)
+        assert flow.state == FAILED
 
     def test_not_enrolled_system_cannot_allocate(self):
         network = Network(seed=1)
@@ -105,9 +100,8 @@ class TestAllocation:
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("svc"),
                                           dif_name="d")
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=10)
-        assert not waiter.ok and waiter.reason == "not-enrolled"
+        run_until(network, lambda: flow.state != PENDING, timeout=10)
+        assert flow.state == FAILED and flow.failure_reason == "not-enrolled"
 
 
 class TestDataAndDeallocation:
@@ -118,15 +112,14 @@ class TestDataAndDeallocation:
         network.run(until=network.engine.now + 0.5)
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("svc"), qos=RELIABLE)
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=10)
-        assert waiter.ok
+        run_until(network, lambda: flow.state != PENDING, timeout=10)
+        assert flow.allocated
         return network, systems, dif, flow, inbound[0]
 
     def test_reliable_bidirectional_messages(self):
         network, systems, _dif, out_flow, in_flow = self._allocated()
-        out_mf = MessageFlow(network.engine, out_flow)
-        in_mf = MessageFlow(network.engine, in_flow)
+        out_mf = MessageFlow(out_flow)
+        in_mf = MessageFlow(in_flow)
         got_b, got_a = [], []
         in_mf.set_message_receiver(got_b.append)
         out_mf.set_message_receiver(got_a.append)
@@ -152,7 +145,7 @@ class TestDataAndDeallocation:
         sinks = {}
 
         def on_flow(flow):
-            mf = MessageFlow(network.engine, flow)
+            mf = MessageFlow(flow)
             box = []
             mf.set_message_receiver(box.append)
             sinks[str(flow.remote_app)] = (mf, box)
@@ -163,11 +156,11 @@ class TestDataAndDeallocation:
             flow = systems["a"].allocate_flow(ApplicationName(client),
                                               ApplicationName("svc"),
                                               qos=RELIABLE)
-            flows[client] = (FlowWaiter(flow), MessageFlow(network.engine, flow))
-        run_until(network, lambda: all(w.done() for w, _ in flows.values()),
-                  timeout=15)
-        for client, (waiter, mf) in flows.items():
-            assert waiter.ok
+            flows[client] = MessageFlow(flow)
+        run_until(network, lambda: all(mf.flow.state != PENDING
+                                       for mf in flows.values()), timeout=15)
+        for client, mf in flows.items():
+            assert mf.flow.allocated
             mf.send_message(client.encode())
         run_until(network, lambda: all(box for _mf, box in sinks.values()),
                   timeout=15)

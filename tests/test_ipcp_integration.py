@@ -3,9 +3,10 @@ reliable flooding, recursion."""
 
 import pytest
 
-from repro.core import (Dif, DifPolicies, FlowWaiter, MessageFlow,
-                        Orchestrator, add_shims, build_dif_over, make_systems,
-                        run_until, shim_between, shim_name_for)
+from repro.core import (Dif, DifPolicies, MessageFlow, Orchestrator,
+                        add_shims, build_dif_over, make_systems, run_until,
+                        shim_between, shim_name_for)
+from repro.core.flow import PENDING
 from repro.core.names import Address, ApplicationName
 from repro.core.pdu import DataPdu
 from repro.core.qos import RELIABLE
@@ -40,13 +41,12 @@ class TestRelaying:
         flow = systems["s0"].allocate_flow(ApplicationName("cli"),
                                            ApplicationName("svc"),
                                            qos=RELIABLE)
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=15)
-        assert waiter.ok
-        mf = MessageFlow(network.engine, flow)
+        run_until(network, lambda: flow.state != PENDING, timeout=15)
+        assert flow.allocated
+        mf = MessageFlow(flow)
         mf.send_message(b"through the middle")
         got = []
-        inbound_mf = MessageFlow(network.engine, inbound[0])
+        inbound_mf = MessageFlow(inbound[0])
         inbound_mf.set_message_receiver(got.append)
         run_until(network, lambda: got, timeout=15)
         middle = systems["s1"].ipcp("d")
@@ -61,9 +61,8 @@ class TestRelaying:
         flow = systems[names[0]].allocate_flow(ApplicationName("cli"),
                                                ApplicationName("svc"),
                                                qos=RELIABLE)
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=20)
-        assert waiter.ok
+        run_until(network, lambda: flow.state != PENDING, timeout=20)
+        assert flow.allocated
 
 
 class TestNeighborLiveness:
@@ -190,12 +189,11 @@ class TestRecursion:
         flow = systems["h1"].allocate_flow(ApplicationName("cli"),
                                            ApplicationName("svc"),
                                            qos=RELIABLE, dif_name="level3")
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=20)
-        assert waiter.ok
+        run_until(network, lambda: flow.state != PENDING, timeout=20)
+        assert flow.allocated
         got = []
-        mf = MessageFlow(network.engine, flow)
-        inbound_mf = MessageFlow(network.engine, inbound[0])
+        mf = MessageFlow(flow)
+        inbound_mf = MessageFlow(inbound[0])
         inbound_mf.set_message_receiver(got.append)
         mf.send_message(b"three layers deep")
         run_until(network, lambda: got, timeout=20)

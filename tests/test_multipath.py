@@ -7,9 +7,10 @@ tests drive traffic over parallel links under each path-selection policy.
 
 import pytest
 
-from repro.core import (Dif, DifPolicies, FlowWaiter, MessageFlow,
-                        Orchestrator, add_shims, build_dif_over, make_systems,
-                        run_until, shim_name_for)
+from repro.core import (Dif, DifPolicies, MessageFlow, Orchestrator,
+                        add_shims, build_dif_over, make_systems, run_until,
+                        shim_name_for)
+from repro.core.flow import PENDING
 from repro.core.names import ApplicationName
 from repro.core.qos import BEST_EFFORT, RELIABLE
 from repro.sim.network import Network
@@ -39,7 +40,7 @@ def drive_cbr(network, systems, rate_bps, duration=3.0, message=1000):
     received = []
 
     def on_flow(flow):
-        mf = MessageFlow(network.engine, flow)
+        mf = MessageFlow(flow)
         mf.set_message_receiver(lambda data: received.append(network.engine.now))
         drive_cbr._keep = mf
     systems["b"].register_app(ApplicationName("sink"), on_flow)
@@ -47,10 +48,9 @@ def drive_cbr(network, systems, rate_bps, duration=3.0, message=1000):
     flow = systems["a"].allocate_flow(ApplicationName("src"),
                                       ApplicationName("sink"),
                                       qos=BEST_EFFORT)
-    waiter = FlowWaiter(flow)
-    run_until(network, waiter.done, timeout=10)
-    assert waiter.ok
-    sender = MessageFlow(network.engine, flow)
+    run_until(network, lambda: flow.state != PENDING, timeout=10)
+    assert flow.allocated
+    sender = MessageFlow(flow)
     period = message * 8 / rate_bps
     sent = [0]
     stop_at = network.engine.now + duration
@@ -113,7 +113,7 @@ class TestMultipathFailover:
         received = []
 
         def on_flow(flow):
-            mf = MessageFlow(network.engine, flow)
+            mf = MessageFlow(flow)
             mf.set_message_receiver(lambda data: received.append(
                 network.engine.now))
             on_flow._keep = mf
@@ -122,9 +122,8 @@ class TestMultipathFailover:
         flow = systems["a"].allocate_flow(ApplicationName("src"),
                                           ApplicationName("sink"),
                                           qos=RELIABLE)
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=10)
-        sender = MessageFlow(network.engine, flow)
+        run_until(network, lambda: flow.state != PENDING, timeout=10)
+        sender = MessageFlow(flow)
         sent = [0]
 
         def pump():

@@ -8,9 +8,10 @@ system.
 """
 
 from repro.core import (DEFAULT_CUBES, ApplicationName, Dif, DifPolicies,
-                        FlowWaiter, MessageFlow, Orchestrator, PresharedKey,
+                        MessageFlow, Orchestrator, PresharedKey,
                         QosCube, add_shims, build_dif_over, make_systems,
                         run_until, shim_between)
+from repro.core.flow import PENDING
 from repro.sim.network import Network
 
 
@@ -71,9 +72,8 @@ class TestSpecDrivenFacility:
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("svc"), qos=voice,
                                           dif_name="specnet")
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=10)
-        assert waiter.ok
+        run_until(network, lambda: flow.state != PENDING, timeout=10)
+        assert flow.allocated
         assert flow.qos.name == "spec-voice"
 
     def test_declared_admission_budget_enforced(self):
@@ -83,14 +83,12 @@ class TestSpecDrivenFacility:
         network.run(until=network.engine.now + 0.5)
         voice = QosCube("spec-voice", max_delay=0.05, priority=0,
                         avg_bandwidth=2e6, loss_tolerance=0.05)
-        waiters = []
-        for index in range(3):   # 6 Mb/s demanded of a 4 Mb/s budget
-            flow = systems["a"].allocate_flow(
-                ApplicationName(f"cli-{index}"), ApplicationName("svc"),
-                qos=voice, dif_name="specnet")
-            waiters.append(FlowWaiter(flow))
-        run_until(network, lambda: all(w.done() for w in waiters), timeout=20)
-        assert sorted(w.ok for w in waiters) == [False, True, True]
+        flows = [systems["a"].allocate_flow(   # 6 Mb/s of a 4 Mb/s budget
+            ApplicationName(f"cli-{index}"), ApplicationName("svc"),
+            qos=voice, dif_name="specnet") for index in range(3)]
+        run_until(network, lambda: PENDING not in [f.state for f in flows],
+                  timeout=20)
+        assert sorted(f.allocated for f in flows) == [False, True, True]
 
     def test_declared_keepalive_governs_failover_speed(self):
         # two parallel links, spec keepalive 0.25*3 = 0.75s budget
@@ -111,7 +109,7 @@ class TestSpecDrivenFacility:
         received = []
 
         def on_flow(flow):
-            mf = MessageFlow(network.engine, flow)
+            mf = MessageFlow(flow)
             mf.set_message_receiver(lambda d: received.append(network.engine.now))
             on_flow._keep = mf
         systems["b"].register_app(ApplicationName("sink"), on_flow)
@@ -120,9 +118,8 @@ class TestSpecDrivenFacility:
         flow = systems["a"].allocate_flow(ApplicationName("src"),
                                           ApplicationName("sink"),
                                           qos=RELIABLE)
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=10)
-        sender = MessageFlow(network.engine, flow)
+        run_until(network, lambda: flow.state != PENDING, timeout=10)
+        sender = MessageFlow(flow)
         sent = [0]
 
         def pump():

@@ -5,9 +5,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (Dif, DifPolicies, FlowWaiter, MessageFlow,
-                        Orchestrator, add_shims, build_dif_over, make_systems,
-                        run_until)
+from repro.core import (Dif, DifPolicies, MessageFlow, Orchestrator,
+                        add_shims, build_dif_over, make_systems, run_until)
+from repro.core.flow import PENDING
 from repro.core.names import Address, ApplicationName
 from repro.core.qos import RELIABLE
 from repro.sim.network import Network
@@ -96,7 +96,7 @@ class TestRandomNetworkSoak:
         received = []
 
         def on_flow(flow):
-            mf = MessageFlow(network.engine, flow)
+            mf = MessageFlow(flow)
             mf.set_message_receiver(received.append)
             on_flow.keep = mf
         systems[names[server_index]].register_app(ApplicationName("svc"),
@@ -104,10 +104,9 @@ class TestRandomNetworkSoak:
         network.run(until=network.engine.now + 1.0)
         flow = systems[names[client_index]].allocate_flow(
             ApplicationName("cli"), ApplicationName("svc"), qos=RELIABLE)
-        waiter = FlowWaiter(flow)
-        assert run_until(network, waiter.done, timeout=30)
-        assert waiter.ok, waiter.reason
-        sender = MessageFlow(network.engine, flow)
+        assert run_until(network, lambda: flow.state != PENDING, timeout=30)
+        assert flow.allocated, flow.failure_reason
+        sender = MessageFlow(flow)
         sender.send_message(b"soak")
         assert run_until(network, lambda: received, timeout=30)
         assert received == [b"soak"]

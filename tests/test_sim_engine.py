@@ -388,12 +388,13 @@ class TestCollectorPause:
         timers) over a two-level plant."""
         from repro.apps.echo import EchoClient, EchoServer
         from repro.core import run_until
+        from repro.core.flow import PENDING
         from repro.experiments.e6_scalability import build_stack
         network, systems, _difs = build_stack("recursive", 2, 2, seed=1)
         EchoServer(systems["h1_0"], dif_names=["h2h"])
         network.run(until=network.engine.now + 0.5)
         client = EchoClient(systems["h0_0"], dif_name="h2h")
-        run_until(network, lambda: client.waiter.done(), timeout=20)
+        run_until(network, lambda: client.flow.state != PENDING, timeout=20)
         assert client.ready
         PeriodicTask(network.engine, 0.01, lambda: client.ping(200)).start()
         gc.collect()

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import (Dif, DifPolicies, FabricError, FlowWaiter,
-                        Orchestrator, add_shims, build_dif_over, make_systems,
-                        run_until, shim_between, shim_name_for)
+from repro.core import (Dif, DifPolicies, FabricError, Orchestrator,
+                        add_shims, build_dif_over, make_systems, run_until,
+                        shim_between, shim_name_for)
+from repro.core.flow import FAILED, PENDING
 from repro.core.names import ApplicationName, DifName
 from repro.core.system import SystemError_
 from repro.sim.network import Network
@@ -55,9 +56,8 @@ class TestSystem:
         network, systems = small_net()
         flow = systems["a"].allocate_flow(ApplicationName("x"),
                                           ApplicationName("unknown-app"))
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=5)
-        assert not waiter.ok and waiter.reason == "no-common-dif"
+        run_until(network, lambda: flow.state != PENDING, timeout=5)
+        assert flow.state == FAILED and flow.failure_reason == "no-common-dif"
 
     def test_idd_routes_allocation_to_right_dif(self):
         network, systems = small_net()
@@ -72,9 +72,8 @@ class TestSystem:
         # no dif_name given: the IDD must find "d"
         flow = systems["a"].allocate_flow(ApplicationName("cli"),
                                           ApplicationName("svc"))
-        waiter = FlowWaiter(flow)
-        run_until(network, waiter.done, timeout=15)
-        assert waiter.ok
+        run_until(network, lambda: flow.state != PENDING, timeout=15)
+        assert flow.allocated
         assert flow.provider_name == DifName("d")
 
     def test_unregister_app_withdraws_from_idd(self):
