@@ -206,10 +206,10 @@ EXPECTED = {
         "wl.cbr.start": 1, "wl.echo.pump": 50, "wl.echo.start": 1,
         "wl.xfer.start": 2},
     # the benchmark's full-size run: the transfers outrun the links and
-    # wait on a full send buffer.  They polled it, with 78
-    # ``msgflow.retry`` and 76 ``file.push`` events, until the buffer
-    # came to say when it drains (the flow's WRITABLE); every other row
-    # held
+    # wait on a full send buffer.  They polled it, with the message
+    # flow's 78 retry and the file sender's 76 poll events, until the
+    # buffer came to say when it drains (the flow's WRITABLE); every
+    # other row held
     "data_clean_full": {
         "(unlabelled)": 2, "<ipcp>.keepalive": 1422, "<link>.rx": 70167,
         "cbr.tick": 2949, "efcp.retx": 88, "fa.allocate": 9, "fa.retry": 1,

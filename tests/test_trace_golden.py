@@ -262,8 +262,9 @@ GOLDEN_DATA_CLEAN_IP_EVENTS = {0: 68_523, 1: 68_543}
 #: 733 -> 731; grants, frames_relayed and the RIB held).
 #:
 #: data_clean moved again when a refused send came to wait on its flow's
-#: WRITABLE notification instead of polling (78 ``msgflow.retry`` and 76
-#: ``file.push`` events gone at seed 0), through its event count only
+#: WRITABLE notification instead of polling (the message flow's 78 retry
+#: and the file sender's 76 poll events gone at seed 0), through its event
+#: count only
 #: (the traces are line-identical but for the metrics line's ``events``,
 #: and both transfers complete at the same instants): seed 0
 #: b0a3aa8dc76d -> 1104fd4bff8d (75,396 -> 75,242 events) and seed 1
