@@ -10,7 +10,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from ..core.api import MessageFlow
-from ..core.flow import ALLOCATED, DEALLOCATED, Flow
+from ..core.flow import Flow
 from ..core.names import ApplicationName
 from ..core.qos import QosCube, RELIABLE
 from ..core.system import System
@@ -64,7 +64,7 @@ class EchoClient:
     @property
     def ready(self) -> bool:
         """True once the flow was allocated, also after its release."""
-        return self.flow.state in (ALLOCATED, DEALLOCATED)
+        return self.flow.granted
 
     def ping(self, size: int = 64) -> None:
         """Send one message of ``size`` bytes."""

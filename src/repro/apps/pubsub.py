@@ -14,7 +14,7 @@ import json
 from typing import Callable, Dict, List, Optional, Set
 
 from ..core.api import MessageFlow
-from ..core.flow import ALLOCATED, DEALLOCATED, Flow
+from ..core.flow import Flow
 from ..core.names import ApplicationName
 from ..core.qos import RELIABLE, QosCube
 from ..core.system import System
@@ -86,7 +86,7 @@ class PubSubClient:
     @property
     def ready(self) -> bool:
         """True once the broker flow was allocated, also after its release."""
-        return self.flow.state in (ALLOCATED, DEALLOCATED)
+        return self.flow.granted
 
     def subscribe(self, topic: str) -> None:
         """Express interest in ``topic``."""

@@ -13,7 +13,7 @@ import json
 from typing import Callable, Dict, List, Optional
 
 from ..core.api import MessageFlow
-from ..core.flow import ALLOCATED, DEALLOCATED, Flow
+from ..core.flow import Flow
 from ..core.names import ApplicationName
 from ..core.qos import QosCube, RELIABLE
 from ..core.system import System
@@ -75,7 +75,7 @@ class RpcClient:
     @property
     def ready(self) -> bool:
         """True once the flow was allocated, also after its release."""
-        return self.flow.state in (ALLOCATED, DEALLOCATED)
+        return self.flow.granted
 
     def call(self, method: str, params: dict,
              on_reply: Callable[[dict], None]) -> int:

@@ -25,7 +25,7 @@ from .efcp import EfcpConnection, EfcpPolicy
 from .enrollment import EnrollmentTask
 from .fabric import (FabricError, Orchestrator, add_shims, build_dif_over,
                      make_systems, run_until, shim_between, shim_name_for)
-from .flow import Flow, FlowError
+from .flow import PENDING, Flow, FlowError
 from .flow_allocator import FlowAllocator
 from .ipcp import Ipcp
 from .names import Address, ApplicationName, DifName, PortId
@@ -59,7 +59,7 @@ __all__ = [
     "LinkStateRouting", "Lsa",
     "DifDirectory", "InterDifDirectory",
     "Dif", "DifPolicies", "DifError",
-    "EnrollmentTask", "FlowAllocator", "Flow", "FlowError",
+    "EnrollmentTask", "FlowAllocator", "Flow", "FlowError", "PENDING",
     "Ipcp", "ShimIpcp", "System",
     "MessageFlow",
     "Orchestrator", "FabricError", "make_systems", "add_shims",

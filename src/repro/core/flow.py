@@ -122,6 +122,11 @@ class Flow:
         """True while the flow is usable."""
         return self.state == ALLOCATED
 
+    @property
+    def granted(self) -> bool:
+        """True once the flow was allocated, also after its release."""
+        return self.state == ALLOCATED or self.state == DEALLOCATED
+
     # ------------------------------------------------------------------
     # Provider side
     # ------------------------------------------------------------------

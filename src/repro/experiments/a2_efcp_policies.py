@@ -20,10 +20,9 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ..apps.filetransfer import FileSender, FileSink
-from ..core import (BEST_EFFORT, RELIABLE, Dif, DifPolicies, Orchestrator,
-                    QosCube, add_shims, build_dif_over, make_systems, run_until,
-                    shim_between)
-from ..core.flow import PENDING
+from ..core import (BEST_EFFORT, PENDING, RELIABLE, Dif, DifPolicies,
+                    Orchestrator, add_shims, build_dif_over, make_systems,
+                    run_until, shim_between)
 from ..sim.link import UniformLoss
 from ..sim.network import Network
 from ..sweeps import Job

@@ -15,9 +15,9 @@ from typing import Any, Dict, List
 
 from ..apps.echo import EchoClient, EchoServer
 from ..apps.filetransfer import FileSender, FileSink
-from ..core import (RELIABLE, Dif, DifPolicies, Orchestrator, add_shims,
-                    build_dif_over, make_systems, run_until, shim_between)
-from ..core.flow import PENDING
+from ..core import (PENDING, RELIABLE, Dif, DifPolicies, Orchestrator,
+                    add_shims, build_dif_over, make_systems, run_until,
+                    shim_between)
 from ..sim.network import Network
 from ..sweeps import Job
 from .common import goodput_bps

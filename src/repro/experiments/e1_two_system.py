@@ -15,10 +15,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence, Union
 
 from ..apps.echo import EchoClient, EchoServer
-from ..core import (BEST_EFFORT, RELIABLE, Dif, DifPolicies, Orchestrator,
-                    QosCube, add_shims, build_dif_over, make_systems,
-                    run_until, shim_between)
-from ..core.flow import PENDING
+from ..core import (PENDING, Dif, DifPolicies, Orchestrator, QosCube,
+                    add_shims, build_dif_over, make_systems, run_until,
+                    shim_between)
 from ..core.qos import DEFAULT_CUBES
 from ..sim.link import UniformLoss
 from ..sim.network import Network

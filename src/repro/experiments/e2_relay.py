@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from ..apps.echo import EchoClient, EchoServer
-from ..core import (RELIABLE, Dif, DifPolicies, Orchestrator, add_shims,
+from ..core import (PENDING, Dif, DifPolicies, Orchestrator, add_shims,
                     build_dif_over, make_systems, run_until, shim_between)
-from ..core.flow import PENDING
 from ..sim.network import Network
 from ..sweeps import Job
 

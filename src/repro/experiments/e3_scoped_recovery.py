@@ -35,8 +35,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from ..apps.filetransfer import FileSender, FileSink
-from ..core import RELIABLE, run_until
-from ..core.flow import PENDING
+from ..core import PENDING, RELIABLE, run_until
 from ..scenarios.canned import E3_WIRED_BPS as WIRED_BPS
 from ..scenarios.canned import E3_WIRELESS_BPS as WIRELESS_BPS
 from ..scenarios.canned import e3_scenario

@@ -24,8 +24,7 @@ from typing import Any, Dict, List, Optional
 
 from ..apps.echo import EchoClient, EchoServer
 from ..baselines import IpFabric
-from ..core import run_until
-from ..core.flow import PENDING
+from ..core import PENDING, run_until
 from ..scenarios.canned import e4_scenario
 from ..scenarios.faults import FaultContext, make_injector
 from ..scenarios.runner import build_rina_stack, build_topology

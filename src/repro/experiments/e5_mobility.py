@@ -36,8 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..apps.echo import EchoClient, EchoServer
 from ..baselines import HomeAgent, IpFabric, MobileNode
-from ..core import run_until, shim_name_for
-from ..core.flow import PENDING
+from ..core import PENDING, run_until, shim_name_for
 from ..scenarios.canned import e5_scenario
 from ..scenarios.runner import build_rina_stack, build_topology
 from ..sim.network import Network

@@ -29,9 +29,8 @@ import time
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from ..apps.echo import EchoClient, EchoServer
-from ..core import (Dif, DifPolicies, Orchestrator, add_shims, build_dif_over,
-                    make_systems, run_until, shim_name_for)
-from ..core.flow import PENDING
+from ..core import (PENDING, Dif, DifPolicies, Orchestrator, add_shims,
+                    build_dif_over, make_systems, run_until, shim_name_for)
 from ..sim.network import Network
 
 # the job lists import the sweep runner (and multiprocessing) when they

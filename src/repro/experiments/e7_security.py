@@ -27,13 +27,11 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from ..baselines import IpFabric, ip_str
-from ..core import (AllowList, ApplicationName, ChallengeResponse, Dif,
-                    DifPolicies, NoAuth, Orchestrator, PresharedKey,
+from ..core import (PENDING, AllowList, ApplicationName, ChallengeResponse,
+                    Dif, DifPolicies, NoAuth, Orchestrator, PresharedKey,
                     add_shims, build_dif_over, make_systems, run_until,
                     shim_between)
-from ..core.flow import ALLOCATED, DEALLOCATED, PENDING
-from ..core.names import DifName
-from ..core.pdu import DataPdu, ManagementPdu
+from ..core.pdu import DataPdu
 from ..core.names import Address
 from ..sim.network import Network
 from ..sweeps import Job
@@ -132,7 +130,7 @@ def run_rina_outsider(auth: str = "challenge", probes: int = 50,
         "pdus_injected": injections,
         "pdus_blocked_at_gate": dropped,
         "members_discovered": attacker_view,
-        "service_reached": rogue.state in (ALLOCATED, DEALLOCATED),
+        "service_reached": rogue.granted,
         "rogue_flow_failure": rogue.failure_reason,
     }
 
@@ -164,9 +162,9 @@ def run_rina_insider_acl(seed: int = 1) -> Dict[str, Any]:
               timeout=20)
     return {
         "world": "rina(insider-acl)",
-        "rogue_flow_granted": denied.state in (ALLOCATED, DEALLOCATED),
+        "rogue_flow_granted": denied.granted,
         "rogue_failure": denied.failure_reason,
-        "allowed_flow_granted": granted.state in (ALLOCATED, DEALLOCATED),
+        "allowed_flow_granted": granted.granted,
         "denials_logged": len(network.tracer.events("flow-denied")),
     }
 

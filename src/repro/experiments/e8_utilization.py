@@ -28,10 +28,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..apps.streaming import CbrSource, LatencySink
-from ..core import (BEST_EFFORT, LOW_LATENCY, Dif, DifPolicies, Orchestrator,
-                    add_shims, build_dif_over, make_systems, run_until,
-                    shim_between)
-from ..core.flow import PENDING
+from ..core import (BEST_EFFORT, LOW_LATENCY, PENDING, Dif, DifPolicies,
+                    Orchestrator, add_shims, build_dif_over, make_systems,
+                    run_until, shim_between)
 from ..sim.network import Network
 from ..sweeps import Job
 from .common import percentile

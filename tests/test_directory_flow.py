@@ -245,6 +245,18 @@ class TestFlow:
         flow.deallocate()
         assert flow.state == FAILED and withdrawn == [FAILED]
 
+    def test_granted_once_allocated_also_after_release(self):
+        flow = self._flow()
+        flow.provider_bind(lambda p, s: True)
+        assert not flow.granted
+        flow.provider_allocated()
+        assert flow.granted
+        flow.deallocate()
+        assert flow.granted and not flow.allocated
+        refused = self._flow()
+        refused.provider_failed("nope")
+        assert not refused.granted
+
     def test_allocated_flow_fails_no_more(self):
         flow = self._flow()
         events = []
