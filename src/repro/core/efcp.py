@@ -54,14 +54,13 @@ class EfcpPolicy:
 
     __slots__ = ("reliable", "in_order", "retx", "congestion", "initial_credit",
                  "send_buffer_limit", "rto_initial", "rto_min", "rto_max",
-                 "max_retries", "ack_delay", "sack_limit", "initial_cwnd")
+                 "ack_delay", "sack_limit", "initial_cwnd")
 
     def __init__(self, reliable: bool = True, in_order: bool = True,
                  retx: Optional[str] = None, congestion: str = CONGESTION_NONE,
                  initial_credit: int = 64, send_buffer_limit: int = 1024,
                  rto_initial: float = 0.25, rto_min: float = 0.02,
-                 rto_max: float = 4.0, max_retries: int = 30,
-                 ack_delay: float = 0.0,
+                 rto_max: float = 4.0, ack_delay: float = 0.0,
                  sack_limit: int = 16, initial_cwnd: int = 4) -> None:
         if retx is None:
             retx = RETX_SELECTIVE if reliable else RETX_NONE
@@ -88,7 +87,6 @@ class EfcpPolicy:
         self.rto_initial = float(rto_initial)
         self.rto_min = float(rto_min)
         self.rto_max = float(rto_max)
-        self.max_retries = max_retries
         self.ack_delay = ack_delay
         self.sack_limit = sack_limit
         self.initial_cwnd = initial_cwnd
@@ -149,7 +147,7 @@ class EfcpConnection:
                  "remote_cep", "policy", "_output", "_deliver", "_priority",
                  "_writable", "_refused", "stats", "closed",
                  "_send_queue", "_outstanding", "_next_seq", "_send_base",
-                 "_credit", "_retries", "_retx_timer", "_srtt", "_rttvar",
+                 "_credit", "_retx_timer", "_srtt", "_rttvar",
                  "_rto", "_cwnd", "_ssthresh", "_sack_passes",
                  "_recovery_point", "_rcv_buffer", "_rcv_expected",
                  "_rcv_window", "_ack_timer")
@@ -179,7 +177,6 @@ class EfcpConnection:
         self._next_seq = 0                     # next new sequence number
         self._send_base = 0                    # oldest unacknowledged
         self._credit = policy.initial_credit   # highest seq allowed (excl.)
-        self._retries = 0
         self._retx_timer = Timer(engine, self._on_retx_timeout, label="efcp.retx")
         # RTO estimation (RFC 6298 style)
         self._srtt: Optional[float] = None     # no sample yet
@@ -290,9 +287,6 @@ class EfcpConnection:
         if not self._outstanding or self.closed:
             return
         self.stats.timeouts += 1
-        self._retries += 1
-        if self._retries > self.policy.max_retries:
-            self._retries = self.policy.max_retries  # keep trying, stay capped
         # congestion response: multiplicative decrease on timeout
         if self.policy.congestion == CONGESTION_AIMD:
             self._ssthresh = max(2.0, self._cwnd / 2.0)
@@ -363,7 +357,6 @@ class EfcpConnection:
             made_progress = True
         self._credit = max(self._credit, pdu.credit)
         if made_progress:
-            self._retries = 0
             if self._outstanding:
                 self._retx_timer.start(self._rto)
             else:

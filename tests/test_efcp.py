@@ -240,6 +240,8 @@ class TestRtoEstimation:
         a.send("x", 10)
         engine.run(until=5.0)
         assert a.rto <= 0.4
+        # it keeps retrying at the capped RTO, and never closes itself
+        assert a.stats.timeouts > 10 and not a.closed
 
     def test_rto_is_a_float_whatever_the_policy_was_written_with(self):
         # int policy scalars reach the RTO through min()/max(); a timeout

@@ -103,7 +103,7 @@ class TestBidirectionalStress:
         # emulate blackout by 100% loss for a window
         engine2 = Engine()
         wire2 = LossyWire(engine2, loss=1.0, seed=3)
-        policy = EfcpPolicy(rto_initial=0.05, rto_max=0.5, max_retries=100)
+        policy = EfcpPolicy(rto_initial=0.05, rto_max=0.5)
         got = []
         a2 = EfcpConnection(engine2, Address(1), Address(2), 1, 2, policy,
                             output=wire2.output_from("a"),
@@ -262,8 +262,7 @@ class TestConditionedLinkStress:
         conditions = LinkConditions(corruption=CorruptionModel(0.15))
         engine, link, a, b, got_a, got_b = conditioned_link_pair(
             conditions, seed=seed,
-            policy=EfcpPolicy(rto_initial=0.05, rto_min=0.02, rto_max=0.5,
-                              max_retries=100))
+            policy=EfcpPolicy(rto_initial=0.05, rto_min=0.02, rto_max=0.5))
         for index in range(40):
             a.send(("a", index), 50)
             b.send(("b", index), 50)
@@ -281,8 +280,7 @@ class TestConditionedLinkStress:
         conditions = LinkConditions(corruption=CorruptionModel(0.25))
         engine, link, a, _b, _ga, got_b = conditioned_link_pair(
             conditions, seed=3,
-            policy=EfcpPolicy(rto_initial=0.05, rto_min=0.02, rto_max=0.5,
-                              max_retries=100))
+            policy=EfcpPolicy(rto_initial=0.05, rto_min=0.02, rto_max=0.5))
         for index in range(50):
             a.send(index, 40)
         engine.run(until=120.0)
