@@ -46,8 +46,8 @@ class Flow:
     A send the provider refuses (backpressure) is followed by WRITABLE
     when it takes sends again, or by the flow leaving ALLOCATED, which
     runs the WRITABLE watchers too.  EFCP raises it when its buffer has
-    drained to half; a shim over a simulated link raises none (a tail
-    drop or a down link), so its user retries at its next send.
+    drained to half; a shim over a simulated link when its link takes a
+    frame again, after a tail drop or at the repair of a down link.
     """
 
     __slots__ = ("port_id", "local_app", "remote_app", "qos",

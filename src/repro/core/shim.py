@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.engine import Engine
 from ..sim.link import CorruptedFrame, LinkEnd
@@ -74,6 +74,8 @@ class ShimIpcp:
         self._registered: Dict[ApplicationName, InboundListener] = {}
         self._flows: Dict[int, Flow] = {}          # shim flow id -> Flow
         self._pending: Dict[int, Flow] = {}        # awaiting alloc-ok
+        self._refused: List[int] = []              # awaiting WRITABLE
+        self._observing = False                    # for the link's repair
 
     # ------------------------------------------------------------------
     # FlowProvider interface
@@ -150,7 +152,30 @@ class ShimIpcp:
     def _send_data(self, flow_id: int, payload: Any, size: int) -> bool:
         if flow_id not in self._flows:
             return False
-        return self._send_frame(_KIND_DATA, flow_id, payload, size)
+        if self._send_frame(_KIND_DATA, flow_id, payload, size):
+            return True
+        if not self._refused:
+            # WRITABLE once the link takes a frame again: at the end of the
+            # frame in service, or at a down link's repair.  One wait
+            # serves every flow refused meanwhile.
+            link = self._end.link
+            frees_at = link.frees_at(self._side)
+            if frees_at is not None:
+                self._engine.call_at(frees_at, self._writable,
+                                     label="shim.writable")
+            elif not self._observing:
+                self._observing = True
+                link.observe(self._writable)
+        if flow_id not in self._refused:
+            self._refused.append(flow_id)
+        return False
+
+    def _writable(self, _link: Any = None, up: bool = True) -> None:
+        if up:
+            refused, self._refused = self._refused, []
+            for flow_id in refused:
+                if flow_id in self._flows:
+                    self._flows[flow_id].provider_writable()
 
     def _deallocate(self, flow_id: int) -> None:
         self._flows.pop(flow_id, None)

@@ -748,6 +748,14 @@ class Link:
         for callback in list(self._observers):
             callback(self, True)
 
+    def frees_at(self, from_index: int) -> Optional[float]:
+        """When a frame tail-dropped now would find room: the end of the
+        frame in service; None while down or with none in service."""
+        queue = self._queues[from_index]
+        if not self._up or not queue or queue[0][0] <= self._engine.now:
+            return None
+        return queue[0][0]
+
     # ------------------------------------------------------------------
     def transmit(self, from_index: int, payload: Any, size_bytes: int) -> bool:
         """Send a frame in the given direction; returns False on tail drop.

@@ -271,6 +271,29 @@ class TestFileTransfer:
         assert sink.transfers_completed == 0
 
 
+    def test_a_transfer_straight_over_a_shim_reaches_eof(self):
+        """A shim whose link queues 4 frames refuses most of the mark's
+        chunks.  Each tail drop is followed by WRITABLE when the link's
+        frame in service ends, so the backlog leaves and the sender fills
+        again until EOF."""
+        network = Network(seed=1)
+        network.add_node("a")
+        network.add_node("b")
+        link = network.connect("a", "b", capacity_bps=1e6, queue_limit=4)
+        systems = make_systems(network)
+        add_shims(systems, network)
+        shim = shim_between(network, "a", "b")
+        sink = FileSink(systems["b"], dif_names=[shim])
+        network.run(until=network.engine.now + 0.5)
+        sender = FileSender(systems["a"], total_bytes=200_000, dif_name=shim)
+        assert run_until(network, lambda: sink.transfers_completed == 1,
+                         timeout=30)
+        assert sum(link.frames_dropped_queue) > 0
+        assert sink.bytes_received == 200_000
+        assert sender.finished_submitting
+        assert sender.message_flow.pending_fragments() == 0
+
+
 class TestRpc:
     def test_request_response_correlation(self):
         network, systems = two_hosts()

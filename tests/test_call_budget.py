@@ -129,6 +129,12 @@ waiter (docs/ARCHITECTURE.md, "Backpressure is a notification"):
   the allocation itself).
   The small plant never fills a send buffer, so nothing is refused and
   no WRITABLE is raised.
+* ``control_flat`` 34,450 → 34,462: a shim raises WRITABLE on the flows
+  its link refused once the link takes frames again.  Both ends of the
+  flapped link are refused while it is down, so each waits for the
+  repair once: ``Link.frees_at``, ``Link.observe``, ``LinkEnd.link``,
+  ``ShimIpcp._writable``, ``Flow.provider_writable`` and
+  ``Flow._notify`` +2 each.  No event is added.
 """
 
 import os
@@ -171,7 +177,7 @@ def _stateful_serial():
 
 
 EXPECTED = {
-    "control_flat": 34450,
+    "control_flat": 34462,
     "data_clean_rina": 123302,
     "data_clean_ip": 57478,
     "flood": 1001,

@@ -8,9 +8,10 @@ from repro.sim.engine import Engine
 from repro.sim.link import Link
 
 
-def make_shim_pair(capacity_bps=1e8):
+def make_shim_pair(capacity_bps=1e8, queue_limit=256):
     engine = Engine()
-    link = Link(engine, "wire", capacity_bps=capacity_bps, delay=0.001)
+    link = Link(engine, "wire", capacity_bps=capacity_bps, delay=0.001,
+                queue_limit=queue_limit)
     left = ShimIpcp(engine, DifName("shim:wire"), "left", link.ends[0])
     right = ShimIpcp(engine, DifName("shim:wire"), "right", link.ends[1])
     return engine, link, left, right
@@ -119,3 +120,53 @@ class TestDataTransfer:
         engine.run(until=2.0)
         from repro.core.shim import SHIM_HEADER_BYTES
         assert link.bytes_delivered[0] - delivered_before == 100 + SHIM_HEADER_BYTES
+
+
+class TestWritable:
+    """A refused send is followed by WRITABLE once the link takes a frame
+    again (docs/ARCHITECTURE.md, "Backpressure is a notification")."""
+
+    def _refused_pair(self, queue_limit=2):
+        engine, link, left, right = make_shim_pair(capacity_bps=1e6,
+                                                   queue_limit=queue_limit)
+        inbound = []
+        right.register_app(ApplicationName("svc"), inbound.append)
+        flows = [left.allocate_flow(ApplicationName(f"cli{index}"),
+                                    ApplicationName("svc"))
+                 for index in range(2)]
+        engine.run(until=1.0)
+        assert all(flow.allocated for flow in flows)
+        return engine, link, flows
+
+    def test_a_tail_drop_is_writable_when_the_frame_in_service_ends(self):
+        engine, link, (first, second) = self._refused_pair()
+        # 1,000 B frames take 8 ms each at 1 Mb/s: one in service, two
+        # waiting, and the fourth is dropped at the tail
+        assert [first.send("x", 992) for _ in range(4)] == [
+            True, True, True, False]
+        assert second.send("y", 992) is False
+        head_ends = engine.now + 0.008
+        heard = []
+        for flow in (second, first):
+            flow.when("writable", lambda f: heard.append(
+                (f.local_app, engine.now)))
+        engine.run(until=engine.now + 0.005)
+        assert heard == []
+        engine.run(until=engine.now + 0.1)
+        # one wait served both refused flows, in the order they were
+        # refused, at the end of the frame in service
+        assert [app for app, _at in heard] == [ApplicationName("cli0"),
+                                               ApplicationName("cli1")]
+        assert all(at == pytest.approx(head_ends) for _app, at in heard)
+
+    def test_a_down_link_is_writable_at_its_repair(self):
+        engine, link, (flow, _other) = self._refused_pair()
+        heard = []
+        flow.when("writable", lambda f: heard.append(engine.now))
+        link.fail()
+        assert flow.send("x", 100) is False
+        engine.run(until=engine.now + 1.0)
+        assert heard == []
+        link.repair()
+        assert heard == [engine.now]
+        assert flow.send("x", 100) is True
