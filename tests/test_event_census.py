@@ -2,7 +2,8 @@
 behind the ``control_flat``, ``data_clean``, ``data_lossy`` and
 ``flood`` workloads, on the scale tier's flat 5x10 row, and on the
 full-size ``data_clean`` run at seed 0, the one whose transfers fill a
-send buffer.
+send buffer.  That run's delivered link frames are also counted by the
+kind of PDU they carry.
 
 The census lives on the test side.  A fixture wraps ``Engine.call_at``
 and ``Engine.call_later`` (``call_soon`` goes through ``call_at``) so
@@ -310,6 +311,66 @@ def test_data_lossy_recovery_counters(monkeypatch):
     assert reliable
     assert {counter: sum(getattr(c.stats, counter) for c in reliable)
             for counter in LOSSY_RECOVERY} == LOSSY_RECOVERY
+
+
+#: Frames delivered on the full-size ``data_clean`` run at seed 0, by
+#: nested PDU shape (:func:`frame_shape`): every rank-2 PDU rides a
+#: rank-1 data PDU on each hop, so a rank-2 ACK shows as
+#: ``Data(Control)``; the shim's own allocation frames are ``other``.
+#: The rows sum to the census row's ``<link>.rx``.
+FRAMES_DATA_CLEAN_FULL = {
+    "Data(Data)": 35_259, "Data(Control)": 33_080, "Control": 1_590,
+    "Data(Management)": 118, "Management": 110, "other": 10}
+
+_PDU_KINDS = {"DataPdu": "Data", "ControlPdu": "Control",
+              "ManagementPdu": "Management"}
+
+
+def frame_shape(frame):
+    """The row a delivered link frame counts in: the kind of the PDU a
+    shim data frame carries and, for a data PDU that carries a PDU of
+    the rank above, that PDU's kind in brackets."""
+    if not (isinstance(frame, tuple) and frame[0] == "data"):
+        return "other"
+    pdu = frame[2]
+    outer = _PDU_KINDS.get(type(pdu).__name__)
+    if outer is None:
+        return "other"
+    inner = _PDU_KINDS.get(type(getattr(pdu, "payload", None)).__name__)
+    return f"{outer}({inner})" if outer == "Data" and inner else outer
+
+
+def test_data_clean_full_frames_by_kind(monkeypatch):
+    from repro.sim.link import LinkEnd
+    frames = Counter()
+    attach = LinkEnd.attach
+
+    def counting(self, receiver):
+        def receive(frame, size):
+            frames[frame_shape(frame)] += 1
+            receiver(frame, size)
+        attach(self, receive)
+    monkeypatch.setattr(LinkEnd, "attach", counting)
+    _data_clean_full()
+    assert dict(frames) == FRAMES_DATA_CLEAN_FULL
+    assert sum(frames.values()) == EXPECTED["data_clean_full"]["<link>.rx"]
+
+
+def test_frame_shapes():
+    from repro.core.names import Address
+    from repro.core.pdu import ACK, ControlPdu, DataPdu, ManagementPdu
+    a, b = Address(1), Address(2)
+    ack = ControlPdu(a, b, ACK, 1, 2)
+    data = DataPdu(a, b, 1, 2, 0, b"x", 1)
+    assert frame_shape(("data", 0, DataPdu(a, b, 1, 2, 0, data, 21),
+                        41)) == "Data(Data)"
+    assert frame_shape(("data", 0, DataPdu(a, b, 1, 2, 0, ack, 20),
+                        40)) == "Data(Control)"
+    assert frame_shape(("data", 0, data, 21)) == "Data"
+    assert frame_shape(("data", 0, ack, 20)) == "Control"
+    assert frame_shape(("data", 0, ManagementPdu(a, None, "hello"),
+                        88)) == "Management"
+    assert frame_shape(("alloc", 0, ("a", "b"), 0)) == "other"
 
 
 def test_instance_labels_group_by_kind():
