@@ -21,6 +21,7 @@ which is the paper's central claim about the repeating structure.
 from __future__ import annotations
 
 from collections import deque
+from itertools import takewhile
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..sim.engine import Engine, Timer
@@ -173,7 +174,10 @@ class EfcpConnection:
         # --- sender state ---
         self._send_queue: Deque[Tuple[int, Any, int]] = deque()  # awaiting window
         self._outstanding: Dict[int, Tuple[Any, int, float, bool]] = {}
-        # seq -> (payload, size, time_sent, retransmitted)
+        # seq -> (payload, size, time_sent, retransmitted), in send order,
+        # which is ascending seq: new seqs are appended in order, a resend
+        # overwrites its entry in place, and an acked seq is never sent
+        # again, so every walk stops at its first seq out of range
         self._next_seq = 0                     # next new sequence number
         self._send_base = 0                    # oldest unacknowledged
         self._credit = policy.initial_credit   # highest seq allowed (excl.)
@@ -296,8 +300,7 @@ class EfcpConnection:
         old_rto = self._rto
         self._rto = min(self.policy.rto_max, self._rto * 2.0)
         if self.policy.retx == RETX_GOBACKN:
-            for seq in sorted(self._outstanding):
-                payload, size, _t, _r = self._outstanding[seq]
+            for seq, (payload, size, _t, _r) in self._outstanding.items():
                 self._transmit(seq, payload, size, retransmit=True)
         else:
             # selective repeat: resend every PDU that has aged past the RTO
@@ -310,10 +313,9 @@ class EfcpConnection:
             budget = None
             if self.policy.congestion == CONGESTION_AIMD:
                 budget = max(1, int(self._cwnd))
-            for seq in sorted(self._outstanding):
+            for seq, (payload, size, sent_at, _r) in self._outstanding.items():
                 if budget is not None and budget <= 0:
                     break
-                payload, size, sent_at, _r = self._outstanding[seq]
                 if now - sent_at >= old_rto - 1e-12:
                     self._transmit(seq, payload, size, retransmit=True)
                     if budget is not None:
@@ -333,7 +335,7 @@ class EfcpConnection:
         if pdu.kind != ACK:
             return
         now = self._engine.now
-        newly_acked = [seq for seq in self._outstanding if seq < pdu.ack_seq]
+        newly_acked = list(takewhile(pdu.ack_seq.__gt__, self._outstanding))
         for seq in pdu.sack:
             if seq in self._outstanding:
                 newly_acked.append(seq)
@@ -383,10 +385,9 @@ class EfcpConnection:
         now = self._engine.now
         srtt = self._srtt
         retransmitted = False
-        for seq in sorted(self._outstanding):
+        for seq, (payload, size, sent_at, _r) in self._outstanding.items():
             if seq >= highest_sacked:
                 break
-            payload, size, sent_at, _r = self._outstanding[seq]
             if srtt is not None and now - sent_at < srtt:
                 # its latest copy is younger than a round trip: this ACK
                 # cannot have seen it, so it says nothing about its loss

@@ -464,3 +464,36 @@ class TestClose:
         _engine, _w, a, _b, _da, _db = make_pair()
         a.close()
         a.close()
+
+
+class TestOutstandingOrder:
+    def test_outstanding_stays_in_send_order_under_loss(self, monkeypatch):
+        # ACK handling, fast retransmit and the timeout walk
+        # ``_outstanding`` in insertion order and stop at the first seq
+        # out of range: that order must be ascending seq after every
+        # ACK, SACKed or not, and after every timeout's resends
+        from test_event_census import _data_lossy
+        seen = {"acks": 0, "sacks": 0, "timeouts": 0}
+        handle_control = EfcpConnection.handle_control
+        on_timeout = EfcpConnection._on_retx_timeout
+
+        def in_order(conn):
+            assert list(conn._outstanding) == sorted(conn._outstanding)
+
+        def checked_control(self, pdu):
+            handle_control(self, pdu)
+            seen["acks"] += 1
+            seen["sacks"] += bool(getattr(pdu, "sack", ()))
+            in_order(self)
+
+        def checked_timeout(self):
+            on_timeout(self)
+            seen["timeouts"] += 1
+            in_order(self)
+        monkeypatch.setattr(EfcpConnection, "handle_control",
+                            checked_control)
+        monkeypatch.setattr(EfcpConnection, "_on_retx_timeout",
+                            checked_timeout)
+        _data_lossy()
+        assert seen["sacks"] > 0 and seen["timeouts"] > 0
+        assert seen["acks"] > 100
