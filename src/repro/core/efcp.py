@@ -73,6 +73,12 @@ class EfcpPolicy:
             raise ValueError("a reliable flow needs a retransmission policy")
         if initial_credit < 1:
             raise ValueError("credit window must be at least 1")
+        if initial_cwnd < 1:
+            # AIMD would never open its window: nothing sent, no timer
+            raise ValueError("congestion window must be at least 1")
+        if send_buffer_limit < 1:
+            # every send refused, and no ACK would ever raise WRITABLE
+            raise ValueError("send buffer must hold at least 1 SDU")
         if sack_limit < 0:
             raise ValueError("sack_limit must not be negative")
         self.reliable = reliable

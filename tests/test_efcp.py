@@ -445,6 +445,20 @@ class TestPolicyDerivation:
         with pytest.raises(ValueError):
             EfcpPolicy(initial_credit=0)
 
+    def test_congestion_window_must_be_positive(self):
+        # under AIMD a window of int(0) never sends and never arms a
+        # timer: the connection would stall silently
+        with pytest.raises(ValueError):
+            EfcpPolicy(congestion=CONGESTION_AIMD, initial_cwnd=0)
+        assert EfcpPolicy(initial_cwnd=1).initial_cwnd == 1
+
+    def test_send_buffer_must_hold_one_sdu(self):
+        # a limit of 0 refuses every send, and no ACK ever comes to
+        # raise WRITABLE
+        with pytest.raises(ValueError):
+            EfcpPolicy(send_buffer_limit=0)
+        assert EfcpPolicy(send_buffer_limit=1).send_buffer_limit == 1
+
     def test_sack_limit_must_not_be_negative(self):
         with pytest.raises(ValueError):
             EfcpPolicy(sack_limit=-1)
