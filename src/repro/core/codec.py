@@ -28,7 +28,8 @@ meaning ``None``)::
                                                  index, last, data
             | 'D' q q q q q Q flag addr? addr? value
                       DataPdu: ttl, priority, src cep, dst cep, seq,
-                      payload size, drf, src, dst, payload
+                      payload size, drf (lower case when followed),
+                      src, dst, payload
             | 'C' q q q q q q I q* addr? addr? value
                       ControlPdu: ttl, priority, src cep, dst cep, ack
                       seq, credit, sack count, sack, src, dst, kind
@@ -109,6 +110,10 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 _FLAG = {True: b"T", False: b"F"}
 _UNFLAG = {b"T": True, b"F": False}
+#: DataPdu's (drf, followed): an unfollowed PDU's byte is drf's flag
+_DATA_FLAG = {(True, False): b"T", (False, False): b"F",
+              (True, True): b"t", (False, True): b"f"}
+_DATA_UNFLAG = {byte: flags for flags, byte in _DATA_FLAG.items()}
 _CONSTANTS = {_NONE: None, _TRUE: True, _FALSE: False}
 
 
@@ -207,7 +212,7 @@ def _put(value: Any, put: Callable[[bytes], None]) -> None:
     elif kind is DataPdu:
         put(_S_DATA.pack(_DATA, value.ttl, value.priority, value.src_cep,
                          value.dst_cep, value.seq, value.payload_size,
-                         _FLAG[value.drf]))
+                         _DATA_FLAG[value.drf, value.followed]))
         put(_address(value.src_addr))
         put(_address(value.dst_addr))
         _put(value.payload, put)
@@ -360,13 +365,14 @@ def _get(buf: bytes, pos: int) -> Tuple[Any, int]:
                           sack=sack, ttl=ttl, priority=priority), pos
     if tag == _DATA:
         (_tag, ttl, priority, src_cep, dst_cep, seq, payload_size,
-         drf) = _S_DATA.unpack_from(buf, pos - 1)
+         flags) = _S_DATA.unpack_from(buf, pos - 1)
+        drf, followed = _DATA_UNFLAG[flags]
         src, pos = _address_at(buf, pos - 1 + _S_DATA.size, True)
         dst, pos = _address_at(buf, pos, True)
         payload, pos = _get(buf, pos)
         return DataPdu(src, dst, src_cep, dst_cep, seq, payload,
-                       payload_size, drf=_UNFLAG[drf], ttl=ttl,
-                       priority=priority), pos
+                       payload_size, drf=drf, ttl=ttl, priority=priority,
+                       followed=followed), pos
     if tag == _ADDRESS:
         return _address_at(buf, pos)
     if tag == _BIGINT:

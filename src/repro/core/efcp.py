@@ -51,18 +51,22 @@ class EfcpPolicy:
     highest ``sack_limit`` sequence numbers the receiver holds beyond its
     in-order edge, ascending.  ``0`` sends none (recovery then rests on
     the retransmission timer alone).
+
+    A reliable receiver acks every second in-order PDU, and holds a lone
+    one's ACK (for ``rto_min / 8``, the flood ack's share) only if the
+    sender marked it ``followed`` (RFC 1122 §4.2.3.2, RFC 7053).
     """
 
     __slots__ = ("reliable", "in_order", "retx", "congestion", "initial_credit",
                  "send_buffer_limit", "rto_initial", "rto_min", "rto_max",
-                 "ack_delay", "sack_limit", "initial_cwnd")
+                 "sack_limit", "initial_cwnd")
 
     def __init__(self, reliable: bool = True, in_order: bool = True,
                  retx: Optional[str] = None, congestion: str = CONGESTION_NONE,
                  initial_credit: int = 64, send_buffer_limit: int = 1024,
                  rto_initial: float = 0.25, rto_min: float = 0.02,
-                 rto_max: float = 4.0, ack_delay: float = 0.0,
-                 sack_limit: int = 16, initial_cwnd: int = 4) -> None:
+                 rto_max: float = 4.0, sack_limit: int = 16,
+                 initial_cwnd: int = 4) -> None:
         if retx is None:
             retx = RETX_SELECTIVE if reliable else RETX_NONE
         if retx not in (RETX_SELECTIVE, RETX_GOBACKN, RETX_NONE):
@@ -74,10 +78,8 @@ class EfcpPolicy:
         if initial_credit < 1:
             raise ValueError("credit window must be at least 1")
         if initial_cwnd < 1:
-            # AIMD would never open its window: nothing sent, no timer
             raise ValueError("congestion window must be at least 1")
         if send_buffer_limit < 1:
-            # every send refused, and no ACK would ever raise WRITABLE
             raise ValueError("send buffer must hold at least 1 SDU")
         if sack_limit < 0:
             raise ValueError("sack_limit must not be negative")
@@ -94,7 +96,6 @@ class EfcpPolicy:
         self.rto_initial = float(rto_initial)
         self.rto_min = float(rto_min)
         self.rto_max = float(rto_max)
-        self.ack_delay = ack_delay
         self.sack_limit = sack_limit
         self.initial_cwnd = initial_cwnd
 
@@ -157,7 +158,7 @@ class EfcpConnection:
                  "_credit", "_retx_timer", "_srtt", "_rttvar",
                  "_rto", "_cwnd", "_ssthresh", "_sack_passes",
                  "_recovery_point", "_rcv_buffer", "_rcv_expected",
-                 "_rcv_window", "_ack_timer")
+                 "_rcv_window", "_ack_timer", "_ack_held")
 
     def __init__(self, engine: Engine, local_addr: Address, remote_addr: Address,
                  local_cep: int, remote_cep: int, policy: EfcpPolicy,
@@ -180,10 +181,8 @@ class EfcpConnection:
         # --- sender state ---
         self._send_queue: Deque[Tuple[int, Any, int]] = deque()  # awaiting window
         self._outstanding: Dict[int, Tuple[Any, int, float, bool]] = {}
-        # seq -> (payload, size, time_sent, retransmitted), in send order,
-        # which is ascending seq: new seqs are appended in order, a resend
-        # overwrites its entry in place, and an acked seq is never sent
-        # again, so every walk stops at its first seq out of range
+        # seq -> (payload, size, time_sent, retransmitted), in ascending seq
+        # order: a resend overwrites in place, an acked seq is never resent
         self._next_seq = 0                     # next new sequence number
         self._send_base = 0                    # oldest unacknowledged
         self._credit = policy.initial_credit   # highest seq allowed (excl.)
@@ -206,7 +205,8 @@ class EfcpConnection:
         self._rcv_buffer: Dict[int, Tuple[Any, int]] = {}
         self._rcv_expected = 0                 # next in-order seq expected
         self._rcv_window = policy.initial_credit
-        self._ack_timer = Timer(engine, self._send_ack_now, label="efcp.ack")
+        self._ack_timer = Timer(engine, self._send_held_ack, label="efcp.ack")
+        self._ack_held = False                 # one in-order PDU unacked
 
     # ------------------------------------------------------------------
     # Introspection
@@ -278,7 +278,8 @@ class EfcpConnection:
     def _transmit(self, seq: int, payload: Any, size: int, retransmit: bool) -> None:
         pdu = DataPdu(self.local_addr, self.remote_addr, self.local_cep,
                       self.remote_cep, seq, payload, size,
-                      drf=(seq == 0 and not retransmit), priority=self._priority)
+                      drf=(seq == 0 and not retransmit), priority=self._priority,
+                      followed=not retransmit and bool(self._send_queue))
         if self.policy.reliable:
             previous = self._outstanding.get(seq)
             already_retx = previous[3] if previous else False
@@ -445,14 +446,20 @@ class EfcpConnection:
             return
         if seq < self._rcv_expected or seq in self._rcv_buffer:
             self.stats.duplicates += 1
-            self._schedule_ack()
+            self._send_ack_now()
             return
+        # in order with no gap behind it: neither a loss nor a repair
+        in_order = seq == self._rcv_expected and not self._rcv_buffer
         self._rcv_buffer[seq] = (pdu.payload, pdu.payload_size)
         while self._rcv_expected in self._rcv_buffer:
             payload, size = self._rcv_buffer.pop(self._rcv_expected)
             self._rcv_expected += 1
             self._deliver_sdu(payload, size)
-        self._schedule_ack()
+        if in_order and pdu.followed and not self._ack_held:
+            self._ack_held = True
+            self._ack_timer.start(self.policy.rto_min / 8)
+        else:
+            self._send_ack_now()
 
     def _receive_unreliable(self, pdu: DataPdu) -> None:
         if self.policy.in_order:
@@ -466,16 +473,15 @@ class EfcpConnection:
         self.stats.sdus_delivered += 1
         self._deliver(payload, size)
 
-    def _schedule_ack(self) -> None:
-        if self.policy.ack_delay <= 0.0:
+    def _send_held_ack(self) -> None:
+        # an ACK sent since the hold covered the held PDU
+        if self._ack_held:
             self._send_ack_now()
-            return
-        if not self._ack_timer.running:
-            self._ack_timer.start(self.policy.ack_delay)
 
     def _send_ack_now(self) -> None:
         if self.closed:
             return
+        self._ack_held = False
         limit = self.policy.sack_limit
         # the newest buffered PDUs: the one that triggered this ACK is
         # among them, and the oldest were named by earlier ACKs

@@ -50,13 +50,18 @@ class DataPdu(Pdu):
 
     ``drf`` (data run flag) marks the first PDU of a run, letting the
     receiver synchronize its expected sequence number on a new connection.
+    ``followed`` says the sender had more SDUs queued behind this one, so
+    the receiver may hold its ACK for the next (SCTP's I-bit, inverted:
+    RFC 7053).
     """
 
-    __slots__ = ("src_cep", "dst_cep", "seq", "payload", "payload_size", "drf")
+    __slots__ = ("src_cep", "dst_cep", "seq", "payload", "payload_size", "drf",
+                 "followed")
 
     def __init__(self, src_addr: Address, dst_addr: Address, src_cep: int,
                  dst_cep: int, seq: int, payload: Any, payload_size: int,
-                 drf: bool = False, ttl: int = 64, priority: int = 8) -> None:
+                 drf: bool = False, ttl: int = 64, priority: int = 8,
+                 followed: bool = False) -> None:
         if payload_size < 0:
             raise ValueError("payload size must be non-negative")
         self.src_addr = src_addr
@@ -69,6 +74,7 @@ class DataPdu(Pdu):
         self.payload = payload
         self.payload_size = payload_size
         self.drf = drf
+        self.followed = followed
 
     def wire_size(self) -> int:
         return DATA_HEADER_BYTES + self.payload_size

@@ -249,6 +249,58 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 # Size consistency (the wire_size / _size_cache regression)
 # ----------------------------------------------------------------------
+class TestFollowedFlag:
+    """``DataPdu.followed`` rides the flag byte that carries ``drf``
+    (lower case when set), so an unfollowed PDU's bytes are the ones
+    the codec wrote before the flag existed."""
+
+    #: DataPdu(Address(1, 2), Address(3), 5, 6, 7, b"sdu", 3, drf=True),
+    #: as encoded before ``followed`` existed
+    UNFOLLOWED = bytes.fromhex(
+        "b802440000000000000040000000000000000800000000000000050000000000"
+        "0000060000000000000007000000000000000354020000000000000001000000"
+        "00000000020100000000000000036200000003736475")
+
+    @staticmethod
+    def _pdu(**flags):
+        return DataPdu(Address(1, 2), Address(3), 5, 6, 7, b"sdu", 3, **flags)
+
+    def test_an_unfollowed_pdu_encodes_as_before(self):
+        assert encode(self._pdu(drf=True)) == self.UNFOLLOWED
+
+    @pytest.mark.parametrize("drf", [False, True])
+    def test_a_followed_pdu_round_trips(self, drf):
+        buf = encode(self._pdu(drf=drf, followed=True))
+        back = decode(buf)
+        assert (back.drf, back.followed) == (drf, True)
+        assert encode(back) == buf
+        # one byte tells them apart: the flag byte
+        plain = encode(self._pdu(drf=drf))
+        assert [i for i in range(len(buf)) if buf[i] != plain[i]] == [
+            self.UNFOLLOWED.index(b"T", 2 + codec._S_DATA.size - 1)]
+
+    def test_a_followed_pdu_crosses_the_gateway_wire(self):
+        from repro.gateway.wire import decode_shim_frame, frame_to_wire
+        frame = ("data", 3, self._pdu(followed=True), 43)
+        kind, flow_id, pdu, size = decode_shim_frame(frame_to_wire(frame))
+        assert (kind, flow_id, size) == ("data", 3, 43)
+        assert (pdu.seq, pdu.drf, pdu.followed) == (7, False, True)
+
+    def test_a_followed_pdu_crosses_a_shard_cut(self):
+        from repro.shard.engine import BoundaryHalf
+        from repro.sim.engine import Engine
+        outbox, received = [], []
+        sender = BoundaryHalf(Engine(), "cut", outbox, local_index=0)
+        receiver = BoundaryHalf(Engine(), "cut", [], local_index=1)
+        receiver.ends[1].attach(lambda frame, size: received.append(frame))
+        assert sender.ends[0].send(("data", 3, self._pdu(followed=True),
+                                    43), 51)
+        (_when, name, wire, size), = outbox
+        receiver.deliver_inbound(wire, size)
+        (_kind, _flow, pdu, _size), = received
+        assert (name, pdu.seq, pdu.followed) == ("cut", 7, True)
+
+
 class TestSizeConsistency:
     @pytest.mark.parametrize("index", range(len(pdu_zoo())))
     def test_three_accountings_agree(self, index):
@@ -460,7 +512,8 @@ _fragments = st.builds(Fragment, _i64, _i64, st.booleans(),
 _payloads = _values | _fragments | _riep
 _pdus = (st.builds(DataPdu, _maybe_address, _maybe_address, _i64, _i64, _i64,
                    _payloads, st.integers(0, 2 ** 64 - 1),
-                   drf=st.booleans(), ttl=_i64, priority=_i64)
+                   drf=st.booleans(), ttl=_i64, priority=_i64,
+                   followed=st.booleans())
          | st.builds(ControlPdu, _maybe_address, _maybe_address,
                      st.sampled_from([ACK, NACK, CREDIT, KEEPALIVE]),
                      _i64, _i64, ack_seq=_i64, credit=_i64,

@@ -130,26 +130,117 @@ class TestDeliveryGap:
 
 
 class TestEfcpDelayedAcks:
-    def test_ack_delay_batches_acks(self):
+    """A reliable receiver acks every second in-order PDU, and holds a
+    lone one's ACK for ``rto_min / 8`` only if the sender marked it
+    ``followed``; anything else is acked at once."""
+
+    @staticmethod
+    def _receiver(policy=None):
         from repro.core.efcp import EfcpConnection, EfcpPolicy
         from repro.core.names import Address
-        from repro.core.pdu import ControlPdu, DataPdu
+        from repro.core.pdu import ControlPdu
         from repro.sim.engine import Engine
         engine = Engine()
         acks = []
 
         def output(pdu):
             if isinstance(pdu, ControlPdu):
-                acks.append(engine.now)
-        policy = EfcpPolicy(ack_delay=0.05)
-        conn = EfcpConnection(engine, Address(2), Address(1), 2, 1, policy,
-                              output=output, deliver=lambda p, s: None)
-        for seq in range(5):
-            conn.handle_data(DataPdu(Address(1), Address(2), 1, 2, seq,
-                                     b"x", 1))
+                acks.append((engine.now, pdu.ack_seq, pdu.sack))
+        conn = EfcpConnection(engine, Address(2), Address(1), 2, 1,
+                              policy or EfcpPolicy(), output=output,
+                              deliver=lambda p, s: None)
+        return engine, conn, acks
+
+    @staticmethod
+    def _data(seq, followed=True):
+        from repro.core.names import Address
+        from repro.core.pdu import DataPdu
+        return DataPdu(Address(1), Address(2), 1, 2, seq, b"x", 1,
+                       followed=followed)
+
+    def test_two_followed_pdus_draw_one_ack(self):
+        engine, conn, acks = self._receiver()
+        conn.handle_data(self._data(0))
+        assert acks == []
+        conn.handle_data(self._data(1))
+        assert acks == [(0.0, 2, ())]
+        engine.run(until=1.0)           # the hold's timer finds it acked
+        assert acks == [(0.0, 2, ())]
+
+    def test_an_unflagged_pdu_is_acked_at_once(self):
+        _engine, conn, acks = self._receiver()
+        conn.handle_data(self._data(0, followed=False))
+        assert acks == [(0.0, 1, ())]
+
+    def test_loss_and_repair_are_acked_at_once_with_their_sack(self):
+        engine, conn, acks = self._receiver()
+        conn.handle_data(self._data(0))     # held
+        conn.handle_data(self._data(2))     # out of order
+        conn.handle_data(self._data(2))     # duplicate
+        conn.handle_data(self._data(1))     # fills the gap
+        assert acks == [(0.0, 1, (2,)), (0.0, 1, (2,)), (0.0, 3, ())]
         engine.run(until=1.0)
-        assert len(acks) == 1            # five arrivals, one delayed ack
-        assert acks[0] == pytest.approx(0.05)
+        assert len(acks) == 3
+        assert conn.stats.duplicates == 1
+
+    def test_a_lone_followed_pdu_is_acked_after_an_eighth_of_rto_min(self):
+        from repro.core.efcp import EfcpPolicy
+        engine, conn, acks = self._receiver(EfcpPolicy(rto_min=0.04))
+        conn.handle_data(self._data(0))
+        engine.run(until=1.0)
+        assert acks == [(pytest.approx(0.005), 1, ())]
+
+    @staticmethod
+    def _bulk(strip_followed):
+        """200 PDUs of 1,000 B over one 10 Mb/s hop with an 8-PDU credit
+        window, so nearly every PDU leaves with more queued behind it:
+        ``(ACKs sent, instant of the last delivery, payloads)``."""
+        from repro.core.efcp import EfcpConnection, EfcpPolicy
+        from repro.core.names import Address
+        from repro.core.pdu import ControlPdu
+        from repro.sim.engine import Engine
+        from repro.sim.link import Link
+        engine = Engine()
+        link = Link(engine, "bulk", capacity_bps=1e7, delay=0.001,
+                    queue_limit=64)
+        policy = EfcpPolicy(initial_credit=8)
+        got, acks, last = [], [], []
+
+        def receive(payload, _size):
+            got.append(payload)
+            last[:] = [engine.now]
+
+        def ack_out(pdu):
+            acks.append(pdu)
+            link.ends[1].send(pdu, pdu.wire_size())
+        a = EfcpConnection(engine, Address(1), Address(2), 1, 2, policy,
+                           output=lambda pdu: link.ends[0].send(
+                               pdu, pdu.wire_size()),
+                           deliver=lambda p, s: None)
+        b = EfcpConnection(engine, Address(2), Address(1), 2, 1, policy,
+                           output=ack_out, deliver=receive)
+
+        def into_b(pdu, _size):
+            if strip_followed:
+                pdu.followed = False    # every PDU acked on arrival
+            b.handle_data(pdu)
+        link.ends[1].attach(into_b)
+        link.ends[0].attach(lambda pdu, _size: a.handle_control(pdu))
+        for index in range(200):
+            assert a.send(index, 1000)
+        engine.run(until=10.0)
+        assert a.all_acknowledged()
+        assert all(isinstance(pdu, ControlPdu) for pdu in acks)
+        return len(acks), last[0], got
+
+    def test_bulk_transfer_halves_its_acks_and_ends_as_early(self):
+        acks, end, got = self._bulk(strip_followed=False)
+        per_pdu_acks, per_pdu_end, per_pdu_got = self._bulk(
+            strip_followed=True)
+        assert got == per_pdu_got == list(range(200))
+        assert per_pdu_acks == 200
+        assert acks <= 110
+        assert end == per_pdu_end
 
     def test_immediate_acks_by_default(self):
         from repro.core.efcp import EfcpConnection, EfcpPolicy

@@ -200,8 +200,8 @@ EXPECTED = {
         "wl.echo.pump": 50, "wl.echo.start": 1, "wl.xfer.push": 14,
         "wl.xfer.start": 2},
     "data_clean_rina": {
-        "(unlabelled)": 2, "<ipcp>.keepalive": 210, "<link>.rx": 2927,
-        "cbr.tick": 250, "fa.allocate": 9, "fa.retry": 1,
+        "(unlabelled)": 2, "<ipcp>.keepalive": 210, "<link>.rx": 2877,
+        "cbr.tick": 250, "efcp.ack": 4, "fa.allocate": 9, "fa.retry": 1,
         "fabric.start": 1, "riep.flood-ack": 36, "riep.flood-retx": 40,
         "routing.spf": 18, "shim.alloc-retry": 5,
         "wl.cbr.start": 1, "wl.echo.pump": 50, "wl.echo.start": 1,
@@ -212,8 +212,9 @@ EXPECTED = {
     # buffer came to say when it drains (the flow's WRITABLE); every
     # other row held
     "data_clean_full": {
-        "(unlabelled)": 2, "<ipcp>.keepalive": 1422, "<link>.rx": 70167,
-        "cbr.tick": 2949, "efcp.retx": 88, "fa.allocate": 9, "fa.retry": 1,
+        "(unlabelled)": 2, "<ipcp>.keepalive": 1422, "<link>.rx": 55837,
+        "cbr.tick": 2949, "efcp.ack": 372, "efcp.retx": 88, "fa.allocate": 9,
+        "fa.retry": 1,
         "fabric.start": 1, "riep.flood-ack": 36, "riep.flood-retx": 40,
         "routing.spf": 18, "shim.alloc-retry": 5, "wl.cbr.start": 1,
         "wl.echo.pump": 500, "wl.echo.start": 1, "wl.xfer.start": 2},
@@ -265,8 +266,8 @@ def test_events_per_label(census, workload):
 #: (1,102, of which 88 fire), and no backpressure poll.
 SCHEDULED = {
     "data_clean_full": {
-        "(unlabelled)": 2, "<ipcp>.keepalive": 1434, "<link>.rx": 70167,
-        "cbr.tick": 2950, "efcp.retx": 1102, "fa.allocate": 9,
+        "(unlabelled)": 2, "<ipcp>.keepalive": 1434, "<link>.rx": 55837,
+        "cbr.tick": 2950, "efcp.ack": 372, "efcp.retx": 1102, "fa.allocate": 9,
         "fa.retry": 1, "fabric.start": 1, "riep.flood-ack": 36,
         "riep.flood-retx": 40, "riep.invoke": 29, "routing.spf": 18,
         "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 500,
@@ -319,7 +320,7 @@ def test_data_lossy_recovery_counters(monkeypatch):
 #: ``Data(Control)``; the shim's own allocation frames are ``other``.
 #: The rows sum to the census row's ``<link>.rx``.
 FRAMES_DATA_CLEAN_FULL = {
-    "Data(Data)": 35_259, "Data(Control)": 33_080, "Control": 1_590,
+    "Data(Data)": 35_259, "Data(Control)": 18_750, "Control": 1_590,
     "Data(Management)": 118, "Management": 110, "other": 10}
 
 _PDU_KINDS = {"DataPdu": "Data", "ControlPdu": "Control",
