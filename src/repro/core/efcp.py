@@ -40,6 +40,10 @@ RETX_NONE = "none"
 CONGESTION_NONE = "none"
 CONGESTION_AIMD = "aimd"
 
+#: A receiver holds an ACK at most this share of its DIF's timeout
+#: (``rto_min``, ``flood_ack_timeout``): OSPF's delayed LSAck, RFC 2328.
+ACK_DELAY_SHARE = 1 / 8
+
 
 class EfcpPolicy:
     """Policy bundle configuring an EFCP connection.
@@ -53,7 +57,7 @@ class EfcpPolicy:
     the retransmission timer alone).
 
     A reliable receiver acks every second in-order PDU, and holds a lone
-    one's ACK (for ``rto_min / 8``, the flood ack's share) only if the
+    one's ACK (for :data:`ACK_DELAY_SHARE` of ``rto_min``) only if the
     sender marked it ``followed`` (RFC 1122 §4.2.3.2, RFC 7053).
     """
 
@@ -457,7 +461,7 @@ class EfcpConnection:
             self._deliver_sdu(payload, size)
         if in_order and pdu.followed and not self._ack_held:
             self._ack_held = True
-            self._ack_timer.start(self.policy.rto_min / 8)
+            self._ack_timer.start(self.policy.rto_min * ACK_DELAY_SHARE)
         else:
             self._send_ack_now()
 

@@ -26,6 +26,7 @@ from ..sim.engine import Engine, PeriodicTask
 from ..sim.trace import Tracer
 from .dif import Dif
 from .directory import DifDirectory
+from .efcp import ACK_DELAY_SHARE
 from .enrollment import EnrollmentTask
 from .flow import DEALLOCATED, Flow
 from .flow_allocator import FLOW_OBJ, FlowAllocator
@@ -43,11 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .system import System
 
 InboundListener = Callable[[Flow], None]
-
-#: Flooded copies are acked this share of ``flood_ack_timeout`` after the
-#: first one owed arrived, well inside every DIF's retransmission timeout
-#: (OSPF's delayed LSAck, RFC 2328 §13.5).
-ACK_DELAY_SHARE = 1 / 8
 
 
 class Ipcp:

@@ -50,9 +50,8 @@ class DataPdu(Pdu):
 
     ``drf`` (data run flag) marks the first PDU of a run, letting the
     receiver synchronize its expected sequence number on a new connection.
-    ``followed`` says the sender had more SDUs queued behind this one, so
-    the receiver may hold its ACK for the next (SCTP's I-bit, inverted:
-    RFC 7053).
+    ``followed`` says more SDUs were queued behind this one, so the
+    receiver may hold its ACK for the next (RFC 7053's I-bit, inverted).
     """
 
     __slots__ = ("src_cep", "dst_cep", "seq", "payload", "payload_size", "drf",
