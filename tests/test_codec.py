@@ -246,9 +246,6 @@ class TestRoundTrip:
             encode(value)
 
 
-# ----------------------------------------------------------------------
-# Size consistency (the wire_size / _size_cache regression)
-# ----------------------------------------------------------------------
 class TestFollowedFlag:
     """``DataPdu.followed`` rides the flag byte that carries ``drf``
     (lower case when set), so an unfollowed PDU's bytes are the ones
@@ -274,10 +271,12 @@ class TestFollowedFlag:
         back = decode(buf)
         assert (back.drf, back.followed) == (drf, True)
         assert encode(back) == buf
-        # one byte tells them apart: the flag byte
+        # one byte tells them apart: the flag byte, in lower case
+        flag_at = len(HEADER) + codec._S_DATA.size - 1
         plain = encode(self._pdu(drf=drf))
         assert [i for i in range(len(buf)) if buf[i] != plain[i]] == [
-            self.UNFOLLOWED.index(b"T", 2 + codec._S_DATA.size - 1)]
+            flag_at]
+        assert buf[flag_at:flag_at + 1] == (b"t" if drf else b"f")
 
     def test_a_followed_pdu_crosses_the_gateway_wire(self):
         from repro.gateway.wire import decode_shim_frame, frame_to_wire
@@ -301,6 +300,9 @@ class TestFollowedFlag:
         assert (name, pdu.seq, pdu.followed) == ("cut", 7, True)
 
 
+# ----------------------------------------------------------------------
+# Size consistency (the wire_size / _size_cache regression)
+# ----------------------------------------------------------------------
 class TestSizeConsistency:
     @pytest.mark.parametrize("index", range(len(pdu_zoo())))
     def test_three_accountings_agree(self, index):
