@@ -141,15 +141,15 @@ has more queued, and holds a lone one's ACK on its ``efcp.ack`` timer
 (docs/ARCHITECTURE.md, "Acks: one per two PDUs while more is queued"):
 
 * ``data_clean`` rina 123,302 → 121,178 (−1.7 %): ``_schedule_ack``
-  −250 (gone: a PDU is acked or held in ``handle_data``); 10 of the 250
-  rank-2 ACKs coalesce, each −1 in ``_send_ack_now``,
+  −250 (gone: a PDU is acked or held in ``handle_data``); 10 of the run's
+  250 ACKs coalesce (rank-2 ones), each −1 in ``_send_ack_now``,
   ``ControlPdu.__init__``, ``handle_control`` (both the connection's and
   the flow allocator's), ``_fast_retransmit``, ``_pump`` and
   ``_effective_window_edge``, and the 50 rank-1 PDUs, frames and hops
   that carried them −50 or −100 per function on the relay path
   (``Rmt.receive``, ``_relay``, ``_enqueue``, ``next_hop``,
-  ``Link.transmit`` ...); ``_send_held_ack`` +2 and ``Timer._fire`` +4
-  (two holds ran out).
+  ``Link.transmit`` ...); ``Timer._fire`` +4 (the four ``efcp.ack``
+  events) and ``_send_held_ack`` +2 (two of them at a hold's deadline).
 """
 
 import os
