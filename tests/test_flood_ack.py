@@ -21,7 +21,8 @@ from repro.core import (Dif, DifPolicies, Orchestrator, add_shims,
 from repro.core import ipcp as ipcp_module
 from repro.core.directory import DIRECTORY_OBJ
 from repro.core.ipcp import Ipcp
-from repro.core.riep import FLOOD_ACK_OBJ, DeadlineFifo
+from repro.core.riep import (FLOOD_ACK_OBJ, DeadlineFifo,
+                             estimate_value_size)
 from repro.core.routing import LSA_OBJ
 from repro.sim.engine import Engine
 from repro.sim.network import Network
@@ -166,6 +167,23 @@ class TestDelayedAck:
         network.run(until=network.engine.now + TIMEOUT + 0.01)
         assert network.tracer.counter_value("mgmt.flood-retx") == 0
         assert not s0._unacked[s1.address].pending
+
+
+class TestAckSize:
+    def test_every_ack_reports_the_size_its_value_walks_to(self, wire):
+        network, members = chain(3)
+        start = network.engine.now
+        originate(members["s0"], 1)
+        network.run(until=start + 1.0)
+        originate(members["s0"], 3)
+        network.run(until=start + 2.0)
+        acks = [message for _t, _s, message in wire.sends
+                if message.obj == FLOOD_ACK_OBJ]
+        assert {len(ack.value) for ack in acks} >= {1, 3}
+        for ack in acks:
+            walked = (len(ack.opcode) + len(ack.obj) + 12
+                      + estimate_value_size(ack.value))
+            assert ack.estimate_size() == walked
 
 
 class TestZeroDelay:

@@ -248,6 +248,32 @@ class TestRmtForwarding:
         rmt.add_port(6, lambda p, s: True, peer_addr=Address(2))
         assert len(rmt.ports_to(Address(2))) == 2
 
+    def test_neighbors_follow_every_change_of_the_neighbour_set(self):
+        engine, rmt, _del, _d = self._rmt()
+        send = lambda p, s: True    # noqa: E731
+        steps = [
+            lambda: rmt.add_port(5, send, peer_addr=Address(4)),
+            lambda: rmt.add_port(6, send, peer_addr=Address(2)),
+            lambda: rmt.add_port(7, send),               # no peer yet
+            lambda: rmt.add_port(8, send, peer_addr=Address(4)),
+            lambda: rmt.set_peer(7, Address(3)),
+            lambda: rmt.set_peer(6, Address(3)),         # 2 loses its port
+            lambda: rmt.remove_port(5),                  # 4 keeps port 8
+            lambda: rmt.remove_port(8),                  # 4's last port
+        ]
+        seen = []
+        for step in steps:
+            step()
+            expected = sorted({port.peer_addr for port in rmt._ports.values()
+                               if port.peer_addr is not None})
+            neighbors = rmt.neighbors()
+            assert neighbors == expected
+            seen.append((neighbors, list(neighbors)))
+        assert seen[-1][0] == [Address(3)]
+        # a list handed out earlier is not changed by a later step
+        for neighbors, copy in seen:
+            assert neighbors == copy
+
 
 class TestRmtPacing:
     """Ports with a nominal rate and a priority scheduler are paced; the
