@@ -33,7 +33,7 @@ from .flow_allocator import FLOW_OBJ, FlowAllocator
 from .names import Address, ApplicationName
 from .pdu import KEEPALIVE, ControlPdu, DataPdu, ManagementPdu, Pdu
 from .riep import (FLOOD_ACK_OBJ, DeadlineFifo, InvokeTable, M_READ,
-                   M_WRITE_R, RESULT_NOT_FOUND, RESULT_OK, RiepMessage)
+                   RESULT_NOT_FOUND, RESULT_OK, RiepMessage, flood_ack)
 from .rmt import Rmt
 from .routing import LSA_OBJ, LinkStateRouting
 from .directory import DIRECTORY_OBJ
@@ -198,7 +198,7 @@ class Ipcp:
 
     def first_alive_port_to(self, neighbor: Address) -> Optional[int]:
         """Port id of the first usable attachment to ``neighbor``."""
-        for port in self.rmt.ports_to(neighbor):
+        for port in self.rmt._neighbor_ports.get(neighbor, ()):
             if port.alive:
                 return port.port_id
         return None
@@ -236,17 +236,20 @@ class Ipcp:
         sends in all, so flooding converges even over lossy media.
         """
         sent = 0
+        size = retries = None
         for neighbor in self.rmt.neighbors():
             if neighbor != exclude_neighbor:
+                if size is None:    # read once, by the first copy made
+                    size = message.estimate_size()
+                    retries = self.dif.policies.flood_attempts - 1
                 copy = RiepMessage(message.opcode, obj=message.obj,
                                    value=message.value,
                                    invoke_id=next(self._flood_ids))
                 # the payload is shared, so the encoded-size estimate
                 # carries over (re-walking a large LSA value per neighbor
                 # was a measured cost)
-                copy._size_cache = message.estimate_size()
-                sent += self._send_copy(
-                    neighbor, copy, self.dif.policies.flood_attempts - 1)
+                copy._size_cache = size
+                sent += self._send_copy(neighbor, copy, retries)
         self._flooded += sent
         return sent
 
@@ -406,12 +409,15 @@ class Ipcp:
         """Owe the port's neighbour an ack for a flooded copy, duplicate
         or stale too; the first copy owed starts the port's ack delay."""
         if message.invoke_id and port_id >= 0:
-            self._acks_due.setdefault(port_id, []).append(message.invoke_id)
+            entry = self._acks_due.pending.get(port_id)
+            if entry is None:
+                self._acks_due.setdefault(port_id, [message.invoke_id])
+            else:
+                entry[1].append(message.invoke_id)
 
     def _flush_acks(self, port_id: int, due: List[int]) -> None:
         """Ack every copy owed on the port in one ``M_WRITE_R``."""
-        self.send_mgmt_on_port(
-            port_id, RiepMessage(M_WRITE_R, obj=FLOOD_ACK_OBJ, value=due))
+        self.send_mgmt_on_port(port_id, flood_ack(due))
 
     # ------------------------------------------------------------------
     # Neighbor liveness (keepalives)

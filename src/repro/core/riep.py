@@ -18,7 +18,7 @@ flooded copies, one per neighbour.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.engine import Engine
 from .names import Address
@@ -41,6 +41,7 @@ M_STOP = "M_STOP"
 M_STOP_R = "M_STOP_R"
 
 FLOOD_ACK_OBJ = "/flood/ack"  # an M_WRITE_R listing flooded copies' ids
+HEADER_BYTES = 12             # a message's size estimate past its two names
 
 RESULT_OK = 0
 RESULT_ERROR = 1
@@ -104,7 +105,7 @@ class RiepMessage:
         measured hot spot at thousand-member scale).
         """
         if self._size_cache is None:
-            body = len(self.opcode) + len(self.obj) + 12
+            body = len(self.opcode) + len(self.obj) + HEADER_BYTES
             if self.value is not None:
                 body += estimate_value_size(self.value)
             self._size_cache = body
@@ -117,6 +118,15 @@ class RiepMessage:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RIEP {self.opcode} {self.obj} id={self.invoke_id} r={self.result}>"
+
+
+def flood_ack(invoke_ids: List[int]) -> RiepMessage:
+    """The ``M_WRITE_R`` acking flooded copies by invoke-id, sized as
+    :func:`estimate_value_size` charges an int list, without the walk."""
+    ack = RiepMessage(M_WRITE_R, obj=FLOOD_ACK_OBJ, value=invoke_ids)
+    ack._size_cache = (len(M_WRITE_R) + len(FLOOD_ACK_OBJ) + HEADER_BYTES
+                       + 2 + 8 * len(invoke_ids))
+    return ack
 
 
 def estimate_value_size(value: Any) -> int:

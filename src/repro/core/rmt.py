@@ -299,8 +299,8 @@ class Rmt:
 
     __slots__ = ("_engine", "local_addr", "_deliver_local",
                  "_scheduler_factory", "_path_selector", "_on_drop",
-                 "_forwarding", "_ports", "_neighbor_ports", "pdus_relayed",
-                 "pdus_delivered", "pdus_dropped")
+                 "_forwarding", "_ports", "_neighbor_ports", "_neighbors",
+                 "pdus_relayed", "pdus_delivered", "pdus_dropped")
 
     def __init__(self, engine: Engine, deliver_local: DeliverFn,
                  scheduler_factory: Callable[[], Scheduler] = FifoScheduler,
@@ -319,6 +319,8 @@ class Rmt:
         # neighbor -> its ports, in attachment order; _relay reads these
         # lists as they are, so they hold the port objects themselves
         self._neighbor_ports: Dict[Address, List[RmtPort]] = {}
+        # their sorted addresses; a change drops it for a new list
+        self._neighbors: Optional[List[Address]] = []
         self.pdus_relayed = 0
         self.pdus_delivered = 0
         self.pdus_dropped = 0
@@ -343,6 +345,7 @@ class Rmt:
         self._ports[port_id] = port
         if peer_addr is not None:
             self._neighbor_ports.setdefault(peer_addr, []).append(port)
+            self._neighbors = None
         return port
 
     def remove_port(self, port_id: int) -> None:
@@ -370,8 +373,10 @@ class Rmt:
         return list(self._neighbor_ports.get(neighbor, ()))
 
     def neighbors(self) -> List[Address]:
-        """Neighbor IPCP addresses with at least one registered port."""
-        return sorted(self._neighbor_ports)
+        """Neighbor addresses with a registered port, sorted (shared)."""
+        if self._neighbors is None:
+            self._neighbors = sorted(self._neighbor_ports)
+        return self._neighbors
 
     def set_peer(self, port_id: int, peer_addr: Address) -> None:
         """Bind a port to its neighbor's address (learned at enrollment)."""
@@ -381,17 +386,17 @@ class Rmt:
         ports = self._neighbor_ports.setdefault(peer_addr, [])
         if port not in ports:
             ports.append(port)
+        self._neighbors = None
 
     def _unlink_neighbor(self, port: RmtPort) -> None:
         """Take ``port`` out of its neighbor's list (and drop the list
         once empty)."""
-        if port.peer_addr is None:
-            return
-        ports = self._neighbor_ports.get(port.peer_addr, [])
-        if port in ports:
+        ports = self._neighbor_ports.get(port.peer_addr)
+        if ports is not None and port in ports:
             ports.remove(port)
-        if not ports:
-            self._neighbor_ports.pop(port.peer_addr, None)
+            if not ports:
+                del self._neighbor_ports[port.peer_addr]
+                self._neighbors = None
 
     def set_alive(self, port_id: int, alive: bool) -> None:
         """Neighbor-monitoring verdict for one port."""

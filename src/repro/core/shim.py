@@ -152,7 +152,8 @@ class ShimIpcp:
     def _send_data(self, flow_id: int, payload: Any, size: int) -> bool:
         if flow_id not in self._flows:
             return False
-        if self._send_frame(_KIND_DATA, flow_id, payload, size):
+        if self._end.send((_KIND_DATA, flow_id, payload, size),
+                          SHIM_HEADER_BYTES + size):
             return True
         if not self._refused:
             # WRITABLE once the link takes a frame again: at the end of the

@@ -53,11 +53,6 @@ class Event:
         (harmless once it has run)."""
         self.cancelled = True
 
-    @property
-    def active(self) -> bool:
-        """True if the event has not been cancelled."""
-        return not self.cancelled
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} {self.label!r} {state}>"
@@ -290,7 +285,7 @@ class Timer:
     @property
     def running(self) -> bool:
         """True while the timer is armed."""
-        return self._event is not None and self._event.active
+        return self._event is not None and not self._event.cancelled
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer to fire ``delay`` seconds from now."""

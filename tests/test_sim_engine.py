@@ -128,9 +128,9 @@ class TestScheduling:
     def test_cancelled_event_inactive(self):
         engine = Engine()
         event = engine.call_at(1.0, lambda: None)
-        assert event.active
+        assert not event.cancelled
         event.cancel()
-        assert not event.active
+        assert event.cancelled
 
 
 class TestRunControl:
