@@ -239,7 +239,7 @@ class Ipcp:
         size = retries = None
         for neighbor in self.rmt.neighbors():
             if neighbor != exclude_neighbor:
-                if size is None:    # read once, by the first copy made
+                if size is None:    # a flood that copies nothing reads neither
                     size = message.estimate_size()
                     retries = self.dif.policies.flood_attempts - 1
                 copy = RiepMessage(message.opcode, obj=message.obj,

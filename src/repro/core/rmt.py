@@ -319,7 +319,7 @@ class Rmt:
         # neighbor -> its ports, in attachment order; _relay reads these
         # lists as they are, so they hold the port objects themselves
         self._neighbor_ports: Dict[Address, List[RmtPort]] = {}
-        # their sorted addresses; a change drops it for a new list
+        # their sorted addresses, replaced (never edited): None after a change
         self._neighbors: Optional[List[Address]] = []
         self.pdus_relayed = 0
         self.pdus_delivered = 0
@@ -373,7 +373,7 @@ class Rmt:
         return list(self._neighbor_ports.get(neighbor, ()))
 
     def neighbors(self) -> List[Address]:
-        """Neighbor addresses with a registered port, sorted (shared)."""
+        """Neighbor addresses with a registered port, sorted; do not edit."""
         if self._neighbors is None:
             self._neighbors = sorted(self._neighbor_ports)
         return self._neighbors
