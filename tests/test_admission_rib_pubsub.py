@@ -122,52 +122,52 @@ class TestAdmissionControl:
         assert all(f.allocated for f in flows)
 
 
-class TestRemoteRibRead:
-    def _pair(self):
-        return build_pair(DifPolicies(keepalive_interval=5.0))
+#: every path ``Ipcp.rib_snapshot_value`` serves, and what B answers
+SERVED = [
+    ("/ipcp/address", (2,)),            # B's address parts
+    ("/ipcp/name", "d.ipcp.b"),
+    ("/routing/table-size", 1),
+    ("/routing/table", {"1": "1"}),
+    ("/routing/lsdb-size", 2),
+    ("/directory/size", 1),
+    ("/directory/names", ["svc"]),
+    ("/flows/count", 0),
+    ("/flows/committed-bandwidth", 0.0),
+    ("/stats/rmt", {"relayed": 0, "delivered": 6, "dropped": 0}),
+    ("/neighbors", ["1"]),
+]
 
-    def _read(self, network, systems, obj):
+
+class TestRemoteRibRead:
+    """A reads B's RIB with ``M_READ``: every path
+    ``Ipcp.rib_snapshot_value`` serves, with the exact value on the pair
+    (``svc`` registered at B), and the paths it does not serve."""
+
+    def _read(self, obj):
+        network, systems, _dif = build_pair(DifPolicies(keepalive_interval=5.0))
+        systems["b"].register_app(ApplicationName("svc"), lambda f: None)
+        network.run(until=network.engine.now + 0.5)
         a = systems["a"].ipcp("d")
         b = systems["b"].ipcp("d")
+        assert (a.address.parts, b.address.parts) == ((1,), (2,))
         replies = []
         a.remote_read(b.address, obj, replies.append)
         run_until(network, lambda: replies, timeout=10)
         return replies[0]
 
-    def test_read_peer_address_object(self):
-        network, systems, _dif = self._pair()
-        reply = self._read(network, systems, "/ipcp/name")
+    @pytest.mark.parametrize("obj, value", SERVED,
+                             ids=[obj for obj, _value in SERVED])
+    def test_read_peer_object(self, obj, value):
+        reply = self._read(obj)
         assert reply is not None and reply.ok
-        assert reply.value == "d.ipcp.b"
+        assert reply.value == value
 
-    def test_read_peer_routing_table(self):
-        network, systems, _dif = self._pair()
-        reply = self._read(network, systems, "/routing/table-size")
-        assert reply.ok and reply.value == 1
-
-    def test_read_peer_directory_names(self):
-        network, systems, _dif = self._pair()
-        systems["b"].register_app(ApplicationName("svc"), lambda f: None)
-        network.run(until=network.engine.now + 0.5)
-        reply = self._read(network, systems, "/directory/names")
-        assert reply.ok and "svc" in reply.value
-
-    def test_read_peer_rmt_stats(self):
-        network, systems, _dif = self._pair()
-        reply = self._read(network, systems, "/stats/rmt")
-        assert reply.ok
-        assert set(reply.value) == {"relayed", "delivered", "dropped"}
-
-    def test_read_unknown_object_not_found(self):
-        network, systems, _dif = self._pair()
-        reply = self._read(network, systems, "/no/such/thing")
+    @pytest.mark.parametrize("obj", ["/no/such/thing", ""],
+                             ids=["unknown", "empty"])
+    def test_read_unserved_object_not_found(self, obj):
+        reply = self._read(obj)
         assert reply is not None and not reply.ok
-
-    def test_read_neighbors(self):
-        network, systems, _dif = self._pair()
-        a_addr = systems["a"].ipcp("d").address
-        reply = self._read(network, systems, "/neighbors")
-        assert reply.ok and reply.value == [str(a_addr)]
+        assert reply.value is None
 
 
 class TestPubSub:
