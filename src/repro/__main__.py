@@ -101,6 +101,11 @@ def _a2_jobs() -> List[Job]:
     return iter_jobs()
 
 
+def _a5_jobs() -> List[Job]:
+    from .experiments.a5_depth import iter_jobs
+    return iter_jobs()
+
+
 EXPERIMENTS: Dict[str, tuple] = {
     "e1": ("Fig 1: two-system IPC under loss", _e1_jobs),
     "e2": ("Fig 2: relaying through dedicated systems", _e2_jobs),
@@ -118,6 +123,7 @@ EXPERIMENTS: Dict[str, tuple] = {
     "e9": ("§6.5/§6.7: private addressing without NAT", _e9_jobs),
     "a1": ("ablation: addressing policies", _a1_jobs),
     "a2": ("ablation: EFCP policies", _a2_jobs),
+    "a5": ("ablation: what each level of recursion costs", _a5_jobs),
 }
 
 

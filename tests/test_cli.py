@@ -20,7 +20,8 @@ class TestCli:
 
     def test_registry_covers_all_paper_experiments(self):
         assert set(EXPERIMENTS) == {"e1", "e2", "e3", "e4", "e5", "e6",
-                                    "e6-scale", "e7", "e8", "e9", "a1", "a2"}
+                                    "e6-scale", "e7", "e8", "e9", "a1", "a2",
+                                    "a5"}
 
     def test_single_experiment_prints_table(self, capsys, monkeypatch):
         from repro.sweeps import Job
