@@ -32,7 +32,6 @@ from .names import Address, ApplicationName, DifName, PortId
 from .pdu import ControlPdu, DataPdu, ManagementPdu, Pdu
 from .qos import (BEST_EFFORT, BULK, DEFAULT_CUBES, LOW_LATENCY, RELIABLE,
                   QosCube, resolve_cube)
-from .rib import Rib, RibError
 from .riep import InvokeTable, RiepMessage
 from .rmt import (DrrScheduler, FifoScheduler, HashedPaths, PathSelector,
                   PreferFirstAlive, PriorityScheduler, Rmt, RoundRobinPaths,
@@ -49,7 +48,7 @@ __all__ = [
     "WireError", "encode", "decode",
     "EfcpConnection", "EfcpPolicy",
     "Delimiter", "Reassembler", "Fragment",
-    "Rib", "RibError", "RiepMessage", "InvokeTable",
+    "RiepMessage", "InvokeTable",
     "AuthPolicy", "NoAuth", "PresharedKey", "ChallengeResponse",
     "FlowAccessPolicy", "AllowAll", "DenyAll", "AllowList",
     "AddressingPolicy", "FlatAddressing", "TopologicalAddressing",

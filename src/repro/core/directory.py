@@ -121,10 +121,6 @@ class DifDirectory:
                 names = {ApplicationName.parse(t) for t in value["names"]}
                 self._remote[origin] = (seq, names)
 
-    def forget_origin(self, origin: Address) -> None:
-        """Drop registrations learned from a departed member."""
-        self._remote.pop(origin, None)
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------

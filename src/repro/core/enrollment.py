@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 ENROLL_OBJ = "/enrollment"
 AUTH_OBJ = "/enrollment/auth"
-DEPART_OBJ = "/enrollment/depart"
 
 DoneFn = Callable[[bool, str], None]
 
@@ -176,8 +175,6 @@ class EnrollmentTask:
             self._on_connect(message, port_id)
         elif message.opcode == M_START and message.obj == AUTH_OBJ:
             self._on_auth(message, port_id)
-        elif message.obj == DEPART_OBJ:
-            self._on_depart(message, port_id)
 
     def _on_connect(self, message: RiepMessage, port_id: int) -> None:
         ipcp = self._ipcp
@@ -251,25 +248,3 @@ class EnrollmentTask:
                         member=str(ipcp.name),
                         joiner=message.value.get("name", "?"),
                         address=str(address))
-
-    # ------------------------------------------------------------------
-    # Departure
-    # ------------------------------------------------------------------
-    def announce_departure(self) -> None:
-        """Tell every neighbor this member is leaving (graceful hand-off)."""
-        ipcp = self._ipcp
-        if ipcp.address is None:
-            return
-        message = RiepMessage(M_START, obj=DEPART_OBJ,
-                              value={"address": ipcp.address.parts})
-        for neighbor in ipcp.rmt.neighbors():
-            port = ipcp.first_alive_port_to(neighbor)
-            if port is not None:
-                ipcp.send_mgmt_on_port(port, message)
-
-    def _on_depart(self, message: RiepMessage, port_id: int) -> None:
-        ipcp = self._ipcp
-        departed = Address(*message.value["address"])
-        ipcp.routing.neighbor_down(departed)
-        ipcp.directory.forget_origin(departed)
-        ipcp.drop_ports_to(departed)

@@ -37,8 +37,7 @@ from .riep import (FLOOD_ACK_OBJ, DeadlineFifo, InvokeTable, M_READ,
 from .rmt import Rmt
 from .routing import LSA_OBJ, LinkStateRouting
 from .directory import DIRECTORY_OBJ
-from .enrollment import AUTH_OBJ, DEPART_OBJ, ENROLL_OBJ
-from .rib import Rib
+from .enrollment import AUTH_OBJ, ENROLL_OBJ
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .system import System
@@ -50,7 +49,7 @@ class Ipcp:
     """One IPC process.  Create via :meth:`repro.core.system.System.create_ipcp`."""
 
     __slots__ = ("engine", "system_name", "dif", "name", "tracer", "address",
-                 "rib", "_port_ids", "invoke_table", "rmt", "routing",
+                 "_port_ids", "invoke_table", "rmt", "routing",
                  "directory", "enrollment", "flow_allocator", "_local_apps",
                  "_lower_flows", "_last_heard", "_keepalive_task",
                  "_refresh_task", "_flood_ids", "_unacked", "_acks_due",
@@ -65,7 +64,6 @@ class Ipcp:
         self.name = dif.name.ipcp_name(system_name)
         self.tracer = tracer if tracer is not None else Tracer()
         self.address: Optional[Address] = None
-        self.rib = Rib()
         self._port_ids = port_ids if port_ids is not None else itertools.count(1)
         policies = dif.policies
         self.invoke_table = InvokeTable(engine, policies.mgmt_timeout)
@@ -109,7 +107,6 @@ class Ipcp:
     def set_address(self, address: Address) -> None:
         """Adopt the DIF-internal address assigned at enrollment."""
         self._bind_address(address)
-        self.rib.write("/ipcp/address", address.parts)
 
     def _bind_address(self, address: Optional[Address]) -> None:
         """The one writer of this IPCP's address: the RMT keeps its own
@@ -187,14 +184,6 @@ class Ipcp:
         self.rmt.set_alive(port_id, True)
         self._last_heard[port_id] = self.engine.now
         self.routing.neighbor_up(peer_addr)
-
-    def drop_ports_to(self, neighbor: Address) -> None:
-        """Remove all attachments to a departed neighbor."""
-        for port in list(self.rmt.ports_to(neighbor)):
-            flow = self._lower_flows.get(port.port_id)
-            if flow is not None:
-                flow.deallocate()
-            self.remove_lower_flow(port.port_id)
 
     def first_alive_port_to(self, neighbor: Address) -> Optional[int]:
         """Port id of the first usable attachment to ``neighbor``."""
@@ -334,7 +323,7 @@ class Ipcp:
         elif obj == DIRECTORY_OBJ and message.opcode != M_READ:
             self._ack_flood(message, port_id)
             self.directory.handle_update(message, from_neighbor)
-        elif obj in (ENROLL_OBJ, AUTH_OBJ, DEPART_OBJ):
+        elif obj in (ENROLL_OBJ, AUTH_OBJ):
             self.enrollment.handle(message, port_id)
         elif obj == FLOW_OBJ:
             self.flow_allocator.handle_request(message, pdu.src_addr, port_id)
@@ -371,8 +360,9 @@ class Ipcp:
     def rib_snapshot_value(self, obj: str):
         """The value served for a RIB read of ``obj`` (None = not found).
 
-        Live objects are computed on demand; anything else falls back to
-        the literal RIB tree.
+        The RIB is this IPCP's live state under the names ``M_READ``
+        uses: each path reads the component that owns it, so no second
+        copy is kept.  A new management object is a new path here.
         """
         if obj == "/ipcp/address":
             return self.address.parts if self.address else None
@@ -399,11 +389,7 @@ class Ipcp:
                     "dropped": self.rmt.pdus_dropped}
         if obj == "/neighbors":
             return [str(addr) for addr in self.rmt.neighbors()]
-        return self.rib.read_or(obj, None) if self._valid_rib_path(obj) else None
-
-    @staticmethod
-    def _valid_rib_path(obj: str) -> bool:
-        return bool(obj) and obj.startswith("/") and obj.strip("/")
+        return None
 
     def _ack_flood(self, message: RiepMessage, port_id: int) -> None:
         """Owe the port's neighbour an ack for a flooded copy, duplicate
@@ -468,29 +454,12 @@ class Ipcp:
                             ipcp=str(self.name), peer=str(port.peer_addr))
 
     # ------------------------------------------------------------------
-    # Departure (mobility)
-    # ------------------------------------------------------------------
-    def leave(self) -> None:
-        """Gracefully leave the DIF: announce, drop attachments, forget
-        the address (Fig 5: a mobile 'drops its participation' in old DIFs)."""
-        self.enrollment.announce_departure()
-        if self.address is not None:
-            self.dif.remove_member(self.address)
-        for port_id in list(self._lower_flows):
-            flow = self._lower_flows.get(port_id)
-            if flow is not None:
-                flow.deallocate()
-            self.remove_lower_flow(port_id)
-        self._bind_address(None)
-        self._keepalive_task.stop()
-
-    # ------------------------------------------------------------------
     # Crash / restart (fault injection)
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Abrupt failure: lose all DIF state *without* the graceful
-        departure announcement of :meth:`leave`.  Neighbors find out the
-        hard way — keepalive timeout — exactly as with a real power loss.
+        """Abrupt failure: lose all DIF state without telling anyone.
+        Neighbors find out the hard way — keepalive timeout — exactly as
+        with a real power loss.
         """
         if self.address is not None:
             self.dif.remove_member(self.address)

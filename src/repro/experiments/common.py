@@ -92,11 +92,6 @@ def delivery_gap(times: Sequence[float], at: float) -> float:
     return gap
 
 
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean (NaN when empty)."""
-    return sum(values) / len(values) if values else math.nan
-
-
 def percentile(values: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile."""
     if not values:

@@ -11,11 +11,11 @@ from .link import GilbertElliott, Link, LinkEnd, LossModel, NoLoss, UniformLoss
 from .network import Network
 from .node import Interface, Node
 from .rng import RandomStreams
-from .trace import Counter, TimeSeries, Tracer
+from .trace import Counter, Tracer
 
 __all__ = [
     "Engine", "Event", "PeriodicTask", "SimulationError", "Timer",
     "Link", "LinkEnd", "LossModel", "NoLoss", "UniformLoss", "GilbertElliott",
     "Network", "Node", "Interface", "RandomStreams",
-    "Counter", "TimeSeries", "Tracer",
+    "Counter", "Tracer",
 ]

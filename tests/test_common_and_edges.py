@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.experiments.common import (delivery_gap, format_table, goodput_bps,
-                                      mean, percentile)
+                                      percentile)
 
 
 class TestFormatTable:
@@ -62,10 +62,6 @@ class TestMetricsHelpers:
     def test_goodput(self):
         assert goodput_bps(1000, 2.0) == 4000.0
         assert math.isnan(goodput_bps(1000, 0.0))
-
-    def test_mean(self):
-        assert mean([1.0, 3.0]) == 2.0
-        assert math.isnan(mean([]))
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=50))
@@ -326,17 +322,3 @@ class TestAppEdges:
         assert len(sink.delays_for("src-one")) > 5
         assert len(sink.delays_for("src-two")) > 5
         assert all(d >= 0 for d in sink.delays_for("src-one"))
-
-
-class TestRibLiteralReads:
-    def test_remote_read_of_literal_rib_object(self):
-        from repro.core import run_until
-        network, systems = TestAppEdges()._pair()
-        b_ipcp = systems["b"].ipcp("net")
-        b_ipcp.rib.write("/custom/note", {"owner": "ops"})
-        a_ipcp = systems["a"].ipcp("net")
-        replies = []
-        a_ipcp.remote_read(b_ipcp.address, "/custom/note", replies.append)
-        run_until(network, lambda: replies, timeout=10)
-        assert replies[0].ok
-        assert replies[0].value == {"owner": "ops"}

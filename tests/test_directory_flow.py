@@ -95,13 +95,6 @@ class TestDifDirectory:
         assert target.lookup(ApplicationName("a")) == Address(1)
         assert target.lookup(ApplicationName("b")) == Address(2)
 
-    def test_forget_origin(self):
-        directory = make_directory(Address(1))
-        directory.handle_update(RiepMessage(M_WRITE, obj=DIRECTORY_OBJ, value={
-            "origin": (2,), "seq": 1, "names": ["gone"]}), Address(2))
-        directory.forget_origin(Address(2))
-        assert directory.lookup(ApplicationName("gone")) is None
-
     def test_known_names_union(self):
         directory = make_directory(Address(1))
         directory.register(ApplicationName("mine"))

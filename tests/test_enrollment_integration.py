@@ -156,33 +156,6 @@ class TestMultipleAttachments:
         assert len(a_ipcp.rmt.ports_to(b_addr)) == 2
 
 
-class TestDeparture:
-    def test_leave_withdraws_member_everywhere(self):
-        network = Network(seed=1)
-        for name in ("a", "b", "c"):
-            network.add_node(name)
-        network.connect("a", "b")
-        network.connect("b", "c")
-        systems = make_systems(network)
-        add_shims(systems, network)
-        dif = Dif("d", DifPolicies(keepalive_interval=0.2))
-        orchestrator = Orchestrator(network)
-        build_dif_over(orchestrator, dif, systems, adjacencies=[
-            ("a", "b", shim_between(network, "a", "b")),
-            ("b", "c", shim_between(network, "b", "c"))])
-        orchestrator.run(timeout=30)
-        c_ipcp = systems["c"].ipcp("d")
-        c_addr = c_ipcp.address
-        a_ipcp = systems["a"].ipcp("d")
-        run_until(network, lambda: a_ipcp.routing.next_hop(c_addr) is not None,
-                  timeout=10)
-        c_ipcp.leave()
-        network.run(until=network.engine.now + 3.0)
-        assert dif.member_count() == 2
-        assert not c_ipcp.enrolled
-        assert a_ipcp.routing.next_hop(c_addr) is None
-
-
 class TestBulkSyncSize:
     def test_preset_reply_size_equals_the_full_walk(self, monkeypatch):
         """The enrolment reply charges its LSDB from the per-LSA size

@@ -1,116 +1,11 @@
-"""Unit tests for the RIB object tree and the RIEP protocol helpers."""
+"""Unit tests for the RIEP protocol helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.core.rib import Rib, RibError, join_path, split_path
 from repro.core.riep import (M_CONNECT, M_CONNECT_R, M_READ, M_WRITE,
                              RESULT_DENIED, RESULT_OK, InvokeTable,
                              RiepMessage, response_opcode)
 from repro.sim.engine import Engine
-
-
-class TestPaths:
-    def test_split_normalizes(self):
-        assert split_path("/a/b/c") == ("a", "b", "c")
-        assert split_path("a/b") == ("a", "b")
-        assert split_path("/a//b/") == ("a", "b")
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(RibError):
-            split_path("/")
-
-    @given(st.lists(st.text(alphabet=st.characters(
-        blacklist_characters="/", blacklist_categories=("Cs",)), min_size=1),
-        min_size=1, max_size=6))
-    def test_property_join_split_roundtrip(self, parts):
-        assert split_path(join_path(tuple(parts))) == tuple(parts)
-
-
-class TestRibOperations:
-    def test_create_then_read(self):
-        rib = Rib()
-        rib.create("/a/b", 42)
-        assert rib.read("/a/b") == 42
-
-    def test_create_duplicate_rejected(self):
-        rib = Rib()
-        rib.create("/a", 1)
-        with pytest.raises(RibError):
-            rib.create("/a", 2)
-
-    def test_write_upserts(self):
-        rib = Rib()
-        rib.write("/a", 1)
-        rib.write("/a", 2)
-        assert rib.read("/a") == 2
-
-    def test_read_missing_raises(self):
-        with pytest.raises(RibError):
-            Rib().read("/nope")
-
-    def test_read_or_default(self):
-        assert Rib().read_or("/nope", "dflt") == "dflt"
-
-    def test_delete_returns_value(self):
-        rib = Rib()
-        rib.write("/a", 9)
-        assert rib.delete("/a") == 9
-        assert not rib.exists("/a")
-
-    def test_delete_missing_raises(self):
-        with pytest.raises(RibError):
-            Rib().delete("/nope")
-
-    def test_delete_if_exists_is_silent(self):
-        Rib().delete_if_exists("/nope")
-
-    def test_list_returns_descendants_sorted(self):
-        rib = Rib()
-        rib.write("/dir/names/b", 1)
-        rib.write("/dir/names/a", 2)
-        rib.write("/dir/other", 3)
-        rib.write("/elsewhere", 4)
-        assert rib.list("/dir") == ["/dir/names/a", "/dir/names/b",
-                                    "/dir/other"]
-
-    def test_children_immediate_only(self):
-        rib = Rib()
-        rib.write("/d/x/deep", 1)
-        rib.write("/d/y", 2)
-        assert rib.children("/d") == ["x", "y"]
-
-    def test_items_pairs(self):
-        rib = Rib()
-        rib.write("/d/a", 1)
-        assert list(rib.items("/d")) == [("/d/a", 1)]
-
-    def test_size(self):
-        rib = Rib()
-        rib.write("/a", 1)
-        rib.write("/b", 2)
-        assert rib.size() == 2
-
-
-class TestRibSubscriptions:
-    def test_subscriber_sees_ops_under_prefix(self):
-        rib = Rib()
-        seen = []
-        rib.subscribe("/dir", lambda op, path, value: seen.append((op, path)))
-        rib.create("/dir/a", 1)
-        rib.write("/dir/a", 2)
-        rib.delete("/dir/a")
-        rib.write("/other", 3)
-        assert seen == [("create", "/dir/a"), ("write", "/dir/a"),
-                        ("delete", "/dir/a")]
-
-    def test_unsubscribe_stops_notifications(self):
-        rib = Rib()
-        seen = []
-        unsubscribe = rib.subscribe("/d", lambda *a: seen.append(a))
-        unsubscribe()
-        rib.write("/d/x", 1)
-        assert seen == []
 
 
 class TestRiepMessages:

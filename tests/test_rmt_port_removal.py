@@ -1,8 +1,8 @@
 """Removing a paced RMT port while PDUs still wait in its scheduler.
 
 A paced port (here one with a priority scheduler) that must wait
-schedules one ``rmt.serve`` event and keeps the PDUs in its scheduler.  When the port goes away first (the IPCP
-leaves or crashes, a neighbour's ports are dropped, or the peer releases
+schedules one ``rmt.serve`` event and keeps the PDUs in its scheduler.
+When the port goes away first (the IPCP crashes, or the peer releases
 the flow), those PDUs are dropped as ``port-removed`` and the pending
 serve event sends nothing: before, it raised ``FlowError`` out of
 ``Engine.run`` on a deallocated flow, and after a crash it kept putting
@@ -63,22 +63,6 @@ def settle(network, ipcp, port, late):
     assert ipcp.tracer.counter_value("rmt.drop.port-removed") >= 1
 
 
-def test_leave():
-    network, a, b = build_pair()
-    port, late = queue_on_port(a, b)
-    a.leave()
-    settle(network, a, port, late)
-
-
-def test_drop_ports_to():
-    network, a, b = build_pair()
-    port, late = queue_on_port(a, b)
-    a.drop_ports_to(b.address)
-    settle(network, a, port, late)
-    # exactly the PDUs still waiting were dropped
-    assert a.tracer.counter_value("rmt.drop.port-removed") == QUEUED - 1
-
-
 def test_crash():
     network, a, b = build_pair()
     port, late = queue_on_port(a, b)
@@ -92,7 +76,9 @@ def test_peer_initiated_release():
     port, late = queue_on_port(a, b)
     # b drops its side; its shim's dealloc frame reaches a while a's
     # queue is still draining, and a's flow sees provider_released()
-    b.drop_ports_to(a.address)
+    (b_port,) = b.rmt.ports_to(a.address)
+    b._lower_flows[b_port.port_id].deallocate()
+    b.remove_lower_flow(b_port.port_id)
     network.run(until=network.engine.now + 0.002)
     assert port.port_id not in a.rmt._ports
     settle(network, a, port, late)

@@ -1,12 +1,9 @@
 """Unit tests for tracing/metrics and seeded RNG streams."""
 
-import math
-
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Counter, TimeSeries, Tracer
+from repro.sim.trace import Counter, Tracer
 
 
 class TestCounter:
@@ -19,59 +16,6 @@ class TestCounter:
     def test_negative_increment_rejected(self):
         with pytest.raises(ValueError):
             Counter("x").incr(-1)
-
-
-class TestTimeSeries:
-    def test_summary_statistics(self):
-        series = TimeSeries("s")
-        for index, value in enumerate([1.0, 2.0, 3.0, 4.0]):
-            series.add(float(index), value)
-        assert series.mean() == 2.5
-        assert series.minimum() == 1.0
-        assert series.maximum() == 4.0
-        assert series.count() == 4
-
-    def test_empty_statistics_are_nan(self):
-        series = TimeSeries("s")
-        assert math.isnan(series.mean())
-        assert math.isnan(series.percentile(50))
-        assert math.isnan(series.stddev())
-
-    def test_percentile_bounds_validation(self):
-        series = TimeSeries("s")
-        series.add(0, 1)
-        with pytest.raises(ValueError):
-            series.percentile(101)
-
-    def test_percentile_extremes(self):
-        series = TimeSeries("s")
-        for value in range(1, 101):
-            series.add(0.0, float(value))
-        assert series.percentile(100) == 100.0
-        assert series.percentile(50) == 50.0
-        assert series.percentile(99) == 99.0
-
-    @given(st.lists(st.floats(min_value=-1e9, max_value=1e9,
-                              allow_nan=False), min_size=1, max_size=100))
-    def test_property_percentiles_within_range(self, values):
-        series = TimeSeries("s")
-        for value in values:
-            series.add(0.0, value)
-        for pct in (0, 25, 50, 75, 100):
-            result = series.percentile(pct)
-            assert min(values) <= result <= max(values)
-
-    def test_stddev_of_constant_is_zero(self):
-        series = TimeSeries("s")
-        for _ in range(5):
-            series.add(0.0, 3.0)
-        assert series.stddev() == 0.0
-
-    def test_summary_keys(self):
-        series = TimeSeries("s")
-        series.add(0.0, 1.0)
-        assert set(series.summary()) == {"count", "mean", "min", "max",
-                                         "p50", "p95", "p99"}
 
 
 class TestTracer:
@@ -102,13 +46,6 @@ class TestTracer:
         tracer.count("b")
         assert tracer.counters() == {"a": 1, "b": 6}
         assert tracer.counter_value("b") == 6
-
-    def test_series_sampling(self):
-        tracer = Tracer()
-        tracer.sample("s", 1.0, 10.0)
-        tracer.sample("s", 2.0, 20.0)
-        assert tracer.series("s").count() == 2
-        assert tracer.series_names() == ["s"]
 
     def test_event_log_filtering(self):
         tracer = Tracer()
