@@ -100,7 +100,6 @@ def test_jobs_are_picklable_pure_data(key):
 
 
 def test_a5_jobs_execute_through_the_pool():
-    # scaled down: one depth, a short transfer
     from repro.experiments.a5_depth import iter_jobs
     jobs = iter_jobs(depths=[1], total_bytes=30_000)
     serial = SweepRunner(workers=1).run(jobs)
