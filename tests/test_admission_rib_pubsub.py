@@ -170,6 +170,64 @@ class TestRemoteRibRead:
         assert reply.value is None
 
 
+class TestLocalRibRead:
+    """``Ipcp.rib_snapshot_value`` reads the component that owns each
+    path, so a read follows the live state with no write in between, and
+    only the exact name of a served path is answered."""
+
+    def _pair(self, policies=None):
+        network, systems, dif = build_pair(
+            policies or DifPolicies(keepalive_interval=5.0))
+        systems["b"].register_app(ApplicationName("svc"), lambda f: None)
+        network.run(until=network.engine.now + 0.5)
+        return network, systems, dif
+
+    @pytest.mark.parametrize("obj", ["/ipcp/address/", "ipcp/address",
+                                     "//ipcp/address", "/ipcp", "/",
+                                     "/IPCP/ADDRESS"],
+                             ids=["trailing-slash", "relative", "double-slash",
+                                  "parent", "root", "upper-case"])
+    def test_only_the_exact_name_is_served(self, obj):
+        # no path is normalised: a trailing or doubled slash is another
+        # name, not found (the literal store that split paths is gone)
+        _network, systems, _dif = self._pair()
+        b = systems["b"].ipcp("d")
+        assert b.rib_snapshot_value("/ipcp/address") == (2,)
+        assert b.rib_snapshot_value(obj) is None
+
+    def test_directory_reads_follow_registration(self):
+        network, systems, _dif = self._pair()
+        b = systems["b"].ipcp("d")
+        assert b.rib_snapshot_value("/directory/names") == ["svc"]
+        systems["b"].register_app(ApplicationName("echo"), lambda f: None)
+        network.run(until=network.engine.now + 0.5)
+        assert b.rib_snapshot_value("/directory/names") == ["echo", "svc"]
+        assert b.rib_snapshot_value("/directory/size") == 2
+
+    def test_flow_reads_follow_allocation(self):
+        network, systems, _dif = self._pair(guaranteed_policies(1e7))
+        a = systems["a"].ipcp("d")
+        assert a.rib_snapshot_value("/flows/count") == 0
+        assert a.rib_snapshot_value("/flows/committed-bandwidth") == 0.0
+        flow = systems["a"].allocate_flow(
+            ApplicationName("caller"), ApplicationName("svc"),
+            qos=VOICE, dif_name="d")
+        run_until(network, lambda: flow.state != PENDING, timeout=30)
+        assert flow.allocated
+        assert a.rib_snapshot_value("/flows/count") == 1
+        assert a.rib_snapshot_value(
+            "/flows/committed-bandwidth") == pytest.approx(3e6)
+
+    def test_crashed_member_serves_no_address_or_neighbours(self):
+        _network, systems, _dif = self._pair()
+        b = systems["b"].ipcp("d")
+        b.crash()
+        assert b.rib_snapshot_value("/ipcp/address") is None
+        assert b.rib_snapshot_value("/ipcp/name") == "d.ipcp.b"
+        assert b.rib_snapshot_value("/neighbors") == []
+        assert b.rib_snapshot_value("/routing/table-size") == 0
+
+
 class TestPubSub:
     def _world(self):
         network = Network(seed=5)

@@ -85,6 +85,25 @@ class TestMetricsHelpers:
                                                                 pct):
         assert percentile([value], pct) == value
 
+    @pytest.mark.parametrize("count, pct, expected", [
+        (100, 50, 50), (100, 99, 99), (100, 25.5, 26), (100, 1, 1),
+        (10, 90, 9), (10, 91, 10), (10, 10, 1), (10, 11, 2)])
+    def test_nearest_rank(self, count, pct, expected):
+        # the smallest value with at least pct % of the sample at or
+        # below it: rank ceil(pct / 100 * n), counted from 1
+        values = [float(value) for value in range(count, 0, -1)]
+        assert percentile(values, pct) == expected
+
+    @pytest.mark.parametrize("pct, expected", [(-5, 1.0), (150, 3.0)],
+                             ids=["below-0", "above-100"])
+    def test_out_of_range_pct_clamps_to_an_extreme(self, pct, expected):
+        assert percentile([3.0, 1.0, 2.0], pct) == expected
+
+    def test_percentile_leaves_its_input_unsorted(self):
+        values = [3.0, 1.0, 2.0]
+        assert percentile(values, 50) == 2.0
+        assert values == [3.0, 1.0, 2.0]
+
 
 class TestDeliveryGap:
     def test_simple_outage(self):

@@ -156,6 +156,86 @@ class TestMultipleAttachments:
         assert len(a_ipcp.rmt.ports_to(b_addr)) == 2
 
 
+class TestDeparture:
+    """A member leaves by crashing or by losing its link; its neighbour
+    learns that from the keepalive and the withdrawal reaches every
+    member, two hops away too.  A restarted member enrols again, and a
+    repaired link revives its port."""
+
+    def _line(self):
+        network = Network(seed=1)
+        for name in ("a", "b", "c"):
+            network.add_node(name)
+        network.connect("a", "b")
+        network.connect("b", "c")
+        systems = make_systems(network)
+        add_shims(systems, network)
+        dif = Dif("d", DifPolicies(keepalive_interval=0.2))
+        orchestrator = Orchestrator(network)
+        build_dif_over(orchestrator, dif, systems, adjacencies=[
+            ("a", "b", shim_between(network, "a", "b")),
+            ("b", "c", shim_between(network, "b", "c"))])
+        orchestrator.run(timeout=30)
+        a_ipcp = systems["a"].ipcp("d")
+        c_addr = systems["c"].ipcp("d").address
+        assert run_until(
+            network, lambda: a_ipcp.routing.next_hop(c_addr) is not None,
+            timeout=10)
+        return network, systems, dif, c_addr
+
+    def test_crash_withdraws_member_everywhere(self):
+        network, systems, dif, c_addr = self._line()
+        c_ipcp = systems["c"].ipcp("d")
+        c_ipcp.crash()
+        network.run(until=network.engine.now + 3.0)
+        assert dif.member_count() == 2
+        assert not c_ipcp.enrolled
+        assert [port.alive for port in
+                systems["b"].ipcp("d").rmt.ports_to(c_addr)] == [False]
+        assert systems["a"].ipcp("d").routing.next_hop(c_addr) is None
+
+    def test_crashed_member_rejoins_after_restart(self):
+        network, systems, dif, c_addr = self._line()
+        c_ipcp = systems["c"].ipcp("d")
+        c_ipcp.crash()
+        network.run(until=network.engine.now + 3.0)
+        c_ipcp.restart()
+        outcomes = []
+        systems["c"].enroll("d", systems["b"].ipcp("d").name,
+                            shim_between(network, "b", "c"),
+                            done=lambda ok, reason: outcomes.append(ok))
+        run_until(network, lambda: outcomes, timeout=20)
+        assert outcomes == [True] and c_ipcp.enrolled
+        assert dif.member_count() == 3
+        a_ipcp = systems["a"].ipcp("d")
+        assert run_until(
+            network, lambda: a_ipcp.routing.next_hop(c_ipcp.address)
+            is not None, timeout=10)
+
+    def test_failed_link_withdraws_the_member_behind_it(self):
+        network, systems, _dif, c_addr = self._line()
+        network.link_between("b", "c").fail()
+        network.run(until=network.engine.now + 3.0)
+        assert [port.alive for port in
+                systems["b"].ipcp("d").rmt.ports_to(c_addr)] == [False]
+        assert systems["a"].ipcp("d").routing.next_hop(c_addr) is None
+
+    def test_repaired_link_brings_the_member_back(self):
+        network, systems, dif, c_addr = self._line()
+        link = network.link_between("b", "c")
+        link.fail()
+        network.run(until=network.engine.now + 3.0)
+        a_ipcp = systems["a"].ipcp("d")
+        assert a_ipcp.routing.next_hop(c_addr) is None
+        link.repair()
+        assert run_until(
+            network, lambda: a_ipcp.routing.next_hop(c_addr) is not None,
+            timeout=10)
+        assert [port.alive for port in
+                systems["b"].ipcp("d").rmt.ports_to(c_addr)] == [True]
+        assert dif.member_count() == 3
+
+
 class TestBulkSyncSize:
     def test_preset_reply_size_equals_the_full_walk(self, monkeypatch):
         """The enrolment reply charges its LSDB from the per-LSA size
