@@ -19,7 +19,7 @@ order is the RMT's (experiments E8/A3); a FIFO port orders nothing the
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..sim.engine import Engine
 from .names import Address
@@ -135,6 +135,11 @@ class DrrScheduler(Scheduler):
 
     def __init__(self, limit: int = 256, quantum: int = 1500,
                  weights: Optional[Dict[int, float]] = None) -> None:
+        # pop tops deficits up until a head fits, which a share <= 0
+        # would never do
+        if quantum <= 0 or min((weights or {}).values(), default=1) <= 0:
+            raise ValueError(f"DRR quantum and weights must be positive, "
+                             f"got {quantum} and {weights}")
         self._limit = limit
         self._quantum = quantum
         self._weights = weights or {}
@@ -158,8 +163,9 @@ class DrrScheduler(Scheduler):
     def pop(self) -> Optional[Pdu]:
         if self._count == 0:
             return None
-        # scan classes round-robin, topping up deficits until one can send
-        for _ in range(2 * len(self._active) + 1):
+        # scan classes round-robin, topping up deficits until one can
+        # send: a head larger than the quantum takes several rounds
+        while True:
             cls = self._active[0]
             queue = self._queues[cls]
             if not queue:
@@ -176,7 +182,6 @@ class DrrScheduler(Scheduler):
             weight = self._weights.get(cls, 1.0)
             self._deficits[cls] += self._quantum * weight
             self._active.rotate(-1)  # next class's turn
-        return None  # pragma: no cover - defensive; quantum always progresses
 
     def _rotate_out(self, cls: int) -> None:
         self._active.remove(cls)

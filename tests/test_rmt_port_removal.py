@@ -1,6 +1,6 @@
 """Removing a paced RMT port while PDUs still wait in its scheduler.
 
-A paced port (here one with a priority scheduler) that must wait
+A paced port (here one with a priority or a DRR scheduler) that must wait
 schedules one ``rmt.serve`` event and keeps the PDUs in its scheduler.
 When the port goes away first (the IPCP crashes, or the peer releases
 the flow), those PDUs are dropped as ``port-removed`` and the pending
@@ -107,3 +107,28 @@ def test_fifo_port_hands_its_burst_down_before_a_crash():
     network.run(until=network.engine.now + 1.0)
     assert sent == [True] * QUEUED
     assert a.tracer.counter_value("rmt.drop.port-removed") == 0
+
+
+def test_drr_port_sends_pdus_larger_than_its_quantum():
+    # each ≈ 4 kB PDU needs three of the 1,500 B quantum's top-ups
+    network, a, b = build_pair("drr")
+    port, late = queue_on_port(a, b)
+    sent = []
+    send = port.send_fn
+
+    def counted(pdu, size):
+        sent.append(pdu)
+        return send(pdu, size)
+    port.send_fn = counted
+    network.run(until=network.engine.now + 1.0)
+    assert len(sent) == QUEUED - 1
+    assert port.queue_depth() == 0 and late == []
+    assert a.tracer.counter_value("rmt.drop.port-removed") == 0
+
+
+def test_crash_drops_each_waiting_pdu_of_a_drr_port_once():
+    network, a, b = build_pair("drr")
+    port, late = queue_on_port(a, b)
+    a.crash()
+    settle(network, a, port, late)
+    assert a.tracer.counter_value("rmt.drop.port-removed") == QUEUED - 1

@@ -237,3 +237,21 @@ class TestDropAccounting:
         while scheduler.pop() is not None:
             served += 1
         assert served + displaced == pushed
+
+
+class TestDrrDeficit:
+    def test_head_larger_than_twice_the_quantum_pops_in_one_call(self):
+        # 4,000 B takes three top-ups of 1,500: the scan used to give up
+        # after 2 * classes + 1 of them and return None while it waited
+        scheduler = DrrScheduler(quantum=1500)
+        big = pdu(size=4000)
+        scheduler.push(big)
+        assert scheduler.pop() is big
+        assert len(scheduler) == 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"quantum": 0}, {"quantum": -1500},
+        {"weights": {0: 0.0}}, {"weights": {0: 1.0, 2: -1.0}}])
+    def test_share_that_is_not_positive_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be positive"):
+            DrrScheduler(**kwargs)
