@@ -12,7 +12,7 @@ relay playing exactly the role a router plays below it.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..core.api import MessageFlow
 from ..core.flow import DEALLOCATED, FAILED, Flow

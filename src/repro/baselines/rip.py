@@ -11,7 +11,7 @@ and convergence time against the DIF's scoped link-state flooding.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..sim.engine import Engine, PeriodicTask
 from .ipnet import IpStack, prefix_of

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from ..sim.network import Network
 from ..sim.node import Node
-from .ipnet import IpRoutingDaemon, IpStack, ip, ip_str
+from .ipnet import IpRoutingDaemon, IpStack, ip
 from .sctp import SctpStack
 from .tcp import TcpStack
 from .udp import UdpStack

@@ -16,7 +16,7 @@ slow-start/congestion-avoidance AIMD, FIN/RST teardown, abort after
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..sim.engine import Engine, Timer
 from .ipnet import PROTO_TCP, IpPacket, IpStack, ip_str

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from .ipnet import PROTO_UDP, IpPacket, IpStack
 

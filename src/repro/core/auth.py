@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import itertools
-from typing import Any, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Iterable, Optional, Set
 
 from .names import ApplicationName
 

@@ -9,7 +9,7 @@ unreliable flows by discarding incomplete messages.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 from .flow import MAX_SDU_BYTES
 

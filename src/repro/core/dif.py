@@ -15,7 +15,7 @@ allocation still happen message-by-message over the simulated wires.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Sequence, TYPE_CHECKING
 
 from .addressing import AddressingPolicy, FlatAddressing
 from .auth import AllowAll, AuthPolicy, FlowAccessPolicy, NoAuth

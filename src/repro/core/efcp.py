@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import takewhile
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ..sim.engine import Engine, Timer
 from ..sim.link import CorruptedFrame

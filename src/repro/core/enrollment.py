@@ -31,8 +31,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .dif import DifError
 from .names import Address
-from .riep import (M_CONNECT, M_START, RESULT_DENIED, RESULT_ERROR, RESULT_OK,
-                   RiepMessage)
+from .riep import M_CONNECT, M_START, RESULT_DENIED, RESULT_ERROR, RiepMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .ipcp import Ipcp

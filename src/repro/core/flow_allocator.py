@@ -24,7 +24,7 @@ reported as allocation failure — the paper's "if found" proviso.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from .efcp import EfcpConnection, EfcpPolicy
 from .flow import MAX_SDU_BYTES, PENDING, Flow
@@ -32,7 +32,7 @@ from .names import Address, ApplicationName, PortId
 from .pdu import ControlPdu, DataPdu
 from .qos import QosCube, resolve_cube
 from .riep import (M_CREATE, M_DELETE, RESULT_DENIED, RESULT_ERROR,
-                   RESULT_NOT_FOUND, RESULT_OK, RiepMessage)
+                   RESULT_NOT_FOUND, RiepMessage)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .ipcp import Ipcp

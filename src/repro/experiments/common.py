@@ -11,9 +11,8 @@ Every experiment module exposes ``run_*`` functions returning plain dicts
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 
 def format_table(rows: Sequence[Dict[str, Any]],

@@ -36,8 +36,6 @@ from typing import Any, Dict, List, Sequence
 
 from ..apps.filetransfer import FileSender, FileSink
 from ..core import PENDING, RELIABLE, run_until
-from ..scenarios.canned import E3_WIRED_BPS as WIRED_BPS
-from ..scenarios.canned import E3_WIRELESS_BPS as WIRELESS_BPS
 from ..scenarios.canned import e3_scenario
 from ..scenarios.runner import build_rina_stack
 from ..sim.link import GilbertElliott

@@ -32,7 +32,7 @@ path stretch and registration signalling.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..apps.echo import EchoClient, EchoServer
 from ..baselines import HomeAgent, IpFabric, MobileNode

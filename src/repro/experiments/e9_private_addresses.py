@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from ..baselines import IpFabric, NatBox, ip, prefix_of
+from ..baselines import NatBox, ip
 from ..core import (PENDING, ApplicationName, Dif, DifPolicies, FlatAddressing,
                     Flow, Orchestrator, add_shims, build_dif_over,
                     make_systems, run_until, shim_between)

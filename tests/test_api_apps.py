@@ -1,7 +1,5 @@
 """Tests for the application API helpers and the bundled applications."""
 
-import pytest
-
 from repro.apps import (EchoClient, EchoServer, FileSender, FileSink, Mailbox,
                         MailRelay, RpcClient, RpcServer, send_mail)
 from repro.core import (Dif, DifPolicies, MessageFlow, Orchestrator,

@@ -1,8 +1,6 @@
 """Tests for the baseline middleboxes: NAT and Mobile-IP."""
 
-import pytest
-
-from repro.baselines import HomeAgent, MobileNode, NatBox, ip, ip_str
+from repro.baselines import HomeAgent, MobileNode, NatBox, ip
 from repro.baselines.sockets import Host
 from repro.sim.network import Network
 

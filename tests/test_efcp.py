@@ -4,8 +4,6 @@ Two connections are wired through a controllable in-memory "wire" that can
 drop selected PDUs, so every recovery path is exercised deterministically.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +11,7 @@ from repro.core.efcp import (CONGESTION_AIMD, RETX_GOBACKN, RETX_NONE,
                              RETX_SELECTIVE, EfcpConnection, EfcpPolicy)
 from repro.core.names import Address
 from repro.core.pdu import ControlPdu, DataPdu
-from repro.core.qos import BEST_EFFORT, RELIABLE, QosCube
+from repro.core.qos import BEST_EFFORT, RELIABLE
 from repro.sim.engine import Engine
 
 

@@ -3,12 +3,11 @@ reordering, and AIMD fairness on a shared bottleneck."""
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.efcp import CONGESTION_AIMD, EfcpConnection, EfcpPolicy
 from repro.core.names import Address
-from repro.core.pdu import ControlPdu, DataPdu
+from repro.core.pdu import DataPdu
 from repro.sim.engine import Engine
 from repro.sim.link import (CorruptedFrame, CorruptionModel, Link,
                             LinkConditions, ReorderModel)

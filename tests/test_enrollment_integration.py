@@ -4,12 +4,9 @@ These run the real protocol over simulated links — two or three systems,
 shims, and a DIF — rather than mocking pieces.
 """
 
-import pytest
-
-from repro.core import (ChallengeResponse, Dif, DifPolicies, NoAuth,
-                        Orchestrator, PresharedKey, add_shims, build_dif_over,
-                        make_systems, run_until, shim_between, shim_name_for)
-from repro.core.names import Address
+from repro.core import (ChallengeResponse, Dif, DifPolicies, Orchestrator,
+                        PresharedKey, add_shims, build_dif_over, make_systems,
+                        run_until, shim_between, shim_name_for)
 from repro.sim.link import UniformLoss
 from repro.sim.network import Network
 

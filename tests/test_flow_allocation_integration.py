@@ -1,13 +1,11 @@
 """Integration tests for flow allocation (IAP) and end-to-end data (§5.3)."""
 
-import pytest
-
 from repro.core import (AllowList, Dif, DifPolicies, MessageFlow,
                         Orchestrator, add_shims, build_dif_over, make_systems,
                         run_until, shim_between)
 from repro.core.flow import DEALLOCATED, FAILED, PENDING
 from repro.core.names import ApplicationName
-from repro.core.qos import BEST_EFFORT, RELIABLE, QosCube
+from repro.core.qos import RELIABLE, QosCube
 from repro.sim.network import Network
 
 

@@ -1,11 +1,8 @@
 """Integration tests for IPCP behaviours: relaying, liveness, security gate,
 reliable flooding, recursion."""
 
-import pytest
-
-from repro.core import (Dif, DifPolicies, MessageFlow, Orchestrator,
-                        add_shims, build_dif_over, make_systems, run_until,
-                        shim_between, shim_name_for)
+from repro.core import (Dif, DifPolicies, MessageFlow, Orchestrator, add_shims,
+                        build_dif_over, make_systems, run_until, shim_between)
 from repro.core.flow import PENDING
 from repro.core.names import Address, ApplicationName
 from repro.core.pdu import DataPdu

@@ -5,8 +5,6 @@ next hop — gives failover (experiment E4) *and* load balancing.  These
 tests drive traffic over parallel links under each path-selection policy.
 """
 
-import pytest
-
 from repro.core import (Dif, DifPolicies, MessageFlow, Orchestrator,
                         add_shims, build_dif_over, make_systems, run_until,
                         shim_name_for)

@@ -7,8 +7,8 @@ from repro.core.names import Address, ApplicationName, DifName, PortId
 from repro.core.pdu import (ACK, CONTROL_HEADER_BYTES, DATA_HEADER_BYTES,
                             KEEPALIVE, MGMT_HEADER_BYTES, ControlPdu, DataPdu,
                             ManagementPdu)
-from repro.core.qos import (BEST_EFFORT, BULK, DEFAULT_CUBES, LOW_LATENCY,
-                            RELIABLE, QosCube, resolve_cube)
+from repro.core.qos import (BEST_EFFORT, DEFAULT_CUBES, RELIABLE, QosCube,
+                            resolve_cube)
 from repro.core.riep import RiepMessage
 
 

@@ -2,13 +2,12 @@
 directory convergence, and random-network soak tests."""
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (Dif, DifPolicies, MessageFlow, Orchestrator,
                         add_shims, build_dif_over, make_systems, run_until)
 from repro.core.flow import PENDING
-from repro.core.names import Address, ApplicationName
+from repro.core.names import ApplicationName
 from repro.core.qos import RELIABLE
 from repro.sim.network import Network
 

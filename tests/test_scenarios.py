@@ -3,14 +3,12 @@ behavior, and the determinism contract (same seed + same spec ⇒
 byte-identical trace and metrics)."""
 
 import json
-import math
 
 import pytest
 
-from repro.scenarios import (CANNED, FAULT_KINDS, FaultSpec, LayerSpec,
-                             Scenario, ScenarioRunner, SpecError,
-                             TopologySpec, WorkloadSpec, canned, fault_storm,
-                             generate_scenario, generate_specs)
+from repro.scenarios import (CANNED, FAULT_KINDS, FaultSpec, Scenario,
+                             ScenarioRunner, SpecError, TopologySpec,
+                             WorkloadSpec, canned, fault_storm, generate_specs)
 
 SEED = 7
 GENERATED = generate_specs(SEED, 20)

@@ -18,7 +18,7 @@ from repro.__main__ import EXPERIMENTS
 from repro.scenarios import determinism_jobs, generate_specs
 from repro.sweeps import (JOBS_ENV, Job, JobError, SweepRunner,
                           default_worker_count, parse_worker_count,
-                          stable_rows, worker_info_row)
+                          stable_rows)
 from repro.sweeps.runner import available_cpu_count
 
 PARALLEL_WORKERS = 4
@@ -97,14 +97,6 @@ def test_jobs_are_picklable_pure_data(key):
         json.dumps(job.kwargs)       # kwargs are JSON-safe scalars
         assert job.group and job.label
         job.resolve()                # target names a real callable
-
-
-def test_a5_jobs_execute_through_the_pool():
-    from repro.experiments.a5_depth import iter_jobs
-    jobs = iter_jobs(depths=[1], total_bytes=30_000)
-    serial = SweepRunner(workers=1).run(jobs)
-    parallel = SweepRunner(workers=2).run(jobs + jobs)
-    assert parallel == serial + serial
 
 
 # ----------------------------------------------------------------------

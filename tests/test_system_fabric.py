@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core import (Dif, DifPolicies, FabricError, Orchestrator,
-                        add_shims, build_dif_over, make_systems, run_until,
-                        shim_between, shim_name_for)
+from repro.core import (Dif, DifPolicies, FabricError, Orchestrator, add_shims,
+                        build_dif_over, make_systems, run_until, shim_between)
 from repro.core.flow import FAILED, PENDING
 from repro.core.names import ApplicationName, DifName
 from repro.core.system import SystemError_
