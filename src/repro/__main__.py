@@ -247,7 +247,8 @@ def _make_runner(workers_flag: Optional[int]
 def _load_scenarios(names: List[str], seed: int) -> List:
     """Resolve CLI scenario references: canned names, ``.json`` spec
     files, or ``gen:<count>`` batches from the seeded generator."""
-    from .scenarios import Scenario, canned, generate_specs
+    from .scenarios import Scenario, build_topology, canned, generate_specs
+    from .sim.network import Network
     scenarios = []
     for name in names:
         if name.startswith("gen:"):
@@ -255,8 +256,11 @@ def _load_scenarios(names: List[str], seed: int) -> List:
         elif name.endswith(".json"):
             with open(name) as handle:
                 spec = Scenario.from_dict(json.load(handle))
-            spec.validate()   # inside the caller's try: a structurally
-            scenarios.append(spec)   # bad spec is a load error, not a crash
+            # inside the caller's try: a structurally bad spec, or a
+            # link its plant cannot build, is a load error, not a crash
+            spec.validate()
+            build_topology(spec.topology, Network(seed))
+            scenarios.append(spec)
         else:
             scenarios.append(canned(name))
     return scenarios

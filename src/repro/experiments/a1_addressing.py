@@ -30,7 +30,7 @@ from ..core import (Dif, DifPolicies, FlatAddressing, Orchestrator,
                     TopologicalAddressing, add_shims,
                     aggregate_forwarding_table, build_dif_over, lookup_aggregated,
                     make_systems, shim_between)
-from ..sim.network import Network
+from ..sim.network import Network, grid
 from ..sweeps import Job
 
 
@@ -41,7 +41,9 @@ def build_grid_dif(side: int, policy: str, seed: int = 1):
     a member presents at enrollment (its management knows where it is).
     """
     network = Network(seed=seed)
-    matrix = network.build_grid(side, side, delay=0.001)
+    names, edges = grid(side, side)
+    network.build(names, edges, delay=0.001)
+    matrix = [names[row * side:(row + 1) * side] for row in range(side)]
     systems = make_systems(network)
     add_shims(systems, network)
 
@@ -49,17 +51,7 @@ def build_grid_dif(side: int, policy: str, seed: int = 1):
         return (2 if row >= (side + 1) // 2 else 0) + (
             1 if col >= (side + 1) // 2 else 0) + 1
 
-    adjacencies = []
-    for row in range(side):
-        for col in range(side):
-            if col + 1 < side:
-                adjacencies.append((matrix[row][col], matrix[row][col + 1],
-                                    shim_between(network, matrix[row][col],
-                                                 matrix[row][col + 1])))
-            if row + 1 < side:
-                adjacencies.append((matrix[row][col], matrix[row + 1][col],
-                                    shim_between(network, matrix[row][col],
-                                                 matrix[row + 1][col])))
+    adjacencies = [(a, b, shim_between(network, a, b)) for a, b in edges]
 
     if policy == "flat":
         addressing = FlatAddressing()

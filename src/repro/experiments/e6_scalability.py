@@ -361,7 +361,8 @@ def build_flood_spec(regions: int, hosts_per_region: int):
     """The E6 physical plant as a pure-data
     :class:`~repro.shard.plan.NetworkSpec`: the rows of
     :func:`build_physical`, shardable by region."""
-    from ..shard import LinkSpec, NetworkSpec
+    from ..shard import NetworkSpec
+    from ..sim.plant import LinkSpec
     rows = list(_plant(regions, hosts_per_region))
     return NetworkSpec(
         nodes=("core",) + tuple(node for node, _peer, _name, _delay in rows),

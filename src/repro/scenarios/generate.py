@@ -12,10 +12,10 @@ determinism tests lean on this to fingerprint whole fuzz batches.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..sim.network import Network
-from .runner import build_topology
+from ..sim.rng import RandomStreams
+from .runner import family_edges
 from .spec import (FAULT_KINDS, FaultSpec, LinkSpec, Scenario, TopologySpec,
                    WorkloadSpec)
 
@@ -44,22 +44,17 @@ def _sample_topology(rng: random.Random) -> TopologySpec:
 
 
 def _freeze_topology(topology: TopologySpec, seed: int):
-    """Realize the sampled family once, off to the side, and freeze it
-    into an ``explicit`` spec (nodes + links listed one by one).
+    """Realize the sampled family once and freeze it into an
+    ``explicit`` spec (nodes + links listed one by one).
 
     Frozen specs are self-contained: the runner's seed cannot change the
     structure a fault schedule targets (a ``random``-family graph would
     otherwise realize differently under a different master seed)."""
-    network = Network(seed=seed)
-    nodes = build_topology(topology, network)
-    links = []
-    for name, link in network.links.items():
-        a, b = name.split("#")[0].split("--", 1)
-        links.append(LinkSpec(a=a, b=b, capacity_bps=link.capacity_bps,
-                              delay=link.delay))
-    frozen = TopologySpec(family="explicit", nodes=list(nodes), links=links)
+    nodes, edges = family_edges(topology, RandomStreams(seed))
+    links = [LinkSpec(a, b, **topology.link) for a, b in edges]
+    frozen = TopologySpec(family="explicit", nodes=nodes, links=links)
     return frozen, nodes, [
-        f"{spec.a}--{spec.b}#{index}" for index, spec in enumerate(links)]
+        f"{a}--{b}#{index}" for index, (a, b) in enumerate(edges)]
 
 
 def _sample_workloads(rng: random.Random, nodes: Sequence[str],

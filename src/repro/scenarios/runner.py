@@ -27,8 +27,10 @@ from ..core.fabric import (Orchestrator, add_shims, build_dif_over,
 from ..core.flow import ALLOCATED
 from ..core.qos import DEFAULT_CUBES, RELIABLE
 from ..experiments.common import delivery_gap, goodput_bps, percentile
-from ..sim.link import LinkConditions, UniformLoss
-from ..sim.network import Network
+from ..sim.network import (Edges, Network, chain, grid, random_graph,
+                           ring_of_stars, star, tree)
+from ..sim.plant import LinkSpec, build_plant
+from ..sim.rng import RandomStreams
 from .faults import FaultContext, make_injector
 from .spec import (SHIM, LayerSpec, Scenario, SpecError, TopologySpec,
                    auto_layers)
@@ -45,70 +47,47 @@ IP_RECONVERGE_DELAY = 0.3   # carrier change → routing daemon reconvergence
 # ----------------------------------------------------------------------
 # Topology
 # ----------------------------------------------------------------------
-def _link_conditions(jitter: Any = None, shaper: Any = None,
-                     corruption: Any = None,
-                     reorder: Any = None) -> Optional[LinkConditions]:
-    """Build a :class:`LinkConditions` from spec-form dicts (or None)."""
-    if (jitter is None and shaper is None and corruption is None
-            and reorder is None):
-        return None
-    try:
-        return LinkConditions.from_dict({"jitter": jitter, "shaper": shaper,
-                                         "corruption": corruption,
-                                         "reorder": reorder})
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad link conditions: {exc}")
+def family_edges(topology: TopologySpec, streams: RandomStreams
+                 ) -> Tuple[List[str], Edges]:
+    """A builder family's node names and edges (``random`` draws from
+    the ``topology`` stream of ``streams``)."""
+    params = topology.params
+    family = topology.family
+    if family == "chain":
+        return chain(params.get("count", 3))
+    if family == "star":
+        return star(params.get("leaves", 3))
+    if family == "tree":
+        return tree(params.get("depth", 2), params.get("arity", 2))
+    if family == "grid":
+        return grid(params.get("rows", 2), params.get("cols", 2))
+    if family == "random":
+        return random_graph(params.get("count", 5),
+                            params.get("edge_factor", 1.5),
+                            streams.stream("topology"))
+    if family == "ring_of_stars":
+        return ring_of_stars(params.get("regions", 3),
+                             params.get("hosts", 2))
+    raise SpecError(f"unknown topology family {family!r}")
 
 
 def build_topology(topology: TopologySpec, network: Network) -> List[str]:
-    """Instantiate the topology spec into ``network``; returns node names."""
+    """Instantiate the topology spec into ``network``; returns node names.
+
+    A builder family's edges each become a :class:`LinkSpec` row with
+    the ``link`` defaults, so every plant is built by
+    :func:`~repro.sim.plant.build_plant`."""
     topology.validate()
-    link_kwargs = dict(topology.link)
-    loss = link_kwargs.pop("loss", None)
-    if loss is not None:
-        link_kwargs["loss"] = UniformLoss(float(loss))
-    conditions = _link_conditions(link_kwargs.pop("jitter", None),
-                                  link_kwargs.pop("shaper", None),
-                                  link_kwargs.pop("corruption", None),
-                                  link_kwargs.pop("reorder", None))
-    if conditions is not None:
-        link_kwargs["conditions"] = conditions
-    family = topology.family
-    if family == "explicit":
-        for name in topology.nodes:
-            network.add_node(name)
-        for spec in topology.links:
-            network.connect(
-                spec.a, spec.b, name=spec.name,
-                capacity_bps=spec.capacity_bps, delay=spec.delay,
-                loss=None if spec.loss is None else UniformLoss(spec.loss),
-                queue_limit=spec.queue_limit,
-                conditions=_link_conditions(spec.jitter, spec.shaper,
-                                            spec.corruption, spec.reorder))
-        return list(topology.nodes)
-    params = dict(topology.params)
-    if family == "chain":
-        return network.build_chain(params.get("count", 3), **link_kwargs)
-    if family == "star":
-        hub, leaves = network.build_star(params.get("leaves", 3),
-                                         **link_kwargs)
-        return [hub] + leaves
-    if family == "tree":
-        return network.build_tree(params.get("depth", 2),
-                                  params.get("arity", 2), **link_kwargs)
-    if family == "grid":
-        matrix = network.build_grid(params.get("rows", 2),
-                                    params.get("cols", 2), **link_kwargs)
-        return [name for row in matrix for name in row]
-    if family == "random":
-        return network.build_random(params.get("count", 5),
-                                    params.get("edge_factor", 1.5),
-                                    **link_kwargs)
-    if family == "ring_of_stars":
-        return network.build_ring_of_stars(params.get("regions", 3),
-                                           params.get("hosts", 2),
-                                           **link_kwargs)
-    raise SpecError(f"unknown topology family {family!r}")
+    try:
+        if topology.family == "explicit":
+            nodes, links = list(topology.nodes), topology.links
+        else:
+            nodes, edges = family_edges(topology, network.streams)
+            links = [LinkSpec(a, b, **topology.link) for a, b in edges]
+        build_plant(network, nodes, links)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"bad topology: {exc}")
+    return nodes
 
 
 def physical_edges(network: Network) -> List[Tuple[str, str, str]]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..sim.plant import LinkSpec
+
 TOPOLOGY_FAMILIES = ("chain", "star", "tree", "grid", "random",
                      "ring_of_stars", "explicit")
 WORKLOAD_KINDS = ("echo", "transfer", "stream")
@@ -37,36 +39,14 @@ class SpecError(ValueError):
 
 
 @dataclass
-class LinkSpec:
-    """One physical link of an ``explicit`` topology.
-
-    The four condition fields are JSON-safe model-spec dicts following
-    the :meth:`repro.sim.link.LinkConditions.from_dict` grammar (e.g.
-    ``jitter={"model": "uniform", "amplitude": 0.005}``); None leaves
-    that impairment off.
-    """
-
-    a: str
-    b: str
-    name: Optional[str] = None
-    capacity_bps: float = 1e8
-    delay: float = 0.001
-    loss: Optional[float] = None      # None → perfect medium
-    queue_limit: int = 256
-    jitter: Optional[Dict[str, Any]] = None
-    shaper: Optional[Dict[str, Any]] = None
-    corruption: Optional[Dict[str, Any]] = None
-    reorder: Optional[Dict[str, Any]] = None
-
-
-@dataclass
 class TopologySpec:
     """A topology family plus its size/link parameters.
 
-    ``family`` selects one of the :class:`~repro.sim.network.Network`
-    builders; ``params`` are that builder's keyword arguments (``count``,
-    ``rows``/``cols``, ``depth``/``arity``, ``leaves``, ``edge_factor``).
-    ``link`` gives the default link parameters for builder families.  The
+    ``family`` selects one of the topology families of
+    :mod:`repro.sim.network`; ``params`` are its size arguments
+    (``count``, ``rows``/``cols``, ``depth``/``arity``, ``leaves``,
+    ``regions``/``hosts``, ``edge_factor``).  ``link`` gives the
+    :class:`LinkSpec` fields every link of a builder family gets.  The
     ``explicit`` family instead lists ``nodes`` and ``links`` one by one
     (parallel links and per-link media included — multihoming needs them).
     """

@@ -21,13 +21,13 @@ from .flood import (all_nodes_announce, attach_flood, delivery_rows,
                     flood_workload, node_stat_rows, run_unsharded,
                     sparse_announce)
 from .framing import pack_frames, unpack_frames
-from .plan import (BoundaryPort, LinkSpec, NetworkSpec, RegionPlan,
-                   RegionSpec, ShardPlanError)
+from .plan import (BoundaryPort, NetworkSpec, RegionPlan, RegionSpec,
+                   ShardPlanError)
 from .stateful import (StatefulControlPlane, rib_fingerprint,
                        run_unsharded_stateful, stateful_workload)
 
 __all__ = [
-    "BoundaryFrame", "BoundaryHalf", "BoundaryPort", "LinkSpec", "MODES",
+    "BoundaryFrame", "BoundaryHalf", "BoundaryPort", "MODES",
     "NetworkSpec", "RegionPlan", "RegionSpec", "ShardCoordinator",
     "ShardPlanError", "ShardRunError", "ShardRunResult",
     "StatefulControlPlane", "all_nodes_announce",

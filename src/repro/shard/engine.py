@@ -42,10 +42,11 @@ import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.codec import decode, encode
-from ..sim.link import Link, LinkConditions
+from ..sim.link import Link
 from ..sim.network import Network
+from ..sim.plant import build_plant
 from .flood import FLOOD_KIND, FloodRun, attach_flood
-from .plan import BoundaryPort, RegionSpec, UniformLoss
+from .plan import BoundaryPort, RegionSpec
 
 #: (arrival_time, link_name, wire_payload, size_bytes);
 #: ``wire_payload`` is the codec's encoded bytes
@@ -127,19 +128,10 @@ class ShardEngine:
         self.seed = seed
         self.network = Network(seed=seed)
         self.outbox: List[BoundaryFrame] = []
-        for node in region.nodes:
-            self.network.add_node(node)
-        for link in region.links:
-            # interior links rebuild their condition models from the
-            # captured spec; the RNG streams are named by link, so the
-            # draws match the unsharded build draw for draw
-            self.network.connect(
-                link.a, link.b, name=link.name,
-                capacity_bps=link.capacity_bps, delay=link.delay,
-                queue_limit=link.queue_limit,
-                loss=None if link.loss is None else UniformLoss(link.loss),
-                conditions=None if link.conditions is None
-                else LinkConditions.from_dict(link.conditions))
+        # interior links are built from their rows as the unsharded
+        # network builds them; the RNG streams are named by link, so the
+        # draws match the unsharded build draw for draw
+        build_plant(self.network, region.nodes, region.links)
         self._halves: Dict[str, BoundaryHalf] = {}
         for port in region.boundary:
             self._attach_boundary(port)

@@ -6,8 +6,8 @@ is **pure data** — the same convention as :mod:`repro.sweeps`: a spec
 crosses a ``spawn`` process boundary unchanged, and a plan is
 serializable, diffable, and replayable.
 
-* :class:`NetworkSpec` — nodes plus :class:`LinkSpec` rows, capturable
-  from a live :class:`~repro.sim.network.Network` or built directly.
+* :class:`NetworkSpec` — nodes plus :class:`~repro.sim.plant.LinkSpec`
+  rows, every link named.
 * :class:`RegionPlan` — a node→region assignment applied to a spec:
   per-region :class:`RegionSpec` sub-networks, the boundary-link table,
   and the per-region conservative lookahead (the minimum propagation
@@ -27,34 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from ..sim.link import LinkConditions, NoLoss, UniformLoss
 from ..sim.network import Network
+from ..sim.plant import LinkSpec, build_plant
 
 
 class ShardPlanError(ValueError):
     """A spec or assignment that cannot be sharded soundly."""
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    """One link of a network spec (pure data, picklable)."""
-
-    a: str
-    b: str
-    name: str
-    capacity_bps: float = 1e8
-    delay: float = 0.001
-    queue_limit: int = 256
-    loss: Optional[float] = None    # uniform per-frame drop probability
-    #: :meth:`~repro.sim.link.LinkConditions.from_dict` grammar spec for
-    #: condition models (jitter/shaper/corruption/reorder), or None.  A
-    #: plain dict keeps the spec pure data; the models themselves are
-    #: re-instantiated fresh at :meth:`NetworkSpec.build` time, and
-    #: their RNG streams are named by link, so a conditioned *interior*
-    #: link behaves bit-identically sharded and unsharded.
-    conditions: Optional[Dict] = None
 
 
 @dataclass(frozen=True)
@@ -73,6 +53,10 @@ class NetworkSpec:
             seen.add(node)
         names = set()
         for link in self.links:
+            if link.name is None:
+                # boundary frames are routed by link name
+                raise ShardPlanError(
+                    f"link {link.a!r}--{link.b!r} has no name")
             if link.name in names:
                 raise ShardPlanError(f"duplicate link name {link.name!r}")
             names.add(link.name)
@@ -81,54 +65,10 @@ class NetworkSpec:
                     raise ShardPlanError(
                         f"link {link.name!r} references unknown node {end!r}")
 
-    @classmethod
-    def from_network(cls, network: Network) -> "NetworkSpec":
-        """Capture a live network's topology as pure data.
-
-        Only plain :class:`~repro.sim.link.Link` parameters survive the
-        capture; loss models other than :class:`NoLoss` /
-        :class:`UniformLoss` have state that cannot be expressed as a
-        scalar and are rejected.
-        """
-        links = []
-        for name, link in network.links.items():
-            a, b = network.endpoints_of(link)
-            if isinstance(link.loss, NoLoss):
-                loss: Optional[float] = None
-            elif isinstance(link.loss, UniformLoss):
-                loss = link.loss.probability
-            else:
-                raise ShardPlanError(
-                    f"link {name!r}: loss model "
-                    f"{type(link.loss).__name__} is not spec-capturable")
-            if link.conditions is not None:
-                # the models themselves carry live strategy state (token
-                # buckets, parked frames), but their construction
-                # parameters round-trip through the from_dict grammar —
-                # capture those and rebuild fresh models at build time
-                conditions: Optional[Dict] = link.conditions.to_dict()
-            else:
-                conditions = None
-            links.append(LinkSpec(a=a, b=b, name=name,
-                                  capacity_bps=link.capacity_bps,
-                                  delay=link.delay,
-                                  queue_limit=link.queue_limit, loss=loss,
-                                  conditions=conditions))
-        return cls(nodes=tuple(network.nodes), links=tuple(links))
-
     def build(self, seed: int = 0) -> Network:
         """Instantiate the spec as one (unsharded) live network."""
         network = Network(seed=seed)
-        for node in self.nodes:
-            network.add_node(node)
-        for link in self.links:
-            network.connect(
-                link.a, link.b, name=link.name,
-                capacity_bps=link.capacity_bps, delay=link.delay,
-                queue_limit=link.queue_limit,
-                loss=None if link.loss is None else UniformLoss(link.loss),
-                conditions=None if link.conditions is None
-                else LinkConditions.from_dict(link.conditions))
+        build_plant(network, self.nodes, self.links)
         return network
 
 
@@ -211,10 +151,13 @@ class RegionPlan:
                     f"boundary link {link.name!r} has a loss model: loss "
                     f"draws would split across two RNG streams and "
                     f"diverge from the unsharded run")
-            if link.conditions is not None:
+            slots = [slot for slot in ("corruption", "jitter", "reorder",
+                                       "shaper")
+                     if getattr(link, slot) is not None]
+            if slots:
                 raise ShardPlanError(
                     f"boundary link {link.name!r} carries link conditions "
-                    f"({', '.join(sorted(link.conditions))}): condition "
+                    f"({', '.join(slots)}): condition "
                     f"models hold live per-link state (token buckets, "
                     f"held-back frames, RNG draws) that cannot be split "
                     f"across a region cut — assign both endpoints to one "

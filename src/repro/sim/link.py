@@ -465,43 +465,6 @@ class LinkConditions:
         return cls(jitter=jitter, shaper=shaper, corruption=corruption,
                    reorder=reorder)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """The bundle back in :meth:`from_dict`'s JSON-safe spec form.
-
-        The inverse that makes condition-bearing links spec-capturable
-        (:meth:`repro.shard.plan.NetworkSpec.from_network`): every model
-        is a pure function of its constructor parameters plus a named
-        RNG stream, and the shaper's bucket state is per-link (rebuilt
-        by :meth:`fresh` on install), so the grammar dict loses
-        nothing.  ``LinkConditions.from_dict(c.to_dict())`` is
-        behaviorally identical to ``c`` on a fresh link.
-        """
-        spec: Dict[str, Any] = {}
-        if isinstance(self.jitter, UniformJitter):
-            spec["jitter"] = {"model": "uniform",
-                              "amplitude": self.jitter.amplitude,
-                              "preserve_order": self.jitter.preserve_order}
-        elif isinstance(self.jitter, NormalJitter):
-            spec["jitter"] = {"model": "normal", "mean": self.jitter.mean,
-                              "stddev": self.jitter.stddev,
-                              "cap": self.jitter.cap,
-                              "preserve_order": self.jitter.preserve_order}
-        elif self.jitter is not None:
-            raise ValueError(f"jitter model "
-                             f"{type(self.jitter).__name__} has no "
-                             f"spec form")
-        if self.shaper is not None:
-            spec["shaper"] = {"rate_bps": self.shaper.rate_bps,
-                              "burst_bytes": self.shaper.burst_bytes}
-        if self.corruption is not None:
-            spec["corruption"] = {"probability": self.corruption.probability,
-                                  "max_flips": self.corruption.max_flips}
-        if self.reorder is not None:
-            spec["reorder"] = {"probability": self.reorder.probability,
-                               "depth": self.reorder.depth,
-                               "max_hold": self.reorder.max_hold}
-        return spec
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         slots = [name for name in self.__slots__
                  if getattr(self, name) is not None]

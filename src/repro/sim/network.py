@@ -1,14 +1,18 @@
 """Topology construction for experiments.
 
 :class:`Network` owns the engine, tracer, RNG streams, nodes, and links of
-one simulation, and offers builders for the topology families used across
-the experiments: chains, stars, trees, grids, rings of stars, and
-connected random graphs (a random spanning tree plus extra edges).
+one simulation.  The topology families used across the experiments —
+chains, stars, trees, grids, rings of stars, and connected random graphs
+(a random spanning tree plus extra edges) — are functions that return
+node names and edges: :meth:`Network.build` connects a family's edges
+with one set of link arguments, and :func:`repro.sim.plant.build_plant`
+connects them as rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Dict, List, Optional, Tuple
 
 from .engine import Engine
@@ -16,6 +20,113 @@ from .link import Link, LinkConditions, LossModel
 from .node import Node
 from .rng import RandomStreams
 from .trace import Tracer
+
+
+# ----------------------------------------------------------------------
+# Topology families as data.  Each returns ``(names, edges)``: the node
+# names in creation order and the ``(a, b)`` pairs in link order.
+# ----------------------------------------------------------------------
+Edges = List[Tuple[str, str]]
+
+
+def chain(count: int, prefix: str = "n") -> Tuple[List[str], Edges]:
+    """n0 - n1 - ... - n(count-1)."""
+    if count < 1:
+        raise ValueError("chain needs at least one node")
+    names = [f"{prefix}{i}" for i in range(count)]
+    return names, list(zip(names, names[1:]))
+
+
+def star(leaves: int, hub: str = "hub",
+         prefix: str = "leaf") -> Tuple[List[str], Edges]:
+    """A hub, then ``leaves`` spokes."""
+    names = [f"{prefix}{i}" for i in range(leaves)]
+    return [hub] + names, [(hub, name) for name in names]
+
+
+def tree(depth: int, arity: int,
+         prefix: str = "t") -> Tuple[List[str], Edges]:
+    """Complete ``arity``-ary tree of the given depth (root at depth 0).
+
+    Node names encode their tree path: ``t``, ``t.0``, ``t.0.1`` ...
+    """
+    if depth < 0 or arity < 1:
+        raise ValueError("depth must be >=0 and arity >=1")
+    names = [prefix]
+    edges: Edges = []
+    frontier = [prefix]
+    for _ in range(depth):
+        next_frontier = []
+        for parent in frontier:
+            for child_index in range(arity):
+                child = f"{parent}.{child_index}"
+                names.append(child)
+                edges.append((parent, child))
+                next_frontier.append(child)
+        frontier = next_frontier
+    return names, edges
+
+
+def grid(rows: int, cols: int, prefix: str = "g") -> Tuple[List[str], Edges]:
+    """rows × cols grid, names row by row."""
+    if rows < 1 or cols < 1:
+        raise ValueError("grid needs positive dimensions")
+    names = [f"{prefix}{r}_{c}" for r in range(rows) for c in range(cols)]
+    edges: Edges = []
+    for index, name in enumerate(names):
+        if (index + 1) % cols:
+            edges.append((name, names[index + 1]))
+        if index + cols < len(names):
+            edges.append((name, names[index + cols]))
+    return names, edges
+
+
+def ring_of_stars(regions: int, hosts_per_region: int,
+                  prefix: str = "s") -> Tuple[List[str], Edges]:
+    """``regions`` hubs joined in a ring, each with its own star of
+    ``hosts_per_region`` leaves — the E6 scale-tier plant shape
+    (regional access stars over a redundant backbone ring).
+
+    Names hubs first (``s0..s{k-1}``), then leaves (``s{r}_h{i}``).  A
+    ring of one region degenerates to a star; two regions get a single
+    backbone link (no parallel ring edge).
+    """
+    if regions < 1 or hosts_per_region < 0:
+        raise ValueError("ring_of_stars needs >=1 region and >=0 hosts")
+    hubs = [f"{prefix}{r}" for r in range(regions)]
+    edges = list(zip(hubs, hubs[1:] + hubs[:1] if regions > 2 else hubs[1:]))
+    leaves = []
+    for r, hub in enumerate(hubs):
+        for i in range(hosts_per_region):
+            leaf = f"{prefix}{r}_h{i}"
+            leaves.append(leaf)
+            edges.append((hub, leaf))
+    return hubs + leaves, edges
+
+
+def random_graph(count: int, edge_factor: float, rng: random.Random,
+                 prefix: str = "r") -> Tuple[List[str], Edges]:
+    """Connected random graph with ~``edge_factor * count`` edges.
+
+    Built from a random spanning tree plus extra random edges — a cheap
+    stand-in for Waxman/ISP graphs that guarantees connectivity.
+    """
+    if count < 1:
+        raise ValueError("need at least one node")
+    names = [f"{prefix}{i}" for i in range(count)]
+    # random spanning tree (random attachment)
+    edges = set()
+    for i in range(1, count):
+        j = rng.randrange(i)
+        edges.add((min(i, j), max(i, j)))
+    target = max(count - 1, int(edge_factor * count))
+    attempts = 0
+    while len(edges) < target and attempts < 50 * count:
+        attempts += 1
+        i, j = rng.randrange(count), rng.randrange(count)
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+    return names, [(names[i], names[j]) for i, j in sorted(edges)]
 
 
 class Network:
@@ -139,131 +250,15 @@ class Network:
         """Run the underlying engine."""
         return self.engine.run(until=until)
 
-    # ------------------------------------------------------------------
-    # Topology builders.  Each returns the list of node names created.
-    # ------------------------------------------------------------------
-    def build_chain(self, count: int, prefix: str = "n",
-                    **link_kwargs: object) -> List[str]:
-        """n0 - n1 - ... - n(count-1)."""
-        if count < 1:
-            raise ValueError("chain needs at least one node")
-        names = [f"{prefix}{i}" for i in range(count)]
+    def build(self, names: List[str], edges: Edges,
+              **link_kwargs: object) -> List[str]:
+        """Add ``names``, then connect each edge with ``link_kwargs``;
+        returns ``names``.  ``network.build(*chain(4))`` builds a
+        topology family."""
         for name in names:
             self.add_node(name)
-        for left, right in zip(names, names[1:]):
-            self.connect(left, right, **link_kwargs)
-        return names
-
-    def build_star(self, leaves: int, hub: str = "hub", prefix: str = "leaf",
-                   **link_kwargs: object) -> Tuple[str, List[str]]:
-        """A hub with ``leaves`` spokes; returns (hub, leaf names)."""
-        self.add_node(hub)
-        names = []
-        for i in range(leaves):
-            name = f"{prefix}{i}"
-            self.add_node(name)
-            self.connect(hub, name, **link_kwargs)
-            names.append(name)
-        return hub, names
-
-    def build_tree(self, depth: int, arity: int, prefix: str = "t",
-                   **link_kwargs: object) -> List[str]:
-        """Complete ``arity``-ary tree of the given depth (root at depth 0).
-
-        Node names encode their tree path: ``t``, ``t.0``, ``t.0.1`` ...
-        """
-        if depth < 0 or arity < 1:
-            raise ValueError("depth must be >=0 and arity >=1")
-        root = prefix
-        self.add_node(root)
-        names = [root]
-        frontier = [root]
-        for _ in range(depth):
-            next_frontier = []
-            for parent in frontier:
-                for child_index in range(arity):
-                    child = f"{parent}.{child_index}"
-                    self.add_node(child)
-                    self.connect(parent, child, **link_kwargs)
-                    names.append(child)
-                    next_frontier.append(child)
-            frontier = next_frontier
-        return names
-
-    def build_grid(self, rows: int, cols: int, prefix: str = "g",
-                   **link_kwargs: object) -> List[List[str]]:
-        """rows × cols grid; returns the matrix of node names."""
-        if rows < 1 or cols < 1:
-            raise ValueError("grid needs positive dimensions")
-        matrix = [[f"{prefix}{r}_{c}" for c in range(cols)] for r in range(rows)]
-        for row in matrix:
-            for name in row:
-                self.add_node(name)
-        for r in range(rows):
-            for c in range(cols):
-                if c + 1 < cols:
-                    self.connect(matrix[r][c], matrix[r][c + 1], **link_kwargs)
-                if r + 1 < rows:
-                    self.connect(matrix[r][c], matrix[r + 1][c], **link_kwargs)
-        return matrix
-
-    def build_ring_of_stars(self, regions: int, hosts_per_region: int,
-                            prefix: str = "s",
-                            **link_kwargs: object) -> List[str]:
-        """``regions`` hubs joined in a ring, each with its own star of
-        ``hosts_per_region`` leaves — the E6 scale-tier plant shape
-        (regional access stars over a redundant backbone ring).
-
-        Returns hubs first (``s0..s{k-1}``), then leaves
-        (``s{r}_h{i}``).  A ring of one region degenerates to a star; two
-        regions get a single backbone link (no parallel ring edge).
-        """
-        if regions < 1 or hosts_per_region < 0:
-            raise ValueError("ring_of_stars needs >=1 region and >=0 hosts")
-        hubs = [f"{prefix}{r}" for r in range(regions)]
-        for hub in hubs:
-            self.add_node(hub)
-        if regions == 2:
-            self.connect(hubs[0], hubs[1], **link_kwargs)
-        elif regions > 2:
-            for index, hub in enumerate(hubs):
-                self.connect(hub, hubs[(index + 1) % regions], **link_kwargs)
-        leaves = []
-        for r, hub in enumerate(hubs):
-            for i in range(hosts_per_region):
-                leaf = f"{prefix}{r}_h{i}"
-                self.add_node(leaf)
-                self.connect(hub, leaf, **link_kwargs)
-                leaves.append(leaf)
-        return hubs + leaves
-
-    def build_random(self, count: int, edge_factor: float = 2.0,
-                     prefix: str = "r", **link_kwargs: object) -> List[str]:
-        """Connected random graph with ~``edge_factor * count`` edges.
-
-        Built from a random spanning tree plus extra random edges — a cheap
-        stand-in for Waxman/ISP graphs that guarantees connectivity.
-        """
-        if count < 1:
-            raise ValueError("need at least one node")
-        rng = self.streams.stream("topology")
-        names = [f"{prefix}{i}" for i in range(count)]
-        for name in names:
-            self.add_node(name)
-        # random spanning tree (random attachment)
-        edges = set()
-        for i in range(1, count):
-            j = rng.randrange(i)
-            edges.add((min(i, j), max(i, j)))
-        target = max(count - 1, int(edge_factor * count))
-        attempts = 0
-        while len(edges) < target and attempts < 50 * count:
-            attempts += 1
-            i, j = rng.randrange(count), rng.randrange(count)
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-        for i, j in sorted(edges):
-            self.connect(names[i], names[j], **link_kwargs)
+        for a, b in edges:
+            self.connect(a, b, **link_kwargs)
         return names
 
     def _owner_of(self, end) -> str:

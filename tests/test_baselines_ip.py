@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from repro.baselines.ipnet import (IpPacket, IpRoutingDaemon, IpStack, ip,
                                    ip_str, prefix_of, shortest_paths)
 from repro.baselines.sockets import IpFabric
-from repro.sim.network import Network
+from repro.sim.network import Network, chain
 
 
 class TestAddressing:
@@ -104,7 +104,7 @@ class TestForwarding:
 class TestRoutingDaemon:
     def test_multihop_connectivity(self):
         network = Network(seed=1)
-        names = network.build_chain(4)
+        names = network.build(*chain(4))
         fabric = IpFabric(network, routers=names[1:-1])
         first, last = fabric.host(names[0]), fabric.host(names[-1])
         got = []
@@ -153,7 +153,7 @@ class TestRoutingDaemon:
 
     def test_subnet_routes_not_host_routes(self):
         network = Network(seed=1)
-        names = network.build_chain(3)
+        names = network.build(*chain(3))
         fabric = IpFabric(network, routers=[names[1]])
         first = fabric.host(names[0])
         # one default-ish entry per remote subnet + connected: small table

@@ -1,16 +1,14 @@
 """Tests for the RIP-style distance-vector baseline IGP."""
 
-import pytest
-
 from repro.baselines import IpFabric
 from repro.baselines.ipnet import IpPacket
 from repro.baselines.rip import INFINITY_METRIC, RipDaemon, run_rip_network
-from repro.sim.network import Network
+from repro.sim.network import Network, chain
 
 
 def rip_chain(n=4, update_interval=0.5, seed=1):
     network = Network(seed=seed)
-    names = network.build_chain(n)
+    names = network.build(*chain(n))
     fabric = IpFabric(network, routers=names[1:-1])
     # discard the omniscient routes: RIP must build them itself
     for host in fabric.hosts.values():

@@ -183,6 +183,19 @@ The RIB is served from each IPCP's live state, so no IPCP builds a
   generator), ``_notify``, ``join_path`` and ``Address.parts``;
 * ``data_clean`` rina 117,638 → 117,530: the same for 12 IPCPs;
 * ``stateful_serial`` 21,945 → 21,801: the same for 16 IPCPs.
+
+Every plant is built from ``LinkSpec`` rows by one function,
+``sim.plant.build_plant`` (docs/ARCHITECTURE.md, "One plant format").
+Each move is one call at build time, none per link or per PDU:
+
+* ``data_clean`` rina 117,530 → 117,531 and ip 57,344 → 57,345: the
+  chain is ``family_edges`` → ``chain`` → ``build_plant`` where it was
+  ``_link_conditions`` → ``Network.build_chain``;
+* ``flood`` 1,001 → 1,002 and ``stateful_serial`` 21,801 → 21,802:
+  ``NetworkSpec.build`` calls ``build_plant`` where it connected its
+  rows itself;
+* ``control_flat`` unchanged: E6's flat plant connects its rows
+  directly.
 """
 
 import os
@@ -226,10 +239,10 @@ def _stateful_serial():
 
 EXPECTED = {
     "control_flat": 31783,
-    "data_clean_rina": 117530,
-    "data_clean_ip": 57344,
-    "flood": 1001,
-    "stateful_serial": 21801,
+    "data_clean_rina": 117531,
+    "data_clean_ip": 57345,
+    "flood": 1002,
+    "stateful_serial": 21802,
 }
 
 RUNS = {

@@ -1,9 +1,10 @@
 """Tests for the ``python -m repro`` entry point."""
 
+import json
+
 import pytest
 
-from repro.__main__ import (EXPERIMENTS, _extract_worker_count, main,
-                            scenarios_main)
+from repro.__main__ import EXPERIMENTS, _extract_worker_count, main
 from repro.sweeps import JOBS_ENV
 
 
@@ -192,3 +193,32 @@ class TestJobsFlag:
     def test_scenarios_jobs_validation_matches_experiments(self, capsys):
         assert main(["scenarios", "run", "--jobs", "-1", "fault-storm"]) == 2
         assert "worker count" in capsys.readouterr().err
+
+
+class TestScenarioSpecFiles:
+    @pytest.mark.parametrize("link", [
+        {"a": "a", "b": "b", "jitter": {"model": "pareto"}},
+        {"a": "a", "b": "b", "shaper": {"rate_bps": -1.0}},
+        {"a": "a", "b": "b", "reorder": {"depth": 3}}])
+    def test_malformed_link_conditions_are_a_load_error(self, link, tmp_path,
+                                                        capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "bad", "duration": 2.0,
+            "topology": {"family": "explicit", "nodes": ["a", "b"],
+                         "links": [link]},
+            "workloads": [{"kind": "echo", "client": "a", "server": "b"}]}))
+        assert main(["scenarios", "run", "--jobs", "1", str(path)]) == 2
+        assert "cannot load scenario spec" in capsys.readouterr().err
+
+    def test_malformed_family_link_defaults_are_a_load_error(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "bad", "duration": 2.0,
+            "topology": {"family": "chain", "params": {"count": 3},
+                         "link": {"corruption": {"probability": 2.0}}},
+            "workloads": [{"kind": "echo", "client": "n0",
+                           "server": "n2"}]}))
+        assert main(["scenarios", "run", "--jobs", "1", str(path)]) == 2
+        assert "cannot load scenario spec" in capsys.readouterr().err

@@ -14,11 +14,12 @@ is up.
 
 import pytest
 
-from repro.shard import (LinkSpec, NetworkSpec, RegionPlan,
-                         all_nodes_announce, attach_flood, run_sharded)
+from repro.shard import (NetworkSpec, RegionPlan, all_nodes_announce,
+                         attach_flood, run_sharded)
 from repro.shard.engine import BoundaryHalf
 from repro.shard.flood import FloodNode
 from repro.sim.link import Link
+from repro.sim.plant import LinkSpec
 
 OWNER_READ = ("link.delivered", "flood.announced", "flood.delivered",
               "flood.duplicate")

@@ -19,6 +19,11 @@ second one requires a read of every stored name, by name, on any
 object.  Two classes storing the same name share one verdict, so a
 write-only attribute whose name another class reads needs a look by
 hand (docs/ARCHITECTURE.md, "What nothing reads").
+
+A third guard requires every module-level import in the searched trees
+to be read, as a ``Name``, by the module that makes it.  Package
+``__init__.py`` files re-export what they import, and ``__future__``
+imports set compiler flags, so neither is checked.
 """
 
 import ast
@@ -172,3 +177,37 @@ def test_kept_unread_entries_are_still_stored_and_unread():
     # an entry that something now reads, or nothing stores, is stale
     assert set(KEPT_UNREAD) <= set(stores())
     assert not set(KEPT_UNREAD) & reads()
+
+
+def unread_imports():
+    """``["path:line: name", ...]`` for every name a module-level import
+    binds that its module never reads."""
+    unread = []
+    for top in SEARCHED:
+        for path in _python_files(os.path.join(ROOT, top)):
+            if os.path.basename(path) == "__init__.py":
+                continue
+            tree = _parse(path)
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and not isinstance(node.ctx, ast.Store)}
+            for node in tree.body:
+                if isinstance(node, ast.Import):
+                    bound = [alias.asname or alias.name.split(".")[0]
+                             for alias in node.names]
+                elif (isinstance(node, ast.ImportFrom)
+                      and node.module != "__future__"):
+                    bound = [alias.asname or alias.name
+                             for alias in node.names]
+                else:
+                    continue
+                unread.extend(f"{os.path.relpath(path, ROOT)}:"
+                              f"{node.lineno}: {name}"
+                              for name in bound if name not in read)
+    return unread
+
+
+def test_every_module_level_import_is_read():
+    unread = unread_imports()
+    assert not unread, ("imported at module level but never read:\n  "
+                        + "\n  ".join(unread))

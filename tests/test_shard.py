@@ -22,10 +22,11 @@ import pytest
 from repro.experiments.e6_scalability import (FLOOD_SIZES, build_flood_spec,
                                               flood_assignment,
                                               run_flood_scale)
-from repro.shard import (LinkSpec, NetworkSpec, RegionPlan, ShardCoordinator,
+from repro.shard import (NetworkSpec, RegionPlan, ShardCoordinator,
                          ShardPlanError, ShardRunError, all_nodes_announce,
                          flood_workload, run_sharded, run_unsharded)
 from repro.shard import coordinator as coordinator_module
+from repro.sim.plant import LinkSpec
 
 
 def canned_case(regions=2, hosts=3, shards=2):
@@ -96,11 +97,6 @@ class TestRegionPlan:
         plan = RegionPlan(spec, {"a": 7, "b": 3})
         assert plan.region_of("b") == 0
         assert plan.region_of("a") == 1
-
-    def test_spec_roundtrip_from_network(self):
-        spec, _plan, _workload = canned_case()
-        network = spec.build(seed=3)
-        assert NetworkSpec.from_network(network) == spec
 
     def test_region_network_graph_skips_boundary_half_links(self):
         # a shard's local topology only joins nodes of the region: the
@@ -290,41 +286,39 @@ class TestConditionSpecCapture:
     def conditioned_spec(self):
         # a--b conditioned interior (region 0), c--d conditioned
         # interior (region 1), b--c the clean cut link
-        jitter = {"jitter": {"model": "uniform", "amplitude": 0.0002,
-                             "preserve_order": True}}
-        shaped = {"shaper": {"rate_bps": 5e7, "burst_bytes": 4096}}
         return NetworkSpec(
             nodes=("a", "b", "c", "d"),
-            links=(LinkSpec(a="a", b="b", name="ab", conditions=jitter),
+            links=(LinkSpec(a="a", b="b", name="ab",
+                            jitter={"model": "uniform", "amplitude": 0.0002,
+                                    "preserve_order": True}),
                    LinkSpec(a="b", b="c", name="bc", delay=0.002),
-                   LinkSpec(a="c", b="d", name="cd", conditions=shaped)))
+                   LinkSpec(a="c", b="d", name="cd",
+                            shaper={"rate_bps": 5e7, "burst_bytes": 4096})))
 
-    def test_from_network_captures_condition_grammar(self):
-        spec = self.conditioned_spec()
-        network = spec.build(seed=5)
-        captured = NetworkSpec.from_network(network)
-        by_name = {link.name: link for link in captured.links}
-        assert by_name["ab"].conditions == {
-            "jitter": {"model": "uniform", "amplitude": 0.0002,
-                       "preserve_order": True}}
-        assert by_name["cd"].conditions == {
-            "shaper": {"rate_bps": 5e7, "burst_bytes": 4096}}
-        assert by_name["bc"].conditions is None
-        # and the capture itself rebuilds: spec -> network -> spec is a
-        # fixed point for the canonical grammar forms
-        assert NetworkSpec.from_network(captured.build(seed=5)) == captured
+    def test_spec_builds_condition_models(self):
+        links = self.conditioned_spec().build(seed=5).links
+        assert links["ab"].conditions.jitter.amplitude == 0.0002
+        assert links["ab"].conditions.shaper is None
+        assert links["cd"].conditions.shaper.burst_bytes == 4096
+        assert links["bc"].conditions is None
 
     def test_conditioned_boundary_link_rejected_with_clear_error(self):
-        jitter = {"jitter": {"model": "uniform", "amplitude": 0.0002}}
+        jitter = {"model": "uniform", "amplitude": 0.0002}
         spec = NetworkSpec(
             nodes=("a", "b"),
-            links=(LinkSpec(a="a", b="b", name="ab", conditions=jitter),))
+            links=(LinkSpec(a="a", b="b", name="ab", jitter=jitter),))
         with pytest.raises(ShardPlanError,
-                           match="carries link conditions"):
+                           match=r"carries link conditions \(jitter\)"):
             RegionPlan(spec, {"a": 0, "b": 1})
         # the same link is fine when the cut does not cross it
         plan = RegionPlan(spec, {"a": 0, "b": 0})
-        assert plan.regions[0].links[0].conditions == jitter
+        assert plan.regions[0].links[0].jitter == jitter
+
+    def test_unnamed_link_rejected(self):
+        # boundary frames are routed by link name
+        spec = NetworkSpec(nodes=("a", "b"), links=(LinkSpec(a="a", b="b"),))
+        with pytest.raises(ShardPlanError, match="has no name"):
+            RegionPlan(spec, {"a": 0, "b": 1})
 
     def test_conditioned_interior_links_sharded_bit_identical(self):
         # the acceptance pin: per-link named RNG streams depend only on

@@ -30,11 +30,12 @@ from repro.experiments.e6_scalability import (build_flood_spec,
                                               build_stateful_workload,
                                               flood_assignment,
                                               run_stateful_scale)
-from repro.shard import (LinkSpec, NetworkSpec, RegionPlan, ShardCoordinator,
+from repro.shard import (NetworkSpec, RegionPlan, ShardCoordinator,
                          ShardRunError, all_nodes_announce, flood_workload,
                          run_sharded, run_unsharded, run_unsharded_stateful)
 from repro.shard import coordinator as coordinator_module
 from repro.shard.coordinator import grant_round
+from repro.sim.plant import LinkSpec
 from repro.sweeps import stable_row
 
 

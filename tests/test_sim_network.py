@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.network import Network
+from repro.sim.network import Network, chain, grid, random_graph, star, tree
 
 
 def adjacency(network):
@@ -70,22 +70,22 @@ class TestNodesAndLinks:
 class TestBuilders:
     def test_chain(self):
         network = Network()
-        names = network.build_chain(4)
+        names = network.build(*chain(4))
         assert names == ["n0", "n1", "n2", "n3"]
         assert len(network.links) == 3
 
     def test_chain_single_node(self):
         network = Network()
-        assert network.build_chain(1) == ["n0"]
+        assert network.build(*chain(1)) == ["n0"]
         assert len(network.links) == 0
 
     def test_chain_validates_count(self):
         with pytest.raises(ValueError):
-            Network().build_chain(0)
+            chain(0)
 
     def test_star(self):
         network = Network()
-        hub, leaves = network.build_star(5)
+        hub, *leaves = network.build(*star(5))
         assert hub == "hub"
         assert len(leaves) == 5
         assert len(network.links) == 5
@@ -93,33 +93,35 @@ class TestBuilders:
 
     def test_tree_node_count(self):
         network = Network()
-        names = network.build_tree(depth=2, arity=2)
+        names = network.build(*tree(depth=2, arity=2))
         assert len(names) == 1 + 2 + 4
         assert len(network.links) == 6
 
     def test_tree_names_encode_paths(self):
         network = Network()
-        names = network.build_tree(depth=1, arity=3, prefix="x")
+        names = network.build(*tree(depth=1, arity=3, prefix="x"))
         assert "x" in names and "x.0" in names and "x.2" in names
 
     def test_tree_validates(self):
         with pytest.raises(ValueError):
-            Network().build_tree(depth=-1, arity=2)
+            tree(depth=-1, arity=2)
 
     def test_grid_dimensions_and_edges(self):
         network = Network()
-        matrix = network.build_grid(3, 4)
-        assert len(matrix) == 3 and len(matrix[0]) == 4
+        names = network.build(*grid(3, 4))
+        assert names[:4] == ["g0_0", "g0_1", "g0_2", "g0_3"]
+        assert len(names) == 3 * 4
         # 3*3 horizontal + 2*4 vertical = 17
         assert len(network.links) == 3 * 3 + 2 * 4
 
     def test_grid_validates(self):
         with pytest.raises(ValueError):
-            Network().build_grid(0, 3)
+            grid(0, 3)
 
     def test_random_graph_connected(self):
         network = Network(seed=11)
-        names = network.build_random(20, edge_factor=1.5)
+        names = network.build(*random_graph(
+            20, 1.5, network.streams.stream("topology")))
         graph = adjacency(network)
         reached, frontier = {names[0]}, [names[0]]
         while frontier:
@@ -130,17 +132,17 @@ class TestBuilders:
         assert reached == set(names) == set(graph)
 
     def test_random_graph_deterministic_per_seed(self):
-        first = Network(seed=3)
-        first.build_random(10)
-        second = Network(seed=3)
-        second.build_random(10)
+        first, second = Network(seed=3), Network(seed=3)
+        for network in (first, second):
+            network.build(*random_graph(10, 2.0,
+                                        network.streams.stream("topology")))
         assert sorted(first.links) == sorted(second.links)
 
 
 class TestGraphView:
     def test_graph_mirrors_topology(self):
         network = Network()
-        network.build_chain(3)
+        network.build(*chain(3))
         graph = adjacency(network)
         assert graph == {"n0": {"n1"}, "n1": {"n0", "n2"}, "n2": {"n1"}}
         link = network.link_between("n0", "n1")
