@@ -31,6 +31,7 @@ from ..core import (Dif, DifPolicies, FlatAddressing, Orchestrator,
                     aggregate_forwarding_table, build_dif_over, lookup_aggregated,
                     make_systems, shim_between)
 from ..sim.network import Network, grid
+from ..sim.plant import LinkSpec, build_plant
 from ..sweeps import Job
 
 
@@ -42,7 +43,8 @@ def build_grid_dif(side: int, policy: str, seed: int = 1):
     """
     network = Network(seed=seed)
     names, edges = grid(side, side)
-    network.build(names, edges, delay=0.001)
+    build_plant(network, names,
+                [LinkSpec(a, b, delay=0.001) for a, b in edges])
     matrix = [names[row * side:(row + 1) * side] for row in range(side)]
     systems = make_systems(network)
     add_shims(systems, network)

@@ -402,8 +402,8 @@ class LinkConditions:
         Stateless models (jitter, corruption, reorder policy) are
         shared; the token-bucket shaper carries per-link bucket state
         and is re-instantiated.  :meth:`~repro.sim.network.Network.connect`
-        installs ``conditions.fresh()`` so one bundle can parameterize a
-        whole builder-family topology without cross-link coupling.
+        installs ``conditions.fresh()`` so one bundle passed to many
+        links couples none of them.
         """
         shaper = (BandwidthShaper(self.shaper.rate_bps,
                                   self.shaper.burst_bytes)

@@ -4,9 +4,8 @@
 one simulation.  The topology families used across the experiments —
 chains, stars, trees, grids, rings of stars, and connected random graphs
 (a random spanning tree plus extra edges) — are functions that return
-node names and edges: :meth:`Network.build` connects a family's edges
-with one set of link arguments, and :func:`repro.sim.plant.build_plant`
-connects them as rows.
+node names and edges; :func:`repro.sim.plant.build_plant` connects a
+family's edges as :class:`~repro.sim.plant.LinkSpec` rows.
 """
 
 from __future__ import annotations
@@ -186,8 +185,10 @@ class Network:
             return self.streams.stream(f"{_base}:{suffix}" if suffix
                                        else _base)
         if conditions is not None:
-            # one bundle may parameterize many links (builder families):
-            # give each link its own copy of any stateful model
+            # a caller may pass one bundle to many connect calls: give
+            # each link its own copy of any stateful model.  build_plant
+            # builds a bundle per row, so for its links this copy is a
+            # second build of the shaper, at build time only
             conditions = conditions.fresh()
         link = Link(self.engine, name, capacity_bps=capacity_bps, delay=delay,
                     loss=loss, queue_limit=queue_limit,
@@ -249,17 +250,6 @@ class Network:
     def run(self, until: Optional[float] = None) -> float:
         """Run the underlying engine."""
         return self.engine.run(until=until)
-
-    def build(self, names: List[str], edges: Edges,
-              **link_kwargs: object) -> List[str]:
-        """Add ``names``, then connect each edge with ``link_kwargs``;
-        returns ``names``.  ``network.build(*chain(4))`` builds a
-        topology family."""
-        for name in names:
-            self.add_node(name)
-        for a, b in edges:
-            self.connect(a, b, **link_kwargs)
-        return names
 
     def _owner_of(self, end) -> str:
         owner = self._end_owner.get(id(end))

@@ -21,7 +21,7 @@ from .link import LinkConditions, UniformLoss
 from .network import Network
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkSpec:
     """One physical link.
 
@@ -69,5 +69,6 @@ def build_plant(network: Network, nodes: Iterable[str],
         network.connect(
             link.a, link.b, name=link.name,
             capacity_bps=link.capacity_bps, delay=link.delay,
-            loss=None if link.loss is None else UniformLoss(link.loss),
+            loss=(None if link.loss is None
+                  else UniformLoss(float(link.loss))),
             queue_limit=link.queue_limit, conditions=conditions)

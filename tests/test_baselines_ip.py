@@ -9,6 +9,7 @@ from repro.baselines.ipnet import (IpPacket, IpRoutingDaemon, IpStack, ip,
                                    ip_str, prefix_of, shortest_paths)
 from repro.baselines.sockets import IpFabric
 from repro.sim.network import Network, chain
+from repro.sim.plant import LinkSpec, build_plant
 
 
 class TestAddressing:
@@ -104,7 +105,8 @@ class TestForwarding:
 class TestRoutingDaemon:
     def test_multihop_connectivity(self):
         network = Network(seed=1)
-        names = network.build(*chain(4))
+        names, edges = chain(4)
+        build_plant(network, names, [LinkSpec(a, b) for a, b in edges])
         fabric = IpFabric(network, routers=names[1:-1])
         first, last = fabric.host(names[0]), fabric.host(names[-1])
         got = []
@@ -153,7 +155,8 @@ class TestRoutingDaemon:
 
     def test_subnet_routes_not_host_routes(self):
         network = Network(seed=1)
-        names = network.build(*chain(3))
+        names, edges = chain(3)
+        build_plant(network, names, [LinkSpec(a, b) for a, b in edges])
         fabric = IpFabric(network, routers=[names[1]])
         first = fabric.host(names[0])
         # one default-ish entry per remote subnet + connected: small table

@@ -4,11 +4,13 @@ from repro.baselines import IpFabric
 from repro.baselines.ipnet import IpPacket
 from repro.baselines.rip import INFINITY_METRIC, RipDaemon, run_rip_network
 from repro.sim.network import Network, chain
+from repro.sim.plant import LinkSpec, build_plant
 
 
 def rip_chain(n=4, update_interval=0.5, seed=1):
     network = Network(seed=seed)
-    names = network.build(*chain(n))
+    names, edges = chain(n)
+    build_plant(network, names, [LinkSpec(a, b) for a, b in edges])
     fabric = IpFabric(network, routers=names[1:-1])
     # discard the omniscient routes: RIP must build them itself
     for host in fabric.hosts.values():

@@ -408,6 +408,15 @@ class TestStaticLinkConditions:
             assert link.conditions is not None
         assert metrics["echo_delivered"] == 100
 
+    def test_builder_family_loss_given_as_a_string(self):
+        from repro.scenarios.runner import build_topology
+        from repro.sim.network import Network
+        network = Network(seed=SEED)
+        build_topology(TopologySpec(family="chain", params={"count": 3},
+                                    link={"loss": "0.25"}), network)
+        assert [link.loss.probability for link in network.links.values()
+                ] == [0.25, 0.25]
+
     def test_static_conditions_round_trip_through_dict(self):
         from repro.scenarios import LinkSpec
         topology = TopologySpec(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.network import Network, chain, grid, random_graph, star, tree
+from repro.sim.plant import LinkSpec, build_plant
 
 
 def adjacency(network):
@@ -13,6 +14,14 @@ def adjacency(network):
         graph[a].add(b)
         graph[b].add(a)
     return graph
+
+
+def build(network, family):
+    """Connect a family's ``(names, edges)`` as default rows; returns
+    the names."""
+    names, edges = family
+    build_plant(network, names, [LinkSpec(a, b) for a, b in edges])
+    return names
 
 
 class TestNodesAndLinks:
@@ -70,13 +79,13 @@ class TestNodesAndLinks:
 class TestBuilders:
     def test_chain(self):
         network = Network()
-        names = network.build(*chain(4))
+        names = build(network, chain(4))
         assert names == ["n0", "n1", "n2", "n3"]
         assert len(network.links) == 3
 
     def test_chain_single_node(self):
         network = Network()
-        assert network.build(*chain(1)) == ["n0"]
+        assert build(network, chain(1)) == ["n0"]
         assert len(network.links) == 0
 
     def test_chain_validates_count(self):
@@ -85,7 +94,7 @@ class TestBuilders:
 
     def test_star(self):
         network = Network()
-        hub, *leaves = network.build(*star(5))
+        hub, *leaves = build(network, star(5))
         assert hub == "hub"
         assert len(leaves) == 5
         assert len(network.links) == 5
@@ -93,13 +102,13 @@ class TestBuilders:
 
     def test_tree_node_count(self):
         network = Network()
-        names = network.build(*tree(depth=2, arity=2))
+        names = build(network, tree(depth=2, arity=2))
         assert len(names) == 1 + 2 + 4
         assert len(network.links) == 6
 
     def test_tree_names_encode_paths(self):
         network = Network()
-        names = network.build(*tree(depth=1, arity=3, prefix="x"))
+        names = build(network, tree(depth=1, arity=3, prefix="x"))
         assert "x" in names and "x.0" in names and "x.2" in names
 
     def test_tree_validates(self):
@@ -108,7 +117,7 @@ class TestBuilders:
 
     def test_grid_dimensions_and_edges(self):
         network = Network()
-        names = network.build(*grid(3, 4))
+        names = build(network, grid(3, 4))
         assert names[:4] == ["g0_0", "g0_1", "g0_2", "g0_3"]
         assert len(names) == 3 * 4
         # 3*3 horizontal + 2*4 vertical = 17
@@ -120,7 +129,7 @@ class TestBuilders:
 
     def test_random_graph_connected(self):
         network = Network(seed=11)
-        names = network.build(*random_graph(
+        names = build(network, random_graph(
             20, 1.5, network.streams.stream("topology")))
         graph = adjacency(network)
         reached, frontier = {names[0]}, [names[0]]
@@ -134,7 +143,7 @@ class TestBuilders:
     def test_random_graph_deterministic_per_seed(self):
         first, second = Network(seed=3), Network(seed=3)
         for network in (first, second):
-            network.build(*random_graph(10, 2.0,
+            build(network, random_graph(10, 2.0,
                                         network.streams.stream("topology")))
         assert sorted(first.links) == sorted(second.links)
 
@@ -142,7 +151,7 @@ class TestBuilders:
 class TestGraphView:
     def test_graph_mirrors_topology(self):
         network = Network()
-        network.build(*chain(3))
+        build(network, chain(3))
         graph = adjacency(network)
         assert graph == {"n0": {"n1"}, "n1": {"n0", "n2"}, "n2": {"n1"}}
         link = network.link_between("n0", "n1")
