@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+from functools import partial
+from importlib import import_module
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .experiments.common import format_table
@@ -40,34 +42,10 @@ if TYPE_CHECKING:
     from .sweeps import Job, SweepRunner
 
 
-def _e1_jobs() -> List[Job]:
-    from .experiments.e1_two_system import iter_jobs
-    return iter_jobs()
-
-
-def _e2_jobs() -> List[Job]:
-    from .experiments.e2_relay import iter_jobs
-    return iter_jobs()
-
-
-def _e3_jobs() -> List[Job]:
-    from .experiments.e3_scoped_recovery import iter_jobs
-    return iter_jobs()
-
-
-def _e4_jobs() -> List[Job]:
-    from .experiments.e4_multihoming import iter_jobs
-    return iter_jobs()
-
-
-def _e5_jobs() -> List[Job]:
-    from .experiments.e5_mobility import iter_jobs
-    return iter_jobs()
-
-
-def _e6_jobs() -> List[Job]:
-    from .experiments.e6_scalability import iter_jobs
-    return iter_jobs()
+def _jobs(module: str) -> List[Job]:
+    """``repro.experiments.<module>.iter_jobs()``, imported when the
+    experiment runs, so listing the registry imports no experiment."""
+    return import_module(f".experiments.{module}", __package__).iter_jobs()
 
 
 def _e6_scale_jobs() -> List[Job]:
@@ -76,54 +54,33 @@ def _e6_scale_jobs() -> List[Job]:
     return iter_scale_jobs([t.strip() for t in tiers.split(",") if t.strip()])
 
 
-def _e7_jobs() -> List[Job]:
-    from .experiments.e7_security import iter_jobs
-    return iter_jobs()
-
-
-def _e8_jobs() -> List[Job]:
-    from .experiments.e8_utilization import iter_jobs
-    return iter_jobs()
-
-
-def _e9_jobs() -> List[Job]:
-    from .experiments.e9_private_addresses import iter_jobs
-    return iter_jobs()
-
-
-def _a1_jobs() -> List[Job]:
-    from .experiments.a1_addressing import iter_jobs
-    return iter_jobs()
-
-
-def _a2_jobs() -> List[Job]:
-    from .experiments.a2_efcp_policies import iter_jobs
-    return iter_jobs()
-
-
-def _a5_jobs() -> List[Job]:
-    from .experiments.a5_depth import iter_jobs
-    return iter_jobs()
-
-
 EXPERIMENTS: Dict[str, tuple] = {
-    "e1": ("Fig 1: two-system IPC under loss", _e1_jobs),
-    "e2": ("Fig 2: relaying through dedicated systems", _e2_jobs),
-    "e3": ("Fig 3/§6.2: wireless-scope DIF vs end-to-end", _e3_jobs),
-    "e4": ("Fig 4/§6.3: multihoming failover vs TCP/SCTP", _e4_jobs),
-    "e5": ("Fig 5/§6.4: mobility vs Mobile-IP (+A4 ablation)", _e5_jobs),
-    "e6": ("§6.5: flat vs recursive routing state", _e6_jobs),
+    "e1": ("Fig 1: two-system IPC under loss",
+           partial(_jobs, "e1_two_system")),
+    "e2": ("Fig 2: relaying through dedicated systems",
+           partial(_jobs, "e2_relay")),
+    "e3": ("Fig 3/§6.2: wireless-scope DIF vs end-to-end",
+           partial(_jobs, "e3_scoped_recovery")),
+    "e4": ("Fig 4/§6.3: multihoming failover vs TCP/SCTP",
+           partial(_jobs, "e4_multihoming")),
+    "e5": ("Fig 5/§6.4: mobility vs Mobile-IP (+A4 ablation)",
+           partial(_jobs, "e5_mobility")),
+    "e6": ("§6.5: flat vs recursive routing state",
+           partial(_jobs, "e6_scalability")),
     "e6-scale": ("§6.5 scale tier: 56/211/1,021-system builds, "
                  "wall-clock + events/sec (REPRO_E6_SCALE_TIERS; "
                  "--shards N adds the sharded flood tier, --stateful "
                  "shards the control plane itself)",
                  _e6_scale_jobs),
-    "e7": ("§6.1: attack surface", _e7_jobs),
-    "e8": ("§6.6: utilization before QoS violation", _e8_jobs),
-    "e9": ("§6.5/§6.7: private addressing without NAT", _e9_jobs),
-    "a1": ("ablation: addressing policies", _a1_jobs),
-    "a2": ("ablation: EFCP policies", _a2_jobs),
-    "a5": ("ablation: what each level of recursion costs", _a5_jobs),
+    "e7": ("§6.1: attack surface", partial(_jobs, "e7_security")),
+    "e8": ("§6.6: utilization before QoS violation",
+           partial(_jobs, "e8_utilization")),
+    "e9": ("§6.5/§6.7: private addressing without NAT",
+           partial(_jobs, "e9_private_addresses")),
+    "a1": ("ablation: addressing policies", partial(_jobs, "a1_addressing")),
+    "a2": ("ablation: EFCP policies", partial(_jobs, "a2_efcp_policies")),
+    "a5": ("ablation: what each level of recursion costs",
+           partial(_jobs, "a5_depth")),
 }
 
 
@@ -177,6 +134,15 @@ def _extract_bool_flag(args: List[str], flag: str) -> Tuple[List[str], bool]:
     return remaining, len(remaining) != len(args)
 
 
+#: ``--stateful`` → (tier env var, default tiers, workload kind, title)
+_SHARDED_TIERS = {
+    False: ("REPRO_E6_SCALE_TIERS", "small,medium,large", "flood",
+            "flat flooding fan-out"),
+    True: ("REPRO_E6_STATEFUL_TIERS", "small,medium", "stateful",
+           "flat control plane (stateful)"),
+}
+
+
 def _sharded_scale_main(shards: int, workers_flag: Optional[int],
                         stateful: bool) -> int:
     """``repro e6-scale --shards N [--stateful]``: the sharded tiers.
@@ -189,19 +155,13 @@ def _sharded_scale_main(shards: int, workers_flag: Optional[int],
     serial dispatch (``--jobs`` still overrides; inside a pool worker
     the coordinator falls back to in-process rounds).
     """
-    from .experiments.e6_scalability import iter_flood_jobs, iter_stateful_jobs
-    if stateful:
-        tiers = os.environ.get("REPRO_E6_STATEFUL_TIERS", "small,medium")
-        iter_fn, tier_env, what = (iter_stateful_jobs,
-                                   "REPRO_E6_STATEFUL_TIERS",
-                                   "flat control plane (stateful)")
-    else:
-        tiers = os.environ.get("REPRO_E6_SCALE_TIERS", "small,medium,large")
-        iter_fn, tier_env, what = (iter_flood_jobs, "REPRO_E6_SCALE_TIERS",
-                                   "flat flooding fan-out")
+    from .experiments.e6_scalability import iter_shard_jobs
+    tier_env, default_tiers, kind, what = _SHARDED_TIERS[stateful]
+    tiers = os.environ.get(tier_env, default_tiers)
     try:
-        jobs = iter_fn([t.strip() for t in tiers.split(",") if t.strip()],
-                       shards=shards)
+        jobs = iter_shard_jobs(
+            kind, [t.strip() for t in tiers.split(",") if t.strip()],
+            shards=shards)
     except ValueError as exc:
         print(f"{tier_env}: {exc}", file=sys.stderr)
         return 2

@@ -487,16 +487,38 @@ def _stateful_row(node_stats: List[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
-def _reference_result(reference: Dict[str, Any]):
-    """A single-engine reference run as a one-shard
-    :class:`~repro.shard.ShardRunResult` (one round, one grant, one
-    region step, nothing relayed), so a tier's row reads its counts the
-    same way at every shard count."""
-    from ..shard import ShardRunResult
-    return ShardRunResult(rows=reference["rows"],
-                          node_stats=reference["node_stats"],
-                          shards=[reference], rounds=1, grants=1,
-                          region_steps=[1])
+def _tier_run(kind: str, regions: int, hosts_per_region: int, shards: int,
+              seed: int, mode: str = "auto", collect_rows: bool = False,
+              traces: bool = False, origins: Optional[int] = None,
+              sparse: bool = False):
+    """``(spec, result, wall)`` of one run of a sharded tier's plant
+    with the ``kind`` workload: the flood storm (``origins`` sparse
+    announcements when given), or the stateful enrollment schedule (the
+    sparse-traffic one when ``sparse``).  ``shards <= 1`` is the
+    single-engine reference run, unless ``traces`` asks for the
+    per-shard traces only a sharded run renders."""
+    from ..shard import (RegionPlan, all_nodes_announce, run_sharded,
+                         run_unsharded, sparse_announce)
+    spec = build_flood_spec(regions, hosts_per_region)
+    if kind == "flood":
+        workload = (all_nodes_announce(spec.nodes) if origins is None
+                    else sparse_announce(spec.nodes, origins))
+    else:
+        build = (build_sparse_stateful_workload if sparse
+                 else build_stateful_workload)
+        workload = build(regions, hosts_per_region)
+    until = workload.get("until")
+    started = time.perf_counter()
+    if shards <= 1 and not traces:
+        result = run_unsharded(spec, workload, seed=seed, until=until,
+                               collect_rows=collect_rows)
+    else:
+        plan = RegionPlan(spec, flood_assignment(regions, hosts_per_region,
+                                                 shards))
+        result = run_sharded(plan, workload, seed=seed, mode=mode,
+                             until=until, collect_rows=collect_rows,
+                             collect_traces=traces)
+    return spec, result, time.perf_counter() - started
 
 
 def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
@@ -514,22 +536,9 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
     unsharded run.  ``sparse`` swaps in the sparse-traffic workload
     (:func:`build_sparse_stateful_workload`).
     """
-    from ..shard import RegionPlan, run_sharded, run_unsharded_stateful
-    spec = build_flood_spec(regions, hosts_per_region)
-    build = (build_sparse_stateful_workload if sparse
-             else build_stateful_workload)
-    workload = build(regions, hosts_per_region)
-    until = workload["until"]
-    started = time.perf_counter()
-    if shards <= 1:
-        result = _reference_result(run_unsharded_stateful(
-            spec, workload, seed=seed, until=until))
-    else:
-        plan = RegionPlan(spec, flood_assignment(regions, hosts_per_region,
-                                                 shards))
-        result = run_sharded(plan, workload, seed=seed, mode=mode,
-                             until=until, collect_traces=False)
-    wall = time.perf_counter() - started
+    spec, result, wall = _tier_run("stateful", regions, hosts_per_region,
+                                   shards, seed, mode, collect_rows=True,
+                                   sparse=sparse)
     return {
         "config": "flat-stateful" + ("-sparse" if sparse else ""),
         "systems": len(spec.nodes),
@@ -545,45 +554,6 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
         **_stateful_row(result.node_stats),
         **_speed_columns(result.events, wall),
     }
-
-
-def iter_stateful_jobs(tiers: List[str] = ("small", "medium"),
-                       shards: int = 2, seed: int = 1) -> List[Job]:
-    """The stateful sharded tier as data: per tier, the single-engine
-    reference row and the ``shards``-way partitioned row.  Same
-    dispatch caveats as :func:`iter_flood_jobs` (each job is one whole
-    sharded run)."""
-    from ..sweeps import Job
-    jobs = []
-    for tier in tiers:
-        if tier not in STATEFUL_SIZES:
-            raise ValueError(f"unknown stateful tier {tier!r}; "
-                             f"known: {', '.join(STATEFUL_SIZES)}")
-        regions, hosts = STATEFUL_SIZES[tier]
-        for count in dict.fromkeys((1, shards)):
-            jobs.append(Job(
-                "repro.experiments.e6_scalability:run_stateful_scale",
-                kwargs={"regions": regions, "hosts_per_region": hosts,
-                        "shards": count, "seed": seed},
-                group="e6-stateful",
-                label=f"e6-stateful flat {tier} x{count}"))
-    return jobs
-
-
-def stateful_trace_digests(regions: int, hosts_per_region: int,
-                           shards: int, seed: int = 0) -> List[Dict[str, Any]]:
-    """Per-shard trace SHA-256s of a canned stateful plant (job target
-    for the golden-fingerprint checks, the stateful analogue of
-    :func:`shard_trace_digests`)."""
-    from ..shard import RegionPlan, run_sharded
-    spec = build_flood_spec(regions, hosts_per_region)
-    workload = build_stateful_workload(regions, hosts_per_region)
-    plan = RegionPlan(spec, flood_assignment(regions, hosts_per_region,
-                                             shards))
-    result = run_sharded(plan, workload, seed=seed,
-                         until=workload["until"])
-    return [{"shard": s["shard"], "sha256": s["trace_sha256"]}
-            for s in result.shards]
 
 
 def run_flood_scale(regions: int, hosts_per_region: int, shards: int = 1,
@@ -607,22 +577,9 @@ def run_flood_scale(regions: int, hosts_per_region: int, shards: int = 1,
     :data:`FLOOD_TIER_ORIGINS`).  Deliveries are then
     ``origins * (n - 1)`` instead of ``n * (n - 1)``.
     """
-    from ..shard import (RegionPlan, all_nodes_announce, run_sharded,
-                         run_unsharded, sparse_announce)
-    spec = build_flood_spec(regions, hosts_per_region)
-    workload = (all_nodes_announce(spec.nodes) if origins is None
-                else sparse_announce(spec.nodes, origins))
+    spec, result, wall = _tier_run("flood", regions, hosts_per_region,
+                                   shards, seed, mode, origins=origins)
     n = len(spec.nodes)
-    started = time.perf_counter()
-    if shards <= 1:
-        result = _reference_result(run_unsharded(spec, workload, seed=seed,
-                                                 collect_rows=False))
-    else:
-        plan = RegionPlan(spec, flood_assignment(regions, hosts_per_region,
-                                                 shards))
-        result = run_sharded(plan, workload, seed=seed, mode=mode,
-                             collect_rows=False, collect_traces=False)
-    wall = time.perf_counter() - started
     return {
         "config": "flat-flood",
         "systems": n,
@@ -638,47 +595,56 @@ def run_flood_scale(regions: int, hosts_per_region: int, shards: int = 1,
     }
 
 
-def shard_trace_digests(regions: int, hosts_per_region: int,
-                        shards: int, seed: int = 0) -> List[Dict[str, Any]]:
-    """Rows of per-shard trace SHA-256s for a canned flood plant.
+def trace_digests(kind: str, regions: int, hosts_per_region: int,
+                  shards: int, seed: int = 0) -> List[Dict[str, Any]]:
+    """Rows of per-shard trace SHA-256s for a canned ``kind`` plant,
+    sharded at every shard count (the reference run renders no trace).
 
     Job target for the golden-fingerprint checks: sharded traces
     produced inside a pool worker (where the coordinator falls back to
     in-process rounds) must match the digests pinned from a direct run.
     """
-    from ..shard import RegionPlan, all_nodes_announce, run_sharded
-    spec = build_flood_spec(regions, hosts_per_region)
-    plan = RegionPlan(spec, flood_assignment(regions, hosts_per_region,
-                                             shards))
-    result = run_sharded(plan, all_nodes_announce(spec.nodes), seed=seed)
+    _spec, result, _wall = _tier_run(kind, regions, hosts_per_region,
+                                     shards, seed, traces=True)
     return [{"shard": s["shard"], "sha256": s["trace_sha256"]}
             for s in result.shards]
 
 
-def iter_flood_jobs(tiers: List[str] = ("small", "medium", "large"),
-                    shards: int = 2, seed: int = 1) -> List[Job]:
-    """The sharded tier as data: per tier, the single-engine reference
-    row and the ``shards``-way partitioned row.  Each job is one whole
+#: Per sharded-tier workload kind: (tier sizes, the row's job target,
+#: job group, the configuration its labels name).
+_SHARD_TIERS = {
+    "flood": (FLOOD_SIZES, "run_flood_scale", "e6-shard", "flat-flood"),
+    "stateful": (STATEFUL_SIZES, "run_stateful_scale", "e6-stateful",
+                 "flat"),
+}
+
+
+def iter_shard_jobs(kind: str, tiers: List[str], shards: int = 2,
+                    seed: int = 1) -> List[Job]:
+    """A sharded tier as data: per tier, the single-engine reference
+    row and the ``shards``-way partitioned row of the ``kind``
+    workload (``"flood"`` or ``"stateful"``).  Each job is one whole
     sharded run — the coordinator spawns its own per-region workers, so
     dispatch these with ``--jobs 1`` (inside a daemonic pool worker the
     coordinator falls back to in-process rounds)."""
     from ..sweeps import Job
+    sizes, target, group, config = _SHARD_TIERS[kind]
     jobs = []
     for tier in tiers:
-        if tier not in FLOOD_SIZES:
-            raise ValueError(f"unknown flood tier {tier!r}; "
-                             f"known: {', '.join(FLOOD_SIZES)}")
-        regions, hosts = FLOOD_SIZES[tier]
-        origins = FLOOD_TIER_ORIGINS.get(tier)
+        if tier not in sizes:
+            raise ValueError(f"unknown {kind} tier {tier!r}; "
+                             f"known: {', '.join(sizes)}")
+        regions, hosts = sizes[tier]
+        kwargs = {"regions": regions, "hosts_per_region": hosts,
+                  "seed": seed}
+        if kind == "flood":
+            kwargs["origins"] = FLOOD_TIER_ORIGINS.get(tier)
         # dict.fromkeys: --shards 1 means one reference row, not two
         for count in dict.fromkeys((1, shards)):
-            jobs.append(Job(
-                "repro.experiments.e6_scalability:run_flood_scale",
-                kwargs={"regions": regions, "hosts_per_region": hosts,
-                        "shards": count, "seed": seed,
-                        "origins": origins},
-                group="e6-shard",
-                label=f"e6-shard flat-flood {tier} x{count}"))
+            jobs.append(Job(f"repro.experiments.e6_scalability:{target}",
+                            kwargs={**kwargs, "shards": count},
+                            group=group,
+                            label=f"{group} {config} {tier} x{count}"))
     return jobs
 
 

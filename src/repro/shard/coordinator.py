@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sweeps.runner import available_cpu_count, resolve_start_method
-from .engine import BoundaryFrame, ShardEngine
+from .engine import BoundaryFrame, ShardEngine, attach_workload
 from .framing import pack_frames, unpack_frames
 from .plan import RegionPlan
 
@@ -81,7 +81,6 @@ class ShardRunResult:
     traces: List[str] = field(default_factory=list)
     rounds: int = 0
     frames_relayed: int = 0
-    mode: str = "inline"
     # boundary rounds actually executed, per region: an idle region
     # sits out a round entirely, so these count the per-worker
     # synchronization cost the global `rounds` barrier count does not
@@ -552,7 +551,7 @@ class ShardCoordinator:
                               shards=summaries, traces=traces,
                               rounds=st.rounds,
                               frames_relayed=st.frames_relayed,
-                              mode=self.mode, region_steps=st.region_steps,
+                              region_steps=st.region_steps,
                               grants=st.grants,
                               relay_batches=st.relay_batches,
                               relay_bytes=relay_bytes)
@@ -576,3 +575,27 @@ def run_sharded(plan: RegionPlan, workload: Dict[str, Any], seed: int = 0,
     coordinator = ShardCoordinator(plan, workload, seed=seed, mode=mode)
     return coordinator.run(until=until, collect_rows=collect_rows,
                            collect_traces=collect_traces)
+
+
+def run_unsharded(spec, workload: Dict[str, Any], seed: int = 0,
+                  until: Optional[float] = None,
+                  collect_rows: bool = True) -> ShardRunResult:
+    """The single-engine reference run of a workload of any kind: the
+    spec built whole on one engine, with no plan, shard engine or
+    coordinator, so it stays the independent oracle sharded runs are
+    pinned against.  ``until`` defaults to the workload's own cap.  The
+    result is one shard's :class:`ShardRunResult` (one round, one grant,
+    one region step, nothing relayed), read as a sharded run's is."""
+    if until is None:
+        until = workload.get("until")
+    network = spec.build(seed=seed)
+    run = attach_workload(network, workload)
+    network.run(until=until)
+    engine = network.engine
+    summary = {"shard": 0, "nodes": len(spec.nodes),
+               "events": engine.events_processed, "clock": engine.now}
+    summary.update(run.summary_extra())
+    return ShardRunResult(
+        rows=run.delivery_rows() if collect_rows else [],
+        node_stats=run.node_stat_rows() if collect_rows else [],
+        shards=[summary], rounds=1, grants=1, region_steps=[1])

@@ -215,10 +215,22 @@ class FloodRun:
         self.floods = floods
 
     def delivery_rows(self) -> List[Dict[str, Any]]:
-        return delivery_rows(self.floods)
+        """One row per first delivery, sorted by (node, origin, seq),
+        its time included: on a tie-free workload the sharded run
+        reproduces the unsharded delivery *times* bit for bit."""
+        rows = []
+        floods = self.floods
+        for name in sorted(floods):
+            for time, origin, seq in sorted(
+                    floods[name].deliveries,
+                    key=lambda d: (d[1], d[2], d[0])):
+                rows.append({"node": name, "origin": origin, "seq": seq,
+                             "time": time})
+        return rows
 
     def node_stat_rows(self) -> List[Dict[str, Any]]:
-        return node_stat_rows(self.floods)
+        """Per-node stats rows sorted by node name."""
+        return [self.floods[name].stats() for name in sorted(self.floods)]
 
     def summary_extra(self) -> Dict[str, Any]:
         return {
@@ -236,50 +248,3 @@ class FloodRun:
                          "received={received} duplicates={duplicates} "
                          "forwarded={forwarded}".format(**stats))
         return lines
-
-
-def delivery_rows(floods: Dict[str, FloodNode]) -> List[Dict[str, Any]]:
-    """One row per first delivery, sorted by (node, origin, seq).
-
-    Timestamps are included deliberately: on a tie-free workload the
-    sharded run reproduces the unsharded delivery *times* bit for bit,
-    and the equivalence test pins exactly that.
-    """
-    rows = []
-    for name in sorted(floods):
-        for time, origin, seq in sorted(
-                floods[name].deliveries,
-                key=lambda d: (d[1], d[2], d[0])):
-            rows.append({"node": name, "origin": origin, "seq": seq,
-                         "time": time})
-    return rows
-
-
-def node_stat_rows(floods: Dict[str, FloodNode]) -> List[Dict[str, Any]]:
-    """Per-node stats rows sorted by node name."""
-    return [floods[name].stats() for name in sorted(floods)]
-
-
-def run_unsharded(spec, workload: Dict[str, Any], seed: int = 0,
-                  until: Optional[float] = None,
-                  collect_rows: bool = True) -> Dict[str, Any]:
-    """The single-engine reference run of a flood workload.
-
-    ``spec`` is a :class:`~repro.shard.plan.NetworkSpec`.  Returns the
-    same row shapes as a sharded run so the equivalence tests (and the
-    E6 comparison table) diff them directly.  ``collect_rows=False``
-    skips building the per-delivery row lists — the same gating a scale
-    run applies to the sharded side, so timed comparisons measure equal
-    work.
-    """
-    network = spec.build(seed=seed)
-    floods = attach_flood(network, workload)
-    network.run(until=until)
-    return {
-        "rows": delivery_rows(floods) if collect_rows else [],
-        "node_stats": node_stat_rows(floods) if collect_rows else [],
-        "events": network.engine.events_processed,
-        "clock": network.engine.now,
-        "deliveries": sum(f.received for f in floods.values()),
-        "duplicates": sum(f.duplicates for f in floods.values()),
-    }

@@ -290,25 +290,3 @@ def rib_fingerprint(ipcp, lsa_lines: Optional[_LsaLines] = None) -> str:
     lines += [f"neighbor {texts[neighbor]}"
               for neighbor in ipcp.rmt.neighbors()]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-def run_unsharded_stateful(spec, workload: Dict[str, Any], seed: int = 0,
-                           until: Optional[float] = None) -> Dict[str, Any]:
-    """The single-engine reference run of a stateful workload.
-
-    ``spec`` is a :class:`~repro.shard.plan.NetworkSpec`.  Returns the
-    same row shapes as a sharded run so the equivalence tests (and the
-    E6 comparison table) diff them directly.
-    """
-    if until is None:
-        until = workload.get("until")
-    network = spec.build(seed=seed)
-    plane = StatefulControlPlane(network, workload)
-    network.run(until=until)
-    return {
-        "rows": plane.delivery_rows(),
-        "node_stats": plane.node_stat_rows(),
-        "events": network.engine.events_processed,
-        "clock": network.engine.now,
-        "enrolled": plane.summary_extra()["enrolled"],
-    }

@@ -196,6 +196,19 @@ Each move is one call at build time, none per link or per PDU:
   rows itself;
 * ``control_flat`` unchanged: E6's flat plant connects its rows
   directly.
+
+One reference run serves every workload kind: ``shard.run_unsharded``
+attaches the workload through ``attach_workload`` and returns the
+one-shard ``ShardRunResult`` the E6 rows read (docs/ARCHITECTURE.md,
+"The shard subsystem"):
+
+* ``flood`` 1,002 → 1,005: ``attach_workload``, ``FloodRun.__init__``,
+  ``FloodRun.summary_extra`` (its two sums' generators make the same
+  22 calls the old reference run's did) and the tier's ``_tier_run``
+  +1 each, in place of e6's one-shard wrapper and flood's own
+  reference run (−1 each);
+* ``stateful_serial`` 21,802 → 21,803: ``attach_workload`` +1 (the
+  reference run is one function, as before).
 """
 
 import os
@@ -232,17 +245,17 @@ def count_calls(run):
 def _stateful_serial():
     from repro.experiments.e6_scalability import (build_flood_spec,
                                                   build_stateful_workload)
-    from repro.shard import run_unsharded_stateful
-    return run_unsharded_stateful(build_flood_spec(3, 4),
-                                  build_stateful_workload(3, 4), seed=0)
+    from repro.shard import run_unsharded
+    return run_unsharded(build_flood_spec(3, 4),
+                         build_stateful_workload(3, 4), seed=0)
 
 
 EXPECTED = {
     "control_flat": 31783,
     "data_clean_rina": 117531,
     "data_clean_ip": 57345,
-    "flood": 1002,
-    "stateful_serial": 21802,
+    "flood": 1005,
+    "stateful_serial": 21803,
 }
 
 RUNS = {

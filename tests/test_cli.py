@@ -67,19 +67,30 @@ class TestShardedScaleFlags:
         err = capsys.readouterr().err
         assert "--stateful" in err and "--shards 1" in err
 
-    def test_stateful_tier_runs_and_pins_fingerprint(self, capsys,
-                                                     monkeypatch):
-        monkeypatch.setenv("REPRO_E6_STATEFUL_TIERS", "small")
-        assert main(["e6-scale", "--shards", "2", "--stateful"]) == 0
-        out = capsys.readouterr().out
-        assert "flat-stateful" in out and "rib_sha256" in out
-        assert "stateful" in out   # the table title names the tier
+    #: (flags, tier env var, what its table prints) per sharded tier
+    TIERS = {
+        "flood": ([], "REPRO_E6_SCALE_TIERS", ("flat-flood", "flooding")),
+        "stateful": (["--stateful"], "REPRO_E6_STATEFUL_TIERS",
+                     ("flat-stateful", "rib_sha256", "stateful")),
+    }
 
-    def test_stateful_tier_rejects_unknown_tier_env(self, capsys,
-                                                    monkeypatch):
-        monkeypatch.setenv("REPRO_E6_STATEFUL_TIERS", "galactic")
-        assert main(["e6-scale", "--shards", "2", "--stateful"]) == 2
-        assert "REPRO_E6_STATEFUL_TIERS" in capsys.readouterr().err
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_sharded_tier_runs_and_prints_its_rows(self, capsys,
+                                                   monkeypatch, tier):
+        flags, env, printed = self.TIERS[tier]
+        monkeypatch.setenv(env, "small")
+        assert main(["e6-scale", "--shards", "2", *flags]) == 0
+        out = capsys.readouterr().out
+        # the rows, and the table title naming the tier
+        assert all(text in out for text in printed), out
+
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_sharded_tier_rejects_unknown_tier_env(self, capsys,
+                                                   monkeypatch, tier):
+        flags, env, _printed = self.TIERS[tier]
+        monkeypatch.setenv(env, "galactic")
+        assert main(["e6-scale", "--shards", "2", *flags]) == 2
+        assert env in capsys.readouterr().err
 
     def test_removed_transport_flag_is_rejected(self, capsys):
         # the relay has one path and placement is one rule: the flags
@@ -100,14 +111,15 @@ class TestShardedScaleFlags:
         assert "--protocol" not in capsys.readouterr().out
 
     def test_stateful_jobs_take_no_round_rule(self):
-        from repro.experiments.e6_scalability import iter_stateful_jobs
-        jobs = iter_stateful_jobs(["small"], shards=2)
+        from repro.experiments.e6_scalability import iter_shard_jobs
+        jobs = iter_shard_jobs("stateful", ["small"], shards=2)
         assert jobs
         for job in jobs:
             assert "protocol" not in job.kwargs
             assert "transport" not in job.kwargs
         with pytest.raises(TypeError):
-            iter_stateful_jobs(["small"], shards=2, protocol="global-min")
+            iter_shard_jobs("stateful", ["small"], shards=2,
+                            protocol="global-min")
 
 
 class TestJobsFlag:

@@ -20,6 +20,7 @@ from multiprocessing.connection import Connection
 import pytest
 
 from repro.experiments.e6_scalability import (FLOOD_SIZES, build_flood_spec,
+                                              build_stateful_workload,
                                               flood_assignment,
                                               run_flood_scale)
 from repro.shard import (NetworkSpec, RegionPlan, ShardCoordinator,
@@ -123,12 +124,12 @@ class TestEquivalence:
         sharded = run_sharded(plan, workload, seed=0, mode="inline")
         # every system heard every announcement...
         n = len(spec.nodes)
-        assert reference["deliveries"] == n * (n - 1)
+        assert reference.shards[0]["deliveries"] == n * (n - 1)
         # ...and the sharded run reproduces the delivery rows bit for
         # bit, float timestamps included
-        assert sharded.rows == reference["rows"]
-        assert sharded.node_stats == reference["node_stats"]
-        assert sharded.events == reference["events"]
+        assert sharded.rows == reference.rows
+        assert sharded.node_stats == reference.node_stats
+        assert sharded.events == reference.events
         assert sharded.frames_relayed > 0
 
     def test_process_mode_matches_inline_mode(self):
@@ -175,8 +176,30 @@ class TestEquivalence:
         workload4 = all_nodes_announce(plan4.spec.nodes)
         reference = run_unsharded(plan4.spec, workload4, seed=0)
         sharded = run_sharded(plan4, workload4, seed=0, mode="inline")
-        assert sharded.rows == reference["rows"]
+        assert sharded.rows == reference.rows
         assert len(sharded.shards) == 4
+
+    @pytest.mark.parametrize("kind", ["flood", "stateful"])
+    def test_one_region_plan_equals_the_reference_run(self, kind):
+        # the one-shard constants the reference run states (one round,
+        # one grant, one region step, nothing relayed, the summary's
+        # fields) are what the coordinator does with a single region
+        spec = build_flood_spec(3, 4)
+        workload = (all_nodes_announce(spec.nodes) if kind == "flood"
+                    else build_stateful_workload(3, 4))
+        plan = RegionPlan(spec, {node: 0 for node in spec.nodes})
+        sharded = run_sharded(plan, workload, seed=0, mode="inline",
+                              until=workload.get("until"),
+                              collect_traces=False)
+        reference = run_unsharded(spec, workload, seed=0)
+        assert sharded.rows == reference.rows
+        assert sharded.node_stats == reference.node_stats
+        assert sharded.events == reference.events
+        assert (sharded.rounds, sharded.grants, sharded.region_steps,
+                sharded.frames_relayed) == \
+            (reference.rounds, reference.grants, reference.region_steps,
+             reference.frames_relayed) == (1, 1, [1], 0)
+        assert sharded.shards == reference.shards
 
     def test_flood_scale_row_invariant_across_shard_counts(self):
         serial = run_flood_scale(3, 2, shards=1)
@@ -254,7 +277,7 @@ class TestLookaheadEdges:
         assert by_key[("b", "a")] == serialization + 0.001
         assert by_key[("c", "a")] == serialization + 0.0002
         reference = run_unsharded(spec, workload, seed=0)
-        assert first.rows == reference["rows"]
+        assert first.rows == reference.rows
         # ... and deterministically: byte-identical reruns, any mode
         assert results[1].traces == first.traces
         assert results[2].traces == first.traces
@@ -330,8 +353,8 @@ class TestConditionSpecCapture:
         workload = all_nodes_announce(spec.nodes)
         reference = run_unsharded(spec, workload, seed=3)
         sharded = run_sharded(plan, workload, seed=3, mode="inline")
-        assert sharded.rows == reference["rows"]
-        assert sharded.node_stats == reference["node_stats"]
+        assert sharded.rows == reference.rows
+        assert sharded.node_stats == reference.node_stats
 
     def test_conditioned_interior_links_survive_process_mode(self):
         spec = self.conditioned_spec()

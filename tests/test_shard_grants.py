@@ -32,7 +32,7 @@ from repro.experiments.e6_scalability import (build_flood_spec,
                                               run_stateful_scale)
 from repro.shard import (NetworkSpec, RegionPlan, ShardCoordinator,
                          ShardRunError, all_nodes_announce, flood_workload,
-                         run_sharded, run_unsharded, run_unsharded_stateful)
+                         run_sharded, run_unsharded)
 from repro.shard import coordinator as coordinator_module
 from repro.shard.coordinator import grant_round
 from repro.sim.plant import LinkSpec
@@ -143,13 +143,12 @@ class TestOneRule:
         # the outcome stays bit-identical to the unsharded reference
         spec, plan, workload = stateful_plant(sparse=True)
         until = workload["until"]
-        reference = run_unsharded_stateful(spec, workload, seed=0,
-                                           until=until)
+        reference = run_unsharded(spec, workload, seed=0, until=until)
         result = run_sharded(plan, workload, seed=0, mode="inline",
                              until=until)
-        assert result.rows == reference["rows"]
-        assert result.node_stats == reference["node_stats"]
-        assert result.events == reference["events"]
+        assert result.rows == reference.rows
+        assert result.node_stats == reference.node_stats
+        assert result.events == reference.events
         assert result.steps <= result.rounds * len(plan.regions) / 2.5, (
             f"idle regions are being stepped: {result.steps} boundary "
             f"steps over {result.rounds} rounds")
@@ -160,13 +159,12 @@ class TestOneRule:
     def test_dense_plant_still_skips_idle_regions(self):
         spec, plan, workload = stateful_plant(sparse=False)
         until = workload["until"]
-        reference = run_unsharded_stateful(spec, workload, seed=0,
-                                           until=until)
+        reference = run_unsharded(spec, workload, seed=0, until=until)
         result = run_sharded(plan, workload, seed=0, mode="inline",
                              until=until)
-        assert result.rows == reference["rows"]
-        assert result.node_stats == reference["node_stats"]
-        assert result.events == reference["events"]
+        assert result.rows == reference.rows
+        assert result.node_stats == reference.node_stats
+        assert result.events == reference.events
         assert result.steps < result.rounds * len(plan.regions) / 2
 
     def test_every_window_in_a_round_opens_at_the_same_floor(
@@ -260,7 +258,7 @@ class TestCapAdvance:
         reference = run_unsharded(spec, workload, seed=0, until=until)
         assert result.frames_relayed == 1
         assert all(s["clock"] == until for s in result.shards)
-        assert result.rows == reference["rows"]   # nothing delivered yet
+        assert result.rows == reference.rows   # nothing delivered yet
         # sanity: without the cap the frame lands at until + delay
         full = run_sharded(plan, workload, seed=0, mode="inline")
         assert [(row["node"], row["time"]) for row in full.rows] == \

@@ -23,7 +23,7 @@ from repro.experiments.e6_scalability import (build_flood_spec,
                                               flood_assignment,
                                               run_stateful_scale)
 from repro.shard import (RegionPlan, ShardEngine, all_nodes_announce,
-                         run_sharded, run_unsharded_stateful)
+                         run_sharded, run_unsharded)
 
 #: Golden fingerprints of the canned stateful case (E6 plant at 3x2,
 #: seed 0): the combined node-stats rendering of the unsharded build,
@@ -112,15 +112,15 @@ def digest(rows):
 class TestStatefulEquivalence:
     def test_two_shard_split_matches_unsharded_build_exactly(self):
         spec, plan, workload = canned_stateful()
-        reference = run_unsharded_stateful(spec, workload, seed=0)
+        reference = run_unsharded(spec, workload, seed=0)
         sharded = run_sharded(plan, workload, seed=0, mode="inline",
                               until=workload["until"])
         # everyone enrolled, and the *whole* control-plane outcome —
         # enrollment floats, addresses, tables, LSDBs — is bit-identical
-        assert reference["enrolled"] == len(spec.nodes)
-        assert sharded.rows == reference["rows"]
-        assert sharded.node_stats == reference["node_stats"]
-        assert sharded.events == reference["events"]
+        assert reference.shards[0]["enrolled"] == len(spec.nodes)
+        assert sharded.rows == reference.rows
+        assert sharded.node_stats == reference.node_stats
+        assert sharded.events == reference.events
         assert sharded.frames_relayed > 0
         # a member's table covers the whole flat DIF (routing converged)
         assert all(row["table_size"] == len(spec.nodes) - 1
@@ -128,9 +128,9 @@ class TestStatefulEquivalence:
 
     def test_unsharded_build_matches_golden_fingerprints(self):
         spec, _plan, workload = canned_stateful()
-        reference = run_unsharded_stateful(spec, workload, seed=0)
-        assert digest(reference["node_stats"]) == GOLDEN_STATEFUL_NODE_STATS
-        assert digest(reference["rows"]) == GOLDEN_STATEFUL_ROWS
+        reference = run_unsharded(spec, workload, seed=0)
+        assert digest(reference.node_stats) == GOLDEN_STATEFUL_NODE_STATS
+        assert digest(reference.rows) == GOLDEN_STATEFUL_ROWS
 
     def test_sharded_traces_match_golden_fingerprints(self):
         traces = canned_stateful_traces()
@@ -153,12 +153,12 @@ class TestStatefulEquivalence:
     def test_three_way_split_keeps_the_rib(self):
         spec, _plan2, workload = canned_stateful()
         plan3 = RegionPlan(spec, flood_assignment(3, 2, 3))
-        reference = run_unsharded_stateful(spec, workload, seed=0)
+        reference = run_unsharded(spec, workload, seed=0)
         sharded = run_sharded(plan3, workload, seed=0, mode="inline",
                               until=workload["until"])
         assert len(sharded.shards) == 3
-        assert sharded.rows == reference["rows"]
-        assert sharded.node_stats == reference["node_stats"]
+        assert sharded.rows == reference.rows
+        assert sharded.node_stats == reference.node_stats
 
     def test_stateful_scale_row_invariant_across_shard_counts(self):
         # the 3x2 plant at 2 shards, then the 10x3 plant at 2, 4 and 10
@@ -256,13 +256,13 @@ class TestWireData:
         assert len(plan.regions) == len(spec.nodes) == 16
         assert all(not region.links for region in plan.regions)
         assert len(plan.boundary_regions) == len(spec.links) == 15
-        reference = run_unsharded_stateful(spec, workload, seed=0)
+        reference = run_unsharded(spec, workload, seed=0)
         cut = run_sharded(plan, workload, seed=0, mode="inline",
                           until=workload["until"])
         assert cut.frames_relayed == 450
-        assert cut.rows == reference["rows"]
-        assert cut.node_stats == reference["node_stats"]
-        assert cut.events == reference["events"]
+        assert cut.rows == reference.rows
+        assert cut.node_stats == reference.node_stats
+        assert cut.events == reference.events
 
 
 # ----------------------------------------------------------------------
@@ -274,8 +274,8 @@ def test_stateful_fingerprints_reproduce_inside_pool_workers():
     in-process traces pinned above — proof that the whole control plane,
     codec included, rebuilds from pure data in a fresh interpreter."""
     from repro.sweeps import Job, SweepRunner
-    jobs = [Job("repro.experiments.e6_scalability:stateful_trace_digests",
-                kwargs={"regions": 3, "hosts_per_region": 2, "shards": 2,
+    jobs = [Job("repro.experiments.e6_scalability:trace_digests",
+                kwargs={"kind": "stateful", "regions": 3, "hosts_per_region": 2, "shards": 2,
                         "seed": 0},
                 group="golden-stateful", label="canned stateful split")] * 2
     rows = SweepRunner(workers=2, start_method="spawn").run(jobs)
