@@ -289,6 +289,111 @@ def test_scheduled_against_dispatched(schedule_census, workload):
     assert dict(scheduled) == SCHEDULED[workload]
 
 
+#: What a dispatch of each timer label is for.  A dispatch of one of
+#: these that does not bring its effect about did nothing; an event of
+#: any other label acts whenever it is dispatched.
+EFFECTS = {"routing.spf": "an SPF run", "riep.flood-retx": "a copy resent",
+           "efcp.ack": "an ACK sent", "efcp.retx": "a PDU resent"}
+
+
+@pytest.fixture
+def waste_census(schedule_census, monkeypatch):
+    """``waste()``: events per :func:`kind` that were scheduled and never
+    dispatched, plus those of an :data:`EFFECTS` label dispatched without
+    their effect."""
+    from repro.core.efcp import EfcpConnection
+    from repro.core.ipcp import Ipcp
+    from repro.core.routing import LinkStateRouting
+    scheduled, dispatched = schedule_census
+    effects, acted = Counter(), Counter()
+    call_at, call_later = Engine.call_at, Engine.call_later
+
+    def watched(callback, label):
+        row = kind(label)
+        effect = EFFECTS.get(row)
+        if effect is None:
+            return callback
+
+        def dispatch(*args):
+            before = effects[effect]
+            callback(*args)
+            acted[row] += effects[effect] != before
+        return dispatch
+
+    def watched_at(self, when, callback, *args, label=""):
+        return call_at(self, when, watched(callback, label), *args,
+                       label=label)
+
+    def watched_later(self, delay, callback, *args, label=""):
+        return call_later(self, delay, watched(callback, label), *args,
+                          label=label)
+
+    def counting(effect, method, acts):
+        def wrapped(self, *args, **kwargs):
+            result = method(self, *args, **kwargs)
+            effects[effect] += acts(self, result, *args, **kwargs)
+            return result
+        return wrapped
+    monkeypatch.setattr(Engine, "call_at", watched_at)
+    monkeypatch.setattr(Engine, "call_later", watched_later)
+    monkeypatch.setattr(LinkStateRouting, "_dijkstra", counting(
+        "an SPF run", LinkStateRouting._dijkstra,
+        lambda self, table, source: True))
+    monkeypatch.setattr(Ipcp, "_send_copy", counting(
+        "a copy resent", Ipcp._send_copy,
+        lambda self, sent, *args: bool(sent)))
+    monkeypatch.setattr(EfcpConnection, "_send_ack_now", counting(
+        "an ACK sent", EfcpConnection._send_ack_now,
+        lambda self, _none: not self.closed))
+    monkeypatch.setattr(EfcpConnection, "_transmit", counting(
+        "a PDU resent", EfcpConnection._transmit,
+        lambda self, _none, *args, retransmit: retransmit))
+
+    def waste():
+        rows = Counter(scheduled)
+        rows.subtract(acted)
+        rows.subtract({row: count for row, count in dispatched.items()
+                       if row not in EFFECTS})
+        return {row: count for row, count in sorted(rows.items()) if count}
+    return waste
+
+
+def _benchmark(workload):
+    """The benchmark's ``workload`` job at seed 0, through perf/child.py."""
+    from test_trace_golden import _perf_child
+    call, check = _perf_child().prepare(workload, 0)
+    assert check(call())["failed"] == 0
+
+
+#: Waste per label on the benchmark's own jobs at seed 0: events
+#: scheduled and never dispatched, plus events dispatched without the
+#: effect :data:`EFFECTS` names.  ``data_lossy`` is its panel of three
+#: program seeds.  On ``control_flat`` every ``routing.spf`` fire only
+#: marked the table for the next query, which made the run's 211 SPF runs;
+#: no ``riep.flood-retx`` fire found a copy to resend.  The
+#: ``riep.invoke`` and keepalive rows are timeouts an answer cancelled
+#: and ticks a crash or the run's end left pending.
+WASTE = {
+    "control_flat": {
+        "<ipcp>.keepalive": 211, "riep.flood-retx": 1170,
+        "riep.invoke": 420, "routing.spf": 7757},
+    "data_clean": {
+        "<ipcp>.keepalive": 12, "cbr.tick": 1, "efcp.ack": 372,
+        "efcp.retx": 1102, "riep.flood-retx": 40, "riep.invoke": 29,
+        "routing.spf": 18},
+    "data_lossy": {
+        "<ipcp>.keepalive": 36, "<link>.rx": 957, "cbr.tick": 3,
+        "efcp.ack": 71, "efcp.retx": 2438, "riep.flood-retx": 132,
+        "riep.invoke": 87, "routing.spf": 80},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WASTE))
+def test_waste_per_label(waste_census, workload):
+    _benchmark(workload)
+    assert waste_census() == WASTE[workload]
+
+
 #: The same lossy run's reliable EFCP connections, summed: what loss
 #: recovery cost (every resend, every copy the receiver already held,
 #: every expired retransmission timer).  12 / 2 / 4 until flooded copies

@@ -344,6 +344,77 @@ class TestIncrementalSpf:
         assert task.spf_runs == 1                    # billed to the query
 
 
+def claim_from(origin, *neighbors, seq=1):
+    """The ``M_WRITE`` of ``origin``'s LSA claiming ``neighbors``."""
+    lsa = Lsa(Address(origin), seq, {Address(n): 1.0 for n in neighbors})
+    return RiepMessage(M_WRITE, obj=LSA_OBJ, value=lsa.to_value())
+
+
+class TestHoldDownDeadline:
+    """The hold-down ends ``spf_delay`` after the first change since the
+    table was last computed; the first query at or past that instant
+    recomputes, once."""
+
+    def held(self):
+        """Member 1 with a two-way adjacency to 2, both changes at t=0:
+        the hold-down ends at t=0.1."""
+        engine = Engine()
+        task = LinkStateRouting(engine, lambda: Address(1),
+                                lambda m, e: 0, spf_delay=0.1)
+        task.neighbor_up(Address(2))
+        task.handle_lsa(claim_from(2, 1), Address(2))
+        return engine, task
+
+    def test_a_query_before_the_deadline_keeps_the_old_table(self):
+        engine, task = self.held()
+        engine.run(until=0.099)
+        assert task.table() == {}
+        assert task.next_hop(Address(2)) is None
+        assert task.spf_runs == 0
+
+    @pytest.mark.parametrize("when", [0.1, 0.5])
+    def test_a_query_at_or_after_the_deadline_recomputes_once(self, when):
+        engine, task = self.held()
+        engine.run(until=when)
+        assert task.next_hop(Address(2)) == Address(2)
+        assert task.table() == {Address(2): Address(2)}
+        assert (task.table_size(), task.reachable()) == (1, {Address(2)})
+        assert (task.spf_runs, task.spf_skipped) == (1, 0)
+
+    def test_a_later_lsa_does_not_postpone_an_unconsumed_deadline(self):
+        engine, task = self.held()
+        engine.run(until=0.2)
+        task.neighbor_up(Address(3))
+        task.handle_lsa(claim_from(3, 1), Address(3))
+        engine.run(until=0.25)          # 0.05 into the LSA's own hold
+        assert task.table() == {Address(2): Address(2),
+                                Address(3): Address(3)}
+        assert task.spf_runs == 1
+
+    def test_reset_clears_the_deadline(self):
+        engine, task = self.held()
+        task.reset()
+        engine.run(until=1.0)
+        assert task.table() == {}
+        assert (task.spf_runs, task.spf_skipped) == (0, 0)
+
+    def test_force_spf_computes_now_and_clears_the_deadline(self):
+        engine, task = self.held()
+        task.force_spf()
+        assert task.table() == {Address(2): Address(2)}
+        engine.run(until=1.0)
+        task.table()
+        assert (task.spf_runs, task.spf_skipped) == (1, 0)
+        # the next change starts a hold-down of its own
+        task.handle_lsa(claim_from(3, 1), Address(3))
+        task.neighbor_up(Address(3))
+        engine.run(until=1.05)
+        assert Address(3) not in task.table()
+        engine.run(until=1.1)
+        assert task.next_hop(Address(3)) == Address(3)
+        assert task.spf_runs == 2
+
+
 # ----------------------------------------------------------------------
 # One LSA, one object: the sharing contract of Lsa.from_value
 # ----------------------------------------------------------------------
