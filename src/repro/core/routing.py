@@ -28,18 +28,21 @@ Scaling: link-state is the same in every member of a DIF, so it is held once.
   live adjacencies, and applies the two-way check as it walks them;
 * an accepted LSA that does not change its origin's advertised neighbor
   set (a pure sequence-number refresh) is stored and re-flooded but does
-  **not** mark the SPF dirty — the hold-down timer still fires on the same
-  schedule (the event stream is part of the determinism contract), the
-  Dijkstra is simply skipped.
+  **not** mark the SPF dirty: the query past its hold-down skips Dijkstra.
+
+The hold-down is a policy of the routing task, not an event: a change
+records a deadline ``spf_delay`` ahead unless one is already set, and
+the first table query at or past it recomputes (:meth:`_ensure_table`).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from weakref import WeakValueDictionary
 
-from ..sim.engine import Engine, Timer
+from ..sim.engine import Engine
 from .names import Address
 from .riep import M_WRITE, RiepMessage, estimate_value_size
 
@@ -115,19 +118,20 @@ class LinkStateRouting:
     Parameters
     ----------
     engine:
-        Simulation engine for the SPF hold-down timer.
+        Simulation engine whose clock the SPF hold-down is read against.
     local_addr_fn:
         Returns this IPCP's current address (None before enrollment).
     flood_fn:
         ``flood_fn(message, exclude_neighbor)`` sends a hop-scoped RIEP
         message to every adjacent member except ``exclude_neighbor``.
     spf_delay:
-        Hold-down between an LSDB change and the SPF run (batches floods).
+        Hold-down between an LSDB change and the first table query that
+        recomputes (batches floods).
     """
 
     __slots__ = ("_engine", "_local_addr_fn", "_flood", "_spf_delay",
                  "_lsdb", "_own_seq", "_adjacencies", "_next_hop",
-                 "_spf_timer", "_dirty", "_spf_pending",
+                 "_spf_due", "_dirty",
                  "_spf_source", "lsas_received", "lsas_reflooded",
                  "spf_runs", "spf_skipped")
 
@@ -143,15 +147,14 @@ class LinkStateRouting:
         self._own_seq = 0
         self._adjacencies: Dict[Address, float] = {}
         self._next_hop: Dict[Address, Address] = {}
-        self._spf_timer = Timer(engine, self._run_spf, label="routing.spf")
         self._dirty = False            # any row change since the last run
-        self._spf_pending = False      # hold-down fired; recompute on query
+        self._spf_due = inf            # hold-down deadline; inf = none set
         self._spf_source: Optional[Address] = None
         # counters for the scalability/mobility experiments
         self.lsas_received = 0
         self.lsas_reflooded = 0
         self.spf_runs = 0
-        self.spf_skipped = 0           # hold-down fired, nothing dirty
+        self.spf_skipped = 0           # hold-down ended, nothing dirty
 
     # ------------------------------------------------------------------
     # Adjacency management (called by the IPCP's neighbor monitoring)
@@ -184,8 +187,7 @@ class LinkStateRouting:
         self._next_hop.clear()
         self._spf_source = None
         self._dirty = True
-        self._spf_pending = False
-        self._spf_timer.cancel()
+        self._spf_due = inf
 
     def _originate(self) -> None:
         local = self._local_addr_fn()
@@ -217,7 +219,7 @@ class LinkStateRouting:
         self.lsas_reflooded += 1
         self._flood(message, from_neighbor)
         # a pure seq refresh (identical neighbor set) leaves the SPF
-        # clean, so the coming fire skips Dijkstra; the own row is the
+        # clean, so the coming recompute skips Dijkstra; the own row is the
         # live adjacency set, never the stored LSA
         if ((current is None or current.neighbors != lsa.neighbors)
                 and lsa.origin != self._local_addr_fn()):
@@ -258,35 +260,28 @@ class LinkStateRouting:
     # Shortest paths
     # ------------------------------------------------------------------
     def _schedule_spf(self) -> None:
-        if not self._spf_timer.running:
-            self._spf_timer.start(self._spf_delay)
+        if self._spf_due == inf:
+            self._spf_due = self._engine.now + self._spf_delay
 
-    def _run_spf(self) -> None:
-        """Hold-down timer fired: the table may now be recomputed.
+    def _ensure_table(self) -> None:
+        """Recompute if the hold-down has ended.
 
-        The recomputation itself is deferred to the first table query
+        The recomputation waits for the first table query
         (``next_hop``/``table``/...): during stack construction and flood
         storms members see LSA bursts but forward no routed traffic, so
         eagerly recomputing per member per burst is pure waste — the E6
         build at 1,000 systems runs thousands of Dijkstras nobody reads.
-        Determinism is unaffected (same seed → same query points), and
-        the engine's event stream is untouched because the timer schedule
-        is unchanged.
+        Determinism is unaffected (same seed → same query points).
 
-        Deliberate semantic choice: a deferred recompute runs over the
-        graph *as of the query*, so it may fold in LSAs that arrived
-        after this fire and whose own hold-down has not yet expired.
-        Forwarding therefore uses link-state that is monotonically
-        fresher than the eager schedule would have — never staler — and
-        the hold-down keeps batching the *cost*.  If an experiment ever
-        needs fire-time snapshots (eager semantics), recompute here
-        instead of setting the flag.
+        A deferred recompute runs over the graph *as of the query*, so it
+        folds in LSAs that arrived after the deadline, whose own hold-down
+        would not yet have ended: forwarding uses link-state at least as
+        fresh as an eager recompute at the deadline would, and the
+        hold-down keeps batching the *cost*.  An LSA that lands while an
+        ended deadline waits for its query does not set another.
         """
-        self._spf_pending = True
-
-    def _ensure_table(self) -> None:
-        if self._spf_pending:
-            self._spf_pending = False
+        if self._engine.now >= self._spf_due:
+            self._spf_due = inf
             self._compute_spf()
 
     def _compute_spf(self) -> None:
@@ -352,8 +347,8 @@ class LinkStateRouting:
     def next_hop(self, destination: Address) -> Optional[Address]:
         """Step one of two-step routing: destination → next-hop address."""
         # _ensure_table inline: the RMT calls this once per relayed PDU
-        if self._spf_pending:
-            self._spf_pending = False
+        if self._engine.now >= self._spf_due:
+            self._spf_due = inf
             self._compute_spf()
         return self._next_hop.get(destination)
 
@@ -378,6 +373,5 @@ class LinkStateRouting:
 
     def force_spf(self) -> None:
         """Run SPF immediately (tests and convergence measurements)."""
-        self._spf_timer.cancel()
-        self._spf_pending = True
-        self._ensure_table()
+        self._spf_due = inf
+        self._compute_spf()

@@ -209,6 +209,20 @@ one-shard ``ShardRunResult`` the E6 rows read (docs/ARCHITECTURE.md,
   reference run (−1 each);
 * ``stateful_serial`` 21,802 → 21,803: ``attach_workload`` +1 (the
   reference run is one function, as before).
+
+The SPF hold-down is a deadline the next table query reads, not a
+``Timer`` (docs/ARCHITECTURE.md, "Routing: a hold-down read at the
+query").  Each ``routing.spf`` fire cost ``Timer.start``, its
+``Timer.cancel``, ``Engine.call_later``, ``Event.__init__``,
+``Timer._fire`` and ``_run_spf``; each change also read
+``Timer.running``, and each routing task built its ``Timer``:
+
+* ``control_flat`` 31,783 → 30,953 (−2.6 %): 80 fires × 6 = −480,
+  ``Timer.running`` −334, ``Timer.__init__`` −16 (16 IPCPs);
+* ``data_clean`` rina 117,531 → 117,323: 18 fires × 6 = −108,
+  ``Timer.running`` −88, ``Timer.__init__`` −12 (12 IPCPs);
+* ``stateful_serial`` 21,803 → 21,053 (−3.4 %): 75 fires × 6 = −450,
+  ``Timer.running`` −284, ``Timer.__init__`` −16.
 """
 
 import os
@@ -251,11 +265,11 @@ def _stateful_serial():
 
 
 EXPECTED = {
-    "control_flat": 31783,
-    "data_clean_rina": 117531,
+    "control_flat": 30953,
+    "data_clean_rina": 117323,
     "data_clean_ip": 57345,
     "flood": 1005,
-    "stateful_serial": 21803,
+    "stateful_serial": 21053,
 }
 
 RUNS = {

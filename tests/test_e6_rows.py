@@ -48,7 +48,7 @@ ROW_PINS = {
         "b51d415ae8f7623910b0a6829c53b1fa233c995b9d264e58b00ac81aceb35f7d"),
     "stateful-3x2-x2": (
         lambda: e6.run_stateful_scale(3, 2, shards=2),
-        "387b1979370213d62c8c32a6fff56215fbfc7f85daa273a6085d337b51ebf703"),
+        "c120446dede2c1ab21880dbd47865944b14f487d024b40ab16c9750a4a657777"),
 }
 
 #: case -> the row's ``events`` column (the config rows have none).
@@ -60,13 +60,19 @@ ROW_PINS = {
 #: They fell again, and only the ``events`` column moved, when FIFO RMT
 #: ports stopped pacing (the ``rmt.serve`` events went): 8,404 -> 8,335,
 #: 5,403 -> 5,332 and 354 -> 345 (both stateful rows).
+#: They fell again by their ``routing.spf`` events when the SPF hold-down
+#: became a deadline read at the next table query: 8,335 -> 7,731 (604),
+#: 5,332 -> 5,177 (155) and 345 -> 312 (33, both stateful rows).  With
+#: fewer instants to step, ``stateful-3x2-x2``'s rounds and grants went
+#: 112 -> 103 and its region_steps 148 -> 130, and its SHA with them; its
+#: relay columns and ``rib_sha256`` (dfe1ab44ecdba485) held.
 ROW_EVENTS = {
-    "scale-flat-5x10": 8_335,
-    "scale-recursive-5x10": 5_332,
+    "scale-flat-5x10": 7_731,
+    "scale-recursive-5x10": 5_177,
     "flood-3x2-x1": 100,
     "flood-3x2-x2": 100,
-    "stateful-3x2-x1": 345,
-    "stateful-3x2-x2": 345,
+    "stateful-3x2-x1": 312,
+    "stateful-3x2-x2": 312,
 }
 
 

@@ -190,11 +190,16 @@ def _data_clean_full():
 #: fires early once and re-arms at its deadline, so data_lossy_rina's
 #: dispatched ``efcp.retx`` rose 8 -> 23 while 237 -> 109 were scheduled
 #: (``LOSSY_RECOVERY`` held: 8 timeouts).  Every other row held.
+#:
+#: Then the SPF hold-down became a deadline read at the next table query,
+#: and the ``routing.spf`` row went: its fires only marked the table for
+#: that query (control_flat 80, data_clean_rina and data_clean_full 18,
+#: data_lossy_rina 37, scale_flat_5x10 604).  Every other row held.
 EXPECTED = {
     "control_flat": {
         "(unlabelled)": 1, "<ipcp>.keepalive": 288, "<link>.rx": 969,
         "fabric.start": 1, "riep.flood-ack": 69, "riep.flood-retx": 60,
-        "routing.spf": 80, "shim.alloc-retry": 15},
+        "shim.alloc-retry": 15},
     "data_clean_ip": {
         "<link>.rx": 2060, "wl.cbr.pump": 250, "wl.cbr.start": 1,
         "wl.echo.pump": 50, "wl.echo.start": 1, "wl.xfer.push": 14,
@@ -203,7 +208,7 @@ EXPECTED = {
         "(unlabelled)": 2, "<ipcp>.keepalive": 210, "<link>.rx": 2877,
         "cbr.tick": 250, "efcp.ack": 4, "fa.allocate": 9, "fa.retry": 1,
         "fabric.start": 1, "riep.flood-ack": 36, "riep.flood-retx": 40,
-        "routing.spf": 18, "shim.alloc-retry": 5,
+        "shim.alloc-retry": 5,
         "wl.cbr.start": 1, "wl.echo.pump": 50, "wl.echo.start": 1,
         "wl.xfer.start": 2},
     # the benchmark's full-size run: the transfers outrun the links and
@@ -216,7 +221,7 @@ EXPECTED = {
         "cbr.tick": 2949, "efcp.ack": 372, "efcp.retx": 88, "fa.allocate": 9,
         "fa.retry": 1,
         "fabric.start": 1, "riep.flood-ack": 36, "riep.flood-retx": 40,
-        "routing.spf": 18, "shim.alloc-retry": 5, "wl.cbr.start": 1,
+        "shim.alloc-retry": 5, "wl.cbr.start": 1,
         "wl.echo.pump": 500, "wl.echo.start": 1, "wl.xfer.start": 2},
     # data_clean_rina's run on the lossy plant: EFCP recovery shows in
     # ``efcp.retx``
@@ -225,7 +230,7 @@ EXPECTED = {
         "cbr.tick": 250, "efcp.retx": 23,
         "fa.allocate": 9, "fa.retry": 2, "fabric.start": 1,
         "riep.flood-ack": 53, "riep.flood-retx": 56, "riep.invoke": 2,
-        "routing.spf": 37, "shim.alloc-retry": 5,
+        "shim.alloc-retry": 5,
         "wl.cbr.start": 1, "wl.echo.pump": 50, "wl.echo.start": 1,
         "wl.xfer.start": 2},
     "flood": {"<link>.rx": 90, "flood.announce": 10},
@@ -234,7 +239,7 @@ EXPECTED = {
     "scale_flat_5x10": {
         "(unlabelled)": 1, "<ipcp>.keepalive": 1064, "<link>.rx": 6001,
         "fabric.start": 1, "riep.flood-ack": 389, "riep.flood-retx": 220,
-        "routing.spf": 604, "shim.alloc-retry": 55},
+        "shim.alloc-retry": 55},
 }
 
 RUNS = {
@@ -263,20 +268,21 @@ def test_events_per_label(census, workload):
 #: enrollment requests; none fires.  The 69 ``rmt.serve`` went when FIFO
 #: ports stopped pacing.  The full-size ``data_clean`` run schedules an
 #: ``efcp.retx`` per restart that could not keep its pending event
-#: (1,102, of which 88 fire), and no backpressure poll.
+#: (1,102, of which 88 fire), and no backpressure poll.  Neither schedules
+#: a ``routing.spf`` event since the hold-down became a deadline (18 and
+#: 604 before, all dispatched).
 SCHEDULED = {
     "data_clean_full": {
         "(unlabelled)": 2, "<ipcp>.keepalive": 1434, "<link>.rx": 55837,
         "cbr.tick": 2950, "efcp.ack": 372, "efcp.retx": 1102, "fa.allocate": 9,
         "fa.retry": 1, "fabric.start": 1, "riep.flood-ack": 36,
-        "riep.flood-retx": 40, "riep.invoke": 29, "routing.spf": 18,
-        "shim.alloc-retry": 5, "wl.cbr.start": 1, "wl.echo.pump": 500,
-        "wl.echo.start": 1, "wl.xfer.start": 2},
+        "riep.flood-retx": 40, "riep.invoke": 29, "shim.alloc-retry": 5,
+        "wl.cbr.start": 1, "wl.echo.pump": 500, "wl.echo.start": 1,
+        "wl.xfer.start": 2},
     "scale_flat_5x10": {
         "(unlabelled)": 1, "<ipcp>.keepalive": 1120, "<link>.rx": 6001,
         "fabric.start": 1, "riep.flood-ack": 389, "riep.flood-retx": 220,
-        "riep.invoke": 110, "routing.spf": 604,
-        "shim.alloc-retry": 55},
+        "riep.invoke": 110, "shim.alloc-retry": 55},
 }
 
 
@@ -291,9 +297,11 @@ def test_scheduled_against_dispatched(schedule_census, workload):
 
 #: What a dispatch of each timer label is for.  A dispatch of one of
 #: these that does not bring its effect about did nothing; an event of
-#: any other label acts whenever it is dispatched.
-EFFECTS = {"routing.spf": "an SPF run", "riep.flood-retx": "a copy resent",
-           "efcp.ack": "an ACK sent", "efcp.retx": "a PDU resent"}
+#: any other label acts whenever it is dispatched.  (``routing.spf``,
+#: whose effect was to be an SPF run, is gone: the hold-down is a
+#: deadline the next table query reads.)
+EFFECTS = {"riep.flood-retx": "a copy resent", "efcp.ack": "an ACK sent",
+           "efcp.retx": "a PDU resent"}
 
 
 @pytest.fixture
@@ -303,7 +311,6 @@ def waste_census(schedule_census, monkeypatch):
     their effect."""
     from repro.core.efcp import EfcpConnection
     from repro.core.ipcp import Ipcp
-    from repro.core.routing import LinkStateRouting
     scheduled, dispatched = schedule_census
     effects, acted = Counter(), Counter()
     call_at, call_later = Engine.call_at, Engine.call_later
@@ -336,9 +343,6 @@ def waste_census(schedule_census, monkeypatch):
         return wrapped
     monkeypatch.setattr(Engine, "call_at", watched_at)
     monkeypatch.setattr(Engine, "call_later", watched_later)
-    monkeypatch.setattr(LinkStateRouting, "_dijkstra", counting(
-        "an SPF run", LinkStateRouting._dijkstra,
-        lambda self, table, source: True))
     monkeypatch.setattr(Ipcp, "_send_copy", counting(
         "a copy resent", Ipcp._send_copy,
         lambda self, sent, *args: bool(sent)))
@@ -368,23 +372,24 @@ def _benchmark(workload):
 #: Waste per label on the benchmark's own jobs at seed 0: events
 #: scheduled and never dispatched, plus events dispatched without the
 #: effect :data:`EFFECTS` names.  ``data_lossy`` is its panel of three
-#: program seeds.  On ``control_flat`` every ``routing.spf`` fire only
-#: marked the table for the next query, which made the run's 211 SPF runs;
-#: no ``riep.flood-retx`` fire found a copy to resend.  The
-#: ``riep.invoke`` and keepalive rows are timeouts an answer cancelled
-#: and ticks a crash or the run's end left pending.
+#: program seeds.  On ``control_flat`` no ``riep.flood-retx`` fire found
+#: a copy to resend; the ``riep.invoke`` and keepalive rows are timeouts
+#: an answer cancelled and ticks a crash or the run's end left pending.
+#: Each ``routing.spf`` fire only marked the table for the next query
+#: (control_flat 7,757, data_clean 18, data_lossy 80, none of them an SPF
+#: run) until the hold-down became a deadline that query reads: the row
+#: went, and control_flat's waste fell 9,558 -> 1,801.
 WASTE = {
     "control_flat": {
         "<ipcp>.keepalive": 211, "riep.flood-retx": 1170,
-        "riep.invoke": 420, "routing.spf": 7757},
+        "riep.invoke": 420},
     "data_clean": {
         "<ipcp>.keepalive": 12, "cbr.tick": 1, "efcp.ack": 372,
-        "efcp.retx": 1102, "riep.flood-retx": 40, "riep.invoke": 29,
-        "routing.spf": 18},
+        "efcp.retx": 1102, "riep.flood-retx": 40, "riep.invoke": 29},
     "data_lossy": {
         "<ipcp>.keepalive": 36, "<link>.rx": 957, "cbr.tick": 3,
         "efcp.ack": 71, "efcp.retx": 2438, "riep.flood-retx": 132,
-        "riep.invoke": 87, "routing.spf": 80},
+        "riep.invoke": 87},
 }
 
 

@@ -414,6 +414,22 @@ class TestHoldDownDeadline:
         assert task.next_hop(Address(3)) == Address(3)
         assert task.spf_runs == 2
 
+    def test_a_run_that_drains_stops_before_a_trailing_deadline(self):
+        # the hold-down is no event, so a run without a horizon ends at
+        # the last LSA's arrival, not at the deadline after it: a query
+        # then still reads the table from before that LSA
+        engine = Engine()
+        task = LinkStateRouting(engine, lambda: Address(1),
+                                lambda m, e: 0, spf_delay=0.1)
+        task.neighbor_up(Address(2))
+        engine.call_later(0.001, task.handle_lsa, claim_from(2, 1),
+                          Address(2))
+        assert engine.run() == 0.001
+        assert task.table() == {}
+        assert task.spf_runs == 0
+        engine.run(until=0.1)
+        assert task.table() == {Address(2): Address(2)}
+
 
 # ----------------------------------------------------------------------
 # One LSA, one object: the sharing contract of Lsa.from_value
@@ -664,9 +680,11 @@ class TestGraphFreeDijkstra:
 
 #: (flat, recursive) engine events of the 10x20 plants at seed 0; they
 #: were (111,985, 26,143) before flooded copies were acked once per port
-#: after a delay, and (75,619, 23,525) before FIFO RMT ports stopped
-#: pacing (the ``rmt.serve`` events went).
-SCOPE_EVENTS = (75_379, 23_284)
+#: after a delay, (75,619, 23,525) before FIFO RMT ports stopped pacing
+#: (the ``rmt.serve`` events went), and (75,379, 23,284) before the SPF
+#: hold-down became a deadline read at the next table query (7,757 and
+#: 833 ``routing.spf`` events went; ``spf_runs`` and every table held).
+SCOPE_EVENTS = (67_622, 22_451)
 
 
 class TestScopePin:

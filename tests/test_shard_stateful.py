@@ -42,7 +42,9 @@ from repro.shard import (RegionPlan, ShardEngine, all_nodes_announce,
 #: ``link.delivered`` and event counts moved (270 / 96 before), the
 #: node-stats and rows did not.  The event counts fell again, 258 / 96
 #: -> 251 / 94, when FIFO RMT ports stopped pacing (no ``rmt.serve``);
-#: the masked SHAs held.
+#: the masked SHAs held.  They fell again, 251 / 94 -> 227 / 85, by the
+#: ``routing.spf`` events, when the SPF hold-down became a deadline read
+#: at the next table query; the masked SHAs held.
 GOLDEN_STATEFUL_NODE_STATS = \
     "dfe1ab44ecdba485ff4ec76dd3147fde154149da922bf90046816f7f924b32ef"
 GOLDEN_STATEFUL_ROWS = \
@@ -51,7 +53,7 @@ GOLDEN_STATEFUL_SHARDS = {
     0: "8a01620e4b0f8749dec67bb38dd71930f52fcc66f50438126d7037975a618d33",
     1: "f857ec9144a95afe1e02658996e8ebe7acca7e3c206188e6d1624849055d034e",
 }
-GOLDEN_STATEFUL_SHARDS_EVENTS = {0: 251, 1: 94}
+GOLDEN_STATEFUL_SHARDS_EVENTS = {0: 227, 1: 85}
 
 #: The round rule's deterministic counts on the dense and the sparse
 #: 10x3 plant (10 regions, 10 shards, seed 1, inline mode), keyed by
@@ -70,15 +72,20 @@ GOLDEN_STATEFUL_SHARDS_EVENTS = {0: 251, 1: 94}
 #: cancelled and so never dispatched (scheduling calls 6,695 -> 5,362).
 #: Only ``events`` moved when FIFO RMT ports stopped pacing, by the
 #: ``rmt.serve`` events that went: 3,558 -> 3,518 and 5,241 -> 5,201.
+#: When the SPF hold-down became a deadline read at the next table query,
+#: ``events`` fell by the ``routing.spf`` events (470 and 860: 3,518 ->
+#: 3,048 and 5,201 -> 4,341), and with fewer instants to step rounds and
+#: grants fell 387 -> 364 and 566 -> 504, region_steps 1,529 -> 1,279 and
+#: 2,098 -> 1,700; what crosses the cuts and the plant's outcome held.
 REFERENCE_10x3 = {
-    False: {"config": "flat-stateful", "rounds": 387, "grants": 387,
-            "region_steps": 1529, "frames_relayed": 874,
-            "relay_batches": 739, "events": 3518, "enrolled": 41,
+    False: {"config": "flat-stateful", "rounds": 364, "grants": 364,
+            "region_steps": 1279, "frames_relayed": 874,
+            "relay_batches": 739, "events": 3048, "enrolled": 41,
             "table_rows": 1640, "lsas_received": 1640,
             "rib_sha256": "4b8e61727f72a1f0"},
-    True: {"config": "flat-stateful-sparse", "rounds": 566, "grants": 566,
-           "region_steps": 2098, "frames_relayed": 1080,
-           "relay_batches": 790, "events": 5201, "enrolled": 41,
+    True: {"config": "flat-stateful-sparse", "rounds": 504, "grants": 504,
+           "region_steps": 1700, "frames_relayed": 1080,
+           "relay_batches": 790, "events": 4341, "enrolled": 41,
            "table_rows": 1640, "lsas_received": 1640,
            "rib_sha256": "4b8e61727f72a1f0"},
 }

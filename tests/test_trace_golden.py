@@ -199,12 +199,19 @@ GOLDEN_DATA_CLEAN_IP = {
 #: an ACK per two PDUs while more is queued: e3-e2e 498 -> 476 and
 #: e3-scoped 788 -> 752 (their masked SHAs moved with ``link.delivered``,
 #: see ``GOLDEN``); no other spec sends a PDU with more queued behind
-#: it, so no other count moved.
+#: it, so no other count moved.  Every rina count fell by its
+#: ``routing.spf`` events when the SPF hold-down became a deadline read
+#: at the next table query: corruption-storm 3,610 -> 3,595 (15),
+#: diurnal-load 4,547 -> 4,541 (6), e3-e2e 476 -> 464 (12), e3-scoped
+#: 752 -> 736 (16), e4-multihoming 924 -> 920 (4), e5-mobility 5,373 ->
+#: 5,317 (56), fault-storm 4,488 -> 4,433 (55), flash-crowd 2,937 ->
+#: 2,926 (11), rolling-degradation 5,655 -> 5,626 (29).  No masked SHA
+#: moved: every query recomputed exactly where a fire had marked it to.
 GOLDEN_EVENTS = {
-    "corruption-storm": 3_610, "diurnal-load": 4_547, "e3-e2e": 476,
-    "e3-scoped": 752, "e4-multihoming": 924, "e5-mobility": 5_373,
-    "fault-storm": 4_488, "flash-crowd": 2_937,
-    "rolling-degradation": 5_655,
+    "corruption-storm": 3_595, "diurnal-load": 4_541, "e3-e2e": 464,
+    "e3-scoped": 736, "e4-multihoming": 920, "e5-mobility": 5_317,
+    "fault-storm": 4_433, "flash-crowd": 2_926,
+    "rolling-degradation": 5_626,
 }
 GOLDEN_IP_EVENTS = {
     "corruption-storm": 1_220, "diurnal-load": 2_329, "e3-e2e": 178,
@@ -290,17 +297,28 @@ GOLDEN_DATA_CLEAN_IP_EVENTS = {0: 68_523, 1: 68_543}
 #: 500 echo deliveries, which come 6.6 and 26 us earlier with fewer ACKs
 #: queued ahead of them; both transfers' delivery lines, the stream's and
 #: every other metric are byte-identical at both seeds.
+#:
+#: control_flat, data_clean and shard_inline moved when the SPF hold-down
+#: became a deadline read at the next table query, by their
+#: ``routing.spf`` events: control_flat ba0521db5bae -> d12f58f5e155
+#: (75,379 -> 67,622, the row's ``events`` column alone); data_clean
+#: seed 0 10cb8725faa9 -> f1be2721ac26 (61,284 -> 61,266) and seed 1
+#: a9fe24e50687 -> 20b3ffb63808 (61,294 -> 61,276), the metrics line's
+#: ``events`` alone; shard_inline e5ca35d154e8 -> 9c7b2a1d0cfa (74,257
+#: -> 62,992 events, and with them the coordinator's costs: rounds and
+#: grants 1,435 -> 1,414, region_steps 2,501 -> 2,297; frames_relayed,
+#: relay_batches and the RIB held).
 GOLDEN_CLEAN_BENCHMARKS = {
     ("control_flat", 0):
-        "ba0521db5bae5143e7975b180650d9959cbcf8a9037a0e3b6d1887b60286fcee",
+        "d12f58f5e15539c99d2f11df00bd4925fc19f632d94ee49331ded897cc1bcee2",
     ("data_clean", 0):
-        "10cb8725faa905c7e1929f2bc1e5197b2f893220e9a0e08e3080af3c10cad64b",
+        "f1be2721ac2625ba0230a0d7d5ef97a25ec12fd8f80bdb05f47421ebb7c0184b",
     ("data_clean", 1):
-        "a9fe24e50687f94728ac6ddb641e7d2b0f54f088ea390e387885fe130342cbe8",
+        "20b3ffb638085f3c08c0c5efa1aef50ec22bc068115f88ec19edfb79e791dd25",
     ("flood", 0):
         "83405805b78be3bd7da01946e0f92ae133b21326e155d69a46cad8aabb0cf099",
     ("shard_inline", 0):
-        "e5ca35d154e8a14e22206339e1c2e3c98d1f23835129a7dc1020597dfb026c6d",
+        "9c7b2a1d0cfab449862f5438ccb8dc2c032a563f4bbbe20aa6fe3a11d8eb8137",
 }
 GOLDEN_CLEAN_RIB = {("shard_inline", 0): "2fcf70f0d1b8f2b7"}
 
