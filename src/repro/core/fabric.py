@@ -16,6 +16,7 @@ adjacencies — exactly the §5.1/§5.2 procedure.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -34,13 +35,21 @@ class FabricError(RuntimeError):
 def run_until(network: Network, predicate: Callable[[], bool],
               timeout: float = 30.0, step: float = 0.05) -> bool:
     """Advance the simulation until ``predicate()`` holds or ``timeout``
-    simulated seconds elapse.  Returns whether the predicate held."""
+    simulated seconds elapse.  Returns whether the predicate held.  The
+    cyclic collector stays paused between the runs, as :meth:`Engine.run`
+    pauses it inside each: its passes there freed nothing."""
     deadline = network.engine.now + timeout
-    while network.engine.now < deadline:
-        if predicate():
-            return True
-        network.run(until=min(deadline, network.engine.now + step))
-    return predicate()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while network.engine.now < deadline:
+            if predicate():
+                return True
+            network.run(until=min(deadline, network.engine.now + step))
+        return predicate()
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class Orchestrator:

@@ -266,19 +266,13 @@ class LinkStateRouting:
     def _ensure_table(self) -> None:
         """Recompute if the hold-down has ended.
 
-        The recomputation waits for the first table query
-        (``next_hop``/``table``/...): during stack construction and flood
-        storms members see LSA bursts but forward no routed traffic, so
-        eagerly recomputing per member per burst is pure waste — the E6
-        build at 1,000 systems runs thousands of Dijkstras nobody reads.
-        Determinism is unaffected (same seed → same query points).
-
-        A deferred recompute runs over the graph *as of the query*, so it
-        folds in LSAs that arrived after the deadline, whose own hold-down
-        would not yet have ended: forwarding uses link-state at least as
-        fresh as an eager recompute at the deadline would, and the
-        hold-down keeps batching the *cost*.  An LSA that lands while an
-        ended deadline waits for its query does not set another.
+        The recomputation waits for the first table query: during stack
+        construction and flood storms members see LSA bursts but forward
+        no routed traffic (the E6 build at 1,000 systems would run
+        thousands of Dijkstras nobody reads).  It runs over the graph as
+        of the query, so it folds in LSAs whose own hold-down has not
+        ended: link-state at least as fresh as an eager recompute at the
+        deadline would read, while the hold-down still batches the cost.
         """
         if self._engine.now >= self._spf_due:
             self._spf_due = inf
