@@ -61,7 +61,8 @@ class DifPolicies:
         intervals.  Narrow-scope DIFs use short intervals — exactly the
         "policies tuned to the range" argument of §4.
     spf_delay:
-        Routing hold-down between LSDB change and SPF.
+        Routing hold-down: the first table query this long after an LSDB
+        change recomputes the SPF (a deadline, not an event).
     mgmt_timeout:
         RIEP request timeout (enrollment, flow allocation).
     allocate_retries / allocate_retry_delay:
