@@ -22,8 +22,7 @@ import tracemalloc
 
 from repro.core.efcp import EfcpConnection, EfcpPolicy
 from repro.core.names import Address
-from repro.experiments.e6_scalability import (build_flood_spec,
-                                              flood_build_smoke)
+from repro.experiments.e6_scalability import build_flood_spec
 from repro.shard import all_nodes_announce, attach_flood
 from repro.sim.engine import Engine
 
@@ -156,19 +155,28 @@ def test_efcp_connection_stays_in_budget():
 
 def test_hundred_thousand_system_first_wave_stays_in_budget():
     """Build the xlarge flood plant (sim/ and shard/flood.py only, no
-    core/) and run one announcement until every other system heard it.
-    Peak RSS is a process's high-water mark, so the plant gets an
-    interpreter of its own; ``src/`` goes first on the inherited
-    ``PYTHONPATH``, so a ``sitecustomize`` there (tests/census) loads."""
-    code = ("import json\n"
-            f"from {flood_build_smoke.__module__} import flood_build_smoke\n"
-            "print(json.dumps(flood_build_smoke('xlarge')))")
+    control plane) and run one announcement until every other system
+    heard it: a single announcement floods the star of stars in about
+    6 ms simulated, so 10 ms is exactly the first wave.  Peak RSS is a
+    process's high-water mark, so the plant gets an interpreter of its
+    own; ``src/`` goes first on the inherited ``PYTHONPATH``, so a
+    ``sitecustomize`` there (tests/census) loads."""
+    code = (
+        "import json\n"
+        "from repro.experiments.e6_scalability import (\n"
+        "    FLOOD_SIZES, _peak_mem_mb, build_flood_spec)\n"
+        "from repro.shard import run_unsharded, sparse_announce\n"
+        "spec = build_flood_spec(*FLOOD_SIZES['xlarge'])\n"
+        "result = run_unsharded(spec, sparse_announce(spec.nodes, 1),\n"
+        "                       seed=1, until=0.010, collect_rows=False)\n"
+        "print(json.dumps(dict(result.shards[0],\n"
+        "                      peak_mem_mb=_peak_mem_mb())))")
     path = filter(None, [SRC, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300, env=env)
     assert done.returncode == 0, done.stderr
     row = json.loads(done.stdout.splitlines()[-1])
-    assert row["systems"] == 100_001
-    assert row["first_wave_deliveries"] == row["systems"] - 1, row
+    assert row["nodes"] == 100_001
+    assert row["deliveries"] == row["nodes"] - 1, row
     assert row["peak_mem_mb"] < XLARGE_PEAK_MEM_MB, row

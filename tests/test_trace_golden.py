@@ -433,6 +433,20 @@ def test_every_canned_spec_is_fingerprinted_or_newer():
     assert set(GOLDEN_IP_EVENTS) == set(GOLDEN_IP)
 
 
+def pool_digests(names, stack):
+    """``{name: trace SHA-256}`` of canned specs run as ``scenarios run``
+    jobs in a 2-worker ``spawn`` pool.  Rows come back in job order; each
+    job runs its spec twice and must find the two traces equal."""
+    from repro.scenarios import canned, determinism_jobs
+    from repro.sweeps import SweepRunner
+    specs = [canned(name) for name in names]
+    rows = SweepRunner(workers=2, start_method="spawn").run(
+        determinism_jobs(specs, seed=0, stacks=(stack,)))
+    assert [row["scenario"] for row in rows] == [spec.name for spec in specs]
+    assert all(row["deterministic"] for row in rows)
+    return {name: row["trace_sha256"] for name, row in zip(names, rows)}
+
+
 def test_golden_fingerprints_reproduce_inside_pool_workers():
     """Traces produced in a worker process are byte-identical to the
     pinned in-process traces.
@@ -444,16 +458,10 @@ def test_golden_fingerprints_reproduce_inside_pool_workers():
     between an in-process trace and a worker trace would silently break
     the sweep runner's serial-equivalence contract.
     """
-    from repro.sweeps import Job, SweepRunner
-    jobs = [Job("repro.scenarios.runner:canned_trace_digest",
-                kwargs={"name": name}, group="golden", label=name)
-            for name in sorted(GOLDEN)]
-    rows = SweepRunner(workers=2, start_method="spawn").run(jobs)
-    assert [row["name"] for row in rows] == sorted(GOLDEN)
-    for row in rows:
-        expected = canned_trace(row["name"], "rina").encode()
-        assert row["sha256"] == hashlib.sha256(expected).hexdigest(), (
-            f"{row['name']}: worker-process trace diverged from the pinned "
+    for name, digest in pool_digests(sorted(GOLDEN), "rina").items():
+        expected = canned_trace(name, "rina").encode()
+        assert digest == hashlib.sha256(expected).hexdigest(), (
+            f"{name}: worker-process trace diverged from the pinned "
             f"in-process trace — fork/spawn-dependent state leaked "
             f"into the simulation")
 
@@ -461,12 +469,6 @@ def test_golden_fingerprints_reproduce_inside_pool_workers():
 def test_golden_ip_fingerprints_reproduce_inside_pool_workers():
     """The ip-stack pins, reproduced under ``spawn``: a fresh interpreter
     that imports the IP baseline from scratch installs the same routes."""
-    from repro.sweeps import Job, SweepRunner
-    jobs = [Job("repro.scenarios.runner:canned_trace_digest",
-                kwargs={"name": name, "stack": "ip"}, group="golden-ip",
-                label=name)
-            for name in sorted(GOLDEN_IP)]
-    rows = SweepRunner(workers=2, start_method="spawn").run(jobs)
-    assert {row["name"]: row["sha256"] for row in rows} == {
+    assert pool_digests(sorted(GOLDEN_IP), "ip") == {
         name: hashlib.sha256(canned_trace(name, "ip").encode()).hexdigest()
         for name in GOLDEN_IP}
