@@ -95,28 +95,6 @@ def iter_jobs(reliable_losses: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
             for loss in losses]
 
 
-def run_port_id_locality(seed: int = 1) -> Dict[str, Any]:
-    """Check the §3.1 remark: port IDs are local and carry no app semantics.
-
-    Two flows to the same server get distinct local port ids, and the two
-    ends of one flow have unrelated ids.
-    """
-    network, systems, _dif = build_two_hosts(seed=seed)
-    server = EchoServer(systems["h2"])
-    network.run(until=network.engine.now + 0.5)
-    first = EchoClient(systems["h1"], client_name="c1")
-    second = EchoClient(systems["h1"], client_name="c2")
-    run_until(network, lambda: first.ready and second.ready, timeout=10)
-    server_ports = [mf.flow.port_id.value for mf in server._flows]
-    return {
-        "client_ports": [first.flow.port_id.value, second.flow.port_id.value],
-        "server_ports": server_ports,
-        "client_ports_distinct": (first.flow.port_id.value
-                                  != second.flow.port_id.value),
-        "no_well_known_port": sorted(server_ports) != [80, 80],
-    }
-
-
 def _client_efcp_stats(system) -> Dict[str, int]:
     ipcp = system.ipcp("net")
     stats: Dict[str, int] = {"retransmissions": 0}

@@ -32,7 +32,7 @@ collapses — and the gap widens with loss rate.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Union
 
 from ..apps.filetransfer import FileSender, FileSink
 from ..core import PENDING, RELIABLE, run_until
@@ -58,14 +58,28 @@ def build_scenario(config: str, seed: int = 1, wired_delay: float = 0.06):
     return network, systems, loss_model
 
 
-def run_transfer(config: str, loss: float, total_bytes: int = 150_000,
+#: The ``loss`` of a bursty row: a Gilbert–Elliott radio in place of
+#: uniform loss.
+BURSTY = "bursty(GE)"
+
+
+def run_transfer(config: str, loss: Union[float, str],
+                 total_bytes: int = 150_000,
                  seed: int = 1, wired_delay: float = 0.06) -> Dict[str, Any]:
-    """One row: transfer ``total_bytes`` under the given wireless loss."""
+    """One row: transfer ``total_bytes`` under the given wireless loss,
+    a uniform drop probability or :data:`BURSTY`, installed once the
+    stack has settled.  A scoped row under uniform loss also counts the
+    wireless layer's retransmissions."""
     network, systems, loss_model = build_scenario(config, seed=seed,
                                                   wired_delay=wired_delay)
     sink = FileSink(systems["mobile"])
     network.run(until=network.engine.now + 0.5)
-    loss_model.probability = loss
+    if loss == BURSTY:
+        network.link_between("border", "mobile").loss = GilbertElliott(
+            p_good_to_bad=0.02, p_bad_to_good=0.3, loss_good=0.01,
+            loss_bad=0.8)
+    else:
+        loss_model.probability = loss
     sender = FileSender(systems["sender"], total_bytes, qos=RELIABLE)
     run_until(network, lambda: sender.flow.state != PENDING, timeout=15)
     start = (sender.started_at if sender.started_at is not None
@@ -73,7 +87,6 @@ def run_transfer(config: str, loss: float, total_bytes: int = 150_000,
     finished = run_until(network,
                          lambda: sink.transfers_completed >= 1, timeout=600)
     elapsed = (sink.completion_times[0] - start) if finished else float("inf")
-    top_retx = _efcp_retransmissions(systems["sender"], "internet")
     row = {
         "config": config,
         "loss": loss,
@@ -82,9 +95,9 @@ def run_transfer(config: str, loss: float, total_bytes: int = 150_000,
         "completed": finished,
         "elapsed_s": elapsed,
         "goodput_mbps": goodput_bps(total_bytes, elapsed) / 1e6,
-        "top_layer_retx": top_retx,
+        "top_layer_retx": _efcp_retransmissions(systems["sender"], "internet"),
     }
-    if config == "scoped":
+    if config == "scoped" and loss != BURSTY:
         row["wireless_layer_retx"] = _efcp_retransmissions(systems["border"],
                                                            "wifi")
     return row
@@ -98,30 +111,7 @@ def run_bursty(config: str, total_bytes: int = 100_000, seed: int = 1,
     pays a WAN round trip per burst, the scoped layer replays the burst
     locally at radio timescales.
     """
-    network, systems, loss_model = build_scenario(config, seed=seed,
-                                                  wired_delay=wired_delay)
-    sink = FileSink(systems["mobile"])
-    network.run(until=network.engine.now + 0.5)
-    radio = network.link_between("border", "mobile")
-    radio.loss = GilbertElliott(p_good_to_bad=0.02, p_bad_to_good=0.3,
-                                loss_good=0.01, loss_bad=0.8)
-    sender = FileSender(systems["sender"], total_bytes, qos=RELIABLE)
-    run_until(network, lambda: sender.flow.state != PENDING, timeout=15)
-    start = (sender.started_at if sender.started_at is not None
-             else network.engine.now)
-    finished = run_until(network,
-                         lambda: sink.transfers_completed >= 1, timeout=600)
-    elapsed = (sink.completion_times[0] - start) if finished else float("inf")
-    return {
-        "config": config,
-        "loss": "bursty(GE)",
-        "seed": seed,
-        "bytes": total_bytes,
-        "completed": finished,
-        "elapsed_s": elapsed,
-        "goodput_mbps": goodput_bps(total_bytes, elapsed) / 1e6,
-        "top_layer_retx": _efcp_retransmissions(systems["sender"], "internet"),
-    }
+    return run_transfer(config, BURSTY, total_bytes, seed, wired_delay)
 
 
 def iter_jobs(losses: Sequence[float] = (0.0, 0.1, 0.2, 0.3),

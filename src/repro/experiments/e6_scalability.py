@@ -6,8 +6,8 @@ of routing updates stay bounded as the internet grows — versus one global
 layer where both grow with the whole network.
 
 Setup: ``k`` regions of ``m`` systems each (a star around a regional
-border router), all borders joined by a backbone ring-of-star around a
-core.  Two configurations over identical physical plants:
+border router), the ``k`` borders joined by one core node: a star of
+stars.  Two configurations over identical physical plants:
 
 * **flat** — one DIF containing every system: table size per member is
   O(n); a single link flap floods LSAs to all n members.
@@ -28,9 +28,8 @@ import sys
 import time
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from ..apps.echo import EchoClient, EchoServer
-from ..core import (PENDING, Dif, DifPolicies, Orchestrator, add_shims,
-                    build_dif_over, make_systems, run_until, shim_name_for)
+from ..core import (Dif, DifPolicies, Orchestrator, add_shims,
+                    build_dif_over, make_systems, shim_name_for)
 from ..sim.network import Network
 
 # the job lists import the sweep runner (and multiprocessing) when they
@@ -405,17 +404,6 @@ STATEFUL_HOST_SPACING = 0.0127
 STATEFUL_HOST_MARGIN = 0.1003
 STATEFUL_SETTLE = 1.2007
 
-#: Sparse-traffic variant knobs: hosts enroll six times farther apart
-#: and keepalives tick four times slower, so the plant spends most of
-#: its simulated time with activity in only one or two regions at once.
-#: This is the regime in which idle regions must sit rounds out — the
-#: step-count regression test pins that here — and the values stay odd
-#: / co-prime with the 1/2 ms hop delays so the tie-freeness
-#: precondition holds (see repro.shard.stateful).
-STATEFUL_SPARSE_HOST_SPACING = 0.0763
-STATEFUL_SPARSE_KEEPALIVE = 2.0113
-STATEFUL_SPARSE_SETTLE = 4.2007
-
 
 def build_stateful_workload(regions: int, hosts_per_region: int, *,
                             host_spacing: float = STATEFUL_HOST_SPACING,
@@ -430,9 +418,9 @@ def build_stateful_workload(regions: int, hosts_per_region: int, *,
     :mod:`repro.shard.stateful`).
 
     ``host_spacing`` / ``settle`` / ``policies`` reshape the traffic
-    density without touching the plant: the sparse tier
-    (:func:`build_sparse_stateful_workload`) stretches them so most
-    regions are idle at any instant.
+    density without touching the plant: stretched, most regions are
+    idle at any instant (the round rule's sparse-traffic regression in
+    ``tests/``).
     """
     from ..shard import stateful_workload
     hints: Dict[str, Tuple[int, ...]] = {"core": (1,)}
@@ -458,22 +446,6 @@ def build_stateful_workload(regions: int, hosts_per_region: int, *,
                              policies=policies, until=until)
 
 
-def build_sparse_stateful_workload(regions: int, hosts_per_region: int
-                                   ) -> Dict[str, Any]:
-    """The sparse-traffic stateful plant: same topology and causal
-    structure as :func:`build_stateful_workload`, but enrollments are
-    spread out and keepalives slowed so that at any simulated instant
-    only a couple of regions have work inside the round's window.  A
-    coordinator that stepped every region every round would crawl
-    through such a plant; the round rule lets the idle regions sit out
-    — this workload is the regression anchor for that."""
-    return build_stateful_workload(
-        regions, hosts_per_region,
-        host_spacing=STATEFUL_SPARSE_HOST_SPACING,
-        settle=STATEFUL_SPARSE_SETTLE,
-        policies={"keepalive_interval": STATEFUL_SPARSE_KEEPALIVE})
-
-
 def _stateful_row(node_stats: List[Dict[str, Any]]) -> Dict[str, Any]:
     """The deterministic columns shared by every stateful row: RIB
     fingerprint over all members (must be invariant across shard
@@ -489,14 +461,11 @@ def _stateful_row(node_stats: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 def _tier_run(kind: str, regions: int, hosts_per_region: int, shards: int,
               seed: int, mode: str = "auto", collect_rows: bool = False,
-              traces: bool = False, origins: Optional[int] = None,
-              sparse: bool = False):
+              origins: Optional[int] = None):
     """``(spec, result, wall)`` of one run of a sharded tier's plant
     with the ``kind`` workload: the flood storm (``origins`` sparse
-    announcements when given), or the stateful enrollment schedule (the
-    sparse-traffic one when ``sparse``).  ``shards <= 1`` is the
-    single-engine reference run, unless ``traces`` asks for the
-    per-shard traces only a sharded run renders."""
+    announcements when given), or the stateful enrollment schedule.
+    ``shards <= 1`` is the single-engine reference run."""
     from ..shard import (RegionPlan, all_nodes_announce, run_sharded,
                          run_unsharded, sparse_announce)
     spec = build_flood_spec(regions, hosts_per_region)
@@ -504,12 +473,10 @@ def _tier_run(kind: str, regions: int, hosts_per_region: int, shards: int,
         workload = (all_nodes_announce(spec.nodes) if origins is None
                     else sparse_announce(spec.nodes, origins))
     else:
-        build = (build_sparse_stateful_workload if sparse
-                 else build_stateful_workload)
-        workload = build(regions, hosts_per_region)
+        workload = build_stateful_workload(regions, hosts_per_region)
     until = workload.get("until")
     started = time.perf_counter()
-    if shards <= 1 and not traces:
+    if shards <= 1:
         result = run_unsharded(spec, workload, seed=seed, until=until,
                                collect_rows=collect_rows)
     else:
@@ -517,13 +484,12 @@ def _tier_run(kind: str, regions: int, hosts_per_region: int, shards: int,
                                                  shards))
         result = run_sharded(plan, workload, seed=seed, mode=mode,
                              until=until, collect_rows=collect_rows,
-                             collect_traces=traces)
+                             collect_traces=False)
     return spec, result, time.perf_counter() - started
 
 
 def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
-                       seed: int = 1, mode: str = "auto",
-                       sparse: bool = False) -> Dict[str, Any]:
+                       seed: int = 1, mode: str = "auto") -> Dict[str, Any]:
     """One stateful-tier row: the flat configuration's *control plane*
     (enrollment + RIEP + LSA flooding + keepalives) run unsharded
     (``shards=1``) or region-sharded over worker processes.
@@ -533,14 +499,12 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
     bit-invariant across shard counts;
     ``tests/test_shard_stateful.py`` pins the 2-shard split
     row-identical (float enrollment timestamps included) to the
-    unsharded run.  ``sparse`` swaps in the sparse-traffic workload
-    (:func:`build_sparse_stateful_workload`).
+    unsharded run.
     """
     spec, result, wall = _tier_run("stateful", regions, hosts_per_region,
-                                   shards, seed, mode, collect_rows=True,
-                                   sparse=sparse)
+                                   shards, seed, mode, collect_rows=True)
     return {
-        "config": "flat-stateful" + ("-sparse" if sparse else ""),
+        "config": "flat-stateful",
         "systems": len(spec.nodes),
         "regions": regions,
         "shards": len(result.shards),
@@ -557,7 +521,7 @@ def run_stateful_scale(regions: int, hosts_per_region: int, shards: int = 1,
 
 
 def run_flood_scale(regions: int, hosts_per_region: int, shards: int = 1,
-                    seed: int = 1, mode: str = "auto",
+                    seed: int = 1,
                     origins: Optional[int] = None) -> Dict[str, Any]:
     """One sharded-tier row: the flat configuration's flooding fan-out
     (every system originates one LSA-style announcement, flooded to all
@@ -578,7 +542,7 @@ def run_flood_scale(regions: int, hosts_per_region: int, shards: int = 1,
     ``origins * (n - 1)`` instead of ``n * (n - 1)``.
     """
     spec, result, wall = _tier_run("flood", regions, hosts_per_region,
-                                   shards, seed, mode, origins=origins)
+                                   shards, seed, origins=origins)
     n = len(spec.nodes)
     return {
         "config": "flat-flood",
@@ -593,21 +557,6 @@ def run_flood_scale(regions: int, hosts_per_region: int, shards: int = 1,
         "frames_relayed": result.frames_relayed,
         **_speed_columns(result.events, wall),
     }
-
-
-def trace_digests(kind: str, regions: int, hosts_per_region: int,
-                  shards: int, seed: int = 0) -> List[Dict[str, Any]]:
-    """Rows of per-shard trace SHA-256s for a canned ``kind`` plant,
-    sharded at every shard count (the reference run renders no trace).
-
-    Job target for the golden-fingerprint checks: sharded traces
-    produced inside a pool worker (where the coordinator falls back to
-    in-process rounds) must match the digests pinned from a direct run.
-    """
-    _spec, result, _wall = _tier_run(kind, regions, hosts_per_region,
-                                     shards, seed, traces=True)
-    return [{"shard": s["shard"], "sha256": s["trace_sha256"]}
-            for s in result.shards]
 
 
 #: Per sharded-tier workload kind: (tier sizes, the row's job target,
@@ -646,64 +595,3 @@ def iter_shard_jobs(kind: str, tiers: List[str], shards: int = 2,
                             group=group,
                             label=f"{group} {config} {tier} x{count}"))
     return jobs
-
-
-def flood_build_smoke(tier: str = "xlarge", seed: int = 1) -> Dict[str, Any]:
-    """Build one flood tier's plant and run its *first* announcement to
-    complete flooding — the 100k-system tier's memory check
-    (``tests/test_memory_budget.py`` runs it in a fresh interpreter).
-
-    A full xlarge flood (8 origins x 100k deliveries each) is a
-    minutes-scale run; the check only needs to prove the engine
-    *builds* a 100k-system plant in bounded memory and pushes one flood
-    wave through it.  A single announcement fully floods the
-    star-of-stars in ~6 ms simulated (host->border->core->border->host
-    propagation plus serialization), so one origin run ``until`` 10 ms
-    is exactly the first flood round: every other system hears it.
-    """
-    from ..shard import attach_flood, sparse_announce
-    if tier not in FLOOD_SIZES:
-        raise ValueError(f"unknown flood tier {tier!r}; "
-                         f"known: {', '.join(FLOOD_SIZES)}")
-    regions, hosts = FLOOD_SIZES[tier]
-    spec = build_flood_spec(regions, hosts)
-    workload = sparse_announce(spec.nodes, 1)
-    started = time.perf_counter()
-    network = spec.build(seed=seed)
-    floods = attach_flood(network, workload)
-    build_wall = time.perf_counter() - started
-    network.run(until=0.010)
-    wall = time.perf_counter() - started
-    n = len(spec.nodes)
-    deliveries = sum(f.received for f in floods.values())
-    return {
-        "tier": tier,
-        "systems": n,
-        "links": len(spec.links),
-        "origins": 1,
-        "first_wave_deliveries": deliveries,
-        "events": network.engine.events_processed,
-        "build_s": round(build_wall, 2),
-        "wall_s": round(wall, 2),
-        "peak_mem_mb": _peak_mem_mb(),
-    }
-
-
-def verify_end_to_end(regions: int = 3, hosts_per_region: int = 4,
-                      seed: int = 1) -> Dict[str, Any]:
-    """Sanity check: the recursive stack really carries application data
-    end to end through the h2h DIF."""
-    network, systems, _difs = build_stack("recursive", regions,
-                                          hosts_per_region, seed)
-    src = "h0_0"
-    dst = f"h{regions - 1}_0"
-    server = EchoServer(systems[dst], dif_names=["h2h"])
-    network.run(until=network.engine.now + 0.5)
-    client = EchoClient(systems[src], dif_name="h2h")
-    run_until(network, lambda: client.flow.state != PENDING, timeout=20)
-    if not client.ready:
-        raise RuntimeError(f"allocation failed: {client.flow.failure_reason}")
-    for _ in range(10):
-        client.ping(200)
-    run_until(network, lambda: client.replies >= 10, timeout=30)
-    return {"delivered": client.replies, "rtts": len(client.rtts)}

@@ -28,8 +28,7 @@ from .faults import (INJECTORS, BandwidthSqueeze, CongestionBurst,
                      Partition, ReorderBurst, make_injector)
 from .generate import generate_scenario, generate_specs
 from .runner import (RinaStack, ScenarioRunner, build_rina_stack,
-                     build_topology, canned_trace_digest, determinism_jobs,
-                     run_determinism_row)
+                     build_topology, determinism_jobs, run_determinism_row)
 from .spec import (FAULT_KINDS, SHIM, TOPOLOGY_FAMILIES, WORKLOAD_KINDS,
                    FaultSpec, LayerSpec, LinkSpec, Scenario, SpecError,
                    TopologySpec, WorkloadSpec, auto_layers)
@@ -42,8 +41,7 @@ __all__ = [
     "Partition", "CongestionBurst", "JitterStorm", "BandwidthSqueeze",
     "CorruptionStorm", "ReorderBurst", "INJECTORS", "make_injector",
     "ScenarioRunner", "RinaStack", "build_rina_stack", "build_topology",
-    "run_determinism_row", "canned_trace_digest",
-    "determinism_jobs",
+    "run_determinism_row", "determinism_jobs",
     "generate_scenario", "generate_specs",
     "CANNED", "canned", "fault_storm", "e3_scenario", "e4_scenario",
     "e5_scenario", "ring_of_stars", "flash_crowd", "diurnal_load",

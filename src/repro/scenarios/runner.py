@@ -597,22 +597,3 @@ def determinism_jobs(scenarios: List[Scenario], seed: int = 0,
                         "stack": stack},
                 group="scenarios", label=f"{scenario.name}/{stack}")
             for scenario in scenarios for stack in stacks]
-
-
-def canned_trace_digest(name: str, seed: int = 0,
-                        stack: str = "rina") -> Dict[str, Any]:
-    """Row: the SHA-256 of one canned spec's trace.
-
-    Job target for the golden-fingerprint worker checks: a trace
-    produced inside a pool worker (under any start method) must match
-    the pinned in-process digest.
-    """
-    from .canned import canned
-    runner = ScenarioRunner(canned(name), seed=seed)
-    runner.run(stack)
-    return {
-        "name": name,
-        "seed": seed,
-        "stack": stack,
-        "sha256": hashlib.sha256(runner.trace.encode()).hexdigest(),
-    }

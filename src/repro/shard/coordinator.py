@@ -60,7 +60,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sweeps.runner import available_cpu_count, resolve_start_method
-from .engine import BoundaryFrame, ShardEngine, attach_workload
+from .engine import (BoundaryFrame, ShardEngine, attach_workload,
+                     shard_summary)
 from .framing import pack_frames, unpack_frames
 from .plan import RegionPlan
 
@@ -591,10 +592,7 @@ def run_unsharded(spec, workload: Dict[str, Any], seed: int = 0,
     network = spec.build(seed=seed)
     run = attach_workload(network, workload)
     network.run(until=until)
-    engine = network.engine
-    summary = {"shard": 0, "nodes": len(spec.nodes),
-               "events": engine.events_processed, "clock": engine.now}
-    summary.update(run.summary_extra())
+    summary = shard_summary(0, len(spec.nodes), network, run)
     return ShardRunResult(
         rows=run.delivery_rows() if collect_rows else [],
         node_stats=run.node_stat_rows() if collect_rows else [],

@@ -73,6 +73,19 @@ def attach_workload(network: Network, workload: Dict[str, Any],
     raise ValueError(f"unknown workload kind {kind!r}")
 
 
+def shard_summary(shard: int, nodes: int, network: Network,
+                  workload) -> Dict[str, Any]:
+    """One shard's summary row as a run's ``shards`` list carries it:
+    ``shard`` / ``nodes`` / ``events`` / ``clock``, then the workload's
+    own fields.  The sharded run and the reference run both build it
+    here."""
+    summary = {"shard": shard, "nodes": nodes,
+               "events": network.engine.events_processed,
+               "clock": network.engine.now}
+    summary.update(workload.summary_extra())
+    return summary
+
+
 class BoundaryHalf(Link):
     """The locally owned half of a cross-region link.
 
@@ -198,13 +211,8 @@ class ShardEngine:
         workload = self.workload
         rows = workload.delivery_rows() if want_rows else []
         stats = workload.node_stat_rows() if want_rows else []
-        summary = {
-            "shard": self.region.region,
-            "nodes": len(self.region.nodes),
-            "events": self.network.engine.events_processed,
-            "clock": self.clock,
-        }
-        summary.update(workload.summary_extra())
+        summary = shard_summary(self.region.region, len(self.region.nodes),
+                                self.network, workload)
         trace = ""
         if want_traces:
             trace = self.trace_text()

@@ -34,9 +34,26 @@ class TestAllocation:
                                           ApplicationName("svc"))
         assert run_until(network, lambda: flow.state != PENDING, timeout=10)
         assert flow.allocated
-        assert inbound and inbound[0].port_id != flow.port_id or True
+        assert len(inbound) == 1 and inbound[0].allocated
         # neither side's flow ever exposes an address
         assert not hasattr(flow, "address")
+
+    def test_port_ids_are_local_handles(self):
+        # §3.1: a port id is a local handle with no application meaning.
+        # Two flows from one client get distinct local port ids, and the
+        # server's ids are not one well-known constant
+        network, systems, _dif = build_pair()
+        inbound = []
+        systems["b"].register_app(ApplicationName("svc"), inbound.append)
+        network.run(until=network.engine.now + 0.5)
+        flows = [systems["a"].allocate_flow(ApplicationName(client),
+                                            ApplicationName("svc"))
+                 for client in ("c1", "c2")]
+        assert run_until(network, lambda: all(flow.allocated
+                                              for flow in flows), timeout=10)
+        assert flows[0].port_id != flows[1].port_id
+        assert len(inbound) == 2
+        assert inbound[0].port_id != inbound[1].port_id
 
     def test_unknown_destination_fails_after_retries(self):
         network, systems, _dif = build_pair(

@@ -25,8 +25,9 @@ import random
 
 import pytest
 
+from shard_cases import sparse_stateful_workload
+
 from repro.experiments.e6_scalability import (build_flood_spec,
-                                              build_sparse_stateful_workload,
                                               build_stateful_workload,
                                               flood_assignment,
                                               run_stateful_scale)
@@ -131,7 +132,7 @@ class TestGrantProperties:
 def stateful_plant(sparse):
     """The 10×3 stateful plant, one region per shard."""
     spec = build_flood_spec(10, 3)
-    build = build_sparse_stateful_workload if sparse else build_stateful_workload
+    build = sparse_stateful_workload if sparse else build_stateful_workload
     return spec, RegionPlan(spec, flood_assignment(10, 3, 10)), build(10, 3)
 
 

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 
+from shard_cases import sparse_stateful_workload
 from test_trace_golden import events_in, masked_sha256
 
 from repro.core import codec
@@ -57,7 +58,9 @@ GOLDEN_STATEFUL_SHARDS_EVENTS = {0: 227, 1: 85}
 
 #: The round rule's deterministic counts on the dense and the sparse
 #: 10x3 plant (10 regions, 10 shards, seed 1, inline mode), keyed by
-#: ``sparse``.  Every field is scheduling-independent and identical on
+#: ``sparse``: the dense plant's E6 row, and the sparse plant's run
+#: (``steps`` is the row's ``region_steps``), whose members end in the
+#: dense plant's state, RIB included.  Every field is scheduling-independent and identical on
 #: every machine: a mismatch means grant computation, relay order or
 #: workload construction changed, which shows here before it shows as
 #: a slower run.  ``events`` moved when a clean link hop became one
@@ -77,17 +80,16 @@ GOLDEN_STATEFUL_SHARDS_EVENTS = {0: 227, 1: 85}
 #: 3,048 and 5,201 -> 4,341), and with fewer instants to step rounds and
 #: grants fell 387 -> 364 and 566 -> 504, region_steps 1,529 -> 1,279 and
 #: 2,098 -> 1,700; what crosses the cuts and the plant's outcome held.
+#: The sparse plant's row went with its label, ``flat-stateful-sparse``:
+#: its equal ``rib_sha256`` is its node stats equal to the dense run's.
 REFERENCE_10x3 = {
     False: {"config": "flat-stateful", "rounds": 364, "grants": 364,
             "region_steps": 1279, "frames_relayed": 874,
             "relay_batches": 739, "events": 3048, "enrolled": 41,
             "table_rows": 1640, "lsas_received": 1640,
             "rib_sha256": "4b8e61727f72a1f0"},
-    True: {"config": "flat-stateful-sparse", "rounds": 504, "grants": 504,
-           "region_steps": 1700, "frames_relayed": 1080,
-           "relay_batches": 790, "events": 4341, "enrolled": 41,
-           "table_rows": 1640, "lsas_received": 1640,
-           "rib_sha256": "4b8e61727f72a1f0"},
+    True: {"rounds": 504, "grants": 504, "steps": 1700,
+           "frames_relayed": 1080, "relay_batches": 790, "events": 4341},
 }
 
 
@@ -186,12 +188,21 @@ class TestStatefulEquivalence:
                         < sharded["rounds"] * sharded["shards"])
 
     def test_round_counts_match_reference(self):
-        for sparse, expected in REFERENCE_10x3.items():
-            row = run_stateful_scale(10, 3, shards=10, seed=1,
-                                     mode="inline", sparse=sparse)
-            assert row["shards"] == 10
-            assert {key: row[key] for key in expected} == expected
-            assert json.loads(json.dumps(row)) == row
+        row = run_stateful_scale(10, 3, shards=10, seed=1, mode="inline")
+        assert row["shards"] == 10
+        expected = REFERENCE_10x3[False]
+        assert {key: row[key] for key in expected} == expected
+        assert json.loads(json.dumps(row)) == row
+        spec = build_flood_spec(10, 3)
+        plan = RegionPlan(spec, flood_assignment(10, 3, 10))
+        dense, sparse = (
+            run_sharded(plan, workload, seed=1, mode="inline",
+                        until=workload["until"], collect_traces=False)
+            for workload in (build_stateful_workload(10, 3),
+                             sparse_stateful_workload(10, 3)))
+        expected = REFERENCE_10x3[True]
+        assert {key: getattr(sparse, key) for key in expected} == expected
+        assert sparse.node_stats == dense.node_stats
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +292,7 @@ def test_stateful_fingerprints_reproduce_inside_pool_workers():
     in-process traces pinned above — proof that the whole control plane,
     codec included, rebuilds from pure data in a fresh interpreter."""
     from repro.sweeps import Job, SweepRunner
-    jobs = [Job("repro.experiments.e6_scalability:trace_digests",
+    jobs = [Job("shard_cases:trace_digests",
                 kwargs={"kind": "stateful", "regions": 3, "hosts_per_region": 2, "shards": 2,
                         "seed": 0},
                 group="golden-stateful", label="canned stateful split")] * 2

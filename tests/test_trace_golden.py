@@ -353,7 +353,7 @@ def test_sharded_fingerprints_reproduce_inside_pool_workers():
     byte-identical to the in-process run pinned above — the shard
     analogue of the scenario-trace worker check below."""
     from repro.sweeps import Job, SweepRunner
-    jobs = [Job("repro.experiments.e6_scalability:trace_digests",
+    jobs = [Job("shard_cases:trace_digests",
                 kwargs={"kind": "flood", "regions": 2, "hosts_per_region": 3, "shards": 2,
                         "seed": 0},
                 group="golden-shard", label="canned 2-region split")] * 2
